@@ -35,7 +35,6 @@ type config struct {
 	pingInterval time.Duration
 	loadInterval time.Duration
 	fanout       time.Duration
-	placement    string
 	debugAddr    string
 }
 
@@ -48,7 +47,6 @@ func parseFlags(args []string) (*config, error) {
 	pingInterval := fs.Duration("ping-interval", 5*time.Second, "replica health probe interval")
 	loadInterval := fs.Duration("load-interval", 2*time.Second, "replica load/memo-index poll interval (negative disables load-aware placement and result-reuse routing)")
 	fanout := fs.Duration("fanout-timeout", 5*time.Second, "per-replica deadline for scatter-gather requests and health probes")
-	placement := fs.String("placement", "p2c", "submission placement policy: p2c (power-of-two-choices over advertised queue depth) or rr (round-robin)")
 	debugAddr := fs.String("debug-addr", "", "optional pprof/metrics listener (e.g. 127.0.0.1:6061)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -64,7 +62,6 @@ func parseFlags(args []string) (*config, error) {
 		pingInterval: *pingInterval,
 		loadInterval: *loadInterval,
 		fanout:       *fanout,
-		placement:    *placement,
 		debugAddr:    *debugAddr,
 	}, nil
 }
@@ -110,12 +107,11 @@ func main() {
 	obs.SetLogLevel(slog.LevelInfo)
 
 	g, err := gateway.New(gateway.Options{
-		Replicas:        cfg.replicas,
-		PingInterval:    cfg.pingInterval,
-		LoadInterval:    cfg.loadInterval,
-		FanoutTimeout:   cfg.fanout,
-		MaxWaitWindow:   cfg.maxWait,
-		PlacementPolicy: cfg.placement,
+		Replicas:      cfg.replicas,
+		PingInterval:  cfg.pingInterval,
+		LoadInterval:  cfg.loadInterval,
+		FanoutTimeout: cfg.fanout,
+		MaxWaitWindow: cfg.maxWait,
 	})
 	if err != nil {
 		log.Fatalf("mcgw: %v", err)

@@ -20,9 +20,6 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if cfg.loadInterval != 2*time.Second {
 		t.Fatalf("load-interval default %v", cfg.loadInterval)
 	}
-	if cfg.placement != "p2c" {
-		t.Fatalf("placement default %q", cfg.placement)
-	}
 	if len(cfg.replicas) != 2 ||
 		cfg.replicas[0].Name != "r01" || cfg.replicas[0].BaseURL != "http://a:8080" ||
 		cfg.replicas[1].Name != "r02" || cfg.replicas[1].BaseURL != "http://b:8080" {
@@ -38,7 +35,6 @@ func TestParseFlagsFull(t *testing.T) {
 		"-ping-interval", "2s",
 		"-load-interval", "500ms",
 		"-fanout-timeout", "1s",
-		"-placement", "rr",
 		"-debug-addr", "127.0.0.1:6061",
 	})
 	if err != nil {
@@ -46,7 +42,7 @@ func TestParseFlagsFull(t *testing.T) {
 	}
 	if cfg.addr != ":9999" || cfg.maxWait != 30*time.Second ||
 		cfg.pingInterval != 2*time.Second || cfg.fanout != time.Second ||
-		cfg.loadInterval != 500*time.Millisecond || cfg.placement != "rr" ||
+		cfg.loadInterval != 500*time.Millisecond ||
 		cfg.debugAddr != "127.0.0.1:6061" {
 		t.Fatalf("flags parsed wrong: %+v", cfg)
 	}
@@ -65,6 +61,7 @@ func TestParseFlagsErrors(t *testing.T) {
 		{[]string{"-replicas", "r01"}, "invalid replica"},
 		{[]string{"-replicas", "r01=ftp://a"}, "invalid replica base URL"},
 		{[]string{"-replicas", "r01=http://a,r01=http://b"}, "duplicate replica"},
+		{[]string{"-replicas", "r01=http://a", "-placement", "rr"}, "flag provided but not defined"},
 	}
 	for _, c := range cases {
 		if _, err := parseFlags(c.args); err == nil || !strings.Contains(err.Error(), c.want) {

@@ -36,7 +36,6 @@ import (
 //	GET    /status                        JSON metrics with percentiles
 //	GET    /load                          replica load report (federation)
 //	GET    /memo                          memo index delta feed (?since=)
-//	GET    /memo/{digest}                 one cached computation by digest
 //
 // Every request passes the ingress instrumentation first: an X-Request-ID
 // is established (propagated or generated), per-route metrics are recorded,
@@ -551,50 +550,32 @@ func (c *Container) handleLoad(w http.ResponseWriter, r *http.Request) {
 	rest.WriteJSON(w, http.StatusOK, report)
 }
 
-// handleMemo serves the memo index plane:
-//
-//	GET /memo?since=N   one page of the index delta feed (the gateway
-//	                    polls it to maintain the federation-wide
-//	                    digest→replica map)
-//	GET /memo/{digest}  direct lookup of one cached computation
+// handleMemo serves GET /memo?since=N: one page of the memo index delta
+// feed, which the gateway polls to maintain the federation-wide
+// digest→replica map.  The feed names digests, services and job IDs only;
+// cached outputs are reachable solely through the guarded job resource.
 func (c *Container) handleMemo(w http.ResponseWriter, r *http.Request, path string) {
+	if sub, _ := rest.ShiftPath(path); sub != "" {
+		rest.WriteError(w, core.ErrNotFound("resource", r.URL.Path))
+		return
+	}
 	if r.Method != http.MethodGet {
 		rest.MethodNotAllowed(w, http.MethodGet)
 		return
 	}
-	digest, _ := rest.ShiftPath(path)
-	memo := c.jobs.memo
-	if digest == "" {
-		var since uint64
-		if raw := r.URL.Query().Get("since"); raw != "" {
-			v, err := strconv.ParseUint(raw, 10, 64)
-			if err != nil {
-				rest.WriteError(w, core.ErrBadRequest("invalid since cursor %q", raw))
-				return
-			}
-			since = v
+	var since uint64
+	if raw := r.URL.Query().Get("since"); raw != "" {
+		v, err := strconv.ParseUint(raw, 10, 64)
+		if err != nil {
+			rest.WriteError(w, core.ErrBadRequest("invalid since cursor %q", raw))
+			return
 		}
-		var page core.MemoIndexPage
-		if memo != nil {
-			page = memo.deltas(since)
-		}
-		page.Replica = c.replicaID
-		rest.WriteJSON(w, http.StatusOK, page)
-		return
+		since = v
 	}
-	if memo == nil {
-		rest.WriteError(w, core.ErrNotFound("memo entry", digest))
-		return
+	var page core.MemoIndexPage
+	if memo := c.jobs.memo; memo != nil {
+		page = memo.deltas(since)
 	}
-	service, jobID, outputs, ok := memo.lookupEntry(digest)
-	if !ok {
-		rest.WriteError(w, core.ErrNotFound("memo entry", digest))
-		return
-	}
-	rest.WriteJSON(w, http.StatusOK, map[string]any{
-		"key":     digest,
-		"service": service,
-		"jobID":   jobID,
-		"outputs": outputs,
-	})
+	page.Replica = c.replicaID
+	rest.WriteJSON(w, http.StatusOK, page)
 }

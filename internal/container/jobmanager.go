@@ -2,25 +2,15 @@ package container
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"io"
 	"log/slog"
-	"net/http"
-	"os"
-	"path/filepath"
-	"runtime/debug"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"mathcloud/internal/adapter"
 	"mathcloud/internal/core"
 	"mathcloud/internal/journal"
 	"mathcloud/internal/obs"
-	"mathcloud/internal/rest"
 )
 
 // jobRecord is the container's internal state for one job.
@@ -329,13 +319,7 @@ func (jm *JobManager) SubmitTTL(ctx context.Context, serviceName string, inputs 
 		return rec.snapshot(), nil
 	}
 
-	// Mark the record queued before the send: a worker may dequeue it the
-	// instant it lands, and the pickup path balances the gauge through the
-	// same flag.
-	rec.queued.Store(true)
-	metJobsWaiting.Add(1)
-	select {
-	case jm.queue <- rec:
+	if jm.tryEnqueue(rec) {
 		metJobsSubmitted.Inc()
 		// The accept is journaled before SubmitCtx returns, so every job a
 		// client was ever told about survives a crash.
@@ -356,23 +340,38 @@ func (jm *JobManager) SubmitTTL(ctx context.Context, serviceName string, inputs 
 		default:
 		}
 		return rec.snapshot(), nil
+	}
+	sh.mu.Lock()
+	delete(sh.jobs, rec.job.ID)
+	sh.mu.Unlock()
+	metQueueRejections.Inc()
+	// A leader that never entered the queue must still resolve its flight:
+	// followers that joined in the meantime fail with the same overload
+	// error instead of waiting forever.
+	if rec.memoKey != "" {
+		jm.failFlight(rec.memoKey, "container: coalesced execution was rejected: job queue is full")
+	}
+	// A full queue is a transient overload, not a request conflict: answer
+	// 503 with a retry hint so client retry policies absorb it.
+	return nil, core.ErrUnavailable(queueFullRetryAfter, "job queue is full")
+}
+
+// tryEnqueue offers rec to the job queue without blocking, reporting whether
+// it was accepted.  The record is marked queued before the send — a worker
+// may dequeue it the instant it lands, and every exit from the queue (worker
+// pickup, cancel-while-queued, the rejection here) balances the waiting
+// gauge through the same flag, whichever wins the race.
+func (jm *JobManager) tryEnqueue(rec *jobRecord) bool {
+	rec.queued.Store(true)
+	metJobsWaiting.Add(1)
+	select {
+	case jm.queue <- rec:
+		return true
 	default:
 		if rec.queued.CompareAndSwap(true, false) {
 			metJobsWaiting.Add(-1)
 		}
-		sh.mu.Lock()
-		delete(sh.jobs, rec.job.ID)
-		sh.mu.Unlock()
-		metQueueRejections.Inc()
-		// A leader that never entered the queue must still resolve its
-		// flight: followers that joined in the meantime fail with the same
-		// overload error instead of waiting forever.
-		if rec.memoKey != "" {
-			jm.failFlight(rec.memoKey, "container: coalesced execution was rejected: job queue is full")
-		}
-		// A full queue is a transient overload, not a request conflict:
-		// answer 503 with a retry hint so client retry policies absorb it.
-		return nil, core.ErrUnavailable(queueFullRetryAfter, "job queue is full")
+		return false
 	}
 }
 
@@ -432,65 +431,34 @@ func (jm *JobManager) Delete(id string) (*core.Job, error) {
 		return nil, err
 	}
 	rec.mu.Lock()
-	state := rec.job.State
-	cancel := rec.cancel
-	if state == core.StateWaiting {
-		// Cancel before a worker picks the job up.
-		rec.job.State = core.StateCancelled
-		rec.job.Finished = time.Now()
-		if rec.ttl > 0 {
-			rec.job.Destruction = rec.job.Finished.Add(rec.ttl)
-		}
-		rec.invalidate()
-		close(rec.done)
-		if rec.queued.CompareAndSwap(true, false) {
-			metJobsWaiting.Add(-1)
-		}
-		metJobsCompleted.With("cancelled").Inc()
-	}
+	terminal := rec.job.State.Terminal()
 	rec.mu.Unlock()
-
-	switch state {
-	case core.StateWaiting:
-		// A cancelled leader settles its flight here: followers fail with
-		// a cancellation error rather than waiting on a job that will
-		// never run.
-		jm.settleFlight(rec)
-		if sw := rec.sweep; sw != nil {
-			sw.childTransition(core.StateWaiting, core.StateCancelled, "")
-		}
-		jm.logJobEnd(rec)
-		jm.notifyJob(rec)
-		return rec.snapshot(), nil
-	case core.StateRunning:
-		if cancel != nil {
-			cancel()
-		}
-		return rec.snapshot(), nil
-	default:
-		// Terminal: destroy the job resource and its files.  The map
-		// removal decides the winner among racing deletes, so the purge
-		// runs exactly once and later deletes observe 404.
-		sh := jm.shard(id)
-		sh.mu.Lock()
-		_, present := sh.jobs[id]
-		delete(sh.jobs, id)
-		sh.mu.Unlock()
-		if !present {
-			return nil, core.ErrNotFound("job", id)
-		}
-		// The purge is journaled before the memo entry and files go, so a
-		// crash mid-destruction replays the purge rather than resurrecting
-		// a half-deleted job.  Replayed purges are idempotent.
-		jm.c.logRecord(journal.KindJobPurge, journal.JobPurgeRecord{ID: id})
-		// The cached entry backed by this job references its files; purge
-		// it with them so hits never return dangling URIs.
-		if jm.memo != nil {
-			jm.memo.dropJob(id)
-		}
-		jm.c.files.DeleteOwnedBy(id)
+	if !terminal {
+		jm.cancelJob(rec)
 		return rec.snapshot(), nil
 	}
+	// Terminal: destroy the job resource and its files.  The map removal
+	// decides the winner among racing deletes, so the purge runs exactly
+	// once and later deletes observe 404.
+	sh := jm.shard(id)
+	sh.mu.Lock()
+	_, present := sh.jobs[id]
+	delete(sh.jobs, id)
+	sh.mu.Unlock()
+	if !present {
+		return nil, core.ErrNotFound("job", id)
+	}
+	// The purge is journaled before the memo entry and files go, so a crash
+	// mid-destruction replays the purge rather than resurrecting a
+	// half-deleted job.  Replayed purges are idempotent.
+	jm.c.logRecord(journal.KindJobPurge, journal.JobPurgeRecord{ID: id})
+	// The cached entry backed by this job references its files; purge it
+	// with them so hits never return dangling URIs.
+	if jm.memo != nil {
+		jm.memo.dropJob(id)
+	}
+	jm.c.files.DeleteOwnedBy(id)
+	return rec.snapshot(), nil
 }
 
 // List returns snapshots of jobs for one service (or all, if service is
@@ -563,578 +531,6 @@ func (jm *JobManager) Close() {
 	}
 }
 
-// cancelPending moves a job that never reached a worker to CANCELLED and
-// releases its waiters.  Running and terminal jobs are left to their worker
-// (done is closed exactly once, when the terminal state is set).  A
-// cancelled singleflight leader settles its flight so coalesced followers
-// are released too.
-func (jm *JobManager) cancelPending(rec *jobRecord) {
-	rec.mu.Lock()
-	if rec.job.State != core.StateWaiting {
-		rec.mu.Unlock()
-		return
-	}
-	rec.job.State = core.StateCancelled
-	rec.job.Finished = time.Now()
-	if rec.ttl > 0 {
-		rec.job.Destruction = rec.job.Finished.Add(rec.ttl)
-	}
-	rec.invalidate()
-	close(rec.done)
-	if rec.queued.CompareAndSwap(true, false) {
-		metJobsWaiting.Add(-1)
-	}
-	metJobsCompleted.With("cancelled").Inc()
-	rec.mu.Unlock()
-	jm.settleFlight(rec)
-	if sw := rec.sweep; sw != nil {
-		sw.childTransition(core.StateWaiting, core.StateCancelled, "")
-	}
-	jm.logJobEnd(rec)
-	jm.notifyJob(rec)
-}
-
-// cancelJob cancels one live job without destroying its record: queued jobs
-// move straight to CANCELLED, running jobs have their context cancelled and
-// land wherever their worker puts them.  Terminal jobs are left alone — this
-// is the cancel half of Delete, which whole-sweep cancellation applies to
-// every child without tearing down finished results.
-func (jm *JobManager) cancelJob(rec *jobRecord) {
-	rec.mu.Lock()
-	state := rec.job.State
-	cancel := rec.cancel
-	rec.mu.Unlock()
-	switch state {
-	case core.StateWaiting:
-		// cancelPending re-checks the state under the lock, so losing a
-		// race against a worker pickup here is harmless.
-		jm.cancelPending(rec)
-	case core.StateRunning:
-		if cancel != nil {
-			cancel()
-		}
-	}
-}
-
-func (jm *JobManager) worker() {
-	defer jm.wg.Done()
-	// spill holds a job pulled off the queue by drainBatch that belongs to a
-	// different service: the worker runs it next instead of re-enqueueing,
-	// so draining never starves or reorders foreign jobs behind the batch.
-	var spill *jobRecord
-	for {
-		var rec *jobRecord
-		if spill != nil {
-			rec, spill = spill, nil
-		} else {
-			select {
-			case <-jm.closing:
-				return
-			case rec = <-jm.queue:
-			}
-		}
-		if svc, batch := jm.drainBatch(rec, &spill); batch != nil {
-			jm.processBatch(svc, batch)
-		} else {
-			jm.process(rec)
-		}
-		// A finished job may have freed queue capacity for sweep children
-		// that did not fit at submission time, or for recovered jobs still
-		// in the restart backlog.
-		jm.sweeps.pump()
-		jm.pumpBacklog()
-	}
-}
-
-// drainBatch collects queued jobs of rec's service into one micro-batch of
-// up to jm.batchMax members.  It returns (nil, nil) when batching does not
-// apply — batching disabled, service gone or not declared "batch", adapter
-// without InvokeBatch, or no second job available — in which case the caller
-// processes rec singly.  Draining stops at the first job of a different
-// service, which is handed back through spill.
-func (jm *JobManager) drainBatch(rec *jobRecord, spill **jobRecord) (*service, []*jobRecord) {
-	if jm.batchMax < 2 {
-		return nil, nil
-	}
-	// Service is immutable after Submit publishes the record.
-	svc, err := jm.c.service(rec.job.Service)
-	if err != nil || !svc.desc.Batch {
-		return nil, nil
-	}
-	if _, ok := svc.adapter.(adapter.BatchInterface); !ok {
-		return nil, nil
-	}
-	batch := []*jobRecord{rec}
-drain:
-	for len(batch) < jm.batchMax {
-		select {
-		case next := <-jm.queue:
-			if next.job.Service == rec.job.Service {
-				batch = append(batch, next)
-			} else {
-				*spill = next
-				break drain
-			}
-		default:
-			break drain
-		}
-	}
-	if len(batch) == 1 {
-		return nil, nil
-	}
-	return svc, batch
-}
-
-// runningJob carries the per-execution state of one job from its
-// WAITING→RUNNING transition to its terminal state.  It factors the single
-// and micro-batched worker paths over one set of lifecycle helpers: beginJob
-// → prepare → (adapter) → complete/finish, with cleanup and recoverPanic as
-// deferred guards.
-type runningJob struct {
-	jm       *JobManager
-	rec      *jobRecord
-	ctx      context.Context
-	deadline time.Duration
-	jobID    string
-	service  string
-	owner    string
-	trace    string
-	inputs   core.Values
-	workDir  string
-	req      *adapter.Request
-}
-
-// beginJob moves a dequeued job to RUNNING and captures the fields its
-// execution needs, returning nil when the job is no longer WAITING
-// (cancelled while queued).  ctx must already wrap the execution deadline;
-// cancel is retained on the record so DELETE can abort the run.
-func (jm *JobManager) beginJob(rec *jobRecord, ctx context.Context, cancel context.CancelFunc, deadline time.Duration) *runningJob {
-	rec.mu.Lock()
-	if rec.job.State != core.StateWaiting {
-		// Cancelled while queued.
-		rec.mu.Unlock()
-		return nil
-	}
-	rec.job.State = core.StateRunning
-	rec.job.Started = time.Now()
-	rec.job.QueueWait = core.Duration(rec.job.Started.Sub(rec.job.Created))
-	rec.cancel = cancel
-	rec.invalidate()
-	rj := &runningJob{
-		jm:       jm,
-		rec:      rec,
-		deadline: deadline,
-		jobID:    rec.job.ID,
-		service:  rec.job.Service,
-		owner:    rec.job.Owner,
-		trace:    rec.job.TraceID,
-		inputs:   rec.job.Inputs.Clone(),
-	}
-	queueWait := rec.job.QueueWait.Std()
-	rec.mu.Unlock()
-
-	if rec.queued.CompareAndSwap(true, false) {
-		metJobsWaiting.Add(-1)
-	}
-	metJobsRunning.Add(1)
-	jm.running.Add(1)
-	metQueueWait.Observe(queueWait.Seconds())
-	// Re-enter the job's trace into the execution context: every outbound
-	// call the adapter makes (workflow block invocations, file staging)
-	// then carries the ingress X-Request-ID.
-	if rj.trace != "" {
-		ctx = obs.WithRequestID(ctx, rj.trace)
-	}
-	rj.ctx = ctx
-	if sw := rec.sweep; sw != nil {
-		sw.childTransition(core.StateWaiting, core.StateRunning, "")
-	}
-	if jm.c.journal != nil {
-		jm.c.logRecord(journal.KindJobStart, journal.JobStartRecord{ID: rj.jobID, Started: rec.snapshot().Started})
-	}
-	jm.notifyJob(rec)
-	return rj
-}
-
-// finish records the job's terminal state, settles its singleflight (a DONE
-// leader populates the computation cache and completes coalesced followers)
-// and notifies its sweep.  It is idempotent: the first caller wins, so the
-// panic guard can invoke it over an already-finished job.
-func (rj *runningJob) finish(outputs core.Values, err error) {
-	rec := rj.rec
-	rec.mu.Lock()
-	if rec.job.State.Terminal() {
-		rec.mu.Unlock()
-		return
-	}
-	rec.job.Finished = time.Now()
-	rec.job.RunTime = core.Duration(rec.job.Finished.Sub(rec.job.Started))
-	switch {
-	case err == nil:
-		rec.job.State = core.StateDone
-		rec.job.Outputs = outputs
-	case errors.Is(rj.ctx.Err(), context.DeadlineExceeded):
-		// The job overran its execution deadline: a fault of the
-		// job, not a client cancellation.
-		rec.job.State = core.StateError
-		rec.job.Error = fmt.Sprintf("container: job exceeded its %s execution deadline", rj.deadline)
-		metDeadlineOverruns.Inc()
-	case rj.ctx.Err() != nil:
-		rec.job.State = core.StateCancelled
-	default:
-		rec.job.State = core.StateError
-		rec.job.Error = err.Error()
-	}
-	if rec.ttl > 0 {
-		rec.job.Destruction = rec.job.Finished.Add(rec.ttl)
-	}
-	state := rec.job.State
-	errMsg := rec.job.Error
-	runTime := rec.job.RunTime.Std()
-	queueWait := rec.job.QueueWait.Std()
-	rec.invalidate()
-	close(rec.done)
-	rec.mu.Unlock()
-
-	metJobsRunning.Add(-1)
-	rj.jm.running.Add(-1)
-	metRunTime.Observe(runTime.Seconds())
-	metJobsCompleted.With(strings.ToLower(string(state))).Inc()
-	if logger := obs.Logger(); logger.Enabled(rj.ctx, slog.LevelInfo) {
-		logger.LogAttrs(rj.ctx, slog.LevelInfo, "job finished",
-			slog.String("request_id", rj.trace),
-			slog.String("job_id", rj.jobID),
-			slog.String("service", rj.service),
-			slog.String("state", string(state)),
-			slog.Duration("queue_wait", queueWait),
-			slog.Duration("run_time", runTime))
-	}
-	rj.jm.settleFlight(rec)
-	if sw := rec.sweep; sw != nil {
-		sw.childTransition(core.StateRunning, state, errMsg)
-	}
-	rj.jm.logJobEnd(rec)
-	rj.jm.notifyJob(rec)
-}
-
-// prepare creates the job's scratch directory, stages file inputs into it
-// and assembles the adapter request.  The directory is created lazily: a
-// job with no file inputs whose adapter reports (WorkDirCapability) that it
-// never reads WorkDir skips the create/remove round trip entirely — for
-// short in-process computations those two filesystem operations dominate
-// the whole job, and a wide campaign pays them per child.
-func (rj *runningJob) prepare(ad adapter.Interface) error {
-	needDir := hasFileInputs(rj.inputs)
-	if !needDir {
-		if cap, ok := ad.(adapter.WorkDirCapability); !ok || cap.NeedsWorkDir() {
-			needDir = true
-		}
-	}
-	var files map[string]string
-	if needDir {
-		workDir, err := os.MkdirTemp(rj.jm.c.workRoot, "job-"+rj.jobID[:8]+"-")
-		if err != nil {
-			return fmt.Errorf("container: create work dir: %w", err)
-		}
-		rj.workDir = workDir
-		if files, err = rj.jm.stageInputs(rj.ctx, rj.inputs, workDir); err != nil {
-			return err
-		}
-	}
-	rec := rj.rec
-	progress := func(msg string) {
-		rec.mu.Lock()
-		defer rec.mu.Unlock()
-		if len(rec.job.Log) < 1000 {
-			rec.job.Log = append(rec.job.Log, msg)
-			rec.invalidate()
-		}
-	}
-	setBlockState := func(block string, state core.JobState) {
-		rec.mu.Lock()
-		defer rec.mu.Unlock()
-		if rec.job.Blocks == nil {
-			rec.job.Blocks = make(map[string]core.JobState)
-		}
-		rec.job.Blocks[block] = state
-		rec.invalidate()
-	}
-	rj.req = &adapter.Request{
-		JobID:         rj.jobID,
-		Service:       rj.service,
-		Owner:         rj.owner,
-		Inputs:        rj.inputs,
-		Files:         files,
-		WorkDir:       rj.workDir,
-		Progress:      progress,
-		SetBlockState: setBlockState,
-	}
-	return nil
-}
-
-// cleanup removes the job's scratch directory, if prepare created one.
-func (rj *runningJob) cleanup() {
-	if rj.workDir != "" {
-		_ = os.RemoveAll(rj.workDir)
-	}
-}
-
-// complete publishes the adapter result and lands the job in its terminal
-// state.
-func (rj *runningJob) complete(svc *service, res *adapter.Result, err error) {
-	if err != nil {
-		rj.finish(nil, err)
-		return
-	}
-	outputs, err := rj.jm.publishOutputs(res, rj.jobID)
-	if err != nil {
-		rj.finish(nil, err)
-		return
-	}
-	if err := svc.desc.ValidateOutputs(outputs); err != nil {
-		rj.finish(nil, fmt.Errorf("container: adapter produced invalid outputs: %w", err))
-		return
-	}
-	rj.finish(outputs, nil)
-}
-
-// recoverPanic is the deferred panic guard of the worker paths: a panicking
-// adapter (or staging/publishing step) marks the job ERROR with the captured
-// stack instead of killing the worker goroutine and wedging every waiter.
-func (rj *runningJob) recoverPanic() {
-	if r := recover(); r != nil {
-		metWorkerPanics.Inc()
-		rj.finish(nil, fmt.Errorf("container: adapter panic: %v\n%s", r, panicStack()))
-	}
-}
-
-// process runs one job through its adapter.
-func (jm *JobManager) process(rec *jobRecord) {
-	// Resolve the service first: its description may override the
-	// container's default execution deadline.  Service is immutable after
-	// Submit publishes the record.
-	serviceName := rec.job.Service
-	svc, svcErr := jm.c.service(serviceName)
-	deadline := jm.deadline
-	if svc != nil && svc.desc.Deadline > 0 {
-		deadline = svc.desc.Deadline.Std()
-	}
-	var ctx context.Context
-	var cancel context.CancelFunc
-	if deadline > 0 {
-		ctx, cancel = context.WithTimeout(jm.baseCtx, deadline)
-	} else {
-		ctx, cancel = context.WithCancel(jm.baseCtx)
-	}
-	defer cancel()
-
-	rj := jm.beginJob(rec, ctx, cancel, deadline)
-	if rj == nil {
-		return
-	}
-	defer rj.recoverPanic()
-	defer rj.cleanup()
-	if svcErr != nil {
-		rj.finish(nil, svcErr)
-		return
-	}
-	if err := rj.prepare(svc.adapter); err != nil {
-		rj.finish(nil, err)
-		return
-	}
-	res, err := svc.adapter.Invoke(rj.ctx, rj.req)
-	rj.complete(svc, res, err)
-}
-
-// processBatch runs several queued jobs of one batch-capable service through
-// a single InvokeBatch call.  The batch shares one execution deadline; each
-// member keeps its own cancellable child context, so DELETE of one member
-// cancels that member alone.  A failed item fails only its job; an error (or
-// panic) of the batch as a whole fails every member that has not finished.
-func (jm *JobManager) processBatch(svc *service, recs []*jobRecord) {
-	deadline := jm.deadline
-	if svc.desc.Deadline > 0 {
-		deadline = svc.desc.Deadline.Std()
-	}
-	var batchCtx context.Context
-	var batchCancel context.CancelFunc
-	if deadline > 0 {
-		batchCtx, batchCancel = context.WithTimeout(jm.baseCtx, deadline)
-	} else {
-		batchCtx, batchCancel = context.WithCancel(jm.baseCtx)
-	}
-	defer batchCancel()
-
-	// Begin every member; jobs cancelled while queued drop out here.
-	active := make([]*runningJob, 0, len(recs))
-	for _, rec := range recs {
-		ctx, cancel := context.WithCancel(batchCtx)
-		rj := jm.beginJob(rec, ctx, cancel, deadline)
-		if rj == nil {
-			cancel()
-			continue
-		}
-		active = append(active, rj)
-	}
-	if len(active) == 0 {
-		return
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			metWorkerPanics.Inc()
-			err := fmt.Errorf("container: adapter panic: %v\n%s", r, panicStack())
-			// finish is idempotent: members that already landed keep their
-			// state, the rest go to ERROR.
-			for _, rj := range active {
-				rj.finish(nil, err)
-			}
-		}
-	}()
-	defer func() {
-		for _, rj := range active {
-			rj.cleanup()
-		}
-	}()
-
-	// Stage every member; a member whose staging fails drops out of the
-	// invocation without affecting the rest.
-	ready := make([]*runningJob, 0, len(active))
-	for _, rj := range active {
-		if err := rj.prepare(svc.adapter); err != nil {
-			rj.finish(nil, err)
-			continue
-		}
-		ready = append(ready, rj)
-	}
-	if len(ready) == 0 {
-		return
-	}
-	metBatchSize.Observe(float64(len(ready)))
-	reqs := make([]*adapter.Request, len(ready))
-	for i, rj := range ready {
-		reqs[i] = rj.req
-	}
-	items, err := svc.adapter.(adapter.BatchInterface).InvokeBatch(batchCtx, reqs)
-	if err == nil && len(items) != len(reqs) {
-		err = fmt.Errorf("container: batch adapter returned %d results for %d jobs", len(items), len(reqs))
-	}
-	if err != nil {
-		for _, rj := range ready {
-			rj.finish(nil, err)
-		}
-		return
-	}
-	for i, rj := range ready {
-		switch {
-		case items[i].Err != nil:
-			rj.finish(nil, items[i].Err)
-		case items[i].Result == nil:
-			rj.finish(nil, fmt.Errorf("container: batch adapter returned no result for job %s", rj.jobID))
-		default:
-			rj.complete(svc, items[i].Result, nil)
-		}
-	}
-}
-
-// stageInputs resolves file-reference input values into local files inside
-// the job work directory and returns the parameter→path map.  Local file
-// IDs are hardlinked (or stream-copied) from the container's file store;
-// absolute URLs (produced by other containers in a workflow) are streamed
-// over HTTP straight into the work dir, except when they point back at this
-// container, in which case the transfer is short-cut to the local path.
-// No path buffers whole files on the heap.
-// hasFileInputs reports whether any input value is a file reference that
-// must be staged to disk.
-func hasFileInputs(inputs core.Values) bool {
-	for _, v := range inputs {
-		if _, ok := core.FileRefID(v); ok {
-			return true
-		}
-	}
-	return false
-}
-
-func (jm *JobManager) stageInputs(ctx context.Context, inputs core.Values, workDir string) (map[string]string, error) {
-	files := make(map[string]string)
-	for name, val := range inputs {
-		ref, ok := core.FileRefID(val)
-		if !ok {
-			continue
-		}
-		path := filepath.Join(workDir, "in_"+name)
-		if err := jm.stageFile(ctx, ref, path); err != nil {
-			return nil, fmt.Errorf("container: stage input %q: %w", name, err)
-		}
-		files[name] = path
-	}
-	return files, nil
-}
-
-// stageFile materialises the file behind ref at path.
-func (jm *JobManager) stageFile(ctx context.Context, ref, path string) error {
-	if id, ok := jm.c.localFileID(ref); ok {
-		// A federation ID minted on another replica is pulled into the
-		// local content-addressed store first (once, digest-verified);
-		// local IDs pass straight through.
-		if err := jm.c.ensureLocalFile(ctx, id); err != nil {
-			return err
-		}
-		return jm.c.files.StageTo(id, path)
-	}
-	if strings.HasPrefix(ref, "http://") || strings.HasPrefix(ref, "https://") {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ref, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := jm.c.httpClient.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("GET %s: %s", ref, resp.Status)
-		}
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o600)
-		if err != nil {
-			return err
-		}
-		// Read one byte past the limit so an oversized file is detected
-		// and fails the job instead of being silently truncated.
-		n, err := rest.Copy(f, io.LimitReader(resp.Body, maxFileBytes+1))
-		if closeErr := f.Close(); err == nil {
-			err = closeErr
-		}
-		if err == nil && n > maxFileBytes {
-			err = fmt.Errorf("GET %s: file exceeds the %d-byte staging limit", ref, int64(maxFileBytes))
-		}
-		if err != nil {
-			_ = os.Remove(path)
-			return err
-		}
-		return nil
-	}
-	return jm.c.files.StageTo(ref, path)
-}
-
-// publishOutputs converts adapter result files into file resources and
-// merges them with inline outputs.
-func (jm *JobManager) publishOutputs(res *adapter.Result, jobID string) (core.Values, error) {
-	outputs := core.Values{}
-	for k, v := range res.Outputs {
-		outputs[k] = v
-	}
-	for name, path := range res.Files {
-		// Hardlink (or stream-copy) the work-dir file into the store; the
-		// adapter is done with it and the work dir is about to be removed.
-		id, err := jm.c.files.PutFile(path, jobID)
-		if err != nil {
-			return nil, fmt.Errorf("container: publish output %q: %w", name, err)
-		}
-		outputs[name] = core.FileRef(jm.c.fileURI(id))
-	}
-	return outputs, nil
-}
-
 // MemoStats reports the computation cache occupancy: cached entries and
 // their approximate byte size.  Zeroes when the cache is disabled.
 func (jm *JobManager) MemoStats() (entries int, bytes int64) {
@@ -1158,191 +554,3 @@ func (jm *JobManager) LoadReport() core.LoadReport {
 		MemoBytes:   bytes,
 	}
 }
-
-// errNonLocalFileRef marks a request input referencing a file this
-// container does not store; such requests cannot be content-hashed cheaply
-// and bypass the computation cache.
-var errNonLocalFileRef = errors.New("container: non-local file reference")
-
-// memoKey derives the content-addressed computation key of a request, or
-// reports false when the request is not memoizable: the service did not
-// declare itself deterministic, the cache is disabled, or an input
-// references a file whose content this container cannot digest.  The
-// non-deterministic path is a single branch with no allocation.
-func (jm *JobManager) memoKey(svc *service, inputs core.Values) (string, bool) {
-	if jm.memo == nil || !svc.desc.Deterministic {
-		return "", false
-	}
-	key, err := core.CanonicalHash(svc.desc.Name, svc.desc.Version, inputs, jm.digestRef)
-	if err != nil {
-		return "", false
-	}
-	return key, true
-}
-
-// digestRef resolves a file-reference input to the content digest the file
-// store computed while the file streamed in.
-func (jm *JobManager) digestRef(ref string) (string, error) {
-	if id, ok := jm.c.localFileID(ref); ok {
-		return jm.c.files.Digest(id)
-	}
-	return "", errNonLocalFileRef
-}
-
-// publishCachedJob registers a job that is born DONE: a cache hit.  The
-// cached outputs are cloned onto a fresh job record, so the caller observes
-// exactly the shape a real execution would have produced, minus the queue
-// and the adapter.
-func (jm *JobManager) publishCachedJob(ctx context.Context, serviceName string, inputs core.Values, owner, trace string, outputs core.Values, ttl time.Duration) (*core.Job, error) {
-	now := time.Now()
-	rec := &jobRecord{
-		job: &core.Job{
-			ID:        jm.c.newID(),
-			Service:   serviceName,
-			State:     core.StateDone,
-			Inputs:    inputs,
-			Outputs:   outputs.Clone(),
-			Owner:     owner,
-			Created:   now,
-			Submitted: now,
-			Started:   now,
-			Finished:  now,
-			TraceID:   trace,
-		},
-		done: make(chan struct{}),
-		ttl:  ttl,
-	}
-	if ttl > 0 {
-		rec.job.Destruction = now.Add(ttl)
-	}
-	close(rec.done)
-	sh := jm.shard(rec.job.ID)
-	sh.mu.Lock()
-	sh.jobs[rec.job.ID] = rec
-	sh.mu.Unlock()
-	metJobsSubmitted.Inc()
-	metJobsCompleted.With("done").Inc()
-	// Born terminal: one record carries the whole lifecycle.
-	jm.logJob(rec)
-	jm.notifyJob(rec)
-	if logger := obs.Logger(); logger.Enabled(ctx, slog.LevelInfo) {
-		logger.LogAttrs(ctx, slog.LevelInfo, "job served from computation cache",
-			slog.String("request_id", trace),
-			slog.String("job_id", rec.job.ID),
-			slog.String("service", serviceName))
-	}
-	return rec.snapshot(), nil
-}
-
-// settleFlight resolves the singleflight led by rec after it reached a
-// terminal state: a DONE leader populates the computation cache and hands
-// its outputs to every coalesced follower; any other terminal state fails
-// the followers.  Settlement is idempotent — the first caller takes the
-// flight, later callers no-op.
-func (jm *JobManager) settleFlight(rec *jobRecord) {
-	if rec.memoKey == "" || jm.memo == nil {
-		return
-	}
-	rec.mu.Lock()
-	state := rec.job.State
-	outputs := rec.job.Outputs
-	errMsg := rec.job.Error
-	jobID := rec.job.ID
-	service := rec.job.Service
-	rec.mu.Unlock()
-	if !state.Terminal() {
-		return
-	}
-	followers, noStore, ok := jm.memo.takeFlight(rec.memoKey)
-	if !ok {
-		return
-	}
-	if state == core.StateDone && !noStore {
-		jm.memo.store(rec.memoKey, service, jobID, outputs)
-		jm.c.logRecord(journal.KindMemoPut, journal.MemoPutRecord{
-			Key: rec.memoKey, Service: service, JobID: jobID, Outputs: outputs,
-		})
-	}
-	switch state {
-	case core.StateDone:
-		for _, f := range followers {
-			jm.completeFollower(f, core.StateDone, outputs, "")
-		}
-	case core.StateCancelled:
-		for _, f := range followers {
-			jm.completeFollower(f, core.StateError, nil,
-				"container: coalesced execution was cancelled")
-		}
-	default:
-		for _, f := range followers {
-			jm.completeFollower(f, core.StateError, nil, errMsg)
-		}
-	}
-}
-
-// failFlight resolves a flight whose leader never ran (queue overflow),
-// failing any followers that joined it.
-func (jm *JobManager) failFlight(key, errMsg string) {
-	followers, _, ok := jm.memo.takeFlight(key)
-	if !ok {
-		return
-	}
-	for _, f := range followers {
-		jm.completeFollower(f, core.StateError, nil, errMsg)
-	}
-}
-
-// completeFollower moves a coalesced follower to its terminal state with
-// the leader's result.  Followers their own clients already cancelled are
-// left untouched (done is closed exactly once).
-func (jm *JobManager) completeFollower(rec *jobRecord, state core.JobState, outputs core.Values, errMsg string) {
-	rec.mu.Lock()
-	if rec.job.State.Terminal() {
-		rec.mu.Unlock()
-		return
-	}
-	now := time.Now()
-	rec.job.Started = now
-	rec.job.Finished = now
-	rec.job.QueueWait = core.Duration(now.Sub(rec.job.Created))
-	switch state {
-	case core.StateDone:
-		rec.job.State = core.StateDone
-		rec.job.Outputs = outputs.Clone()
-	default:
-		rec.job.State = core.StateError
-		rec.job.Error = errMsg
-	}
-	if rec.ttl > 0 {
-		rec.job.Destruction = now.Add(rec.ttl)
-	}
-	final := rec.job.State
-	finalErr := rec.job.Error
-	rec.invalidate()
-	close(rec.done)
-	rec.mu.Unlock()
-	metJobsCompleted.With(strings.ToLower(string(final))).Inc()
-	// Followers go straight from WAITING to their terminal state.
-	if sw := rec.sweep; sw != nil {
-		sw.childTransition(core.StateWaiting, final, finalErr)
-	}
-	jm.logJobEnd(rec)
-	jm.notifyJob(rec)
-}
-
-// panicStack captures the panicking goroutine's stack, truncated so a deep
-// recursion does not bloat the job record (the head frames carry the
-// culprit).
-func panicStack() string {
-	const maxStack = 8 << 10
-	stack := debug.Stack()
-	if len(stack) > maxStack {
-		stack = append(stack[:maxStack], []byte("\n... stack truncated")...)
-	}
-	return string(stack)
-}
-
-// maxFileBytes bounds remote file staging and client uploads.  It is a
-// variable only so tests can exercise the overflow path without moving a
-// gibibyte.
-var maxFileBytes int64 = 1 << 30

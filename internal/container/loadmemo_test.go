@@ -69,7 +69,7 @@ func TestLoadEndpointReportsQueueAndMemo(t *testing.T) {
 }
 
 // TestMemoEndpointsServeIndexAndEntries exercises the memo export plane:
-// the delta feed (GET /memo?since=) and the digest probe (GET /memo/{d}).
+// the delta feed (GET /memo?since=) and its index entries.
 func TestMemoEndpointsServeIndexAndEntries(t *testing.T) {
 	var calls atomic.Int64
 	c := newMemoContainer(t, container.Options{Workers: 2, ReplicaID: "r03"})
@@ -106,25 +106,14 @@ func TestMemoEndpointsServeIndexAndEntries(t *testing.T) {
 		t.Fatalf("idle page = %+v", idle)
 	}
 
-	// The digest probe answers with the cached result.
-	var hit struct {
-		Key     string      `json:"key"`
-		Service string      `json:"service"`
-		JobID   string      `json:"jobID"`
-		Outputs core.Values `json:"outputs"`
-	}
-	key := page.Entries[0].Key
-	if code := getFederationJSON(t, srv.URL+"/memo/"+key, &hit); code != http.StatusOK {
-		t.Fatalf("GET /memo/%s = %d", key, code)
-	}
-	if hit.Service != "feedsvc" || hit.JobID != job.ID || hit.Outputs["y"] != 16.0 {
-		t.Fatalf("memo hit = %+v", hit)
-	}
-
-	// Unknown digests are 404, and a bad cursor is 400.
+	// The feed is the whole memo plane: there is no per-digest probe, so a
+	// real digest answers 404 like any other sub-path, and a bad cursor is
+	// 400.
 	var ignore map[string]any
-	if code := getFederationJSON(t, srv.URL+"/memo/deadbeef", &ignore); code != http.StatusNotFound {
-		t.Fatalf("GET /memo/deadbeef = %d, want 404", code)
+	for _, sub := range []string{page.Entries[0].Key, "deadbeef"} {
+		if code := getFederationJSON(t, srv.URL+"/memo/"+sub, &ignore); code != http.StatusNotFound {
+			t.Fatalf("GET /memo/%s = %d, want 404", sub, code)
+		}
 	}
 	if code := getFederationJSON(t, srv.URL+"/memo?since=banana", &ignore); code != http.StatusBadRequest {
 		t.Fatalf("GET /memo?since=banana = %d, want 400", code)

@@ -106,19 +106,6 @@ func (m *memoTable) lookup(key string) (core.Values, bool) {
 	return e.outputs, true
 }
 
-// lookupEntry is lookup for the federation plane: it additionally hands
-// back the owning service and backing job, for GET /memo/{digest}.
-func (m *memoTable) lookupEntry(key string) (service, jobID string, outputs core.Values, ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.entries[key]
-	if !ok {
-		return "", "", nil, false
-	}
-	m.lru.MoveToFront(e.elem)
-	return e.service, e.jobID, e.outputs, true
-}
-
 // logDeltaLocked appends one change record, trimming the log to its
 // bound.  Callers must hold m.mu.
 func (m *memoTable) logDeltaLocked(d memoDelta) {

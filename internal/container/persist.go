@@ -19,14 +19,9 @@ import (
 // Checkpoint periodically folds the whole state into a snapshot so the log
 // stays short.
 
-const (
-	// defaultSnapshotInterval is the checkpoint period when
-	// Options.SnapshotInterval is zero.
-	defaultSnapshotInterval = time.Minute
-	// reapInterval is how often the destruction-time reaper scans for
-	// expired terminal jobs and sweeps.
-	reapInterval = 30 * time.Second
-)
+// defaultSnapshotInterval is the checkpoint period when
+// Options.SnapshotInterval is zero.
+const defaultSnapshotInterval = time.Minute
 
 // logRecord appends one record to the container's journal, if journaling is
 // enabled.  Append errors are logged, not propagated: the in-memory state is
@@ -441,14 +436,7 @@ func (jm *JobManager) restoreState(st *replayState) (jobs, sweeps, requeued int)
 		// Re-queue: straight into the queue while it has room, the restart
 		// backlog otherwise (workers drain it as capacity frees up).
 		requeued++
-		rec.queued.Store(true)
-		metJobsWaiting.Add(1)
-		select {
-		case jm.queue <- rec:
-		default:
-			if rec.queued.CompareAndSwap(true, false) {
-				metJobsWaiting.Add(-1)
-			}
+		if !jm.tryEnqueue(rec) {
 			jm.backlogMu.Lock()
 			jm.backlog = append(jm.backlog, rec)
 			jm.backlogMu.Unlock()
@@ -536,17 +524,10 @@ func (jm *JobManager) pumpBacklog() {
 			continue
 		default:
 		}
-		rec.queued.Store(true)
-		metJobsWaiting.Add(1)
-		select {
-		case jm.queue <- rec:
-			jm.dropBacklogHead(rec)
-		default:
-			if rec.queued.CompareAndSwap(true, false) {
-				metJobsWaiting.Add(-1)
-			}
+		if !jm.tryEnqueue(rec) {
 			return
 		}
+		jm.dropBacklogHead(rec)
 	}
 }
 
@@ -559,70 +540,6 @@ func (jm *JobManager) dropBacklogHead(rec *jobRecord) {
 		jm.backlogCount.Add(-1)
 	}
 	jm.backlogMu.Unlock()
-}
-
-// reaper periodically purges terminal jobs and sweeps past their destruction
-// time (UWS §2: results have a lifetime, not a lease on the server forever).
-func (jm *JobManager) reaper() {
-	defer jm.wg.Done()
-	t := time.NewTicker(reapInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-jm.closing:
-			return
-		case <-t.C:
-			jm.Reap(time.Now())
-		}
-	}
-}
-
-// Reap purges every terminal job and sweep whose destruction time is at or
-// before now, returning how many jobs it destroyed.  Exported for tests and
-// for operators who want an explicit sweep (the background reaper calls it
-// every 30s).
-func (jm *JobManager) Reap(now time.Time) int {
-	reaped := 0
-	jm.sweeps.mu.RLock()
-	sweeps := make([]*sweepRecord, 0, len(jm.sweeps.sweeps))
-	for _, sw := range jm.sweeps.sweeps {
-		sweeps = append(sweeps, sw)
-	}
-	jm.sweeps.mu.RUnlock()
-	for _, sw := range sweeps {
-		sw.mu.Lock()
-		d := sw.destruction
-		sw.mu.Unlock()
-		if d.IsZero() || d.After(now) {
-			continue
-		}
-		// Count the children that still exist; DeleteSweep purges them.
-		live := 0
-		for _, cid := range sw.childIDs {
-			if _, err := jm.record(cid); err == nil {
-				live++
-			}
-		}
-		if _, err := jm.DeleteSweep(sw.id); err == nil {
-			reaped += live
-		}
-	}
-	for _, rec := range jm.allRecords() {
-		if rec.sweep != nil {
-			continue // the sweep's own destruction time governs its children
-		}
-		snap := rec.snapshot()
-		if !snap.State.Terminal() || snap.Destruction.IsZero() || snap.Destruction.After(now) {
-			continue
-		}
-		if _, err := jm.Delete(snap.ID); err == nil {
-			reaped++
-		}
-	}
-	if reaped > 0 {
-		metJobsReaped.Add(float64(reaped))
-	}
-	return reaped
 }
 
 // startSnapshotter launches the periodic checkpoint loop.  Only Recover

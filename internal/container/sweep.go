@@ -224,20 +224,11 @@ func (sw *sweepRecord) pump() {
 			continue
 		default:
 		}
-		rec.queued.Store(true)
-		metJobsWaiting.Add(1)
-		select {
-		case sw.jm.queue <- rec:
-			sw.dropPendingHead(rec)
-		default:
-			// Queue full again: hand the slot back and retry on a later
-			// pump.  A concurrent cancel may have balanced the gauge
-			// already, which the swap detects.
-			if rec.queued.CompareAndSwap(true, false) {
-				metJobsWaiting.Add(-1)
-			}
+		if !sw.jm.tryEnqueue(rec) {
+			// Queue full again: retry on a later pump.
 			return
 		}
+		sw.dropPendingHead(rec)
 	}
 }
 

@@ -181,12 +181,12 @@ func BenchmarkFederatedMemoHit(b *testing.B) {
 	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "jobs/s")
 }
 
-// BenchmarkSkewedPlacement compares round-robin against power-of-two-choices
-// placement under heterogeneous replicas: r01 answers in 5ms, r02 in 20ms (a
-// 4:1 service-time skew modelling a slower machine or a busier neighbour).
-// Blind round-robin sends half the batch to the slow replica and the
-// makespan is dominated by its queue; p2c reads the advertised queue depths
-// and drains the batch toward the fast replica.  The jobs/s gap is the win.
+// BenchmarkSkewedPlacement measures power-of-two-choices placement under
+// heterogeneous replicas: r01 answers in 5ms, r02 in 20ms (a 4:1
+// service-time skew modelling a slower machine or a busier neighbour).  A
+// blind round-robin would send half the batch to the slow replica and let
+// its queue dominate the makespan (BENCH_10 recorded that arm); p2c reads
+// the advertised queue depths and drains the batch toward the fast replica.
 func BenchmarkSkewedPlacement(b *testing.B) {
 	const fastTime, slowTime = 5 * time.Millisecond, 20 * time.Millisecond
 	sleeper := func(d time.Duration) adapter.Func {
@@ -203,56 +203,49 @@ func BenchmarkSkewedPlacement(b *testing.B) {
 	adapter.RegisterFunc("gwbench.fast", sleeper(fastTime))
 	adapter.RegisterFunc("gwbench.slow", sleeper(slowTime))
 
-	for _, policy := range []string{"rr", "p2c"} {
-		b.Run("policy="+policy, func(b *testing.B) {
-			// Same service name on both replicas, different backing speed.
-			r1 := startReplica(b, "r01", numService(b, "skew", "gwbench.fast", false))
-			r2 := startReplica(b, "r02", numService(b, "skew", "gwbench.slow", false))
-			_, gw := startGateway(b, gateway.Options{
-				PlacementPolicy: policy,
-				LoadInterval:    25 * time.Millisecond,
-			}, r1, r2)
+	// Same service name on both replicas, different backing speed.
+	r1 := startReplica(b, "r01", numService(b, "skew", "gwbench.fast", false))
+	r2 := startReplica(b, "r02", numService(b, "skew", "gwbench.slow", false))
+	_, gw := startGateway(b, gateway.Options{LoadInterval: 25 * time.Millisecond}, r1, r2)
 
-			const jobs = 64
-			const clients = 8
-			b.ResetTimer()
-			for iter := 0; iter < b.N; iter++ {
-				var next atomic.Int64
-				var failed atomic.Int64
-				start := time.Now()
-				var wg sync.WaitGroup
-				for w := 0; w < clients; w++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for {
-							i := next.Add(1)
-							if i > jobs {
-								return
-							}
-							body := fmt.Sprintf(`{"a": %d}`, i)
-							resp, err := http.Post(gw.URL+"/services/skew?wait=60s",
-								"application/json", strings.NewReader(body))
-							if err != nil {
-								failed.Add(1)
-								return
-							}
-							var job core.Job
-							err = json.NewDecoder(resp.Body).Decode(&job)
-							resp.Body.Close()
-							if err != nil || resp.StatusCode != http.StatusCreated || job.State != core.StateDone {
-								failed.Add(1)
-							}
-						}
-					}()
+	const jobs = 64
+	const clients = 8
+	b.ResetTimer()
+	for iter := 0; iter < b.N; iter++ {
+		var next atomic.Int64
+		var failed atomic.Int64
+		start := time.Now()
+		var wg sync.WaitGroup
+		for w := 0; w < clients; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					i := next.Add(1)
+					if i > jobs {
+						return
+					}
+					body := fmt.Sprintf(`{"a": %d}`, i)
+					resp, err := http.Post(gw.URL+"/services/skew?wait=60s",
+						"application/json", strings.NewReader(body))
+					if err != nil {
+						failed.Add(1)
+						return
+					}
+					var job core.Job
+					err = json.NewDecoder(resp.Body).Decode(&job)
+					resp.Body.Close()
+					if err != nil || resp.StatusCode != http.StatusCreated || job.State != core.StateDone {
+						failed.Add(1)
+					}
 				}
-				wg.Wait()
-				elapsed := time.Since(start)
-				if f := failed.Load(); f != 0 {
-					b.Fatalf("%d of %d jobs failed", f, jobs)
-				}
-				b.ReportMetric(float64(jobs)/elapsed.Seconds(), "jobs/s")
-			}
-		})
+			}()
+		}
+		wg.Wait()
+		elapsed := time.Since(start)
+		if f := failed.Load(); f != 0 {
+			b.Fatalf("%d of %d jobs failed", f, jobs)
+		}
+		b.ReportMetric(float64(jobs)/elapsed.Seconds(), "jobs/s")
 	}
 }

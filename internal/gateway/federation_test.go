@@ -14,6 +14,7 @@ import (
 	"mathcloud/internal/container"
 	"mathcloud/internal/core"
 	"mathcloud/internal/gateway"
+	"mathcloud/internal/jsonschema"
 )
 
 // TestSharedMemoIndexServesResubmissionAcrossGateways is the federation-wide
@@ -44,25 +45,7 @@ func TestSharedMemoIndexServesResubmissionAcrossGateways(t *testing.T) {
 		t.Fatalf("adapter ran %d times after first submit, want 1", calls.Load())
 	}
 
-	// A second, independent gateway over the same replicas: fresh process
-	// state, no hints.  It must NOT reset the replicas' base URLs (that
-	// would wipe their memo caches), so it is built without startGateway.
-	gB, err := gateway.New(gateway.Options{
-		Replicas: []gateway.Replica{
-			{Name: "r01", BaseURL: r1.srv.URL},
-			{Name: "r02", BaseURL: r2.srv.URL},
-		},
-		PingInterval: -1,
-		LoadInterval: -1,
-		Logger:       quietLogger(),
-	})
-	if err != nil {
-		t.Fatalf("second gateway: %v", err)
-	}
-	t.Cleanup(gB.Close)
-	gwB := httptest.NewServer(gB.Handler())
-	t.Cleanup(gwB.Close)
-	gB.RefreshLoad(context.Background()) // pull the memo index feeds
+	gwB := secondGateway(t, r1, r2)
 
 	before := metricValue(t, gwB.URL, "mc_gateway_memo_index_hits_total")
 	resp2, job2 := postJSON(t, gwB.URL+"/services/fadd?wait=15s", inputs)
@@ -80,6 +63,75 @@ func TestSharedMemoIndexServesResubmissionAcrossGateways(t *testing.T) {
 	}
 	if after := metricValue(t, gwB.URL, "mc_gateway_memo_index_hits_total"); after != before+1 {
 		t.Fatalf("memo index hits %v -> %v, want +1", before, after)
+	}
+}
+
+// secondGateway builds an independent gateway over replicas that already
+// serve another one: fresh process state, no hints, memo index pulled once
+// from the replicas' feeds.  It must NOT reset the replicas' base URLs (that
+// would wipe their memo caches), so it is built without startGateway.
+func secondGateway(t *testing.T, replicas ...*replica) *httptest.Server {
+	t.Helper()
+	opts := gateway.Options{PingInterval: -1, LoadInterval: -1, Logger: quietLogger()}
+	for _, r := range replicas {
+		opts.Replicas = append(opts.Replicas, gateway.Replica{Name: r.name, BaseURL: r.srv.URL})
+	}
+	g, err := gateway.New(opts)
+	if err != nil {
+		t.Fatalf("second gateway: %v", err)
+	}
+	t.Cleanup(g.Close)
+	srv := httptest.NewServer(g.Handler())
+	t.Cleanup(srv.Close)
+	g.RefreshLoad(context.Background()) // pull the memo index feeds
+	return srv
+}
+
+// TestSharedMemoIndexKeyAppliesInputDefaults pins the gateway's memo key to
+// the replica's: the replica hashes the inputs AFTER applying the service's
+// declared defaults, so a client that omits a defaulted input must still be
+// routed by the shared index — from a gateway that never saw the first
+// submission and therefore has no hint for it.
+func TestSharedMemoIndexKeyAppliesInputDefaults(t *testing.T) {
+	var calls atomic.Int64
+	adapter.RegisterFunc("gwtest.defmemo", func(ctx context.Context, in core.Values) (core.Values, error) {
+		calls.Add(1)
+		a, _ := in["a"].(float64)
+		b, _ := in["b"].(float64)
+		return core.Values{"sum": a + b}, nil
+	})
+	svc := numService(t, "dadd", "gwtest.defmemo", true)
+	withDefault := jsonschema.New(jsonschema.TypeNumber)
+	withDefault.Default, withDefault.HasDefault = 23.0, true
+	svc.Description.Inputs[1].Schema = withDefault
+	r1 := startReplica(t, "r01", svc)
+	r2 := startReplica(t, "r02", svc)
+	_, gwA := startGateway(t, gateway.Options{LoadInterval: -1}, r1, r2)
+
+	inputs := core.Values{"a": 19.0} // b comes from the declared default
+	resp, job := postJSON(t, gwA.URL+"/services/dadd?wait=15s", inputs)
+	if resp.StatusCode != http.StatusCreated || job["state"] != "DONE" {
+		t.Fatalf("first submit: status %d state %v", resp.StatusCode, job["state"])
+	}
+	if sum := job["outputs"].(map[string]any)["sum"].(float64); sum != 42.0 {
+		t.Fatalf("sum = %v, want 42 (default not applied)", sum)
+	}
+	holder := resp.Header.Get(container.ReplicaHeader)
+
+	gwB := secondGateway(t, r1, r2)
+	before := metricValue(t, gwB.URL, "mc_gateway_memo_index_hits_total")
+	resp2, job2 := postJSON(t, gwB.URL+"/services/dadd?wait=15s", inputs)
+	if resp2.StatusCode != http.StatusCreated || job2["state"] != "DONE" {
+		t.Fatalf("resubmit: status %d state %v", resp2.StatusCode, job2["state"])
+	}
+	if got := resp2.Header.Get(container.ReplicaHeader); got != holder {
+		t.Fatalf("resubmit served by %q, cache lives on %q", got, holder)
+	}
+	if after := metricValue(t, gwB.URL, "mc_gateway_memo_index_hits_total"); after != before+1 {
+		t.Fatalf("memo index hits %v -> %v, want +1", before, after)
+	}
+	if calls.Load() != 1 {
+		t.Fatalf("adapter ran %d times in total, want 1", calls.Load())
 	}
 }
 

@@ -82,10 +82,6 @@ type Options struct {
 	// index).  Zero selects the default (2s); a negative value disables
 	// the background loop (tests drive RefreshLoad explicitly).
 	LoadInterval time.Duration
-	// PlacementPolicy selects the submission spread: "p2c" (default,
-	// power-of-two-choices over advertised queue depth) or "rr" (legacy
-	// blind round-robin, kept as an ablation/escape hatch).
-	PlacementPolicy string
 	// Resolver, when non-nil, re-resolves the base URL of a named replica
 	// that stopped answering at its last known address (a rescheduled
 	// container).  It is consulted before routing to an unhealthy replica
@@ -173,7 +169,6 @@ type Gateway struct {
 	sse        *sseMux
 	hints      *hintTable
 	memo       *memoIndex
-	placement  string          // "p2c" or "rr"
 	replicas   []*replicaState // fixed order (Options.Replicas)
 	byName     map[string]*replicaState
 	rrCursor   atomic.Uint64
@@ -226,13 +221,6 @@ func New(opts Options) (*Gateway, error) {
 	if hintMax <= 0 {
 		hintMax = 65536
 	}
-	placement := opts.PlacementPolicy
-	if placement == "" {
-		placement = placementP2C
-	}
-	if placement != placementP2C && placement != placementRR {
-		return nil, fmt.Errorf("gateway: unknown placement policy %q (want p2c or rr)", placement)
-	}
 	g := &Gateway{
 		client:    httpClient,
 		api:       &client.Client{HTTP: httpClient},
@@ -243,7 +231,6 @@ func New(opts Options) (*Gateway, error) {
 		bus:       events.NewBus(events.Options{}),
 		hints:     newHintTable(hintMax),
 		memo:      newMemoIndex(),
-		placement: placement,
 		byName:    make(map[string]*replicaState, len(opts.Replicas)),
 		candCache: make(map[string]*candEntry),
 		stop:      make(chan struct{}),

@@ -54,12 +54,11 @@ func TestMemoIndexApplyIncrementalResetAndOwnership(t *testing.T) {
 
 // federationTestGateway extends the placement-only test gateway with load
 // reports and deterministic service descriptions.
-func federationTestGateway(policy string, deterministic bool, loads map[string]core.LoadReport) *Gateway {
+func federationTestGateway(deterministic bool, loads map[string]core.LoadReport) *Gateway {
 	g := newTestGateway(
 		map[string][]string{"r01": {"s"}, "r02": {"s"}},
 		map[string]bool{"r01": true, "r02": true},
 	)
-	g.placement = policy
 	for name, rs := range g.byName {
 		rs.services["s"] = core.ServiceDescription{Name: "s", Version: "1", Deterministic: deterministic}
 		if report, ok := loads[name]; ok {
@@ -71,7 +70,7 @@ func federationTestGateway(policy string, deterministic bool, loads map[string]c
 }
 
 func TestP2CPlacementDrainsToShorterQueue(t *testing.T) {
-	g := federationTestGateway(placementP2C, false, map[string]core.LoadReport{
+	g := federationTestGateway(false, map[string]core.LoadReport{
 		"r01": {QueueDepth: 100, QueueCap: 128},
 		"r02": {QueueDepth: 0, QueueCap: 128},
 	})
@@ -89,7 +88,7 @@ func TestP2CPlacementDrainsToShorterQueue(t *testing.T) {
 }
 
 func TestAdmissionRefusesWhenAllSaturated(t *testing.T) {
-	g := federationTestGateway(placementP2C, false, map[string]core.LoadReport{
+	g := federationTestGateway(false, map[string]core.LoadReport{
 		"r01": {QueueDepth: 128, QueueCap: 128},
 		"r02": {QueueDepth: 128, QueueCap: 128},
 	})
@@ -119,7 +118,7 @@ func TestAdmissionRefusesWhenAllSaturated(t *testing.T) {
 }
 
 func TestSaturatedSubmitReturns503WithRetryAfter(t *testing.T) {
-	g := federationTestGateway(placementP2C, false, map[string]core.LoadReport{
+	g := federationTestGateway(false, map[string]core.LoadReport{
 		"r01": {QueueDepth: 64, QueueCap: 64},
 		"r02": {QueueDepth: 64, QueueCap: 64},
 	})
@@ -139,7 +138,7 @@ func TestSaturatedSubmitReturns503WithRetryAfter(t *testing.T) {
 }
 
 func TestRouteSubmitPrefersIndexThenHintAndCountsStaleHints(t *testing.T) {
-	g := federationTestGateway(placementP2C, true, nil)
+	g := federationTestGateway(true, nil)
 	key, err := core.CanonicalHash("s", "1", core.Values{"a": 1.0}, nil)
 	if err != nil {
 		t.Fatal(err)

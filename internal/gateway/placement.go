@@ -32,12 +32,6 @@ import (
 //     admission outright (503 + Retry-After) instead of burning a proxy hop
 //     on a replica that would reject the job anyway.
 
-// Placement policy names accepted by Options.PlacementPolicy.
-const (
-	placementP2C = "p2c"
-	placementRR  = "rr"
-)
-
 // rendezvousScore ranks one (service, replica) pair.  FNV-1a over the joint
 // key is cheap, stateless and stable across processes.
 func rendezvousScore(service, replica string) uint64 {
@@ -132,19 +126,17 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// spreadReplica picks the next submission target among candidates.  Under
-// the default p2c policy the round-robin cursor nominates the primary
-// candidate and a splitmix64-derived second index challenges it: the
-// challenger wins only with a strictly shorter advertised queue.  Under
-// uniform (or not yet polled) load every challenge ties and the spread
-// degrades to exact round-robin — no placement regression against the
-// legacy policy — while a skewed federation drains toward the replicas
-// with headroom.  Under rr (or with a single candidate) the cursor decides
-// alone.
+// spreadReplica picks the next submission target among candidates by
+// power-of-two-choices: the round-robin cursor nominates the primary
+// candidate and a splitmix64-derived second index challenges it, winning
+// only with a strictly shorter advertised queue.  Under uniform (or not yet
+// polled) load every challenge ties and the spread is exact round-robin,
+// while a skewed federation drains toward the replicas with headroom.  With
+// a single candidate the cursor decides alone.
 func (g *Gateway) spreadReplica(candidates []*replicaState) *replicaState {
 	n := g.rrCursor.Add(1)
 	i := int((n - 1) % uint64(len(candidates)))
-	if len(candidates) == 1 || g.placement == placementRR {
+	if len(candidates) == 1 {
 		return candidates[i]
 	}
 	k := int(splitmix64(n) % uint64(len(candidates)))
@@ -202,7 +194,9 @@ func (g *Gateway) routeSubmit(service string, inputs core.Values) (rs *replicaSt
 		// same bytes miss), but routing only needs gateway-local
 		// determinism: a miss degrades to placement, never to a wrong
 		// answer — the replica's own memo gate re-derives the real key.
-		if k, err := core.CanonicalHash(desc.Name, desc.Version, inputs, nil); err == nil {
+		// Defaults are applied first, as the replica does, so the key of a
+		// request that omits a defaulted input matches the replicas' feed.
+		if k, err := core.CanonicalHash(desc.Name, desc.Version, desc.ApplyDefaults(inputs), nil); err == nil {
 			key = k
 			if name, ok := g.memo.lookup(key); ok {
 				for _, c := range candidates {

@@ -27,7 +27,6 @@ func newTestGateway(services map[string][]string, healthy map[string]bool) *Gate
 		hints:     newHintTable(64),
 		memo:      newMemoIndex(),
 		candCache: make(map[string]*candEntry),
-		placement: placementRR,
 	}
 	for name, svcs := range services {
 		rs := &replicaState{
