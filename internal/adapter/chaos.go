@@ -51,6 +51,9 @@ func NewChaosAdapter(config json.RawMessage) (Interface, error) {
 // Kind implements Interface.
 func (a *ChaosAdapter) Kind() string { return "chaos" }
 
+// NeedsWorkDir implements WorkDirCapability: no mode reads Request.WorkDir.
+func (a *ChaosAdapter) NeedsWorkDir() bool { return false }
+
 // Invoke implements Interface.
 func (a *ChaosAdapter) Invoke(ctx context.Context, req *Request) (*Result, error) {
 	mode := a.cfg.Mode

@@ -48,6 +48,10 @@ func NewScriptAdapter(config json.RawMessage) (Interface, error) {
 // Kind implements Interface.
 func (a *ScriptAdapter) Kind() string { return "script" }
 
+// NeedsWorkDir implements WorkDirCapability: a script sees only its input
+// values, never the filesystem.
+func (a *ScriptAdapter) NeedsWorkDir() bool { return false }
+
 // Invoke implements Interface.  Script execution is CPU-bound and bounded
 // by the step limit, so cancellation is checked before starting.
 func (a *ScriptAdapter) Invoke(ctx context.Context, req *Request) (*Result, error) {

@@ -479,8 +479,11 @@ func (fs *FileStore) restoreFile(id, digest string, size int64, owner string) er
 // matches: a corrupted or truncated transfer is discarded without
 // touching the content-addressed store, so a retry can succeed and no
 // local ID ever points at wrong bytes.  Ingesting an ID that is already
-// present is a no-op, making concurrent pulls and replays idempotent.
-func (fs *FileStore) IngestRemote(id, digest string, r io.Reader) error {
+// present is a no-op, making concurrent pulls and replays idempotent.  The
+// replica of record owns the file's lifecycle; the local copy is a cache
+// entry owned by the job or sweep that pulled it (owner) and released with
+// it by DeleteOwnedBy, like the files that job produced.
+func (fs *FileStore) IngestRemote(id, digest string, r io.Reader, owner string) error {
 	if !fileIDPattern.MatchString(id) {
 		return fmt.Errorf("container: file store: ingest remote: malformed id %q", id)
 	}
@@ -534,26 +537,12 @@ func (fs *FileStore) IngestRemote(id, digest string, r io.Reader) error {
 	fs.digests[id] = digest
 	fs.sizes[id] = n
 	fs.logicalBytes += n
-	// No owner: the replica of record owns the file's lifecycle; the local
-	// copy is a cache entry released by its own refcounted Delete.
-	fs.mu.Unlock()
-	fs.logPut(id, digest, n, "")
-	return nil
-}
-
-// ownedBy returns the file IDs owned by the given job or sweep.  Recovery
-// uses it to rebuild a live sweep's staged-file list so the files are still
-// released when the sweep finalizes.
-func (fs *FileStore) ownedBy(owner string) []string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	var ids []string
-	for id, o := range fs.owners {
-		if o == owner {
-			ids = append(ids, id)
-		}
+	if owner != "" {
+		fs.owners[id] = owner
 	}
-	return ids
+	fs.mu.Unlock()
+	fs.logPut(id, digest, n, owner)
+	return nil
 }
 
 // forEachFile visits every live file ID.  Used by the snapshotter; the

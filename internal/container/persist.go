@@ -398,9 +398,9 @@ func (jm *JobManager) restoreState(st *replayState) (jobs, sweeps, requeued int)
 			}
 			close(sw.done)
 		} else {
-			// Live again: re-own any staged shared inputs so finalize still
-			// releases them, and count toward the active gauge.
-			sw.fileIDs = jm.c.files.ownedBy(sw.id)
+			// Live again: count toward the active gauge.  Files the sweep
+			// owns were restored with their owner, so finalize still
+			// releases them.
 			metSweepActive.Add(1)
 			jm.sweeps.pendingCount.Add(int64(len(pending)))
 		}

@@ -13,14 +13,17 @@ import (
 // Cross-replica file fetch (DESIGN.md §5j).  In a federation, gateway
 // placement may hand a job to a replica other than the one holding its
 // input files: the file reference then carries a foreign affinity prefix
-// ("r01-<hex>" staged on r02).  Instead of constraining placement or
-// bouncing the bytes through the client, the consuming replica pulls the
-// blob once over the content-addressed file plane — GET /files/{id} via
-// its own base URL, which in a federated deployment points at the
-// gateway tier and therefore affinity-routes to the owner — verifies it
-// against the advertised digest, and registers the foreign ID locally.
-// Subsequent consumers (the rest of a sweep, a workflow's later blocks)
-// hit the local CAS.
+// ("r01-<hex>" staged on r02).  The gateway places a job on the replica
+// owning its inputs when it can; when it cannot (inputs spread over several
+// replicas, a saturated owner, a direct submission), the consuming replica
+// pulls the blob once over the content-addressed file plane instead of
+// bouncing the bytes through the client — GET /files/{id} via its own base
+// URL, which in a federated deployment points at the gateway tier and
+// therefore affinity-routes to the owner — verifies it against the
+// advertised digest, and registers the foreign ID locally.  Subsequent
+// consumers (the rest of a sweep, a workflow's later blocks) hit the local
+// CAS.  The local copy belongs to the job (or sweep) that pulled it and
+// goes with it; a later consumer pulls again.
 
 // fetchFlight is one in-progress pull of a foreign file ID.  Concurrent
 // consumers wait on it instead of starting duplicate transfers.
@@ -33,8 +36,9 @@ type fetchFlight struct {
 // pulling the blob from its home replica when the ID carries a foreign
 // affinity prefix.  IDs minted locally (or bare, pre-federation) return
 // immediately; a missing local ID then surfaces as not-found from the
-// staging call, exactly as before.
-func (c *Container) ensureLocalFile(ctx context.Context, id string) error {
+// staging call, exactly as before.  owner is the job or sweep the pulled
+// copy is released with.
+func (c *Container) ensureLocalFile(ctx context.Context, id, owner string) error {
 	if _, err := c.files.Digest(id); err == nil {
 		return nil
 	}
@@ -63,7 +67,7 @@ func (c *Container) ensureLocalFile(ctx context.Context, id string) error {
 	c.fetches[id] = f
 	c.fetchMu.Unlock()
 
-	f.err = c.fetchRemoteFile(ctx, base, id)
+	f.err = c.fetchRemoteFile(ctx, base, id, owner)
 	c.fetchMu.Lock()
 	delete(c.fetches, id)
 	c.fetchMu.Unlock()
@@ -74,8 +78,8 @@ func (c *Container) ensureLocalFile(ctx context.Context, id string) error {
 // fetchRemoteFile performs one blob transfer: GET the file through the
 // federation route, verify it against the digest the peer advertises,
 // and register it in the local content-addressed store under the same
-// federation ID.
-func (c *Container) fetchRemoteFile(ctx context.Context, base, id string) error {
+// federation ID, owned by owner.
+func (c *Container) fetchRemoteFile(ctx context.Context, base, id, owner string) error {
 	uri := base + "/files/" + id
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, uri, nil)
 	if err != nil {
@@ -98,7 +102,7 @@ func (c *Container) fetchRemoteFile(ctx context.Context, base, id string) error 
 	}
 	// The +1 exposes an over-limit transfer as a digest mismatch instead
 	// of silently registering a truncated blob.
-	if err := c.files.IngestRemote(id, digest, io.LimitReader(resp.Body, maxFileBytes+1)); err != nil {
+	if err := c.files.IngestRemote(id, digest, io.LimitReader(resp.Body, maxFileBytes+1), owner); err != nil {
 		return err
 	}
 	metRemoteFetches.Inc()

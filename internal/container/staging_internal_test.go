@@ -40,7 +40,7 @@ func TestStageFileRejectsOversizedRemote(t *testing.T) {
 
 	dir := t.TempDir()
 	dst := filepath.Join(dir, "in_data")
-	err = c.jobs.stageFile(context.Background(), srv.URL+"/big", dst)
+	err = c.jobs.stageFile(context.Background(), srv.URL+"/big", dst, "")
 	if err == nil {
 		t.Fatal("oversized remote file staged without error")
 	}
@@ -56,7 +56,7 @@ func TestStageFileRejectsOversizedRemote(t *testing.T) {
 		_, _ = w.Write(payload[:maxFileBytes])
 	}))
 	t.Cleanup(srvOK.Close)
-	if err := c.jobs.stageFile(context.Background(), srvOK.URL+"/fits", dst); err != nil {
+	if err := c.jobs.stageFile(context.Background(), srvOK.URL+"/fits", dst, ""); err != nil {
 		t.Fatalf("file exactly at the limit rejected: %v", err)
 	}
 	data, err := os.ReadFile(dst)
@@ -109,6 +109,91 @@ func TestOversizedInputFailsJob(t *testing.T) {
 	}
 	if !strings.Contains(done.Error, "exceeds") {
 		t.Errorf("job error %q does not mention the staging limit", done.Error)
+	}
+}
+
+// TestScriptJobCreatesNoWorkDirUnlessFilesAreStaged pins the lazy work
+// directory: the script adapter never reads Request.WorkDir, so a script job
+// without file inputs creates nothing under workRoot, while the same service
+// given a file input still gets a directory holding the staged file.
+func TestScriptJobCreatesNoWorkDirUnlessFilesAreStaged(t *testing.T) {
+	c, err := New(Options{Logger: log.New(io.Discard, "", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if err := c.Deploy(ServiceConfig{
+		Description: core.ServiceDescription{Name: "inc",
+			Inputs:  []core.Param{{Name: "x"}, {Name: "data", Optional: true}},
+			Outputs: []core.Param{{Name: "y"}}},
+		Adapter: AdapterSpec{Kind: "script",
+			Config: json.RawMessage(`{"script":"out.y = in.x + 1"}`)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := c.service("inc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := func() int {
+		t.Helper()
+		es, err := os.ReadDir(c.workRoot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(es)
+	}
+	prepared := func(inputs core.Values) *runningJob {
+		t.Helper()
+		rj := &runningJob{jm: c.jobs, rec: &jobRecord{}, ctx: context.Background(),
+			jobID: core.NewID(), service: "inc", inputs: inputs}
+		if err := rj.prepare(svc.adapter); err != nil {
+			t.Fatal(err)
+		}
+		return rj
+	}
+	base := entries()
+
+	plain := prepared(core.Values{"x": 1.0})
+	if plain.workDir != "" || plain.req.WorkDir != "" || entries() != base {
+		t.Fatalf("script job without file inputs: workDir %q, %d entries created under workRoot, want none",
+			plain.workDir, entries()-base)
+	}
+	plain.cleanup()
+
+	content := []byte("staged for a script")
+	id, err := c.files.PutBytes(content, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	withFile := prepared(core.Values{"x": 1.0, "data": core.FileRef(id)})
+	if withFile.workDir == "" || entries() != base+1 {
+		t.Fatalf("script job with a file input: workDir %q, %d entries created, want one directory",
+			withFile.workDir, entries()-base)
+	}
+	got, err := os.ReadFile(withFile.req.Files["data"])
+	if err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("staged file = %q, %v; want the uploaded content", got, err)
+	}
+	if filepath.Dir(withFile.req.Files["data"]) != withFile.workDir {
+		t.Fatalf("file staged at %s, outside the work dir %s", withFile.req.Files["data"], withFile.workDir)
+	}
+	withFile.cleanup()
+	if entries() != base {
+		t.Fatalf("%d entries left under workRoot after cleanup", entries()-base)
+	}
+
+	// End to end the plain job still computes, and leaves nothing behind.
+	job, err := c.Jobs().Submit("inc", core.Values{"x": 41.0}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := c.Jobs().Wait(context.Background(), job.ID, 10*time.Second)
+	if err != nil || done.State != core.StateDone || done.Outputs["y"] != 42.0 {
+		t.Fatalf("inc job = %+v, %v; want DONE with y=42", done, err)
+	}
+	if entries() != base {
+		t.Fatalf("%d entries left under workRoot after the job", entries()-base)
 	}
 }
 

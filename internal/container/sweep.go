@@ -107,9 +107,6 @@ type sweepRecord struct {
 	cancelled   bool
 	// pending holds children waiting for queue capacity, in point order.
 	pending []*jobRecord
-	// fileIDs are the sweep-owned staged shared inputs, released when the
-	// sweep ends.
-	fileIDs []string
 }
 
 // snapshot renders the sweep resource.  It is O(1) in the sweep width: the
@@ -177,19 +174,16 @@ func (sw *sweepRecord) childTransition(from, to core.JobState, errMsg string) {
 }
 
 // finalize runs exactly once, when the last child lands (its caller set
-// sw.finished under the lock): it releases the sweep-owned staged files and
-// wakes every WaitSweep caller.
+// sw.finished under the lock): it releases the sweep-owned files — shared
+// inputs staged at submission and blobs its children pulled from other
+// replicas — and wakes every WaitSweep caller.
 func (sw *sweepRecord) finalize() {
 	sw.mu.Lock()
-	hadFiles := len(sw.fileIDs) > 0
-	sw.fileIDs = nil
 	if sw.ttl > 0 && sw.destruction.IsZero() {
 		sw.destruction = sw.finished.Add(sw.ttl)
 	}
 	sw.mu.Unlock()
-	if hadFiles {
-		sw.jm.c.files.DeleteOwnedBy(sw.id)
-	}
+	sw.jm.c.files.DeleteOwnedBy(sw.id)
 	metSweepActive.Add(-1)
 	close(sw.done)
 }
@@ -501,7 +495,6 @@ func (jm *JobManager) stageSweepFiles(ctx context.Context, sw *sweepRecord, temp
 			if err != nil {
 				return nil, fmt.Errorf("container: stage sweep input %q: %w", name, err)
 			}
-			sw.fileIDs = append(sw.fileIDs, id)
 			uri = jm.c.fileURI(id)
 			if fetched == nil {
 				fetched = make(map[string]string)

@@ -289,7 +289,13 @@ func (rj *runningJob) prepare(ad adapter.Interface) error {
 			return fmt.Errorf("container: create work dir: %w", err)
 		}
 		rj.workDir = workDir
-		if files, err = rj.jm.stageInputs(rj.ctx, rj.inputs, workDir); err != nil {
+		// A blob pulled from another replica is released with the job, or
+		// with the whole campaign when the job is a sweep child.
+		owner := rj.jobID
+		if rj.rec.sweep != nil {
+			owner = rj.rec.sweep.id
+		}
+		if files, err = rj.jm.stageInputs(rj.ctx, rj.inputs, workDir, owner); err != nil {
 			return err
 		}
 	}
@@ -477,8 +483,9 @@ func hasFileInputs(inputs core.Values) bool {
 // absolute URLs (produced by other containers in a workflow) are streamed
 // over HTTP straight into the work dir, except when they point back at this
 // container, in which case the transfer is short-cut to the local path.
-// No path buffers whole files on the heap.
-func (jm *JobManager) stageInputs(ctx context.Context, inputs core.Values, workDir string) (map[string]string, error) {
+// No path buffers whole files on the heap.  owner is the job or sweep that a
+// blob pulled from another replica is registered to.
+func (jm *JobManager) stageInputs(ctx context.Context, inputs core.Values, workDir, owner string) (map[string]string, error) {
 	files := make(map[string]string)
 	for name, val := range inputs {
 		ref, ok := core.FileRefID(val)
@@ -486,7 +493,7 @@ func (jm *JobManager) stageInputs(ctx context.Context, inputs core.Values, workD
 			continue
 		}
 		path := filepath.Join(workDir, "in_"+name)
-		if err := jm.stageFile(ctx, ref, path); err != nil {
+		if err := jm.stageFile(ctx, ref, path, owner); err != nil {
 			return nil, fmt.Errorf("container: stage input %q: %w", name, err)
 		}
 		files[name] = path
@@ -495,15 +502,23 @@ func (jm *JobManager) stageInputs(ctx context.Context, inputs core.Values, workD
 }
 
 // stageFile materialises the file behind ref at path.
-func (jm *JobManager) stageFile(ctx context.Context, ref, path string) error {
+func (jm *JobManager) stageFile(ctx context.Context, ref, path, owner string) error {
 	if id, ok := jm.c.localFileID(ref); ok {
 		// A federation ID minted on another replica is pulled into the
 		// local content-addressed store first (once, digest-verified);
 		// local IDs pass straight through.
-		if err := jm.c.ensureLocalFile(ctx, id); err != nil {
+		if err := jm.c.ensureLocalFile(ctx, id, owner); err != nil {
 			return err
 		}
-		return jm.c.files.StageTo(id, path)
+		err := jm.c.files.StageTo(id, path)
+		if core.IsNotFound(err) {
+			// A pulled copy belongs to the consumer that pulled it: if that
+			// one was deleted between the check and the link, pull again.
+			if err = jm.c.ensureLocalFile(ctx, id, owner); err == nil {
+				err = jm.c.files.StageTo(id, path)
+			}
+		}
+		return err
 	}
 	if strings.HasPrefix(ref, "http://") || strings.HasPrefix(ref, "https://") {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ref, nil)

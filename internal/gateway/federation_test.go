@@ -139,8 +139,9 @@ func TestSharedMemoIndexKeyAppliesInputDefaults(t *testing.T) {
 // federation reuse: a job placed on a replica that does not hold its input
 // file pulls the blob from the owning replica exactly once, and every later
 // consumer on that replica reads the local copy.
-func TestCrossReplicaFileFetchTransfersBlobOnce(t *testing.T) {
-	var calls atomic.Int64
+// fileLenService is a non-deterministic native service returning the length
+// of its file input "f"; calls counts its executions.
+func fileLenService(t *testing.T, calls *atomic.Int64) container.ServiceConfig {
 	adapter.RegisterRequestFunc("gwtest.flen", func(ctx context.Context, req *adapter.Request) (*adapter.Result, error) {
 		calls.Add(1)
 		data, err := os.ReadFile(req.Files["f"])
@@ -149,7 +150,7 @@ func TestCrossReplicaFileFetchTransfersBlobOnce(t *testing.T) {
 		}
 		return &adapter.Result{Outputs: core.Values{"len": float64(len(data))}}, nil
 	})
-	fileSvc := container.ServiceConfig{
+	return container.ServiceConfig{
 		Description: core.ServiceDescription{
 			Name: "flen", Version: "1",
 			Inputs:  []core.Param{{Name: "f"}},
@@ -160,6 +161,70 @@ func TestCrossReplicaFileFetchTransfersBlobOnce(t *testing.T) {
 			Config: mustJSON(t, adapter.NativeConfig{Function: "gwtest.flen"}),
 		},
 	}
+}
+
+// TestJobsFollowTheirInputFiles is the input-locality end-to-end check: a
+// client that uploads through the gateway and then submits through the
+// gateway gets its job on the replica holding the upload, so no blob crosses
+// replicas, while uploads — and with them jobs — still spread.
+func TestJobsFollowTheirInputFiles(t *testing.T) {
+	var calls atomic.Int64
+	fileSvc := fileLenService(t, &calls)
+	r1 := startReplica(t, "r01", fileSvc)
+	r2 := startReplica(t, "r02", fileSvc)
+	_, gw := startGateway(t, gateway.Options{LoadInterval: -1}, r1, r2)
+
+	fetchesBefore := metricValue(t, gw.URL, "mc_filestore_remote_fetch_total")
+	const n = 8
+	ran := make(map[string]int)
+	for i := 0; i < n; i++ {
+		payload := bytes.Repeat([]byte{byte('a' + i)}, 1000+i)
+		up, err := http.Post(gw.URL+"/files", "application/octet-stream", bytes.NewReader(payload))
+		if err != nil {
+			t.Fatalf("upload %d: %v", i, err)
+		}
+		var uploaded map[string]string
+		err = json.NewDecoder(up.Body).Decode(&uploaded)
+		up.Body.Close()
+		if err != nil || up.StatusCode != http.StatusCreated {
+			t.Fatalf("upload %d: status %d, decode %v", i, up.StatusCode, err)
+		}
+		filePrefix, ok := core.SplitReplicaID(uploaded["id"])
+		if !ok {
+			t.Fatalf("upload %d: file ID %q carries no replica prefix", i, uploaded["id"])
+		}
+		// Alternate the two reference forms a client may send.
+		ref := core.FileRef(uploaded["id"])
+		if i%2 == 1 {
+			ref = core.FileRef(uploaded["uri"])
+		}
+		resp, job := postJSON(t, gw.URL+"/services/flen?wait=15s", core.Values{"f": ref})
+		if resp.StatusCode != http.StatusCreated || job["state"] != "DONE" {
+			t.Fatalf("job %d: status %d state %v (%v)", i, resp.StatusCode, job["state"], job["error"])
+		}
+		if got := job["outputs"].(map[string]any)["len"].(float64); got != float64(len(payload)) {
+			t.Fatalf("job %d read %v bytes, want %d", i, got, len(payload))
+		}
+		jobPrefix, _ := core.SplitReplicaID(job["id"].(string))
+		if jobPrefix != filePrefix {
+			t.Fatalf("job %d ran on %q, its input %s lives on %q", i, jobPrefix, uploaded["id"], filePrefix)
+		}
+		ran[jobPrefix]++
+	}
+	if ran["r01"] == 0 || ran["r02"] == 0 {
+		t.Fatalf("jobs per replica = %v, want both replicas to have run some", ran)
+	}
+	if calls.Load() != n {
+		t.Fatalf("adapter ran %d times, want %d", calls.Load(), n)
+	}
+	if after := metricValue(t, gw.URL, "mc_filestore_remote_fetch_total"); after != fetchesBefore {
+		t.Fatalf("remote fetches %v -> %v, want none: every job was placed on its data", fetchesBefore, after)
+	}
+}
+
+func TestCrossReplicaFileFetchTransfersBlobOnce(t *testing.T) {
+	var calls atomic.Int64
+	fileSvc := fileLenService(t, &calls)
 	r1 := startReplica(t, "r01", fileSvc)
 	r2 := startReplica(t, "r02", fileSvc)
 	_, gw := startGateway(t, gateway.Options{LoadInterval: -1}, r1, r2)

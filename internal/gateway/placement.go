@@ -3,6 +3,7 @@ package gateway
 import (
 	"hash/fnv"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -17,13 +18,18 @@ import (
 // order degrades minimally when a replica leaves — only the services that
 // ranked it first move.  Work placement (job and sweep submission) must
 // instead SPREAD: rendezvous alone would pin each service to one replica and
-// cap its throughput at a single container.  Three refinements bend the
-// spread toward cache locality and away from hot replicas (DESIGN.md §5j):
+// cap its throughput at a single container.  A submission is placed by the
+// first of these that decides (DESIGN.md §5j.3):
 //
 //   - deterministic services consult the shared memo index first, then the
 //     gateway-local hint table: a digest of the canonical submission
 //     (core.CanonicalHash) routes an identical resubmission to the replica
 //     whose computation cache already holds the result;
+//   - a submission whose inputs reference files goes to the replica that
+//     owns most of them (every file ID carries its owner's prefix), unless
+//     that replica advertises a full queue: the job moves to its data, and
+//     the consuming replica's cross-replica pull remains only the fallback
+//     for ties, foreign owners and a saturated owner;
 //   - fresh placements use power-of-two-choices over the queue depth each
 //     replica advertises on GET /load: pick two candidates, send the job to
 //     the shorter queue.  P2c tracks load skew exponentially better than
@@ -149,14 +155,19 @@ func (g *Gateway) spreadReplica(candidates []*replicaState) *replicaState {
 	return candidates[i]
 }
 
-// saturated reports whether every candidate advertises a full queue.  A
-// replica with no load report (loadOK false) or an unbounded queue never
-// counts as saturated — admission control only refuses work when it has
-// positive evidence that nobody can take it.
+// queueFull reports whether the replica advertises a full queue.  A replica
+// with no load report (loadOK false) or an unbounded queue never counts as
+// full — placement only steers away from, and admission control only
+// refuses on, positive evidence that the replica cannot take the job.
+func (rs *replicaState) queueFull() bool {
+	report, ok := rs.loadReport()
+	return ok && report.QueueCap > 0 && report.QueueDepth >= report.QueueCap
+}
+
+// saturated reports whether every candidate advertises a full queue.
 func saturated(candidates []*replicaState) bool {
 	for _, rs := range candidates {
-		report, ok := rs.loadReport()
-		if !ok || report.QueueCap <= 0 || report.QueueDepth < report.QueueCap {
+		if !rs.queueFull() {
 			return false
 		}
 	}
@@ -173,15 +184,77 @@ func (g *Gateway) placeSpread(candidates []*replicaState) (*replicaState, error)
 	return g.spreadReplica(candidates), nil
 }
 
+// fileOwner returns the replica prefix of the file a parameter value
+// references, for both forms a reference takes: the bare federation ID
+// ("file:r02-<hex>") and the absolute URI minted by a replica
+// ("file:http://gw/files/r02-<hex>").
+func fileOwner(v any) (string, bool) {
+	ref, ok := core.FileRefID(v)
+	if !ok {
+		return "", false
+	}
+	if i := strings.LastIndex(ref, "/files/"); i >= 0 {
+		ref = ref[i+len("/files/"):]
+	}
+	return core.SplitReplicaID(ref)
+}
+
+// localityReplica returns the candidate that owns the most of the file
+// references among inputs, or nil when no candidate owns any, two candidates
+// tie, or the owner advertises a full queue — the cases left to placeSpread.
+// A submission without file references costs one pass over its inputs.
+func localityReplica(candidates []*replicaState, inputs core.Values) *replicaState {
+	var owned []int // per candidate; allocated on the first owned reference
+	for _, v := range inputs {
+		owner, ok := fileOwner(v)
+		if !ok {
+			continue
+		}
+		for i, c := range candidates {
+			if c.name == owner {
+				if owned == nil {
+					owned = make([]int, len(candidates))
+				}
+				owned[i]++
+				break
+			}
+		}
+	}
+	best, tie := -1, false
+	for i, n := range owned {
+		switch {
+		case n == 0:
+		case best < 0 || n > owned[best]:
+			best, tie = i, false
+		case n == owned[best]:
+			tie = true
+		}
+	}
+	if best < 0 || tie || candidates[best].queueFull() {
+		return nil
+	}
+	return candidates[best]
+}
+
+// placeFresh places a submission no memo entry claims: on the replica that
+// holds its input files when one does, by load-aware spread otherwise.
+func (g *Gateway) placeFresh(candidates []*replicaState, inputs core.Values) (*replicaState, error) {
+	if rs := localityReplica(candidates, inputs); rs != nil {
+		return rs, nil
+	}
+	return g.placeSpread(candidates)
+}
+
 // routeSubmit places one job submission.  For deterministic services it
 // computes the memo key of the submission and consults the shared memo index
 // first (authoritative: fed by every replica's delta feed), then the
 // gateway-local hint table; either pointing at a still-healthy candidate
 // wins, because that replica's memo cache can answer without recomputing.
-// Otherwise the submission falls through to load-aware placement, which may
-// refuse admission (non-nil err) when all candidates are saturated.  The
-// returned key is non-empty when the dispatch should be recorded as a hint
-// after the replica accepts it.
+// Otherwise the submission goes to the replica owning its input files, and
+// failing that falls through to load-aware placement, which may refuse
+// admission (non-nil err) when all candidates are saturated.  The returned
+// key is non-empty when the dispatch should be recorded as a hint after the
+// replica accepts it.
 func (g *Gateway) routeSubmit(service string, inputs core.Values) (rs *replicaState, key string, hinted bool, err error) {
 	candidates := g.serviceReplicas(service)
 	if len(candidates) == 0 {
@@ -217,7 +290,7 @@ func (g *Gateway) routeSubmit(service string, inputs core.Values) (rs *replicaSt
 			}
 		}
 	}
-	rs, err = g.placeSpread(candidates)
+	rs, err = g.placeFresh(candidates, inputs)
 	if err != nil {
 		return nil, key, false, err
 	}

@@ -202,7 +202,8 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, service s
 // handleSweepSubmit places a sweep: the whole campaign — the sweep record
 // and every child job — lives on one replica, so distinct sweeps spread
 // round-robin while each individual campaign keeps single-container
-// batching and memoization semantics.
+// batching and memoization semantics.  A campaign whose template references
+// files lands on the replica that owns them.
 func (g *Gateway) handleSweepSubmit(w http.ResponseWriter, r *http.Request, service string) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rest.MaxBodyBytes))
 	if err != nil {
@@ -214,7 +215,13 @@ func (g *Gateway) handleSweepSubmit(w http.ResponseWriter, r *http.Request, serv
 		g.noReplica(w, service)
 		return
 	}
-	rs, err := g.placeSpread(candidates)
+	// Only the template is decoded: axes and points are the replica's to
+	// validate, and a body that does not parse still forwards for its 400.
+	var spec struct {
+		Template core.Values `json:"template"`
+	}
+	_ = json.Unmarshal(raw, &spec)
+	rs, err := g.placeFresh(candidates, spec.Template)
 	if err != nil {
 		rest.WriteError(w, err)
 		return
@@ -304,13 +311,6 @@ func (g *Gateway) ensureBase(rs *replicaState) {
 	}
 }
 
-// hopHeaders are the connection-scoped headers a proxy must not forward
-// (RFC 9110 §7.6.1).
-var hopHeaders = []string{
-	"Connection", "Keep-Alive", "Proxy-Authenticate", "Proxy-Authorization",
-	"Te", "Trailer", "Transfer-Encoding", "Upgrade",
-}
-
 // forward proxies the request to one replica, streaming the response back
 // through pooled copy buffers.  A non-nil body replaces the request body
 // (already buffered by the caller); nil streams r.Body through.  It returns
@@ -334,6 +334,11 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, rs *replicaSta
 	if err != nil {
 		rest.WriteError(w, fmt.Errorf("gateway: build upstream request: %w", err))
 		return 0, false
+	}
+	if body == nil {
+		// A streamed body keeps the length the client declared, so an upload
+		// is not re-framed as chunked on the second hop.
+		out.ContentLength = r.ContentLength
 	}
 	copyHeaders(out.Header, r.Header)
 	start := time.Now()
@@ -381,11 +386,17 @@ func copyHeaders(dst, src http.Header) {
 	}
 }
 
+// isHopHeader reports whether name is a connection-scoped header a proxy
+// must not forward (RFC 9110 §7.6.1).  Keys of header maps filled by
+// net/http are already canonical, so only a miss is canonicalised, once.
 func isHopHeader(name string) bool {
-	for _, h := range hopHeaders {
-		if http.CanonicalHeaderKey(name) == h {
-			return true
-		}
+	switch name {
+	case "Connection", "Keep-Alive", "Proxy-Authenticate", "Proxy-Authorization",
+		"Te", "Trailer", "Transfer-Encoding", "Upgrade":
+		return true
+	}
+	if canon := http.CanonicalHeaderKey(name); canon != name {
+		return isHopHeader(canon)
 	}
 	return false
 }
