@@ -286,10 +286,16 @@ func (jm *JobManager) SubmitTTL(ctx context.Context, serviceName string, inputs 
 	// the record.
 	follower := false
 	if memoable {
-		if leader := jm.memo.joinOrLead(memoKey, rec); leader {
+		cached, hit, leader := jm.memo.joinOrLead(memoKey, rec)
+		switch {
+		case hit:
+			// The flight settled since the lookup above.
+			metMemoHits.Inc()
+			return jm.publishCachedJob(ctx, serviceName, inputs, owner, trace, cached, ttl)
+		case leader:
 			rec.memoKey = memoKey
 			metMemoMisses.Inc()
-		} else {
+		default:
 			rec.coalesced = true
 			follower = true
 		}

@@ -231,7 +231,7 @@ func TestEveryRouteLandsExactlyOnce(t *testing.T) {
 				e.t.Fatal(err)
 			}
 			key, ok := e.jm.memoKey(svc, svc.desc.ApplyDefaults(point("ok", 1)))
-			if !ok || !e.jm.memo.joinOrLead(key, &jobRecord{}) {
+			if _, _, lead := e.jm.memo.joinOrLead(key, &jobRecord{}); !ok || !lead {
 				e.t.Fatal("could not lead the flight")
 			}
 			e.submit("det", "ok", 1, failed)

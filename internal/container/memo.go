@@ -162,47 +162,73 @@ func (m *memoTable) deltas(since uint64) core.MemoIndexPage {
 }
 
 // joinOrLead coalesces rec onto an in-progress identical execution, or
-// registers a new flight with rec as its leader.  It reports whether rec
-// leads (and must actually execute).
-func (m *memoTable) joinOrLead(key string, rec *jobRecord) (leader bool) {
+// registers a new flight with rec as its leader, reporting whether rec leads
+// (and must actually execute).  A key whose flight settled since the
+// caller's lookup missed reports its cached outputs instead (hit), so a
+// submission racing settlement never becomes a second leader.
+func (m *memoTable) joinOrLead(key string, rec *jobRecord) (outputs core.Values, hit, leader bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if e, ok := m.entries[key]; ok {
+		m.lru.MoveToFront(e.elem)
+		return e.outputs, true, false
+	}
 	if f, ok := m.flights[key]; ok {
 		f.followers = append(f.followers, rec)
-		return false
+		return nil, false, false
 	}
 	m.flights[key] = &flight{}
-	return true
+	return nil, false, true
 }
 
-// takeFlight removes and returns the flight for key.  The second call for
-// the same key returns ok=false, which is what makes settlement idempotent.
-func (m *memoTable) takeFlight(key string) (followers []*jobRecord, noStore, ok bool) {
+// settle removes the flight for key and, unless size is negative or the
+// flight was poisoned, caches the leader's outputs of that size (sizeOf) —
+// in one critical section, so a probe of the key always finds the flight or
+// the entry, never neither.  It reports the flight's followers and whether
+// the outputs were cached; a key with no flight reports neither, which is
+// what makes settlement idempotent.
+func (m *memoTable) settle(key, service, jobID string, outputs core.Values, size int64) (followers []*jobRecord, stored bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	f, ok := m.flights[key]
 	if !ok {
-		return nil, false, false
+		return nil, false
 	}
 	delete(m.flights, key)
-	return f.followers, f.noStore, true
+	if size >= 0 && !f.noStore {
+		stored = m.insertLocked(key, service, jobID, outputs, size)
+	}
+	return f.followers, stored
 }
 
-// store caches the outputs of a completed execution and applies the LRU
-// bounds.  Outputs that cannot be sized (unmarshalable) are not cached.
+// store caches the outputs of a completed execution outside any flight
+// (journal replay).
 func (m *memoTable) store(key, service, jobID string, outputs core.Values) {
-	data, err := json.Marshal(outputs)
-	if err != nil {
-		return
-	}
-	size := int64(len(data))
-	if size > m.maxBytes {
+	size := m.sizeOf(outputs)
+	if size < 0 {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.insertLocked(key, service, jobID, outputs, size)
+}
+
+// sizeOf is the byte size an entry holding outputs charges against the
+// bound, or -1 when the outputs cannot be cached: they do not marshal, or
+// exceed the whole bound.
+func (m *memoTable) sizeOf(outputs core.Values) int64 {
+	data, err := json.Marshal(outputs)
+	if err != nil || int64(len(data)) > m.maxBytes {
+		return -1
+	}
+	return int64(len(data))
+}
+
+// insertLocked caches one entry and applies the LRU bounds, reporting
+// whether the key was new.  Callers must hold m.mu.
+func (m *memoTable) insertLocked(key, service, jobID string, outputs core.Values, size int64) bool {
 	if _, exists := m.entries[key]; exists {
-		return
+		return false
 	}
 	e := &memoEntry{key: key, service: service, jobID: jobID, outputs: outputs, bytes: size}
 	e.elem = m.lru.PushFront(e)
@@ -219,6 +245,7 @@ func (m *memoTable) store(key, service, jobID string, outputs core.Values) {
 		metMemoEvictions.Inc()
 	}
 	metMemoBytes.Set(float64(m.bytes))
+	return true
 }
 
 // removeLocked unlinks one entry.  Callers must hold m.mu.

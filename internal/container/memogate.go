@@ -90,29 +90,20 @@ func (jm *JobManager) publishCachedJob(ctx context.Context, serviceName string, 
 	return rec.snapshot(), nil
 }
 
-// settleFlight resolves the singleflight led by rec, which land just moved
-// to the given terminal state: a DONE leader populates the computation cache
-// and hands its outputs to every coalesced follower; any other outcome fails
-// the followers.
-func (jm *JobManager) settleFlight(rec *jobRecord, state core.JobState, outputs core.Values, errMsg string) {
-	if rec.memoKey == "" || jm.memo == nil {
-		return
-	}
-	followers, noStore, ok := jm.memo.takeFlight(rec.memoKey)
-	if !ok {
-		return
+// settleFlight finishes the singleflight led by rec once land has settled it
+// in the memo table: a cached result is journaled, and the followers land in
+// the leader's terminal state — DONE with its outputs, otherwise failed.
+func (jm *JobManager) settleFlight(rec *jobRecord, followers []*jobRecord, stored bool, state core.JobState, outputs core.Values, errMsg string) {
+	if stored {
+		// ID and Service are immutable once the record is published.
+		jm.c.logRecord(journal.KindMemoPut, journal.MemoPutRecord{
+			Key: rec.memoKey, Service: rec.job.Service, JobID: rec.job.ID, Outputs: outputs,
+		})
 	}
 	to := core.StateError
 	switch state {
 	case core.StateDone:
 		to = core.StateDone
-		if !noStore {
-			// ID and Service are immutable once the record is published.
-			jm.memo.store(rec.memoKey, rec.job.Service, rec.job.ID, outputs)
-			jm.c.logRecord(journal.KindMemoPut, journal.MemoPutRecord{
-				Key: rec.memoKey, Service: rec.job.Service, JobID: rec.job.ID, Outputs: outputs,
-			})
-		}
 	case core.StateCancelled:
 		errMsg = "container: coalesced execution was cancelled"
 	}
@@ -124,10 +115,7 @@ func (jm *JobManager) settleFlight(rec *jobRecord, state core.JobState, outputs 
 // failFlight resolves a flight whose leader never ran (queue overflow),
 // failing any followers that joined it.
 func (jm *JobManager) failFlight(key, errMsg string) {
-	followers, _, ok := jm.memo.takeFlight(key)
-	if !ok {
-		return
-	}
+	followers, _ := jm.memo.settle(key, "", "", nil, -1)
 	for _, f := range followers {
 		jm.completeFollower(f, core.StateError, nil, errMsg)
 	}

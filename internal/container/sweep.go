@@ -356,7 +356,9 @@ func (jm *JobManager) SubmitSweep(ctx context.Context, serviceName string, spec 
 		}
 		enqueue := true
 		if memoKey != "" {
-			if outputs, ok := jm.memo.lookup(memoKey); ok {
+			outputs, hit, leader := jm.memo.joinOrLead(memoKey, rec)
+			switch {
+			case hit:
 				// Cache hit: the child is born DONE and never touches the
 				// queue.  Counted directly — no transition will fire.
 				metMemoHits.Inc()
@@ -368,10 +370,10 @@ func (jm *JobManager) SubmitSweep(ctx context.Context, serviceName string, spec 
 				sw.counts.Done++
 				bornDone++
 				enqueue = false
-			} else if jm.memo.joinOrLead(memoKey, rec) {
+			case leader:
 				rec.memoKey = memoKey
 				metMemoMisses.Inc()
-			} else {
+			default:
 				// Coalesced onto an identical in-flight execution (possibly
 				// an earlier point of this very sweep): completed by the
 				// flight's leader, never queued.

@@ -161,6 +161,10 @@ func (jm *JobManager) beginJob(rec *jobRecord, ctx context.Context, cancel conte
 // a worker picked it up), which is what makes every caller idempotent.
 // Together with beginJob it is the only place a published job changes state.
 func (jm *JobManager) land(rec *jobRecord, from, to core.JobState, outputs core.Values, errMsg string) bool {
+	size := int64(-1)
+	if rec.memoKey != "" && to == core.StateDone {
+		size = jm.memo.sizeOf(outputs) // marshalling stays outside both locks
+	}
 	rec.mu.Lock()
 	if rec.job.State != from {
 		rec.mu.Unlock()
@@ -183,6 +187,13 @@ func (jm *JobManager) land(rec *jobRecord, from, to core.JobState, outputs core.
 	}
 	runTime := rec.job.RunTime.Std()
 	queueWait := rec.job.QueueWait.Std()
+	// A leader settles its flight before anyone can see it terminal, so a
+	// client that observes DONE and resubmits finds the result cached.
+	var followers []*jobRecord
+	var stored bool
+	if rec.memoKey != "" {
+		followers, stored = jm.memo.settle(rec.memoKey, rec.job.Service, rec.job.ID, outputs, size)
+	}
 	rec.invalidate()
 	close(rec.done)
 	rec.mu.Unlock()
@@ -205,10 +216,10 @@ func (jm *JobManager) land(rec *jobRecord, from, to core.JobState, outputs core.
 			slog.Duration("queue_wait", queueWait),
 			slog.Duration("run_time", runTime))
 	}
-	// A leader settles its flight: a DONE one populates the computation
-	// cache and completes its coalesced followers, any other outcome fails
-	// them rather than leaving them waiting on a job that will never run.
-	jm.settleFlight(rec, to, outputs, errMsg)
+	// A DONE leader's coalesced followers complete with its outputs; any
+	// other outcome fails them rather than leaving them waiting on a job
+	// that will never run.
+	jm.settleFlight(rec, followers, stored, to, outputs, errMsg)
 	if sw := rec.sweep; sw != nil {
 		sw.childTransition(from, to, errMsg)
 	}

@@ -86,3 +86,22 @@ func TestValidReplicaName(t *testing.T) {
 		}
 	}
 }
+
+// FuzzSplitReplicaID checks SplitReplicaID on arbitrary strings: it never
+// panics, and a split it accepts yields a valid replica name that TagID
+// reassembles into the original ID.
+func FuzzSplitReplicaID(f *testing.F) {
+	f.Fuzz(func(t *testing.T, id string) {
+		replica, ok := SplitReplicaID(id)
+		if !ok {
+			return
+		}
+		if !ValidReplicaName(replica) {
+			t.Fatalf("SplitReplicaID(%q) = %q, not a valid replica name", id, replica)
+		}
+		rest := id[len(replica)+1:]
+		if rest == "" || TagID(replica, rest) != id {
+			t.Fatalf("SplitReplicaID(%q) = %q does not reassemble (remainder %q)", id, replica, rest)
+		}
+	})
+}

@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mathcloud/internal/adapter"
 	"mathcloud/internal/container"
@@ -20,9 +24,8 @@ import (
 // TestSharedMemoIndexServesResubmissionAcrossGateways is the federation-wide
 // result-reuse end-to-end check: a deterministic job computed through one
 // gateway is answered from the holding replica's cache when an identical
-// submission arrives at a DIFFERENT gateway instance — one with no hint
-// table history — because the second gateway learned the digest→replica
-// mapping from the replicas' memo delta feeds.
+// submission arrives at a DIFFERENT gateway instance, which routes it by the
+// digest→replica mapping learned from the replicas' memo delta feeds.
 func TestSharedMemoIndexServesResubmissionAcrossGateways(t *testing.T) {
 	var calls atomic.Int64
 	adapter.RegisterFunc("gwtest.fedmemo", func(ctx context.Context, in core.Values) (core.Values, error) {
@@ -66,8 +69,79 @@ func TestSharedMemoIndexServesResubmissionAcrossGateways(t *testing.T) {
 	}
 }
 
+// TestConcurrentIdenticalSubmitsRunOnceAcrossGateways fires eight identical
+// deterministic submissions at once, four through each of two independent
+// gateways that have learned nothing about the key.  Both gateways compute
+// the same digest home, so all eight meet in one replica's singleflight and
+// the adapter runs exactly once.  The adapter holds its flight open until
+// the other seven have coalesced onto it.
+func TestConcurrentIdenticalSubmitsRunOnceAcrossGateways(t *testing.T) {
+	const n = 8
+	var calls atomic.Int64
+	var gwURL string
+	coalescedBefore := 0.0
+	ready := make(chan struct{}) // publishes the two variables above
+	adapter.RegisterFunc("gwtest.meet", func(ctx context.Context, in core.Values) (core.Values, error) {
+		calls.Add(1)
+		<-ready
+		deadline := time.Now().Add(5 * time.Second)
+		for time.Now().Before(deadline) {
+			// Both replicas share this process's metric registry, so the
+			// gateway's /metrics sums them.
+			if v, err := scrapeMetric(gwURL, "mc_memo_coalesced_total"); err == nil && v-coalescedBefore >= n-1 {
+				break
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		a, _ := in["a"].(float64)
+		return core.Values{"sum": a}, nil
+	})
+	r1 := startReplica(t, "r01", numService(t, "meet", "gwtest.meet", true))
+	r2 := startReplica(t, "r02", numService(t, "meet", "gwtest.meet", true))
+	_, gwA := startGateway(t, gateway.Options{LoadInterval: -1}, r1, r2)
+	gwB := secondGateway(t, r1, r2)
+	gwURL = gwA.URL
+	coalescedBefore = metricValue(t, gwA.URL, "mc_memo_coalesced_total")
+	close(ready)
+
+	var wg sync.WaitGroup
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		url := gwA.URL
+		if i%2 == 1 {
+			url = gwB.URL
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(url+"/services/meet?wait=30s", "application/json", strings.NewReader(`{"a": 42}`))
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer resp.Body.Close()
+			var job core.Job
+			if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
+				errs <- err
+				return
+			}
+			if resp.StatusCode != http.StatusCreated || job.State != core.StateDone {
+				errs <- fmt.Errorf("submit via %s: status %d state %s", url, resp.StatusCode, job.State)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("adapter ran %d times for %d identical submissions through two gateways, want 1", got, n)
+	}
+}
+
 // secondGateway builds an independent gateway over replicas that already
-// serve another one: fresh process state, no hints, memo index pulled once
+// serve another one: fresh process state, memo index pulled once
 // from the replicas' feeds.  It must NOT reset the replicas' base URLs (that
 // would wipe their memo caches), so it is built without startGateway.
 func secondGateway(t *testing.T, replicas ...*replica) *httptest.Server {
@@ -91,7 +165,7 @@ func secondGateway(t *testing.T, replicas ...*replica) *httptest.Server {
 // the replica's: the replica hashes the inputs AFTER applying the service's
 // declared defaults, so a client that omits a defaulted input must still be
 // routed by the shared index — from a gateway that never saw the first
-// submission and therefore has no hint for it.
+// submission.
 func TestSharedMemoIndexKeyAppliesInputDefaults(t *testing.T) {
 	var calls atomic.Int64
 	adapter.RegisterFunc("gwtest.defmemo", func(ctx context.Context, in core.Values) (core.Values, error) {

@@ -8,10 +8,10 @@
 // core.TagID).  A request about an existing resource therefore routes in
 // O(1) — parse the prefix, forward — with no shared lookup table, no session
 // state, and no coordination between gateway instances.  Requests that
-// create resources are placed by rendezvous-hashed service placement spread
-// round-robin across healthy replicas advertising the service, with a
-// memo-hint table short-circuiting deterministic resubmissions to the
-// replica whose computation cache already holds the answer.
+// create resources are spread across healthy replicas advertising the
+// service, except that a deterministic job goes to the replica whose
+// computation cache holds its answer (the shared memo index) or, failing
+// that, to its digest home — a rendezvous hash every gateway computes alike.
 //
 // Replica health is fed by catalogue pings: the gateway registers every
 // (replica, service) pair in an embedded catalogue.Catalogue whose periodic
@@ -73,9 +73,6 @@ type Options struct {
 	// the container option.  Zero selects the default (60s); negative
 	// removes the cap.
 	MaxWaitWindow time.Duration
-	// MemoHintMax bounds the digest→replica hint table (default 65536
-	// entries).
-	MemoHintMax int
 	// LoadInterval paces the federation reuse loop: each tick polls every
 	// replica's /load report (feeding power-of-two-choices placement and
 	// admission control) and /memo delta feed (feeding the shared memo
@@ -167,11 +164,11 @@ type Gateway struct {
 	cat        *catalogue.Catalogue
 	bus        *events.Bus
 	sse        *sseMux
-	hints      *hintTable
 	memo       *memoIndex
 	replicas   []*replicaState // fixed order (Options.Replicas)
 	byName     map[string]*replicaState
-	rrCursor   atomic.Uint64
+	rrCursor   atomic.Uint64 // job and sweep spread
+	upCursor   atomic.Uint64 // upload spread
 	stop       chan struct{}
 	stopOnce   sync.Once
 	wg         sync.WaitGroup
@@ -217,10 +214,6 @@ func New(opts Options) (*Gateway, error) {
 	} else if maxWait < 0 {
 		maxWait = 0
 	}
-	hintMax := opts.MemoHintMax
-	if hintMax <= 0 {
-		hintMax = 65536
-	}
 	g := &Gateway{
 		client:    httpClient,
 		api:       &client.Client{HTTP: httpClient},
@@ -229,7 +222,6 @@ func New(opts Options) (*Gateway, error) {
 		resolver:  opts.Resolver,
 		logger:    logger,
 		bus:       events.NewBus(events.Options{}),
-		hints:     newHintTable(hintMax),
 		memo:      newMemoIndex(),
 		byName:    make(map[string]*replicaState, len(opts.Replicas)),
 		candCache: make(map[string]*candEntry),

@@ -148,9 +148,19 @@ func getJSON(t *testing.T, url string) (*http.Response, map[string]any) {
 // metricValue scrapes one plain (unlabelled) metric from /metrics.
 func metricValue(t *testing.T, gwURL, name string) float64 {
 	t.Helper()
-	resp, err := http.Get(gwURL + "/metrics")
+	v, err := scrapeMetric(gwURL, name)
 	if err != nil {
 		t.Fatalf("GET /metrics: %v", err)
+	}
+	return v
+}
+
+// scrapeMetric is metricValue for goroutines that cannot fail the test; an
+// absent metric reads as 0.
+func scrapeMetric(baseURL, name string) (float64, error) {
+	resp, err := http.Get(baseURL + "/metrics")
+	if err != nil {
+		return 0, err
 	}
 	defer resp.Body.Close()
 	data, _ := io.ReadAll(resp.Body)
@@ -158,11 +168,11 @@ func metricValue(t *testing.T, gwURL, name string) float64 {
 		if strings.HasPrefix(line, name+" ") {
 			var v float64
 			if _, err := fmt.Sscanf(line[len(name)+1:], "%g", &v); err == nil {
-				return v
+				return v, nil
 			}
 		}
 	}
-	return 0
+	return 0, nil
 }
 
 func TestSubmitSpreadAndAffinityRouting(t *testing.T) {
@@ -205,7 +215,11 @@ func TestSubmitSpreadAndAffinityRouting(t *testing.T) {
 	}
 }
 
-func TestMemoHintRoutesResubmissionToSameReplica(t *testing.T) {
+// TestDigestHomeRoutesResubmissionToSameReplica resubmits deterministic
+// jobs through a gateway whose memo index is never refreshed, so only the
+// digest home can send each resubmission back to the replica holding its
+// result.
+func TestDigestHomeRoutesResubmissionToSameReplica(t *testing.T) {
 	var calls1, calls2 atomic.Int64
 	adapter.RegisterFunc("gwtest.det1", func(ctx context.Context, in core.Values) (core.Values, error) {
 		calls1.Add(1)
@@ -219,29 +233,35 @@ func TestMemoHintRoutesResubmissionToSameReplica(t *testing.T) {
 	})
 	r1 := startReplica(t, "r01", numService(t, "det", "gwtest.det1", true))
 	r2 := startReplica(t, "r02", numService(t, "det", "gwtest.det2", true))
-	_, gw := startGateway(t, gateway.Options{}, r1, r2)
+	_, gw := startGateway(t, gateway.Options{LoadInterval: -1}, r1, r2)
 
-	hintsBefore := metricValue(t, gw.URL, "mc_gateway_memo_hint_hits_total")
-	resp1, job1 := postJSON(t, gw.URL+"/services/det?wait=15s", core.Values{"a": 21})
-	if resp1.StatusCode != http.StatusCreated || job1["state"] != "DONE" {
-		t.Fatalf("first submit: status %d state %v", resp1.StatusCode, job1["state"])
+	indexBefore := metricValue(t, gw.URL, "mc_gateway_memo_index_hits_total")
+	const distinct = 6
+	homes := make(map[string]bool)
+	for i := 0; i < distinct; i++ {
+		var first string
+		for round := 0; round < 2; round++ {
+			resp, job := postJSON(t, gw.URL+"/services/det?wait=15s", core.Values{"a": i})
+			if resp.StatusCode != http.StatusCreated || job["state"] != "DONE" {
+				t.Fatalf("a=%d round %d: status %d state %v", i, round, resp.StatusCode, job["state"])
+			}
+			got := resp.Header.Get(container.ReplicaHeader)
+			if round == 0 {
+				first = got
+			} else if got != first {
+				t.Fatalf("a=%d: resubmission routed to %q, first ran on %q", i, got, first)
+			}
+		}
+		homes[first] = true
 	}
-	first := resp1.Header.Get(container.ReplicaHeader)
-
-	// Identical resubmission: the hint table must route it to the replica
-	// whose computation cache already holds the answer.
-	resp2, job2 := postJSON(t, gw.URL+"/services/det?wait=15s", core.Values{"a": 21})
-	if resp2.StatusCode != http.StatusCreated || job2["state"] != "DONE" {
-		t.Fatalf("second submit: status %d state %v", resp2.StatusCode, job2["state"])
+	if n := calls1.Load() + calls2.Load(); n != distinct {
+		t.Fatalf("adapter ran %d times for %d distinct inputs, want every resubmission to hit the cache", n, distinct)
 	}
-	if second := resp2.Header.Get(container.ReplicaHeader); second != first {
-		t.Fatalf("resubmission routed to %q, first ran on %q", second, first)
+	if after := metricValue(t, gw.URL, "mc_gateway_memo_index_hits_total"); after != indexBefore {
+		t.Fatalf("memo index hits %v -> %v: the index was never refreshed, the home alone must route", indexBefore, after)
 	}
-	if n := calls1.Load() + calls2.Load(); n != 1 {
-		t.Fatalf("adapter ran %d times across replicas, want 1 (memo hit)", n)
-	}
-	if hintsAfter := metricValue(t, gw.URL, "mc_gateway_memo_hint_hits_total"); hintsAfter != hintsBefore+1 {
-		t.Fatalf("mc_gateway_memo_hint_hits_total = %v, want %v", hintsAfter, hintsBefore+1)
+	if len(homes) != 2 {
+		t.Fatalf("homes of %d digests = %v, want both replicas to be home to some", distinct, homes)
 	}
 }
 

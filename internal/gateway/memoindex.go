@@ -7,11 +7,12 @@ import (
 )
 
 // memoIndex is the gateway's authoritative view of which replica holds a
-// cached result for a given canonical input digest (DESIGN.md §5j).  Unlike
-// the advisory hint table — which only remembers placements this gateway
-// instance made itself — the index is fed by each replica's memo delta feed
-// (GET /memo?since=N), so it survives gateway restarts and covers results
-// produced by other gateways or by direct replica submissions.
+// cached result for a given canonical input digest (DESIGN.md §5j).  The
+// digest home already sends every gateway's submissions of one key to the
+// same replica; the index, fed by each replica's memo delta feed
+// (GET /memo?since=N), additionally covers results held elsewhere — computed
+// before a topology change moved the home, by a spill, or by a direct
+// replica submission.
 //
 // The index stores at most one replica per key.  Deterministic results are
 // content-addressed, so when two replicas both hold a key either copy is as

@@ -81,7 +81,7 @@ func TestP2CPlacementDrainsToShorterQueue(t *testing.T) {
 	// With two candidates p2c always compares both, so every single pick
 	// must land on the idle replica.
 	for i := 0; i < 64; i++ {
-		if rs := g.spreadReplica(candidates); rs.name != "r02" {
+		if rs := spreadReplica(&g.rrCursor, candidates); rs.name != "r02" {
 			t.Fatalf("pick %d went to loaded replica %s", i, rs.name)
 		}
 	}
@@ -137,38 +137,37 @@ func TestSaturatedSubmitReturns503WithRetryAfter(t *testing.T) {
 	}
 }
 
-func TestRouteSubmitPrefersIndexThenHintAndCountsStaleHints(t *testing.T) {
+func TestRouteSubmitPrefersIndexThenDigestHome(t *testing.T) {
 	g := federationTestGateway(true, nil)
 	key, err := core.CanonicalHash("s", "1", core.Values{"a": 1.0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Shared index wins even when a hint disagrees.
-	g.memo.apply("r02", core.MemoIndexPage{Seq: 1, Entries: []core.MemoIndexEntry{{Key: key, Service: "s", JobID: "j"}}})
-	g.hints.put(key, "r01")
-	rs, gotKey, hinted, routeErr := g.routeSubmit("s", core.Values{"a": 1.0})
-	if routeErr != nil || rs == nil || rs.name != "r02" || !hinted || gotKey != key {
-		t.Fatalf("index route = %v %q hinted=%v err=%v, want r02 hinted", rs, gotKey, hinted, routeErr)
+	home, other := "r01", "r02"
+	if rendezvousScore(key, "r02") > rendezvousScore(key, "r01") {
+		home, other = other, home
+	}
+	route := func(want, why string) {
+		t.Helper()
+		rs, err := g.routeSubmit("s", core.Values{"a": 1.0})
+		if err != nil || rs == nil || rs.name != want {
+			t.Fatalf("%s: routed to %v (err %v), want %s", why, rs, err, want)
+		}
 	}
 
-	// Index gone, hint valid: hint routes.
-	g.memo.dropReplica("r02")
-	rs, _, hinted, routeErr = g.routeSubmit("s", core.Values{"a": 1.0})
-	if routeErr != nil || rs.name != "r01" || !hinted {
-		t.Fatalf("hint route = %v hinted=%v err=%v, want r01 hinted", rs, hinted, routeErr)
+	route(home, "no index entry")
+	// The shared index wins even when it disagrees with the home.
+	before := metGwIndexHits.Value()
+	g.memo.apply(other, core.MemoIndexPage{Seq: 1, Entries: []core.MemoIndexEntry{{Key: key, Service: "s", JobID: "j"}}})
+	route(other, "index entry on the non-home replica")
+	if after := metGwIndexHits.Value(); after != before+1 {
+		t.Fatalf("index hits %v -> %v, want +1", before, after)
 	}
-
-	// A hint pointing at a replica outside the candidate set falls through
-	// to placement rather than failing the submission.
-	g.hints.put(key, "r99")
-	rs, gotKey, hinted, routeErr = g.routeSubmit("s", core.Values{"a": 1.0})
-	if routeErr != nil || rs == nil || hinted {
-		t.Fatalf("stale hint route = %v hinted=%v err=%v, want placed unhinted", rs, hinted, routeErr)
-	}
-	if gotKey != key {
-		t.Fatalf("stale-hint route lost the memo key (%q), later hit cannot be recorded", gotKey)
-	}
+	// An entry pointing outside the candidate set falls back to the home
+	// rather than failing the submission.
+	g.memo.dropReplica(other)
+	g.memo.apply("r99", core.MemoIndexPage{Seq: 1, Entries: []core.MemoIndexEntry{{Key: key, Service: "s", JobID: "j"}}})
+	route(home, "index entry on a non-candidate")
 }
 
 func TestCandidateCacheInvalidatedByTopologyGeneration(t *testing.T) {

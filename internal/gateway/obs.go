@@ -5,7 +5,7 @@ import "mathcloud/internal/obs"
 // Gateway metric families (DESIGN.md §5d, §5h).  Ingress requests are
 // already covered by the shared mc_http_* middleware; the series here answer
 // the federation-specific questions: where is work going, which replicas are
-// failing, and how much the memo hint table saves.
+// failing, and how often the shared memo index routes to a cached result.
 var (
 	metGwRequests = obs.NewCounterVec("mc_gateway_requests_total",
 		"Requests proxied to a replica, by route class, replica and upstream status class.",
@@ -20,10 +20,6 @@ var (
 		"replica")
 	metGwFanoutPartial = obs.NewCounter("mc_gateway_fanout_partial_total",
 		"Scatter-gather responses assembled from a strict subset of replicas (Warning header attached).")
-	metGwHintHits = obs.NewCounter("mc_gateway_memo_hint_hits_total",
-		"Job submissions routed by the memo hint table to the replica already holding the result.")
-	metGwHintStale = obs.NewCounter("mc_gateway_memo_hint_stale_total",
-		"Memo hints that pointed at a replica no longer serving the service (fell through to placement).")
 	metGwIndexHits = obs.NewCounter("mc_gateway_memo_index_hits_total",
 		"Job submissions routed by the shared memo index to the replica whose cache holds the result.")
 	metGwAdmissionRejects = obs.NewCounter("mc_gateway_admission_rejections_total",

@@ -4,7 +4,7 @@ import (
 	"hash/fnv"
 	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"mathcloud/internal/core"
@@ -17,32 +17,36 @@ import (
 // instance computes the same preference order with no shared state, and the
 // order degrades minimally when a replica leaves — only the services that
 // ranked it first move.  Work placement (job and sweep submission) must
-// instead SPREAD: rendezvous alone would pin each service to one replica and
-// cap its throughput at a single container.  A submission is placed by the
-// first of these that decides (DESIGN.md §5j.3):
+// instead SPREAD: rendezvous over the service alone would pin each service
+// to one replica and cap its throughput at a single container.  A
+// submission is placed by the first of these that decides (DESIGN.md §5j.3):
 //
-//   - deterministic services consult the shared memo index first, then the
-//     gateway-local hint table: a digest of the canonical submission
-//     (core.CanonicalHash) routes an identical resubmission to the replica
-//     whose computation cache already holds the result;
+//   - a deterministic job consults the shared memo index: a digest of the
+//     canonical submission (core.CanonicalHash) routes an identical
+//     resubmission to the replica whose computation cache holds the result;
+//   - a deterministic job whose inputs hold no file reference goes to its
+//     digest home, the rendezvous winner over (digest, replica) among the
+//     candidates without a full queue: identical submissions through any
+//     gateway meet in one replica's singleflight and cache;
 //   - a submission whose inputs reference files goes to the replica that
 //     owns most of them (every file ID carries its owner's prefix), unless
 //     that replica advertises a full queue: the job moves to its data, and
 //     the consuming replica's cross-replica pull remains only the fallback
 //     for ties, foreign owners and a saturated owner;
-//   - fresh placements use power-of-two-choices over the queue depth each
-//     replica advertises on GET /load: pick two candidates, send the job to
-//     the shorter queue.  P2c tracks load skew exponentially better than
-//     blind round-robin while touching only two load samples per decision;
+//   - the rest use power-of-two-choices over the queue depth each replica
+//     advertises on GET /load: pick two candidates, send the job to the
+//     shorter queue.  P2c tracks load skew exponentially better than blind
+//     round-robin while touching only two load samples per decision;
 //   - when every candidate advertises a full queue the gateway refuses
 //     admission outright (503 + Retry-After) instead of burning a proxy hop
 //     on a replica that would reject the job anyway.
 
-// rendezvousScore ranks one (service, replica) pair.  FNV-1a over the joint
-// key is cheap, stateless and stable across processes.
-func rendezvousScore(service, replica string) uint64 {
+// rendezvousScore ranks one (key, replica) pair, where the key is a service
+// name or a memo digest.  FNV-1a over the joint key is cheap, stateless and
+// stable across processes.
+func rendezvousScore(key, replica string) uint64 {
 	h := fnv.New64a()
-	h.Write([]byte(service))
+	h.Write([]byte(key))
 	h.Write([]byte{0})
 	h.Write([]byte(replica))
 	return h.Sum64()
@@ -132,15 +136,16 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// spreadReplica picks the next submission target among candidates by
+// spreadReplica picks the next target among candidates by
 // power-of-two-choices: the round-robin cursor nominates the primary
 // candidate and a splitmix64-derived second index challenges it, winning
 // only with a strictly shorter advertised queue.  Under uniform (or not yet
 // polled) load every challenge ties and the spread is exact round-robin,
 // while a skewed federation drains toward the replicas with headroom.  With
-// a single candidate the cursor decides alone.
-func (g *Gateway) spreadReplica(candidates []*replicaState) *replicaState {
-	n := g.rrCursor.Add(1)
+// a single candidate the cursor decides alone.  Each kind of placement
+// brings its own cursor, so one kind's traffic cannot phase-lock another's.
+func spreadReplica(cursor *atomic.Uint64, candidates []*replicaState) *replicaState {
+	n := cursor.Add(1)
 	i := int((n - 1) % uint64(len(candidates)))
 	if len(candidates) == 1 {
 		return candidates[i]
@@ -178,10 +183,16 @@ func saturated(candidates []*replicaState) bool {
 // candidate set is saturated.
 func (g *Gateway) placeSpread(candidates []*replicaState) (*replicaState, error) {
 	if saturated(candidates) {
-		metGwAdmissionRejects.Inc()
-		return nil, core.ErrUnavailable(time.Second, "all replicas saturated: every candidate queue is full")
+		return nil, refuseSaturated()
 	}
-	return g.spreadReplica(candidates), nil
+	return spreadReplica(&g.rrCursor, candidates), nil
+}
+
+// refuseSaturated is admission control's answer when no candidate can take
+// the job: 503 with a Retry-After hint.
+func refuseSaturated() error {
+	metGwAdmissionRejects.Inc()
+	return core.ErrUnavailable(time.Second, "all replicas saturated: every candidate queue is full")
 }
 
 // fileOwner returns the replica prefix of the file a parameter value
@@ -245,119 +256,77 @@ func (g *Gateway) placeFresh(candidates []*replicaState, inputs core.Values) (*r
 	return g.placeSpread(candidates)
 }
 
-// routeSubmit places one job submission.  For deterministic services it
-// computes the memo key of the submission and consults the shared memo index
-// first (authoritative: fed by every replica's delta feed), then the
-// gateway-local hint table; either pointing at a still-healthy candidate
-// wins, because that replica's memo cache can answer without recomputing.
-// Otherwise the submission goes to the replica owning its input files, and
-// failing that falls through to load-aware placement, which may refuse
-// admission (non-nil err) when all candidates are saturated.  The returned
-// key is non-empty when the dispatch should be recorded as a hint after the
-// replica accepts it.
-func (g *Gateway) routeSubmit(service string, inputs core.Values) (rs *replicaState, key string, hinted bool, err error) {
+// routeSubmit places one job submission.  A deterministic service first
+// consults the shared memo index (authoritative: fed by every replica's
+// delta feed); an entry pointing at a still-healthy candidate wins, because
+// that replica's memo cache can answer without recomputing.  A deterministic
+// submission without file inputs then goes to its digest home.  Everything
+// else goes to the replica owning its input files, failing that to
+// load-aware placement.  Both the home and load-aware placement may refuse
+// admission (non-nil err) when every candidate is saturated.
+func (g *Gateway) routeSubmit(service string, inputs core.Values) (*replicaState, error) {
 	candidates := g.serviceReplicas(service)
 	if len(candidates) == 0 {
-		return nil, "", false, nil
+		return nil, nil
 	}
 	desc, _ := candidates[0].describe(service)
 	if desc.Deterministic {
 		// A nil FileDigester hashes file references by literal string.  That
 		// is weaker than the container's content digest (two names for the
-		// same bytes miss), but routing only needs gateway-local
-		// determinism: a miss degrades to placement, never to a wrong
+		// same bytes miss), but routing only needs a key every gateway
+		// derives alike: a miss degrades to placement, never to a wrong
 		// answer — the replica's own memo gate re-derives the real key.
 		// Defaults are applied first, as the replica does, so the key of a
 		// request that omits a defaulted input matches the replicas' feed.
-		if k, err := core.CanonicalHash(desc.Name, desc.Version, desc.ApplyDefaults(inputs), nil); err == nil {
-			key = k
+		if key, err := core.CanonicalHash(desc.Name, desc.Version, desc.ApplyDefaults(inputs), nil); err == nil {
 			if name, ok := g.memo.lookup(key); ok {
 				for _, c := range candidates {
 					if c.name == name {
 						metGwIndexHits.Inc()
-						return c, key, true, nil
+						return c, nil
 					}
 				}
 			}
-			if name, ok := g.hints.get(key); ok {
-				for _, c := range candidates {
-					if c.name == name {
-						metGwHintHits.Inc()
-						return c, key, true, nil
-					}
-				}
-				metGwHintStale.Inc()
+			// With file inputs, the owner prefix is already a
+			// deterministic home.
+			if !hasFileRef(inputs) {
+				return digestHome(candidates, key)
 			}
 		}
 	}
-	rs, err = g.placeFresh(candidates, inputs)
-	if err != nil {
-		return nil, key, false, err
-	}
-	return rs, key, false, nil
+	return g.placeFresh(candidates, inputs)
 }
 
-// hintTable is the bounded digest→replica map behind memo-cache sharing.
-// It uses two generations: inserts go to the young map, lookups check both,
-// and when the young map fills the old generation is dropped wholesale —
-// O(1) amortized eviction with no per-entry bookkeeping, at the cost of
-// evicting cohorts instead of strict LRU order.  Hints are advisory, so
-// losing a cohort only costs a load-aware dispatch.
-type hintTable struct {
-	max int
-
-	mu    sync.Mutex
-	young map[string]string
-	old   map[string]string
-}
-
-func newHintTable(max int) *hintTable {
-	return &hintTable{
-		max:   max,
-		young: make(map[string]string),
-	}
-}
-
-func (t *hintTable) get(key string) (string, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if v, ok := t.young[key]; ok {
-		return v, true
-	}
-	if v, ok := t.old[key]; ok {
-		// Promote so a hot hint survives the next generation flip.
-		t.young[key] = v
-		return v, true
-	}
-	return "", false
-}
-
-func (t *hintTable) put(key, replica string) {
-	if key == "" {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.young) >= t.max/2 {
-		t.old = t.young
-		t.young = make(map[string]string)
-	}
-	t.young[key] = replica
-}
-
-// forget drops every hint pointing at a replica (used when one is replaced
-// rather than restarted, so stale hints do not pin traffic to a cold cache).
-func (t *hintTable) forget(replica string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for k, v := range t.young {
-		if v == replica {
-			delete(t.young, k)
+// hasFileRef reports whether any input is a file reference.
+func hasFileRef(inputs core.Values) bool {
+	for _, v := range inputs {
+		if _, ok := core.FileRefID(v); ok {
+			return true
 		}
 	}
-	for k, v := range t.old {
-		if v == replica {
-			delete(t.old, k)
+	return false
+}
+
+// digestHome places a deterministic submission on its memo key's home: the
+// candidate with the highest rendezvousScore(key, replica) among those
+// without a full queue.  Every gateway computes the same home with no shared
+// state, so identical submissions through any number of gateways meet in one
+// replica's singleflight and resubmissions find that replica's cache; a full
+// home spills to the next replica in rendezvous order (bounded-load
+// consistent hashing).  When every candidate is full it refuses admission.
+func digestHome(candidates []*replicaState, key string) (*replicaState, error) {
+	var home *replicaState
+	var best uint64
+	for _, c := range candidates {
+		if c.queueFull() {
+			continue
+		}
+		if s := rendezvousScore(key, c.name); home == nil || s > best {
+			home, best = c, s
 		}
 	}
+	if home == nil {
+		return nil, refuseSaturated()
+	}
+	return home, nil
 }

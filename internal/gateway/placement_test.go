@@ -1,10 +1,12 @@
 package gateway
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -29,7 +31,6 @@ func TestRendezvousScoreIsDeterministic(t *testing.T) {
 func newTestGateway(services map[string][]string, healthy map[string]bool) *Gateway {
 	g := &Gateway{
 		byName:    make(map[string]*replicaState),
-		hints:     newHintTable(64),
 		memo:      newMemoIndex(),
 		candCache: make(map[string]*candEntry),
 	}
@@ -92,7 +93,7 @@ func TestSpreadRoundRobins(t *testing.T) {
 	candidates := g.serviceReplicas("s")
 	seen := make(map[string]int)
 	for i := 0; i < 9; i++ {
-		seen[g.spreadReplica(candidates).name]++
+		seen[spreadReplica(&g.rrCursor, candidates).name]++
 	}
 	for name, n := range seen {
 		if n != 3 {
@@ -181,9 +182,9 @@ func TestRouteSubmitInputLocality(t *testing.T) {
 			const rounds = 6
 			seen := make(map[string]int)
 			for i := 0; i < rounds; i++ {
-				rs, _, hinted, err := g.routeSubmit("s", tc.inputs)
-				if err != nil || rs == nil || hinted {
-					t.Fatalf("routeSubmit = %v hinted=%v err=%v", rs, hinted, err)
+				rs, err := g.routeSubmit("s", tc.inputs)
+				if err != nil || rs == nil {
+					t.Fatalf("routeSubmit = %v err=%v", rs, err)
 				}
 				seen[rs.name]++
 			}
@@ -221,17 +222,189 @@ func TestMemoIndexHitWinsOverInputLocality(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No entry yet: the deterministic service is placed on its data.
-	rs, gotKey, hinted, err := g.routeSubmit("det", inputs)
-	if err != nil || rs.name != "r02" || hinted || gotKey != key {
-		t.Fatalf("fresh route = %v %q hinted=%v err=%v, want r02 by locality", rs, gotKey, hinted, err)
+	rs, err := g.routeSubmit("det", inputs)
+	if err != nil || rs.name != "r02" {
+		t.Fatalf("fresh route = %v err=%v, want r02 by locality", rs, err)
 	}
 	// r03 holds the result: recomputing next to the file loses to not
 	// computing at all.
 	g.memo.apply("r03", core.MemoIndexPage{Seq: 1, Entries: []core.MemoIndexEntry{{Key: key, Service: "det", JobID: "j"}}})
-	rs, _, hinted, err = g.routeSubmit("det", inputs)
-	if err != nil || rs.name != "r03" || !hinted {
-		t.Fatalf("memo route = %v hinted=%v err=%v, want r03 by memo index", rs, hinted, err)
+	rs, err = g.routeSubmit("det", inputs)
+	if err != nil || rs.name != "r03" {
+		t.Fatalf("memo route = %v err=%v, want r03 by memo index", rs, err)
 	}
+}
+
+// rendezvousOrder ranks replica names by rendezvousScore(key, name), best
+// first: the spill order of the key's digest home.
+func rendezvousOrder(key string, names ...string) []string {
+	out := append([]string(nil), names...)
+	sort.Slice(out, func(i, j int) bool {
+		return rendezvousScore(key, out[i]) > rendezvousScore(key, out[j])
+	})
+	return out
+}
+
+// TestRouteSubmitDigestHome pins where a deterministic submission without
+// file inputs goes: its digest home, spilling down the rendezvous order past
+// full queues, refused when every queue is full, and never spent on the
+// spread cursor.  A memo index entry and input files still decide first.
+func TestRouteSubmitDigestHome(t *testing.T) {
+	all := []string{"r01", "r02", "r03"}
+	hash := func(inputs core.Values) string {
+		key, err := core.CanonicalHash("det", "1", inputs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return key
+	}
+	full := func(names ...string) func(*Gateway) {
+		return func(g *Gateway) {
+			for _, n := range names {
+				g.byName[n].load = core.LoadReport{QueueDepth: 8, QueueCap: 8}
+			}
+		}
+	}
+
+	t.Run("independent gateways agree on every home", func(t *testing.T) {
+		homes := make(map[string]int)
+		for i := 0; i < 32; i++ {
+			inputs := core.Values{"n": float64(i)}
+			a, errA := localityGateway().routeSubmit("det", inputs)
+			b, errB := localityGateway().routeSubmit("det", inputs)
+			if errA != nil || errB != nil || a.name != b.name {
+				t.Fatalf("inputs %v: gateways chose %v (%v) and %v (%v)", inputs, a, errA, b, errB)
+			}
+			if want := rendezvousOrder(hash(inputs), all...)[0]; a.name != want {
+				t.Fatalf("inputs %v: home %s, want rendezvous winner %s", inputs, a.name, want)
+			}
+			homes[a.name]++
+		}
+		if len(homes) != len(all) {
+			t.Fatalf("homes of 32 digests = %v, want every replica to be home to some", homes)
+		}
+	})
+
+	inputs := core.Values{"n": 7.0}
+	order := rendezvousOrder(hash(inputs), all...)
+	// A file input whose owner is not the home of its own digest, so only
+	// locality can place it there.
+	var owner string
+	var fileInputs core.Values
+	for _, owner = range all {
+		fileInputs = core.Values{"f": core.FileRef(fileID(owner, 1))}
+		if rendezvousOrder(hash(fileInputs), all...)[0] != owner {
+			break
+		}
+	}
+	cases := []struct {
+		name    string
+		service string
+		inputs  core.Values
+		setup   func(g *Gateway)
+		want    string // "" means refused with 503
+		cursor  uint64 // spread cursor steps taken
+	}{
+		{name: "home is the rendezvous winner", service: "det", inputs: inputs, want: order[0]},
+		{name: "full home spills to the next replica", service: "det", inputs: inputs,
+			setup: full(order[0]), want: order[1]},
+		{name: "two full spill to the third", service: "det", inputs: inputs,
+			setup: full(order[0], order[1]), want: order[2]},
+		{name: "unhealthy home spills like a full one", service: "det", inputs: inputs,
+			setup: func(g *Gateway) { g.byName[order[0]].healthy = false }, want: order[1]},
+		{name: "every queue full is refused", service: "det", inputs: inputs,
+			setup: full(all...)},
+		{name: "memo index entry wins over the home", service: "det", inputs: inputs,
+			setup: func(g *Gateway) {
+				g.memo.apply(order[2], core.MemoIndexPage{Seq: 1,
+					Entries: []core.MemoIndexEntry{{Key: hash(inputs), Service: "det", JobID: "j"}}})
+			},
+			want: order[2]},
+		{name: "file-bearing submission follows its input", service: "det", inputs: fileInputs,
+			want: owner},
+		{name: "non-deterministic submission takes one spread step", service: "s", inputs: inputs,
+			want: "*", cursor: 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := localityGateway()
+			if tc.setup != nil {
+				tc.setup(g)
+			}
+			rs, err := g.routeSubmit(tc.service, tc.inputs)
+			switch {
+			case tc.want == "":
+				var unavail *core.UnavailableError
+				if !errors.As(err, &unavail) || unavail.RetryAfter <= 0 {
+					t.Fatalf("routeSubmit = %v, %v; want a 503 with Retry-After", rs, err)
+				}
+			case err != nil || rs == nil:
+				t.Fatalf("routeSubmit = %v, %v", rs, err)
+			case tc.want != "*" && rs.name != tc.want:
+				t.Fatalf("placed on %s, want %s (rendezvous order %v)", rs.name, tc.want, order)
+			}
+			if n := g.rrCursor.Load(); n != tc.cursor {
+				t.Fatalf("spread cursor = %d, want %d", n, tc.cursor)
+			}
+		})
+	}
+}
+
+// TestUploadsSpreadOnTheirOwnCursor alternates uploads with file-less job
+// submissions through a two-replica gateway.  The uploads must still split
+// 1:1: on a cursor shared with job placement every upload would take the
+// same parity and land on one replica.
+func TestUploadsSpreadOnTheirOwnCursor(t *testing.T) {
+	g := federationTestGateway(false, nil)
+	var mu sync.Mutex
+	uploads := make(map[string]int)
+	stubReplicas(t, g, func(name string, r *http.Request) {
+		if r.URL.Path == "/files" {
+			mu.Lock()
+			uploads[name]++
+			mu.Unlock()
+		}
+	})
+	srv := httptest.NewServer(g.APIHandler())
+	defer srv.Close()
+	for i := 0; i < 8; i++ {
+		for _, path := range []string{"/files", "/services/s"} {
+			resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(`{"a": 1}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusCreated {
+				t.Fatalf("POST %s = %d, want 201 from the stub replica", path, resp.StatusCode)
+			}
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if uploads["r01"] != 4 || uploads["r02"] != 4 {
+		t.Fatalf("uploads per replica = %v, want 4 and 4", uploads)
+	}
+}
+
+// FuzzFileOwner checks fileOwner on arbitrary parameter values: it never
+// panics, an owner it reports is a valid replica name, and a file ID names
+// the same owner in its bare form and in its absolute-URI form.
+func FuzzFileOwner(f *testing.F) {
+	f.Fuzz(func(t *testing.T, id string) {
+		for _, v := range []string{id, core.FileRef(id)} {
+			if owner, ok := fileOwner(v); ok && !core.ValidReplicaName(owner) {
+				t.Fatalf("fileOwner(%q) = %q, not a valid replica name", v, owner)
+			}
+		}
+		if strings.Contains(id, "/") {
+			return // a file ID is a single path segment
+		}
+		bare, bareOK := fileOwner(core.FileRef(id))
+		uri, uriOK := fileOwner(core.FileRef("http://gw.example:8190/files/" + id))
+		if bare != uri || bareOK != uriOK {
+			t.Fatalf("ID %q: bare form owned by (%q, %v), URI form by (%q, %v)", id, bare, bareOK, uri, uriOK)
+		}
+	})
 }
 
 // stubReplicas puts a recording HTTP server behind every replica of a
@@ -382,34 +555,6 @@ func TestCopyHeadersStripsHopByHop(t *testing.T) {
 	if len(dst) != 3 || dst.Get("Content-Type") != "application/json" ||
 		dst.Get("X-Request-Id") != "abc" || len(dst["Accept"]) != 2 {
 		t.Fatalf("copied headers = %v, want exactly the three end-to-end ones", dst)
-	}
-}
-
-func TestHintTableGenerationsAndForget(t *testing.T) {
-	h := newHintTable(8) // generation flips at 4 entries
-	for i := 0; i < 4; i++ {
-		h.put(fmt.Sprintf("k%d", i), "r01")
-	}
-	// Touch k0 so it survives the flip by promotion.
-	h.put("k4", "r02") // flips: k0..k3 move to the old generation
-	if v, ok := h.get("k0"); !ok || v != "r01" {
-		t.Fatalf("k0 lost after one flip: %v %v", v, ok)
-	}
-	// k0 was promoted into the young generation; a second flip drops the
-	// rest of the old cohort but keeps promoted entries one round longer.
-	for i := 5; i < 9; i++ {
-		h.put(fmt.Sprintf("k%d", i), "r02")
-	}
-	if _, ok := h.get("k0"); !ok {
-		t.Fatal("promoted hint did not survive the next flip")
-	}
-
-	h.forget("r02")
-	if _, ok := h.get("k4"); ok {
-		t.Fatal("forget left a hint pointing at the dropped replica")
-	}
-	if _, ok := h.get("k0"); !ok {
-		t.Fatal("forget removed hints of other replicas")
 	}
 }
 

@@ -29,7 +29,8 @@ import (
 //
 // Requests about existing resources (jobs, sweeps, files) route in O(1) by
 // the replica prefix of their IDs; resource creation is placed by
-// rendezvous+round-robin with memo hints; collection reads scatter-gather.
+// the memo index, digest homes, input locality and p2c (placement.go);
+// collection reads scatter-gather.
 func (g *Gateway) APIHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		head, tail := rest.ShiftPath(r.URL.Path)
@@ -167,8 +168,8 @@ func (g *Gateway) handleServices(w http.ResponseWriter, r *http.Request, path st
 }
 
 // handleSubmit places one job submission: the body is buffered (it is a
-// bounded JSON document by API contract), parsed for memo-hint computation,
-// and forwarded byte-identical to the placed replica.
+// bounded JSON document by API contract), parsed for placement (memo key
+// and file references), and forwarded byte-identical to the placed replica.
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, service string) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rest.MaxBodyBytes))
 	if err != nil {
@@ -177,12 +178,12 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, service s
 	}
 	// A body that does not parse as a value map still forwards — the
 	// replica owns input validation and its 400 passes through unchanged —
-	// it just cannot produce a memo hint.
+	// it is just placed without a memo key or file references.
 	var inputs core.Values
 	if len(raw) > 0 {
 		_ = json.Unmarshal(raw, &inputs)
 	}
-	rs, key, hinted, err := g.routeSubmit(service, inputs)
+	rs, err := g.routeSubmit(service, inputs)
 	if err != nil {
 		// Admission control: every candidate advertises a full queue, so a
 		// proxy hop would only buy a replica-side rejection.
@@ -193,10 +194,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, service s
 		g.noReplica(w, service)
 		return
 	}
-	status, ok := g.forward(w, r, rs, "service", raw)
-	if ok && status == http.StatusCreated && key != "" && !hinted {
-		g.hints.put(key, rs.name)
-	}
+	g.forward(w, r, rs, "service", raw)
 }
 
 // handleSweepSubmit places a sweep: the whole campaign — the sweep record
@@ -236,9 +234,10 @@ func (g *Gateway) handleFiles(w http.ResponseWriter, r *http.Request, path strin
 			rest.MethodNotAllowed(w, http.MethodPost)
 			return
 		}
-		// Uploads spread over all healthy replicas; the minted file ID
-		// carries the chosen replica's prefix, so later reads and job
-		// submissions referencing the file route straight back to the bytes.
+		// Uploads spread over all healthy replicas on a cursor of their
+		// own; the minted file ID carries the chosen replica's prefix, so
+		// later reads and job submissions referencing the file route
+		// straight back to the bytes.
 		var healthy []*replicaState
 		for _, rs := range g.replicas {
 			if rs.isHealthy() {
@@ -254,7 +253,7 @@ func (g *Gateway) handleFiles(w http.ResponseWriter, r *http.Request, path strin
 		}
 		// The body streams through: file uploads are unbounded, so they are
 		// never buffered at the gateway.
-		g.forward(w, r, g.spreadReplica(healthy), "file", nil)
+		g.forward(w, r, spreadReplica(&g.upCursor, healthy), "file", nil)
 		return
 	}
 	rs, err := g.affinityReplica(id)
@@ -313,12 +312,11 @@ func (g *Gateway) ensureBase(rs *replicaState) {
 
 // forward proxies the request to one replica, streaming the response back
 // through pooled copy buffers.  A non-nil body replaces the request body
-// (already buffered by the caller); nil streams r.Body through.  It returns
-// the upstream status and whether the upstream answered at all.  Reaching
+// (already buffered by the caller); nil streams r.Body through.  Reaching
 // the replica at all is what health tracks: a connection-level failure
 // marks it down (passive health) and surfaces as 502 Bad Gateway, which the
 // client retry policy replays for idempotent methods.
-func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, rs *replicaState, route string, body []byte) (int, bool) {
+func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, rs *replicaState, route string, body []byte) {
 	g.ensureBase(rs)
 	target := rs.baseURL() + r.URL.Path
 	if r.URL.RawQuery != "" {
@@ -333,7 +331,7 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, rs *replicaSta
 	out, err := http.NewRequestWithContext(r.Context(), r.Method, target, reqBody)
 	if err != nil {
 		rest.WriteError(w, fmt.Errorf("gateway: build upstream request: %w", err))
-		return 0, false
+		return
 	}
 	if body == nil {
 		// A streamed body keeps the length the client declared, so an upload
@@ -358,7 +356,7 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, rs *replicaSta
 				Status: status,
 			})
 		}
-		return 0, false
+		return
 	}
 	defer resp.Body.Close()
 	metGwProxySeconds.With(route).Observe(time.Since(start).Seconds())
@@ -368,11 +366,8 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, rs *replicaSta
 	}
 	copyHeaders(w.Header(), resp.Header)
 	w.WriteHeader(resp.StatusCode)
-	if _, err := rest.Copy(w, resp.Body); err != nil {
-		// Mid-stream failure: headers are out, nothing to do but stop.
-		return resp.StatusCode, true
-	}
-	return resp.StatusCode, true
+	// A mid-stream failure leaves nothing to do: the headers are out.
+	_, _ = rest.Copy(w, resp.Body)
 }
 
 func copyHeaders(dst, src http.Header) {
