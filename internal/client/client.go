@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -187,22 +188,7 @@ func (e *APIError) Error() string {
 // IsNotFound reports whether err is a 404 API error.
 func IsNotFound(err error) bool {
 	var api *APIError
-	return asAPI(err, &api) && api.Status == http.StatusNotFound
-}
-
-func asAPI(err error, target **APIError) bool {
-	for err != nil {
-		if e, ok := err.(*APIError); ok {
-			*target = e
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
+	return errors.As(err, &api) && api.Status == http.StatusNotFound
 }
 
 func (c *Client) getJSON(ctx context.Context, uri string, out any) error {
@@ -323,32 +309,7 @@ func (c *Client) describeService(ctx context.Context, uri string) (core.ServiceD
 // positive the server holds the request until the job completes or the
 // window elapses, enabling the synchronous mode of the unified API.
 func (s *Service) Submit(ctx context.Context, inputs core.Values, wait time.Duration) (*core.Job, error) {
-	body, err := json.Marshal(inputs)
-	if err != nil {
-		return nil, fmt.Errorf("client: encode inputs: %w", err)
-	}
-	uri := s.uri
-	if wait > 0 {
-		uri += "?wait=" + wait.String()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, uri, bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := s.client.do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: POST %s: %w", s.uri, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return nil, apiError(resp)
-	}
-	var job core.Job
-	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
-		return nil, fmt.Errorf("client: decode job: %w", err)
-	}
-	return &job, nil
+	return send[core.Job](ctx, s.client, http.MethodPost, withWait(s.uri, wait), inputs, http.StatusCreated)
 }
 
 // Job fetches the current representation of a job by URI.
@@ -365,65 +326,13 @@ func (s *Service) Job(ctx context.Context, jobURI string) (*core.Job, error) {
 // on the job's completion channel, so the response arrives the instant the
 // job finishes — the window length only bounds how often an idle wait
 // re-issues the request.
-// A server that ignores the wait parameter (or completes the window
-// early) is re-polled no more often than the client's MinPoll, jittered
-// (rest.Jitter) so that many watchers started together — e.g. a thousand
-// clients following the children of one sweep — drift apart instead of
-// phase-locking into synchronized poll bursts, and a non-terminal answer
-// never degenerates into a zero-delay busy loop.
 func (s *Service) Wait(ctx context.Context, jobURI string) (*core.Job, error) {
-	window := s.client.waitWindow()
-	minPoll := s.client.minPoll()
-	for {
-		start := time.Now()
-		var job core.Job
-		uri := jobURI + "?wait=" + window.String()
-		adv, err := s.client.getJSONWait(ctx, uri, &job)
-		if err != nil {
-			return nil, err
-		}
-		// Respect the server's advertised ceiling: asking for more than
-		// Wait-Max only gets clamped, so shrink the next window to match.
-		if adv > 0 && adv < window {
-			window = adv
-		}
-		if job.State.Terminal() {
-			return &job, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if delay := rest.Jitter(minPoll); time.Since(start) < delay {
-			t := time.NewTimer(delay - time.Since(start))
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return nil, ctx.Err()
-			case <-t.C:
-			}
-		}
-	}
+	return poll(ctx, s.client, jobURI, jobDone)
 }
 
 // Cancel performs DELETE on the job resource.
 func (s *Service) Cancel(ctx context.Context, jobURI string) (*core.Job, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, jobURI, nil)
-	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
-	}
-	resp, err := s.client.do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: DELETE %s: %w", jobURI, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
-	var job core.Job
-	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
-		return nil, fmt.Errorf("client: decode job: %w", err)
-	}
-	return &job, nil
+	return send[core.Job](ctx, s.client, http.MethodDelete, jobURI, nil, http.StatusOK)
 }
 
 // SubmitSweep performs POST on the service's sweep collection, expanding a
@@ -431,32 +340,7 @@ func (s *Service) Cancel(ctx context.Context, jobURI string) (*core.Job, error) 
 // is positive the server holds the request until the whole campaign
 // completes or the window elapses.
 func (s *Service) SubmitSweep(ctx context.Context, spec *core.SweepSpec, wait time.Duration) (*core.Sweep, error) {
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return nil, fmt.Errorf("client: encode sweep spec: %w", err)
-	}
-	uri := s.uri + "/sweeps"
-	if wait > 0 {
-		uri += "?wait=" + wait.String()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, uri, bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := s.client.do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: POST %s: %w", uri, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return nil, apiError(resp)
-	}
-	var sweep core.Sweep
-	if err := json.NewDecoder(resp.Body).Decode(&sweep); err != nil {
-		return nil, fmt.Errorf("client: decode sweep: %w", err)
-	}
-	return &sweep, nil
+	return send[core.Sweep](ctx, s.client, http.MethodPost, withWait(s.uri+"/sweeps", wait), spec, http.StatusCreated)
 }
 
 // Sweep fetches the current aggregate status of a sweep by URI.  The answer
@@ -471,24 +355,89 @@ func (s *Service) Sweep(ctx context.Context, sweepURI string) (*core.Sweep, erro
 }
 
 // WaitSweep polls the sweep resource (using server-side long-poll windows,
-// jittered like Wait) until every child job is terminal or ctx is
-// cancelled.
+// like Wait) until every child job is terminal or ctx is cancelled.
 func (s *Service) WaitSweep(ctx context.Context, sweepURI string) (*core.Sweep, error) {
-	window := s.client.waitWindow()
-	minPoll := s.client.minPoll()
+	return poll(ctx, s.client, sweepURI, sweepDone)
+}
+
+// CancelSweep performs DELETE on the sweep resource, cancelling every
+// non-terminal child in one call.
+func (s *Service) CancelSweep(ctx context.Context, sweepURI string) (*core.Sweep, error) {
+	return send[core.Sweep](ctx, s.client, http.MethodDelete, sweepURI, nil, http.StatusOK)
+}
+
+// jobDone and sweepDone are the terminal tests the shared wait loops
+// (poll, follow) are parameterised by.
+func jobDone(j *core.Job) bool     { return j.State.Terminal() }
+func sweepDone(s *core.Sweep) bool { return s.State.Terminal() }
+
+// withWait appends a positive server-side wait window to a submit URI.
+func withWait(uri string, wait time.Duration) string {
+	if wait > 0 {
+		return uri + "?wait=" + wait.String()
+	}
+	return uri
+}
+
+// send performs one request on the client, with body (when non-nil)
+// encoded as JSON, and decodes an answer with the want status as a T; any
+// other status is an *APIError.
+func send[T any](ctx context.Context, c *Client, method, uri string, body any, want int) (*T, error) {
+	var rd io.Reader
+	if body != nil {
+		data, err := json.Marshal(body)
+		if err != nil {
+			return nil, fmt.Errorf("client: encode %s body: %w", method, err)
+		}
+		rd = bytes.NewReader(data)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, uri, rd)
+	if err != nil {
+		return nil, fmt.Errorf("client: %w", err)
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.do(req)
+	if err != nil {
+		return nil, fmt.Errorf("client: %s %s: %w", method, uri, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != want {
+		return nil, apiError(resp)
+	}
+	out := new(T)
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return nil, fmt.Errorf("client: decode %s %s: %w", method, uri, err)
+	}
+	return out, nil
+}
+
+// poll long-polls the resource at uri until done reports its
+// representation terminal or ctx is cancelled.  A server that ignores the
+// wait parameter (or completes the window early) is re-polled no more
+// often than the client's MinPoll, jittered (rest.Jitter) so that many
+// watchers started together — e.g. a thousand clients following the
+// children of one sweep — drift apart instead of phase-locking into
+// synchronized poll bursts, and a non-terminal answer never degenerates
+// into a zero-delay busy loop.
+func poll[T any](ctx context.Context, c *Client, uri string, done func(*T) bool) (*T, error) {
+	window := c.waitWindow()
+	minPoll := c.minPoll()
 	for {
 		start := time.Now()
-		var sweep core.Sweep
-		uri := sweepURI + "?wait=" + window.String()
-		adv, err := s.client.getJSONWait(ctx, uri, &sweep)
+		out := new(T)
+		adv, err := c.getJSONWait(ctx, uri+"?wait="+window.String(), out)
 		if err != nil {
 			return nil, err
 		}
+		// Respect the server's advertised ceiling: asking for more than
+		// Wait-Max only gets clamped, so shrink the next window to match.
 		if adv > 0 && adv < window {
 			window = adv
 		}
-		if sweep.State.Terminal() {
-			return &sweep, nil
+		if done(out) {
+			return out, nil
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -503,28 +452,6 @@ func (s *Service) WaitSweep(ctx context.Context, sweepURI string) (*core.Sweep, 
 			}
 		}
 	}
-}
-
-// CancelSweep performs DELETE on the sweep resource, cancelling every
-// non-terminal child in one call.
-func (s *Service) CancelSweep(ctx context.Context, sweepURI string) (*core.Sweep, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, sweepURI, nil)
-	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
-	}
-	resp, err := s.client.do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: DELETE %s: %w", sweepURI, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
-	var sweep core.Sweep
-	if err := json.NewDecoder(resp.Body).Decode(&sweep); err != nil {
-		return nil, fmt.Errorf("client: decode sweep: %w", err)
-	}
-	return &sweep, nil
 }
 
 // SweepJobs fetches one page of a sweep's child jobs in point order,

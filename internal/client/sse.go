@@ -104,6 +104,10 @@ func (s *Service) Events(ctx context.Context, resourceURI string, fn func(events
 				if err != io.EOF && ctx.Err() != nil {
 					return ctx.Err()
 				}
+				if errors.Is(err, events.ErrFrameTooLarge) {
+					// The ring would replay the same frame on every reconnect.
+					return fmt.Errorf("client: %s: %w", uri, err)
+				}
 				break
 			}
 			if ev.ID > 0 {
@@ -132,29 +136,7 @@ func (s *Service) Events(ctx context.Context, resourceURI string, fn func(events
 // no stream.  One HTTP request replaces a poll loop: the opening frame
 // carries the current snapshot and the terminal transition arrives pushed.
 func (s *Service) WaitSSE(ctx context.Context, jobURI string) (*core.Job, error) {
-	var last *core.Job
-	err := s.Events(ctx, jobURI, func(ev events.Event) (bool, error) {
-		if ev.Type != events.TypeJob || len(ev.Data) == 0 {
-			return false, nil
-		}
-		var job core.Job
-		if err := json.Unmarshal(ev.Data, &job); err != nil {
-			return false, fmt.Errorf("client: decode job event: %w", err)
-		}
-		last = &job
-		return job.State.Terminal(), nil
-	})
-	switch {
-	case err == nil && last != nil && last.State.Terminal():
-		return last, nil
-	case errors.Is(err, ErrEventsUnsupported):
-		return s.Wait(ctx, jobURI)
-	case err != nil:
-		return nil, err
-	default:
-		// Defensive: the watch ended without a terminal snapshot.
-		return s.Wait(ctx, jobURI)
-	}
+	return follow(ctx, s, jobURI, events.TypeJob, jobDone)
 }
 
 // WaitSweepSSE waits for the whole campaign to finish by following the
@@ -162,26 +144,32 @@ func (s *Service) WaitSSE(ctx context.Context, jobURI string) (*core.Job, error)
 // load), falling back to the long-poll WaitSweep when the server offers no
 // stream.
 func (s *Service) WaitSweepSSE(ctx context.Context, sweepURI string) (*core.Sweep, error) {
-	var last *core.Sweep
-	err := s.Events(ctx, sweepURI, func(ev events.Event) (bool, error) {
-		if ev.Type != events.TypeSweep || len(ev.Data) == 0 {
+	return follow(ctx, s, sweepURI, events.TypeSweep, sweepDone)
+}
+
+// follow watches the resource's event stream until a frame of type typ
+// decodes to a representation done reports terminal.  It long-polls
+// instead when the server offers no stream, when a stream ends without a
+// terminal frame, and when a frame exceeds the scanner's cap (the resource
+// GET has none).
+func follow[T any](ctx context.Context, s *Service, uri, typ string, done func(*T) bool) (*T, error) {
+	var last *T
+	err := s.Events(ctx, uri, func(ev events.Event) (bool, error) {
+		if ev.Type != typ || len(ev.Data) == 0 {
 			return false, nil
 		}
-		var sweep core.Sweep
-		if err := json.Unmarshal(ev.Data, &sweep); err != nil {
-			return false, fmt.Errorf("client: decode sweep event: %w", err)
+		v := new(T)
+		if err := json.Unmarshal(ev.Data, v); err != nil {
+			return false, fmt.Errorf("client: decode %s event: %w", typ, err)
 		}
-		last = &sweep
-		return sweep.State.Terminal(), nil
+		last = v
+		return done(v), nil
 	})
 	switch {
-	case err == nil && last != nil && last.State.Terminal():
+	case err == nil && last != nil && done(last):
 		return last, nil
-	case errors.Is(err, ErrEventsUnsupported):
-		return s.WaitSweep(ctx, sweepURI)
-	case err != nil:
+	case err != nil && !errors.Is(err, ErrEventsUnsupported) && !errors.Is(err, events.ErrFrameTooLarge):
 		return nil, err
-	default:
-		return s.WaitSweep(ctx, sweepURI)
 	}
+	return poll(ctx, s.client, uri, done)
 }

@@ -97,9 +97,6 @@ type Options struct {
 	// Wait-Max response header so well-behaved clients stop over-asking.
 	// Zero selects the default (60s); a negative value removes the cap.
 	MaxWaitWindow time.Duration
-	// EventRingSize sets how many recent events each bus topic retains for
-	// Last-Event-ID resume (default 64).
-	EventRingSize int
 	// ReplicaID names this container within a federated deployment (e.g.
 	// "r03").  When set, every job, sweep and file identifier the container
 	// mints carries the name as an affinity prefix ("r03-<id>"), responses
@@ -313,7 +310,7 @@ func New(opts Options) (*Container, error) {
 		c.snapBytes = opts.SnapshotBytes
 		c.snapStop = make(chan struct{})
 	}
-	c.events = events.NewBus(events.Options{RingSize: opts.EventRingSize})
+	c.events = events.NewBus(events.Options{})
 	c.jobs = newJobManager(c, jobManagerConfig{
 		workers:       opts.Workers,
 		queueSize:     opts.QueueSize,
@@ -356,9 +353,7 @@ func (c *Container) Close() {
 	c.jobs.Close()
 	// The job manager drained first, so its terminal transitions reached
 	// the bus; closing the bus now releases every remaining event stream.
-	if c.events != nil {
-		c.events.Close()
-	}
+	c.events.Close()
 	// The journal closes after the job manager: the shutdown's CANCELLED
 	// transitions are themselves journaled, so a clean restart re-queues
 	// nothing.
@@ -408,7 +403,7 @@ func (c *Container) advertiseWaitMax(h http.Header) {
 
 // notifyService publishes a deploy/undeploy notice on the service feed.
 func (c *Container) notifyService(name, change string) {
-	if c.events == nil || !c.events.Active(events.ServiceTopic(name)) {
+	if !c.events.Active(events.ServiceTopic(name)) {
 		return
 	}
 	data, err := json.Marshal(map[string]string{"service": name, "change": change})

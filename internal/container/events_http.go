@@ -2,11 +2,7 @@ package container
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"strconv"
-	"time"
 
 	"mathcloud/internal/core"
 	"mathcloud/internal/events"
@@ -19,151 +15,8 @@ import (
 //	GET /services/{name}/sweeps/{id}/events  one sweep's aggregate progress
 //	GET /services/{name}/events              the service's activity feed
 //
-// Each stream opens with the resource's current representation (the
-// subscribe-then-snapshot pattern: the subscription is attached before the
-// snapshot is taken, so a transition can be duplicated but never missed),
-// then carries one frame per state change.  Terminal job/sweep events end
-// the stream; the service feed runs until the client hangs up or the idle
-// window (MaxWaitWindow) expires with no traffic.  Clients reconnect with
-// Last-Event-ID and the topic ring replays what they missed, or sends a
-// single "sync" frame telling them to re-fetch when it cannot.
-
-// sseSource parameterises the shared stream loop.
-type sseSource struct {
-	topic string
-	event string // SSE event type of snapshot frames
-	// snapshot returns the resource's current representation and whether
-	// it is terminal (the stream ends after delivering it).  It is called
-	// for the opening frame and again whenever a coalesced sync event
-	// requires re-synchronising the consumer.  nil for feed topics that
-	// have no single representation.
-	snapshot func() (data []byte, end bool, err error)
-	// hello is the opening frame of snapshot-less feeds, so a consumer
-	// (or the CI curl smoke test) observes a frame immediately.
-	hello []byte
-}
-
-// parseLastEventID extracts the SSE resume position.  EventSource sends
-// the Last-Event-ID header on reconnect; curl users can pass
-// ?lastEventId= instead.
-func parseLastEventID(r *http.Request) uint64 {
-	s := r.Header.Get("Last-Event-ID")
-	if s == "" {
-		s = r.URL.Query().Get("lastEventId")
-	}
-	if s == "" {
-		return 0
-	}
-	n, err := strconv.ParseUint(s, 10, 64)
-	if err != nil {
-		return 0
-	}
-	return n
-}
-
-// serveEvents runs one SSE stream: subscribe, send the opening frame,
-// then relay bus events until the topic ends, the idle window expires, or
-// the client disconnects.
-func (c *Container) serveEvents(w http.ResponseWriter, r *http.Request, src sseSource) {
-	if r.Method != http.MethodGet {
-		rest.MethodNotAllowed(w, http.MethodGet)
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		rest.WriteError(w, fmt.Errorf("container: response writer does not support streaming"))
-		return
-	}
-	sub := c.events.Subscribe(src.topic, parseLastEventID(r))
-	defer sub.Close()
-
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream; charset=utf-8")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("X-Accel-Buffering", "no") // proxies must not buffer the stream
-	c.advertiseWaitMax(h)
-	w.WriteHeader(http.StatusOK)
-	// Pace EventSource reconnects after idle closes so they don't
-	// degenerate into a tight retry loop.
-	if _, err := io.WriteString(w, "retry: 1000\n\n"); err != nil {
-		return
-	}
-
-	// Opening frame: the current representation (or the feed hello),
-	// stamped with the subscription sequence so a reconnect resumes from
-	// here.
-	if src.snapshot != nil {
-		data, end, err := src.snapshot()
-		if err != nil {
-			return
-		}
-		if events.WriteEvent(w, events.Event{ID: sub.Seq, Type: src.event, Data: data, End: end}) != nil {
-			return
-		}
-		fl.Flush()
-		if end {
-			return
-		}
-	} else {
-		if events.WriteEvent(w, events.Event{ID: sub.Seq, Type: src.event, Data: src.hello}) != nil {
-			return
-		}
-		fl.Flush()
-	}
-
-	idle := c.maxWait
-	var timer *time.Timer
-	var timeout <-chan time.Time
-	if idle > 0 {
-		timer = time.NewTimer(idle)
-		defer timer.Stop()
-		timeout = timer.C
-	}
-	ctx := r.Context()
-	for {
-		select {
-		case ev, ok := <-sub.C:
-			if !ok {
-				return // bus shut down
-			}
-			end := ev.End
-			if ev.Type == events.TypeSync && src.snapshot != nil {
-				// The subscriber fell behind (or resumed past the ring);
-				// re-synchronise with a fresh snapshot instead of
-				// forwarding the data-less sync marker.
-				data, snapEnd, err := src.snapshot()
-				if err != nil {
-					return
-				}
-				end = end || snapEnd
-				ev = events.Event{ID: ev.ID, Type: src.event, Data: data, End: end}
-			}
-			if events.WriteEvent(w, ev) != nil {
-				return
-			}
-			fl.Flush()
-			if end {
-				return
-			}
-			if timer != nil {
-				if !timer.Stop() {
-					select {
-					case <-timer.C:
-					default:
-					}
-				}
-				timer.Reset(idle)
-			}
-		case <-timeout:
-			// Idle cap reached (the SSE analogue of the long-poll window):
-			// end the stream cleanly; EventSource reconnects with
-			// Last-Event-ID and resumes from the topic ring.
-			return
-		case <-ctx.Done():
-			return
-		}
-	}
-}
+// events.Serve runs each stream; these handlers check the resource exists,
+// so no topic is created for an unknown ID, and supply its snapshot.
 
 // handleJobEvents streams one job's state transitions.
 func (c *Container) handleJobEvents(w http.ResponseWriter, r *http.Request, service, jobID string) {
@@ -172,10 +25,11 @@ func (c *Container) handleJobEvents(w http.ResponseWriter, r *http.Request, serv
 		rest.WriteError(w, core.ErrNotFound("job", jobID))
 		return
 	}
-	c.serveEvents(w, r, sseSource{
-		topic: events.JobTopic(jobID),
-		event: events.TypeJob,
-		snapshot: func() ([]byte, bool, error) {
+	events.Serve(w, r, events.Stream{
+		Bus:   c.events,
+		Topic: events.JobTopic(jobID),
+		Type:  events.TypeJob,
+		Snapshot: func() ([]byte, bool, error) {
 			j, err := c.jobs.Get(jobID)
 			if err != nil {
 				return nil, false, err
@@ -183,6 +37,7 @@ func (c *Container) handleJobEvents(w http.ResponseWriter, r *http.Request, serv
 			data, err := json.Marshal(c.decorate(j))
 			return data, j.State.Terminal(), err
 		},
+		Idle: c.maxWait,
 	})
 }
 
@@ -193,10 +48,11 @@ func (c *Container) handleSweepEvents(w http.ResponseWriter, r *http.Request, se
 		rest.WriteError(w, core.ErrNotFound("sweep", sweepID))
 		return
 	}
-	c.serveEvents(w, r, sseSource{
-		topic: events.SweepTopic(sweepID),
-		event: events.TypeSweep,
-		snapshot: func() ([]byte, bool, error) {
+	events.Serve(w, r, events.Stream{
+		Bus:   c.events,
+		Topic: events.SweepTopic(sweepID),
+		Type:  events.TypeSweep,
+		Snapshot: func() ([]byte, bool, error) {
 			s, err := c.jobs.GetSweep(sweepID)
 			if err != nil {
 				return nil, false, err
@@ -204,20 +60,24 @@ func (c *Container) handleSweepEvents(w http.ResponseWriter, r *http.Request, se
 			data, err := json.Marshal(c.decorateSweep(s))
 			return data, s.State.Terminal(), err
 		},
+		Idle: c.maxWait,
 	})
 }
 
 // handleServiceEvents streams the service's activity feed: every job
 // transition of the service, sweep submissions, deploy/undeploy notices.
+// The feed has no single representation, so it opens with a hello frame.
 func (c *Container) handleServiceEvents(w http.ResponseWriter, r *http.Request, service string) {
 	if _, err := c.Describe(service); err != nil {
 		rest.WriteError(w, err)
 		return
 	}
 	hello, _ := json.Marshal(map[string]string{"service": service, "change": "watch"})
-	c.serveEvents(w, r, sseSource{
-		topic: events.ServiceTopic(service),
-		event: events.TypeService,
-		hello: hello,
+	events.Serve(w, r, events.Stream{
+		Bus:   c.events,
+		Topic: events.ServiceTopic(service),
+		Type:  events.TypeService,
+		Hello: hello,
+		Idle:  c.maxWait,
 	})
 }

@@ -22,9 +22,6 @@ import (
 // its service's activity feed.  A terminal snapshot ends the job topic.
 func (jm *JobManager) notifyJob(rec *jobRecord) {
 	bus := jm.c.events
-	if bus == nil {
-		return
-	}
 	// ID and Service are immutable after the record is published, so they
 	// are readable without rec.mu.
 	jobTopic := events.JobTopic(rec.job.ID)
@@ -47,17 +44,15 @@ func (jm *JobManager) notifyJob(rec *jobRecord) {
 	}
 }
 
-// notifySweep publishes the sweep's aggregate snapshot on its topic.  The
-// event granularity is the child transition: wide sweeps produce one event
-// per child state change, and the bounded subscriber buffers coalesce
-// bursts into sync frames that the SSE handler re-expands to a fresh
-// snapshot — a watcher sees every count eventually, not every increment.
-func (jm *JobManager) notifySweep(sw *sweepRecord) {
+// notifySweep publishes the sweep's aggregate snapshot on topic: its own
+// sweep topic (ends true), where a terminal snapshot ends the stream, or
+// its service feed on submission, which no sweep ends.  The event
+// granularity is the child transition: wide sweeps produce one event per
+// child state change, and the bounded subscriber buffers coalesce bursts
+// into sync frames that the SSE handler re-expands to a fresh snapshot — a
+// watcher sees every count eventually, not every increment.
+func (jm *JobManager) notifySweep(sw *sweepRecord, topic string, ends bool) {
 	bus := jm.c.events
-	if bus == nil {
-		return
-	}
-	topic := events.SweepTopic(sw.id)
 	if !bus.Active(topic) {
 		return
 	}
@@ -66,23 +61,5 @@ func (jm *JobManager) notifySweep(sw *sweepRecord) {
 	if err != nil {
 		return
 	}
-	bus.Publish(topic, events.TypeSweep, s.State.Terminal(), data)
-}
-
-// notifySweepSubmitted announces a new sweep on the service feed.
-func (jm *JobManager) notifySweepSubmitted(sw *sweepRecord) {
-	bus := jm.c.events
-	if bus == nil {
-		return
-	}
-	topic := events.ServiceTopic(sw.service)
-	if !bus.Active(topic) {
-		return
-	}
-	s := jm.c.decorateSweep(sw.snapshot())
-	data, err := json.Marshal(s)
-	if err != nil {
-		return
-	}
-	bus.Publish(topic, events.TypeSweep, false, data)
+	bus.Publish(topic, events.TypeSweep, ends && s.State.Terminal(), data)
 }

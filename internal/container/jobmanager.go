@@ -413,6 +413,18 @@ func (jm *JobManager) Wait(ctx context.Context, id string, timeout time.Duration
 	if err != nil {
 		return nil, err
 	}
+	if err := awaitDone(ctx, rec.done, timeout); err != nil {
+		return nil, err
+	}
+	return rec.snapshot(), nil
+}
+
+// awaitDone is the server half of every ?wait= long-poll: it blocks until
+// done closes, the timeout elapses (0 = no timeout) or ctx ends.  Waiting
+// is one channel receive on purpose; a bus subscription per waiter would
+// create a topic per waited resource and make every transition marshal a
+// snapshot (DESIGN.md §5g).
+func awaitDone(ctx context.Context, done <-chan struct{}, timeout time.Duration) error {
 	var timer <-chan time.Time
 	if timeout > 0 {
 		t := time.NewTimer(timeout)
@@ -420,12 +432,12 @@ func (jm *JobManager) Wait(ctx context.Context, id string, timeout time.Duration
 		timer = t.C
 	}
 	select {
-	case <-rec.done:
+	case <-done:
 	case <-timer:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
-	return rec.snapshot(), nil
+	return nil
 }
 
 // Delete implements the DELETE method of the job resource: it cancels a

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"mathcloud/internal/core"
+	"mathcloud/internal/events"
 	"mathcloud/internal/journal"
 	"mathcloud/internal/obs"
 )
@@ -170,7 +171,7 @@ func (sw *sweepRecord) childTransition(from, to core.JobState, errMsg string) {
 	}
 	// Publish after finalize so the terminal event carries the finished
 	// timestamp; the Active gate inside keeps unwatched sweeps free.
-	sw.jm.notifySweep(sw)
+	sw.jm.notifySweep(sw, events.SweepTopic(sw.id), true)
 }
 
 // finalize runs exactly once, when the last child lands (its caller set
@@ -465,7 +466,7 @@ func (jm *JobManager) SubmitSweep(ctx context.Context, serviceName string, spec 
 			slog.Int("width", sw.width),
 			slog.Int("cached", bornDone))
 	}
-	jm.notifySweepSubmitted(sw)
+	jm.notifySweep(sw, events.ServiceTopic(sw.service), false)
 	return sw.snapshot(), nil
 }
 
@@ -569,17 +570,8 @@ func (jm *JobManager) WaitSweep(ctx context.Context, id string, timeout time.Dur
 	if err != nil {
 		return nil, err
 	}
-	var timer <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		timer = t.C
-	}
-	select {
-	case <-sw.done:
-	case <-timer:
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	if err := awaitDone(ctx, sw.done, timeout); err != nil {
+		return nil, err
 	}
 	return sw.snapshot(), nil
 }

@@ -20,9 +20,6 @@ var (
 
 // Options tunes a Bus.  The zero value selects the defaults.
 type Options struct {
-	// RingSize is how many recent events each topic retains for
-	// Last-Event-ID resume.  Default 64.
-	RingSize int
 	// SubscriberBuffer is the per-subscriber channel capacity.  A
 	// subscriber that falls further behind than this has its queue
 	// coalesced to a sync event.  Default 32.
@@ -35,7 +32,9 @@ type Options struct {
 }
 
 const (
-	defaultRingSize         = 64
+	// ringSize is how many recent events each topic retains for
+	// Last-Event-ID resume.
+	ringSize                = 64
 	defaultSubscriberBuffer = 32
 	defaultMaxTopics        = 4096
 )
@@ -84,9 +83,6 @@ type Subscriber struct {
 
 // NewBus returns a Bus with the given options.
 func NewBus(opts Options) *Bus {
-	if opts.RingSize <= 0 {
-		opts.RingSize = defaultRingSize
-	}
 	if opts.SubscriberBuffer <= 0 {
 		opts.SubscriberBuffer = defaultSubscriberBuffer
 	}
@@ -193,7 +189,7 @@ func (b *Bus) Subscribe(name string, lastID uint64) *Subscriber {
 		}
 		t = &topic{
 			name: name,
-			ring: make([]Event, 0, b.opts.RingSize),
+			ring: make([]Event, 0, ringSize),
 			subs: make(map[*Subscriber]struct{}),
 		}
 		b.topics[name] = t

@@ -102,7 +102,7 @@ func TestSlowSubscriberCoalesces(t *testing.T) {
 }
 
 func TestReplayFromLastEventID(t *testing.T) {
-	b := NewBus(Options{RingSize: 8})
+	b := NewBus(Options{})
 	defer b.Close()
 	// Prime the topic: the ring only exists once someone subscribed.
 	first := b.Subscribe("job/r", 0)
@@ -126,10 +126,10 @@ func TestReplayFromLastEventID(t *testing.T) {
 }
 
 func TestReplayGapYieldsSync(t *testing.T) {
-	b := NewBus(Options{RingSize: 4})
+	b := NewBus(Options{})
 	defer b.Close()
 	first := b.Subscribe("job/g", 0)
-	for i := 1; i <= 10; i++ { // ring holds only 7..10
+	for i := 1; i <= ringSize+6; i++ { // ring holds only 7..ringSize+6
 		b.Publish("job/g", TypeJob, false, nil)
 	}
 	first.Close()

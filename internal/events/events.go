@@ -1,7 +1,8 @@
-// Package events is the push-based async plane of the container: a small,
-// dependency-free event bus that turns JobManager state transitions into
-// per-topic streams, plus the Server-Sent Events wire codec that carries
-// them over plain HTTP (DESIGN.md §5g).
+// Package events is the push-based async plane of the container: a small
+// event bus, depending only on package rest, that turns JobManager state
+// transitions into per-topic streams, plus the Server-Sent Events wire
+// codec and the one stream handler (Serve) that carry them over plain HTTP
+// (DESIGN.md §5g).
 //
 // The design goals, in order:
 //
@@ -20,9 +21,12 @@ package events
 
 import (
 	"bufio"
+	"errors"
 	"io"
 	"strconv"
 	"strings"
+
+	"mathcloud/internal/rest"
 )
 
 // Event types carried on the bus.  The type names the JSON shape of Data:
@@ -105,16 +109,44 @@ func WriteEvent(w io.Writer, ev Event) error {
 	return err
 }
 
+// ErrFrameTooLarge reports an SSE frame longer than the scanner's cap.
+var ErrFrameTooLarge = errors.New("events: SSE frame exceeds size cap")
+
 // Scanner parses an SSE stream into Events.  It implements the subset of
 // the EventSource grammar the container emits: id/event/data/retry fields,
-// comment lines, and blank-line dispatch.
+// comment lines, and blank-line dispatch.  Streams come off the network, so
+// one frame is capped at rest.MaxBodyBytes, the cap on a resource body.
 type Scanner struct {
-	r *bufio.Reader
+	r   *bufio.Reader
+	max int // cap on the raw bytes of one frame
 }
 
 // NewScanner wraps an SSE response body.
 func NewScanner(r io.Reader) *Scanner {
-	return &Scanner{r: bufio.NewReader(r)}
+	return &Scanner{r: bufio.NewReader(r), max: rest.MaxBodyBytes}
+}
+
+// readLine returns the next line without its terminator, and its raw
+// length.  A line longer than budget raw bytes is ErrFrameTooLarge, after
+// which the stream is unusable; a line cut short by the end of the stream
+// is io.ErrUnexpectedEOF.
+func (s *Scanner) readLine(budget int) (string, int, error) {
+	var line strings.Builder
+	for {
+		chunk, err := s.r.ReadSlice('\n')
+		line.Write(chunk)
+		switch {
+		case line.Len() > budget:
+			return "", 0, ErrFrameTooLarge
+		case err == bufio.ErrBufferFull:
+			continue
+		case err == io.EOF && line.Len() > 0:
+			return "", 0, io.ErrUnexpectedEOF
+		case err != nil:
+			return "", 0, err
+		}
+		return strings.TrimRight(line.String(), "\r\n"), line.Len(), nil
+	}
 }
 
 // Next returns the next complete event frame.  io.EOF reports the end of
@@ -123,17 +155,16 @@ func (s *Scanner) Next() (Event, error) {
 	var ev Event
 	var data []byte
 	seen := false
+	size := 0 // raw bytes of the pending frame
 	for {
-		line, err := s.r.ReadString('\n')
+		line, n, err := s.readLine(s.max - size)
 		if err != nil {
-			if err == io.EOF && line != "" {
-				err = io.ErrUnexpectedEOF
-			}
 			return Event{}, err
 		}
-		line = strings.TrimRight(line, "\r\n")
+		size += n
 		if line == "" {
 			if !seen {
+				size = 0
 				continue // stray blank line, no frame pending
 			}
 			ev.Data = data

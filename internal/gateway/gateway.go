@@ -285,12 +285,13 @@ func trimBase(u string) string {
 }
 
 // Close stops the health loop, the catalogue pinger and every SSE pump, and
-// releases all downstream event streams.
+// releases all downstream event streams.  The pumps are cancelled before
+// the wait, since a pump only exits on its own when its watchers leave.
 func (g *Gateway) Close() {
 	g.stopOnce.Do(func() { close(g.stop) })
+	g.sse.close()
 	g.wg.Wait()
 	g.cat.Close()
-	g.sse.close()
 	g.bus.Close()
 }
 

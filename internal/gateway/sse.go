@@ -3,10 +3,12 @@ package gateway
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -35,11 +37,10 @@ import (
 
 // ssePump is one shared upstream subscription.
 type ssePump struct {
-	g     *Gateway
-	key   string // replica + "|" + upstream path
-	rs    *replicaState
-	path  string // upstream stream path (incl. /events suffix)
-	topic string // downstream bus topic fed by this pump
+	g    *Gateway
+	key  string // replica + "|" + upstream path
+	rs   *replicaState
+	path string // stream path (incl. /events suffix), upstream and as the downstream bus topic
 
 	cancel context.CancelFunc
 	refs   int // guarded by sseMux.mu
@@ -60,7 +61,7 @@ func newSSEMux(g *Gateway) *sseMux {
 // ensure attaches a watcher to the pump for (rs, path), starting it if this
 // is the first watcher.  The returned release detaches; the last release
 // stops the pump.
-func (m *sseMux) ensure(rs *replicaState, path, topic string) (release func()) {
+func (m *sseMux) ensure(rs *replicaState, path string) (release func()) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -70,7 +71,7 @@ func (m *sseMux) ensure(rs *replicaState, path, topic string) (release func()) {
 	p := m.pumps[key]
 	if p == nil {
 		ctx, cancel := context.WithCancel(context.Background())
-		p = &ssePump{g: m.g, key: key, rs: rs, path: path, topic: topic, cancel: cancel}
+		p = &ssePump{g: m.g, key: key, rs: rs, path: path, cancel: cancel}
 		m.pumps[key] = p
 		metGwSSEUpstreams.Add(1)
 		m.g.wg.Add(1)
@@ -136,9 +137,11 @@ func (p *ssePump) run(ctx context.Context) {
 			return
 		case gone:
 			// The upstream resource no longer exists (replica restarted and
-			// lost it, or it was deleted): end downstream watchers rather
-			// than retrying forever against a 404.
-			p.g.bus.Publish(p.topic, events.TypeSync, true, nil)
+			// lost it, or it was deleted), or sent a frame too large to
+			// relay that a resume would replay: end downstream watchers
+			// rather than retrying forever.  Their reconnect starts a fresh
+			// pump, which opens upstream without a resume ID.
+			p.g.bus.Publish(p.path, events.TypeSync, true, nil)
 			p.g.sse.remove(p)
 			return
 		case err == nil:
@@ -168,8 +171,9 @@ func (p *ssePump) run(ctx context.Context) {
 
 // attach opens one upstream connection and relays until it breaks.  It
 // returns ended=true after a terminal frame, gone=true when the resource is
-// missing upstream, and err!=nil for connection-level failures worth
-// backing off on; (false, false, nil) is a clean idle-close.
+// missing upstream or its frame exceeds the scanner's cap, and err!=nil for
+// connection-level failures worth backing off on; (false, false, nil) is a
+// clean idle-close.
 func (p *ssePump) attach(ctx context.Context, lastID *uint64) (ended, gone bool, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.rs.baseURL()+p.path, nil)
 	if err != nil {
@@ -207,34 +211,19 @@ func (p *ssePump) attach(ctx context.Context, lastID *uint64) (ended, gone bool,
 			if ctx.Err() != nil {
 				return false, false, nil
 			}
+			if errors.Is(err, events.ErrFrameTooLarge) {
+				return false, true, nil // the replica is healthy
+			}
 			return false, false, err
 		}
 		if ev.ID > 0 {
 			*lastID = ev.ID
 		}
-		p.g.bus.Publish(p.topic, ev.Type, ev.End, ev.Data)
+		p.g.bus.Publish(p.path, ev.Type, ev.End, ev.Data)
 		if ev.End {
 			return true, false, nil
 		}
 	}
-}
-
-// parseLastEventID mirrors the container's resume contract: the standard
-// Last-Event-ID header, or ?lastEventId= for EventSource implementations
-// that cannot set headers cross-origin.
-func parseLastEventID(r *http.Request) uint64 {
-	v := r.Header.Get("Last-Event-ID")
-	if v == "" {
-		v = r.URL.Query().Get("lastEventId")
-	}
-	if v == "" {
-		return 0
-	}
-	id, err := strconv.ParseUint(v, 10, 64)
-	if err != nil {
-		return 0
-	}
-	return id
 }
 
 // fetchSnapshot GETs a resource representation from its home replica for an
@@ -276,18 +265,8 @@ func (g *Gateway) fetchSnapshot(ctx context.Context, rs *replicaState, path stri
 // splitResource splits "/services/x/jobs/id/events" into the resource path
 // ("/services/x/jobs/id") and its final ID segment.
 func splitResource(streamPath string) (resource, id string) {
-	resource = streamPath
-	if len(resource) > len("/events") && resource[len(resource)-len("/events"):] == "/events" {
-		resource = resource[:len(resource)-len("/events")]
-	}
-	id = resource
-	for i := len(id) - 1; i >= 0; i-- {
-		if id[i] == '/' {
-			id = id[i+1:]
-			break
-		}
-	}
-	return resource, id
+	resource = strings.TrimSuffix(streamPath, "/events")
+	return resource, resource[strings.LastIndexByte(resource, '/')+1:]
 }
 
 // serveResourceStream streams one job or sweep resource to a downstream
@@ -295,29 +274,18 @@ func splitResource(streamPath string) (resource, id string) {
 // relayed transitions from the shared pump, ending on the terminal frame.
 // kind is the SSE event type ("job" or "sweep").
 func (g *Gateway) serveResourceStream(w http.ResponseWriter, r *http.Request, rs *replicaState, kind string) {
-	if r.Method != http.MethodGet {
-		rest.MethodNotAllowed(w, http.MethodGet)
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		rest.WriteError(w, fmt.Errorf("gateway: streaming unsupported by connection"))
-		return
-	}
 	streamPath := r.URL.Path
 	resourcePath, _ := splitResource(streamPath)
-	// Subscribe before the snapshot so no transition between the two is
-	// lost, and attach the pump before both so it is already relaying.
-	sub := g.bus.Subscribe(streamPath, parseLastEventID(r))
-	defer sub.Close()
-	release := g.sse.ensure(rs, streamPath, streamPath)
-	defer release()
-	snap, terminal, err := g.fetchSnapshot(r.Context(), rs, resourcePath)
-	if err != nil {
-		rest.WriteError(w, err)
-		return
-	}
-	g.streamLoop(w, r, flusher, sub, kind, rs, resourcePath, snap, terminal)
+	events.Serve(w, r, events.Stream{
+		Bus:    g.bus,
+		Topic:  streamPath,
+		Type:   kind,
+		Attach: func() func() { return g.attachWatcher(streamPath, rs) },
+		Snapshot: func() ([]byte, bool, error) {
+			return g.fetchSnapshot(r.Context(), rs, resourcePath)
+		},
+		Idle: g.maxWait,
+	})
 }
 
 // serveServiceFeed streams the merged activity feed of a service: the pumps
@@ -325,13 +293,8 @@ func (g *Gateway) serveResourceStream(w http.ResponseWriter, r *http.Request, rs
 // Per-replica upstream IDs cannot survive a merge, so resume runs entirely
 // in the gateway's ID space (the bus ring).
 func (g *Gateway) serveServiceFeed(w http.ResponseWriter, r *http.Request, service string) {
-	if r.Method != http.MethodGet {
+	if r.Method != http.MethodGet { // 405 precedes the replica check's 502
 		rest.MethodNotAllowed(w, http.MethodGet)
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		rest.WriteError(w, fmt.Errorf("gateway: streaming unsupported by connection"))
 		return
 	}
 	candidates := g.serviceReplicas(service)
@@ -339,86 +302,31 @@ func (g *Gateway) serveServiceFeed(w http.ResponseWriter, r *http.Request, servi
 		g.noReplica(w, service)
 		return
 	}
-	topic := r.URL.Path
-	sub := g.bus.Subscribe(topic, parseLastEventID(r))
-	defer sub.Close()
-	for _, rs := range candidates {
-		release := g.sse.ensure(rs, r.URL.Path, topic)
-		defer release()
-	}
-	// The opening frame mirrors the container's hello: it confirms the
-	// subscription and carries the subscriber's resume position.
+	// The opening frame mirrors the container's hello.
 	hello, _ := json.Marshal(map[string]string{"service": service, "change": "watch"})
-	g.streamLoop(w, r, flusher, sub, events.TypeService, nil, "", hello, false)
+	events.Serve(w, r, events.Stream{
+		Bus:    g.bus,
+		Topic:  r.URL.Path,
+		Type:   events.TypeService,
+		Attach: func() func() { return g.attachWatcher(r.URL.Path, candidates...) },
+		Hello:  hello,
+		Idle:   g.maxWait,
+	})
 }
 
-// streamLoop writes the opening frame and then relays bus events until the
-// stream turns terminal, the idle window closes, or either side goes away.
-// A nil snapshot replica disables sync re-expansion (merged feeds).
-func (g *Gateway) streamLoop(w http.ResponseWriter, r *http.Request, flusher http.Flusher, sub *events.Subscriber, kind string, rs *replicaState, resourcePath string, opening []byte, terminal bool) {
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream; charset=utf-8")
-	h.Set("Cache-Control", "no-store")
-	h.Set("X-Accel-Buffering", "no")
-	if g.maxWait > 0 {
-		h.Set(rest.WaitMaxHeader, g.maxWait.String())
-	}
-	w.WriteHeader(http.StatusOK)
+// attachWatcher counts one downstream watcher and joins it to the pump of
+// each replica for the stream path, starting pumps that are not running.
+// The returned release undoes both.
+func (g *Gateway) attachWatcher(path string, replicas ...*replicaState) (release func()) {
 	metGwSSEWatchers.Add(1)
-	defer metGwSSEWatchers.Add(-1)
-	if _, err := io.WriteString(w, "retry: 1000\n\n"); err != nil {
-		return
+	releases := make([]func(), len(replicas))
+	for i, rs := range replicas {
+		releases[i] = g.sse.ensure(rs, path)
 	}
-	if err := events.WriteEvent(w, events.Event{ID: sub.Seq, Type: kind, Data: opening, End: terminal}); err != nil {
-		return
-	}
-	flusher.Flush()
-	if terminal {
-		return
-	}
-	var idle *time.Timer
-	var idleC <-chan time.Time
-	if g.maxWait > 0 {
-		idle = time.NewTimer(g.maxWait)
-		defer idle.Stop()
-		idleC = idle.C
-	}
-	for {
-		select {
-		case ev, ok := <-sub.C:
-			if !ok {
-				return
-			}
-			if ev.Type == events.TypeSync && rs != nil {
-				// Re-expand: a coalesced gap is replaced by a fresh full
-				// snapshot, so the watcher never has to re-fetch itself.
-				snap, term, err := g.fetchSnapshot(r.Context(), rs, resourcePath)
-				if err != nil {
-					return
-				}
-				ev = events.Event{ID: ev.ID, Type: kind, Data: snap, End: ev.End || term}
-			}
-			if err := events.WriteEvent(w, ev); err != nil {
-				return
-			}
-			flusher.Flush()
-			if ev.End {
-				return
-			}
-			if idle != nil {
-				if !idle.Stop() {
-					<-idleC
-				}
-				idle.Reset(g.maxWait)
-			}
-		case <-idleC:
-			// Idle window over: close politely; the client reconnects with
-			// Last-Event-ID and resumes from the bus ring.
-			return
-		case <-r.Context().Done():
-			return
-		case <-g.stop:
-			return
+	return func() {
+		for _, rel := range releases {
+			rel()
 		}
+		metGwSSEWatchers.Add(-1)
 	}
 }
