@@ -4,15 +4,16 @@
 // /services; the catalogue retrieves their descriptions through the
 // unified REST API, indexes them and answers full-text /search queries
 // with highlighted snippets.  Published services are pinged periodically
-// and marked when unavailable.
+// and marked when unavailable.  With -data-dir every registration is
+// journaled as it happens and survives a restart.
 package main
 
 import (
-	"errors"
+	"context"
 	"flag"
 	"log"
 	"log/slog"
-	"net/http"
+	"net"
 	"os"
 	"time"
 
@@ -22,73 +23,68 @@ import (
 	"mathcloud/internal/obs"
 )
 
+// config is the parsed command line, separated from main so flag handling
+// is testable without exec'ing the binary.
+type config struct {
+	addr    string
+	ping    time.Duration
+	dataDir string
+	walSync journal.SyncMode
+}
+
+// parseFlags registers the catalogue's command line on fs and parses args
+// (without the program name) into a config.
+func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
+	cfg := &config{}
+	fs.StringVar(&cfg.addr, "addr", ":8081", "listen address")
+	fs.DurationVar(&cfg.ping, "ping", time.Minute, "availability ping interval (0 disables)")
+	fs.StringVar(&cfg.dataDir, "data-dir", "", "write-ahead journal directory: every registration is durable as it happens (checkpointed periodically)")
+	walSync := fs.String("wal-sync", "batch", "journal durability mode: off, batch or always (with -data-dir)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	var err error
+	cfg.walSync, err = journal.ParseSyncMode(*walSync)
+	return cfg, err
+}
+
 func main() {
-	addr := flag.String("addr", ":8081", "listen address")
-	ping := flag.Duration("ping", time.Minute, "availability ping interval (0 disables)")
-	store := flag.String("store", "", "snapshot file: loaded at startup, saved periodically")
-	durableDir := flag.String("data-dir", "", "write-ahead journal directory: every registration is durable as it happens (checkpointed periodically)")
-	walSync := flag.String("wal-sync", "batch", "journal durability mode: off, batch or always (with -data-dir)")
-	flag.Parse()
-
+	cfg, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		log.Fatalf("catalogue: %v", err)
+	}
 	obs.SetLogLevel(slog.LevelInfo)
+	if err := run(cfg); err != nil {
+		log.Fatalf("catalogue: %v", err)
+	}
+}
 
+// run serves the catalogue until a shutdown signal; its deferred Close calls
+// are the shutdown.
+func run(cfg *config) error {
 	cat := catalogue.New(catalogue.ClientDescriber{})
-	if *durableDir != "" {
-		mode, err := journal.ParseSyncMode(*walSync)
+	if cfg.dataDir != "" {
+		jl, err := journal.Open(cfg.dataDir, journal.Options{Mode: cfg.walSync})
 		if err != nil {
-			log.Fatalf("catalogue: %v", err)
-		}
-		jl, err := journal.Open(*durableDir, journal.Options{Mode: mode})
-		if err != nil {
-			log.Fatalf("catalogue: %v", err)
+			return err
 		}
 		defer jl.Close()
 		if err := cat.AttachJournal(jl); err != nil {
-			log.Fatalf("catalogue: %v", err)
+			return err
 		}
-		log.Printf("catalogue: recovered %d service(s) from journal %s", cat.Size(), *durableDir)
-		go func() {
-			ticker := time.NewTicker(time.Minute)
-			defer ticker.Stop()
-			for range ticker.C {
-				if err := cat.Checkpoint(); err != nil {
-					log.Printf("catalogue: %v", err)
-				}
-			}
-		}()
+		log.Printf("catalogue: recovered %d service(s) from journal %s", cat.Size(), cfg.dataDir)
 	}
-	if *store != "" {
-		if err := cat.Load(*store); err != nil {
-			if os.IsNotExist(errors.Unwrap(err)) {
-				log.Printf("catalogue: no snapshot at %s yet", *store)
-			} else {
-				log.Fatalf("catalogue: %v", err)
-			}
-		} else {
-			log.Printf("catalogue: restored %d service(s) from %s", cat.Size(), *store)
-		}
-		go func() {
-			ticker := time.NewTicker(30 * time.Second)
-			defer ticker.Stop()
-			for range ticker.C {
-				if err := cat.Save(*store); err != nil {
-					log.Printf("catalogue: %v", err)
-				}
-			}
-		}()
-	}
-	if *ping > 0 {
-		cat.StartPinger(*ping)
+	if cfg.ping > 0 {
+		cat.StartPinger(cfg.ping)
 	}
 	defer cat.Close()
 
-	log.Printf("catalogue: listening on %s (ping interval %s)", *addr, *ping)
+	ln, err := net.Listen("tcp", cfg.addr)
+	if err != nil {
+		return err
+	}
+	log.Printf("catalogue: listening on %s (ping interval %s)", cfg.addr, cfg.ping)
 	// The ingress instrumentation supplies request IDs, per-route metrics
 	// and structured request logs, replacing the plain logging wrapper.
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           container.Instrument(cat.Handler()),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	log.Fatal(srv.ListenAndServe())
+	return obs.Serve(context.Background(), ln, container.Instrument(cat.Handler()), "")
 }

@@ -1,8 +1,8 @@
 // Package cmd_test is the end-to-end test of the command-line binaries:
-// it builds everest, catalogue, wms and mcctl with the Go toolchain, wires
-// them together over real TCP ports, and drives the deployment with the
-// CLI client — the closest this repository gets to the paper's operational
-// setup.
+// it builds them with the Go toolchain, wires them together over real TCP
+// ports, drives the deployment with the CLI client and stops the servers
+// the way an operator does — the closest this repository gets to the
+// paper's operational setup.
 package cmd_test
 
 import (
@@ -16,21 +16,22 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"mathcloud/internal/obs"
 )
 
-// buildBinaries compiles the four commands once per test run.
-func buildBinaries(t *testing.T) map[string]string {
+// buildBinaries compiles the named commands into a test directory.
+func buildBinaries(t *testing.T, names ...string) map[string]string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("e2e binary test is slow")
 	}
 	dir := t.TempDir()
 	bins := map[string]string{}
-	for _, name := range []string{"everest", "catalogue", "wms", "mcctl"} {
+	for _, name := range names {
 		out := filepath.Join(dir, name)
 		cmd := exec.Command("go", "build", "-o", out, "./"+name)
 		cmd.Dir = "." // cmd/ directory
@@ -53,8 +54,9 @@ func freePort(t *testing.T) int {
 	return ln.Addr().(*net.TCPAddr).Port
 }
 
-// startServer launches a binary and waits for its HTTP endpoint.
-func startServer(t *testing.T, bin string, port int, extra ...string) string {
+// startServer launches a binary and waits for its HTTP endpoint.  It
+// returns the process, so tests can signal it, and its base URL.
+func startServer(t *testing.T, bin string, port int, extra ...string) (*exec.Cmd, string) {
 	t.Helper()
 	addr := fmt.Sprintf("127.0.0.1:%d", port)
 	base := "http://" + addr
@@ -66,20 +68,48 @@ func startServer(t *testing.T, bin string, port int, extra ...string) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		_ = cmd.Process.Kill()
-		_, _ = cmd.Process.Wait()
+		// Stop cleanly, so an everest without -data removes its temporary
+		// data directory; kill only a server that hangs.
+		_ = cmd.Process.Signal(syscall.SIGTERM)
+		exited := make(chan struct{})
+		go func() { _, _ = cmd.Process.Wait(); close(exited) }()
+		select {
+		case <-exited:
+		case <-time.After(10 * time.Second):
+			_ = cmd.Process.Kill()
+			<-exited
+		}
 	})
 	deadline := time.Now().Add(20 * time.Second)
 	for {
 		resp, err := http.Get(base + "/")
 		if err == nil {
 			resp.Body.Close()
-			return base
+			return cmd, base
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("server %s never came up on %s", bin, addr)
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// stopServer sends sig to a server started by startServer and requires it to
+// exit 0: a shutdown signal is a clean exit, not a crash.
+func stopServer(t *testing.T, cmd *exec.Cmd, sig os.Signal) {
+	t.Helper()
+	if err := cmd.Process.Signal(sig); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("%s after %v: %v, want exit status 0", filepath.Base(cmd.Path), sig, err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%s still running 30s after %v", filepath.Base(cmd.Path), sig)
 	}
 }
 
@@ -93,7 +123,7 @@ func runCLI(t *testing.T, bin string, args ...string) string {
 }
 
 func TestBinariesEndToEnd(t *testing.T) {
-	bins := buildBinaries(t)
+	bins := buildBinaries(t, "everest", "catalogue", "wms", "mcctl")
 
 	// Container with built-in services plus a config-file service.
 	cfgPath := filepath.Join(t.TempDir(), "services.json")
@@ -122,10 +152,10 @@ func TestBinariesEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	everestPort := freePort(t)
-	everest := startServer(t, bins["everest"], everestPort,
+	_, everest := startServer(t, bins["everest"], everestPort,
 		"-builtin", "-config", cfgPath,
 		"-base-url", fmt.Sprintf("http://127.0.0.1:%d", everestPort))
-	catalogueURL := startServer(t, bins["catalogue"], freePort(t), "-ping", "0")
+	_, catalogueURL := startServer(t, bins["catalogue"], freePort(t), "-ping", "0")
 
 	// mcctl services lists the deployed services.
 	out := runCLI(t, bins["mcctl"], "services", everest)
@@ -164,7 +194,7 @@ func TestBinariesEndToEnd(t *testing.T) {
 	// WMS: save a workflow that composes the CAS service, then execute
 	// the composite service through mcctl.
 	wmsPort := freePort(t)
-	wms := startServer(t, bins["wms"], wmsPort,
+	_, wms := startServer(t, bins["wms"], wmsPort,
 		"-base-url", fmt.Sprintf("http://127.0.0.1:%d", wmsPort))
 	wfPath := filepath.Join(t.TempDir(), "wf.json")
 	wf := fmt.Sprintf(`{

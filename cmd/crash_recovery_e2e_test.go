@@ -7,64 +7,30 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
 
-// startEverest launches the everest binary and returns the process handle
-// together with its base URL, so tests can kill it mid-flight.
-func startEverest(t *testing.T, bin string, port int, extra ...string) (*exec.Cmd, string) {
-	t.Helper()
-	addr := fmt.Sprintf("127.0.0.1:%d", port)
-	base := "http://" + addr
-	args := append([]string{"-addr", addr}, extra...)
-	cmd := exec.Command(bin, args...)
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		_ = cmd.Process.Kill()
-		_, _ = cmd.Process.Wait()
-	})
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		resp, err := http.Get(base + "/")
-		if err == nil {
-			resp.Body.Close()
-			return cmd, base
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("everest never came up on %s", addr)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
 // TestCrashRecoverySweep is the durability e2e: everest with a write-ahead
-// journal accepts a width-64 sweep, is SIGKILLed mid-campaign, and a fresh
+// journal accepts a width-64 sweep and is stopped mid-campaign, and a fresh
 // process on the same -data-dir must finish every accepted child with zero
-// losses.
+// losses.  It runs once per way to stop a server: SIGKILL (no shutdown
+// hooks, exactly what the WAL must survive) and SIGTERM, which must exit 0
+// and, not being a client cancel, must leave no child CANCELLED or ERROR.
 func TestCrashRecoverySweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("e2e binary test is slow")
-	}
-	binDir := t.TempDir()
-	bin := filepath.Join(binDir, "everest")
-	build := exec.Command("go", "build", "-o", bin, "./everest")
-	build.Dir = "."
-	if output, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("build everest: %v\n%s", err, output)
-	}
+	bin := buildBinaries(t, "everest")["everest"]
 
-	// One service backed by the command adapter: each child sleeps long
-	// enough that the kill lands with most of the campaign non-terminal.
+	// One command service run as batch jobs on a two-slot cluster: each child
+	// sleeps long enough that the kill lands with most of the campaign
+	// non-terminal, and most of the eight workers wait on batch jobs still
+	// queued in the cluster.  Closing the cluster before the container would
+	// fail those children while the journal is still open.
 	cfgPath := filepath.Join(t.TempDir(), "services.json")
 	cfg := `{
+	  "clusters": [{"name": "local", "nodes": [{"name": "n1", "slots": 2}]}],
 	  "services": [{
 	    "description": {
 	      "name": "slowsum",
@@ -72,11 +38,14 @@ func TestCrashRecoverySweep(t *testing.T) {
 	      "outputs": [{"name": "sum"}]
 	    },
 	    "adapter": {
-	      "kind": "command",
+	      "kind": "cluster",
 	      "config": {
-	        "command": "/bin/sh",
-	        "args": ["-c", "sleep 0.2; printf '{{\"sum\": %d}}' $(( {a} + {b} ))"],
-	        "stdoutJSON": true
+	        "cluster": "local",
+	        "exec": {"kind": "command", "config": {
+	          "command": "/bin/sh",
+	          "args": ["-c", "sleep 0.1; printf '{{\"sum\": %d}}' $(( {a} + {b} ))"],
+	          "stdoutJSON": true
+	        }}
 	      }
 	    }
 	  }]
@@ -84,9 +53,19 @@ func TestCrashRecoverySweep(t *testing.T) {
 	if err := os.WriteFile(cfgPath, []byte(cfg), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	dataDir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		sig  syscall.Signal
+	}{{"SIGKILL", syscall.SIGKILL}, {"SIGTERM", syscall.SIGTERM}} {
+		t.Run(tc.name, func(t *testing.T) { stopAndRecoverSweep(t, bin, cfgPath, tc.sig) })
+	}
+}
 
-	proc, base := startEverest(t, bin, freePort(t),
+// stopAndRecoverSweep runs one stop-and-restart round of
+// TestCrashRecoverySweep.
+func stopAndRecoverSweep(t *testing.T, bin, cfgPath string, sig syscall.Signal) {
+	dataDir := t.TempDir()
+	proc, base := startServer(t, bin, freePort(t),
 		"-config", cfgPath, "-data-dir", dataDir, "-wal-sync", "batch", "-workers", "8")
 
 	const width = 64
@@ -119,15 +98,18 @@ func TestCrashRecoverySweep(t *testing.T) {
 		t.Fatalf("accepted width = %d, want %d", sweep.Width, width)
 	}
 
-	// Let part of the campaign run, then kill -9: no shutdown hooks, no
-	// journal close — exactly what the WAL must survive.
+	// Let part of the campaign run, then stop the server.
 	time.Sleep(500 * time.Millisecond)
-	if err := proc.Process.Kill(); err != nil {
-		t.Fatal(err)
+	if sig == syscall.SIGKILL {
+		if err := proc.Process.Kill(); err != nil {
+			t.Fatal(err)
+		}
+		_ = proc.Wait()
+	} else {
+		stopServer(t, proc, sig)
 	}
-	_, _ = proc.Process.Wait()
 
-	_, base2 := startEverest(t, bin, freePort(t),
+	_, base2 := startServer(t, bin, freePort(t),
 		"-config", cfgPath, "-data-dir", dataDir, "-wal-sync", "batch", "-workers", "8")
 
 	// Every accepted child must reach a terminal state; none may be lost.
@@ -166,8 +148,8 @@ func TestCrashRecoverySweep(t *testing.T) {
 			if terminal != width {
 				t.Fatalf("terminal children = %d of %d (counts %+v)", terminal, width, got.Counts)
 			}
-			if got.State != "DONE" || got.Counts.Done != width {
-				t.Fatalf("sweep after recovery = %s counts %+v, want DONE with %d done",
+			if got.State != "DONE" || got.Counts.Done != width || got.Counts.Cancelled != 0 {
+				t.Fatalf("sweep after recovery = %s counts %+v, want DONE with all %d done, none failed or cancelled",
 					got.State, got.Counts, width)
 			}
 			break
@@ -195,4 +177,61 @@ func TestCrashRecoverySweep(t *testing.T) {
 	if !strings.Contains(metrics, `mc_recovery_replayed_total{kind="sweep"}`) {
 		t.Errorf("no sweep records replayed; metrics:\n%s", metrics)
 	}
+}
+
+// TestGracefulShutdown stops each server the way an operator does and
+// requires a clean exit that leaves nothing behind: everest removes its
+// temporary data directory, the catalogue keeps its registrations in the
+// journal, and mcgw closes its probes and event pumps.
+func TestGracefulShutdown(t *testing.T) {
+	bins := buildBinaries(t, "everest", "catalogue", "mcgw")
+	gwPort := freePort(t)
+	_, replica := startServer(t, bins["everest"], freePort(t), "-builtin",
+		"-replica", "r01", "-base-url", fmt.Sprintf("http://127.0.0.1:%d", gwPort))
+
+	t.Run("everest_SIGINT_removes_temp_data", func(t *testing.T) {
+		tmp := t.TempDir()
+		t.Setenv("TMPDIR", tmp)
+		proc, _ := startServer(t, bins["everest"], freePort(t), "-builtin")
+		pattern := filepath.Join(tmp, "everest-*")
+		if dirs, _ := filepath.Glob(pattern); len(dirs) != 1 {
+			t.Fatalf("temporary data directories under TMPDIR = %v, want one", dirs)
+		}
+		stopServer(t, proc, os.Interrupt)
+		if dirs, _ := filepath.Glob(pattern); len(dirs) != 0 {
+			t.Fatalf("SIGINT leaked %v", dirs)
+		}
+	})
+
+	t.Run("catalogue_SIGTERM_keeps_registrations", func(t *testing.T) {
+		dataDir := t.TempDir()
+		proc, cat := startServer(t, bins["catalogue"], freePort(t), "-ping", "0", "-data-dir", dataDir)
+		resp, err := http.Post(cat+"/services", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"uri": %q, "tags": ["cas"]}`, replica+"/services/maxima")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
+			t.Fatalf("register = %d", resp.StatusCode)
+		}
+		stopServer(t, proc, syscall.SIGTERM)
+
+		_, cat = startServer(t, bins["catalogue"], freePort(t), "-ping", "0", "-data-dir", dataDir)
+		resp, err = http.Get(cat + "/services")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if !strings.Contains(string(body), replica+"/services/maxima") {
+			t.Fatalf("registration lost across SIGTERM: %s", body)
+		}
+	})
+
+	t.Run("mcgw_SIGTERM", func(t *testing.T) {
+		proc, _ := startServer(t, bins["mcgw"], gwPort, "-replicas", "r01="+replica,
+			"-ping-interval", "200ms", "-load-interval", "200ms")
+		stopServer(t, proc, syscall.SIGTERM)
+	})
 }

@@ -21,15 +21,19 @@
 // curve and fit) are pre-registered as native functions, so configuration
 // files can deploy them by name; -builtin additionally deploys the whole
 // standard set.
+//
+// SIGINT or SIGTERM drains in-flight requests and closes the container: the
+// journal (with -data-dir) keeps every accepted unfinished job, which the
+// next start re-drives, and a temporary data directory is removed.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"log/slog"
-	"net/http"
 	"os"
 	"path/filepath"
 	"time"
@@ -41,6 +45,7 @@ import (
 	"mathcloud/internal/grid"
 	"mathcloud/internal/journal"
 	"mathcloud/internal/obs"
+	"mathcloud/internal/platform"
 	"mathcloud/internal/scatter"
 	"mathcloud/internal/torque"
 )
@@ -67,120 +72,95 @@ type configFile struct {
 	Services []container.ServiceConfig `json:"services"`
 }
 
-func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	configPath := flag.String("config", "", "service configuration file (JSON)")
-	workers := flag.Int("workers", 8, "job handler pool size")
-	dataDir := flag.String("data", "", "data directory (default: temporary)")
-	durableDir := flag.String("data-dir", "", "durable root: file store under <dir>, write-ahead journal under <dir>/journal; jobs, sweeps, the catalogue of deployed state and the memo index survive restarts (overrides -data)")
-	walSync := flag.String("wal-sync", "batch", "journal durability mode: off, batch or always (with -data-dir)")
-	snapInterval := flag.Duration("snapshot-interval", time.Minute, "journal checkpoint period (with -data-dir; negative disables)")
-	snapBytes := flag.Int64("snapshot-bytes", 0, "journal size that triggers an immediate checkpoint, in bytes (with -data-dir; 0 disables the size trigger)")
-	jobTTL := flag.Duration("job-ttl", 0, "default destruction TTL of terminal jobs and sweeps (0 = keep until DELETE)")
-	baseURL := flag.String("base-url", "", "externally visible base URL (default: http://<addr>)")
-	builtin := flag.Bool("builtin", false, "deploy the built-in application services")
-	debugAddr := flag.String("debug-addr", "", "optional pprof/metrics listener (e.g. 127.0.0.1:6060)")
-	memoEntries := flag.Int("memo-entries", 0, "computation cache entry bound (0 = default 4096, negative disables)")
-	memoBytes := flag.Int64("memo-bytes", 0, "computation cache byte bound (0 = default 256 MiB, negative disables)")
-	batchMax := flag.Int("batch", 0, "micro-batch size cap for batch-capable services (0 = default 16, <2 disables)")
-	sweepWidth := flag.Int("sweep-width", 0, "maximum child jobs per parameter sweep (0 = default 10000, negative uncapped)")
-	maxWait := flag.Duration("max-wait", 0, "cap on ?wait= long-poll windows and SSE idle streams (0 = default 60s, negative uncapped)")
-	replica := flag.String("replica", "", "replica identity in a federated deployment (1-16 of [a-z0-9]; prefixes all minted IDs)")
-	flag.Parse()
+// config is the parsed command line, separated from main so flag handling
+// is testable without exec'ing the binary.
+type config struct {
+	*platform.ContainerConfig
+	opts       container.Options
+	configPath string
+	builtin    bool
+}
 
+// parseFlags registers everest's command line on fs — the flags every
+// container server shares, then everest's own — and parses args (without the
+// program name) into a config.
+func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
+	cfg := &config{ContainerConfig: platform.ContainerFlags(fs, ":8080")}
+	fs.StringVar(&cfg.configPath, "config", "", "service configuration file (JSON)")
+	fs.BoolVar(&cfg.builtin, "builtin", false, "deploy the built-in application services")
+	data := fs.String("data", "", "data directory (default: temporary)")
+	durableDir := fs.String("data-dir", "", "durable root: file store under <dir>, write-ahead journal under <dir>/journal; jobs, sweeps, the catalogue of deployed state and the memo index survive restarts (overrides -data)")
+	walSync := fs.String("wal-sync", "batch", "journal durability mode: off, batch or always (with -data-dir)")
+	snapInterval := fs.Duration("snapshot-interval", time.Minute, "journal checkpoint period (with -data-dir; negative disables)")
+	jobTTL := fs.Duration("job-ttl", 0, "default destruction TTL of terminal jobs and sweeps (0 = keep until DELETE)")
+	replica := fs.String("replica", "", "replica identity in a federated deployment (1-16 of [a-z0-9]; prefixes all minted IDs)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	cfg.opts = cfg.Options()
+	cfg.opts.DataDir = *data
+	cfg.opts.JobTTL = *jobTTL
+	cfg.opts.ReplicaID = *replica
+	if *durableDir != "" {
+		mode, err := journal.ParseSyncMode(*walSync)
+		if err != nil {
+			return nil, err
+		}
+		cfg.opts.DataDir = *durableDir
+		cfg.opts.JournalDir = filepath.Join(*durableDir, "journal")
+		cfg.opts.WALSync = mode
+		cfg.opts.SnapshotInterval = *snapInterval
+	}
+	return cfg, nil
+}
+
+func main() {
+	cfg, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		log.Fatalf("everest: %v", err)
+	}
 	// Structured request/job logs are informational in a server process
 	// (they default to warn-level quiet for library use and tests).
 	obs.SetLogLevel(slog.LevelInfo)
+	if err := run(cfg); err != nil {
+		log.Fatalf("everest: %v", err)
+	}
+}
 
+// run deploys and serves the container until a shutdown signal; its
+// deferred Close calls are the shutdown.
+func run(cfg *config) error {
 	// Make every built-in computational function available to configs.
 	cas.Register()
 	ampl.RegisterFuncs()
 	scatter.RegisterFuncs()
 
-	opts := container.Options{
-		Workers:        *workers,
-		DataDir:        *dataDir,
-		DebugAddr:      *debugAddr,
-		MemoMaxEntries: *memoEntries,
-		MemoMaxBytes:   *memoBytes,
-		BatchMaxSize:   *batchMax,
-		MaxSweepWidth:  *sweepWidth,
-		MaxWaitWindow:  *maxWait,
-		ReplicaID:      *replica,
-		JobTTL:         *jobTTL,
-	}
-	if *durableDir != "" {
-		mode, err := journal.ParseSyncMode(*walSync)
-		if err != nil {
-			log.Fatalf("everest: %v", err)
+	// The clusters close after the container (defers run last in, first
+	// out).  Closing a cluster cancels its batch jobs, so closing it first
+	// would fail the service jobs running on it while the journal is still
+	// open, instead of leaving them to be re-driven on restart.
+	var clusters []*torque.Cluster
+	defer func() {
+		for _, cl := range clusters {
+			cl.Close()
 		}
-		opts.DataDir = *durableDir
-		opts.JournalDir = filepath.Join(*durableDir, "journal")
-		opts.WALSync = mode
-		opts.SnapshotInterval = *snapInterval
-		opts.SnapshotBytes = *snapBytes
-	}
+	}()
 	registry := adapter.NewRegistry()
-	opts.Adapters = registry
-	c, err := container.New(opts)
+	cfg.opts.Adapters = registry
+	c, err := container.New(cfg.opts)
 	if err != nil {
-		log.Fatalf("everest: %v", err)
+		return err
 	}
 	defer c.Close()
 
-	if *configPath != "" {
-		data, err := os.ReadFile(*configPath)
-		if err != nil {
-			log.Fatalf("everest: read config: %v", err)
-		}
-		var cfg configFile
-		if err := json.Unmarshal(data, &cfg); err != nil {
-			log.Fatalf("everest: parse config: %v", err)
-		}
-		clusters := torque.NewClusterRegistry()
-		for _, cc := range cfg.Clusters {
-			nodes := make([]torque.NodeSpec, len(cc.Nodes))
-			for i, n := range cc.Nodes {
-				nodes[i] = torque.NodeSpec{Name: n.Name, Slots: n.Slots}
-			}
-			cluster, err := torque.New(cc.Name, nodes, nil)
-			if err != nil {
-				log.Fatalf("everest: cluster %s: %v", cc.Name, err)
-			}
-			defer cluster.Close()
-			clusters.Add(cluster)
-		}
-		registry.Register("cluster", torque.NewAdapterFactory(clusters, registry))
-		if cfg.Grid != nil {
-			var sites []*grid.Site
-			for _, sc := range cfg.Grid.Sites {
-				nodes := make([]torque.NodeSpec, len(sc.Nodes))
-				for i, n := range sc.Nodes {
-					nodes[i] = torque.NodeSpec{Name: n.Name, Slots: n.Slots}
-				}
-				cluster, err := torque.New(sc.Name, nodes, nil)
-				if err != nil {
-					log.Fatalf("everest: site %s: %v", sc.Name, err)
-				}
-				defer cluster.Close()
-				sites = append(sites, &grid.Site{
-					Name: sc.Name, Cluster: cluster,
-					VOs: sc.VOs, Reliability: sc.Reliability,
-				})
-			}
-			infra, err := grid.New(sites, cfg.Grid.Seed)
-			if err != nil {
-				log.Fatalf("everest: grid: %v", err)
-			}
-			registry.Register("grid", grid.NewAdapterFactory(infra, registry))
-		}
-		if err := c.DeployAll(cfg.Services); err != nil {
-			log.Fatalf("everest: %v", err)
+	if cfg.configPath != "" {
+		if clusters, err = deployConfig(c, registry, cfg.configPath); err != nil {
+			return err
 		}
 	}
-	if *builtin {
+	if cfg.builtin {
 		if _, err := cas.Deploy(c, "maxima", 1); err != nil {
-			log.Fatalf("everest: %v", err)
+			return err
 		}
 		for _, svc := range []container.ServiceConfig{
 			ampl.SolverServiceConfig("solver"),
@@ -189,7 +169,7 @@ func main() {
 			scatter.FitServiceConfig("xray-fit"),
 		} {
 			if err := c.Deploy(svc); err != nil {
-				log.Fatalf("everest: %v", err)
+				return err
 			}
 		}
 	}
@@ -197,25 +177,70 @@ func main() {
 	// Recover after every service is deployed (re-driven jobs need their
 	// adapters) and before the listener accepts traffic.
 	if err := c.Recover(); err != nil {
-		log.Fatalf("everest: %v", err)
+		return err
 	}
 
-	if *baseURL != "" {
-		c.SetBaseURL(*baseURL)
-	} else {
-		c.SetBaseURL(fmt.Sprintf("http://localhost%s", *addr))
-	}
 	names := make([]string, 0)
 	for _, d := range c.Services() {
 		names = append(names, d.Name)
 	}
-	log.Printf("everest: serving %d service(s) %v on %s", len(names), names, *addr)
+	log.Printf("everest: serving %d service(s) %v on %s", len(names), names, cfg.Addr)
 	// The container handler carries its own ingress instrumentation
 	// (request IDs, metrics, structured logs), so no extra logging wrapper.
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           c.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
+	return cfg.Serve(context.Background(), c, c.Handler())
+}
+
+// deployConfig deploys the services of a configuration file, after the
+// clusters and grid sites their adapters run on.  It returns the clusters it
+// started, for the caller to close, even on error.
+func deployConfig(c *container.Container, registry *adapter.Registry, path string) ([]*torque.Cluster, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("read config: %w", err)
 	}
-	log.Fatal(srv.ListenAndServe())
+	var cfg configFile
+	if err := json.Unmarshal(data, &cfg); err != nil {
+		return nil, fmt.Errorf("parse config: %w", err)
+	}
+	var started []*torque.Cluster
+	newCluster := func(name string, specs []nodeSpec) (*torque.Cluster, error) {
+		nodes := make([]torque.NodeSpec, len(specs))
+		for i, n := range specs {
+			nodes[i] = torque.NodeSpec{Name: n.Name, Slots: n.Slots}
+		}
+		cluster, err := torque.New(name, nodes, nil)
+		if err != nil {
+			return nil, fmt.Errorf("cluster %s: %w", name, err)
+		}
+		started = append(started, cluster)
+		return cluster, nil
+	}
+	clusters := torque.NewClusterRegistry()
+	for _, cc := range cfg.Clusters {
+		cluster, err := newCluster(cc.Name, cc.Nodes)
+		if err != nil {
+			return started, err
+		}
+		clusters.Add(cluster)
+	}
+	registry.Register("cluster", torque.NewAdapterFactory(clusters, registry))
+	if cfg.Grid != nil {
+		var sites []*grid.Site
+		for _, sc := range cfg.Grid.Sites {
+			cluster, err := newCluster(sc.Name, sc.Nodes)
+			if err != nil {
+				return started, err
+			}
+			sites = append(sites, &grid.Site{
+				Name: sc.Name, Cluster: cluster,
+				VOs: sc.VOs, Reliability: sc.Reliability,
+			})
+		}
+		infra, err := grid.New(sites, cfg.Grid.Seed)
+		if err != nil {
+			return started, fmt.Errorf("grid: %w", err)
+		}
+		registry.Register("grid", grid.NewAdapterFactory(infra, registry))
+	}
+	return started, c.DeployAll(cfg.Services)
 }

@@ -12,11 +12,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"log/slog"
-	"net/http"
+	"net"
 	"os"
 	"sort"
 	"strings"
@@ -31,39 +32,28 @@ import (
 type config struct {
 	addr         string
 	replicas     []gateway.Replica
-	maxWait      time.Duration
 	pingInterval time.Duration
 	loadInterval time.Duration
 	fanout       time.Duration
 	debugAddr    string
 }
 
-// parseFlags parses args (without the program name) into a config.
-func parseFlags(args []string) (*config, error) {
-	fs := flag.NewFlagSet("mcgw", flag.ContinueOnError)
-	addr := fs.String("addr", ":8090", "listen address")
+// parseFlags registers mcgw's command line on fs and parses args (without
+// the program name) into a config.
+func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
+	cfg := &config{}
+	fs.StringVar(&cfg.addr, "addr", ":8090", "listen address")
 	replicas := fs.String("replicas", "", "comma-separated replica set: name=baseURL[,name=baseURL...]")
-	maxWait := fs.Duration("max-wait", 0, "cap on SSE idle streams (0 = default 60s, negative uncapped)")
-	pingInterval := fs.Duration("ping-interval", 5*time.Second, "replica health probe interval")
-	loadInterval := fs.Duration("load-interval", 2*time.Second, "replica load/memo-index poll interval (negative disables load-aware placement and result-reuse routing)")
-	fanout := fs.Duration("fanout-timeout", 5*time.Second, "per-replica deadline for scatter-gather requests and health probes")
-	debugAddr := fs.String("debug-addr", "", "optional pprof/metrics listener (e.g. 127.0.0.1:6061)")
+	fs.DurationVar(&cfg.pingInterval, "ping-interval", 5*time.Second, "replica health probe interval")
+	fs.DurationVar(&cfg.loadInterval, "load-interval", 2*time.Second, "replica load/memo-index poll interval (negative disables load-aware placement and result-reuse routing)")
+	fs.DurationVar(&cfg.fanout, "fanout-timeout", 5*time.Second, "per-replica deadline for scatter-gather requests and health probes")
+	fs.StringVar(&cfg.debugAddr, "debug-addr", "", "optional pprof/metrics listener (e.g. 127.0.0.1:6061)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	reps, err := parseReplicas(*replicas)
-	if err != nil {
-		return nil, err
-	}
-	return &config{
-		addr:         *addr,
-		replicas:     reps,
-		maxWait:      *maxWait,
-		pingInterval: *pingInterval,
-		loadInterval: *loadInterval,
-		fanout:       *fanout,
-		debugAddr:    *debugAddr,
-	}, nil
+	var err error
+	cfg.replicas, err = parseReplicas(*replicas)
+	return cfg, err
 }
 
 // parseReplicas parses the -replicas value: "name=baseURL" pairs separated
@@ -100,44 +90,39 @@ func parseReplicas(s string) ([]gateway.Replica, error) {
 }
 
 func main() {
-	cfg, err := parseFlags(os.Args[1:])
+	cfg, err := parseFlags(flag.CommandLine, os.Args[1:])
 	if err != nil {
 		log.Fatalf("mcgw: %v", err)
 	}
 	obs.SetLogLevel(slog.LevelInfo)
+	if err := run(cfg); err != nil {
+		log.Fatalf("mcgw: %v", err)
+	}
+}
 
+// run routes until a shutdown signal; its deferred Close, which stops the
+// probes and the event pumps, is the shutdown.
+func run(cfg *config) error {
 	g, err := gateway.New(gateway.Options{
 		Replicas:      cfg.replicas,
 		PingInterval:  cfg.pingInterval,
 		LoadInterval:  cfg.loadInterval,
 		FanoutTimeout: cfg.fanout,
-		MaxWaitWindow: cfg.maxWait,
 	})
 	if err != nil {
-		log.Fatalf("mcgw: %v", err)
+		return err
 	}
 	defer g.Close()
 
-	if cfg.debugAddr != "" {
-		go func() {
-			mux := http.NewServeMux()
-			mux.Handle("/metrics", obs.MetricsHandler())
-			mux.Handle("/status", obs.StatusHandler())
-			log.Printf("mcgw: debug listener on %s", cfg.debugAddr)
-			log.Println(http.ListenAndServe(cfg.debugAddr, mux))
-		}()
+	ln, err := net.Listen("tcp", cfg.addr)
+	if err != nil {
+		return err
 	}
-
 	names := make([]string, 0, len(cfg.replicas))
 	for _, r := range cfg.replicas {
 		names = append(names, r.Name)
 	}
 	sort.Strings(names)
 	log.Printf("mcgw: routing across %d replica(s) %v on %s", len(names), names, cfg.addr)
-	srv := &http.Server{
-		Addr:              cfg.addr,
-		Handler:           g.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	log.Fatal(srv.ListenAndServe())
+	return obs.Serve(context.Background(), ln, g.Handler(), cfg.debugAddr)
 }

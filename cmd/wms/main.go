@@ -7,46 +7,49 @@
 package main
 
 import (
+	"context"
 	"flag"
-	"fmt"
 	"log"
 	"log/slog"
-	"net/http"
-	"time"
+	"os"
 
 	"mathcloud/internal/adapter"
 	"mathcloud/internal/container"
 	"mathcloud/internal/obs"
+	"mathcloud/internal/platform"
 	"mathcloud/internal/workflow"
 )
 
+// parseFlags registers wms's command line on fs — exactly the flags every
+// container server shares — and parses args (without the program name).
+func parseFlags(fs *flag.FlagSet, args []string) (*platform.ContainerConfig, error) {
+	cfg := platform.ContainerFlags(fs, ":8082")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	return cfg, nil
+}
+
 func main() {
-	addr := flag.String("addr", ":8082", "listen address")
-	workers := flag.Int("workers", 8, "job handler pool size")
-	baseURL := flag.String("base-url", "", "externally visible base URL (default: http://localhost<addr>)")
-	debugAddr := flag.String("debug-addr", "", "optional pprof/metrics listener (e.g. 127.0.0.1:6061)")
-	memoEntries := flag.Int("memo-entries", 0, "computation cache entry bound (0 = default 4096, negative disables)")
-	memoBytes := flag.Int64("memo-bytes", 0, "computation cache byte bound (0 = default 256 MiB, negative disables)")
-	batchMax := flag.Int("batch", 0, "micro-batch size cap for batch-capable services (0 = default 16, <2 disables)")
-	sweepWidth := flag.Int("sweep-width", 0, "maximum child jobs per parameter sweep (0 = default 10000, negative uncapped)")
-	maxWait := flag.Duration("max-wait", 0, "cap on ?wait= long-poll windows and SSE idle streams (0 = default 60s, negative uncapped)")
-	flag.Parse()
-
-	obs.SetLogLevel(slog.LevelInfo)
-
-	registry := adapter.NewRegistry()
-	c, err := container.New(container.Options{
-		Workers:        *workers,
-		Adapters:       registry,
-		DebugAddr:      *debugAddr,
-		MemoMaxEntries: *memoEntries,
-		MemoMaxBytes:   *memoBytes,
-		BatchMaxSize:   *batchMax,
-		MaxSweepWidth:  *sweepWidth,
-		MaxWaitWindow:  *maxWait,
-	})
+	cfg, err := parseFlags(flag.CommandLine, os.Args[1:])
 	if err != nil {
 		log.Fatalf("wms: %v", err)
+	}
+	obs.SetLogLevel(slog.LevelInfo)
+	if err := run(cfg); err != nil {
+		log.Fatalf("wms: %v", err)
+	}
+}
+
+// run serves the WMS until a shutdown signal; its deferred Close is the
+// shutdown.
+func run(cfg *platform.ContainerConfig) error {
+	registry := adapter.NewRegistry()
+	opts := cfg.Options()
+	opts.Adapters = registry
+	c, err := container.New(opts)
+	if err != nil {
+		return err
 	}
 	defer c.Close()
 
@@ -55,18 +58,8 @@ func main() {
 	invoker := workflow.NewLocalInvoker(&workflow.HTTPInvoker{})
 	wms := workflow.NewWMS(c, registry, invoker, invoker)
 
-	if *baseURL != "" {
-		c.SetBaseURL(*baseURL)
-	} else {
-		c.SetBaseURL(fmt.Sprintf("http://localhost%s", *addr))
-	}
-	log.Printf("wms: listening on %s", *addr)
+	log.Printf("wms: listening on %s", cfg.Addr)
 	// The WMS handler carries its own ingress instrumentation (request
 	// IDs, metrics, structured logs), so no extra logging wrapper.
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           wms.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	log.Fatal(srv.ListenAndServe())
+	return cfg.Serve(context.Background(), c, wms.Handler())
 }

@@ -173,7 +173,7 @@ func (c *Catalogue) Register(ctx context.Context, uri string, tags []string) (*E
 	c.reindex(entry)
 	snapshot := cloneEntry(entry)
 	c.mu.Unlock()
-	c.logEntry(snapshot)
+	c.logRecord(journal.KindCatRegister, entryRecord{Entry: snapshot})
 	return snapshot, nil
 }
 
@@ -236,7 +236,7 @@ func (c *Catalogue) Unregister(uri string) error {
 	if !ok {
 		return core.ErrNotFound("service", uri)
 	}
-	c.logUnregister(uri)
+	c.logRecord(journal.KindCatUnregister, unregisterRecord{URI: uri})
 	return nil
 }
 
@@ -266,7 +266,7 @@ func (c *Catalogue) AddTags(uri string, tags []string) (*Entry, error) {
 	c.reindex(e)
 	snapshot := cloneEntry(e)
 	c.mu.Unlock()
-	c.logEntry(snapshot)
+	c.logRecord(journal.KindCatRegister, entryRecord{Entry: snapshot})
 	return snapshot, nil
 }
 

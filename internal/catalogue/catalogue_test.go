@@ -7,8 +7,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -17,6 +15,7 @@ import (
 	"time"
 
 	"mathcloud/internal/core"
+	"mathcloud/internal/journal"
 )
 
 // fakeDescriber serves canned descriptions and can simulate outages.
@@ -392,62 +391,79 @@ func TestStartPingerRuns(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	c, _ := seeded(t)
-	if _, err := c.AddTags("http://a/services/solver", []string{"persisted"}); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "catalogue.json")
-	if err := c.Save(path); err != nil {
-		t.Fatal(err)
-	}
-
-	restored := New(newFakeDescriber()) // describer not consulted on load
-	if err := restored.Load(path); err != nil {
-		t.Fatal(err)
-	}
-	if restored.Size() != 3 {
-		t.Fatalf("restored size = %d, want 3", restored.Size())
-	}
-	e, err := restored.Get("http://a/services/solver")
+// TestJournalRoundTrip: registrations, a tag update and an unregistration,
+// on both sides of a checkpoint, come back from the journal into a fresh
+// catalogue with its index rebuilt.
+func TestJournalRoundTrip(t *testing.T) {
+	const (
+		invert = "http://a/services/invert"
+		solver = "http://a/services/solver"
+		xray   = "http://b/services/xray"
+		fit    = "http://b/services/fit"
+	)
+	_, f := seeded(t) // for its describer; the entries go to a journaled catalogue
+	f.add(fit, core.ServiceDescription{Name: "fit", Title: "Curve fitting",
+		Description: "Fits scattering curves to measured data."})
+	dir := t.TempDir()
+	jl, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !contains(e.Tags, "persisted") {
-		t.Errorf("tags = %v, want persisted carried over", e.Tags)
+	c := New(f)
+	if err := c.AttachJournal(jl); err != nil {
+		t.Fatal(err)
 	}
-	// The index is rebuilt: search works on the restored catalogue.
-	res := restored.Search("matrix inversion", SearchOptions{})
-	if len(res) == 0 || res[0].Name != "invert" {
-		t.Errorf("restored search = %+v", res)
-	}
-}
-
-func contains(list []string, want string) bool {
-	for _, v := range list {
-		if v == want {
-			return true
+	ctx := context.Background()
+	for _, uri := range []string{invert, solver, xray} {
+		if _, err := c.Register(ctx, uri, []string{"demo"}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	return false
-}
+	if _, err := c.AddTags(solver, []string{"persisted"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Unregister(xray); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Register(ctx, fit, []string{"physics"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-func TestLoadRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(path, []byte("not json"), 0o600); err != nil {
+	jl2, err := journal.Open(dir, journal.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(newFakeDescriber())
-	if err := c.Load(path); err == nil {
-		t.Error("garbage snapshot loaded")
-	}
-	if err := c.Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("missing snapshot loaded")
-	}
-	if err := os.WriteFile(path, []byte(`{"version": 99}`), 0o600); err != nil {
+	defer jl2.Close()
+	restored := New(newFakeDescriber()) // the describer is not consulted on replay
+	if err := restored.AttachJournal(jl2); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Load(path); err == nil {
-		t.Error("future snapshot version loaded")
+	want := map[string][]string{
+		invert: {"demo"},
+		solver: {"demo", "persisted"},
+		fit:    {"physics"},
+	}
+	got := restored.List()
+	if len(got) != len(want) {
+		t.Fatalf("restored %d entries, want %d: %+v", len(got), len(want), got)
+	}
+	for _, e := range got {
+		if !reflect.DeepEqual(e.Tags, want[e.URI]) {
+			t.Errorf("%s tags = %v, want %v", e.URI, e.Tags, want[e.URI])
+		}
+	}
+	for q, name := range map[string]string{"matrix inversion": "invert", "persisted": "solver", "fitting": "fit"} {
+		if res := restored.Search(q, SearchOptions{}); len(res) == 0 || res[0].Name != name {
+			t.Errorf("restored search %q = %+v, want %s first", q, res, name)
+		}
+	}
+	if res := restored.Search("nanostructures", SearchOptions{}); len(res) != 0 {
+		t.Errorf("unregistered service still found: %+v", res)
 	}
 }

@@ -1,17 +1,20 @@
 package catalogue
 
 import (
+	"errors"
 	"fmt"
 
 	"mathcloud/internal/journal"
 	"mathcloud/internal/obs"
 )
 
-// Write-ahead journaling for the catalogue (DESIGN.md §5i): every
-// registration, tag update and unregistration is appended as it happens, so
-// a crash between the periodic Save snapshots loses nothing.  The journal
-// uses the shared record framing of internal/journal with the two kinds
-// reserved for the catalogue.
+// The paper's catalogue "performs indexing and stores description along with
+// specified tags in a database".  The database is a write-ahead journal
+// (DESIGN.md §5i): every registration, tag update and unregistration is
+// appended as it happens, and a periodic checkpoint folds the entries into
+// one snapshot.  The journal uses the shared record framing of
+// internal/journal with the two kinds reserved for the catalogue; the index
+// is rebuilt on replay.
 
 // entryRecord is the KindCatRegister payload: the full entry image (register
 // and tag updates both emit it; replay upserts by URI, last wins).
@@ -25,8 +28,9 @@ type unregisterRecord struct {
 }
 
 // AttachJournal replays the journal into the catalogue (upsert by URI, last
-// record wins, index rebuilt) and then attaches it, so every later mutation
-// is appended.  Call once at startup, before the catalogue serves requests.
+// record wins, index rebuilt), attaches it, so every later mutation is
+// appended, and starts its checkpoint loop.  Call once at startup, before
+// the catalogue serves requests; closing the journal stops the loop.
 func (c *Catalogue) AttachJournal(jl *journal.Journal) error {
 	entries := make(map[string]*Entry)
 	var order []string
@@ -68,26 +72,23 @@ func (c *Catalogue) AttachJournal(jl *journal.Journal) error {
 	}
 	c.jl = jl
 	c.mu.Unlock()
+	jl.StartCheckpoints(0, 0, func() {
+		if err := c.Checkpoint(); err != nil {
+			obs.Logger().Error("catalogue: checkpoint failed", "error", err)
+		}
+	})
 	return nil
 }
 
-// logEntry journals one entry image; logUnregister journals a removal.
-// Both no-op without an attached journal and log append failures instead of
-// failing the request (the in-memory state is already mutated).
-func (c *Catalogue) logEntry(e *Entry) {
+// logRecord journals one mutation (an entry image or a removal).  It no-ops
+// without an attached journal and logs append failures instead of failing
+// the request (the in-memory state is already mutated); appends after the
+// journal closed for shutdown are dropped silently.
+func (c *Catalogue) logRecord(kind journal.Kind, v any) {
 	if c.jl == nil {
 		return
 	}
-	if err := c.jl.Append(journal.KindCatRegister, entryRecord{Entry: e}); err != nil {
-		obs.Logger().Error("catalogue: journal append failed", "error", err)
-	}
-}
-
-func (c *Catalogue) logUnregister(uri string) {
-	if c.jl == nil {
-		return
-	}
-	if err := c.jl.Append(journal.KindCatUnregister, unregisterRecord{URI: uri}); err != nil {
+	if err := c.jl.Append(kind, v); err != nil && !errors.Is(err, journal.ErrClosed) {
 		obs.Logger().Error("catalogue: journal append failed", "error", err)
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"mathcloud/internal/core"
 	"mathcloud/internal/events"
 	"mathcloud/internal/journal"
-	"mathcloud/internal/obs"
 	"mathcloud/internal/rest"
 )
 
@@ -142,12 +141,6 @@ type Options struct {
 	// shared tuned transport (rest.SharedTransport) so staging reuses
 	// keep-alive connections across jobs and containers.
 	HTTPClient *http.Client
-	// DebugAddr, when non-empty, starts an auxiliary HTTP listener on that
-	// address serving net/http/pprof profiles plus /metrics and /status.
-	// It is opt-in: profiling endpoints never appear on the public API
-	// listener.  Use "127.0.0.1:0" to pick a free port; DebugAddr() on the
-	// container reports the bound address.
-	DebugAddr string
 }
 
 type service struct {
@@ -198,16 +191,12 @@ type Container struct {
 	dataDir    string
 	ownsData   bool
 	replicaID  string
-	debugSrv   *http.Server
 	// journal is the write-ahead log of the durability subsystem (nil when
-	// Options.JournalDir is empty).  snapStop/snapWG manage the background
-	// checkpoint loop started by Recover.
+	// Options.JournalDir is empty); Recover starts its checkpoint loop with
+	// the snapshot triggers below.
 	journal      *journal.Journal
 	snapInterval time.Duration
 	snapBytes    int64
-	snapStop     chan struct{}
-	snapWG       sync.WaitGroup
-	snapOnce     sync.Once
 
 	// fetchMu/fetches singleflight cross-replica file pulls: concurrent
 	// consumers of one foreign file ID trigger a single blob transfer.
@@ -302,13 +291,9 @@ func New(opts Options) (*Container, error) {
 			return nil, fmt.Errorf("container: %w", err)
 		}
 		c.journal = jl
-		files.setJournal(jl, c.logger.Printf)
+		files.logRecord = c.logRecord
 		c.snapInterval = opts.SnapshotInterval
-		if c.snapInterval == 0 {
-			c.snapInterval = defaultSnapshotInterval
-		}
 		c.snapBytes = opts.SnapshotBytes
-		c.snapStop = make(chan struct{})
 	}
 	c.events = events.NewBus(events.Options{})
 	c.jobs = newJobManager(c, jobManagerConfig{
@@ -321,47 +306,25 @@ func New(opts Options) (*Container, error) {
 		maxSweepWidth: sweepWidth,
 		jobTTL:        opts.JobTTL,
 	})
-	if opts.DebugAddr != "" {
-		srv, err := obs.ServeDebug(opts.DebugAddr)
-		if err != nil {
-			c.Close()
-			return nil, fmt.Errorf("container: debug listener: %w", err)
-		}
-		c.debugSrv = srv
-		logger.Printf("container: debug/pprof listener on http://%s/debug/pprof/", srv.Addr)
-	}
 	return c, nil
-}
-
-// DebugAddr returns the bound address of the debug/pprof listener, or ""
-// when Options.DebugAddr was not set.
-func (c *Container) DebugAddr() string {
-	if c.debugSrv == nil {
-		return ""
-	}
-	return c.debugSrv.Addr
 }
 
 // Close shuts down the worker pool and removes container-owned data.
 func (c *Container) Close() {
 	unregisterLocal(c.BaseURL(), c)
-	if c.debugSrv != nil {
-		_ = c.debugSrv.Close()
-		c.debugSrv = nil
-	}
-	c.stopSnapshotter()
-	c.jobs.Close()
-	// The job manager drained first, so its terminal transitions reached
-	// the bus; closing the bus now releases every remaining event stream.
-	c.events.Close()
-	// The journal closes after the job manager: the shutdown's CANCELLED
-	// transitions are themselves journaled, so a clean restart re-queues
-	// nothing.
+	// A shutdown is not a client cancel.  The journal closes first (its
+	// checkpoint loop stops before it), so the CANCELLED transitions of the
+	// job manager's shutdown are never journaled: a restart re-drives every
+	// accepted non-terminal job, exactly as after kill -9.
 	if c.journal != nil {
 		if err := c.journal.Close(); err != nil {
 			c.logger.Printf("container: journal close: %v", err)
 		}
 	}
+	c.jobs.Close()
+	// The job manager drained first, so its terminal transitions reached
+	// the bus; closing the bus now releases every remaining event stream.
+	c.events.Close()
 	if c.ownsData {
 		_ = os.RemoveAll(c.dataDir)
 	}

@@ -31,12 +31,11 @@ type FileStore struct {
 	// idPrefix is the replica affinity prefix stamped on every minted file
 	// ID ("" outside a federation).  Set once, before the store is shared.
 	idPrefix string
-	// jl, when set, records every ID birth and death in the container's
-	// write-ahead journal so the index survives restarts.  Blobs are their
-	// own durability (content-addressed files on disk); the journal only
-	// carries the ID→digest mapping that points at them.
-	jl   *journal.Journal
-	logf func(format string, args ...any)
+	// logRecord, when set, records every ID birth and death in the
+	// container's write-ahead journal so the index survives restarts.  Blobs
+	// are their own durability (content-addressed files on disk); the
+	// journal only carries the ID→digest mapping that points at them.
+	logRecord func(kind journal.Kind, v any)
 
 	mu    sync.Mutex
 	sizes map[string]int64
@@ -62,30 +61,17 @@ var fileIDPattern = regexp.MustCompile(`^(?:[a-z0-9]{1,16}-)?[0-9a-f]{32}$`)
 // Call it right after construction, before the store serves requests.
 func (fs *FileStore) SetIDPrefix(replica string) { fs.idPrefix = replica }
 
-// setJournal attaches the container's write-ahead journal.  Call it right
-// after construction, before the store serves requests.
-func (fs *FileStore) setJournal(jl *journal.Journal, logf func(format string, args ...any)) {
-	fs.jl = jl
-	fs.logf = logf
-}
-
 // logPut journals the birth of a file ID.  Called outside fs.mu.
 func (fs *FileStore) logPut(id, digest string, size int64, owner string) {
-	if fs.jl == nil {
-		return
-	}
-	if err := fs.jl.Append(journal.KindFilePut, journal.FilePutRecord{ID: id, Digest: digest, Size: size, Owner: owner}); err != nil {
-		fs.logf("container: journal: file put %s: %v", id, err)
+	if fs.logRecord != nil {
+		fs.logRecord(journal.KindFilePut, journal.FilePutRecord{ID: id, Digest: digest, Size: size, Owner: owner})
 	}
 }
 
 // logDel journals the death of a file ID.  Called outside fs.mu.
 func (fs *FileStore) logDel(id string) {
-	if fs.jl == nil {
-		return
-	}
-	if err := fs.jl.Append(journal.KindFileDel, journal.FileDelRecord{ID: id}); err != nil {
-		fs.logf("container: journal: file del %s: %v", id, err)
+	if fs.logRecord != nil {
+		fs.logRecord(journal.KindFileDel, journal.FileDelRecord{ID: id})
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mathcloud/internal/core"
-	"mathcloud/internal/journal"
 	"mathcloud/internal/obs"
 )
 
@@ -90,16 +89,10 @@ func (jm *JobManager) publishCachedJob(ctx context.Context, serviceName string, 
 	return rec.snapshot(), nil
 }
 
-// settleFlight finishes the singleflight led by rec once land has settled it
-// in the memo table: a cached result is journaled, and the followers land in
-// the leader's terminal state — DONE with its outputs, otherwise failed.
-func (jm *JobManager) settleFlight(rec *jobRecord, followers []*jobRecord, stored bool, state core.JobState, outputs core.Values, errMsg string) {
-	if stored {
-		// ID and Service are immutable once the record is published.
-		jm.c.logRecord(journal.KindMemoPut, journal.MemoPutRecord{
-			Key: rec.memoKey, Service: rec.job.Service, JobID: rec.job.ID, Outputs: outputs,
-		})
-	}
+// settleFlight finishes a singleflight once land has settled (and journaled)
+// it in the memo table: the followers land in the leader's terminal state —
+// DONE with its outputs, otherwise failed.
+func (jm *JobManager) settleFlight(followers []*jobRecord, state core.JobState, outputs core.Values, errMsg string) {
 	to := core.StateError
 	switch state {
 	case core.StateDone:

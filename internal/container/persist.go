@@ -1,6 +1,7 @@
 package container
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -19,19 +20,17 @@ import (
 // Checkpoint periodically folds the whole state into a snapshot so the log
 // stays short.
 
-// defaultSnapshotInterval is the checkpoint period when
-// Options.SnapshotInterval is zero.
-const defaultSnapshotInterval = time.Minute
-
 // logRecord appends one record to the container's journal, if journaling is
 // enabled.  Append errors are logged, not propagated: the in-memory state is
 // already mutated, and failing the client request now would desynchronize the
-// two — better to serve degraded durability and say so loudly.
+// two — better to serve degraded durability and say so loudly.  Appends after
+// Close has closed the journal are the shutdown's own transitions and are
+// dropped silently (see Close).
 func (c *Container) logRecord(kind journal.Kind, v any) {
 	if c.journal == nil {
 		return
 	}
-	if err := c.journal.Append(kind, v); err != nil {
+	if err := c.journal.Append(kind, v); err != nil && !errors.Is(err, journal.ErrClosed) {
 		c.logger.Printf("container: journal: append %v: %v", kind, err)
 	}
 }
@@ -51,15 +50,16 @@ func (jm *JobManager) logJob(rec *jobRecord) {
 	})
 }
 
-// logJobEnd journals a job's terminal transition.
+// logJobEnd journals a job's terminal transition.  The caller holds rec.mu,
+// or rec is already terminal and so no longer changes.
 func (jm *JobManager) logJobEnd(rec *jobRecord) {
 	if jm.c.journal == nil {
 		return
 	}
-	snap := rec.snapshot()
+	job := rec.job
 	jm.c.logRecord(journal.KindJobEnd, journal.JobEndRecord{
-		ID: snap.ID, State: snap.State, Outputs: snap.Outputs, Error: snap.Error,
-		Finished: snap.Finished, Destruction: snap.Destruction,
+		ID: job.ID, State: job.State, Outputs: job.Outputs, Error: job.Error,
+		Finished: job.Finished, Destruction: job.Destruction,
 	})
 }
 
@@ -212,8 +212,8 @@ func (st *replayState) apply(kind journal.Kind, data []byte) error {
 // Recover replays the write-ahead journal and rebuilds the container state.
 // Call it once, after every service is deployed (re-driven jobs need their
 // adapters) and before the listener starts serving.  With journaling
-// disabled it is a no-op.  Recover also starts the periodic checkpointer —
-// deliberately not started in New, so a checkpoint can never run before the
+// disabled it is a no-op.  Recover also starts the journal's checkpoint loop
+// — deliberately not started in New, so a checkpoint can never run before the
 // journal it would truncate has been replayed.
 func (c *Container) Recover() error {
 	if c.journal == nil {
@@ -257,7 +257,11 @@ func (c *Container) Recover() error {
 	}
 	c.logger.Printf("container: recovered %d jobs (%d re-queued), %d sweeps, %d files, %d memo entries",
 		jobs, requeued, sweeps, files, memos)
-	c.startSnapshotter()
+	c.journal.StartCheckpoints(c.snapInterval, c.snapBytes, func() {
+		if err := c.Checkpoint(); err != nil {
+			c.logger.Printf("container: checkpoint: %v", err)
+		}
+	})
 	return nil
 }
 
@@ -540,60 +544,6 @@ func (jm *JobManager) dropBacklogHead(rec *jobRecord) {
 		jm.backlogCount.Add(-1)
 	}
 	jm.backlogMu.Unlock()
-}
-
-// startSnapshotter launches the periodic checkpoint loop.  Only Recover
-// calls it: a checkpoint taken before replay would truncate the very records
-// replay needs.
-func (c *Container) startSnapshotter() {
-	if c.journal == nil || (c.snapInterval <= 0 && c.snapBytes <= 0) {
-		return
-	}
-	// With a size trigger the loop wakes frequently to poll LiveBytes
-	// (cheap: one mutex acquisition); the periodic checkpoint still fires
-	// on its own schedule.  Interval-only deployments keep the old
-	// one-tick-per-checkpoint cadence.
-	tick := c.snapInterval
-	if c.snapBytes > 0 {
-		tick = time.Second
-		if c.snapInterval > 0 && c.snapInterval < tick {
-			tick = c.snapInterval
-		}
-	}
-	c.snapWG.Add(1)
-	go func() {
-		defer c.snapWG.Done()
-		t := time.NewTicker(tick)
-		defer t.Stop()
-		lastSnap := time.Now()
-		for {
-			select {
-			case <-c.snapStop:
-				return
-			case <-t.C:
-				due := c.snapInterval > 0 && time.Since(lastSnap) >= c.snapInterval
-				oversize := c.snapBytes > 0 && c.journal.LiveBytes() >= c.snapBytes
-				if !due && !oversize {
-					continue
-				}
-				if err := c.Checkpoint(); err != nil {
-					c.logger.Printf("container: checkpoint: %v", err)
-				}
-				lastSnap = time.Now()
-			}
-		}
-	}()
-}
-
-// stopSnapshotter stops the checkpoint loop and waits for an in-flight
-// checkpoint to finish.  Safe to call when journaling is disabled or the
-// loop was never started.
-func (c *Container) stopSnapshotter() {
-	if c.snapStop == nil {
-		return
-	}
-	c.snapOnce.Do(func() { close(c.snapStop) })
-	c.snapWG.Wait()
 }
 
 // Checkpoint folds the container's full durable state into one journal

@@ -109,8 +109,12 @@ type runningJob struct {
 func (jm *JobManager) beginJob(rec *jobRecord, ctx context.Context, cancel context.CancelFunc, deadline time.Duration) *runningJob {
 	rec.mu.Lock()
 	if rec.job.State != core.StateWaiting {
-		// Cancelled while queued.
+		// Cancelled while queued.  A pump may have enqueued it again between
+		// the landing and the close of its done channel.
 		rec.mu.Unlock()
+		if rec.queued.CompareAndSwap(true, false) {
+			metJobsWaiting.Add(-1)
+		}
 		return nil
 	}
 	rec.job.State = core.StateRunning
@@ -195,8 +199,18 @@ func (jm *JobManager) land(rec *jobRecord, from, to core.JobState, outputs core.
 		followers, stored = jm.memo.settle(rec.memoKey, rec.job.Service, rec.job.ID, outputs, size)
 	}
 	rec.invalidate()
-	close(rec.done)
 	rec.mu.Unlock()
+	// Journal the now-immutable landing outside the lock (an fsync must not
+	// stall readers of the job) but before done closes, so a returned Wait
+	// or a finished sweep is in the log.  A shutdown closes the journal
+	// first and records none of its own cancels.
+	if stored {
+		jm.c.logRecord(journal.KindMemoPut, journal.MemoPutRecord{
+			Key: rec.memoKey, Service: rec.job.Service, JobID: rec.job.ID, Outputs: outputs,
+		})
+	}
+	jm.logJobEnd(rec)
+	close(rec.done)
 
 	if from == core.StateRunning {
 		metJobsRunning.Add(-1)
@@ -219,11 +233,10 @@ func (jm *JobManager) land(rec *jobRecord, from, to core.JobState, outputs core.
 	// A DONE leader's coalesced followers complete with its outputs; any
 	// other outcome fails them rather than leaving them waiting on a job
 	// that will never run.
-	jm.settleFlight(rec, followers, stored, to, outputs, errMsg)
+	jm.settleFlight(followers, to, outputs, errMsg)
 	if sw := rec.sweep; sw != nil {
 		sw.childTransition(from, to, errMsg)
 	}
-	jm.logJobEnd(rec)
 	jm.notifyJob(rec)
 	return true
 }

@@ -30,6 +30,7 @@ package journal
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -107,9 +108,17 @@ type Options struct {
 	SegmentBytes int64
 }
 
+// ErrClosed is returned by operations on a closed journal.  Owners that keep
+// mutating state while they shut down drop such appends: a shutdown is not a
+// state change worth recording.
+var ErrClosed = errors.New("journal: closed")
+
 const (
 	defaultBatchInterval = 25 * time.Millisecond
-	defaultSegmentBytes  = 8 << 20
+	// defaultCheckpointInterval is the StartCheckpoints period for a zero
+	// interval.
+	defaultCheckpointInterval = time.Minute
+	defaultSegmentBytes       = 8 << 20
 	// maxRecordBytes bounds a single record; a length prefix above it marks
 	// the frame (and the rest of the segment) as corrupt.
 	maxRecordBytes = 64 << 20
@@ -135,7 +144,7 @@ type Journal struct {
 	size int64      // bytes written to the active segment
 	// liveBytes approximates the bytes a snapshot would reclaim: every
 	// un-truncated segment, including the replay tail a restart inherited.
-	// The owner's size-triggered compaction polls it via LiveBytes.
+	// The size trigger of StartCheckpoints polls it.
 	liveBytes int64
 	// writeSeq counts appended records; syncSeq is the highest writeSeq
 	// known durable.  A SyncAlways appender waits until syncSeq reaches its
@@ -145,8 +154,11 @@ type Journal struct {
 	syncing  bool
 	closed   bool
 
+	// stop ends the background loops (batch syncer, checkpoints); Close
+	// waits for them on loops before it closes the log.
 	stop     chan struct{}
-	syncerWG sync.WaitGroup
+	stopOnce sync.Once
+	loops    sync.WaitGroup
 }
 
 func segmentName(seq uint64) string  { return fmt.Sprintf("wal-%08d.log", seq) }
@@ -245,7 +257,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 		if interval <= 0 {
 			interval = defaultBatchInterval
 		}
-		j.syncerWG.Add(1)
+		j.loops.Add(1)
 		go j.batchSyncer(interval)
 	}
 	return j, nil
@@ -280,7 +292,7 @@ func (j *Journal) Append(kind Kind, v any) error {
 	j.mu.Lock()
 	if j.closed {
 		j.mu.Unlock()
-		return fmt.Errorf("journal: closed")
+		return ErrClosed
 	}
 	if j.size+int64(len(frame)) > j.segmentBytes && j.size > 0 {
 		if err := j.rotateLocked(); err != nil {
@@ -309,7 +321,7 @@ func (j *Journal) Append(kind Kind, v any) error {
 	for j.syncSeq < mySeq {
 		if j.closed {
 			j.mu.Unlock()
-			return fmt.Errorf("journal: closed")
+			return ErrClosed
 		}
 		if !j.syncing {
 			j.syncing = true
@@ -367,7 +379,7 @@ func (j *Journal) rotateLocked() error {
 // batchSyncer is the SyncBatch background loop: it fsyncs the active
 // segment whenever unsynced records exist.
 func (j *Journal) batchSyncer(interval time.Duration) {
-	defer j.syncerWG.Done()
+	defer j.loops.Done()
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
@@ -377,7 +389,7 @@ func (j *Journal) batchSyncer(interval time.Duration) {
 		case <-ticker.C:
 		}
 		j.mu.Lock()
-		if j.closed || j.syncing || j.writeSeq == j.syncSeq {
+		if j.syncing || j.writeSeq == j.syncSeq {
 			j.mu.Unlock()
 			continue
 		}
@@ -398,11 +410,50 @@ func (j *Journal) batchSyncer(interval time.Duration) {
 }
 
 // LiveBytes approximates the un-truncated journal bytes — what a
-// snapshot would reclaim.  Owners use it for size-triggered compaction.
+// snapshot would reclaim.
 func (j *Journal) LiveBytes() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.liveBytes
+}
+
+// StartCheckpoints runs the owner's checkpoint (normally a Snapshot of its
+// whole state) in the background: every interval — zero selects one minute,
+// a negative value disables the period — and, when maxBytes > 0, as soon as
+// LiveBytes reaches maxBytes, polled once a second.  Owners start it after
+// replay: a checkpoint taken earlier would truncate records replay still
+// needs.  Close stops it, letting a running checkpoint finish first.
+func (j *Journal) StartCheckpoints(interval time.Duration, maxBytes int64, checkpoint func()) {
+	if interval == 0 {
+		interval = defaultCheckpointInterval
+	}
+	if interval < 0 && maxBytes <= 0 {
+		return
+	}
+	tick := interval
+	if maxBytes > 0 && (interval < 0 || interval > time.Second) {
+		tick = time.Second
+	}
+	j.loops.Add(1)
+	go func() {
+		defer j.loops.Done()
+		last := time.Now()
+		t := time.NewTicker(tick)
+		defer t.Stop()
+		for {
+			select {
+			case <-j.stop:
+				return
+			case <-t.C:
+			}
+			due := interval > 0 && time.Since(last) >= interval
+			if !due && (maxBytes <= 0 || j.LiveBytes() < maxBytes) {
+				continue
+			}
+			checkpoint()
+			last = time.Now()
+		}
+	}()
 }
 
 // Sync forces the active segment to stable storage, regardless of mode.
@@ -410,7 +461,7 @@ func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
-		return fmt.Errorf("journal: closed")
+		return ErrClosed
 	}
 	for j.syncing {
 		j.cond.Wait()
@@ -424,15 +475,17 @@ func (j *Journal) Sync() error {
 	return nil
 }
 
-// Close flushes and closes the journal.  Further appends fail.
+// Close stops the background loops, then flushes and closes the journal.
+// Further appends fail with ErrClosed.
 func (j *Journal) Close() error {
+	j.stopOnce.Do(func() { close(j.stop) })
+	j.loops.Wait()
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.closed {
-		j.mu.Unlock()
 		return nil
 	}
 	j.closed = true
-	close(j.stop)
 	for j.syncing {
 		j.cond.Wait()
 	}
@@ -444,8 +497,6 @@ func (j *Journal) Close() error {
 		err = cerr
 	}
 	j.cond.Broadcast()
-	j.mu.Unlock()
-	j.syncerWG.Wait()
 	return err
 }
 
@@ -508,7 +559,7 @@ func (j *Journal) Snapshot(write func(app func(kind Kind, v any) error) error) e
 	j.mu.Lock()
 	if j.closed {
 		j.mu.Unlock()
-		return fmt.Errorf("journal: closed")
+		return ErrClosed
 	}
 	if err := j.rotateLocked(); err != nil {
 		j.mu.Unlock()

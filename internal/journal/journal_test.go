@@ -2,6 +2,7 @@ package journal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -277,8 +278,49 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(KindJob, testRecord{N: 1}); err == nil {
-		t.Fatal("append after close succeeded")
+	if err := j.Append(KindJob, testRecord{N: 1}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("append after close = %v, want ErrClosed", err)
+	}
+}
+
+// TestCloseWaitsForRunningCheckpoint pins the shutdown order owners rely on:
+// Close stops the checkpoint loop and waits out a running checkpoint, which
+// still writes to an open log, before it closes the journal.
+func TestCloseWaitsForRunningCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	var snapErr error
+	j.StartCheckpoints(time.Millisecond, 0, func() {
+		once.Do(func() {
+			close(started)
+			<-release
+			snapErr = j.Snapshot(func(app func(Kind, any) error) error {
+				return app(KindJob, testRecord{N: 7})
+			})
+		})
+	})
+	<-started
+	closed := make(chan error, 1)
+	go func() { closed <- j.Close() }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a checkpoint was running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if snapErr != nil {
+		t.Fatalf("checkpoint during Close: %v", snapErr)
+	}
+	if got := replayAll(t, dir); len(got) != 1 || got[0].N != 7 {
+		t.Fatalf("replay after the checkpoint = %+v, want the one snapshotted record", got)
 	}
 }
 

@@ -1,8 +1,10 @@
-// Package platform provides one-call local deployments of the MathCloud
-// stack — container, HTTP listener, adapter registry, optional WMS and
-// catalogue — used by the examples, the experiment harness and the
-// benchmarks.  It is glue, not substance: everything it wires together is
-// the ordinary public API of the other packages.
+// Package platform is the bootstrap of the MathCloud container servers:
+// ContainerFlags is the command line everest and wms share, and StartLocal
+// provides one-call local deployments of the stack — container, HTTP
+// listener, adapter registry, optional WMS and catalogue — used by the
+// examples, the experiment harness and the benchmarks.  It is glue, not
+// substance: everything it wires together is the ordinary public API of the
+// other packages.
 package platform
 
 import (
@@ -12,11 +14,12 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"time"
+	"sync"
 
 	"mathcloud/internal/adapter"
 	"mathcloud/internal/catalogue"
 	"mathcloud/internal/container"
+	"mathcloud/internal/obs"
 	"mathcloud/internal/workflow"
 )
 
@@ -50,8 +53,8 @@ type Deployment struct {
 	Catalogue    *catalogue.Catalogue
 	CatalogueURL string
 
-	servers   []*http.Server
-	listeners []net.Listener
+	stop   context.CancelFunc // ends every serve loop
+	served sync.WaitGroup
 }
 
 // StartLocal builds, wires and serves a local deployment on loopback
@@ -75,7 +78,8 @@ func StartLocal(opts Options) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Deployment{Container: c, Registry: registry}
+	ctx, stop := context.WithCancel(context.Background())
+	d := &Deployment{Container: c, Registry: registry, stop: stop}
 
 	var handler http.Handler = c.Handler()
 	if opts.WithWMS {
@@ -87,7 +91,7 @@ func StartLocal(opts Options) (*Deployment, error) {
 		d.WMS = workflow.NewWMS(c, registry, invoker, invoker)
 		handler = d.WMS.Handler()
 	}
-	base, err := d.serve(handler)
+	base, err := d.serve(ctx, handler)
 	if err != nil {
 		d.Close()
 		return nil, err
@@ -97,7 +101,7 @@ func StartLocal(opts Options) (*Deployment, error) {
 
 	if opts.WithCatalogue {
 		d.Catalogue = catalogue.New(catalogue.ClientDescriber{})
-		catURL, err := d.serve(d.Catalogue.Handler())
+		catURL, err := d.serve(ctx, d.Catalogue.Handler())
 		if err != nil {
 			d.Close()
 			return nil, err
@@ -107,29 +111,26 @@ func StartLocal(opts Options) (*Deployment, error) {
 	return d, nil
 }
 
-func (d *Deployment) serve(h http.Handler) (string, error) {
+func (d *Deployment) serve(ctx context.Context, h http.Handler) (string, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", fmt.Errorf("platform: listen: %w", err)
 	}
-	srv := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
+	d.served.Add(1)
 	go func() {
-		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
+		defer d.served.Done()
+		if err := obs.ServeUntil(ctx, ln, h); err != nil {
 			log.Printf("platform: serve: %v", err)
 		}
 	}()
-	d.servers = append(d.servers, srv)
-	d.listeners = append(d.listeners, ln)
 	return "http://" + ln.Addr().String(), nil
 }
 
-// Close shuts down the listeners, the container and the catalogue pinger.
+// Close drains the listeners, then shuts down the catalogue pinger and the
+// container.
 func (d *Deployment) Close() {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	for _, srv := range d.servers {
-		_ = srv.Shutdown(ctx)
-	}
+	d.stop()
+	d.served.Wait()
 	if d.Catalogue != nil {
 		d.Catalogue.Close()
 	}
