@@ -54,7 +54,9 @@ func main() {
 		log.Fatalf("catalogue: %v", err)
 	}
 	obs.SetLogLevel(slog.LevelInfo)
-	if err := run(cfg); err != nil {
+	err = run(cfg)
+	obs.FlushLogs()
+	if err != nil {
 		log.Fatalf("catalogue: %v", err)
 	}
 }

@@ -58,12 +58,19 @@ func freePort(t *testing.T) int {
 // returns the process, so tests can signal it, and its base URL.
 func startServer(t *testing.T, bin string, port int, extra ...string) (*exec.Cmd, string) {
 	t.Helper()
+	return startServerLog(t, bin, port, os.Stderr, extra...)
+}
+
+// startServerLog is startServer with the server's stderr (its log) sent to
+// the given writer.
+func startServerLog(t *testing.T, bin string, port int, stderr io.Writer, extra ...string) (*exec.Cmd, string) {
+	t.Helper()
 	addr := fmt.Sprintf("127.0.0.1:%d", port)
 	base := "http://" + addr
 	args := append([]string{"-addr", addr}, extra...)
 	cmd := exec.Command(bin, args...)
 	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
+	cmd.Stderr = stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}

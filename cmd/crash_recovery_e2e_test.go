@@ -203,6 +203,29 @@ func TestGracefulShutdown(t *testing.T) {
 		}
 	})
 
+	t.Run("everest_SIGTERM_flushes_request_log", func(t *testing.T) {
+		// Request records are buffered; the last one before the signal must
+		// still reach stderr, written out by the shutdown flush.
+		var logOut bytes.Buffer
+		proc, base := startServerLog(t, bins["everest"], freePort(t), &logOut, "-builtin")
+		const path = "/services/maxima/jobs/last-before-sigterm"
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		stopServer(t, proc, syscall.SIGTERM)
+		found := false
+		for _, line := range strings.Split(logOut.String(), "\n") {
+			if strings.Contains(line, `msg="http request"`) && strings.Contains(line, "path="+path+" ") {
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("no http request record for %s in the log:\n%s", path, logOut.String())
+		}
+	})
+
 	t.Run("catalogue_SIGTERM_keeps_registrations", func(t *testing.T) {
 		dataDir := t.TempDir()
 		proc, cat := startServer(t, bins["catalogue"], freePort(t), "-ping", "0", "-data-dir", dataDir)

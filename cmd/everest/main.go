@@ -122,7 +122,9 @@ func main() {
 	// Structured request/job logs are informational in a server process
 	// (they default to warn-level quiet for library use and tests).
 	obs.SetLogLevel(slog.LevelInfo)
-	if err := run(cfg); err != nil {
+	err = run(cfg)
+	obs.FlushLogs()
+	if err != nil {
 		log.Fatalf("everest: %v", err)
 	}
 }

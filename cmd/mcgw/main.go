@@ -95,7 +95,9 @@ func main() {
 		log.Fatalf("mcgw: %v", err)
 	}
 	obs.SetLogLevel(slog.LevelInfo)
-	if err := run(cfg); err != nil {
+	err = run(cfg)
+	obs.FlushLogs()
+	if err != nil {
 		log.Fatalf("mcgw: %v", err)
 	}
 }

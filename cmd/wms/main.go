@@ -36,7 +36,9 @@ func main() {
 		log.Fatalf("wms: %v", err)
 	}
 	obs.SetLogLevel(slog.LevelInfo)
-	if err := run(cfg); err != nil {
+	err = run(cfg)
+	obs.FlushLogs()
+	if err != nil {
 		log.Fatalf("wms: %v", err)
 	}
 }

@@ -162,9 +162,7 @@ type service struct {
 func renderDescCache(d core.ServiceDescription, uri string) ([]byte, string) {
 	d.URI = uri
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(d); err != nil {
+	if err := json.NewEncoder(&buf).Encode(d); err != nil {
 		return nil, ""
 	}
 	sum := sha256.Sum256(buf.Bytes())

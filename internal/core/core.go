@@ -100,9 +100,11 @@ func (v Values) Names() []string {
 // stay human-editable JSON.
 type Duration time.Duration
 
-// MarshalJSON implements json.Marshaler.
-func (d Duration) MarshalJSON() ([]byte, error) {
-	return []byte(fmt.Sprintf("%q", time.Duration(d))), nil
+// MarshalText implements encoding.TextMarshaler, so encoding/json writes a
+// duration as a JSON string ("1.5s") without formatting it through fmt or
+// re-compacting a MarshalJSON result.
+func (d Duration) MarshalText() ([]byte, error) {
+	return []byte(time.Duration(d).String()), nil
 }
 
 // UnmarshalJSON implements json.Unmarshaler, accepting a duration string or

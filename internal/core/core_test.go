@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -240,29 +241,47 @@ func TestValuesHelpers(t *testing.T) {
 	}
 }
 
+// TestDurationJSONRoundTrip pins the JSON text of a Duration: MarshalText
+// gives what the former MarshalJSON quoted (fmt's %q of time.Duration),
+// which decodes back to the same value; the nanosecond-number form still
+// decodes, and omitempty still drops zero.
 func TestDurationJSONRoundTrip(t *testing.T) {
 	type doc struct {
 		D Duration `json:"d,omitempty"`
 	}
-	data, err := json.Marshal(doc{D: Duration(90 * time.Second)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != `{"d":"1m30s"}` {
-		t.Errorf("marshal = %s", data)
-	}
-	var out doc
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.D.Std() != 90*time.Second {
-		t.Errorf("round trip = %v", out.D.Std())
+	for _, d := range []time.Duration{
+		time.Nanosecond, 55521 * time.Nanosecond, 1500 * time.Millisecond,
+		90 * time.Second, -2 * time.Millisecond, 3*time.Hour + time.Microsecond,
+	} {
+		text, err := Duration(d).MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := fmt.Sprintf("%q", d)
+		if `"`+string(text)+`"` != old {
+			t.Errorf("%d ns: MarshalText = %s, want the former %s", int64(d), text, old)
+		}
+		data, err := json.Marshal(doc{D: Duration(d)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := `{"d":` + old + `}`; string(data) != want {
+			t.Errorf("%d ns: json = %s, want %s", int64(d), data, want)
+		}
+		var out doc
+		if err := json.Unmarshal(data, &out); err != nil || out.D.Std() != d {
+			t.Errorf("%d ns: round trip = %v, %v", int64(d), out.D.Std(), err)
+		}
+		out = doc{}
+		if err := json.Unmarshal([]byte(fmt.Sprintf(`{"d":%d}`, int64(d))), &out); err != nil || out.D.Std() != d {
+			t.Errorf("%d ns: number form decodes to %v, %v", int64(d), out.D.Std(), err)
+		}
 	}
 	// Zero is omitted, so configurations without deadlines stay clean.
-	data, _ = json.Marshal(doc{})
-	if string(data) != `{}` {
+	if data, _ := json.Marshal(doc{}); string(data) != `{}` {
 		t.Errorf("zero marshal = %s", data)
 	}
+	var out doc
 	if err := json.Unmarshal([]byte(`{"d":"bogus"}`), &out); err == nil {
 		t.Error("invalid duration accepted")
 	}

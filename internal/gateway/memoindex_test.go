@@ -149,7 +149,7 @@ func TestRouteSubmitPrefersIndexThenDigestHome(t *testing.T) {
 	}
 	route := func(want, why string) {
 		t.Helper()
-		rs, err := g.routeSubmit("s", core.Values{"a": 1.0})
+		rs, err := g.routeSubmit("s", submitBody(t, core.Values{"a": 1.0}))
 		if err != nil || rs == nil || rs.name != want {
 			t.Fatalf("%s: routed to %v (err %v), want %s", why, rs, err, want)
 		}

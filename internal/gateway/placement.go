@@ -1,6 +1,8 @@
 package gateway
 
 import (
+	"bytes"
+	"encoding/json"
 	"hash/fnv"
 	"sort"
 	"strings"
@@ -9,6 +11,9 @@ import (
 
 	"mathcloud/internal/core"
 )
+
+// fileRefMarker is how a file reference starts inside a JSON body.
+var fileRefMarker = []byte(`"` + core.FileRefPrefix)
 
 // Placement answers one question: which replica should serve this request?
 //
@@ -264,12 +269,25 @@ func (g *Gateway) placeFresh(candidates []*replicaState, inputs core.Values) (*r
 // else goes to the replica owning its input files, failing that to
 // load-aware placement.  Both the home and load-aware placement may refuse
 // admission (non-nil err) when every candidate is saturated.
-func (g *Gateway) routeSubmit(service string, inputs core.Values) (*replicaState, error) {
+//
+// raw is the submission body.  Only the memo key and input locality read
+// the inputs, so raw is decoded only for a deterministic service or when it
+// holds the bytes `"file:`.  A reference spelled with JSON escapes (say
+// `"\u0066ile:`) therefore loses locality but stays correct: the replica
+// pulls the blob.
+// A body that does not parse still forwards — the replica owns input
+// validation and its 400 passes through unchanged — it is just placed
+// without a memo key or file references.
+func (g *Gateway) routeSubmit(service string, raw []byte) (*replicaState, error) {
 	candidates := g.serviceReplicas(service)
 	if len(candidates) == 0 {
 		return nil, nil
 	}
 	desc, _ := candidates[0].describe(service)
+	var inputs core.Values
+	if len(raw) > 0 && (desc.Deterministic || bytes.Contains(raw, fileRefMarker)) {
+		_ = json.Unmarshal(raw, &inputs)
+	}
 	if desc.Deterministic {
 		// A nil FileDigester hashes file references by literal string.  That
 		// is weaker than the container's content digest (two names for the

@@ -1,6 +1,8 @@
 package gateway
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -107,6 +109,16 @@ func fileID(replica string, n int) string {
 	return fmt.Sprintf("%s-%032x", replica, n)
 }
 
+// submitBody is the JSON body a client POSTs to submit inputs.
+func submitBody(t *testing.T, inputs core.Values) []byte {
+	t.Helper()
+	raw, err := json.Marshal(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 // localityGateway is three healthy replicas advertising "s" (and a
 // deterministic twin "det"), every queue at 1 of 8.
 func localityGateway() *Gateway {
@@ -182,7 +194,7 @@ func TestRouteSubmitInputLocality(t *testing.T) {
 			const rounds = 6
 			seen := make(map[string]int)
 			for i := 0; i < rounds; i++ {
-				rs, err := g.routeSubmit("s", tc.inputs)
+				rs, err := g.routeSubmit("s", submitBody(t, tc.inputs))
 				if err != nil || rs == nil {
 					t.Fatalf("routeSubmit = %v err=%v", rs, err)
 				}
@@ -222,14 +234,14 @@ func TestMemoIndexHitWinsOverInputLocality(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No entry yet: the deterministic service is placed on its data.
-	rs, err := g.routeSubmit("det", inputs)
+	rs, err := g.routeSubmit("det", submitBody(t, inputs))
 	if err != nil || rs.name != "r02" {
 		t.Fatalf("fresh route = %v err=%v, want r02 by locality", rs, err)
 	}
 	// r03 holds the result: recomputing next to the file loses to not
 	// computing at all.
 	g.memo.apply("r03", core.MemoIndexPage{Seq: 1, Entries: []core.MemoIndexEntry{{Key: key, Service: "det", JobID: "j"}}})
-	rs, err = g.routeSubmit("det", inputs)
+	rs, err = g.routeSubmit("det", submitBody(t, inputs))
 	if err != nil || rs.name != "r03" {
 		t.Fatalf("memo route = %v err=%v, want r03 by memo index", rs, err)
 	}
@@ -270,8 +282,8 @@ func TestRouteSubmitDigestHome(t *testing.T) {
 		homes := make(map[string]int)
 		for i := 0; i < 32; i++ {
 			inputs := core.Values{"n": float64(i)}
-			a, errA := localityGateway().routeSubmit("det", inputs)
-			b, errB := localityGateway().routeSubmit("det", inputs)
+			a, errA := localityGateway().routeSubmit("det", submitBody(t, inputs))
+			b, errB := localityGateway().routeSubmit("det", submitBody(t, inputs))
 			if errA != nil || errB != nil || a.name != b.name {
 				t.Fatalf("inputs %v: gateways chose %v (%v) and %v (%v)", inputs, a, errA, b, errB)
 			}
@@ -331,7 +343,7 @@ func TestRouteSubmitDigestHome(t *testing.T) {
 			if tc.setup != nil {
 				tc.setup(g)
 			}
-			rs, err := g.routeSubmit(tc.service, tc.inputs)
+			rs, err := g.routeSubmit(tc.service, submitBody(t, tc.inputs))
 			switch {
 			case tc.want == "":
 				var unavail *core.UnavailableError
@@ -496,6 +508,58 @@ func TestSweepSubmitFollowsTemplateFiles(t *testing.T) {
 			t.Fatalf("campaigns landed on %v, want one per replica", got)
 		}
 	})
+}
+
+// TestSubmitBodyForwardedUndecoded pins what the gateway does with a job
+// submission it need not decode (a non-deterministic service, no file
+// reference): the replica receives the body byte for byte, and a body that
+// does not parse is the replica's to refuse, its 400 passed through as is.
+func TestSubmitBodyForwardedUndecoded(t *testing.T) {
+	g := localityGateway()
+	const refusal = `{"error":"replica refuses","status":400}` + "\n"
+	received := make(chan []byte, 1)
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		received <- body
+		if !json.Valid(body) {
+			w.WriteHeader(http.StatusBadRequest)
+			_, _ = io.WriteString(w, refusal)
+			return
+		}
+		w.WriteHeader(http.StatusCreated)
+		_, _ = io.WriteString(w, "{}")
+	}))
+	defer replica.Close()
+	for _, rs := range g.replicas {
+		rs.base = replica.URL
+	}
+	g.client = &http.Client{}
+	srv := httptest.NewServer(g.APIHandler())
+	defer srv.Close()
+
+	for _, tc := range []struct {
+		name, body string
+		status     int
+		reply      string
+	}{
+		{"file-free inputs", "{ \"n\" : 1.50,\n\t\"label\": \"r01-draft\" }", http.StatusCreated, "{}"},
+		{"unparsable body", `{"n": `, http.StatusBadRequest, refusal},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(srv.URL+"/services/s", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			reply, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if got := <-received; !bytes.Equal(got, []byte(tc.body)) {
+				t.Fatalf("replica received %q, want the client's %q", got, tc.body)
+			}
+			if resp.StatusCode != tc.status || string(reply) != tc.reply {
+				t.Fatalf("client got %d %q, want %d %q", resp.StatusCode, reply, tc.status, tc.reply)
+			}
+		})
+	}
 }
 
 // TestUploadKeepsContentLengthOnSecondHop checks that a streamed body with a

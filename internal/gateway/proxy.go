@@ -168,22 +168,16 @@ func (g *Gateway) handleServices(w http.ResponseWriter, r *http.Request, path st
 }
 
 // handleSubmit places one job submission: the body is buffered (it is a
-// bounded JSON document by API contract), parsed for placement (memo key
-// and file references), and forwarded byte-identical to the placed replica.
+// bounded JSON document by API contract), parsed for placement only when
+// placement reads it (routeSubmit), and forwarded byte-identical to the
+// placed replica.
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, service string) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rest.MaxBodyBytes))
 	if err != nil {
 		rest.WriteError(w, core.ErrBadRequest("read request body: %v", err))
 		return
 	}
-	// A body that does not parse as a value map still forwards — the
-	// replica owns input validation and its 400 passes through unchanged —
-	// it is just placed without a memo key or file references.
-	var inputs core.Values
-	if len(raw) > 0 {
-		_ = json.Unmarshal(raw, &inputs)
-	}
-	rs, err := g.routeSubmit(service, inputs)
+	rs, err := g.routeSubmit(service, raw)
 	if err != nil {
 		// Admission control: every candidate advertises a full queue, so a
 		// proxy hop would only buy a replica-side rejection.

@@ -6,6 +6,7 @@
 package rest
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"mathcloud/internal/core"
@@ -29,16 +31,37 @@ type ErrorBody struct {
 	Status int    `json:"status"`
 }
 
-// WriteJSON encodes v as JSON with the given status code.
+// jsonBufs pools WriteJSON's response buffers.  A buffer that grew past
+// maxPooledJSON (a huge listing) goes to the garbage collector instead, so
+// one outlier does not pin its memory in the pool.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledJSON = 1 << 20
+
+// WriteJSON encodes v as compact JSON with the given status code.  The body
+// is encoded into a pooled buffer before anything is sent, so it goes out
+// in one write framed by Content-Length, and a value that fails to encode
+// answers 500 with an ErrorBody instead of a 200 and a truncated body.
+// Responses are read by programs; only /status and mcctl indent for humans.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		// The header is already out; nothing more can be done but log.
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledJSON {
+			jsonBufs.Put(buf)
+		}
+	}()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		log.Printf("rest: encode response: %v", err)
+		buf.Reset()
+		status = http.StatusInternalServerError
+		_ = json.NewEncoder(buf).Encode(ErrorBody{Error: "encode response: " + err.Error(), Status: status})
 	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.WriteHeader(status)
+	_, _ = w.Write(buf.Bytes())
 }
 
 // ETagMatch reports whether an If-None-Match header value matches the given

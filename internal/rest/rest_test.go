@@ -3,8 +3,10 @@ package rest
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -42,6 +44,45 @@ func TestWriteErrorBody(t *testing.T) {
 	}
 	if body.Status != 404 || !strings.Contains(body.Error, "not found") {
 		t.Errorf("body = %+v", body)
+	}
+}
+
+// TestWriteJSONCompactAndFramed checks that a response is compact JSON
+// announced by a Content-Length equal to the body.
+func TestWriteJSONCompactAndFramed(t *testing.T) {
+	rec := httptest.NewRecorder()
+	v := map[string]any{"jobs": []map[string]any{{"id": "a", "state": "DONE"}}, "total": 1}
+	WriteJSON(rec, http.StatusOK, v)
+	body := rec.Body.Bytes()
+	if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(len(body)) {
+		t.Fatalf("Content-Length = %q, body is %d bytes", got, len(body))
+	}
+	if want := `{"jobs":[{"id":"a","state":"DONE"}],"total":1}` + "\n"; string(body) != want {
+		t.Fatalf("body = %q, want %q", body, want)
+	}
+	var back map[string]any
+	if err := json.Unmarshal(body, &back); err != nil || back["total"] != 1.0 {
+		t.Fatalf("body decodes to %v, %v", back, err)
+	}
+}
+
+// TestWriteJSONEncodeFailureAnswers500 checks that a value encoding/json
+// refuses yields a 500 with an ErrorBody, not a 200 with a truncated body.
+func TestWriteJSONEncodeFailureAnswers500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	WriteJSON(rec, http.StatusOK, map[string]any{"id": "a", "x": math.Inf(1)})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("code = %d, want 500", rec.Code)
+	}
+	var body ErrorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("body %q is not an ErrorBody: %v", rec.Body.Bytes(), err)
+	}
+	if body.Status != http.StatusInternalServerError || !strings.Contains(body.Error, "encode") {
+		t.Fatalf("body = %+v", body)
+	}
+	if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(rec.Body.Len()) {
+		t.Fatalf("Content-Length = %q, body is %d bytes", got, rec.Body.Len())
 	}
 }
 
