@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"mathcloud/internal/catalogue"
-	"mathcloud/internal/container"
 	"mathcloud/internal/journal"
 	"mathcloud/internal/obs"
 )
@@ -87,6 +86,6 @@ func run(cfg *config) error {
 	}
 	log.Printf("catalogue: listening on %s (ping interval %s)", cfg.addr, cfg.ping)
 	// The ingress instrumentation supplies request IDs, per-route metrics
-	// and structured request logs, replacing the plain logging wrapper.
-	return obs.Serve(context.Background(), ln, container.Instrument(cat.Handler()), "")
+	// and structured request logs.
+	return obs.Serve(context.Background(), ln, obs.Instrument(cat.Handler()), "")
 }

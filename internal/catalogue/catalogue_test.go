@@ -16,6 +16,7 @@ import (
 
 	"mathcloud/internal/core"
 	"mathcloud/internal/journal"
+	"mathcloud/internal/rest"
 )
 
 // fakeDescriber serves canned descriptions and can simulate outages.
@@ -370,6 +371,45 @@ func TestHTTPInterface(t *testing.T) {
 	resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
 		t.Errorf("home content type = %q", ct)
+	}
+}
+
+// TestSearchQueryParams pins the one /search parser the catalogue and the
+// gateway share: a malformed limit is a 400, available=1 filters like
+// available=true, and the answer carries its result count.
+func TestSearchQueryParams(t *testing.T) {
+	c, _ := seeded(t)
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+
+	for _, limit := range []string{"-1", "abc"} {
+		resp, err := http.Get(srv.URL + "/search?q=matrix&limit=" + limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body rest.ErrorBody
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || body.Status != http.StatusBadRequest {
+			t.Errorf("limit=%s: status %d, body %+v (%v), want a JSON 400", limit, resp.StatusCode, body, err)
+		}
+	}
+
+	resp, err := http.Get(srv.URL + "/search?q=matrix+inversion&available=1&limit=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		Results []Result `json:"results"`
+		Total   int      `json:"total"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, decode %v", resp.StatusCode, err)
+	}
+	if len(out.Results) != 1 || out.Total != 1 || !out.Results[0].Available {
+		t.Errorf("available=1&limit=1: %d results, total %d: %+v", len(out.Results), out.Total, out.Results)
 	}
 }
 

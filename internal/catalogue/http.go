@@ -7,46 +7,35 @@ import (
 	"strconv"
 
 	"mathcloud/internal/core"
-	"mathcloud/internal/obs"
 	"mathcloud/internal/rest"
 )
 
-// Handler exposes the catalogue as a web application:
+// Handler exposes the catalogue as a web application (the routes
+// core.Routes gives TierCatalogue):
 //
 //	GET    /                         HTML search interface
-//	GET    /search?q=...&tag=...     JSON search results
+//	GET    /search?q=...&tag=...     JSON search results (ServeSearch)
 //	GET    /services                 list all entries
 //	POST   /services                 register {uri, tags}
 //	DELETE /services?uri=...         unregister
 //	POST   /tags?uri=...             add user tags {tags}
 //	POST   /ping                     probe availability now
-//	GET    /metrics                  Prometheus text-format metrics
-//	GET    /status                   JSON metrics with percentiles
+//	GET    /metrics, /status         the process's metrics
 func (c *Catalogue) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		head, _ := rest.ShiftPath(r.URL.Path)
-		switch head {
-		case "":
-			c.handleHome(w, r)
-		case "search":
-			c.handleSearch(w, r)
-		case "services":
-			c.handleServices(w, r)
-		case "tags":
-			c.handleTags(w, r)
-		case "ping":
-			c.handlePing(w, r)
-		case "metrics":
-			obs.MetricsHandler().ServeHTTP(w, r)
-		case "status":
-			obs.StatusHandler().ServeHTTP(w, r)
-		default:
-			rest.WriteError(w, core.ErrNotFound("resource", head))
-		}
-	})
+	return rest.NewMux(core.TierCatalogue, map[string]http.HandlerFunc{
+		"index":   c.handleHome,
+		"search":  c.ServeSearch,
+		"service": c.handleServices,
+		"tags":    c.handleTags,
+		"ping":    c.handlePing,
+	}, nil)
 }
 
-func (c *Catalogue) handleSearch(w http.ResponseWriter, r *http.Request) {
+// ServeSearch answers GET /search: ?q= is the full-text query, ?tag= keeps
+// entries with that tag, ?available=true (or 1) keeps reachable ones, and
+// ?limit= bounds the result count.  A malformed limit is a 400.  The
+// gateway serves its federated catalogue through it too.
+func (c *Catalogue) ServeSearch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		rest.MethodNotAllowed(w, http.MethodGet)
 		return
@@ -54,9 +43,14 @@ func (c *Catalogue) handleSearch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	opts := SearchOptions{
 		Tag:           q.Get("tag"),
-		OnlyAvailable: q.Get("available") == "true",
+		OnlyAvailable: q.Get("available") == "true" || q.Get("available") == "1",
 	}
-	if n, err := strconv.Atoi(q.Get("limit")); err == nil {
+	if s := q.Get("limit"); s != "" {
+		n, err := strconv.Atoi(s)
+		if err != nil || n < 0 {
+			rest.WriteError(w, core.ErrBadRequest("invalid limit %q", s))
+			return
+		}
 		opts.Limit = n
 	}
 	results := c.Search(q.Get("q"), opts)
@@ -66,6 +60,7 @@ func (c *Catalogue) handleSearch(w http.ResponseWriter, r *http.Request) {
 	rest.WriteJSON(w, http.StatusOK, map[string]any{
 		"query":   q.Get("q"),
 		"results": results,
+		"total":   len(results),
 	})
 }
 

@@ -21,7 +21,7 @@ import (
 
 // startContainer spins up a container with the "add" and "sleepy" test
 // services behind an httptest server.
-func startContainer(t *testing.T) (*container.Container, *httptest.Server) {
+func startContainer(t testing.TB) (*container.Container, *httptest.Server) {
 	t.Helper()
 	adapter.RegisterFunc("test.add", func(ctx context.Context, in core.Values) (core.Values, error) {
 		a, _ := in["a"].(float64)
@@ -73,7 +73,7 @@ func startContainer(t *testing.T) (*container.Container, *httptest.Server) {
 	return c, srv
 }
 
-func mustJSON(t *testing.T, v any) json.RawMessage {
+func mustJSON(t testing.TB, v any) json.RawMessage {
 	t.Helper()
 	data, err := json.Marshal(v)
 	if err != nil {

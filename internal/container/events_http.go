@@ -9,17 +9,14 @@ import (
 	"mathcloud/internal/rest"
 )
 
-// SSE endpoints of the push-based async plane (DESIGN.md §5g):
-//
-//	GET /services/{name}/jobs/{id}/events    one job's state transitions
-//	GET /services/{name}/sweeps/{id}/events  one sweep's aggregate progress
-//	GET /services/{name}/events              the service's activity feed
-//
+// SSE endpoints of the push-based async plane (DESIGN.md §5g): the
+// job_events, sweep_events and service_events routes of core.Routes.
 // events.Serve runs each stream; these handlers check the resource exists,
 // so no topic is created for an unknown ID, and supply its snapshot.
 
 // handleJobEvents streams one job's state transitions.
-func (c *Container) handleJobEvents(w http.ResponseWriter, r *http.Request, service, jobID string) {
+func (c *Container) handleJobEvents(w http.ResponseWriter, r *http.Request) {
+	service, jobID := r.PathValue("name"), r.PathValue("id")
 	job, err := c.jobs.Get(jobID)
 	if err != nil || job.Service != service {
 		rest.WriteError(w, core.ErrNotFound("job", jobID))
@@ -42,7 +39,8 @@ func (c *Container) handleJobEvents(w http.ResponseWriter, r *http.Request, serv
 }
 
 // handleSweepEvents streams one sweep's aggregate progress.
-func (c *Container) handleSweepEvents(w http.ResponseWriter, r *http.Request, service, sweepID string) {
+func (c *Container) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
+	service, sweepID := r.PathValue("name"), r.PathValue("id")
 	sweep, err := c.jobs.GetSweep(sweepID)
 	if err != nil || sweep.Service != service {
 		rest.WriteError(w, core.ErrNotFound("sweep", sweepID))
@@ -67,7 +65,8 @@ func (c *Container) handleSweepEvents(w http.ResponseWriter, r *http.Request, se
 // handleServiceEvents streams the service's activity feed: every job
 // transition of the service, sweep submissions, deploy/undeploy notices.
 // The feed has no single representation, so it opens with a hello frame.
-func (c *Container) handleServiceEvents(w http.ResponseWriter, r *http.Request, service string) {
+func (c *Container) handleServiceEvents(w http.ResponseWriter, r *http.Request) {
+	service := r.PathValue("name")
 	if _, err := c.Describe(service); err != nil {
 		rest.WriteError(w, err)
 		return

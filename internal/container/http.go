@@ -1,6 +1,7 @@
 package container
 
 import (
+	"context"
 	"net/http"
 	"strconv"
 	"strings"
@@ -11,47 +12,19 @@ import (
 	"mathcloud/internal/rest"
 )
 
-// Handler returns the HTTP handler exposing the unified REST API of
-// Table 1 plus the auto-generated web interface and the observability
-// endpoints:
-//
-//	GET    /                              container index
-//	GET    /services/{name}               service description (or web UI)
-//	POST   /services/{name}               submit request, create job
-//	GET    /services/{name}/jobs          job list (?state=&limit=&offset=)
-//	GET    /services/{name}/jobs/{id}     job status and results (or web UI)
-//	DELETE /services/{name}/jobs/{id}     cancel job / delete job data
-//	POST   /services/{name}/sweeps        submit a parameter sweep
-//	GET    /services/{name}/sweeps        sweep list
-//	GET    /services/{name}/sweeps/{id}   aggregate sweep status (?wait=)
-//	DELETE /services/{name}/sweeps/{id}   cancel sweep / delete sweep data
-//	GET    /services/{name}/sweeps/{id}/jobs  child jobs (?state=&limit=&offset=)
-//	GET    /services/{name}/events        SSE feed of the service's activity
-//	GET    /services/{name}/jobs/{id}/events    SSE job state stream
-//	GET    /services/{name}/sweeps/{id}/events  SSE sweep progress stream
-//	POST   /files                         upload a file resource
-//	GET    /files/{id}                    file data (supports ranges)
-//	DELETE /files/{id}                    delete a file resource
-//	GET    /metrics                       Prometheus text-format metrics
-//	GET    /status                        JSON metrics with percentiles
-//	GET    /load                          replica load report (federation)
-//	GET    /memo                          memo index delta feed (?since=)
-//
-// Every request passes the ingress instrumentation first: an X-Request-ID
-// is established (propagated or generated), per-route metrics are recorded,
-// and a structured request log is emitted.  The observability endpoints are
-// infrastructure-level and answer before the security guard, so operators
-// can scrape a secured container without service credentials; they expose
-// only aggregate counters, never job data.
+// Handler returns the HTTP handler of the container: the routes core.Routes
+// gives TierContainer, behind the ingress instrumentation.  The
+// infrastructure routes (/metrics, /status, /load, /memo) answer before the
+// security guard, so operators and gateways can scrape a secured container
+// without service credentials; they expose aggregates and placement data,
+// never job data.
 func (c *Container) Handler() http.Handler {
-	return Instrument(c.APIHandler())
+	return obs.Instrument(c.APIHandler())
 }
 
-// Instrument wraps next with the ingress instrumentation middleware
-// (request-ID establishment, per-route metrics, request log).  It is
-// exported for front-ends like the WMS that mount extra routes ahead of the
-// container API and must instrument the combined handler exactly once.
-func Instrument(next http.Handler) http.Handler { return instrument(next) }
+// Instrument is obs.Instrument, the ingress middleware Handler puts in
+// front of APIHandler.
+func Instrument(next http.Handler) http.Handler { return obs.Instrument(next) }
 
 // ReplicaHeader carries the identity of the container replica that answered
 // a request.  Gateways and clients use it to attribute responses (and debug
@@ -67,52 +40,76 @@ const DigestHeader = "X-MC-Digest"
 // APIHandler returns the unified REST API handler without the ingress
 // instrumentation.  Use Handler unless the handler is being embedded under
 // an outer Instrument wrapper.
-func (c *Container) APIHandler() http.Handler {
+func (c *Container) APIHandler() http.Handler { return c.Mux(core.TierContainer, nil) }
+
+// Mux returns the container's API for tier without the ingress
+// instrumentation: its own handlers plus extra, keyed by route label, for a
+// front-end such as the WMS that serves more routes of the table.  Every
+// route but the infrastructure ones passes the security guard first.
+func (c *Container) Mux(tier core.Tier, extra map[string]http.HandlerFunc) http.Handler {
+	handlers := map[string]http.HandlerFunc{
+		"index":          c.handleIndex,
+		"service":        c.handleService,
+		"job_list":       c.handleJobList,
+		"job":            c.handleJob,
+		"job_events":     c.handleJobEvents,
+		"sweep_list":     c.handleSweepList,
+		"sweep":          c.handleSweep,
+		"sweep_jobs":     c.handleSweepJobs,
+		"sweep_events":   c.handleSweepEvents,
+		"service_events": c.handleServiceEvents,
+		"file":           c.handleFiles,
+		"load":           c.handleLoad,
+		"memo":           c.handleMemo,
+	}
+	for label, h := range extra {
+		handlers[label] = h
+	}
+	var guard func(http.HandlerFunc) http.HandlerFunc
+	if c.guard != nil {
+		guard = c.guarded
+	}
+	mux := rest.NewMux(tier, handlers, guard)
+	if c.replicaID == "" {
+		return mux
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if c.replicaID != "" {
-			w.Header().Set(ReplicaHeader, c.replicaID)
+		w.Header().Set(ReplicaHeader, c.replicaID)
+		mux.ServeHTTP(w, r)
+	})
+}
+
+// principalKey carries the guard's authenticated principal to the handlers.
+type principalKey struct{}
+
+// guarded authenticates every request to next and authorizes it for the
+// service its path names; next reads the principal with principalOf.
+func (c *Container) guarded(next http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		p, err := c.guard.Authenticate(r)
+		if err != nil {
+			w.Header().Set("WWW-Authenticate", `Bearer realm="mathcloud"`)
+			rest.WriteJSON(w, http.StatusUnauthorized, rest.ErrorBody{
+				Error:  err.Error(),
+				Status: http.StatusUnauthorized,
+			})
+			return
 		}
-		head, tail := rest.ShiftPath(r.URL.Path)
-		switch head {
-		case "metrics":
-			obs.MetricsHandler().ServeHTTP(w, r)
-			return
-		case "status":
-			obs.StatusHandler().ServeHTTP(w, r)
-			return
-		case "load":
-			// Infrastructure plane, like /metrics: the gateway's placement
-			// loop scrapes it without service credentials.
-			c.handleLoad(w, r)
-			return
-		case "memo":
-			c.handleMemo(w, r, tail)
-			return
-		}
-		var principal core.Principal
-		if c.guard != nil {
-			p, err := c.guard.Authenticate(r)
-			if err != nil {
-				w.Header().Set("WWW-Authenticate", `Bearer realm="mathcloud"`)
-				rest.WriteJSON(w, http.StatusUnauthorized, rest.ErrorBody{
-					Error:  err.Error(),
-					Status: http.StatusUnauthorized,
-				})
+		if name := r.PathValue("name"); name != "" {
+			if err := c.guard.Authorize(p, name); err != nil {
+				rest.WriteError(w, err)
 				return
 			}
-			principal = p
 		}
-		switch head {
-		case "":
-			c.handleIndex(w, r)
-		case "services":
-			c.handleServices(w, r, tail, principal)
-		case "files":
-			c.handleFiles(w, r, tail)
-		default:
-			rest.WriteError(w, core.ErrNotFound("resource", head))
-		}
-	})
+		next(w, r.WithContext(context.WithValue(r.Context(), principalKey{}, p)))
+	}
+}
+
+// principalOf is the principal the guard authenticated for r; the zero
+// Principal on an open container.
+func principalOf(r *http.Request) core.Principal {
+	p, _ := r.Context().Value(principalKey{}).(core.Principal)
+	return p
 }
 
 func (c *Container) handleIndex(w http.ResponseWriter, r *http.Request) {
@@ -133,57 +130,6 @@ func (c *Container) handleIndex(w http.ResponseWriter, r *http.Request) {
 		index["replica"] = c.replicaID
 	}
 	rest.WriteJSON(w, http.StatusOK, index)
-}
-
-func (c *Container) handleServices(w http.ResponseWriter, r *http.Request, path string, principal core.Principal) {
-	name, tail := rest.ShiftPath(path)
-	if name == "" {
-		rest.WriteError(w, core.ErrBadRequest("missing service name"))
-		return
-	}
-	if c.guard != nil {
-		if err := c.guard.Authorize(principal, name); err != nil {
-			rest.WriteError(w, err)
-			return
-		}
-	}
-	switch {
-	case tail == "/":
-		c.handleService(w, r, name, principal)
-	default:
-		sub, rest2 := rest.ShiftPath(tail)
-		switch sub {
-		case "jobs":
-			jobID, rest3 := rest.ShiftPath(rest2)
-			if jobID == "" {
-				c.handleJobList(w, r, name)
-				return
-			}
-			if child, _ := rest.ShiftPath(rest3); child == "events" {
-				c.handleJobEvents(w, r, name, jobID)
-				return
-			}
-			c.handleJob(w, r, name, jobID)
-		case "sweeps":
-			sweepID, rest3 := rest.ShiftPath(rest2)
-			if sweepID == "" {
-				c.handleSweepList(w, r, name, principal)
-				return
-			}
-			switch child, _ := rest.ShiftPath(rest3); child {
-			case "jobs":
-				c.handleSweepJobs(w, r, name, sweepID)
-			case "events":
-				c.handleSweepEvents(w, r, name, sweepID)
-			default:
-				c.handleSweep(w, r, name, sweepID)
-			}
-		case "events":
-			c.handleServiceEvents(w, r, name)
-		default:
-			rest.WriteError(w, core.ErrNotFound("resource", sub))
-		}
-	}
 }
 
 // listParams parses the shared list-filtering query parameters: ?state=
@@ -215,7 +161,8 @@ func listParams(r *http.Request) (state core.JobState, limit, offset int, err er
 
 // handleService implements the service resource: GET returns the service
 // description, POST submits a new request and creates a job.
-func (c *Container) handleService(w http.ResponseWriter, r *http.Request, name string, principal core.Principal) {
+func (c *Container) handleService(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
 	switch r.Method {
 	case http.MethodGet:
 		if rest.WantsHTML(r) {
@@ -267,7 +214,7 @@ func (c *Container) handleService(w http.ResponseWriter, r *http.Request, name s
 			rest.WriteError(w, err)
 			return
 		}
-		job, err := c.jobs.SubmitTTL(r.Context(), name, inputs, principal.Effective(), ttl)
+		job, err := c.jobs.SubmitTTL(r.Context(), name, inputs, principalOf(r).Effective(), ttl)
 		if err != nil {
 			rest.WriteError(w, err)
 			return
@@ -288,11 +235,12 @@ func (c *Container) handleService(w http.ResponseWriter, r *http.Request, name s
 	}
 }
 
-func (c *Container) handleJobList(w http.ResponseWriter, r *http.Request, service string) {
+func (c *Container) handleJobList(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		rest.MethodNotAllowed(w, http.MethodGet)
 		return
 	}
+	service := r.PathValue("name")
 	if _, err := c.Describe(service); err != nil {
 		rest.WriteError(w, err)
 		return
@@ -316,7 +264,8 @@ func (c *Container) handleJobList(w http.ResponseWriter, r *http.Request, servic
 
 // handleJob implements the job resource: GET returns status and results,
 // DELETE cancels the job or deletes its data.
-func (c *Container) handleJob(w http.ResponseWriter, r *http.Request, service, jobID string) {
+func (c *Container) handleJob(w http.ResponseWriter, r *http.Request) {
+	service, jobID := r.PathValue("name"), r.PathValue("id")
 	switch r.Method {
 	case http.MethodGet:
 		wait, hasWait, err := rest.ParseWait(r)
@@ -368,7 +317,8 @@ func (c *Container) handleJob(w http.ResponseWriter, r *http.Request, service, j
 // handleSweepList implements the sweep collection: POST expands one sweep
 // specification into a whole campaign of child jobs in a single round trip,
 // GET lists the service's sweeps.
-func (c *Container) handleSweepList(w http.ResponseWriter, r *http.Request, service string, principal core.Principal) {
+func (c *Container) handleSweepList(w http.ResponseWriter, r *http.Request) {
+	service := r.PathValue("name")
 	switch r.Method {
 	case http.MethodPost:
 		wait, hasWait, err := rest.ParseWait(r)
@@ -381,7 +331,7 @@ func (c *Container) handleSweepList(w http.ResponseWriter, r *http.Request, serv
 			rest.WriteError(w, err)
 			return
 		}
-		sweep, err := c.jobs.SubmitSweep(r.Context(), service, &spec, principal.Effective())
+		sweep, err := c.jobs.SubmitSweep(r.Context(), service, &spec, principalOf(r).Effective())
 		if err != nil {
 			rest.WriteError(w, err)
 			return
@@ -414,7 +364,8 @@ func (c *Container) handleSweepList(w http.ResponseWriter, r *http.Request, serv
 // handleSweep implements the sweep resource: GET returns the aggregate
 // status (long-polling via ?wait=), DELETE cancels a live sweep in one call
 // or destroys a finished one.
-func (c *Container) handleSweep(w http.ResponseWriter, r *http.Request, service, sweepID string) {
+func (c *Container) handleSweep(w http.ResponseWriter, r *http.Request) {
+	service, sweepID := r.PathValue("name"), r.PathValue("id")
 	sweep, err := c.jobs.GetSweep(sweepID)
 	if err != nil {
 		rest.WriteError(w, err)
@@ -456,11 +407,12 @@ func (c *Container) handleSweep(w http.ResponseWriter, r *http.Request, service,
 
 // handleSweepJobs lists one page of a sweep's children in point order,
 // optionally filtered by state.
-func (c *Container) handleSweepJobs(w http.ResponseWriter, r *http.Request, service, sweepID string) {
+func (c *Container) handleSweepJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		rest.MethodNotAllowed(w, http.MethodGet)
 		return
 	}
+	service, sweepID := r.PathValue("name"), r.PathValue("id")
 	sweep, err := c.jobs.GetSweep(sweepID)
 	if err != nil {
 		rest.WriteError(w, err)
@@ -494,8 +446,8 @@ func (c *Container) handleSweepJobs(w http.ResponseWriter, r *http.Request, serv
 // handleFiles implements the file resource: GET returns the file data,
 // fully or partially (HTTP range requests are honoured, matching the
 // paper's "retrieved fully or partially via the GET method").
-func (c *Container) handleFiles(w http.ResponseWriter, r *http.Request, path string) {
-	id, _ := rest.ShiftPath(path)
+func (c *Container) handleFiles(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
 	switch {
 	case id == "" && r.Method == http.MethodPost:
 		fileID, err := c.files.Put(http.MaxBytesReader(w, r.Body, maxFileBytes), "")
@@ -554,11 +506,7 @@ func (c *Container) handleLoad(w http.ResponseWriter, r *http.Request) {
 // feed, which the gateway polls to maintain the federation-wide
 // digest→replica map.  The feed names digests, services and job IDs only;
 // cached outputs are reachable solely through the guarded job resource.
-func (c *Container) handleMemo(w http.ResponseWriter, r *http.Request, path string) {
-	if sub, _ := rest.ShiftPath(path); sub != "" {
-		rest.WriteError(w, core.ErrNotFound("resource", r.URL.Path))
-		return
-	}
+func (c *Container) handleMemo(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		rest.MethodNotAllowed(w, http.MethodGet)
 		return

@@ -1,26 +1,12 @@
 package container
 
-import (
-	"log/slog"
-	"net/http"
-	"strings"
-	"time"
-
-	"mathcloud/internal/obs"
-)
+import "mathcloud/internal/obs"
 
 // Container metric families (DESIGN.md §5d).  They live in the process-wide
 // default registry, so several containers in one process — the WMS plus an
 // application container, or a test harness — aggregate into one /metrics
 // view instead of clashing.
 var (
-	metHTTPRequests = obs.NewCounterVec("mc_http_requests_total",
-		"HTTP requests served by the unified REST API, by route, method and status class.",
-		"route", "method", "code")
-	metHTTPLatency = obs.NewHistogramVec("mc_http_request_seconds",
-		"HTTP request handling latency by route.",
-		obs.LatencyBuckets, "route")
-
 	metJobsSubmitted = obs.NewCounter("mc_jobs_submitted_total",
 		"Jobs accepted into the queue.")
 	metJobsCompleted = obs.NewCounterVec("mc_jobs_completed_total",
@@ -82,179 +68,3 @@ var (
 	metJobsReaped = obs.NewCounter("mc_jobs_reaped_total",
 		"Jobs purged by the destruction-time reaper.")
 )
-
-// knownRoutes is the closed set of route labels routeOf can return.
-var knownRoutes = []string{
-	"index", "metrics", "status", "load", "memo", "workflows", "editor",
-	"search", "tags", "ping", "file", "service", "job_list", "job",
-	"sweep_list", "sweep", "sweep_jobs", "service_events", "job_events",
-	"sweep_events", "other",
-}
-
-// knownMethods and knownClasses close the remaining label dimensions of the
-// request counter so its children can be pre-resolved alongside the latency
-// histograms.
-var knownMethods = []string{
-	http.MethodGet, http.MethodPost, http.MethodPut, http.MethodDelete,
-	http.MethodHead, http.MethodOptions, http.MethodPatch,
-}
-
-var knownClasses = []string{"1xx", "2xx", "3xx", "4xx", "5xx", "other"}
-
-// latencyByRoute and requestsByRoute pre-resolve the metric children of
-// every (route, method, class) combination, so the per-request hot path is
-// read-only map lookups with no label rendering or variadic allocation.
-// Pre-resolved series stay hidden from /metrics until first use, so the
-// cross product does not flood the exposition with zero series.
-var (
-	latencyByRoute  map[string]obs.Histogram
-	requestsByRoute map[string]map[string][6]obs.Counter
-)
-
-func init() {
-	latencyByRoute = make(map[string]obs.Histogram, len(knownRoutes))
-	requestsByRoute = make(map[string]map[string][6]obs.Counter, len(knownRoutes))
-	for _, r := range knownRoutes {
-		latencyByRoute[r] = metHTTPLatency.With(r)
-		byMethod := make(map[string][6]obs.Counter, len(knownMethods))
-		for _, m := range knownMethods {
-			var byClass [6]obs.Counter
-			for i, c := range knownClasses {
-				byClass[i] = metHTTPRequests.With(r, m, c)
-			}
-			byMethod[m] = byClass
-		}
-		requestsByRoute[r] = byMethod
-	}
-}
-
-// routeOf classifies a request path into a bounded route label.  Labels
-// must have low cardinality, so resource names and IDs collapse into their
-// route pattern.
-func routeOf(path string) string {
-	head, tail := shiftClean(path)
-	switch head {
-	case "":
-		return "index"
-	case "metrics", "status", "load", "memo", "workflows", "editor", "search", "tags", "ping":
-		return head
-	case "files":
-		return "file"
-	case "services":
-		_, tail = shiftClean(tail)
-		sub, rest := shiftClean(tail)
-		switch sub {
-		case "":
-			return "service"
-		case "events":
-			return "service_events"
-		case "jobs":
-			id, rest2 := shiftClean(rest)
-			if id == "" {
-				return "job_list"
-			}
-			if sub, _ := shiftClean(rest2); sub == "events" {
-				return "job_events"
-			}
-			return "job"
-		case "sweeps":
-			id, rest2 := shiftClean(rest)
-			if id == "" {
-				return "sweep_list"
-			}
-			switch sub, _ := shiftClean(rest2); sub {
-			case "jobs":
-				return "sweep_jobs"
-			case "events":
-				return "sweep_events"
-			}
-			return "sweep"
-		}
-	}
-	return "other"
-}
-
-// shiftClean is rest.ShiftPath without the package dependency, returning ""
-// tails for exhausted paths.
-func shiftClean(p string) (head, tail string) {
-	p = strings.TrimPrefix(p, "/")
-	if i := strings.IndexByte(p, '/'); i >= 0 {
-		return p[:i], p[i:]
-	}
-	return p, ""
-}
-
-// classIndex folds a status code into its knownClasses index ("2xx" → 1).
-func classIndex(code int) int {
-	if c := code / 100; c >= 1 && c <= 5 {
-		return c - 1
-	}
-	return 5
-}
-
-// codeClass folds a status code into its class label ("2xx", "4xx", …).
-func codeClass(code int) string {
-	return knownClasses[classIndex(code)]
-}
-
-// statusWriter records the response status for metrics and logs.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(status int) {
-	w.status = status
-	w.ResponseWriter.WriteHeader(status)
-}
-
-// Flush forwards to the wrapped writer so the SSE endpoints can stream
-// through the instrumentation middleware.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// instrument is the container's ingress middleware: it establishes the
-// request ID (reusing a propagated X-Request-ID or generating one), echoes
-// it on the response, and records per-route request metrics and the
-// structured request log.
-func instrument(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		id := r.Header.Get(obs.RequestIDHeader)
-		if id == "" {
-			id = obs.NewRequestID()
-		}
-		ctx := obs.WithRequestID(r.Context(), id)
-		r = r.WithContext(ctx)
-		w.Header().Set(obs.RequestIDHeader, id)
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		next.ServeHTTP(sw, r)
-		if !obs.Enabled() {
-			return
-		}
-		elapsed := time.Since(start)
-		route := routeOf(r.URL.Path)
-		cls := classIndex(sw.status)
-		if byClass, ok := requestsByRoute[route][r.Method]; ok {
-			byClass[cls].Inc()
-		} else {
-			metHTTPRequests.With(route, r.Method, knownClasses[cls]).Inc()
-		}
-		latencyByRoute[route].Observe(elapsed.Seconds())
-		// Build the attrs only when the record will be emitted: at the
-		// default warn level this keeps the hot path allocation-free.
-		if logger := obs.Logger(); logger.Enabled(ctx, slog.LevelInfo) {
-			logger.LogAttrs(ctx, slog.LevelInfo, "http request",
-				slog.String("request_id", id),
-				slog.String("method", r.Method),
-				slog.String("path", r.URL.Path),
-				slog.String("route", route),
-				slog.Int("status", sw.status),
-				slog.Duration("elapsed", elapsed),
-			)
-		}
-	})
-}

@@ -33,9 +33,9 @@ import (
 
 	"mathcloud/internal/catalogue"
 	"mathcloud/internal/client"
-	"mathcloud/internal/container"
 	"mathcloud/internal/core"
 	"mathcloud/internal/events"
+	"mathcloud/internal/obs"
 	"mathcloud/internal/rest"
 )
 
@@ -590,5 +590,5 @@ func (g *Gateway) Replicas() []ReplicaStatus {
 // instrumentation (request IDs, per-route metrics, request logs) — the same
 // middleware the container uses, so one /metrics view covers both tiers.
 func (g *Gateway) Handler() http.Handler {
-	return container.Instrument(g.APIHandler())
+	return obs.Instrument(g.APIHandler())
 }

@@ -13,46 +13,40 @@ import (
 	"sync"
 	"time"
 
-	"mathcloud/internal/catalogue"
 	"mathcloud/internal/core"
-	"mathcloud/internal/obs"
 	"mathcloud/internal/rest"
 )
 
 // APIHandler returns the gateway's routing handler without the ingress
-// instrumentation (see Handler).  It exposes the unified REST API of
-// Table 1 unchanged — clients built against a single container work against
-// the federation without modification — plus two gateway-level resources:
-//
-//	GET /search       full-text search over the federated catalogue
-//	GET /replicas     federation health view
+// instrumentation (see Handler).  It serves the routes core.Routes gives
+// TierGateway: the unified REST API of Table 1 unchanged — clients built
+// against a single container work against the federation without
+// modification — plus GET /search over the federated catalogue and
+// GET /replicas, the federation health view.
 //
 // Requests about existing resources (jobs, sweeps, files) route in O(1) by
 // the replica prefix of their IDs; resource creation is placed by
 // the memo index, digest homes, input locality and p2c (placement.go);
 // collection reads scatter-gather.
 func (g *Gateway) APIHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		head, tail := rest.ShiftPath(r.URL.Path)
-		switch head {
-		case "metrics":
-			obs.MetricsHandler().ServeHTTP(w, r)
-		case "status":
-			obs.StatusHandler().ServeHTTP(w, r)
-		case "":
-			g.handleIndex(w, r)
-		case "replicas":
-			g.handleReplicas(w, r)
-		case "search":
-			g.handleSearch(w, r)
-		case "services":
-			g.handleServices(w, r, tail)
-		case "files":
-			g.handleFiles(w, r, tail)
-		default:
-			rest.WriteError(w, core.ErrNotFound("resource", head))
-		}
-	})
+	return rest.NewMux(core.TierGateway, map[string]http.HandlerFunc{
+		"index":      g.handleIndex,
+		"service":    g.handleService,
+		"job_list":   func(w http.ResponseWriter, r *http.Request) { g.handleListFanout(w, r, "jobs") },
+		"job":        func(w http.ResponseWriter, r *http.Request) { g.forwardByID(w, r, "job") },
+		"job_events": func(w http.ResponseWriter, r *http.Request) { g.streamByID(w, r, "job") },
+		"sweep_list": g.handleSweepList,
+		// The sweep resource and its child-job listing both live whole on
+		// the sweep's home replica: children inherit the sweep's replica
+		// prefix at mint time, so one affinity hop covers the campaign.
+		"sweep":          func(w http.ResponseWriter, r *http.Request) { g.forwardByID(w, r, "sweep") },
+		"sweep_jobs":     func(w http.ResponseWriter, r *http.Request) { g.forwardByID(w, r, "sweep") },
+		"sweep_events":   func(w http.ResponseWriter, r *http.Request) { g.streamByID(w, r, "sweep") },
+		"service_events": g.serveServiceFeed,
+		"file":           g.handleFiles,
+		"replicas":       g.handleReplicas,
+		"search":         g.cat.ServeSearch,
+	}, nil)
 }
 
 func (g *Gateway) handleReplicas(w http.ResponseWriter, r *http.Request) {
@@ -63,108 +57,56 @@ func (g *Gateway) handleReplicas(w http.ResponseWriter, r *http.Request) {
 	rest.WriteJSON(w, http.StatusOK, map[string]any{"replicas": g.Replicas()})
 }
 
-func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		rest.MethodNotAllowed(w, http.MethodGet)
-		return
-	}
-	q := r.URL.Query()
-	limit := 0
-	if s := q.Get("limit"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
-			rest.WriteError(w, core.ErrBadRequest("invalid limit %q", s))
+// handleService serves the service resource: the description from the
+// service's home replica, or a placed submission.
+func (g *Gateway) handleService(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	switch r.Method {
+	case http.MethodGet:
+		rs, ok := g.homeReplica(name)
+		if !ok {
+			g.noReplica(w, name)
 			return
 		}
-		limit = n
+		g.forward(w, r, rs, "service", nil)
+	case http.MethodPost:
+		g.handleSubmit(w, r, name)
+	default:
+		rest.MethodNotAllowed(w, http.MethodGet, http.MethodPost)
 	}
-	avail := q.Get("available") == "true" || q.Get("available") == "1"
-	results := g.cat.Search(q.Get("q"), catalogue.SearchOptions{
-		Tag:           q.Get("tag"),
-		OnlyAvailable: avail,
-		Limit:         limit,
-	})
-	if results == nil {
-		results = []catalogue.Result{}
-	}
-	rest.WriteJSON(w, http.StatusOK, map[string]any{
-		"query":   q.Get("q"),
-		"results": results,
-		"total":   len(results),
-	})
 }
 
-func (g *Gateway) handleServices(w http.ResponseWriter, r *http.Request, path string) {
-	name, tail := rest.ShiftPath(path)
-	if name == "" {
-		rest.WriteError(w, core.ErrBadRequest("missing service name"))
-		return
-	}
-	if tail == "/" {
-		switch r.Method {
-		case http.MethodGet:
-			rs, ok := g.homeReplica(name)
-			if !ok {
-				g.noReplica(w, name)
-				return
-			}
-			g.forward(w, r, rs, "service", nil)
-		case http.MethodPost:
-			g.handleSubmit(w, r, name)
-		default:
-			rest.MethodNotAllowed(w, http.MethodGet, http.MethodPost)
-		}
-		return
-	}
-	sub, rest2 := rest.ShiftPath(tail)
-	switch sub {
-	case "jobs":
-		jobID, rest3 := rest.ShiftPath(rest2)
-		if jobID == "" {
-			g.handleListFanout(w, r, name, "jobs")
-			return
-		}
-		rs, err := g.affinityReplica(jobID)
-		if err != nil {
-			rest.WriteError(w, err)
-			return
-		}
-		if child, _ := rest.ShiftPath(rest3); child == "events" {
-			g.serveResourceStream(w, r, rs, "job")
-			return
-		}
-		g.forward(w, r, rs, "job", nil)
-	case "sweeps":
-		sweepID, rest3 := rest.ShiftPath(rest2)
-		if sweepID == "" {
-			switch r.Method {
-			case http.MethodPost:
-				g.handleSweepSubmit(w, r, name)
-			case http.MethodGet:
-				g.handleListFanout(w, r, name, "sweeps")
-			default:
-				rest.MethodNotAllowed(w, http.MethodGet, http.MethodPost)
-			}
-			return
-		}
-		rs, err := g.affinityReplica(sweepID)
-		if err != nil {
-			rest.WriteError(w, err)
-			return
-		}
-		if child, _ := rest.ShiftPath(rest3); child == "events" {
-			g.serveResourceStream(w, r, rs, "sweep")
-			return
-		}
-		// The sweep resource and its child-job listing both live whole on
-		// the sweep's home replica: children inherit the sweep's replica
-		// prefix at mint time, so one affinity hop covers the campaign.
-		g.forward(w, r, rs, "sweep", nil)
-	case "events":
-		g.serveServiceFeed(w, r, name)
+func (g *Gateway) handleSweepList(w http.ResponseWriter, r *http.Request) {
+	switch r.Method {
+	case http.MethodPost:
+		g.handleSweepSubmit(w, r, r.PathValue("name"))
+	case http.MethodGet:
+		g.handleListFanout(w, r, "sweeps")
 	default:
-		rest.WriteError(w, core.ErrNotFound("resource", sub))
+		rest.MethodNotAllowed(w, http.MethodGet, http.MethodPost)
 	}
+}
+
+// forwardByID proxies a request about an existing job, sweep or file to the
+// replica its ID names; route is its mc_gateway_requests_total class.
+func (g *Gateway) forwardByID(w http.ResponseWriter, r *http.Request, route string) {
+	rs, err := g.affinityReplica(r.PathValue("id"))
+	if err != nil {
+		rest.WriteError(w, err)
+		return
+	}
+	g.forward(w, r, rs, route, nil)
+}
+
+// streamByID serves the event stream of the job or sweep (kind) its ID
+// names from that resource's home replica.
+func (g *Gateway) streamByID(w http.ResponseWriter, r *http.Request, kind string) {
+	rs, err := g.affinityReplica(r.PathValue("id"))
+	if err != nil {
+		rest.WriteError(w, err)
+		return
+	}
+	g.serveResourceStream(w, r, rs, kind)
 }
 
 // handleSubmit places one job submission: the body is buffered (it is a
@@ -221,9 +163,8 @@ func (g *Gateway) handleSweepSubmit(w http.ResponseWriter, r *http.Request, serv
 	g.forward(w, r, rs, "sweep", raw)
 }
 
-func (g *Gateway) handleFiles(w http.ResponseWriter, r *http.Request, path string) {
-	id, _ := rest.ShiftPath(path)
-	if id == "" {
+func (g *Gateway) handleFiles(w http.ResponseWriter, r *http.Request) {
+	if r.PathValue("id") == "" {
 		if r.Method != http.MethodPost {
 			rest.MethodNotAllowed(w, http.MethodPost)
 			return
@@ -250,12 +191,7 @@ func (g *Gateway) handleFiles(w http.ResponseWriter, r *http.Request, path strin
 		g.forward(w, r, spreadReplica(&g.upCursor, healthy), "file", nil)
 		return
 	}
-	rs, err := g.affinityReplica(id)
-	if err != nil {
-		rest.WriteError(w, err)
-		return
-	}
-	g.forward(w, r, rs, "file", nil)
+	g.forwardByID(w, r, "file")
 }
 
 // noReplica distinguishes "no such service in the federation" (404) from
@@ -312,7 +248,7 @@ func (g *Gateway) ensureBase(rs *replicaState) {
 // client retry policy replays for idempotent methods.
 func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, rs *replicaState, route string, body []byte) {
 	g.ensureBase(rs)
-	target := rs.baseURL() + r.URL.Path
+	target := rs.baseURL() + r.URL.EscapedPath()
 	if r.URL.RawQuery != "" {
 		target += "?" + r.URL.RawQuery
 	}
@@ -531,17 +467,18 @@ func (g *Gateway) handleIndex(w http.ResponseWriter, r *http.Request) {
 // and offset forward to each replica unchanged, so a page bound applies
 // per replica — the trade that keeps the gateway stateless (no cross-
 // replica cursor).
-func (g *Gateway) handleListFanout(w http.ResponseWriter, r *http.Request, service, kind string) {
+func (g *Gateway) handleListFanout(w http.ResponseWriter, r *http.Request, kind string) {
 	if r.Method != http.MethodGet {
 		rest.MethodNotAllowed(w, http.MethodGet)
 		return
 	}
+	service := r.PathValue("name")
 	candidates := g.serviceReplicas(service)
 	if len(candidates) == 0 {
 		g.noReplica(w, service)
 		return
 	}
-	results := g.scatter(r.Context(), candidates, r.URL.Path, r.URL.RawQuery)
+	results := g.scatter(r.Context(), candidates, r.URL.EscapedPath(), r.URL.RawQuery)
 	var ok, failed []fanResult
 	for _, f := range results {
 		if f.err == nil {

@@ -274,7 +274,7 @@ func splitResource(streamPath string) (resource, id string) {
 // relayed transitions from the shared pump, ending on the terminal frame.
 // kind is the SSE event type ("job" or "sweep").
 func (g *Gateway) serveResourceStream(w http.ResponseWriter, r *http.Request, rs *replicaState, kind string) {
-	streamPath := r.URL.Path
+	streamPath := r.URL.EscapedPath()
 	resourcePath, _ := splitResource(streamPath)
 	events.Serve(w, r, events.Stream{
 		Bus:    g.bus,
@@ -292,11 +292,12 @@ func (g *Gateway) serveResourceStream(w http.ResponseWriter, r *http.Request, rs
 // of every healthy replica advertising it publish into one gateway topic.
 // Per-replica upstream IDs cannot survive a merge, so resume runs entirely
 // in the gateway's ID space (the bus ring).
-func (g *Gateway) serveServiceFeed(w http.ResponseWriter, r *http.Request, service string) {
+func (g *Gateway) serveServiceFeed(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet { // 405 precedes the replica check's 502
 		rest.MethodNotAllowed(w, http.MethodGet)
 		return
 	}
+	service := r.PathValue("name")
 	candidates := g.serviceReplicas(service)
 	if len(candidates) == 0 {
 		g.noReplica(w, service)
@@ -304,11 +305,12 @@ func (g *Gateway) serveServiceFeed(w http.ResponseWriter, r *http.Request, servi
 	}
 	// The opening frame mirrors the container's hello.
 	hello, _ := json.Marshal(map[string]string{"service": service, "change": "watch"})
+	path := r.URL.EscapedPath()
 	events.Serve(w, r, events.Stream{
 		Bus:    g.bus,
-		Topic:  r.URL.Path,
+		Topic:  path,
 		Type:   events.TypeService,
-		Attach: func() func() { return g.attachWatcher(r.URL.Path, candidates...) },
+		Attach: func() func() { return g.attachWatcher(path, candidates...) },
 		Hello:  hello,
 		Idle:   g.maxWait,
 	})

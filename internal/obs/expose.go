@@ -145,8 +145,7 @@ func (r *Registry) Snapshot() Status {
 func (r *Registry) MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet && req.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET, HEAD")
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			methodNotAllowed(w, "GET, HEAD")
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -166,8 +165,7 @@ func MetricsHandler() http.Handler { return Default.MetricsHandler() }
 func (r *Registry) StatusHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet {
-			w.Header().Set("Allow", "GET")
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			methodNotAllowed(w, "GET")
 			return
 		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -179,3 +177,12 @@ func (r *Registry) StatusHandler() http.Handler {
 
 // StatusHandler serves the default registry at GET /status.
 func StatusHandler() http.Handler { return Default.StatusHandler() }
+
+// methodNotAllowed answers a 405 in the JSON error shape every server uses
+// (rest.ErrorBody, written by hand for the same reason as StatusHandler).
+func methodNotAllowed(w http.ResponseWriter, allow string) {
+	w.Header().Set("Allow", allow)
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.WriteHeader(http.StatusMethodNotAllowed)
+	fmt.Fprintf(w, `{"error":"method not allowed; allowed: %s","status":405}`+"\n", allow)
+}

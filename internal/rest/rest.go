@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"mathcloud/internal/core"
+	"mathcloud/internal/obs"
 )
 
 // MaxBodyBytes bounds the size of JSON request bodies.  Large data must be
@@ -199,15 +200,37 @@ func ParseWait(r *http.Request) (d time.Duration, ok bool, err error) {
 	return d, true, nil
 }
 
-// ShiftPath splits the first path segment off p ("/a/b/c" → "a", "/b/c").
-// It is the routing primitive used by the handlers, which keeps the
-// resource hierarchy of the unified API explicit in code.
-func ShiftPath(p string) (head, tail string) {
-	p = strings.TrimPrefix(p, "/")
-	if i := strings.IndexByte(p, '/'); i >= 0 {
-		return p[:i], p[i:]
+// NewMux builds the ServeMux of one server tier from core.Routes.  Each
+// route the tier answers is served by handlers[route.Label], except
+// /metrics and /status, which serve the process registry; a route without
+// a handler is a programming error and panics.  guard, when non-nil, wraps
+// every route that is not infrastructure.  The matched route's label
+// reaches obs.Instrument, and a path no route matches answers a JSON 404.
+func NewMux(tier core.Tier, handlers map[string]http.HandlerFunc, guard func(http.HandlerFunc) http.HandlerFunc) *http.ServeMux {
+	mux := http.NewServeMux()
+	for _, rt := range core.Routes {
+		if rt.Tiers&tier == 0 {
+			continue
+		}
+		h := handlers[rt.Label]
+		switch rt.Label {
+		case "metrics":
+			h = obs.MetricsHandler().ServeHTTP
+		case "status":
+			h = obs.StatusHandler().ServeHTTP
+		}
+		if h == nil {
+			panic("rest: no handler for route " + rt.Pattern)
+		}
+		if guard != nil && !rt.Infra {
+			h = guard(h)
+		}
+		mux.Handle(rt.Pattern, obs.Route(rt.Label, h))
 	}
-	return p, "/"
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		WriteError(w, core.ErrNotFound("resource", r.URL.Path))
+	})
+	return mux
 }
 
 // WantsHTML reports whether the client prefers an HTML representation
@@ -229,36 +252,6 @@ func MethodNotAllowed(w http.ResponseWriter, allowed ...string) {
 		Error:  fmt.Sprintf("method not allowed; allowed: %s", strings.Join(allowed, ", ")),
 		Status: http.StatusMethodNotAllowed,
 	})
-}
-
-// Logging wraps a handler with one-line request logging.
-func Logging(logger *log.Logger, next http.Handler) http.Handler {
-	if logger == nil {
-		logger = log.Default()
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		next.ServeHTTP(rec, r)
-		logger.Printf("%s %s -> %d", r.Method, r.URL.Path, rec.status)
-	})
-}
-
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(status int) {
-	r.status = status
-	r.ResponseWriter.WriteHeader(status)
-}
-
-// Flush forwards to the wrapped writer so streaming responses (SSE) keep
-// working through the logging middleware.
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 // Drain reads and discards the remainder of a response body so the

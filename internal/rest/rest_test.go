@@ -106,25 +106,6 @@ func TestReadJSON(t *testing.T) {
 	}
 }
 
-func TestShiftPath(t *testing.T) {
-	cases := []struct {
-		in, head, tail string
-	}{
-		{"/a/b/c", "a", "/b/c"},
-		{"/a", "a", "/"},
-		{"/", "", "/"},
-		{"", "", "/"},
-		{"a/b", "a", "/b"},
-	}
-	for _, tc := range cases {
-		head, tail := ShiftPath(tc.in)
-		if head != tc.head || tail != tc.tail {
-			t.Errorf("ShiftPath(%q) = (%q, %q), want (%q, %q)",
-				tc.in, head, tail, tc.head, tc.tail)
-		}
-	}
-}
-
 func TestWantsHTML(t *testing.T) {
 	cases := []struct {
 		accept string

@@ -12,6 +12,7 @@ import (
 	"mathcloud/internal/adapter"
 	"mathcloud/internal/container"
 	"mathcloud/internal/core"
+	"mathcloud/internal/obs"
 	"mathcloud/internal/rest"
 )
 
@@ -113,34 +114,19 @@ func (w *WMS) ServiceURI(name string) string {
 // Container returns the underlying container.
 func (w *WMS) Container() *container.Container { return w.container }
 
-// Handler exposes the WMS REST API and editor page on top of the
-// container's unified API:
-//
-//	GET    /workflows            list stored workflows
-//	POST   /workflows            save (create or update) a workflow
-//	GET    /workflows/{name}     download the workflow JSON document
-//	DELETE /workflows/{name}     delete the workflow
-//	(everything else)            the container's unified REST API
+// Handler exposes the WMS routes of core.Routes beside the container's
+// unified API, behind one ingress instrumentation: the workflow collection
+// (GET lists, POST saves, creating or updating) and one workflow (GET
+// downloads its JSON document, DELETE removes it), plus the editor page.
 func (w *WMS) Handler() http.Handler {
-	// Instrument the combined handler once at the outermost layer, so the
-	// WMS-specific routes get request IDs and metrics too and pass-through
-	// container requests are not counted twice.
-	containerHandler := w.container.APIHandler()
-	return container.Instrument(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		head, tail := rest.ShiftPath(r.URL.Path)
-		switch head {
-		case "workflows":
-			w.handleWorkflows(rw, r, tail)
-		case "editor":
-			w.renderEditor(rw)
-		default:
-			containerHandler.ServeHTTP(rw, r)
-		}
+	return obs.Instrument(w.container.Mux(core.TierWMS, map[string]http.HandlerFunc{
+		"workflows": w.handleWorkflows,
+		"editor":    w.renderEditor,
 	}))
 }
 
-func (w *WMS) handleWorkflows(rw http.ResponseWriter, r *http.Request, path string) {
-	name, _ := rest.ShiftPath(path)
+func (w *WMS) handleWorkflows(rw http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
 	switch {
 	case name == "" && r.Method == http.MethodGet:
 		names := w.List()
@@ -231,7 +217,11 @@ async function save() {
 </body></html>
 `))
 
-func (w *WMS) renderEditor(rw http.ResponseWriter) {
+func (w *WMS) renderEditor(rw http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		rest.MethodNotAllowed(rw, http.MethodGet)
+		return
+	}
 	rw.Header().Set("Content-Type", "text/html; charset=utf-8")
 	if err := editorTemplate.Execute(rw, w.List()); err != nil {
 		log.Printf("workflow: render editor: %v", err)
