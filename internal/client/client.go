@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -70,6 +71,11 @@ type Client struct {
 	// header round trip instead of a body transfer plus a JSON decode.
 	descMu    sync.Mutex
 	descCache map[string]cachedDescription
+
+	// routeMu guards routes, the route cache: by gateway host, the
+	// replicas behind it that a redirect led to.
+	routeMu sync.Mutex
+	routes  map[string]*gatewayRoutes
 }
 
 // cachedDescription is one validated entry of the description cache.
@@ -92,7 +98,8 @@ const maxCachedDescriptions = 256
 // federated replicas carry their home replica as an affinity prefix
 // (ReplicaOf); the gateway routes on that prefix, and the retry policy
 // transparently replays idempotent requests the gateway answered 502/504
-// while a replica was down.
+// while a replica was down.  A client that follows redirects and carries no
+// credentials is also routed rather than proxied (see do).
 func New() *Client {
 	return &Client{HTTP: rest.SharedClient}
 }
@@ -149,6 +156,10 @@ func (c *Client) retry() *rest.RetryPolicy {
 	return rest.DefaultRetry
 }
 
+// do sends req under the retry policy.  A client whose http.Client
+// follows redirects by Go's default rules and which carries no credentials
+// is routed (DESIGN.md §5h.5): each replayable request asks for a route, and
+// one a gateway routes goes to the replica itself.
 func (c *Client) do(req *http.Request) (*http.Response, error) {
 	if c.Token != "" {
 		req.Header.Set("Authorization", "Bearer "+c.Token)
@@ -159,7 +170,215 @@ func (c *Client) do(req *http.Request) (*http.Response, error) {
 	if req.Header.Get("Accept") == "" {
 		req.Header.Set("Accept", "application/json")
 	}
-	return c.retry().Do(c.httpClient(), req)
+	hc := c.httpClient()
+	if c.Token != "" || hc.CheckRedirect != nil || !rest.Replayable(req) {
+		return c.retry().Do(hc, req)
+	}
+	rt := &routed{c: c, hc: hc, url: req.URL, host: req.Host}
+	return c.retry().Send(req, rt.send)
+}
+
+// routeHold is how long a client stops asking a gateway for routes after a
+// replica it was routed to failed to answer as that replica, unless the
+// gateway could not reach the replica either.
+const routeHold = time.Minute
+
+// gatewayRoutes is what a client learned about the gateway at one host.
+type gatewayRoutes struct {
+	// base is the path the gateway's API hangs off, as this client
+	// addresses it ("" at the root).
+	base string
+	// replicas maps a replica name to the base URL it answered from.
+	replicas map[string]string
+	// holdUntil, while in the future, stops routes being asked for.
+	holdUntil time.Time
+}
+
+// routed carries the attempts of one request.  Each attempt is routed — sent
+// straight to the replica the route cache names for the request's ID, or
+// sent with the route preference, which a gateway answers with a 307 to the
+// replica that serves it — until a routed hop fails.  The attempts after
+// that go through the gateway unrouted, so its passive health sees the
+// failure.  Every attempt is one of the retry policy's.
+type routed struct {
+	c      *Client
+	hc     *http.Client
+	url    *url.URL // the request's own URL, on the gateway
+	host   string   // and its Host
+	failed bool     // a routed hop of this request failed
+	held   bool     // and this request put the gateway's routes on hold
+}
+
+// send makes one attempt.  r is the request or the retry policy's copy of
+// it, so its URL and preference are set afresh for each attempt.
+func (rt *routed) send(r *http.Request) (*http.Response, error) {
+	r.URL, r.Host = rt.url, rt.host
+	direct, id, held := rt.c.lookup(r.URL)
+	if rt.failed || held {
+		r.Header.Del("Prefer")
+		resp, err := rt.hc.Do(r)
+		if rt.held && err == nil && (resp.StatusCode == http.StatusBadGateway || resp.StatusCode == http.StatusGatewayTimeout) {
+			// The gateway cannot reach the replica either: it is down, not
+			// out of this client's reach.
+			rt.c.release(r.URL.Host)
+		}
+		rt.held = false
+		return resp, err
+	}
+	if direct != nil {
+		r.URL, r.Host = direct, ""
+		r.Header.Del("Prefer")
+	} else {
+		r.Header.Set("Prefer", core.RoutePreference)
+	}
+	resp, err := rt.hc.Do(r)
+	if err != nil {
+		var uerr *url.Error
+		if r.Context().Err() == nil && errors.As(err, &uerr) && (direct != nil || uerr.URL != r.URL.String()) {
+			rt.fail(direct == nil, uerr.URL)
+		}
+		return nil, err
+	}
+	final := resp.Request.URL
+	redirect := resp.Request.Response // the 307, when one was followed
+	if direct == nil && (redirect == nil || redirect.Header.Get("Preference-Applied") != core.RoutePreference) {
+		return resp, nil // answered by the server asked: not routed
+	}
+	var gwBase, replicaBase string
+	if direct == nil {
+		// The redirect kept the request's own resource path: what precedes
+		// it is the replica's base there, and the gateway's here.
+		from, to := r.URL.EscapedPath(), final.EscapedPath()
+		tail := sharedTail(from, to)
+		gwBase = from[:len(from)-tail]
+		replicaBase = final.Scheme + "://" + final.Host + to[:len(to)-tail]
+		id, _ = core.DirectID(to[len(to)-tail:])
+	}
+	replica := resp.Header.Get(core.ReplicaHeader)
+	if want, ok := core.SplitReplicaID(id); replica == "" || ok && replica != want {
+		// Something else listens where the replica was said to be.
+		rest.Drain(resp.Body)
+		resp.Body.Close()
+		rt.fail(direct == nil, final.String())
+		return nil, fmt.Errorf("client: %s answered as replica %q, not the one it was routed to", final.Redacted(), replica)
+	}
+	if direct == nil {
+		rt.c.learn(rt.url.Host, gwBase, replica, replicaBase)
+	}
+	return resp, nil
+}
+
+// fail records a failed routed hop to failedURL: the route to that replica
+// is dropped, and when the gateway had just handed the hop off (fresh), its
+// routes are put on hold — the replica may be out of this client's reach.
+func (rt *routed) fail(fresh bool, failedURL string) {
+	rt.failed = true
+	rt.c.forget(rt.url.Host, failedURL)
+	if fresh {
+		rt.c.hold(rt.url.Host)
+		rt.held = true
+	}
+}
+
+// sharedTail returns the length of the longest common suffix of paths a and
+// b made of whole segments.
+func sharedTail(a, b string) int {
+	n := 0
+	for i := 1; i <= len(a) && i <= len(b) && a[len(a)-i] == b[len(b)-i]; i++ {
+		if a[len(a)-i] == '/' {
+			n = i
+		}
+	}
+	return n
+}
+
+// lookup returns the URL on its replica of a request for u, when u is a
+// Direct route whose ID names a replica the client has learned behind the
+// gateway at u's host, and that ID; and whether that gateway's routes are
+// on hold.
+func (c *Client) lookup(u *url.URL) (direct *url.URL, id string, held bool) {
+	c.routeMu.Lock()
+	g := c.routes[u.Host]
+	if g == nil {
+		c.routeMu.Unlock()
+		return nil, "", false
+	}
+	held = !g.holdUntil.IsZero() && time.Now().Before(g.holdUntil)
+	path := u.EscapedPath()
+	if held || len(g.replicas) == 0 || !strings.HasPrefix(path, g.base) {
+		c.routeMu.Unlock()
+		return nil, "", held
+	}
+	path = path[len(g.base):]
+	id, _ = core.DirectID(path)
+	name, _ := core.SplitReplicaID(id)
+	base, ok := g.replicas[name]
+	c.routeMu.Unlock()
+	if !ok {
+		return nil, "", false
+	}
+	direct, err := url.Parse(base + path)
+	if err != nil {
+		return nil, "", false
+	}
+	direct.RawQuery = u.RawQuery
+	return direct, id, false
+}
+
+// learn records that replica, behind the gateway whose API hangs off
+// gwBase, answered from replicaBase.
+func (c *Client) learn(gateway, gwBase, replica, replicaBase string) {
+	c.routeMu.Lock()
+	defer c.routeMu.Unlock()
+	g := c.gatewayLocked(gateway)
+	if g.base != gwBase {
+		g.base, g.replicas = gwBase, make(map[string]string)
+	}
+	g.replicas[replica] = replicaBase
+}
+
+// forget drops the route behind gateway to the replica that failed to
+// answer failedURL.
+func (c *Client) forget(gateway, failedURL string) {
+	c.routeMu.Lock()
+	defer c.routeMu.Unlock()
+	if g := c.routes[gateway]; g != nil {
+		for name, base := range g.replicas {
+			if strings.HasPrefix(failedURL, base+"/") {
+				delete(g.replicas, name)
+			}
+		}
+	}
+}
+
+// hold stops routes being asked of gateway for routeHold.
+func (c *Client) hold(gateway string) {
+	c.routeMu.Lock()
+	defer c.routeMu.Unlock()
+	c.gatewayLocked(gateway).holdUntil = time.Now().Add(routeHold)
+}
+
+// gatewayLocked returns the routes of gateway, creating them; routeMu must
+// be held.
+func (c *Client) gatewayLocked(gateway string) *gatewayRoutes {
+	g := c.routes[gateway]
+	if g == nil {
+		if c.routes == nil {
+			c.routes = make(map[string]*gatewayRoutes)
+		}
+		g = &gatewayRoutes{replicas: make(map[string]string)}
+		c.routes[gateway] = g
+	}
+	return g
+}
+
+// release lifts a hold on gateway's routes.
+func (c *Client) release(gateway string) {
+	c.routeMu.Lock()
+	defer c.routeMu.Unlock()
+	if g := c.routes[gateway]; g != nil {
+		g.holdUntil = time.Time{}
+	}
 }
 
 // apiError converts a non-2xx response into an error carrying the server's

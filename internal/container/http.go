@@ -26,11 +26,6 @@ func (c *Container) Handler() http.Handler {
 // front of APIHandler.
 func Instrument(next http.Handler) http.Handler { return obs.Instrument(next) }
 
-// ReplicaHeader carries the identity of the container replica that answered
-// a request.  Gateways and clients use it to attribute responses (and debug
-// misrouted affinity IDs) in federated deployments.
-const ReplicaHeader = "X-MC-Replica"
-
 // DigestHeader carries the sha256 hex digest of a file resource's content
 // on GET /files/{id} responses.  A replica pulling a foreign blob across
 // the federation verifies the transfer against it before registering the
@@ -74,7 +69,7 @@ func (c *Container) Mux(tier core.Tier, extra map[string]http.HandlerFunc) http.
 		return mux
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(ReplicaHeader, c.replicaID)
+		w.Header().Set(core.ReplicaHeader, c.replicaID)
 		mux.ServeHTTP(w, r)
 	})
 }

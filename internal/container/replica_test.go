@@ -70,8 +70,8 @@ func TestReplicaIDPrefixesMintedIDsAndHeader(t *testing.T) {
 		t.Fatalf("decode: %v", err)
 	}
 	resp.Body.Close()
-	if h := resp.Header.Get(container.ReplicaHeader); h != "r07" {
-		t.Fatalf("%s header %q, want r07", container.ReplicaHeader, h)
+	if h := resp.Header.Get(core.ReplicaHeader); h != "r07" {
+		t.Fatalf("%s header %q, want r07", core.ReplicaHeader, h)
 	}
 	if rep, ok := core.SplitReplicaID(job.ID); !ok || rep != "r07" {
 		t.Fatalf("job ID %q lacks the replica prefix", job.ID)

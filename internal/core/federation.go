@@ -6,6 +6,18 @@ package core
 // deliberately small — the gateway polls them at load-interval cadence
 // for every replica.
 
+// ReplicaHeader carries the identity of the container replica that answered
+// a request.  Gateways and clients use it to attribute responses (and debug
+// misrouted affinity IDs) in federated deployments; the client learns a
+// replica's base URL from the answer a gateway redirected it to.
+const ReplicaHeader = "X-MC-Replica"
+
+// RoutePreference is the RFC 7240 preference ("Prefer: mc-route") with which
+// a client asks a gateway to answer a placed or ID-routed request with a 307
+// to the replica that serves it, instead of proxying it.  A gateway that
+// honours it says so in Preference-Applied.
+const RoutePreference = "mc-route"
+
 // MemoIndexEntry advertises one memoized deterministic result: the
 // canonical input digest, the owning service and the backing job whose
 // outputs the entry replays.

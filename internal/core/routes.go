@@ -1,5 +1,7 @@
 package core
 
+import "strings"
+
 // Tier is a set of MathCloud server kinds: the route table's "who answers
 // this" column.
 type Tier uint8
@@ -32,6 +34,12 @@ type Route struct {
 	Infra bool
 	// Tiers is the set of servers that answer the route.
 	Tiers Tier
+	// Direct routes name one resource by {id}, and may be sent straight to
+	// the replica the ID's prefix names: a gateway answers them with a 307
+	// there to a client that prefers routes (RoutePreference), and such a
+	// client goes there itself once it knows the replica's address.  Event
+	// streams are not direct: the gateway multiplexes them.
+	Direct bool
 }
 
 // Routes is the HTTP surface of every MathCloud server: the service, job,
@@ -40,30 +48,65 @@ type Route struct {
 // http.ServeMux from it (rest.NewMux); every path it does not match answers
 // a JSON 404.
 var Routes = []Route{
-	{"/{$}", "index", false, allTiers},
-	{"/services/{name}", "service", false, apiTiers},
-	{"/services/{name}/jobs", "job_list", false, apiTiers},
-	{"/services/{name}/jobs/{id}", "job", false, apiTiers},
-	{"/services/{name}/jobs/{id}/events", "job_events", false, apiTiers},
-	{"/services/{name}/sweeps", "sweep_list", false, apiTiers},
-	{"/services/{name}/sweeps/{id}", "sweep", false, apiTiers},
-	{"/services/{name}/sweeps/{id}/jobs", "sweep_jobs", false, apiTiers},
-	{"/services/{name}/sweeps/{id}/events", "sweep_events", false, apiTiers},
-	{"/services/{name}/events", "service_events", false, apiTiers},
-	{"/files", "file", false, apiTiers},
-	{"/files/{id}", "file", false, apiTiers},
+	// Pattern, Label, Infra, Tiers, Direct
+	{"/{$}", "index", false, allTiers, false},
+	{"/services/{name}", "service", false, apiTiers, false},
+	{"/services/{name}/jobs", "job_list", false, apiTiers, false},
+	{"/services/{name}/jobs/{id}", "job", false, apiTiers, true},
+	{"/services/{name}/jobs/{id}/events", "job_events", false, apiTiers, false},
+	{"/services/{name}/sweeps", "sweep_list", false, apiTiers, false},
+	{"/services/{name}/sweeps/{id}", "sweep", false, apiTiers, true},
+	{"/services/{name}/sweeps/{id}/jobs", "sweep_jobs", false, apiTiers, true},
+	{"/services/{name}/sweeps/{id}/events", "sweep_events", false, apiTiers, false},
+	{"/services/{name}/events", "service_events", false, apiTiers, false},
+	{"/files", "file", false, apiTiers, false},
+	{"/files/{id}", "file", false, apiTiers, true},
 
-	{"/metrics", "metrics", true, allTiers},
-	{"/status", "status", true, allTiers},
-	{"/load", "load", true, replicaTiers},
-	{"/memo", "memo", true, replicaTiers},
+	{"/metrics", "metrics", true, allTiers, false},
+	{"/status", "status", true, allTiers, false},
+	{"/load", "load", true, replicaTiers, false},
+	{"/memo", "memo", true, replicaTiers, false},
 
-	{"/replicas", "replicas", false, TierGateway},
-	{"/search", "search", false, TierGateway | TierCatalogue},
-	{"/workflows", "workflows", false, TierWMS},
-	{"/workflows/{name}", "workflows", false, TierWMS},
-	{"/editor", "editor", false, TierWMS},
-	{"/services", "service", false, TierCatalogue},
-	{"/tags", "tags", false, TierCatalogue},
-	{"/ping", "ping", false, TierCatalogue},
+	{"/replicas", "replicas", false, TierGateway, false},
+	{"/search", "search", false, TierGateway | TierCatalogue, false},
+	{"/workflows", "workflows", false, TierWMS, false},
+	{"/workflows/{name}", "workflows", false, TierWMS, false},
+	{"/editor", "editor", false, TierWMS, false},
+	{"/services", "service", false, TierCatalogue, false},
+	{"/tags", "tags", false, TierCatalogue, false},
+	{"/ping", "ping", false, TierCatalogue, false},
+}
+
+// DirectID reports whether path, relative to a server's base, is a Direct
+// route, and the {id} it names.
+func DirectID(path string) (id string, ok bool) {
+	for _, rt := range Routes {
+		if rt.Direct {
+			if id, ok := matchID(rt.Pattern, path); ok {
+				return id, true
+			}
+		}
+	}
+	return "", false
+}
+
+// matchID matches path against pattern segment by segment — a wildcard
+// takes any non-empty segment — and returns the segment {id} took.
+func matchID(pattern, path string) (id string, ok bool) {
+	for {
+		pat, patRest, patMore := strings.Cut(pattern, "/")
+		seg, segRest, segMore := strings.Cut(path, "/")
+		switch {
+		case strings.HasPrefix(pat, "{") && seg == "":
+			return "", false
+		case pat == "{id}":
+			id = seg
+		case !strings.HasPrefix(pat, "{") && pat != seg:
+			return "", false
+		}
+		if !patMore || !segMore {
+			return id, patMore == segMore
+		}
+		pattern, path = patRest, segRest
+	}
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"mathcloud/internal/adapter"
-	"mathcloud/internal/container"
 	"mathcloud/internal/core"
 	"mathcloud/internal/events"
 	"mathcloud/internal/gateway"
@@ -55,7 +54,7 @@ func TestDeadReplicaFailsFastAndFailsOver(t *testing.T) {
 		if resp.StatusCode != http.StatusCreated || job["state"] != "DONE" {
 			t.Fatalf("failover submit %d: status %d state %v", i, resp.StatusCode, job["state"])
 		}
-		if rep := resp.Header.Get(container.ReplicaHeader); rep != "r01" {
+		if rep := resp.Header.Get(core.ReplicaHeader); rep != "r01" {
 			t.Fatalf("failover submit %d landed on %q", i, rep)
 		}
 	}

@@ -43,7 +43,7 @@ func TestSharedMemoIndexServesResubmissionAcrossGateways(t *testing.T) {
 	if resp.StatusCode != http.StatusCreated || job["state"] != "DONE" {
 		t.Fatalf("first submit: status %d state %v", resp.StatusCode, job["state"])
 	}
-	holder := resp.Header.Get(container.ReplicaHeader)
+	holder := resp.Header.Get(core.ReplicaHeader)
 	if calls.Load() != 1 {
 		t.Fatalf("adapter ran %d times after first submit, want 1", calls.Load())
 	}
@@ -55,7 +55,7 @@ func TestSharedMemoIndexServesResubmissionAcrossGateways(t *testing.T) {
 	if resp2.StatusCode != http.StatusCreated || job2["state"] != "DONE" {
 		t.Fatalf("resubmit via second gateway: status %d state %v", resp2.StatusCode, job2["state"])
 	}
-	if got := resp2.Header.Get(container.ReplicaHeader); got != holder {
+	if got := resp2.Header.Get(core.ReplicaHeader); got != holder {
 		t.Fatalf("resubmission served by %q, cache lives on %q", got, holder)
 	}
 	if sum := job2["outputs"].(map[string]any)["sum"].(float64); sum != 42.0 {
@@ -76,12 +76,24 @@ func TestSharedMemoIndexServesResubmissionAcrossGateways(t *testing.T) {
 // the adapter runs exactly once.  The adapter holds its flight open until
 // the other seven have coalesced onto it.
 func TestConcurrentIdenticalSubmitsRunOnceAcrossGateways(t *testing.T) {
+	identicalSubmitsRunOnce(t, "gwtest.meet", false)
+}
+
+// TestConcurrentIdenticalSubmitsRunOnceWhenRouted is the same race with
+// half the copies sent by a routed library client: the gateways redirect
+// those to the digest home instead of proxying them, and the key still
+// costs one execution.
+func TestConcurrentIdenticalSubmitsRunOnceWhenRouted(t *testing.T) {
+	identicalSubmitsRunOnce(t, "gwtest.meetrouted", true)
+}
+
+func identicalSubmitsRunOnce(t *testing.T, fn string, routed bool) {
 	const n = 8
 	var calls atomic.Int64
 	var gwURL string
 	coalescedBefore := 0.0
 	ready := make(chan struct{}) // publishes the two variables above
-	adapter.RegisterFunc("gwtest.meet", func(ctx context.Context, in core.Values) (core.Values, error) {
+	adapter.RegisterFunc(fn, func(ctx context.Context, in core.Values) (core.Values, error) {
 		calls.Add(1)
 		<-ready
 		deadline := time.Now().Add(5 * time.Second)
@@ -96,14 +108,15 @@ func TestConcurrentIdenticalSubmitsRunOnceAcrossGateways(t *testing.T) {
 		a, _ := in["a"].(float64)
 		return core.Values{"sum": a}, nil
 	})
-	r1 := startReplica(t, "r01", numService(t, "meet", "gwtest.meet", true))
-	r2 := startReplica(t, "r02", numService(t, "meet", "gwtest.meet", true))
+	r1 := startReplica(t, "r01", numService(t, "meet", fn, true))
+	r2 := startReplica(t, "r02", numService(t, "meet", fn, true))
 	_, gwA := startGateway(t, gateway.Options{LoadInterval: -1}, r1, r2)
 	gwB := secondGateway(t, r1, r2)
 	gwURL = gwA.URL
 	coalescedBefore = metricValue(t, gwA.URL, "mc_memo_coalesced_total")
 	close(ready)
 
+	api, rec := routedClient()
 	var wg sync.WaitGroup
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
@@ -112,6 +125,19 @@ func TestConcurrentIdenticalSubmitsRunOnceAcrossGateways(t *testing.T) {
 			url = gwB.URL
 		}
 		wg.Add(1)
+		if routed && i/2%2 == 1 {
+			go func() {
+				defer wg.Done()
+				job, err := api.Service(url+"/services/meet").Submit(context.Background(), core.Values{"a": 42}, 30*time.Second)
+				if err == nil && job.State != core.StateDone {
+					err = fmt.Errorf("routed submit via %s: state %s", url, job.State)
+				}
+				if err != nil {
+					errs <- err
+				}
+			}()
+			continue
+		}
 		go func() {
 			defer wg.Done()
 			resp, err := http.Post(url+"/services/meet?wait=30s", "application/json", strings.NewReader(`{"a": 42}`))
@@ -134,6 +160,9 @@ func TestConcurrentIdenticalSubmitsRunOnceAcrossGateways(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+	if routed && rec.redirects() != n/2 {
+		t.Errorf("routed copies took %d redirects, want %d", rec.redirects(), n/2)
 	}
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("adapter ran %d times for %d identical submissions through two gateways, want 1", got, n)
@@ -190,7 +219,7 @@ func TestSharedMemoIndexKeyAppliesInputDefaults(t *testing.T) {
 	if sum := job["outputs"].(map[string]any)["sum"].(float64); sum != 42.0 {
 		t.Fatalf("sum = %v, want 42 (default not applied)", sum)
 	}
-	holder := resp.Header.Get(container.ReplicaHeader)
+	holder := resp.Header.Get(core.ReplicaHeader)
 
 	gwB := secondGateway(t, r1, r2)
 	before := metricValue(t, gwB.URL, "mc_gateway_memo_index_hits_total")
@@ -198,7 +227,7 @@ func TestSharedMemoIndexKeyAppliesInputDefaults(t *testing.T) {
 	if resp2.StatusCode != http.StatusCreated || job2["state"] != "DONE" {
 		t.Fatalf("resubmit: status %d state %v", resp2.StatusCode, job2["state"])
 	}
-	if got := resp2.Header.Get(container.ReplicaHeader); got != holder {
+	if got := resp2.Header.Get(core.ReplicaHeader); got != holder {
 		t.Fatalf("resubmit served by %q, cache lives on %q", got, holder)
 	}
 	if after := metricValue(t, gwB.URL, "mc_gateway_memo_index_hits_total"); after != before+1 {

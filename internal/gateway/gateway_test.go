@@ -190,7 +190,7 @@ func TestSubmitSpreadAndAffinityRouting(t *testing.T) {
 		if job["state"] != "DONE" {
 			t.Fatalf("submit %d: state %v", i, job["state"])
 		}
-		rep := resp.Header.Get(container.ReplicaHeader)
+		rep := resp.Header.Get(core.ReplicaHeader)
 		used[rep]++
 		id, _ := job["id"].(string)
 		prefix, ok := core.SplitReplicaID(id)
@@ -202,7 +202,7 @@ func TestSubmitSpreadAndAffinityRouting(t *testing.T) {
 		if gresp.StatusCode != http.StatusOK {
 			t.Fatalf("GET job %s: status %d", id, gresp.StatusCode)
 		}
-		if h := gresp.Header.Get(container.ReplicaHeader); h != rep {
+		if h := gresp.Header.Get(core.ReplicaHeader); h != rep {
 			t.Fatalf("GET job %s answered by %q, submitted on %q", id, h, rep)
 		}
 		sum := got["outputs"].(map[string]any)["sum"].(float64)
@@ -245,7 +245,7 @@ func TestDigestHomeRoutesResubmissionToSameReplica(t *testing.T) {
 			if resp.StatusCode != http.StatusCreated || job["state"] != "DONE" {
 				t.Fatalf("a=%d round %d: status %d state %v", i, round, resp.StatusCode, job["state"])
 			}
-			got := resp.Header.Get(container.ReplicaHeader)
+			got := resp.Header.Get(core.ReplicaHeader)
 			if round == 0 {
 				first = got
 			} else if got != first {
@@ -331,7 +331,7 @@ func TestFileRoundTripThroughGateway(t *testing.T) {
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("upload: status %d", resp.StatusCode)
 	}
-	home := resp.Header.Get(container.ReplicaHeader)
+	home := resp.Header.Get(core.ReplicaHeader)
 	prefix, ok := core.SplitReplicaID(up["id"])
 	if !ok || prefix != home {
 		t.Fatalf("file ID %q prefix %q does not match uploading replica %q", up["id"], prefix, home)

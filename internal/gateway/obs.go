@@ -8,7 +8,7 @@ import "mathcloud/internal/obs"
 // failing, and how often the shared memo index routes to a cached result.
 var (
 	metGwRequests = obs.NewCounterVec("mc_gateway_requests_total",
-		"Requests proxied to a replica, by route class, replica and upstream status class.",
+		"Requests proxied or redirected (code 3xx) to a replica, by route class, replica and upstream status class.",
 		"route", "replica", "code")
 	metGwProxySeconds = obs.NewHistogramVec("mc_gateway_proxy_seconds",
 		"Latency of proxied requests from dispatch to upstream response headers.",

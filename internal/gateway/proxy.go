@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -27,20 +28,22 @@ import (
 // Requests about existing resources (jobs, sweeps, files) route in O(1) by
 // the replica prefix of their IDs; resource creation is placed by
 // the memo index, digest homes, input locality and p2c (placement.go);
-// collection reads scatter-gather.
+// collection reads scatter-gather.  A client that asks for routes
+// (core.RoutePreference) is answered a placed or ID-routed request with a
+// 307 to the replica instead of a proxied answer (dispatch).
 func (g *Gateway) APIHandler() http.Handler {
 	return rest.NewMux(core.TierGateway, map[string]http.HandlerFunc{
 		"index":      g.handleIndex,
 		"service":    g.handleService,
 		"job_list":   func(w http.ResponseWriter, r *http.Request) { g.handleListFanout(w, r, "jobs") },
-		"job":        func(w http.ResponseWriter, r *http.Request) { g.forwardByID(w, r, "job") },
+		"job":        func(w http.ResponseWriter, r *http.Request) { g.dispatchByID(w, r, "job") },
 		"job_events": func(w http.ResponseWriter, r *http.Request) { g.streamByID(w, r, "job") },
 		"sweep_list": g.handleSweepList,
 		// The sweep resource and its child-job listing both live whole on
 		// the sweep's home replica: children inherit the sweep's replica
 		// prefix at mint time, so one affinity hop covers the campaign.
-		"sweep":          func(w http.ResponseWriter, r *http.Request) { g.forwardByID(w, r, "sweep") },
-		"sweep_jobs":     func(w http.ResponseWriter, r *http.Request) { g.forwardByID(w, r, "sweep") },
+		"sweep":          func(w http.ResponseWriter, r *http.Request) { g.dispatchByID(w, r, "sweep") },
+		"sweep_jobs":     func(w http.ResponseWriter, r *http.Request) { g.dispatchByID(w, r, "sweep") },
 		"sweep_events":   func(w http.ResponseWriter, r *http.Request) { g.streamByID(w, r, "sweep") },
 		"service_events": g.serveServiceFeed,
 		"file":           g.handleFiles,
@@ -87,15 +90,15 @@ func (g *Gateway) handleSweepList(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// forwardByID proxies a request about an existing job, sweep or file to the
-// replica its ID names; route is its mc_gateway_requests_total class.
-func (g *Gateway) forwardByID(w http.ResponseWriter, r *http.Request, route string) {
+// dispatchByID dispatches a request about an existing job, sweep or file to
+// the replica its ID names; route is its mc_gateway_requests_total class.
+func (g *Gateway) dispatchByID(w http.ResponseWriter, r *http.Request, route string) {
 	rs, err := g.affinityReplica(r.PathValue("id"))
 	if err != nil {
 		rest.WriteError(w, err)
 		return
 	}
-	g.forward(w, r, rs, route, nil)
+	g.dispatch(w, r, rs, route, nil)
 }
 
 // streamByID serves the event stream of the job or sweep (kind) its ID
@@ -112,7 +115,7 @@ func (g *Gateway) streamByID(w http.ResponseWriter, r *http.Request, kind string
 // handleSubmit places one job submission: the body is buffered (it is a
 // bounded JSON document by API contract), parsed for placement only when
 // placement reads it (routeSubmit), and forwarded byte-identical to the
-// placed replica.
+// placed replica, or the client is routed there.
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, service string) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rest.MaxBodyBytes))
 	if err != nil {
@@ -130,7 +133,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, service s
 		g.noReplica(w, service)
 		return
 	}
-	g.forward(w, r, rs, "service", raw)
+	g.dispatch(w, r, rs, "service", raw)
 }
 
 // handleSweepSubmit places a sweep: the whole campaign — the sweep record
@@ -160,7 +163,7 @@ func (g *Gateway) handleSweepSubmit(w http.ResponseWriter, r *http.Request, serv
 		rest.WriteError(w, err)
 		return
 	}
-	g.forward(w, r, rs, "sweep", raw)
+	g.dispatch(w, r, rs, "sweep", raw)
 }
 
 func (g *Gateway) handleFiles(w http.ResponseWriter, r *http.Request) {
@@ -191,7 +194,7 @@ func (g *Gateway) handleFiles(w http.ResponseWriter, r *http.Request) {
 		g.forward(w, r, spreadReplica(&g.upCursor, healthy), "file", nil)
 		return
 	}
-	g.forwardByID(w, r, "file")
+	g.dispatchByID(w, r, "file")
 }
 
 // noReplica distinguishes "no such service in the federation" (404) from
@@ -240,6 +243,51 @@ func (g *Gateway) ensureBase(rs *replicaState) {
 	}
 }
 
+// dispatch answers a placed or ID-routed request on replica rs.  A client
+// that prefers routes is sent to a healthy replica with a 307 to the same
+// path and query there (RFC 9110 §15.4.8: the method and body are replayed)
+// and talks to it directly; everyone else, and every request to a replica
+// marked down, is proxied, so passive health still sees the failure or the
+// revival.  Uploads, scatter-gather views and event streams never come
+// here: their multiplexing is the gateway's job.
+func (g *Gateway) dispatch(w http.ResponseWriter, r *http.Request, rs *replicaState, route string, body []byte) {
+	if !prefersRoute(r.Header) || !rs.isHealthy() {
+		g.forward(w, r, rs, route, body)
+		return
+	}
+	h := w.Header()
+	h.Set("Location", rs.target(r))
+	h.Set("Preference-Applied", core.RoutePreference)
+	w.WriteHeader(http.StatusTemporaryRedirect)
+	metGwRequests.With(route, rs.name, "3xx").Inc()
+}
+
+// prefersRoute reports whether h asks for core.RoutePreference, alone or in
+// a list of RFC 7240 preferences ("Prefer: respond-async, mc-route").
+func prefersRoute(h http.Header) bool {
+	for _, v := range h.Values("Prefer") {
+		for v != "" {
+			var pref string
+			pref, v, _ = strings.Cut(v, ",")
+			pref, _, _ = strings.Cut(pref, ";")
+			pref, _, _ = strings.Cut(pref, "=")
+			if strings.EqualFold(strings.TrimSpace(pref), core.RoutePreference) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// target is the URL of r's path and query on the replica.
+func (rs *replicaState) target(r *http.Request) string {
+	target := rs.baseURL() + r.URL.EscapedPath()
+	if r.URL.RawQuery != "" {
+		target += "?" + r.URL.RawQuery
+	}
+	return target
+}
+
 // forward proxies the request to one replica, streaming the response back
 // through pooled copy buffers.  A non-nil body replaces the request body
 // (already buffered by the caller); nil streams r.Body through.  Reaching
@@ -248,10 +296,7 @@ func (g *Gateway) ensureBase(rs *replicaState) {
 // client retry policy replays for idempotent methods.
 func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, rs *replicaState, route string, body []byte) {
 	g.ensureBase(rs)
-	target := rs.baseURL() + r.URL.EscapedPath()
-	if r.URL.RawQuery != "" {
-		target += "?" + r.URL.RawQuery
-	}
+	target := rs.target(r)
 	var reqBody io.Reader = r.Body
 	if body != nil {
 		// bytes.Reader wires ContentLength and GetBody, so buffered bodies

@@ -126,6 +126,26 @@ func TestRouteTableConformance(t *testing.T) {
 					t.Errorf("PUT %s: not counted under route %q", rt.Pattern, rt.Label)
 				}
 			}
+			if tc.tier == core.TierGateway {
+				// Among the routes that name a resource, the Direct ones and
+				// only they are redirected for a client that prefers routes.
+				noFollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
+				for _, rt := range core.Routes {
+					if !strings.Contains(rt.Pattern, "{id}") {
+						continue
+					}
+					req, _ := http.NewRequest(http.MethodGet, tc.base+paths.Replace(rt.Pattern), nil)
+					req.Header.Set("Prefer", core.RoutePreference)
+					resp, err := noFollow.Do(req)
+					if err != nil {
+						t.Fatalf("GET %s: %v", rt.Pattern, err)
+					}
+					resp.Body.Close()
+					if redirected := resp.StatusCode == http.StatusTemporaryRedirect; redirected != rt.Direct {
+						t.Errorf("GET %s asking for a route: status %d, Direct is %v", rt.Pattern, resp.StatusCode, rt.Direct)
+					}
+				}
+			}
 			for _, p := range []string{"/nope", "/services/add/", "/services/add/jobs/x/extra", "/files/x/y"} {
 				before := requestCount("other", http.MethodGet, "4xx")
 				wantJSONError(t, "GET "+p, do(t, http.MethodGet, tc.base+p), http.StatusNotFound)

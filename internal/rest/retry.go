@@ -132,8 +132,9 @@ func idempotent(method string) bool {
 	return false
 }
 
-// replayable reports whether a failed attempt of req may be retried at all.
-func replayable(req *http.Request) bool {
+// Replayable reports whether req can be sent again: it has no body, or one
+// that GetBody can rewind.
+func Replayable(req *http.Request) bool {
 	if req.Body == nil || req.Body == http.NoBody {
 		return true
 	}
@@ -187,6 +188,13 @@ func (p *RetryPolicy) Do(client *http.Client, req *http.Request) (*http.Response
 	if client == nil {
 		client = SharedClient
 	}
+	return p.Send(req, client.Do)
+}
+
+// Send is Do with each attempt made by send: req on the first attempt, a
+// copy with a rewound body on later ones.  send may route an attempt
+// elsewhere; every attempt counts against MaxAttempts all the same.
+func (p *RetryPolicy) Send(req *http.Request, send func(*http.Request) (*http.Response, error)) (*http.Response, error) {
 	if req.Header.Get(obs.RequestIDHeader) == "" {
 		id, ok := obs.RequestIDFrom(req.Context())
 		if !ok {
@@ -195,7 +203,7 @@ func (p *RetryPolicy) Do(client *http.Client, req *http.Request) (*http.Response
 		req.Header.Set(obs.RequestIDHeader, id)
 	}
 	attempts := p.maxAttempts()
-	canReplay := replayable(req)
+	canReplay := Replayable(req)
 	for attempt := 0; ; attempt++ {
 		r := req
 		if attempt > 0 && req.GetBody != nil {
@@ -206,7 +214,7 @@ func (p *RetryPolicy) Do(client *http.Client, req *http.Request) (*http.Response
 			r = req.Clone(req.Context())
 			r.Body = body
 		}
-		resp, err := client.Do(r)
+		resp, err := send(r)
 		if err == nil && !retryStatus(resp.StatusCode, req.Method) {
 			return resp, nil
 		}
