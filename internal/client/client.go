@@ -681,10 +681,7 @@ func (s *Service) SweepJobs(ctx context.Context, sweepURI string, state core.Job
 	if state != "" {
 		uri += "&state=" + string(state)
 	}
-	var page struct {
-		Jobs  []*core.Job `json:"jobs"`
-		Total int         `json:"total"`
-	}
+	var page core.JobPage
 	if err := s.client.getJSON(ctx, uri, &page); err != nil {
 		return nil, 0, err
 	}

@@ -31,7 +31,7 @@ func (c *Container) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return nil, false, err
 			}
-			data, err := json.Marshal(c.decorate(j))
+			data, err := c.decorate(j).AppendJSON(nil)
 			return data, j.State.Terminal(), err
 		},
 		Idle: c.maxWait,

@@ -31,7 +31,7 @@ func (jm *JobManager) notifyJob(rec *jobRecord) {
 		return
 	}
 	job := jm.c.decorate(rec.snapshot())
-	data, err := json.Marshal(job)
+	data, err := job.AppendJSON(nil)
 	if err != nil {
 		return
 	}

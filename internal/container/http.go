@@ -249,12 +249,7 @@ func (c *Container) handleJobList(w http.ResponseWriter, r *http.Request) {
 	for _, j := range jobs {
 		c.decorate(j)
 	}
-	rest.WriteJSON(w, http.StatusOK, map[string]any{
-		"jobs":   jobs,
-		"total":  total,
-		"limit":  limit,
-		"offset": offset,
-	})
+	rest.WriteJSON(w, http.StatusOK, &core.JobPage{Jobs: jobs, Limit: limit, Offset: offset, Total: total})
 }
 
 // handleJob implements the job resource: GET returns status and results,
@@ -430,12 +425,7 @@ func (c *Container) handleSweepJobs(w http.ResponseWriter, r *http.Request) {
 	for _, j := range jobs {
 		c.decorate(j)
 	}
-	rest.WriteJSON(w, http.StatusOK, map[string]any{
-		"jobs":   jobs,
-		"total":  total,
-		"limit":  limit,
-		"offset": offset,
-	})
+	rest.WriteJSON(w, http.StatusOK, &core.JobPage{Jobs: jobs, Limit: limit, Offset: offset, Total: total})
 }
 
 // handleFiles implements the file resource: GET returns the file data,

@@ -52,13 +52,19 @@ type jobRecord struct {
 }
 
 // snapshot returns a copy of the job safe for decoration and serialization.
-// The cached clone is immutable once published; each caller receives its own
-// shallow copy so per-request fields (URI) can be filled in without sharing.
+// The cached snapshot is immutable once published; each caller receives its
+// own shallow copy so per-request fields (URI) can be filled in without
+// sharing.  A live job is cloned.  A landed job is its own snapshot: nothing
+// writes to it after land, so its maps are shared, not copied.
 func (r *jobRecord) snapshot() *core.Job {
 	snap := r.snap.Load()
 	if snap == nil {
 		r.mu.Lock()
-		snap = r.job.Clone()
+		if r.job.State.Terminal() {
+			snap = r.job
+		} else {
+			snap = r.job.Clone()
+		}
 		r.snap.Store(snap)
 		r.mu.Unlock()
 	}

@@ -177,16 +177,27 @@ func (sw *sweepRecord) childTransition(from, to core.JobState, errMsg string) {
 // finalize runs exactly once, when the last child lands (its caller set
 // sw.finished under the lock): it releases the sweep-owned files — shared
 // inputs staged at submission and blobs its children pulled from other
-// replicas — and wakes every WaitSweep caller.
+// replicas — wakes every WaitSweep caller and logs the campaign's one
+// "sweep finished" record, the pair of "sweep submitted".
 func (sw *sweepRecord) finalize() {
 	sw.mu.Lock()
 	if sw.ttl > 0 && sw.destruction.IsZero() {
 		sw.destruction = sw.finished.Add(sw.ttl)
 	}
+	counts := sw.counts
 	sw.mu.Unlock()
 	sw.jm.c.files.DeleteOwnedBy(sw.id)
 	metSweepActive.Add(-1)
 	close(sw.done)
+	if logger := obs.Logger(); logger.Enabled(context.Background(), slog.LevelInfo) {
+		logger.LogAttrs(context.Background(), slog.LevelInfo, "sweep finished",
+			slog.String("request_id", sw.traceID),
+			slog.String("sweep_id", sw.id),
+			slog.String("service", sw.service),
+			slog.Int("done", counts.Done),
+			slog.Int("error", counts.Error),
+			slog.Int("cancelled", counts.Cancelled))
+	}
 }
 
 // pump moves pending children into free job-queue slots.  Only one pump per

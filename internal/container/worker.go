@@ -220,9 +220,15 @@ func (jm *JobManager) land(rec *jobRecord, from, to core.JobState, outputs core.
 		metJobsWaiting.Add(-1)
 	}
 	metJobsCompleted.With(strings.ToLower(string(to))).Inc()
-	if logger := obs.Logger(); logger.Enabled(context.Background(), slog.LevelInfo) {
+	// A sweep child logs at Debug: its sweep writes one "sweep finished"
+	// record for the whole campaign.
+	level := slog.LevelInfo
+	if rec.sweep != nil {
+		level = slog.LevelDebug
+	}
+	if logger := obs.Logger(); logger.Enabled(context.Background(), level) {
 		// ID, Service and TraceID are immutable once the record is published.
-		logger.LogAttrs(context.Background(), slog.LevelInfo, "job finished",
+		logger.LogAttrs(context.Background(), level, "job finished",
 			slog.String("request_id", rec.job.TraceID),
 			slog.String("job_id", rec.job.ID),
 			slog.String("service", rec.job.Service),
@@ -323,11 +329,14 @@ func (rj *runningJob) prepare(ad adapter.Interface) error {
 			return err
 		}
 	}
+	// Both callbacks are no-ops once the job has landed: an adapter that
+	// reports after it returned must not change a terminal job, which is its
+	// own snapshot and matches its journaled end.
 	rec := rj.rec
 	progress := func(msg string) {
 		rec.mu.Lock()
 		defer rec.mu.Unlock()
-		if len(rec.job.Log) < 1000 {
+		if !rec.job.State.Terminal() && len(rec.job.Log) < 1000 {
 			rec.job.Log = append(rec.job.Log, msg)
 			rec.invalidate()
 		}
@@ -335,6 +344,9 @@ func (rj *runningJob) prepare(ad adapter.Interface) error {
 	setBlockState := func(block string, state core.JobState) {
 		rec.mu.Lock()
 		defer rec.mu.Unlock()
+		if rec.job.State.Terminal() {
+			return
+		}
 		if rec.job.Blocks == nil {
 			rec.job.Blocks = make(map[string]core.JobState)
 		}

@@ -1,0 +1,343 @@
+package core
+
+import (
+	"encoding/json"
+	"errors"
+	"math"
+	"slices"
+	"strconv"
+	"time"
+	"unicode/utf8"
+)
+
+// The job resource is the body the platform returns most often: once per
+// poll, per SSE event and per journal record, and a thousand times on one
+// page of a sweep's children.  This file encodes it by hand, without
+// reflection, into a caller's buffer.  The output is byte for byte what
+// encoding/json emits for the Job struct's field tags — field order,
+// omitempty, RFC 3339 nano times, Duration text, ES6 float formatting,
+// sorted map keys, HTML and U+2028/2029 escaping, U+FFFD for invalid UTF-8 —
+// and FuzzJobJSON holds it to encoding/json as the oracle.
+
+// AppendJSON appends the JSON encoding of the job to b.  Like encoding/json
+// it fails on a NaN or infinite float and on a time whose year is outside
+// [0,9999]; on error it returns nil.  A nil job encodes as null.
+func (j *Job) AppendJSON(b []byte) ([]byte, error) {
+	if j == nil {
+		return append(b, "null"...), nil
+	}
+	var err error
+	b = append(b, `{"id":`...)
+	b = appendString(b, j.ID)
+	b = append(b, `,"service":`...)
+	b = appendString(b, j.Service)
+	b = append(b, `,"state":`...)
+	b = appendString(b, string(j.State))
+	if len(j.Inputs) > 0 {
+		b = append(b, `,"inputs":`...)
+		if b, err = appendObject(b, j.Inputs, 0); err != nil {
+			return nil, err
+		}
+	}
+	if len(j.Outputs) > 0 {
+		b = append(b, `,"outputs":`...)
+		if b, err = appendObject(b, j.Outputs, 0); err != nil {
+			return nil, err
+		}
+	}
+	if j.Error != "" {
+		b = append(b, `,"error":`...)
+		b = appendString(b, j.Error)
+	}
+	// omitempty never omits a struct, so the zero times are written too.
+	for _, f := range [...]struct {
+		key string
+		t   time.Time
+	}{
+		{`,"created":`, j.Created},
+		{`,"submitted":`, j.Submitted},
+		{`,"started":`, j.Started},
+		{`,"finished":`, j.Finished},
+		{`,"destruction":`, j.Destruction},
+	} {
+		b = append(b, f.key...)
+		if b, err = appendTime(b, f.t); err != nil {
+			return nil, err
+		}
+	}
+	if j.QueueWait != 0 {
+		b = append(b, `,"queueWait":`...)
+		b = appendString(b, time.Duration(j.QueueWait).String())
+	}
+	if j.RunTime != 0 {
+		b = append(b, `,"runTime":`...)
+		b = appendString(b, time.Duration(j.RunTime).String())
+	}
+	if j.TraceID != "" {
+		b = append(b, `,"traceId":`...)
+		b = appendString(b, j.TraceID)
+	}
+	if len(j.Blocks) > 0 {
+		b = append(b, `,"blocks":{`...)
+		var arr [8]string
+		for i, k := range sortedKeys(arr[:0], j.Blocks) {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendString(b, k)
+			b = append(b, ':')
+			b = appendString(b, string(j.Blocks[k]))
+		}
+		b = append(b, '}')
+	}
+	if j.Owner != "" {
+		b = append(b, `,"owner":`...)
+		b = appendString(b, j.Owner)
+	}
+	if len(j.Log) > 0 {
+		b = append(b, `,"log":[`...)
+		for i, msg := range j.Log {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendString(b, msg)
+		}
+		b = append(b, ']')
+	}
+	if j.URI != "" {
+		b = append(b, `,"uri":`...)
+		b = appendString(b, j.URI)
+	}
+	return append(b, '}'), nil
+}
+
+// MarshalJSON implements json.Marshaler with AppendJSON, so every path that
+// encodes a job — responses, SSE events, the journal's JobRecord — shares
+// one definition.  A type embedding Job would have this method promoted and
+// would encode as the bare job; none does.
+func (j *Job) MarshalJSON() ([]byte, error) { return j.AppendJSON(nil) }
+
+// JobPage is one page of a job listing: the answer of GET on a service's
+// job collection and on a sweep's children.  Keys are encoded in sorted
+// order, as encoding/json writes a map.
+type JobPage struct {
+	Jobs   []*Job `json:"jobs"`
+	Limit  int    `json:"limit"`
+	Offset int    `json:"offset"`
+	Total  int    `json:"total"`
+}
+
+// AppendJSON appends the JSON encoding of the page to b; a nil Jobs slice
+// encodes as null.
+func (p *JobPage) AppendJSON(b []byte) ([]byte, error) {
+	b = append(b, `{"jobs":`...)
+	if p.Jobs == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, j := range p.Jobs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			var err error
+			if b, err = j.AppendJSON(b); err != nil {
+				return nil, err
+			}
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"limit":`...)
+	b = strconv.AppendInt(b, int64(p.Limit), 10)
+	b = append(b, `,"offset":`...)
+	b = strconv.AppendInt(b, int64(p.Offset), 10)
+	b = append(b, `,"total":`...)
+	b = strconv.AppendInt(b, int64(p.Total), 10)
+	return append(b, '}'), nil
+}
+
+// maxValueDepth is the nesting depth past which a parameter value is handed
+// to encoding/json whole, so a cyclic value fails with its cycle error
+// instead of recursing forever.
+const maxValueDepth = 1000
+
+// appendValue encodes one parameter value.  The generic JSON shapes are
+// encoded here; any other Go value is encoded by encoding/json.
+func appendValue(b []byte, v any, depth int) ([]byte, error) {
+	switch v := v.(type) {
+	case nil:
+		return append(b, "null"...), nil
+	case bool:
+		return strconv.AppendBool(b, v), nil
+	case float64:
+		return appendFloat(b, v)
+	case string:
+		return appendString(b, v), nil
+	case []any:
+		if depth < maxValueDepth {
+			return appendArray(b, v, depth+1)
+		}
+	case map[string]any:
+		if depth < maxValueDepth {
+			return appendObject(b, v, depth+1)
+		}
+	}
+	enc, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, enc...), nil
+}
+
+func appendArray(b []byte, a []any, depth int) ([]byte, error) {
+	if a == nil {
+		return append(b, "null"...), nil
+	}
+	b = append(b, '[')
+	for i, v := range a {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		var err error
+		if b, err = appendValue(b, v, depth); err != nil {
+			return nil, err
+		}
+	}
+	return append(b, ']'), nil
+}
+
+func appendObject(b []byte, m map[string]any, depth int) ([]byte, error) {
+	if m == nil {
+		return append(b, "null"...), nil
+	}
+	b = append(b, '{')
+	var arr [8]string
+	for i, k := range sortedKeys(arr[:0], m) {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendString(b, k)
+		b = append(b, ':')
+		var err error
+		if b, err = appendValue(b, m[k], depth); err != nil {
+			return nil, err
+		}
+	}
+	return append(b, '}'), nil
+}
+
+// sortedKeys appends m's keys to keys in encoding/json's order.  Callers
+// pass a small stack array, so a map of a few parameters sorts without
+// allocating.
+func sortedKeys[V any](keys []string, m map[string]V) []string {
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// appendFloat formats f as encoding/json does: the shortest representation
+// that round-trips, in exponent form below 1e-6 and from 1e21, with the
+// exponent's leading zero dropped (1e-7, not 1e-07).
+func appendFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return nil, errors.New("core: unsupported JSON value " + strconv.FormatFloat(f, 'g', -1, 64))
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		n := len(b)
+		if n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b, nil
+}
+
+// appendTime writes t as time.Time.MarshalJSON does, failing where it
+// fails: a year outside [0,9999] or a zone offset of 24 hours or more.
+func appendTime(b []byte, t time.Time) ([]byte, error) {
+	b = append(b, '"')
+	n0 := len(b)
+	b = t.AppendFormat(b, time.RFC3339Nano)
+	if b[n0+len("9999")] != '-' {
+		return nil, errors.New("core: time year outside of range [0,9999]")
+	}
+	if b[len(b)-1] != 'Z' {
+		c := b[len(b)-len("Z07:00")]
+		hh := b[len(b)-len("07:00"):]
+		if ('0' <= c && c <= '9') || 10*(hh[0]-'0')+(hh[1]-'0') >= 24 {
+			return nil, errors.New("core: time zone hour outside of range [0,23]")
+		}
+	}
+	return append(b, '"'), nil
+}
+
+const hexDigits = "0123456789abcdef"
+
+// safeASCII marks the ASCII bytes a JSON string carries unescaped: not a
+// control character, quote, backslash or one of the HTML-sensitive <, >, &.
+var safeASCII = func() (t [utf8.RuneSelf]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return t
+}()
+
+// appendString writes s as a JSON string with encoding/json's escaping:
+// quote, backslash and control characters, the HTML-sensitive <, > and &,
+// and U+2028/U+2029 are escaped; each byte of invalid UTF-8 becomes U+FFFD.
+func appendString(b []byte, s string) []byte {
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if safeASCII[c] {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '\\', '"':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 {
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+			i += size
+			start = i
+			continue
+		}
+		if r == '\u2028' || r == '\u2029' {
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+			i += size
+			start = i
+			continue
+		}
+		i += size
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
+}

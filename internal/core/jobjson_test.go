@@ -1,0 +1,195 @@
+package core
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"testing"
+	"time"
+)
+
+// plainJob is Job without its methods: json.Marshal((*plainJob)(j)) is the
+// reflection encoding the hand-written encoder must reproduce.
+type plainJob Job
+
+// point is a struct parameter value, which AppendJSON hands to encoding/json.
+type point struct {
+	X    float64 `json:"x"`
+	Note string  `json:"note,omitempty"`
+}
+
+// fuzzValue builds a parameter value of the shape kind selects: the generic
+// JSON shapes, and Go values the encoder passes to encoding/json.
+func fuzzValue(kind uint8, x float64, s string) any {
+	switch kind % 10 {
+	case 0:
+		return int(kind)
+	case 1:
+		return []float64{x, -x}
+	case 2:
+		return point{X: x, Note: s}
+	case 3:
+		return []any{x, map[string]any{s: []any{s, nil, true}, "z": false}}
+	case 4:
+		return map[string]any{s: x, "<&>": []any{}, "empty": map[string]any{}}
+	case 5:
+		return float32(x)
+	case 6:
+		return nil
+	case 7:
+		return json.Number(s) // invalid number text fails both encoders
+	case 8:
+		return []any{[]any{[]any{x}}, []any(nil), map[string]any(nil)}
+	default:
+		return Values{s: s}
+	}
+}
+
+// fuzzJob assembles a job exercising every field of the encoding.
+func fuzzJob(text, other string, raw []byte, x float64, kind uint8, sec, nsec int64, zone int32, d int64) *Job {
+	created := time.Unix(sec, nsec).In(time.FixedZone("", int(zone)))
+	j := &Job{
+		ID:          text,
+		Service:     other,
+		State:       JobState(text),
+		Error:       other,
+		Created:     created,
+		Submitted:   created,
+		Started:     created.Add(time.Duration(d)),
+		Destruction: time.Unix(sec/7, 0).UTC(),
+		QueueWait:   Duration(d),
+		RunTime:     Duration(-d / 3),
+		TraceID:     text,
+		Owner:       other,
+		URI:         text + other,
+		Outputs:     Values{"x": x, text: fuzzValue(kind, x, other)},
+	}
+	if kind&1 == 0 {
+		j.Finished = created.Add(time.Duration(2 * d))
+		j.Log = []string{text, other}
+		j.Blocks = map[string]JobState{text: JobState(other), "b": StateDone}
+	}
+	var inputs Values
+	if json.Unmarshal(raw, &inputs) == nil {
+		j.Inputs = inputs
+	}
+	return j
+}
+
+// FuzzJobJSON holds AppendJSON to encoding/json: the same bytes whenever
+// json.Marshal succeeds, and an error exactly when it fails.
+func FuzzJobJSON(f *testing.F) {
+	f.Add("r01-00ff", "maxima", []byte(`{"expr":"1+1","n":[1,2.5,{"a":null}]}`), 0.5, uint8(3), int64(1700000000), int64(123456789), int32(0), int64(1500))
+	f.Fuzz(func(t *testing.T, text, other string, raw []byte, x float64, kind uint8, sec, nsec int64, zone int32, d int64) {
+		j := fuzzJob(text, other, raw, x, kind, sec, nsec, zone, d)
+		want, wantErr := json.Marshal((*plainJob)(j))
+		got, gotErr := j.AppendJSON(nil)
+		if (gotErr != nil) != (wantErr != nil) {
+			t.Fatalf("AppendJSON error %v, json.Marshal error %v", gotErr, wantErr)
+		}
+		if wantErr != nil {
+			return
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("AppendJSON differs from encoding/json:\n got %s\nwant %s", got, want)
+		}
+		page := &JobPage{Jobs: []*Job{j, nil}, Limit: int(kind), Offset: -int(kind), Total: 2}
+		want, wantErr = json.Marshal(map[string]any{
+			"jobs": []*plainJob{(*plainJob)(j), nil}, "limit": page.Limit, "offset": page.Offset, "total": page.Total,
+		})
+		got, gotErr = page.AppendJSON([]byte("prefix"))
+		if gotErr != nil || wantErr != nil || !bytes.Equal(got, append([]byte("prefix"), want...)) {
+			t.Fatalf("JobPage.AppendJSON = %s, %v; want %s, %v", got, gotErr, want, wantErr)
+		}
+	})
+}
+
+// TestJobMarshalJSONDelegates pins that encoding/json reaches AppendJSON for
+// a job anywhere in a value, and that a nil page list stays null.
+func TestJobMarshalJSONDelegates(t *testing.T) {
+	j := fuzzJob("id<1>", "svc\u2028", []byte(`{"a":[1e21,1e-7,-0]}`), math.Copysign(0, -1), 4, 1e9, 5, 3600, int64(time.Millisecond))
+	want, err := json.Marshal((*plainJob)(j))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(struct {
+		Job *Job `json:"job"`
+	}{j})
+	if err != nil || !bytes.Equal(got, []byte(`{"job":`+string(want)+`}`)) {
+		t.Fatalf("json.Marshal of a wrapped job = %s, %v; want the AppendJSON bytes", got, err)
+	}
+	page, err := (&JobPage{}).AppendJSON(nil)
+	if err != nil || string(page) != `{"jobs":null,"limit":0,"offset":0,"total":0}` {
+		t.Fatalf("empty page = %s, %v", page, err)
+	}
+	j.Outputs["bad"] = math.NaN()
+	if _, err := j.AppendJSON(nil); err == nil {
+		t.Fatal("AppendJSON accepted NaN")
+	}
+}
+
+// landedJob is a typical DONE sweep child as a page carries it.
+func landedJob(i int) *Job {
+	now := time.Date(2026, 10, 17, 7, 43, 51, 123456789, time.UTC)
+	return &Job{
+		ID:        "r01-0123456789abcdef0123456789abcdef",
+		Service:   "inc",
+		State:     StateDone,
+		Inputs:    Values{"x": float64(i)},
+		Outputs:   Values{"y": float64(i) + 1},
+		Created:   now,
+		Submitted: now,
+		Started:   now.Add(3 * time.Millisecond),
+		Finished:  now.Add(3*time.Millisecond + 41*time.Microsecond),
+		QueueWait: Duration(3 * time.Millisecond),
+		RunTime:   Duration(41 * time.Microsecond),
+		TraceID:   "4f1c2a9e0b7d3c56",
+		URI:       "http://127.0.0.1:8080/services/inc/jobs/r01-0123456789abcdef0123456789abcdef",
+	}
+}
+
+// TestJobJSONAllocs budgets the allocations of encoding from an empty
+// buffer: only the buffer's growth allocates, never a field or a map.
+func TestJobJSONAllocs(t *testing.T) {
+	j := landedJob(7)
+	n := testing.AllocsPerRun(100, func() { _, _ = j.AppendJSON(nil) })
+	t.Logf("one job: %v allocs", n)
+	if n > 8 {
+		t.Errorf("one job: %v allocs, budget 8", n)
+	}
+	page := &JobPage{Total: 1000}
+	for i := 0; i < 1000; i++ {
+		page.Jobs = append(page.Jobs, landedJob(i))
+	}
+	n = testing.AllocsPerRun(20, func() { _, _ = page.AppendJSON(nil) })
+	t.Logf("1,000-job page: %v allocs", n)
+	if n > 64 {
+		t.Errorf("1,000-job page: %v allocs, budget 64", n)
+	}
+}
+
+// BenchmarkJobPageJSON compares the hand-written page encoder with the
+// reflection encoding it replaces.
+func BenchmarkJobPageJSON(b *testing.B) {
+	page := &JobPage{Total: 1000}
+	for i := 0; i < 1000; i++ {
+		page.Jobs = append(page.Jobs, landedJob(i))
+	}
+	b.Run("AppendJSON", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf []byte
+		for i := 0; i < b.N; i++ {
+			buf, _ = page.AppendJSON(buf[:0])
+		}
+	})
+	b.Run("encoding-json", func(b *testing.B) {
+		plain := make([]*plainJob, len(page.Jobs))
+		for i, j := range page.Jobs {
+			plain[i] = (*plainJob)(j)
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, _ = json.Marshal(map[string]any{"jobs": plain, "limit": 0, "offset": 0, "total": 1000})
+		}
+	})
+}

@@ -39,11 +39,20 @@ var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledJSON = 1 << 20
 
+// jsonAppender is a value that encodes itself into a caller's buffer, such
+// as core.Job and core.JobPage.
+type jsonAppender interface {
+	AppendJSON(b []byte) ([]byte, error)
+}
+
 // WriteJSON encodes v as compact JSON with the given status code.  The body
 // is encoded into a pooled buffer before anything is sent, so it goes out
 // in one write framed by Content-Length, and a value that fails to encode
 // answers 500 with an ErrorBody instead of a 200 and a truncated body.
-// Responses are read by programs; only /status and mcctl indent for humans.
+// A value with an AppendJSON method appends itself to the buffer; any other
+// goes through encoding/json.  Either way the body ends in the newline
+// json.Encoder writes.  Responses are read by programs; only /status and
+// mcctl indent for humans.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	buf := jsonBufs.Get().(*bytes.Buffer)
 	buf.Reset()
@@ -52,7 +61,16 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 			jsonBufs.Put(buf)
 		}
 	}()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	var err error
+	if a, ok := v.(jsonAppender); ok {
+		var b []byte
+		if b, err = a.AppendJSON(buf.AvailableBuffer()); err == nil {
+			buf.Write(append(b, '\n'))
+		}
+	} else {
+		err = json.NewEncoder(buf).Encode(v)
+	}
+	if err != nil {
 		log.Printf("rest: encode response: %v", err)
 		buf.Reset()
 		status = http.StatusInternalServerError

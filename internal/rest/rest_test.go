@@ -48,41 +48,64 @@ func TestWriteErrorBody(t *testing.T) {
 }
 
 // TestWriteJSONCompactAndFramed checks that a response is compact JSON
-// announced by a Content-Length equal to the body.
+// announced by a Content-Length equal to the body, whether encoding/json or
+// the value's own AppendJSON wrote it.
 func TestWriteJSONCompactAndFramed(t *testing.T) {
-	rec := httptest.NewRecorder()
-	v := map[string]any{"jobs": []map[string]any{{"id": "a", "state": "DONE"}}, "total": 1}
-	WriteJSON(rec, http.StatusOK, v)
-	body := rec.Body.Bytes()
-	if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(len(body)) {
-		t.Fatalf("Content-Length = %q, body is %d bytes", got, len(body))
-	}
-	if want := `{"jobs":[{"id":"a","state":"DONE"}],"total":1}` + "\n"; string(body) != want {
-		t.Fatalf("body = %q, want %q", body, want)
-	}
-	var back map[string]any
-	if err := json.Unmarshal(body, &back); err != nil || back["total"] != 1.0 {
-		t.Fatalf("body decodes to %v, %v", back, err)
+	for _, tc := range []struct {
+		v    any
+		want string
+	}{
+		{
+			map[string]any{"jobs": []map[string]any{{"id": "a", "state": "DONE"}}, "total": 1},
+			`{"jobs":[{"id":"a","state":"DONE"}],"total":1}`,
+		},
+		{
+			&core.JobPage{Jobs: []*core.Job{{ID: "a", State: core.StateDone}}, Total: 1},
+			`{"jobs":[{"id":"a","service":"","state":"DONE","created":"0001-01-01T00:00:00Z",` +
+				`"submitted":"0001-01-01T00:00:00Z","started":"0001-01-01T00:00:00Z",` +
+				`"finished":"0001-01-01T00:00:00Z","destruction":"0001-01-01T00:00:00Z"}],` +
+				`"limit":0,"offset":0,"total":1}`,
+		},
+	} {
+		rec := httptest.NewRecorder()
+		WriteJSON(rec, http.StatusOK, tc.v)
+		body := rec.Body.Bytes()
+		if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(len(body)) {
+			t.Fatalf("%T: Content-Length = %q, body is %d bytes", tc.v, got, len(body))
+		}
+		if want := tc.want + "\n"; string(body) != want {
+			t.Fatalf("%T: body = %q, want %q", tc.v, body, want)
+		}
+		var back map[string]any
+		if err := json.Unmarshal(body, &back); err != nil || back["total"] != 1.0 {
+			t.Fatalf("%T: body decodes to %v, %v", tc.v, back, err)
+		}
 	}
 }
 
-// TestWriteJSONEncodeFailureAnswers500 checks that a value encoding/json
-// refuses yields a 500 with an ErrorBody, not a 200 with a truncated body.
+// TestWriteJSONEncodeFailureAnswers500 checks that a value encoding/json or
+// its own AppendJSON refuses yields a 500 with an ErrorBody, not a 200 with
+// a truncated body.
 func TestWriteJSONEncodeFailureAnswers500(t *testing.T) {
-	rec := httptest.NewRecorder()
-	WriteJSON(rec, http.StatusOK, map[string]any{"id": "a", "x": math.Inf(1)})
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("code = %d, want 500", rec.Code)
-	}
-	var body ErrorBody
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-		t.Fatalf("body %q is not an ErrorBody: %v", rec.Body.Bytes(), err)
-	}
-	if body.Status != http.StatusInternalServerError || !strings.Contains(body.Error, "encode") {
-		t.Fatalf("body = %+v", body)
-	}
-	if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(rec.Body.Len()) {
-		t.Fatalf("Content-Length = %q, body is %d bytes", got, rec.Body.Len())
+	for _, v := range []any{
+		map[string]any{"id": "a", "x": math.Inf(1)},
+		&core.Job{ID: "a", Outputs: core.Values{"x": math.Inf(1)}},
+	} {
+		rec := httptest.NewRecorder()
+		WriteJSON(rec, http.StatusOK, v)
+		if rec.Code != http.StatusInternalServerError {
+			t.Fatalf("%T: code = %d, want 500", v, rec.Code)
+		}
+		var body ErrorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("%T: body %q is not an ErrorBody: %v", v, rec.Body.Bytes(), err)
+		}
+		if body.Status != http.StatusInternalServerError || !strings.Contains(body.Error, "encode") {
+			t.Fatalf("%T: body = %+v", v, body)
+		}
+		if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(rec.Body.Len()) {
+			t.Fatalf("%T: Content-Length = %q, body is %d bytes", v, got, rec.Body.Len())
+		}
 	}
 }
 
