@@ -398,10 +398,23 @@ func (fs *FileStore) Delete(id string) error {
 // DeleteOwnedBy removes every file resource owned by the given job and
 // returns how many were deleted.
 func (fs *FileStore) DeleteOwnedBy(jobID string) int {
+	return fs.deleteOwned(func(owner string) bool { return owner == jobID })
+}
+
+// deleteOwnedByAny removes every file resource owned by one of the given
+// jobs in one pass over the file index.
+func (fs *FileStore) deleteOwnedByAny(jobIDs map[string]bool) int {
+	if len(jobIDs) == 0 {
+		return 0
+	}
+	return fs.deleteOwned(func(owner string) bool { return jobIDs[owner] })
+}
+
+func (fs *FileStore) deleteOwned(match func(owner string) bool) int {
 	fs.mu.Lock()
 	var ids []string
 	for id, owner := range fs.owners {
-		if owner == jobID {
+		if match(owner) {
 			ids = append(ids, id)
 		}
 	}

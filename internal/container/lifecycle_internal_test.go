@@ -5,7 +5,7 @@ package container
 // invariants must hold: exactly one terminal event on the job's bus topic,
 // Wait released, the waiting/running gauges balanced, sweep counts summing
 // to the width, and exactly one JobEnd record in the journal (none when the
-// route is a shutdown, which is not a cancel).
+// route is a shutdown, which is not a cancel) and no JobStart record.
 
 import (
 	"context"
@@ -356,12 +356,16 @@ func TestEveryRouteLandsExactlyOnce(t *testing.T) {
 			}
 
 			ends := make(map[string]int)
+			starts := 0
 			jl, err := journal.Open(journalDir, journal.Options{Mode: journal.SyncOff})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer jl.Close()
 			err = jl.Replay(func(kind journal.Kind, data []byte) error {
+				if kind == journal.KindJobStart {
+					starts++
+				}
 				if kind != journal.KindJobEnd {
 					return nil
 				}
@@ -383,6 +387,11 @@ func TestEveryRouteLandsExactlyOnce(t *testing.T) {
 				if ends[id] != wantEnds {
 					t.Errorf("job %d has %d JobEnd records in the journal, want exactly %d", i, ends[id], wantEnds)
 				}
+			}
+			// A job's end record carries its start; no start record is
+			// written.
+			if starts != 0 {
+				t.Errorf("journal holds %d JobStart records, want none", starts)
 			}
 		})
 	}

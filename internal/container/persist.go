@@ -50,8 +50,9 @@ func (jm *JobManager) logJob(rec *jobRecord) {
 	})
 }
 
-// logJobEnd journals a job's terminal transition.  The caller holds rec.mu,
-// or rec is already terminal and so no longer changes.
+// logJobEnd journals a job's terminal transition with its whole timeline:
+// a job is journaled as its submit image and this record, with no record
+// for the start in between.  rec is terminal, so its job no longer changes.
 func (jm *JobManager) logJobEnd(rec *jobRecord) {
 	if jm.c.journal == nil {
 		return
@@ -59,26 +60,29 @@ func (jm *JobManager) logJobEnd(rec *jobRecord) {
 	job := rec.job
 	jm.c.logRecord(journal.KindJobEnd, journal.JobEndRecord{
 		ID: job.ID, State: job.State, Outputs: job.Outputs, Error: job.Error,
-		Finished: job.Finished, Destruction: job.Destruction,
+		Finished: job.Finished, Destruction: job.Destruction, Started: job.Started,
+		QueueWait: job.QueueWait, RunTime: job.RunTime, Log: job.Log, Blocks: job.Blocks,
 	})
 }
 
 // replayJob accumulates everything the journal said about one job ID.  The
-// records tolerate arrival out of order: a worker's start record may precede
-// the submitter's job record in the log (they are appended outside any common
-// lock), so each piece is folded in independently and resolved at the end.
+// records tolerate arrival out of order: a worker can land a job and append
+// its end record before the submitter appends the job's image (they are
+// appended outside any common lock), so each piece is folded in
+// independently and resolved at the end.
 type replayJob struct {
 	// hasJob marks that a full KindJob image was seen.  A job with no image
 	// that is not a sweep child was never acknowledged to a client (the
 	// image is appended before Submit returns) and is dropped.
-	hasJob   bool
-	job      *core.Job
-	sweepID  string
-	ttl      time.Duration
-	hasStart bool
-	started  time.Time
-	end      *journal.JobEndRecord
-	purged   bool
+	hasJob  bool
+	job     *core.Job
+	sweepID string
+	ttl     time.Duration
+	// started is the start time of a KindJobStart record, which only logs
+	// written before end records carried the timeline contain.
+	started time.Time
+	end     *journal.JobEndRecord
+	purged  bool
 }
 
 // replayState is the fold of one journal replay: per-ID upsert maps, last
@@ -138,9 +142,7 @@ func (st *replayState) apply(kind journal.Kind, data []byte) error {
 		if err := journal.Decode(data, &r); err != nil {
 			return err
 		}
-		rj := st.job(r.ID)
-		rj.hasStart = true
-		rj.started = r.Started
+		st.job(r.ID).started = r.Started
 	case journal.KindJobEnd:
 		var r journal.JobEndRecord
 		if err := journal.Decode(data, &r); err != nil {
@@ -267,23 +269,41 @@ func (c *Container) Recover() error {
 
 // rebuildJob resolves the replayed pieces of one job into its boot-time
 // image: the last full image (or a synthesized sweep-child baseline) with
-// the newer start/end transitions folded in.  A job that started but never
-// ended died with the process and comes back WAITING for re-drive.
+// the end record's terminal state and timeline folded in.  A job with no
+// end record that is not terminal died with the process, RUNNING or still
+// queued, and comes back WAITING for re-drive.
 func rebuildJob(job *core.Job, rj *replayJob) *core.Job {
 	if rj == nil {
 		return job
 	}
-	switch {
-	case rj.end != nil:
-		job.State = rj.end.State
-		if rj.end.Outputs != nil {
-			job.Outputs = rj.end.Outputs
+	switch end := rj.end; {
+	case end != nil:
+		job.State = end.State
+		if end.Outputs != nil {
+			job.Outputs = end.Outputs
 		}
-		job.Error = rj.end.Error
-		job.Finished = rj.end.Finished
-		job.Destruction = rj.end.Destruction
-		if rj.hasStart && job.Started.IsZero() {
+		job.Error = end.Error
+		job.Finished = end.Finished
+		job.Destruction = end.Destruction
+		// An end record written before the timeline fields existed leaves
+		// them zero; the image's own values (or an old start record) stand.
+		switch {
+		case !end.Started.IsZero():
+			job.Started = end.Started
+		case job.Started.IsZero():
 			job.Started = rj.started
+		}
+		if end.QueueWait != 0 {
+			job.QueueWait = end.QueueWait
+		}
+		if end.RunTime != 0 {
+			job.RunTime = end.RunTime
+		}
+		if end.Log != nil {
+			job.Log = end.Log
+		}
+		if end.Blocks != nil {
+			job.Blocks = end.Blocks
 		}
 	case !job.State.Terminal():
 		job.State = core.StateWaiting
@@ -311,6 +331,12 @@ func countInto(counts *core.SweepCounts, state core.JobState) {
 
 // restoreState rebuilds the job registry and the sweep table from a replay.
 func (jm *JobManager) restoreState(st *replayState) (jobs, sweeps, requeued int) {
+	// redriven collects every job that comes back live.  A run that died
+	// with the process may have left files it owns behind (published
+	// outputs, pulled inputs); they are discarded in one pass below, before
+	// any re-drive starts.  A job that never started owns none: job-owned
+	// files are created only after beginJob.
+	redriven := make(map[string]bool)
 	// Sweeps first: children link back to their sweepRecord.
 	for _, sid := range st.sweepOrder {
 		sr, ok := st.sweeps[sid]
@@ -378,10 +404,7 @@ func (jm *JobManager) restoreState(st *replayState) (jobs, sweeps, requeued int)
 					sw.firstError = job.Error
 				}
 			} else {
-				if rj != nil && rj.hasStart {
-					// Re-driven: discard partial outputs of the dead run.
-					jm.c.files.DeleteOwnedBy(cid)
-				}
+				redriven[cid] = true
 				pending = append(pending, rec)
 			}
 			countInto(&sw.counts, job.State)
@@ -417,6 +440,7 @@ func (jm *JobManager) restoreState(st *replayState) (jobs, sweeps, requeued int)
 
 	// Standalone jobs.  Sweep children were handled above; a child whose
 	// sweep was purged is dead with it.
+	var live []*jobRecord
 	for _, id := range st.jobOrder {
 		rj := st.jobs[id]
 		if rj.sweepID != "" || !rj.hasJob || rj.job == nil || rj.purged {
@@ -426,19 +450,24 @@ func (jm *JobManager) restoreState(st *replayState) (jobs, sweeps, requeued int)
 		rec := &jobRecord{job: job, done: make(chan struct{}), ttl: rj.ttl}
 		if job.State.Terminal() {
 			close(rec.done)
-		} else if rj.hasStart {
-			jm.c.files.DeleteOwnedBy(id)
+		} else {
+			redriven[id] = true
+			live = append(live, rec)
 		}
 		sh := jm.shard(id)
 		sh.mu.Lock()
 		sh.jobs[id] = rec
 		sh.mu.Unlock()
 		jobs++
-		if job.State.Terminal() {
-			continue
-		}
-		// Re-queue: straight into the queue while it has room, the restart
-		// backlog otherwise (workers drain it as capacity frees up).
+	}
+
+	// Nothing is queued yet, so no re-driven run can publish a file that
+	// this pass would take for its dead predecessor's.
+	jm.c.files.deleteOwnedByAny(redriven)
+
+	// Re-queue: straight into the queue while it has room, the restart
+	// backlog otherwise (workers drain it as capacity frees up).
+	for _, rec := range live {
 		requeued++
 		if !jm.tryEnqueue(rec) {
 			jm.backlogMu.Lock()

@@ -2,11 +2,14 @@ package container_test
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -379,5 +382,254 @@ func TestRecoveryMetricsExposed(t *testing.T) {
 		if samples[series] < 1 {
 			t.Errorf("%s = %v, want >= 1", series, samples[series])
 		}
+	}
+}
+
+// TestRecoverTimelineFromLogTail restarts a container whose journal has no
+// checkpoint, so every job comes back from its submit image and end record
+// alone: a DONE job must keep its whole timeline — start time, queue wait,
+// run time, progress log and block states — not only its outputs.
+func TestRecoverTimelineFromLogTail(t *testing.T) {
+	adapter.RegisterRequestFunc("rectest.timeline", func(_ context.Context, req *adapter.Request) (*adapter.Result, error) {
+		req.Progress("step 1")
+		req.SetBlockState("solve", core.StateRunning)
+		time.Sleep(5 * time.Millisecond)
+		req.SetBlockState("solve", core.StateDone)
+		req.Progress("step 2")
+		return &adapter.Result{Outputs: core.Values{"ok": true}}, nil
+	})
+	dir := t.TempDir()
+	ctx := context.Background()
+	opts := durableOpts(dir, journal.SyncOff)
+	opts.SnapshotInterval = -1
+
+	c1, err := container.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deployNative(t, c1, "timeline", "rectest.timeline", false, nil, []core.Param{{Name: "ok"}})
+	job, err := c1.Jobs().SubmitCtx(ctx, "timeline", core.Values{}, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := c1.Jobs().Wait(ctx, job.ID, 10*time.Second)
+	if err != nil || before.State != core.StateDone {
+		t.Fatalf("first run: %v, %v", before, err)
+	}
+	if before.QueueWait == 0 || before.RunTime < core.Duration(5*time.Millisecond) || len(before.Log) != 2 {
+		t.Fatalf("first run has no timeline to lose: %+v", before)
+	}
+	c1.Close()
+
+	c2, err := container.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c2.Close)
+	deployNative(t, c2, "timeline", "rectest.timeline", false, nil, []core.Param{{Name: "ok"}})
+	if err := c2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := c2.Jobs().Get(job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.State != core.StateDone || !after.Started.Equal(before.Started) || !after.Finished.Equal(before.Finished) {
+		t.Errorf("restored %s started %v finished %v, want DONE started %v finished %v",
+			after.State, after.Started, after.Finished, before.Started, before.Finished)
+	}
+	if after.QueueWait != before.QueueWait || after.RunTime != before.RunTime {
+		t.Errorf("restored queueWait %v runTime %v, want %v and %v",
+			after.QueueWait.Std(), after.RunTime.Std(), before.QueueWait.Std(), before.RunTime.Std())
+	}
+	if !reflect.DeepEqual(after.Log, before.Log) || !reflect.DeepEqual(after.Blocks, before.Blocks) {
+		t.Errorf("restored log %q blocks %v, want %q and %v", after.Log, after.Blocks, before.Log, before.Blocks)
+	}
+}
+
+// journalKinds counts the records of each kind in the journal under dir.
+// Opening the journal adds an empty segment, which a later replay skips.
+func journalKinds(t *testing.T, dir string) map[journal.Kind]int {
+	t.Helper()
+	jl, err := journal.Open(filepath.Join(dir, "journal"), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.Close()
+	kinds := make(map[journal.Kind]int)
+	if err := jl.Replay(func(kind journal.Kind, _ []byte) error { kinds[kind]++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return kinds
+}
+
+// TestRecoverDiscardsDeadRunFiles crashes a job after it published an
+// output file and before it landed.  The journal holds no start record, so
+// recovery finds the dead run by its state alone: the job is re-driven and
+// the stale output ID is gone.
+func TestRecoverDiscardsDeadRunFiles(t *testing.T) {
+	var (
+		files atomic.Pointer[container.FileStore]
+		stale atomic.Value
+		allow atomic.Bool
+	)
+	adapter.RegisterRequestFunc("rectest.publisher", func(ctx context.Context, req *adapter.Request) (*adapter.Result, error) {
+		if allow.Load() {
+			return &adapter.Result{Outputs: core.Values{"ok": true}}, nil
+		}
+		id, err := files.Load().PutBytes([]byte("partial"), req.JobID)
+		if err != nil {
+			return nil, err
+		}
+		stale.Store(id)
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	dir := t.TempDir()
+	ctx := context.Background()
+
+	c1, err := container.New(durableOpts(dir, journal.SyncAlways))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c1.Close) // runs after c2's cleanup; the "crash" is that c1 stays open now
+	files.Store(c1.Files())
+	deployNative(t, c1, "publisher", "rectest.publisher", false, nil, []core.Param{{Name: "ok", Optional: true}})
+	job, err := c1.Jobs().SubmitCtx(ctx, "publisher", core.Values{}, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); stale.Load() == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the job never published its output")
+		}
+	}
+	staleID := stale.Load().(string)
+	kinds := journalKinds(t, dir)
+	if kinds[journal.KindFilePut] != 1 || kinds[journal.KindJobStart] != 0 {
+		t.Fatalf("journal before the crash holds %d file_put and %d job_start records, want 1 and 0",
+			kinds[journal.KindFilePut], kinds[journal.KindJobStart])
+	}
+
+	allow.Store(true)
+	c2, err := container.New(durableOpts(dir, journal.SyncAlways))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c2.Close)
+	deployNative(t, c2, "publisher", "rectest.publisher", false, nil, []core.Param{{Name: "ok", Optional: true}})
+	if err := c2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c2.Files().Digest(staleID); err == nil {
+		t.Errorf("stale output %s of the dead run survived recovery", staleID)
+	}
+	redone, err := c2.Jobs().Wait(ctx, job.ID, 10*time.Second)
+	if err != nil || redone.State != core.StateDone || redone.Outputs["ok"] != true {
+		t.Fatalf("re-driven job = %+v, %v; want DONE", redone, err)
+	}
+}
+
+// TestRecoverLogOfStartRecords replays a hand-built segment in the format
+// written before end records carried the timeline: a job image, a start
+// record and an end record without timeline fields per job, beside a sweep,
+// a file and a memo entry.  Every one comes back as it did then; the DONE
+// job's start time comes from its start record.
+func TestRecoverLogOfStartRecords(t *testing.T) {
+	registerSum("rectest.oldsum")
+	dir := t.TempDir()
+	ctx := context.Background()
+
+	blob := []byte("old payload")
+	digest := fmt.Sprintf("%x", sha256.Sum256(blob))
+	// durableOpts puts the data directory at dir/files; the store keeps
+	// its blobs under that directory's files/.
+	blobDir := filepath.Join(dir, "files", "files")
+	if err := os.MkdirAll(blobDir, 0o700); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(blobDir, "sha256-"+digest), blob, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	jobID, sweepID, child1, child2, fileID := core.NewID(), core.NewID(), core.NewID(), core.NewID(), core.NewID()
+	const (
+		created  = "2026-01-02T03:04:05Z"
+		started  = "2026-01-02T03:04:06.5Z"
+		finished = "2026-01-02T03:04:07Z"
+		zero     = "0001-01-01T00:00:00Z"
+	)
+	image := func(id, state, inputs string) string {
+		return `{"job":{"id":"` + id + `","service":"osum","state":"` + state + `","inputs":` + inputs +
+			`,"created":"` + created + `","submitted":"` + created + `","started":"` + zero +
+			`","finished":"` + zero + `","destruction":"` + zero + `","owner":"alice"}}`
+	}
+	records := []struct {
+		kind journal.Kind
+		body string
+	}{
+		{journal.KindFilePut, `{"id":"` + fileID + `","digest":"` + digest + `","size":11,"owner":"alice"}`},
+		{journal.KindJob, image(jobID, "WAITING", `{"a":2,"b":40}`)},
+		{journal.KindJobStart, `{"id":"` + jobID + `","started":"` + started + `"}`},
+		{journal.KindMemoPut, `{"key":"k-old","service":"osum","jobId":"` + jobID + `","outputs":{"sum":42}}`},
+		{journal.KindJobEnd, `{"id":"` + jobID + `","state":"DONE","outputs":{"sum":42},"finished":"` + finished + `","destruction":"` + zero + `"}`},
+		{journal.KindSweep, `{"id":"` + sweepID + `","service":"osum","owner":"alice","created":"` + created +
+			`","width":2,"childIds":["` + child1 + `","` + child2 + `"],"template":{"a":10},"points":[{"b":1},{"b":2}]}`},
+		{journal.KindJobStart, `{"id":"` + child1 + `","started":"` + started + `"}`},
+		{journal.KindJobEnd, `{"id":"` + child1 + `","state":"DONE","outputs":{"sum":11},"finished":"` + finished + `","destruction":"` + zero + `"}`},
+		{journal.KindJobStart, `{"id":"` + child2 + `","started":"` + started + `"}`},
+	}
+	jl, err := journal.Open(filepath.Join(dir, "journal"), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range records {
+		if err := jl.Append(r.kind, json.RawMessage(r.body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := container.New(durableOpts(dir, journal.SyncOff))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	deployNative(t, c, "osum", "rectest.oldsum", true, sumParams.in, sumParams.out)
+	if err := c.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	job, err := c.Jobs().Get(jobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantStarted, _ := time.Parse(time.RFC3339Nano, started)
+	wantFinished, _ := time.Parse(time.RFC3339Nano, finished)
+	if job.State != core.StateDone || job.Outputs["sum"] != 42.0 || job.Owner != "alice" ||
+		!job.Started.Equal(wantStarted) || !job.Finished.Equal(wantFinished) {
+		t.Errorf("old-format job = %s %v owner %q started %v finished %v; want DONE sum=42 alice %v %v",
+			job.State, job.Outputs, job.Owner, job.Started, job.Finished, wantStarted, wantFinished)
+	}
+	if d, err := c.Files().Digest(fileID); err != nil || d != digest {
+		t.Errorf("old-format file = %q, %v; want digest %s", d, err, digest)
+	}
+	if entries, _ := c.Jobs().MemoStats(); entries != 1 {
+		t.Errorf("memo entries = %d, want 1", entries)
+	}
+	// The first child landed before the crash, the second died running and
+	// is re-driven from its re-derived inputs.
+	sw, err := c.Jobs().WaitSweep(ctx, sweepID, 10*time.Second)
+	if err != nil || sw.State != core.StateDone || sw.Counts.Done != 2 {
+		t.Fatalf("old-format sweep = %+v, %v; want DONE with 2 done children", sw, err)
+	}
+	for id, want := range map[string]float64{child1: 11, child2: 12} {
+		child, err := c.Jobs().Get(id)
+		if err != nil || child.Outputs["sum"] != want {
+			t.Errorf("child %s = %+v, %v; want sum=%v", id, child, err, want)
+		}
+	}
+	if child, _ := c.Jobs().Get(child1); child == nil || !child.Started.Equal(wantStarted) {
+		t.Errorf("landed child started %v, want %v from its start record", child.Started, wantStarted)
 	}
 }

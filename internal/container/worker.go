@@ -151,9 +151,6 @@ func (jm *JobManager) beginJob(rec *jobRecord, ctx context.Context, cancel conte
 	if sw := rec.sweep; sw != nil {
 		sw.childTransition(core.StateWaiting, core.StateRunning, "")
 	}
-	if jm.c.journal != nil {
-		jm.c.logRecord(journal.KindJobStart, journal.JobStartRecord{ID: rj.jobID, Started: rec.snapshot().Started})
-	}
 	jm.notifyJob(rec)
 	return rj
 }

@@ -17,7 +17,9 @@ import (
 // encoding/json emits for the Job struct's field tags — field order,
 // omitempty, RFC 3339 nano times, Duration text, ES6 float formatting,
 // sorted map keys, HTML and U+2028/2029 escaping, U+FFFD for invalid UTF-8 —
-// and FuzzJobJSON holds it to encoding/json as the oracle.
+// and FuzzJobJSON holds it to encoding/json as the oracle.  The appenders
+// of its field shapes are exported for the journal's records, which embed
+// the same shapes.
 
 // AppendJSON appends the JSON encoding of the job to b.  Like encoding/json
 // it fails on a NaN or infinite float and on a time whose year is outside
@@ -28,11 +30,11 @@ func (j *Job) AppendJSON(b []byte) ([]byte, error) {
 	}
 	var err error
 	b = append(b, `{"id":`...)
-	b = appendString(b, j.ID)
+	b = AppendString(b, j.ID)
 	b = append(b, `,"service":`...)
-	b = appendString(b, j.Service)
+	b = AppendString(b, j.Service)
 	b = append(b, `,"state":`...)
-	b = appendString(b, string(j.State))
+	b = AppendString(b, string(j.State))
 	if len(j.Inputs) > 0 {
 		b = append(b, `,"inputs":`...)
 		if b, err = appendObject(b, j.Inputs, 0); err != nil {
@@ -47,7 +49,7 @@ func (j *Job) AppendJSON(b []byte) ([]byte, error) {
 	}
 	if j.Error != "" {
 		b = append(b, `,"error":`...)
-		b = appendString(b, j.Error)
+		b = AppendString(b, j.Error)
 	}
 	// omitempty never omits a struct, so the zero times are written too.
 	for _, f := range [...]struct {
@@ -61,52 +63,37 @@ func (j *Job) AppendJSON(b []byte) ([]byte, error) {
 		{`,"destruction":`, j.Destruction},
 	} {
 		b = append(b, f.key...)
-		if b, err = appendTime(b, f.t); err != nil {
+		if b, err = AppendTime(b, f.t); err != nil {
 			return nil, err
 		}
 	}
 	if j.QueueWait != 0 {
 		b = append(b, `,"queueWait":`...)
-		b = appendString(b, time.Duration(j.QueueWait).String())
+		b = AppendString(b, time.Duration(j.QueueWait).String())
 	}
 	if j.RunTime != 0 {
 		b = append(b, `,"runTime":`...)
-		b = appendString(b, time.Duration(j.RunTime).String())
+		b = AppendString(b, time.Duration(j.RunTime).String())
 	}
 	if j.TraceID != "" {
 		b = append(b, `,"traceId":`...)
-		b = appendString(b, j.TraceID)
+		b = AppendString(b, j.TraceID)
 	}
 	if len(j.Blocks) > 0 {
-		b = append(b, `,"blocks":{`...)
-		var arr [8]string
-		for i, k := range sortedKeys(arr[:0], j.Blocks) {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendString(b, k)
-			b = append(b, ':')
-			b = appendString(b, string(j.Blocks[k]))
-		}
-		b = append(b, '}')
+		b = append(b, `,"blocks":`...)
+		b = AppendStates(b, j.Blocks)
 	}
 	if j.Owner != "" {
 		b = append(b, `,"owner":`...)
-		b = appendString(b, j.Owner)
+		b = AppendString(b, j.Owner)
 	}
 	if len(j.Log) > 0 {
-		b = append(b, `,"log":[`...)
-		for i, msg := range j.Log {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendString(b, msg)
-		}
-		b = append(b, ']')
+		b = append(b, `,"log":`...)
+		b = AppendStrings(b, j.Log)
 	}
 	if j.URI != "" {
 		b = append(b, `,"uri":`...)
-		b = appendString(b, j.URI)
+		b = AppendString(b, j.URI)
 	}
 	return append(b, '}'), nil
 }
@@ -155,6 +142,41 @@ func (p *JobPage) AppendJSON(b []byte) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
+// AppendStrings appends a string slice (Job.Log) as encoding/json writes
+// it: nil as null.
+func AppendStrings(b []byte, s []string) []byte {
+	if s == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, v := range s {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = AppendString(b, v)
+	}
+	return append(b, ']')
+}
+
+// AppendStates appends a block-state map (Job.Blocks) as encoding/json
+// writes it: keys sorted, nil as null.
+func AppendStates(b []byte, m map[string]JobState) []byte {
+	if m == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '{')
+	var arr [8]string
+	for i, k := range sortedKeys(arr[:0], m) {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = AppendString(b, k)
+		b = append(b, ':')
+		b = AppendString(b, string(m[k]))
+	}
+	return append(b, '}')
+}
+
 // maxValueDepth is the nesting depth past which a parameter value is handed
 // to encoding/json whole, so a cyclic value fails with its cycle error
 // instead of recursing forever.
@@ -171,7 +193,7 @@ func appendValue(b []byte, v any, depth int) ([]byte, error) {
 	case float64:
 		return appendFloat(b, v)
 	case string:
-		return appendString(b, v), nil
+		return AppendString(b, v), nil
 	case []any:
 		if depth < maxValueDepth {
 			return appendArray(b, v, depth+1)
@@ -205,6 +227,11 @@ func appendArray(b []byte, a []any, depth int) ([]byte, error) {
 	return append(b, ']'), nil
 }
 
+// AppendValues appends v as encoding/json writes a map[string]any: keys
+// sorted, nil as null.  It fails where encoding/json fails, on a NaN or
+// infinite float anywhere in v; on error it returns nil.
+func AppendValues(b []byte, v Values) ([]byte, error) { return appendObject(b, v, 0) }
+
 func appendObject(b []byte, m map[string]any, depth int) ([]byte, error) {
 	if m == nil {
 		return append(b, "null"...), nil
@@ -215,7 +242,7 @@ func appendObject(b []byte, m map[string]any, depth int) ([]byte, error) {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendString(b, k)
+		b = AppendString(b, k)
 		b = append(b, ':')
 		var err error
 		if b, err = appendValue(b, m[k], depth); err != nil {
@@ -258,9 +285,9 @@ func appendFloat(b []byte, f float64) ([]byte, error) {
 	return b, nil
 }
 
-// appendTime writes t as time.Time.MarshalJSON does, failing where it
+// AppendTime appends t as time.Time.MarshalJSON writes it, failing where it
 // fails: a year outside [0,9999] or a zone offset of 24 hours or more.
-func appendTime(b []byte, t time.Time) ([]byte, error) {
+func AppendTime(b []byte, t time.Time) ([]byte, error) {
 	b = append(b, '"')
 	n0 := len(b)
 	b = t.AppendFormat(b, time.RFC3339Nano)
@@ -288,10 +315,10 @@ var safeASCII = func() (t [utf8.RuneSelf]bool) {
 	return t
 }()
 
-// appendString writes s as a JSON string with encoding/json's escaping:
+// AppendString appends s as a JSON string with encoding/json's escaping:
 // quote, backslash and control characters, the HTML-sensitive <, > and &,
 // and U+2028/U+2029 are escaped; each byte of invalid UTF-8 becomes U+FFFD.
-func appendString(b []byte, s string) []byte {
+func AppendString(b []byte, s string) []byte {
 	b = append(b, '"')
 	start := 0
 	for i := 0; i < len(s); {

@@ -16,9 +16,12 @@ const (
 	// (WAITING, or DONE for a cache hit born terminal) and the snapshot
 	// image of an existing one.  Replay upserts by job ID, last wins.
 	KindJob Kind = 1
-	// KindJobStart marks the WAITING→RUNNING transition.
+	// KindJobStart marked the WAITING→RUNNING transition.  It is no longer
+	// written — a job's end record carries its start time — but replay
+	// still reads it from logs written before that.
 	KindJobStart Kind = 2
-	// KindJobEnd carries the terminal transition with outputs or error.
+	// KindJobEnd carries the terminal transition: outputs or error and the
+	// job's whole timeline.
 	KindJobEnd Kind = 3
 	// KindJobPurge marks the destruction of a terminal job resource.
 	// Replay of a purge is idempotent: purging an already-absent job (or
@@ -79,6 +82,11 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
+// The three records the container writes per job encode themselves: each
+// AppendJSON writes byte for byte what json.Marshal writes for the struct's
+// field tags, and fails where it fails (FuzzJournalRecord holds them to
+// it).  Every other record goes through encoding/json.
+
 // JobRecord is the KindJob payload: a full job image plus its durability
 // envelope (owning sweep, destruction TTL).
 type JobRecord struct {
@@ -87,20 +95,96 @@ type JobRecord struct {
 	TTL     core.Duration `json:"ttl,omitempty"`
 }
 
-// JobStartRecord is the KindJobStart payload.
+// AppendJSON appends the record's JSON encoding to b; on error it returns
+// nil.
+func (r JobRecord) AppendJSON(b []byte) ([]byte, error) {
+	b = append(b, `{"job":`...)
+	b, err := r.Job.AppendJSON(b)
+	if err != nil {
+		return nil, err
+	}
+	if r.SweepID != "" {
+		b = append(b, `,"sweepId":`...)
+		b = core.AppendString(b, r.SweepID)
+	}
+	if r.TTL != 0 {
+		b = append(b, `,"ttl":`...)
+		b = core.AppendString(b, r.TTL.Std().String())
+	}
+	return append(b, '}'), nil
+}
+
+// JobStartRecord is the KindJobStart payload, read from old logs only.
 type JobStartRecord struct {
 	ID      string    `json:"id"`
 	Started time.Time `json:"started"`
 }
 
-// JobEndRecord is the KindJobEnd payload.
+// JobEndRecord is the KindJobEnd payload: the terminal state and the
+// timeline a replay cannot rebuild from the submit image.  Records written
+// before the timeline fields existed decode with them zero.
 type JobEndRecord struct {
-	ID          string        `json:"id"`
-	State       core.JobState `json:"state"`
-	Outputs     core.Values   `json:"outputs,omitempty"`
-	Error       string        `json:"error,omitempty"`
-	Finished    time.Time     `json:"finished"`
-	Destruction time.Time     `json:"destruction,omitempty"`
+	ID          string                   `json:"id"`
+	State       core.JobState            `json:"state"`
+	Outputs     core.Values              `json:"outputs,omitempty"`
+	Error       string                   `json:"error,omitempty"`
+	Finished    time.Time                `json:"finished"`
+	Destruction time.Time                `json:"destruction,omitempty"`
+	Started     time.Time                `json:"started,omitempty"`
+	QueueWait   core.Duration            `json:"queueWait,omitempty"`
+	RunTime     core.Duration            `json:"runTime,omitempty"`
+	Log         []string                 `json:"log,omitempty"`
+	Blocks      map[string]core.JobState `json:"blocks,omitempty"`
+}
+
+// AppendJSON appends the record's JSON encoding to b; on error it returns
+// nil.  omitempty never omits a time, so every time field is written.
+func (r JobEndRecord) AppendJSON(b []byte) ([]byte, error) {
+	var err error
+	b = append(b, `{"id":`...)
+	b = core.AppendString(b, r.ID)
+	b = append(b, `,"state":`...)
+	b = core.AppendString(b, string(r.State))
+	if len(r.Outputs) > 0 {
+		b = append(b, `,"outputs":`...)
+		if b, err = core.AppendValues(b, r.Outputs); err != nil {
+			return nil, err
+		}
+	}
+	if r.Error != "" {
+		b = append(b, `,"error":`...)
+		b = core.AppendString(b, r.Error)
+	}
+	for _, f := range [...]struct {
+		key string
+		t   time.Time
+	}{
+		{`,"finished":`, r.Finished},
+		{`,"destruction":`, r.Destruction},
+		{`,"started":`, r.Started},
+	} {
+		b = append(b, f.key...)
+		if b, err = core.AppendTime(b, f.t); err != nil {
+			return nil, err
+		}
+	}
+	if r.QueueWait != 0 {
+		b = append(b, `,"queueWait":`...)
+		b = core.AppendString(b, r.QueueWait.Std().String())
+	}
+	if r.RunTime != 0 {
+		b = append(b, `,"runTime":`...)
+		b = core.AppendString(b, r.RunTime.Std().String())
+	}
+	if len(r.Log) > 0 {
+		b = append(b, `,"log":`...)
+		b = core.AppendStrings(b, r.Log)
+	}
+	if len(r.Blocks) > 0 {
+		b = append(b, `,"blocks":`...)
+		b = core.AppendStates(b, r.Blocks)
+	}
+	return append(b, '}'), nil
 }
 
 // JobPurgeRecord is the KindJobPurge payload.
@@ -108,10 +192,18 @@ type JobPurgeRecord struct {
 	ID string `json:"id"`
 }
 
+// AppendJSON appends the record's JSON encoding to b.
+func (r JobPurgeRecord) AppendJSON(b []byte) ([]byte, error) {
+	b = append(b, `{"id":`...)
+	b = core.AppendString(b, r.ID)
+	return append(b, '}'), nil
+}
+
 // SweepRecord is the KindSweep payload: one record for the whole campaign.
 // Child inputs are re-derived from Template+Points at replay; only children
-// whose state diverged (started, finished, born-DONE) have records of their
-// own.
+// whose state diverged (finished, born-DONE) have records of their own.  A
+// child that started and never ended has none: replay re-derives it from
+// Template+Points as if it had never run.
 type SweepRecord struct {
 	ID       string        `json:"id"`
 	Service  string        `json:"service"`
