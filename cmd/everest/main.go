@@ -89,7 +89,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	fs.StringVar(&cfg.configPath, "config", "", "service configuration file (JSON)")
 	fs.BoolVar(&cfg.builtin, "builtin", false, "deploy the built-in application services")
 	data := fs.String("data", "", "data directory (default: temporary)")
-	durableDir := fs.String("data-dir", "", "durable root: file store under <dir>, write-ahead journal under <dir>/journal; jobs, sweeps, the catalogue of deployed state and the memo index survive restarts (overrides -data)")
+	durableDir := fs.String("data-dir", "", "durable root: file store under <dir>, write-ahead journal under <dir>/journal; jobs, sweeps, the catalogue of deployed state and the memo table survive restarts (overrides -data)")
 	walSync := fs.String("wal-sync", "batch", "journal durability mode: off, batch or always (with -data-dir)")
 	snapInterval := fs.Duration("snapshot-interval", time.Minute, "journal checkpoint period (with -data-dir; negative disables)")
 	jobTTL := fs.Duration("job-ttl", 0, "default destruction TTL of terminal jobs and sweeps (0 = keep until DELETE)")

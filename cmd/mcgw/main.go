@@ -45,7 +45,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*config, error) {
 	fs.StringVar(&cfg.addr, "addr", ":8090", "listen address")
 	replicas := fs.String("replicas", "", "comma-separated replica set: name=baseURL[,name=baseURL...]")
 	fs.DurationVar(&cfg.pingInterval, "ping-interval", 5*time.Second, "replica health probe interval")
-	fs.DurationVar(&cfg.loadInterval, "load-interval", 2*time.Second, "replica load/memo-index poll interval (negative disables load-aware placement and result-reuse routing)")
+	fs.DurationVar(&cfg.loadInterval, "load-interval", 2*time.Second, "replica load poll interval (negative disables load-aware placement and admission control)")
 	fs.DurationVar(&cfg.fanout, "fanout-timeout", 5*time.Second, "per-replica deadline for scatter-gather requests and health probes")
 	fs.StringVar(&cfg.debugAddr, "debug-addr", "", "optional pprof/metrics listener (e.g. 127.0.0.1:6061)")
 	if err := fs.Parse(args); err != nil {

@@ -93,11 +93,20 @@ func TestNativeAdapterNegativeSlowdownRejected(t *testing.T) {
 
 func TestNativeAdapterSimulatedSlowdown(t *testing.T) {
 	RegisterFunc("test.burn", func(_ context.Context, in core.Values) (core.Values, error) {
-		// Busy loop for roughly 20 ms of CPU.
-		deadline := time.Now().Add(20 * time.Millisecond)
+		// Busy loop for 20 ms of this thread's CPU, the clock the adapter
+		// scales its sleep by: 20 ms of wall time can be half that on a
+		// busy host.  Where thread CPU time is unavailable the adapter
+		// falls back to wall time, and so does the loop.
+		const burn = 20 * time.Millisecond
 		x := 0.0
-		for time.Now().Before(deadline) {
-			x += 1
+		if cpu0, ok := threadCPUTime(); ok {
+			for cpu, _ := threadCPUTime(); cpu-cpu0 < burn; cpu, _ = threadCPUTime() {
+				x += 1
+			}
+		} else {
+			for deadline := time.Now().Add(burn); time.Now().Before(deadline); {
+				x += 1
+			}
 		}
 		return core.Values{"x": x}, nil
 	})

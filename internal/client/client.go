@@ -14,7 +14,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -812,15 +811,4 @@ func (c *Client) Load(ctx context.Context, containerBase string) (core.LoadRepor
 	var report core.LoadReport
 	err := c.getJSON(ctx, strings.TrimRight(containerBase, "/")+"/load", &report)
 	return report, err
-}
-
-// MemoIndex fetches one page of a container's memo delta feed
-// (GET /memo?since=N).  Pass the sequence number returned by the previous
-// page to receive only the changes since; a page with Reset set means the
-// cursor was too old and the entries are a full dump.
-func (c *Client) MemoIndex(ctx context.Context, containerBase string, since uint64) (core.MemoIndexPage, error) {
-	var page core.MemoIndexPage
-	uri := strings.TrimRight(containerBase, "/") + "/memo?since=" + strconv.FormatUint(since, 10)
-	err := c.getJSON(ctx, uri, &page)
-	return page, err
 }

@@ -506,7 +506,7 @@ func (c *Container) SetBaseURL(u string) {
 	if old != c.BaseURL() && c.jobs != nil && c.jobs.memo != nil {
 		c.jobs.memo.reset()
 	}
-	// Journal the URL so a same-URL restart keeps the recovered memo index
+	// Journal the URL so a same-URL restart keeps the recovered memo table
 	// (Recover restores the URL first, making the reset above a no-op).
 	if base != "" && base != old {
 		c.logRecord(journal.KindBaseURL, journal.BaseURLRecord{URL: base})

@@ -6,7 +6,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -20,78 +19,6 @@ import (
 	"mathcloud/internal/adapter"
 	"mathcloud/internal/core"
 )
-
-// --- Memo delta feed (GET /memo?since=) ----------------------------------
-
-func TestMemoDeltasIncrementalAndDrop(t *testing.T) {
-	m := newMemoTable(100, 1<<20)
-	m.store("k1", "svc", "j1", core.Values{"y": 1.0})
-	m.store("k2", "svc", "j2", core.Values{"y": 2.0})
-
-	page := m.deltas(0)
-	if page.Reset {
-		t.Fatal("cursor 0 on a fresh table should be answerable incrementally")
-	}
-	if len(page.Entries) != 2 || page.Entries[0].Key != "k1" || page.Entries[1].Key != "k2" {
-		t.Fatalf("entries = %+v, want k1 then k2", page.Entries)
-	}
-	if page.Entries[0].Service != "svc" || page.Entries[0].JobID != "j1" {
-		t.Fatalf("entry payload = %+v", page.Entries[0])
-	}
-	cursor := page.Seq
-
-	// Nothing changed: the follow-up page is empty at the same cursor.
-	next := m.deltas(cursor)
-	if next.Reset || len(next.Entries) != 0 || len(next.Dropped) != 0 || next.Seq != cursor {
-		t.Fatalf("idle page = %+v, want empty at seq %d", next, cursor)
-	}
-
-	// A purged backing job surfaces as a drop delta.
-	m.dropJob("j1")
-	drop := m.deltas(cursor)
-	if drop.Reset || len(drop.Dropped) != 1 || drop.Dropped[0] != "k1" {
-		t.Fatalf("drop page = %+v, want Dropped=[k1]", drop)
-	}
-}
-
-func TestMemoDeltasResetOnStaleCursorAndInvalidation(t *testing.T) {
-	m := newMemoTable(2*maxMemoDeltaLog, 256<<20)
-	for i := 0; i < maxMemoDeltaLog+100; i++ {
-		m.store(fmt.Sprintf("k%d", i), "svc", fmt.Sprintf("j%d", i), core.Values{"y": float64(i)})
-	}
-	// The log is bounded: a cursor from before the retained window forces a
-	// full re-listing.
-	page := m.deltas(0)
-	if !page.Reset {
-		t.Fatal("cursor 0 past the bounded log should return a Reset page")
-	}
-	if len(page.Entries) != maxMemoDeltaLog+100 {
-		t.Fatalf("reset page carries %d entries, want %d", len(page.Entries), maxMemoDeltaLog+100)
-	}
-	cursor := page.Seq
-
-	// A cursor inside the window stays incremental.
-	m.store("fresh", "svc", "jf", core.Values{"y": 0.0})
-	inc := m.deltas(cursor)
-	if inc.Reset || len(inc.Entries) != 1 || inc.Entries[0].Key != "fresh" {
-		t.Fatalf("incremental page = %+v, want just 'fresh'", inc)
-	}
-
-	// Bulk invalidation (service reconfiguration) discards the log: every
-	// consumer, however recent its cursor, re-lists.
-	m.dropService("svc")
-	after := m.deltas(inc.Seq)
-	if !after.Reset {
-		t.Fatal("cursor from before dropService should be forced into a Reset page")
-	}
-	if len(after.Entries) != 0 {
-		t.Fatalf("reset page after dropService has %d entries, want 0", len(after.Entries))
-	}
-	// A cursor beyond the current sequence (e.g. from a wiped table) resets.
-	if p := m.deltas(after.Seq + 1000); !p.Reset {
-		t.Fatal("future cursor should reset")
-	}
-}
 
 // --- Cross-replica ingestion (FileStore.IngestRemote) ---------------------
 

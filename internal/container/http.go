@@ -14,9 +14,9 @@ import (
 
 // Handler returns the HTTP handler of the container: the routes core.Routes
 // gives TierContainer, behind the ingress instrumentation.  The
-// infrastructure routes (/metrics, /status, /load, /memo) answer before the
+// infrastructure routes (/metrics, /status, /load) answer before the
 // security guard, so operators and gateways can scrape a secured container
-// without service credentials; they expose aggregates and placement data,
+// without service credentials; they expose aggregates and load reports,
 // never job data.
 func (c *Container) Handler() http.Handler {
 	return obs.Instrument(c.APIHandler())
@@ -55,7 +55,6 @@ func (c *Container) Mux(tier core.Tier, extra map[string]http.HandlerFunc) http.
 		"service_events": c.handleServiceEvents,
 		"file":           c.handleFiles,
 		"load":           c.handleLoad,
-		"memo":           c.handleMemo,
 	}
 	for label, h := range extra {
 		handlers[label] = h
@@ -485,30 +484,4 @@ func (c *Container) handleLoad(w http.ResponseWriter, r *http.Request) {
 	report := c.jobs.LoadReport()
 	report.Replica = c.replicaID
 	rest.WriteJSON(w, http.StatusOK, report)
-}
-
-// handleMemo serves GET /memo?since=N: one page of the memo index delta
-// feed, which the gateway polls to maintain the federation-wide
-// digest→replica map.  The feed names digests, services and job IDs only;
-// cached outputs are reachable solely through the guarded job resource.
-func (c *Container) handleMemo(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		rest.MethodNotAllowed(w, http.MethodGet)
-		return
-	}
-	var since uint64
-	if raw := r.URL.Query().Get("since"); raw != "" {
-		v, err := strconv.ParseUint(raw, 10, 64)
-		if err != nil {
-			rest.WriteError(w, core.ErrBadRequest("invalid since cursor %q", raw))
-			return
-		}
-		since = v
-	}
-	var page core.MemoIndexPage
-	if memo := c.jobs.memo; memo != nil {
-		page = memo.deltas(since)
-	}
-	page.Replica = c.replicaID
-	rest.WriteJSON(w, http.StatusOK, page)
 }

@@ -2,7 +2,6 @@ package container_test
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -65,58 +64,6 @@ func TestLoadEndpointReportsQueueAndMemo(t *testing.T) {
 	}
 	if report.MemoEntries != 1 {
 		t.Fatalf("memoEntries = %d, want 1 (the finished deterministic job)", report.MemoEntries)
-	}
-}
-
-// TestMemoEndpointsServeIndexAndEntries exercises the memo export plane:
-// the delta feed (GET /memo?since=) and its index entries.
-func TestMemoEndpointsServeIndexAndEntries(t *testing.T) {
-	var calls atomic.Int64
-	c := newMemoContainer(t, container.Options{Workers: 2, ReplicaID: "r03"})
-	deployCounting(t, c, "feedsvc", true, &calls)
-	srv := httptest.NewServer(c.Handler())
-	defer srv.Close()
-
-	job, err := c.Jobs().Submit("feedsvc", core.Values{"x": 8.0}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, c, job.ID)
-
-	var page core.MemoIndexPage
-	if code := getFederationJSON(t, srv.URL+"/memo?since=0", &page); code != http.StatusOK {
-		t.Fatalf("GET /memo = %d", code)
-	}
-	if page.Replica != "r03" {
-		t.Fatalf("page replica = %q", page.Replica)
-	}
-	if len(page.Entries) != 1 || page.Entries[0].Service != "feedsvc" || page.Entries[0].JobID != job.ID {
-		t.Fatalf("page entries = %+v, want one feedsvc entry backed by %s", page.Entries, job.ID)
-	}
-	if page.Seq == 0 {
-		t.Fatal("page seq not advanced")
-	}
-
-	// Cursor at the page's Seq: nothing new.
-	var idle core.MemoIndexPage
-	if code := getFederationJSON(t, fmt.Sprintf("%s/memo?since=%d", srv.URL, page.Seq), &idle); code != http.StatusOK {
-		t.Fatalf("GET /memo?since=%d = %d", page.Seq, code)
-	}
-	if idle.Reset || len(idle.Entries) != 0 {
-		t.Fatalf("idle page = %+v", idle)
-	}
-
-	// The feed is the whole memo plane: there is no per-digest probe, so a
-	// real digest answers 404 like any other sub-path, and a bad cursor is
-	// 400.
-	var ignore map[string]any
-	for _, sub := range []string{page.Entries[0].Key, "deadbeef"} {
-		if code := getFederationJSON(t, srv.URL+"/memo/"+sub, &ignore); code != http.StatusNotFound {
-			t.Fatalf("GET /memo/%s = %d, want 404", sub, code)
-		}
-	}
-	if code := getFederationJSON(t, srv.URL+"/memo?since=banana", &ignore); code != http.StatusBadRequest {
-		t.Fatalf("GET /memo?since=banana = %d, want 400", code)
 	}
 }
 

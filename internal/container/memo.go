@@ -15,22 +15,6 @@ const (
 	defaultMemoBytes   = 256 << 20
 )
 
-// maxMemoDeltaLog bounds the table's change log (the /memo?since= feed).
-// A consumer whose cursor falls off the log gets a full re-listing, so
-// the bound trades gateway re-sync cost against table memory; sized to
-// the default entry bound.
-const maxMemoDeltaLog = 4096
-
-// memoDelta is one change-log record of the memo index: an entry stored
-// (drop=false) or removed (drop=true), at sequence number seq.
-type memoDelta struct {
-	seq     uint64
-	drop    bool
-	key     string
-	service string
-	jobID   string
-}
-
 // memoEntry is one cached computation result: the outputs of a DONE job of
 // a deterministic service, keyed by the canonical hash of its inputs.
 type memoEntry struct {
@@ -71,14 +55,6 @@ type memoTable struct {
 	lru     *list.List // front = most recently used
 	byJob   map[string]string
 	flights map[string]*flight
-
-	// Index change feed (GET /memo?since=): seq numbers every mutation,
-	// deltaLog holds the records in (logStart, seq], oldest first.  A
-	// cursor at or before logStart can no longer be answered
-	// incrementally and forces a full re-listing.
-	seq      uint64
-	logStart uint64
-	deltaLog []memoDelta
 }
 
 func newMemoTable(maxEntries int, maxBytes int64) *memoTable {
@@ -104,61 +80,6 @@ func (m *memoTable) lookup(key string) (core.Values, bool) {
 	}
 	m.lru.MoveToFront(e.elem)
 	return e.outputs, true
-}
-
-// logDeltaLocked appends one change record, trimming the log to its
-// bound.  Callers must hold m.mu.
-func (m *memoTable) logDeltaLocked(d memoDelta) {
-	m.seq++
-	d.seq = m.seq
-	m.deltaLog = append(m.deltaLog, d)
-	if len(m.deltaLog) > maxMemoDeltaLog {
-		drop := len(m.deltaLog) - maxMemoDeltaLog
-		m.deltaLog = append(m.deltaLog[:0], m.deltaLog[drop:]...)
-		m.logStart = m.deltaLog[0].seq - 1
-	}
-}
-
-// invalidateFeedLocked discards the change log after a bulk mutation
-// (reset, service drop), forcing every consumer into a full re-listing.
-// Callers must hold m.mu.
-func (m *memoTable) invalidateFeedLocked() {
-	m.seq++
-	m.deltaLog = nil
-	m.logStart = m.seq
-}
-
-// deltas answers one page of the index feed: the changes after cursor
-// `since`, or — when the cursor predates the bounded log — a Reset page
-// carrying the full current index.  The page's Seq is the new cursor.
-func (m *memoTable) deltas(since uint64) core.MemoIndexPage {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	page := core.MemoIndexPage{Seq: m.seq}
-	if since > m.seq || since < m.logStart {
-		page.Reset = true
-		page.Entries = make([]core.MemoIndexEntry, 0, len(m.entries))
-		for el := m.lru.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*memoEntry)
-			page.Entries = append(page.Entries, core.MemoIndexEntry{
-				Key: e.key, Service: e.service, JobID: e.jobID,
-			})
-		}
-		return page
-	}
-	for _, d := range m.deltaLog {
-		if d.seq <= since {
-			continue
-		}
-		if d.drop {
-			page.Dropped = append(page.Dropped, d.key)
-		} else {
-			page.Entries = append(page.Entries, core.MemoIndexEntry{
-				Key: d.key, Service: d.service, JobID: d.jobID,
-			})
-		}
-	}
-	return page
 }
 
 // joinOrLead coalesces rec onto an in-progress identical execution, or
@@ -235,7 +156,6 @@ func (m *memoTable) insertLocked(key, service, jobID string, outputs core.Values
 	m.entries[key] = e
 	m.byJob[jobID] = key
 	m.bytes += size
-	m.logDeltaLocked(memoDelta{key: key, service: service, jobID: jobID})
 	for len(m.entries) > m.maxEntries || m.bytes > m.maxBytes {
 		oldest := m.lru.Back()
 		if oldest == nil {
@@ -254,7 +174,6 @@ func (m *memoTable) removeLocked(e *memoEntry) {
 	delete(m.entries, e.key)
 	delete(m.byJob, e.jobID)
 	m.bytes -= e.bytes
-	m.logDeltaLocked(memoDelta{drop: true, key: e.key})
 }
 
 // dropJob purges the entry backed by the given job: its file resources are
@@ -285,7 +204,6 @@ func (m *memoTable) dropService(service string) {
 	for _, f := range m.flights {
 		f.noStore = true
 	}
-	m.invalidateFeedLocked()
 	metMemoBytes.Set(float64(m.bytes))
 }
 
@@ -301,7 +219,6 @@ func (m *memoTable) reset() {
 	for _, f := range m.flights {
 		f.noStore = true
 	}
-	m.invalidateFeedLocked()
 	metMemoBytes.Set(0)
 }
 

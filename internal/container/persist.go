@@ -15,7 +15,7 @@ import (
 // the logging helpers below; Recover replays the journal at boot and rebuilds
 // the in-memory state: terminal jobs verbatim, WAITING jobs re-queued,
 // RUNNING jobs re-driven from the start (executions died with the process),
-// sweeps re-derived from their one campaign record, and the memo index
+// sweeps re-derived from their one campaign record, and the memo table
 // re-validated against the file store before re-entering the cache.
 // Checkpoint periodically folds the whole state into a snapshot so the log
 // stays short.
@@ -228,7 +228,7 @@ func (c *Container) Recover() error {
 
 	// Base URL first: recovered memo outputs and job outputs embed absolute
 	// file URIs minted under it.  Re-setting the same URL later (when the
-	// listener comes up) is then a no-op that keeps the memo index.
+	// listener comes up) is then a no-op that keeps the memo table.
 	if st.baseURL != "" {
 		c.SetBaseURL(st.baseURL)
 	}

@@ -113,7 +113,7 @@ func TestRecoverTerminalJobAndMemo(t *testing.T) {
 		t.Errorf("restored finished %v != %v", got.Finished, done.Finished)
 	}
 
-	// The memo index came back with the job: an identical submission is
+	// The memo table came back with the job: an identical submission is
 	// born DONE without touching the adapter queue.
 	if entries, _ := c2.Jobs().MemoStats(); entries < 1 {
 		t.Fatalf("memo entries after recovery = %d, want >= 1", entries)

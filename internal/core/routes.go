@@ -65,7 +65,6 @@ var Routes = []Route{
 	{"/metrics", "metrics", true, allTiers, false},
 	{"/status", "status", true, allTiers, false},
 	{"/load", "load", true, replicaTiers, false},
-	{"/memo", "memo", true, replicaTiers, false},
 
 	{"/replicas", "replicas", false, TierGateway, false},
 	{"/search", "search", false, TierGateway | TierCatalogue, false},

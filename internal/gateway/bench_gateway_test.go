@@ -115,11 +115,10 @@ func BenchmarkGatewayScaling(b *testing.B) {
 
 // BenchmarkFederatedMemoHit measures the federation-wide result-reuse path:
 // a deterministic result computed through one gateway is resubmitted through
-// a SECOND gateway instance with no hint-table history, so every request is
-// routed by the shared memo index (fed by the replicas' /memo delta feeds)
-// to the replica whose cache holds it and answered as a job born DONE.  The
-// jobs/s figure bounds the full warm path: gateway routing + index lookup +
-// proxy hop + replica-side memo hit.
+// a SECOND gateway instance that learned nothing from the first, so every
+// request is routed by its digest home to the replica whose cache holds it
+// and answered as a job born DONE.  The jobs/s figure bounds the full warm
+// path: gateway routing + digest hash + proxy hop + replica-side memo hit.
 func BenchmarkFederatedMemoHit(b *testing.B) {
 	adapter.RegisterFunc("gwbench.det", func(ctx context.Context, in core.Values) (core.Values, error) {
 		a, _ := in["a"].(float64)
@@ -143,8 +142,7 @@ func BenchmarkFederatedMemoHit(b *testing.B) {
 		}
 	}
 
-	// A fresh gateway instance: no hints, only the shared memo index pulled
-	// from the replicas' delta feeds.
+	// A fresh gateway instance: it shares nothing with gateway A.
 	gB, err := gateway.New(gateway.Options{
 		Replicas: []gateway.Replica{
 			{Name: "r01", BaseURL: r1.srv.URL},
@@ -160,7 +158,6 @@ func BenchmarkFederatedMemoHit(b *testing.B) {
 	b.Cleanup(gB.Close)
 	gwB := httptest.NewServer(gB.Handler())
 	b.Cleanup(gwB.Close)
-	gB.RefreshLoad(context.Background())
 
 	b.ResetTimer()
 	start := time.Now()

@@ -9,9 +9,9 @@
 // O(1) — parse the prefix, forward — with no shared lookup table, no session
 // state, and no coordination between gateway instances.  Requests that
 // create resources are spread across healthy replicas advertising the
-// service, except that a deterministic job goes to the replica whose
-// computation cache holds its answer (the shared memo index) or, failing
-// that, to its digest home — a rendezvous hash every gateway computes alike.
+// service, except that a deterministic job goes to its digest home — a
+// rendezvous hash every gateway computes alike, so identical submissions
+// through any gateway meet in one replica's computation cache.
 //
 // Replica health is fed by catalogue pings: the gateway registers every
 // (replica, service) pair in an embedded catalogue.Catalogue whose periodic
@@ -73,10 +73,9 @@ type Options struct {
 	// the container option.  Zero selects the default (60s); negative
 	// removes the cap.
 	MaxWaitWindow time.Duration
-	// LoadInterval paces the federation reuse loop: each tick polls every
-	// replica's /load report (feeding power-of-two-choices placement and
-	// admission control) and /memo delta feed (feeding the shared memo
-	// index).  Zero selects the default (2s); a negative value disables
+	// LoadInterval paces the load loop: each tick polls every replica's
+	// /load report, feeding power-of-two-choices placement and admission
+	// control.  Zero selects the default (2s); a negative value disables
 	// the background loop (tests drive RefreshLoad explicitly).
 	LoadInterval time.Duration
 	// Resolver, when non-nil, re-resolves the base URL of a named replica
@@ -100,11 +99,9 @@ type replicaState struct {
 	services map[string]core.ServiceDescription
 	checked  time.Time
 	// load is the replica's last advertised load report (loadOK false until
-	// the first successful poll); memoSeq is the cursor into its memo index
-	// delta feed.
-	load    core.LoadReport
-	loadOK  bool
-	memoSeq uint64
+	// the first successful poll).
+	load   core.LoadReport
+	loadOK bool
 }
 
 func (rs *replicaState) baseURL() string {
@@ -164,7 +161,6 @@ type Gateway struct {
 	cat        *catalogue.Catalogue
 	bus        *events.Bus
 	sse        *sseMux
-	memo       *memoIndex
 	replicas   []*replicaState // fixed order (Options.Replicas)
 	byName     map[string]*replicaState
 	rrCursor   atomic.Uint64 // job and sweep spread
@@ -222,7 +218,6 @@ func New(opts Options) (*Gateway, error) {
 		resolver:  opts.Resolver,
 		logger:    logger,
 		bus:       events.NewBus(events.Options{}),
-		memo:      newMemoIndex(),
 		byName:    make(map[string]*replicaState, len(opts.Replicas)),
 		candCache: make(map[string]*candEntry),
 		stop:      make(chan struct{}),
@@ -315,8 +310,7 @@ func (g *Gateway) healthLoop(interval time.Duration) {
 	}
 }
 
-// loadLoop is the federation reuse loop: at LoadInterval cadence it pulls
-// every replica's load report and memo index deltas.
+// loadLoop pulls every replica's load report at LoadInterval cadence.
 func (g *Gateway) loadLoop(interval time.Duration) {
 	defer g.wg.Done()
 	ticker := time.NewTicker(interval)
@@ -333,11 +327,11 @@ func (g *Gateway) loadLoop(interval time.Duration) {
 	}
 }
 
-// RefreshLoad polls every healthy replica once, concurrently: GET /load
-// feeds the placement policy's queue-depth view and admission control, and
-// GET /memo?since={cursor} advances the shared memo index.  A replica that
-// fails the poll keeps its last load report but is marked load-unknown, so
-// placement treats it as idle rather than pinning traffic elsewhere.
+// RefreshLoad polls every healthy replica's GET /load once, concurrently,
+// feeding the placement policy's queue-depth view and admission control.  A
+// replica that fails the poll keeps its last load report but is marked
+// load-unknown, so placement treats it as idle rather than pinning traffic
+// elsewhere.
 func (g *Gateway) RefreshLoad(ctx context.Context) {
 	g.loadOnce.Lock()
 	defer g.loadOnce.Unlock()
@@ -355,12 +349,11 @@ func (g *Gateway) RefreshLoad(ctx context.Context) {
 	wg.Wait()
 }
 
-// pollReplicaLoad performs one replica's load + memo-delta poll.
+// pollReplicaLoad performs one replica's load poll.
 func (g *Gateway) pollReplicaLoad(ctx context.Context, rs *replicaState) {
 	pctx, cancel := context.WithTimeout(ctx, g.fanout)
 	defer cancel()
-	base := rs.baseURL()
-	report, err := g.api.Load(pctx, base)
+	report, err := g.api.Load(pctx, rs.baseURL())
 	rs.mu.Lock()
 	if err != nil {
 		rs.loadOK = false
@@ -368,18 +361,6 @@ func (g *Gateway) pollReplicaLoad(ctx context.Context, rs *replicaState) {
 		rs.load = report
 		rs.loadOK = true
 	}
-	since := rs.memoSeq
-	rs.mu.Unlock()
-	if err != nil {
-		return
-	}
-	page, err := g.api.MemoIndex(pctx, base, since)
-	if err != nil {
-		return
-	}
-	g.memo.apply(rs.name, page)
-	rs.mu.Lock()
-	rs.memoSeq = page.Seq
 	rs.mu.Unlock()
 }
 

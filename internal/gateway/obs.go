@@ -5,7 +5,7 @@ import "mathcloud/internal/obs"
 // Gateway metric families (DESIGN.md §5d, §5h).  Ingress requests are
 // already covered by the shared mc_http_* middleware; the series here answer
 // the federation-specific questions: where is work going, which replicas are
-// failing, and how often the shared memo index routes to a cached result.
+// failing, and how often the gateway refuses admission.
 var (
 	metGwRequests = obs.NewCounterVec("mc_gateway_requests_total",
 		"Requests proxied or redirected (code 3xx) to a replica, by route class, replica and upstream status class.",
@@ -20,8 +20,6 @@ var (
 		"replica")
 	metGwFanoutPartial = obs.NewCounter("mc_gateway_fanout_partial_total",
 		"Scatter-gather responses assembled from a strict subset of replicas (Warning header attached).")
-	metGwIndexHits = obs.NewCounter("mc_gateway_memo_index_hits_total",
-		"Job submissions routed by the shared memo index to the replica whose cache holds the result.")
 	metGwAdmissionRejects = obs.NewCounter("mc_gateway_admission_rejections_total",
 		"Submissions rejected at the gateway with 503 because every candidate replica was saturated.")
 	metGwSSEUpstreams = obs.NewGauge("mc_gateway_sse_upstreams",

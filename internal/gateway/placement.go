@@ -26,13 +26,11 @@ var fileRefMarker = []byte(`"` + core.FileRefPrefix)
 // to one replica and cap its throughput at a single container.  A
 // submission is placed by the first of these that decides (DESIGN.md §5j.3):
 //
-//   - a deterministic job consults the shared memo index: a digest of the
-//     canonical submission (core.CanonicalHash) routes an identical
-//     resubmission to the replica whose computation cache holds the result;
 //   - a deterministic job whose inputs hold no file reference goes to its
-//     digest home, the rendezvous winner over (digest, replica) among the
-//     candidates without a full queue: identical submissions through any
-//     gateway meet in one replica's singleflight and cache;
+//     digest home, the rendezvous winner over (digest of the canonical
+//     submission, core.CanonicalHash; replica) among the candidates without
+//     a full queue: identical submissions through any gateway meet in one
+//     replica's singleflight and cache;
 //   - a submission whose inputs reference files goes to the replica that
 //     owns most of them (every file ID carries its owner's prefix), unless
 //     that replica advertises a full queue: the job moves to its data, and
@@ -252,8 +250,8 @@ func localityReplica(candidates []*replicaState, inputs core.Values) *replicaSta
 	return candidates[best]
 }
 
-// placeFresh places a submission no memo entry claims: on the replica that
-// holds its input files when one does, by load-aware spread otherwise.
+// placeFresh places a submission without a digest home: on the replica
+// that holds its input files when one does, by load-aware spread otherwise.
 func (g *Gateway) placeFresh(candidates []*replicaState, inputs core.Values) (*replicaState, error) {
 	if rs := localityReplica(candidates, inputs); rs != nil {
 		return rs, nil
@@ -261,23 +259,20 @@ func (g *Gateway) placeFresh(candidates []*replicaState, inputs core.Values) (*r
 	return g.placeSpread(candidates)
 }
 
-// routeSubmit places one job submission.  A deterministic service first
-// consults the shared memo index (authoritative: fed by every replica's
-// delta feed); an entry pointing at a still-healthy candidate wins, because
-// that replica's memo cache can answer without recomputing.  A deterministic
-// submission without file inputs then goes to its digest home.  Everything
-// else goes to the replica owning its input files, failing that to
-// load-aware placement.  Both the home and load-aware placement may refuse
-// admission (non-nil err) when every candidate is saturated.
+// routeSubmit places one job submission.  A deterministic submission
+// without file inputs goes to its digest home.  Everything else goes to the
+// replica owning its input files, failing that to load-aware placement.
+// Both the home and load-aware placement may refuse admission (non-nil err)
+// when every candidate is saturated.
 //
-// raw is the submission body.  Only the memo key and input locality read
+// raw is the submission body.  Only the digest home and input locality read
 // the inputs, so raw is decoded only for a deterministic service or when it
 // holds the bytes `"file:`.  A reference spelled with JSON escapes (say
 // `"\u0066ile:`) therefore loses locality but stays correct: the replica
 // pulls the blob.
 // A body that does not parse still forwards — the replica owns input
 // validation and its 400 passes through unchanged — it is just placed
-// without a memo key or file references.
+// without a digest home or file references.
 func (g *Gateway) routeSubmit(service string, raw []byte) (*replicaState, error) {
 	candidates := g.serviceReplicas(service)
 	if len(candidates) == 0 {
@@ -288,28 +283,16 @@ func (g *Gateway) routeSubmit(service string, raw []byte) (*replicaState, error)
 	if len(raw) > 0 && (desc.Deterministic || bytes.Contains(raw, fileRefMarker)) {
 		_ = json.Unmarshal(raw, &inputs)
 	}
-	if desc.Deterministic {
-		// A nil FileDigester hashes file references by literal string.  That
-		// is weaker than the container's content digest (two names for the
-		// same bytes miss), but routing only needs a key every gateway
-		// derives alike: a miss degrades to placement, never to a wrong
-		// answer — the replica's own memo gate re-derives the real key.
-		// Defaults are applied first, as the replica does, so the key of a
-		// request that omits a defaulted input matches the replicas' feed.
+	// With file inputs, the owner prefix is already a deterministic home.
+	if desc.Deterministic && !hasFileRef(inputs) {
+		// Routing only needs a key every gateway derives alike: a key that
+		// differs from the replica's degrades to a recomputation, never to a
+		// wrong answer — the replica's own memo gate derives the real key.
+		// Defaults are applied first, as the replica does, so a request
+		// that omits a defaulted input shares the home of one that spells
+		// it out.
 		if key, err := core.CanonicalHash(desc.Name, desc.Version, desc.ApplyDefaults(inputs), nil); err == nil {
-			if name, ok := g.memo.lookup(key); ok {
-				for _, c := range candidates {
-					if c.name == name {
-						metGwIndexHits.Inc()
-						return c, nil
-					}
-				}
-			}
-			// With file inputs, the owner prefix is already a
-			// deterministic home.
-			if !hasFileRef(inputs) {
-				return digestHome(candidates, key)
-			}
+			return digestHome(candidates, key)
 		}
 	}
 	return g.placeFresh(candidates, inputs)

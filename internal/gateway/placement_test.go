@@ -33,7 +33,6 @@ func TestRendezvousScoreIsDeterministic(t *testing.T) {
 func newTestGateway(services map[string][]string, healthy map[string]bool) *Gateway {
 	g := &Gateway{
 		byName:    make(map[string]*replicaState),
-		memo:      newMemoIndex(),
 		candCache: make(map[string]*candEntry),
 	}
 	for name, svcs := range services {
@@ -226,27 +225,6 @@ func TestRouteSubmitInputLocality(t *testing.T) {
 	}
 }
 
-func TestMemoIndexHitWinsOverInputLocality(t *testing.T) {
-	g := localityGateway()
-	inputs := core.Values{"f": core.FileRef(fileID("r02", 1))}
-	key, err := core.CanonicalHash("det", "1", inputs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// No entry yet: the deterministic service is placed on its data.
-	rs, err := g.routeSubmit("det", submitBody(t, inputs))
-	if err != nil || rs.name != "r02" {
-		t.Fatalf("fresh route = %v err=%v, want r02 by locality", rs, err)
-	}
-	// r03 holds the result: recomputing next to the file loses to not
-	// computing at all.
-	g.memo.apply("r03", core.MemoIndexPage{Seq: 1, Entries: []core.MemoIndexEntry{{Key: key, Service: "det", JobID: "j"}}})
-	rs, err = g.routeSubmit("det", submitBody(t, inputs))
-	if err != nil || rs.name != "r03" {
-		t.Fatalf("memo route = %v err=%v, want r03 by memo index", rs, err)
-	}
-}
-
 // rendezvousOrder ranks replica names by rendezvousScore(key, name), best
 // first: the spill order of the key's digest home.
 func rendezvousOrder(key string, names ...string) []string {
@@ -260,7 +238,7 @@ func rendezvousOrder(key string, names ...string) []string {
 // TestRouteSubmitDigestHome pins where a deterministic submission without
 // file inputs goes: its digest home, spilling down the rendezvous order past
 // full queues, refused when every queue is full, and never spent on the
-// spread cursor.  A memo index entry and input files still decide first.
+// spread cursor.  Input files still decide first.
 func TestRouteSubmitDigestHome(t *testing.T) {
 	all := []string{"r01", "r02", "r03"}
 	hash := func(inputs core.Values) string {
@@ -326,12 +304,6 @@ func TestRouteSubmitDigestHome(t *testing.T) {
 			setup: func(g *Gateway) { g.byName[order[0]].healthy = false }, want: order[1]},
 		{name: "every queue full is refused", service: "det", inputs: inputs,
 			setup: full(all...)},
-		{name: "memo index entry wins over the home", service: "det", inputs: inputs,
-			setup: func(g *Gateway) {
-				g.memo.apply(order[2], core.MemoIndexPage{Seq: 1,
-					Entries: []core.MemoIndexEntry{{Key: hash(inputs), Service: "det", JobID: "j"}}})
-			},
-			want: order[2]},
 		{name: "file-bearing submission follows its input", service: "det", inputs: fileInputs,
 			want: owner},
 		{name: "non-deterministic submission takes one spread step", service: "s", inputs: inputs,
@@ -367,7 +339,7 @@ func TestRouteSubmitDigestHome(t *testing.T) {
 // 1:1: on a cursor shared with job placement every upload would take the
 // same parity and land on one replica.
 func TestUploadsSpreadOnTheirOwnCursor(t *testing.T) {
-	g := federationTestGateway(false, nil)
+	g := federationTestGateway(nil)
 	var mu sync.Mutex
 	uploads := make(map[string]int)
 	stubReplicas(t, g, func(name string, r *http.Request) {

@@ -27,7 +27,7 @@ import (
 //
 // Requests about existing resources (jobs, sweeps, files) route in O(1) by
 // the replica prefix of their IDs; resource creation is placed by
-// the memo index, digest homes, input locality and p2c (placement.go);
+// digest homes, input locality and p2c (placement.go);
 // collection reads scatter-gather.  A client that asks for routes
 // (core.RoutePreference) is answered a placed or ID-routed request with a
 // 307 to the replica instead of a proxied answer (dispatch).

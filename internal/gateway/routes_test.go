@@ -146,7 +146,7 @@ func TestRouteTableConformance(t *testing.T) {
 					}
 				}
 			}
-			for _, p := range []string{"/nope", "/services/add/", "/services/add/jobs/x/extra", "/files/x/y"} {
+			for _, p := range []string{"/nope", "/memo", "/memo?since=0", "/services/add/", "/services/add/jobs/x/extra", "/files/x/y"} {
 				before := requestCount("other", http.MethodGet, "4xx")
 				wantJSONError(t, "GET "+p, do(t, http.MethodGet, tc.base+p), http.StatusNotFound)
 				if requestCount("other", http.MethodGet, "4xx") <= before {

@@ -38,7 +38,7 @@ const (
 	// KindFileDel releases one file ID (refcounted; the blob goes with the
 	// last ID).  Replay tolerates deleting an absent ID.
 	KindFileDel Kind = 8
-	// KindMemoPut caches one computation result in the memo index, keyed by
+	// KindMemoPut caches one computation result in the memo table, keyed by
 	// the canonical content hash of its inputs.
 	KindMemoPut Kind = 9
 	// KindBaseURL records the externally visible base URL, so recovered
