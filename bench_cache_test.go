@@ -55,7 +55,7 @@ func BenchmarkRepeatSubmit(b *testing.B) {
 		deployBenchWork(b, d.Container, service, service == "det")
 		jobs := d.Container.Jobs()
 		// Prime: the first submission always executes.
-		job, err := jobs.Submit(service, core.Values{"x": 1.0}, "")
+		job, err := jobs.Submit(context.Background(), service, core.Values{"x": 1.0}, container.SubmitOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func BenchmarkRepeatSubmit(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			job, err := jobs.Submit(service, core.Values{"x": 1.0}, "")
+			job, err := jobs.Submit(context.Background(), service, core.Values{"x": 1.0}, container.SubmitOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -86,7 +86,7 @@ func BenchmarkConcurrentIdenticalSubmits(b *testing.B) {
 	d := startBench(b, 8)
 	deployBenchWork(b, d.Container, "det-par", true)
 	jobs := d.Container.Jobs()
-	job, err := jobs.Submit("det-par", core.Values{"x": 2.0}, "")
+	job, err := jobs.Submit(context.Background(), "det-par", core.Values{"x": 2.0}, container.SubmitOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func BenchmarkConcurrentIdenticalSubmits(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			job, err := jobs.Submit("det-par", core.Values{"x": 2.0}, "")
+			job, err := jobs.Submit(context.Background(), "det-par", core.Values{"x": 2.0}, container.SubmitOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

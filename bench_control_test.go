@@ -70,7 +70,7 @@ func BenchmarkJobStatusContention(b *testing.B) {
 	ids := make([]string, jobs)
 	ctx := context.Background()
 	for i := range ids {
-		job, err := jm.Submit("noop", inputs, "bench")
+		job, err := jm.Submit(context.Background(), "noop", inputs, container.SubmitOptions{Owner: "bench"})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestJobGetOneAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	jm := c.Jobs()
-	job, err := jm.Submit("noop", core.Values{"x": 1.0}, "bench")
+	job, err := jm.Submit(context.Background(), "noop", core.Values{"x": 1.0}, container.SubmitOptions{Owner: "bench"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func BenchmarkJournalSubmit(b *testing.B) {
 				for j := 0; j < burst; j++ {
 					x := float64(i*burst + j)
 					go func() {
-						job, err := jm.SubmitCtx(ctx, "walecho", core.Values{"x": x}, "bench")
+						job, err := jm.Submit(ctx, "walecho", core.Values{"x": x}, container.SubmitOptions{Owner: "bench"})
 						if err == nil {
 							_, err = jm.Wait(ctx, job.ID, 30*time.Second)
 						}
@@ -127,7 +127,7 @@ func BenchmarkJournalRecovery(b *testing.B) {
 		for j := 0; j < n; j++ {
 			x := float64(submitted + j)
 			go func() {
-				job, err := jm.SubmitCtx(ctx, "walecho", core.Values{"x": x}, "bench")
+				job, err := jm.Submit(ctx, "walecho", core.Values{"x": x}, container.SubmitOptions{Owner: "bench"})
 				if err == nil {
 					_, err = jm.Wait(ctx, job.ID, 60*time.Second)
 				}

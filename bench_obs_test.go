@@ -44,7 +44,7 @@ func newObsBenchContainer(b *testing.B) (http.Handler, string, string) {
 	}); err != nil {
 		b.Fatal(err)
 	}
-	job, err := c.Jobs().Submit("noop", core.Values{"x": 1.0}, "bench")
+	job, err := c.Jobs().Submit(context.Background(), "noop", core.Values{"x": 1.0}, container.SubmitOptions{Owner: "bench"})
 	if err != nil {
 		b.Fatal(err)
 	}

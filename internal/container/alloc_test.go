@@ -1,0 +1,127 @@
+package container_test
+
+import (
+	"bytes"
+	"context"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"mathcloud/internal/container"
+	"mathcloud/internal/core"
+)
+
+// Allocation budgets of the two paths every job of the benchmark crosses:
+// one server-side Table 1 cycle (submit ?wait=, GET and DELETE of one job
+// through Container.APIHandler, adapter and worker included) and one child
+// of a width-64 sweep (its share of the submission, its run and its share
+// of the purge).  The budgets are constants of alloc_budget_test.go, and of
+// alloc_budget_race_test.go under the race detector; a change may lower
+// them, never raise them.  TestJobGetOneAlloc (root package) pins the
+// status poll the same way.
+
+// cycleWriter is a reusable http.ResponseWriter, so the budget counts the
+// server's allocations rather than a recorder's.
+type cycleWriter struct {
+	header http.Header
+	status int
+	body   []byte
+}
+
+func (w *cycleWriter) Header() http.Header    { return w.header }
+func (w *cycleWriter) WriteHeader(status int) { w.status = status }
+func (w *cycleWriter) Write(b []byte) (int, error) {
+	w.body = append(w.body, b...)
+	return len(b), nil
+}
+
+func (w *cycleWriter) reset() {
+	clear(w.header)
+	w.status = http.StatusOK
+	w.body = w.body[:0]
+}
+
+// cycleBody is a rewindable request body.
+type cycleBody struct{ bytes.Reader }
+
+func (*cycleBody) Close() error { return nil }
+
+// TestTable1CycleAllocBudget pins the allocations of one Table 1 cycle on
+// the server: POST ?wait= until DONE, GET the job, DELETE it.  Requests and
+// the response writer are reused, so what is counted is the router, the
+// handlers, the JobManager, the worker and the adapter.
+func TestTable1CycleAllocBudget(t *testing.T) {
+	var calls atomic.Int64
+	c := newMemoContainer(t, container.Options{Workers: 2})
+	deploySweepService(t, c, "cycle", false, &calls)
+	h := c.APIHandler()
+
+	payload := []byte(`{"x":1}`)
+	body := &cycleBody{}
+	post := httptest.NewRequest(http.MethodPost, "/services/cycle?wait=10s", nil)
+	get := httptest.NewRequest(http.MethodGet, "/", nil)
+	del := httptest.NewRequest(http.MethodDelete, "/", nil)
+	w := &cycleWriter{header: http.Header{}}
+	cycle := func() {
+		body.Reset(payload)
+		post.Body = body
+		w.reset()
+		h.ServeHTTP(w, post)
+		if w.status != http.StatusCreated || !bytes.Contains(w.body, []byte(`"state":"DONE"`)) {
+			t.Fatalf("submit: %d %s", w.status, w.body)
+		}
+		loc := w.header.Get("Location")
+		path := loc[strings.Index(loc, "/services/"):]
+		for _, r := range []*http.Request{get, del} {
+			r.URL.Path = path
+			w.reset()
+			h.ServeHTTP(w, r)
+			if w.status != http.StatusOK {
+				t.Fatalf("%s %s: %d %s", r.Method, path, w.status, w.body)
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(1000, cycle)
+	t.Logf("Table 1 cycle: %.0f allocations (budget %v)", allocs, table1CycleAllocBudget)
+	if allocs > table1CycleAllocBudget {
+		t.Fatalf("Table 1 cycle allocates %.0f times, budget %v", allocs, table1CycleAllocBudget)
+	}
+}
+
+// TestSweepChildAllocBudget pins the allocations per child of a width-64
+// sweep: submit, run every child to DONE, wait, then destroy the campaign.
+func TestSweepChildAllocBudget(t *testing.T) {
+	var calls atomic.Int64
+	c := newMemoContainer(t, container.Options{Workers: 2})
+	deploySweepService(t, c, "childcost", false, &calls)
+	jm := c.Jobs()
+
+	const width = 64
+	axis := make([]any, width)
+	for i := range axis {
+		axis[i] = float64(i)
+	}
+	spec := &core.SweepSpec{Axes: map[string][]any{"x": axis}}
+	ctx := context.Background()
+	campaign := func() {
+		sw, err := jm.SubmitSweep(ctx, "childcost", spec, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		done, err := jm.WaitSweep(ctx, sw.ID, 10*time.Second)
+		if err != nil || done.Counts.Done != width {
+			t.Fatalf("sweep: %+v (err=%v)", done, err)
+		}
+		if _, err := jm.DeleteSweep(sw.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perChild := testing.AllocsPerRun(100, campaign) / width
+	t.Logf("sweep child: %.3f allocations (budget %v)", perChild, sweepChildAllocBudget)
+	if perChild > sweepChildAllocBudget {
+		t.Fatalf("a sweep child allocates %.3f times, budget %v", perChild, sweepChildAllocBudget)
+	}
+}

@@ -157,7 +157,7 @@ func TestQueueFullRejectsWith503(t *testing.T) {
 	// Fill the single worker plus the single queue slot, then overflow.
 	sawUnavailable := false
 	for i := 0; i < 8; i++ {
-		_, err := c.Jobs().Submit("block", core.Values{}, "")
+		_, err := c.Jobs().Submit(context.Background(), "block", core.Values{}, container.SubmitOptions{})
 		if err != nil {
 			var unavail *core.UnavailableError
 			if !asUnavailable(err, &unavail) {

@@ -68,7 +68,7 @@ func waitTerminal(t *testing.T, c *container.Container, jobID string) *core.Job 
 func TestAdapterPanicMarksJobErrorAndWorkerSurvives(t *testing.T) {
 	c := chaosContainer(t, container.Options{Workers: 1})
 
-	job, err := c.Jobs().Submit("chaos", core.Values{"mode": "panic"}, "")
+	job, err := c.Jobs().Submit(context.Background(), "chaos", core.Values{"mode": "panic"}, container.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestAdapterPanicMarksJobErrorAndWorkerSurvives(t *testing.T) {
 	}
 
 	// The single worker survived the panic: a follow-up job completes.
-	job2, err := c.Jobs().Submit("chaos", core.Values{}, "")
+	job2, err := c.Jobs().Submit(context.Background(), "chaos", core.Values{}, container.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestServiceDeadlineOverrunMarksJobError(t *testing.T) {
 	if err := c.Deploy(chaosService("bounded", 50*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	job, err := c.Jobs().Submit("bounded", core.Values{"mode": "hang"}, "")
+	job, err := c.Jobs().Submit(context.Background(), "bounded", core.Values{"mode": "hang"}, container.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestServiceDeadlineOverrunMarksJobError(t *testing.T) {
 
 func TestContainerDefaultDeadlineApplies(t *testing.T) {
 	c := chaosContainer(t, container.Options{Workers: 1, DefaultJobDeadline: 50 * time.Millisecond})
-	job, err := c.Jobs().Submit("chaos", core.Values{"mode": "hang"}, "")
+	job, err := c.Jobs().Submit(context.Background(), "chaos", core.Values{"mode": "hang"}, container.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestContainerDefaultDeadlineApplies(t *testing.T) {
 // ERROR, when a deadline is also configured.
 func TestCancelUnderDeadlineStaysCancelled(t *testing.T) {
 	c := chaosContainer(t, container.Options{Workers: 1, DefaultJobDeadline: 10 * time.Second})
-	job, err := c.Jobs().Submit("chaos", core.Values{"mode": "hang"}, "")
+	job, err := c.Jobs().Submit(context.Background(), "chaos", core.Values{"mode": "hang"}, container.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestQueueFullReturns503WithRetryAfter(t *testing.T) {
 	var accepted []string
 	deadline := time.Now().Add(5 * time.Second)
 	for len(accepted) < 2 {
-		job, err := c.Jobs().Submit("chaos", core.Values{"mode": "hang"}, "")
+		job, err := c.Jobs().Submit(context.Background(), "chaos", core.Values{"mode": "hang"}, container.SubmitOptions{})
 		if err != nil {
 			if time.Now().After(deadline) {
 				t.Fatalf("could not saturate the container: %v", err)
@@ -238,7 +238,7 @@ func TestCloseDuringLoadLeavesZeroNonTerminalJobs(t *testing.T) {
 		if i%4 == 0 {
 			mode = "hang" // only shutdown can terminate these
 		}
-		job, err := c.Jobs().Submit("chaos", core.Values{"mode": mode}, "")
+		job, err := c.Jobs().Submit(context.Background(), "chaos", core.Values{"mode": mode}, container.SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +303,7 @@ func TestSubmitRacingCloseNeverStrandsJobs(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				job, err := c.Jobs().Submit("chaos", core.Values{"mode": "sleep"}, "")
+				job, err := c.Jobs().Submit(context.Background(), "chaos", core.Values{"mode": "sleep"}, container.SubmitOptions{})
 				if err != nil {
 					var unavail *core.UnavailableError
 					if !asUnavailable(err, &unavail) {

@@ -236,7 +236,7 @@ func TestPulledBlobIsReleasedWithItsConsumer(t *testing.T) {
 	}
 	run := func() *core.Job {
 		t.Helper()
-		job, err := c.Jobs().Submit("flen", core.Values{"f": core.FileRef(foreignID)}, "")
+		job, err := c.Jobs().Submit(context.Background(), "flen", core.Values{"f": core.FileRef(foreignID)}, SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

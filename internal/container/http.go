@@ -208,7 +208,7 @@ func (c *Container) handleService(w http.ResponseWriter, r *http.Request) {
 			rest.WriteError(w, err)
 			return
 		}
-		job, err := c.jobs.SubmitTTL(r.Context(), name, inputs, principalOf(r).Effective(), ttl)
+		job, err := c.jobs.Submit(r.Context(), name, inputs, SubmitOptions{Owner: principalOf(r).Effective(), TTL: ttl})
 		if err != nil {
 			rest.WriteError(w, err)
 			return

@@ -29,9 +29,7 @@ type jobRecord struct {
 	coalesced bool
 	// sweep links a child job back to the sweep that spawned it; nil for
 	// ordinary jobs.  Immutable once the record is published.  State
-	// transitions notify the sweep OUTSIDE rec.mu — a sweep may take its
-	// own lock and then rec.mu (pump inspects children), so the reverse
-	// order would deadlock.
+	// transitions notify the sweep OUTSIDE rec.mu (lock order in sweep.go).
 	sweep *sweepRecord
 	// ttl is the job's destruction TTL (UWS-style): when it reaches a
 	// terminal state, Destruction = Finished + ttl and the reaper purges it
@@ -39,11 +37,12 @@ type jobRecord struct {
 	// Immutable once the record is published.  Sweep children carry zero —
 	// retention is governed by the sweep's own TTL.
 	ttl time.Duration
-	// queued tracks whether the record currently occupies a queue slot, so
-	// the queue-depth gauge stays exact across every exit path (worker
-	// pickup, cancel-while-queued, enqueue rejection) without caring which
-	// path wins the race.
-	queued atomic.Bool
+	// queued marks a record the run queue took while it was WAITING; it is
+	// guarded by mu.  The queue's waiting count and the queue-depth gauge
+	// include such records, and the one transition that takes the record
+	// out of WAITING — beginJob, or land cancelling it — takes it out of
+	// both (runQueue.leave).
+	queued bool
 	// snap caches the last published snapshot of the job.  Mutators clear
 	// it (under mu); readers rebuild it lazily, so the status-polling hot
 	// path costs one atomic load and a shallow copy instead of a mutex
@@ -95,8 +94,9 @@ type jobShard struct {
 // jobShardCount shards keyed by job-ID hash, so status polls from many
 // concurrent clients do not serialize on one global mutex.
 type JobManager struct {
-	c     *Container
-	queue chan *jobRecord
+	c *Container
+	// queue holds every record waiting for a worker, in admission order.
+	queue runQueue
 	// deadline is the container-wide default execution deadline; a
 	// service description's Deadline field overrides it per service.
 	deadline time.Duration
@@ -112,8 +112,7 @@ type JobManager struct {
 	// maxSweepWidth caps the number of child jobs one sweep may expand to
 	// (0 means unlimited).
 	maxSweepWidth int
-	// sweeps tracks the active parameter sweeps and their not-yet-enqueued
-	// children.
+	// sweeps tracks the parameter sweeps.
 	sweeps sweepManager
 	// jobTTL is the container-wide default destruction TTL of terminal
 	// jobs and sweeps (0 = keep until DELETE).
@@ -121,24 +120,15 @@ type JobManager struct {
 
 	shards [jobShardCount]jobShard
 
-	// backlog holds recovered WAITING jobs that did not fit the queue at
-	// Recover time; workers drain it as capacity frees up, mirroring the
-	// sweep pending pump.  backlogCount is the lock-free fast-path gate.
-	backlogMu      sync.Mutex
-	backlog        []*jobRecord
-	backlogCount   atomic.Int64
-	backlogPumping atomic.Bool
-
 	// workers and running feed the /load report: pool size vs jobs
 	// currently executing, alongside the queue occupancy.
 	workers int
 	running atomic.Int64
 
-	wg        sync.WaitGroup
-	closing   chan struct{}
-	closeOnce sync.Once
+	wg sync.WaitGroup
 	// baseCtx parents every job context, so Close cancels jobs that a
-	// worker dequeues concurrently with shutdown.
+	// worker dequeues concurrently with shutdown; it is done once Close
+	// has begun.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 }
@@ -169,15 +159,14 @@ func newJobManager(c *Container, cfg jobManagerConfig) *JobManager {
 	jm := &JobManager{
 		c:             c,
 		workers:       workers,
-		queue:         make(chan *jobRecord, queueSize),
 		deadline:      cfg.deadline,
 		batchMax:      cfg.batchMax,
 		maxSweepWidth: cfg.maxSweepWidth,
 		jobTTL:        cfg.jobTTL,
-		closing:       make(chan struct{}),
 		baseCtx:       baseCtx,
 		baseCancel:    baseCancel,
 	}
+	jm.queue.init(queueSize)
 	jm.sweeps.sweeps = make(map[string]*sweepRecord)
 	if cfg.memoEntries > 0 && cfg.memoBytes > 0 {
 		jm.memo = newMemoTable(cfg.memoEntries, cfg.memoBytes)
@@ -224,25 +213,23 @@ func (jm *JobManager) allRecords() []*jobRecord {
 	return recs
 }
 
-// Submit creates a job for the given service request and enqueues it.
-func (jm *JobManager) Submit(serviceName string, inputs core.Values, owner string) (*core.Job, error) {
-	return jm.SubmitCtx(context.Background(), serviceName, inputs, owner)
+// SubmitOptions carries the optional fields of a submission.
+type SubmitOptions struct {
+	// Owner is the principal the job belongs to ("" for anonymous).
+	Owner string
+	// TTL is the job's destruction TTL (the UWS-style ?destruction= request
+	// field): the terminal job is purged together with its file resources
+	// this long after it finishes.  Zero inherits the container default.
+	TTL time.Duration
 }
 
-// SubmitCtx is Submit with a caller context: the request ID established at
-// HTTP ingress (or by an in-process invoker) is recorded as the job's
-// TraceID and re-enters the context of every outbound call the job makes,
-// so a workflow's fan-out across services shares one correlation ID.  A
-// context without an ID gets a fresh one.
-func (jm *JobManager) SubmitCtx(ctx context.Context, serviceName string, inputs core.Values, owner string) (*core.Job, error) {
-	return jm.SubmitTTL(ctx, serviceName, inputs, owner, 0)
-}
-
-// SubmitTTL is SubmitCtx with an explicit destruction TTL (the UWS-style
-// ?destruction= request field): the terminal job is purged together with its
-// file resources this long after it finishes.  Zero inherits the container
-// default.
-func (jm *JobManager) SubmitTTL(ctx context.Context, serviceName string, inputs core.Values, owner string, ttl time.Duration) (*core.Job, error) {
+// Submit creates a job for the given service request and enqueues it.  The
+// request ID in ctx (established at HTTP ingress or by an in-process
+// invoker) is recorded as the job's TraceID and re-enters the context of
+// every outbound call the job makes, so a workflow's fan-out across services
+// shares one correlation ID.  A context without an ID gets a fresh one.
+func (jm *JobManager) Submit(ctx context.Context, serviceName string, inputs core.Values, opts SubmitOptions) (*core.Job, error) {
+	ttl := opts.TTL
 	if ttl <= 0 {
 		ttl = jm.jobTTL
 	}
@@ -263,7 +250,7 @@ func (jm *JobManager) SubmitTTL(ctx context.Context, serviceName string, inputs 
 	if memoable {
 		if outputs, ok := jm.memo.lookup(memoKey); ok {
 			metMemoHits.Inc()
-			return jm.publishCachedJob(ctx, serviceName, inputs, owner, trace, outputs, ttl)
+			return jm.publishCachedJob(ctx, serviceName, inputs, opts.Owner, trace, outputs, ttl)
 		}
 	}
 
@@ -274,7 +261,7 @@ func (jm *JobManager) SubmitTTL(ctx context.Context, serviceName string, inputs 
 			Service:   serviceName,
 			State:     core.StateWaiting,
 			Inputs:    inputs,
-			Owner:     owner,
+			Owner:     opts.Owner,
 			Created:   now,
 			Submitted: now,
 			TraceID:   trace,
@@ -282,10 +269,8 @@ func (jm *JobManager) SubmitTTL(ctx context.Context, serviceName string, inputs 
 		done: make(chan struct{}),
 		ttl:  ttl,
 	}
-	select {
-	case <-jm.closing:
-		return nil, core.ErrUnavailable(0, "container is shutting down")
-	default:
+	if jm.baseCtx.Err() != nil {
+		return nil, errShuttingDown
 	}
 	// Join or lead the singleflight before the record becomes visible, so
 	// the coalescing flags are immutable once any other goroutine can see
@@ -297,7 +282,7 @@ func (jm *JobManager) SubmitTTL(ctx context.Context, serviceName string, inputs 
 		case hit:
 			// The flight settled since the lookup above.
 			metMemoHits.Inc()
-			return jm.publishCachedJob(ctx, serviceName, inputs, owner, trace, cached, ttl)
+			return jm.publishCachedJob(ctx, serviceName, inputs, opts.Owner, trace, cached, ttl)
 		case leader:
 			rec.memoKey = memoKey
 			metMemoMisses.Inc()
@@ -306,85 +291,58 @@ func (jm *JobManager) SubmitTTL(ctx context.Context, serviceName string, inputs 
 			follower = true
 		}
 	}
+	// Admission comes before the record is published, so a refused job
+	// never becomes visible.  A worker may take the job the instant it is
+	// queued; nothing it does needs the registry.
+	if !follower {
+		if err := jm.queue.push(true, rec); err != nil {
+			if err == errQueueFull {
+				metQueueRejections.Inc()
+			}
+			// A leader that never entered the queue must still resolve its
+			// flight: followers that joined in the meantime fail with the
+			// same error instead of waiting forever.
+			if rec.memoKey != "" {
+				jm.failFlight(rec.memoKey, "container: coalesced execution was rejected: "+err.Error())
+			}
+			return nil, err
+		}
+	}
 	sh := jm.shard(rec.job.ID)
 	sh.mu.Lock()
 	sh.jobs[rec.job.ID] = rec
 	sh.mu.Unlock()
+	metJobsSubmitted.Inc()
+	// The accept is journaled before Submit returns, so every job a client
+	// was ever told about survives a crash.
+	jm.logJob(rec)
+	jm.notifyJob(rec)
 
 	if follower {
 		// Coalesced: an identical execution is already in flight.  The job
-		// is registered and will be completed by the flight's leader; it
-		// never occupies a queue slot or a worker.
+		// will be completed by the flight's leader; it never occupies a
+		// queue slot or a worker, so Close cannot find it in the queue: if
+		// the shutdown has begun, cancel it here so its waiters are
+		// released.  A leader settling concurrently skips terminal records.
 		metMemoCoalesced.Inc()
-		metJobsSubmitted.Inc()
-		jm.logJob(rec)
-		jm.notifyJob(rec)
-		// Close may have swept the registry before the insert above; the
-		// final sweep of Close cancels WAITING followers, and a leader
-		// settling concurrently skips terminal records, so no waiter is
-		// left hanging either way.
-		select {
-		case <-jm.closing:
+		if jm.baseCtx.Err() != nil {
 			jm.cancelPending(rec)
-		default:
 		}
 		return rec.snapshot(), nil
 	}
-
-	if jm.tryEnqueue(rec) {
-		metJobsSubmitted.Inc()
-		// The accept is journaled before SubmitCtx returns, so every job a
-		// client was ever told about survives a crash.
-		jm.logJob(rec)
-		jm.notifyJob(rec)
-		if logger := obs.Logger(); logger.Enabled(ctx, slog.LevelInfo) {
-			logger.LogAttrs(ctx, slog.LevelInfo, "job submitted",
-				slog.String("request_id", trace),
-				slog.String("job_id", rec.job.ID),
-				slog.String("service", serviceName))
-		}
-		// Re-check shutdown: Close may have swept the job map before the
-		// insert above, in which case no reader will ever drain this
-		// record — cancel it here so its waiters are released.
-		select {
-		case <-jm.closing:
-			jm.cancelPending(rec)
-		default:
-		}
-		return rec.snapshot(), nil
+	if logger := obs.Logger(); logger.Enabled(ctx, slog.LevelInfo) {
+		logger.LogAttrs(ctx, slog.LevelInfo, "job submitted",
+			slog.String("request_id", trace),
+			slog.String("job_id", rec.job.ID),
+			slog.String("service", serviceName))
 	}
-	sh.mu.Lock()
-	delete(sh.jobs, rec.job.ID)
-	sh.mu.Unlock()
-	metQueueRejections.Inc()
-	// A leader that never entered the queue must still resolve its flight:
-	// followers that joined in the meantime fail with the same overload
-	// error instead of waiting forever.
-	if rec.memoKey != "" {
-		jm.failFlight(rec.memoKey, "container: coalesced execution was rejected: job queue is full")
-	}
-	// A full queue is a transient overload, not a request conflict: answer
-	// 503 with a retry hint so client retry policies absorb it.
-	return nil, core.ErrUnavailable(queueFullRetryAfter, "job queue is full")
+	return rec.snapshot(), nil
 }
 
-// tryEnqueue offers rec to the job queue without blocking, reporting whether
-// it was accepted.  The record is marked queued before the send — a worker
-// may dequeue it the instant it lands, and every exit from the queue (worker
-// pickup, cancel-while-queued, the rejection here) balances the waiting
-// gauge through the same flag, whichever wins the race.
-func (jm *JobManager) tryEnqueue(rec *jobRecord) bool {
-	rec.queued.Store(true)
-	metJobsWaiting.Add(1)
-	select {
-	case jm.queue <- rec:
-		return true
-	default:
-		if rec.queued.CompareAndSwap(true, false) {
-			metJobsWaiting.Add(-1)
-		}
-		return false
-	}
+// SubmitCtx is Submit with only an owner.  It is kept solely because the
+// benchmark harness (bench/tracerun.go) compiles against it.
+func (jm *JobManager) SubmitCtx(ctx context.Context, serviceName string, inputs core.Values, owner string) (*core.Job, error) {
+	return jm.Submit(ctx, serviceName, inputs, SubmitOptions{Owner: owner})
 }
 
 // queueFullRetryAfter is the Retry-After hint advertised when the job queue
@@ -527,32 +485,19 @@ func (jm *JobManager) ListPage(service string, state core.JobState, limit, offse
 	return out, total
 }
 
-// Close stops the worker pool after cancelling running jobs and drains the
-// queue, so every accepted job reaches a terminal state and every
-// concurrent Wait call unblocks.  After Close returns, no job is left in
-// WAITING or RUNNING.
+// Close stops the worker pool after cancelling running jobs and the jobs
+// still queued, so every accepted job reaches a terminal state and every
+// concurrent Wait call unblocks.  Closing the queue refuses every later
+// push, so no job can enter it behind the drain.  After Close returns, no
+// job is left in WAITING or RUNNING.
 func (jm *JobManager) Close() {
-	jm.closeOnce.Do(func() { close(jm.closing) })
 	// Cancel the parent of every job context: this reaches running jobs
 	// and any job a worker dequeues concurrently with this shutdown.
 	jm.baseCancel()
-	// Drain jobs still sitting in the queue to CANCELLED.  Workers may be
-	// dequeuing concurrently, but each record goes to exactly one reader.
-	for {
-		select {
-		case rec := <-jm.queue:
-			jm.cancelPending(rec)
-			continue
-		default:
-		}
-		break
-	}
-	jm.wg.Wait()
-	// Final sweep: a Submit racing this shutdown can enqueue a record
-	// after both the workers and the drain loop have stopped reading.
-	for _, rec := range jm.allRecords() {
+	for _, rec := range jm.queue.close() {
 		jm.cancelPending(rec)
 	}
+	jm.wg.Wait()
 }
 
 // MemoStats reports the computation cache occupancy: cached entries and
@@ -570,8 +515,8 @@ func (jm *JobManager) MemoStats() (entries int, bytes int64) {
 func (jm *JobManager) LoadReport() core.LoadReport {
 	entries, bytes := jm.MemoStats()
 	return core.LoadReport{
-		QueueDepth:  len(jm.queue) + int(jm.backlogCount.Load()),
-		QueueCap:    cap(jm.queue),
+		QueueDepth:  jm.queue.depth(),
+		QueueCap:    jm.queue.limit,
 		Running:     int(jm.running.Load()),
 		Workers:     jm.workers,
 		MemoEntries: entries,

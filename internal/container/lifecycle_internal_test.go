@@ -108,7 +108,7 @@ func (e *lifecycleEnv) observe(id string, want core.JobState) {
 // submit creates one observed job and returns its ID.
 func (e *lifecycleEnv) submit(service, mode string, x float64, want core.JobState) string {
 	e.t.Helper()
-	job, err := e.jm.Submit(service, core.Values{"mode": mode, "x": x}, "")
+	job, err := e.jm.Submit(context.Background(), service, core.Values{"mode": mode, "x": x}, SubmitOptions{})
 	if err != nil {
 		e.t.Fatalf("Submit %s/%s: %v", service, mode, err)
 	}

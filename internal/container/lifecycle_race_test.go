@@ -25,7 +25,7 @@ func TestCancelRacesConcurrentFinish(t *testing.T) {
 	const jobs = 48
 	var wg sync.WaitGroup
 	for i := 0; i < jobs; i++ {
-		job, err := c.Jobs().Submit("chaos", core.Values{"mode": "sleep"}, "")
+		job, err := c.Jobs().Submit(context.Background(), "chaos", core.Values{"mode": "sleep"}, container.SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestDeleteTerminalJobPurgesFilesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	job, err := c.Jobs().Submit("filemaker", core.Values{}, "")
+	job, err := c.Jobs().Submit(context.Background(), "filemaker", core.Values{}, container.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestQueueFullSubmitStorm(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				job, err := c.Jobs().Submit("chaos", core.Values{"mode": "sleep"}, "")
+				job, err := c.Jobs().Submit(context.Background(), "chaos", core.Values{"mode": "sleep"}, container.SubmitOptions{})
 				if err != nil {
 					var unavail *core.UnavailableError
 					if !asUnavailable(err, &unavail) {

@@ -72,7 +72,7 @@ func TestRepeatSubmitServedFromCache(t *testing.T) {
 	c := newMemoContainer(t, container.Options{Workers: 2})
 	deployCounting(t, c, "det", true, &calls)
 
-	first, err := c.Jobs().Submit("det", core.Values{"x": 21.0}, "")
+	first, err := c.Jobs().Submit(context.Background(), "det", core.Values{"x": 21.0}, container.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestRepeatSubmitServedFromCache(t *testing.T) {
 
 	// The repeat submit must come back DONE immediately — no queue, no
 	// adapter execution — under a distinct job ID.
-	second, err := c.Jobs().Submit("det", core.Values{"x": 21.0}, "")
+	second, err := c.Jobs().Submit(context.Background(), "det", core.Values{"x": 21.0}, container.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestRepeatSubmitServedFromCache(t *testing.T) {
 	}
 
 	// Different inputs miss.
-	third, err := c.Jobs().Submit("det", core.Values{"x": 5.0}, "")
+	third, err := c.Jobs().Submit(context.Background(), "det", core.Values{"x": 5.0}, container.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestNonDeterministicServiceBypassesMemo(t *testing.T) {
 	deployCounting(t, c, "plain", false, &calls)
 
 	for i := 0; i < 3; i++ {
-		job, err := c.Jobs().Submit("plain", core.Values{"x": 1.0}, "")
+		job, err := c.Jobs().Submit(context.Background(), "plain", core.Values{"x": 1.0}, container.SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func TestConcurrentIdenticalSubmitsCoalesce(t *testing.T) {
 		finished.Add(1)
 		go func(i int) {
 			defer finished.Done()
-			job, err := c.Jobs().Submit("gate", core.Values{"x": 3.0}, "")
+			job, err := c.Jobs().Submit(context.Background(), "gate", core.Values{"x": 3.0}, container.SubmitOptions{})
 			submitted.Done()
 			if err != nil {
 				errs <- err
@@ -233,7 +233,7 @@ func TestMemoEvictionChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				x := float64((g + i) % 13)
-				job, err := c.Jobs().Submit("churn", core.Values{"x": x}, "")
+				job, err := c.Jobs().Submit(context.Background(), "churn", core.Values{"x": x}, container.SubmitOptions{})
 				if err != nil {
 					errs <- err
 					return
@@ -291,7 +291,7 @@ func TestMemoInvalidatedOnRedeploy(t *testing.T) {
 	})
 
 	deploy("memo.markA")
-	job, err := c.Jobs().Submit("recfg", core.Values{"x": 1.0}, "")
+	job, err := c.Jobs().Submit(context.Background(), "recfg", core.Values{"x": 1.0}, container.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestMemoInvalidatedOnRedeploy(t *testing.T) {
 		t.Fatal(err)
 	}
 	deploy("memo.markB")
-	job, err = c.Jobs().Submit("recfg", core.Values{"x": 1.0}, "")
+	job, err = c.Jobs().Submit(context.Background(), "recfg", core.Values{"x": 1.0}, container.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestMemoPurgedWithBackingJobFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	first, err := c.Jobs().Submit("filer", core.Values{"x": 1.0}, "")
+	first, err := c.Jobs().Submit(context.Background(), "filer", core.Values{"x": 1.0}, container.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestMemoPurgedWithBackingJobFiles(t *testing.T) {
 	}
 
 	// A hit while the backing job lives returns its file reference.
-	hit, err := c.Jobs().Submit("filer", core.Values{"x": 1.0}, "")
+	hit, err := c.Jobs().Submit(context.Background(), "filer", core.Values{"x": 1.0}, container.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestMemoPurgedWithBackingJobFiles(t *testing.T) {
 	if entries, _ := c.Jobs().MemoStats(); entries != 0 {
 		t.Fatalf("memo entries = %d after backing job delete, want 0", entries)
 	}
-	again, err := c.Jobs().Submit("filer", core.Values{"x": 1.0}, "")
+	again, err := c.Jobs().Submit(context.Background(), "filer", core.Values{"x": 1.0}, container.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,14 +422,14 @@ func TestMemoFileInputsKeyedByContent(t *testing.T) {
 		t.Fatal("expected distinct file IDs for the two uploads")
 	}
 
-	job, err := c.Jobs().Submit("reader", core.Values{"f": core.FileRef(id1)}, "")
+	job, err := c.Jobs().Submit(context.Background(), "reader", core.Values{"f": core.FileRef(id1)}, container.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := waitDone(t, c, job.ID).Outputs["len"]
 
 	// Same bytes behind a different ID: must be a cache hit.
-	hit, err := c.Jobs().Submit("reader", core.Values{"f": core.FileRef(id2)}, "")
+	hit, err := c.Jobs().Submit(context.Background(), "reader", core.Values{"f": core.FileRef(id2)}, container.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestMemoFileInputsKeyedByContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job3, err := c.Jobs().Submit("reader", core.Values{"f": core.FileRef(id3)}, "")
+	job3, err := c.Jobs().Submit(context.Background(), "reader", core.Values{"f": core.FileRef(id3)}, container.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +485,7 @@ func TestCloseReleasesCoalescedFollowers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			job, err := c.Jobs().Submit("block", core.Values{"x": 1.0}, "")
+			job, err := c.Jobs().Submit(context.Background(), "block", core.Values{"x": 1.0}, container.SubmitOptions{})
 			if err != nil {
 				return
 			}

@@ -12,7 +12,7 @@ var (
 	metJobsCompleted = obs.NewCounterVec("mc_jobs_completed_total",
 		"Jobs that reached a terminal state, by state.", "state")
 	metJobsWaiting = obs.NewGauge("mc_job_queue_depth",
-		"Jobs currently waiting in the queue.")
+		"Jobs waiting in the run queue for a worker, sweep children and re-driven jobs included.")
 	metJobsRunning = obs.NewGauge("mc_jobs_running",
 		"Jobs currently executing in handler workers.")
 	metQueueWait = obs.NewHistogram("mc_job_queue_wait_seconds",

@@ -3,6 +3,7 @@ package container
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"mathcloud/internal/core"
@@ -337,6 +338,8 @@ func (jm *JobManager) restoreState(st *replayState) (jobs, sweeps, requeued int)
 	// any re-drive starts.  A job that never started owns none: job-owned
 	// files are created only after beginJob.
 	redriven := make(map[string]bool)
+	// live collects the records to re-queue: every re-driven child and job.
+	var live []*jobRecord
 	// Sweeps first: children link back to their sweepRecord.
 	for _, sid := range st.sweepOrder {
 		sr, ok := st.sweeps[sid]
@@ -358,7 +361,6 @@ func (jm *JobManager) restoreState(st *replayState) (jobs, sweeps, requeued int)
 			done:     make(chan struct{}),
 		}
 		spec := core.SweepSpec{Template: sr.Template}
-		var pending []*jobRecord
 		var lastFinish time.Time
 		for i, cid := range sr.ChildIDs {
 			rj := st.jobs[cid]
@@ -405,7 +407,7 @@ func (jm *JobManager) restoreState(st *replayState) (jobs, sweeps, requeued int)
 				}
 			} else {
 				redriven[cid] = true
-				pending = append(pending, rec)
+				live = append(live, rec)
 			}
 			countInto(&sw.counts, job.State)
 			sh := jm.shard(cid)
@@ -414,7 +416,6 @@ func (jm *JobManager) restoreState(st *replayState) (jobs, sweeps, requeued int)
 			sh.mu.Unlock()
 			jobs++
 		}
-		sw.pending = pending
 		if sw.counts.Terminal() == sw.width {
 			sw.finished = lastFinish
 			if sw.finished.IsZero() {
@@ -429,18 +430,15 @@ func (jm *JobManager) restoreState(st *replayState) (jobs, sweeps, requeued int)
 			// owns were restored with their owner, so finalize still
 			// releases them.
 			metSweepActive.Add(1)
-			jm.sweeps.pendingCount.Add(int64(len(pending)))
 		}
 		jm.sweeps.mu.Lock()
 		jm.sweeps.sweeps[sw.id] = sw
 		jm.sweeps.mu.Unlock()
-		requeued += len(pending)
 		sweeps++
 	}
 
 	// Standalone jobs.  Sweep children were handled above; a child whose
 	// sweep was purged is dead with it.
-	var live []*jobRecord
 	for _, id := range st.jobOrder {
 		rj := st.jobs[id]
 		if rj.sweepID != "" || !rj.hasJob || rj.job == nil || rj.purged {
@@ -465,22 +463,12 @@ func (jm *JobManager) restoreState(st *replayState) (jobs, sweeps, requeued int)
 	// this pass would take for its dead predecessor's.
 	jm.c.files.deleteOwnedByAny(redriven)
 
-	// Re-queue: straight into the queue while it has room, the restart
-	// backlog otherwise (workers drain it as capacity frees up).
-	for _, rec := range live {
-		requeued++
-		if !jm.tryEnqueue(rec) {
-			jm.backlogMu.Lock()
-			jm.backlog = append(jm.backlog, rec)
-			jm.backlogMu.Unlock()
-			jm.backlogCount.Add(1)
-		}
-	}
-
-	// Kick the pumps once: everything pending starts flowing without waiting
-	// for the first natural job completion.
-	jm.sweeps.pump()
-	jm.pumpBacklog()
+	// Re-queue everything in admission order (children of one sweep share
+	// its creation time and keep point order).  A restart admits more than
+	// the queue bound when that much work was live: it was all accepted.
+	sort.SliceStable(live, func(i, k int) bool { return live[i].job.Created.Before(live[k].job.Created) })
+	_ = jm.queue.push(false, live...) // Recover runs before Close can
+	requeued = len(live)
 	return jobs, sweeps, requeued
 }
 
@@ -529,50 +517,6 @@ func (c *Container) restoreMemo(st *replayState) int {
 		restored++
 	}
 	return restored
-}
-
-// pumpBacklog feeds restart-backlog jobs into freed queue capacity.  Workers
-// call it after every processed job; the common no-backlog case is one atomic
-// load.  Only one pump runs at a time, mirroring the sweep pump.
-func (jm *JobManager) pumpBacklog() {
-	if jm.backlogCount.Load() == 0 {
-		return
-	}
-	if !jm.backlogPumping.CompareAndSwap(false, true) {
-		return
-	}
-	defer jm.backlogPumping.Store(false)
-	for {
-		jm.backlogMu.Lock()
-		if len(jm.backlog) == 0 {
-			jm.backlogMu.Unlock()
-			return
-		}
-		rec := jm.backlog[0]
-		jm.backlogMu.Unlock()
-		select {
-		case <-rec.done:
-			// Cancelled while backlogged: nothing to enqueue.
-			jm.dropBacklogHead(rec)
-			continue
-		default:
-		}
-		if !jm.tryEnqueue(rec) {
-			return
-		}
-		jm.dropBacklogHead(rec)
-	}
-}
-
-// dropBacklogHead removes rec from the head of the backlog if it still is
-// the head.
-func (jm *JobManager) dropBacklogHead(rec *jobRecord) {
-	jm.backlogMu.Lock()
-	if len(jm.backlog) > 0 && jm.backlog[0] == rec {
-		jm.backlog = jm.backlog[1:]
-		jm.backlogCount.Add(-1)
-	}
-	jm.backlogMu.Unlock()
 }
 
 // Checkpoint folds the container's full durable state into one journal

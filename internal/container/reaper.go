@@ -14,7 +14,7 @@ func (jm *JobManager) reaper() {
 	defer t.Stop()
 	for {
 		select {
-		case <-jm.closing:
+		case <-jm.baseCtx.Done():
 			return
 		case <-t.C:
 			jm.Reap(time.Now())

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -79,7 +80,7 @@ func TestRecoverTerminalJobAndMemo(t *testing.T) {
 	}
 	deployNative(t, c1, "rsum", "rectest.sum", true, sumParams.in, sumParams.out)
 	c1.SetBaseURL("http://recovery.test")
-	job, err := c1.Jobs().SubmitCtx(ctx, "rsum", core.Values{"a": 2.0, "b": 40.0}, "alice")
+	job, err := c1.Jobs().Submit(ctx, "rsum", core.Values{"a": 2.0, "b": 40.0}, container.SubmitOptions{Owner: "alice"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestRecoverTerminalJobAndMemo(t *testing.T) {
 	if entries, _ := c2.Jobs().MemoStats(); entries < 1 {
 		t.Fatalf("memo entries after recovery = %d, want >= 1", entries)
 	}
-	hit, err := c2.Jobs().SubmitCtx(ctx, "rsum", core.Values{"a": 2.0, "b": 40.0}, "bob")
+	hit, err := c2.Jobs().Submit(ctx, "rsum", core.Values{"a": 2.0, "b": 40.0}, container.SubmitOptions{Owner: "bob"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestRecoverRequeuesAbandonedJob(t *testing.T) {
 	t.Cleanup(c1.Close) // runs after c2's cleanup; the "crash" is that c1 stays open now
 	deployNative(t, c1, "gated", "rectest.gated", false, nil,
 		[]core.Param{{Name: "ok", Optional: true}})
-	job, err := c1.Jobs().SubmitCtx(ctx, "gated", core.Values{}, "alice")
+	job, err := c1.Jobs().Submit(ctx, "gated", core.Values{}, container.SubmitOptions{Owner: "alice"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,6 +188,101 @@ func TestRecoverRequeuesAbandonedJob(t *testing.T) {
 	}
 	if redone.State != core.StateDone || redone.Outputs["ok"] != true {
 		t.Fatalf("re-driven job = state %s outputs %v, want DONE", redone.State, redone.Outputs)
+	}
+}
+
+// TestRecoverMoreWaitingThanQueue restarts a container whose journal holds
+// three queues' worth of live standalone jobs and a sweep as wide, into a
+// container with a small queue: a restart re-drives everything that was
+// accepted, past the admission bound, and runs each job exactly once.
+func TestRecoverMoreWaitingThanQueue(t *testing.T) {
+	const queueSize = 4
+	var allow atomic.Bool
+	var gated atomic.Int64 // runs stuck in the closed gate
+	var mu sync.Mutex
+	runs := make(map[float64]int)
+	adapter.RegisterFunc("rectest.gatedkey", func(ctx context.Context, in core.Values) (core.Values, error) {
+		if !allow.Load() {
+			gated.Add(1)
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		k, _ := in["k"].(float64)
+		mu.Lock()
+		runs[k]++
+		mu.Unlock()
+		return core.Values{"ok": true}, nil
+	})
+	deploy := func(c *container.Container) {
+		deployNative(t, c, "gatedkey", "rectest.gatedkey", false,
+			[]core.Param{{Name: "k"}}, []core.Param{{Name: "ok"}})
+	}
+	dir := t.TempDir()
+	ctx := context.Background()
+
+	// The first container admits everything: its queue is the default.
+	opts1 := durableOpts(dir, journal.SyncAlways)
+	c1, err := container.New(opts1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c1.Close) // runs after c2's cleanup; the "crash" is that c1 stays open now
+	deploy(c1)
+	var ids []string
+	for k := 0; k < 3*queueSize; k++ {
+		job, err := c1.Jobs().Submit(ctx, "gatedkey", core.Values{"k": float64(k)}, container.SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, job.ID)
+	}
+	axis := make([]any, 3*queueSize)
+	for i := range axis {
+		axis[i] = float64(100 + i)
+	}
+	sw, err := c1.Jobs().SubmitSweep(ctx, "gatedkey", &core.SweepSpec{Axes: map[string][]any{"k": axis}}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// "Crash": abandon c1 once every one of its workers is stuck in the
+	// gate, so it can finish nothing, and recover into a container whose
+	// queue holds a sixth of the live work.
+	for deadline := time.Now().Add(5 * time.Second); gated.Load() < int64(opts1.Workers); {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d workers reached the gate", gated.Load(), opts1.Workers)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	allow.Store(true)
+	opts := durableOpts(dir, journal.SyncAlways)
+	opts.QueueSize = queueSize
+	c2, err := container.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c2.Close)
+	deploy(c2)
+	if err := c2.Recover(); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	for _, id := range ids {
+		if job, err := c2.Jobs().Wait(ctx, id, 10*time.Second); err != nil || job.State != core.StateDone {
+			t.Fatalf("re-driven job %s: %+v (err=%v)", id, job, err)
+		}
+	}
+	if done := waitSweepDone(t, c2, sw.ID); done.Counts.Done != len(axis) {
+		t.Fatalf("re-driven sweep counts %+v, want %d DONE", done.Counts, len(axis))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(runs) != 6*queueSize {
+		t.Errorf("adapter ran %d distinct jobs, want %d", len(runs), 6*queueSize)
+	}
+	for k, n := range runs {
+		if n != 1 {
+			t.Errorf("job k=%v ran %d times, want once", k, n)
+		}
 	}
 }
 
@@ -256,7 +352,7 @@ func TestReaperPurgesExpired(t *testing.T) {
 	jm := c.Jobs()
 	ctx := context.Background()
 
-	job, err := jm.SubmitTTL(ctx, "add", core.Values{"a": 1.0, "b": 2.0}, "alice", time.Hour)
+	job, err := jm.Submit(ctx, "add", core.Values{"a": 1.0, "b": 2.0}, container.SubmitOptions{Owner: "alice", TTL: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +446,7 @@ func TestRecoveryMetricsExposed(t *testing.T) {
 		t.Fatal(err)
 	}
 	deployNative(t, c1, "msum", "rectest.metsum", false, sumParams.in, sumParams.out)
-	job, err := c1.Jobs().SubmitCtx(ctx, "msum", core.Values{"a": 1.0, "b": 1.0}, "alice")
+	job, err := c1.Jobs().Submit(ctx, "msum", core.Values{"a": 1.0, "b": 1.0}, container.SubmitOptions{Owner: "alice"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +504,7 @@ func TestRecoverTimelineFromLogTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	deployNative(t, c1, "timeline", "rectest.timeline", false, nil, []core.Param{{Name: "ok"}})
-	job, err := c1.Jobs().SubmitCtx(ctx, "timeline", core.Values{}, "alice")
+	job, err := c1.Jobs().Submit(ctx, "timeline", core.Values{}, container.SubmitOptions{Owner: "alice"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +591,7 @@ func TestRecoverDiscardsDeadRunFiles(t *testing.T) {
 	t.Cleanup(c1.Close) // runs after c2's cleanup; the "crash" is that c1 stays open now
 	files.Store(c1.Files())
 	deployNative(t, c1, "publisher", "rectest.publisher", false, nil, []core.Param{{Name: "ok", Optional: true}})
-	job, err := c1.Jobs().SubmitCtx(ctx, "publisher", core.Values{}, "alice")
+	job, err := c1.Jobs().Submit(ctx, "publisher", core.Values{}, container.SubmitOptions{Owner: "alice"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,7 +96,7 @@ func TestOversizedInputFailsJob(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	job, err := c.Jobs().Submit("noop", core.Values{"data": core.FileRef(srv.URL + "/big")}, "")
+	job, err := c.Jobs().Submit(context.Background(), "noop", core.Values{"data": core.FileRef(srv.URL + "/big")}, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestScriptJobCreatesNoWorkDirUnlessFilesAreStaged(t *testing.T) {
 	}
 
 	// End to end the plain job still computes, and leaves nothing behind.
-	job, err := c.Jobs().Submit("inc", core.Values{"x": 41.0}, "")
+	job, err := c.Jobs().Submit(context.Background(), "inc", core.Values{"x": 41.0}, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func TestJobManagerConcurrentStress(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				job, err := jobs.Submit("echo", core.Values{"x": float64(g*iters + i)}, "")
+				job, err := jobs.Submit(context.Background(), "echo", core.Values{"x": float64(g*iters + i)}, container.SubmitOptions{})
 				if err != nil {
 					errs <- fmt.Errorf("submit: %w", err)
 					return
@@ -130,7 +130,7 @@ func TestQueuedJobCancelledNeverRuns(t *testing.T) {
 	jobs := c.Jobs()
 
 	// Occupy the single worker, then queue a second job behind it.
-	blocker, err := jobs.Submit("gate", core.Values{"id": "blocker"}, "")
+	blocker, err := jobs.Submit(context.Background(), "gate", core.Values{"id": "blocker"}, container.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestQueuedJobCancelledNeverRuns(t *testing.T) {
 		case <-time.After(time.Millisecond):
 		}
 	}
-	queued, err := jobs.Submit("gate", core.Values{"id": "queued"}, "")
+	queued, err := jobs.Submit(context.Background(), "gate", core.Values{"id": "queued"}, container.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mathcloud/internal/core"
@@ -43,32 +42,10 @@ const (
 // never held while taking sweepRecord.mu — child state transitions notify
 // the sweep after releasing the record lock.
 
-// sweepManager tracks the active sweeps of a JobManager and the children
-// that did not fit into the job queue at submission time.
+// sweepManager tracks the sweeps of a JobManager until each is destroyed.
 type sweepManager struct {
 	mu     sync.RWMutex
 	sweeps map[string]*sweepRecord
-	// pendingCount is the total number of not-yet-enqueued children across
-	// all sweeps; the per-job pump fast-path exits on zero without touching
-	// any lock.
-	pendingCount atomic.Int64
-}
-
-// pump feeds pending sweep children into freed queue capacity.  Workers call
-// it after every processed job; the common no-sweep case is one atomic load.
-func (sm *sweepManager) pump() {
-	if sm.pendingCount.Load() == 0 {
-		return
-	}
-	sm.mu.RLock()
-	list := make([]*sweepRecord, 0, len(sm.sweeps))
-	for _, sw := range sm.sweeps {
-		list = append(list, sw)
-	}
-	sm.mu.RUnlock()
-	for _, sw := range list {
-		sw.pump()
-	}
 }
 
 // sweepRecord is the container's internal state for one parameter sweep.
@@ -95,9 +72,6 @@ type sweepRecord struct {
 	// sweep (and its children) are purged ttl after the last child lands.
 	// Zero keeps the sweep until an explicit DELETE.  Immutable.
 	ttl time.Duration
-	// pumping admits one pump loop at a time, so the head of the pending
-	// list is enqueued exactly once without holding mu across channel sends.
-	pumping atomic.Bool
 
 	mu         sync.Mutex
 	counts     core.SweepCounts
@@ -105,9 +79,6 @@ type sweepRecord struct {
 	finished   time.Time
 	// destruction is the reap-after instant, set by finalize when ttl > 0.
 	destruction time.Time
-	cancelled   bool
-	// pending holds children waiting for queue capacity, in point order.
-	pending []*jobRecord
 }
 
 // snapshot renders the sweep resource.  It is O(1) in the sweep width: the
@@ -200,70 +171,15 @@ func (sw *sweepRecord) finalize() {
 	}
 }
 
-// pump moves pending children into free job-queue slots.  Only one pump per
-// sweep runs at a time; a missed wakeup is recovered by the next per-job
-// pump, so progress is guaranteed while any job completes.
-func (sw *sweepRecord) pump() {
-	if !sw.pumping.CompareAndSwap(false, true) {
-		return
-	}
-	defer sw.pumping.Store(false)
-	for {
-		sw.mu.Lock()
-		if len(sw.pending) == 0 {
-			sw.mu.Unlock()
-			return
-		}
-		rec := sw.pending[0]
-		cancelled := sw.cancelled
-		sw.mu.Unlock()
-		if cancelled {
-			// cancel already moved every child to CANCELLED; just drain.
-			sw.dropPendingHead(rec)
-			continue
-		}
-		// Children that went terminal while pending (cancelled
-		// individually) have nothing to enqueue.
-		select {
-		case <-rec.done:
-			sw.dropPendingHead(rec)
-			continue
-		default:
-		}
-		if !sw.jm.tryEnqueue(rec) {
-			// Queue full again: retry on a later pump.
-			return
-		}
-		sw.dropPendingHead(rec)
-	}
-}
-
-// dropPendingHead removes rec from the head of the pending list if it still
-// is the head (a concurrent cancel may have drained the list).
-func (sw *sweepRecord) dropPendingHead(rec *jobRecord) {
-	sw.mu.Lock()
-	if len(sw.pending) > 0 && sw.pending[0] == rec {
-		sw.pending = sw.pending[1:]
-		sw.jm.sweeps.pendingCount.Add(-1)
-	}
-	sw.mu.Unlock()
-}
-
 // cancel cancels every non-terminal child of the sweep with a single call:
-// queued and pending children move straight to CANCELLED, running children
-// have their contexts cancelled.  Terminal children keep their results.
+// queued children move straight to CANCELLED, running children have their
+// contexts cancelled.  Terminal children keep their results.
 func (sw *sweepRecord) cancel() {
-	sw.mu.Lock()
-	sw.cancelled = true
-	sw.mu.Unlock()
 	for _, cid := range sw.childIDs {
 		if rec, err := sw.jm.record(cid); err == nil {
 			sw.jm.cancelJob(rec)
 		}
 	}
-	// Drain the pending list: its children are terminal now, and the sweep
-	// must not hold queue capacity hostage.
-	sw.pump()
 }
 
 // SubmitSweep expands one sweep specification into child jobs of the named
@@ -279,10 +195,8 @@ func (jm *JobManager) SubmitSweep(ctx context.Context, serviceName string, spec 
 	if err != nil {
 		return nil, err
 	}
-	select {
-	case <-jm.closing:
-		return nil, core.ErrUnavailable(0, "container is shutting down")
-	default:
+	if jm.baseCtx.Err() != nil {
+		return nil, errShuttingDown
 	}
 	_, trace := obs.EnsureRequestID(ctx)
 	now := time.Now()
@@ -338,7 +252,7 @@ func (jm *JobManager) SubmitSweep(ctx context.Context, serviceName string, spec 
 	// joinOrLead returns, and their transitions must not fold into the
 	// counts before the loop's own increments.
 	recs := make([]*jobRecord, 0, len(points))
-	var pending []*jobRecord
+	var queued []*jobRecord
 	sw.childIDs = make([]string, 0, len(points))
 	bornDone := 0
 	sw.mu.Lock()
@@ -396,7 +310,7 @@ func (jm *JobManager) SubmitSweep(ctx context.Context, serviceName string, spec 
 			}
 		}
 		if enqueue {
-			pending = append(pending, rec)
+			queued = append(queued, rec)
 			sw.counts.Waiting++
 		}
 		recs = append(recs, rec)
@@ -422,8 +336,6 @@ func (jm *JobManager) SubmitSweep(ctx context.Context, serviceName string, spec 
 		sh.mu.Unlock()
 	}
 
-	sw.pending = pending
-	jm.sweeps.pendingCount.Add(int64(len(pending)))
 	jm.sweeps.mu.Lock()
 	jm.sweeps.sweeps[sw.id] = sw
 	jm.sweeps.mu.Unlock()
@@ -459,15 +371,10 @@ func (jm *JobManager) SubmitSweep(ctx context.Context, serviceName string, spec 
 	if terminalNow {
 		// Every point was answered from the computation cache.
 		sw.finalize()
-	} else {
-		sw.pump()
-	}
-	// A concurrent Close may have swept the registry before the inserts
-	// above; cancel so no child is left WAITING forever.
-	select {
-	case <-jm.closing:
+	} else if jm.queue.push(false, queued...) != nil {
+		// Close began after the check above: no worker will run the
+		// children, so none may be left WAITING.
 		sw.cancel()
-	default:
 	}
 	if logger := obs.Logger(); logger.Enabled(ctx, slog.LevelInfo) {
 		logger.LogAttrs(ctx, slog.LevelInfo, "sweep submitted",
@@ -635,7 +542,7 @@ func (jm *JobManager) SweepChildren(id string, state core.JobState, limit, offse
 }
 
 // DeleteSweep implements the DELETE method of the sweep resource: a live
-// sweep is cancelled in one call — queued and pending children are released
+// sweep is cancelled in one call — queued children are released
 // immediately, running children are aborted, sweep-staged files are freed
 // when the last child lands — and remains queryable; a terminal sweep is
 // destroyed together with its children and their files.

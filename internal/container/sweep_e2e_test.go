@@ -136,7 +136,7 @@ func TestJobListStateFilterAndPagination(t *testing.T) {
 	c, srv := startSweepContainer(t, container.Options{Workers: 2})
 
 	for i := 0; i < 5; i++ {
-		job, err := c.Jobs().Submit("double", core.Values{"x": float64(i)}, "")
+		job, err := c.Jobs().Submit(context.Background(), "double", core.Values{"x": float64(i)}, container.SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

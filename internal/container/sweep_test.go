@@ -172,7 +172,7 @@ func TestSweepMemoOverlap(t *testing.T) {
 
 	// A single plain submit of an already-swept point is also a hit: the
 	// canonical-hash prefix is shared both ways.
-	hit, err := c.Jobs().Submit("overlap", core.Values{"x": 3.0, "scale": 2.0}, "")
+	hit, err := c.Jobs().Submit(context.Background(), "overlap", core.Values{"x": 3.0, "scale": 2.0}, container.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,9 +355,8 @@ func TestSweepBatchExecution(t *testing.T) {
 	t.Logf("width %d served by %d adapter invocations", width, batchCalls.Load())
 }
 
-// TestSweepWiderThanQueue asserts the backpressure path: a sweep wider than
-// the whole job queue still completes, with the sweep feeding the queue as
-// workers drain it.
+// TestSweepWiderThanQueue asserts that a sweep wider than the queue's
+// admission bound is admitted whole and completes.
 func TestSweepWiderThanQueue(t *testing.T) {
 	var calls atomic.Int64
 	c := newMemoContainer(t, container.Options{Workers: 2, QueueSize: 4})

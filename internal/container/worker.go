@@ -27,27 +27,12 @@ import (
 
 func (jm *JobManager) worker() {
 	defer jm.wg.Done()
-	// spill holds a job pulled off the queue by drainBatch that belongs to a
-	// different service: the worker runs it next instead of re-enqueueing,
-	// so draining never starves or reorders foreign jobs behind the batch.
-	var spill *jobRecord
 	for {
-		var rec *jobRecord
-		if spill != nil {
-			rec, spill = spill, nil
-		} else {
-			select {
-			case <-jm.closing:
-				return
-			case rec = <-jm.queue:
-			}
+		rec := jm.queue.pop()
+		if rec == nil {
+			return
 		}
-		jm.execute(jm.drainBatch(rec, &spill))
-		// A finished job may have freed queue capacity for sweep children
-		// that did not fit at submission time, or for recovered jobs still
-		// in the restart backlog.
-		jm.sweeps.pump()
-		jm.pumpBacklog()
+		jm.execute(jm.drainBatch(rec))
 	}
 }
 
@@ -55,9 +40,10 @@ func (jm *JobManager) worker() {
 // up to jm.batchMax members, rec first.  The batch is rec alone when
 // batching does not apply — batching disabled, service gone or not declared
 // "batch", adapter without InvokeBatch, or no second job available.
-// Draining stops at the first job of a different service, which is handed
-// back through spill.
-func (jm *JobManager) drainBatch(rec *jobRecord, spill **jobRecord) []*jobRecord {
+// Draining takes only from the head of the queue and stops at the first job
+// of another service, which stays there for the next worker, so batching
+// never reorders jobs.
+func (jm *JobManager) drainBatch(rec *jobRecord) []*jobRecord {
 	batch := []*jobRecord{rec}
 	if jm.batchMax < 2 {
 		return batch
@@ -70,19 +56,7 @@ func (jm *JobManager) drainBatch(rec *jobRecord, spill **jobRecord) []*jobRecord
 	if _, ok := svc.adapter.(adapter.BatchInterface); !ok {
 		return batch
 	}
-	for len(batch) < jm.batchMax {
-		select {
-		case next := <-jm.queue:
-			if next.job.Service == rec.job.Service {
-				batch = append(batch, next)
-				continue
-			}
-			*spill = next
-		default:
-		}
-		break
-	}
-	return batch
+	return jm.queue.popSame(batch, jm.batchMax)
 }
 
 // runningJob carries the per-execution state of one job from its
@@ -109,12 +83,8 @@ type runningJob struct {
 func (jm *JobManager) beginJob(rec *jobRecord, ctx context.Context, cancel context.CancelFunc, deadline time.Duration) *runningJob {
 	rec.mu.Lock()
 	if rec.job.State != core.StateWaiting {
-		// Cancelled while queued.  A pump may have enqueued it again between
-		// the landing and the close of its done channel.
+		// Cancelled while queued: its landing called queue.leave.
 		rec.mu.Unlock()
-		if rec.queued.CompareAndSwap(true, false) {
-			metJobsWaiting.Add(-1)
-		}
 		return nil
 	}
 	rec.job.State = core.StateRunning
@@ -135,9 +105,7 @@ func (jm *JobManager) beginJob(rec *jobRecord, ctx context.Context, cancel conte
 	queueWait := rec.job.QueueWait.Std()
 	rec.mu.Unlock()
 
-	if rec.queued.CompareAndSwap(true, false) {
-		metJobsWaiting.Add(-1)
-	}
+	jm.queue.leave()
 	metJobsRunning.Add(1)
 	jm.running.Add(1)
 	metQueueWait.Observe(queueWait.Seconds())
@@ -188,6 +156,7 @@ func (jm *JobManager) land(rec *jobRecord, from, to core.JobState, outputs core.
 	}
 	runTime := rec.job.RunTime.Std()
 	queueWait := rec.job.QueueWait.Std()
+	queued := rec.queued
 	// A leader settles its flight before anyone can see it terminal, so a
 	// client that observes DONE and resubmits finds the result cached.
 	var followers []*jobRecord
@@ -213,8 +182,8 @@ func (jm *JobManager) land(rec *jobRecord, from, to core.JobState, outputs core.
 		metJobsRunning.Add(-1)
 		jm.running.Add(-1)
 		metRunTime.Observe(runTime.Seconds())
-	} else if rec.queued.CompareAndSwap(true, false) {
-		metJobsWaiting.Add(-1)
+	} else if queued {
+		jm.queue.leave()
 	}
 	metJobsCompleted.With(strings.ToLower(string(to))).Inc()
 	// A sweep child logs at Debug: its sweep writes one "sweep finished"

@@ -21,6 +21,14 @@ import (
 // of its field shapes are exported for the journal's records, which embed
 // the same shapes.
 
+// JSONAppender is a value that encodes itself into a caller's buffer, such
+// as Job, JobPage and the journal's job records.  rest.WriteJSON and the
+// journal's frame encoder append such a value in place instead of going
+// through encoding/json.
+type JSONAppender interface {
+	AppendJSON(b []byte) ([]byte, error)
+}
+
 // AppendJSON appends the JSON encoding of the job to b.  Like encoding/json
 // it fails on a NaN or infinite float and on a time whose year is outside
 // [0,9999]; on error it returns nil.  A nil job encodes as null.

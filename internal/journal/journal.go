@@ -42,6 +42,7 @@ import (
 	"sync"
 	"time"
 
+	"mathcloud/internal/core"
 	"mathcloud/internal/obs"
 )
 
@@ -270,12 +271,6 @@ func Open(dir string, opts Options) (*Journal, error) {
 // Dir returns the journal's root directory.
 func (j *Journal) Dir() string { return j.dir }
 
-// appender is a record that encodes itself into a caller's buffer, such as
-// JobRecord and JobEndRecord.
-type appender interface {
-	AppendJSON(b []byte) ([]byte, error)
-}
-
 // frameCap is the starting capacity of a frame a record appends itself
 // into: room for a Table 1 job's submit image without growing.
 const frameCap = 512
@@ -287,7 +282,7 @@ func encode(kind Kind, v any) ([]byte, error) {
 	header := [frameHeader + 1]byte{frameHeader: byte(kind)}
 	var b []byte
 	var err error
-	if a, ok := v.(appender); ok {
+	if a, ok := v.(core.JSONAppender); ok {
 		b, err = a.AppendJSON(append(make([]byte, 0, frameCap), header[:]...))
 	} else {
 		var body []byte

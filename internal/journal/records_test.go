@@ -58,7 +58,7 @@ func fuzzValue(kind uint8, x float64, s string) any {
 // recordPair is one hand-encoded record and its method-less copy.
 type recordPair struct {
 	kind  Kind
-	hand  appender
+	hand  core.JSONAppender
 	plain any
 }
 

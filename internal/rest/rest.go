@@ -39,12 +39,6 @@ var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledJSON = 1 << 20
 
-// jsonAppender is a value that encodes itself into a caller's buffer, such
-// as core.Job and core.JobPage.
-type jsonAppender interface {
-	AppendJSON(b []byte) ([]byte, error)
-}
-
 // WriteJSON encodes v as compact JSON with the given status code.  The body
 // is encoded into a pooled buffer before anything is sent, so it goes out
 // in one write framed by Content-Length, and a value that fails to encode
@@ -62,7 +56,7 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 		}
 	}()
 	var err error
-	if a, ok := v.(jsonAppender); ok {
+	if a, ok := v.(core.JSONAppender); ok {
 		var b []byte
 		if b, err = a.AppendJSON(buf.AvailableBuffer()); err == nil {
 			buf.Write(append(b, '\n'))

@@ -115,10 +115,10 @@ func (i *LocalInvoker) Call(ctx context.Context, serviceURI string, inputs core.
 		return i.fallback().Call(ctx, serviceURI, inputs)
 	}
 	jobs := c.Jobs()
-	// SubmitCtx carries the caller's request ID into the dispatched job, so
+	// Submit carries the caller's request ID into the dispatched job, so
 	// the in-process fast path preserves the trace exactly like an HTTP hop
 	// would via the X-Request-ID header.
-	job, err := jobs.SubmitCtx(ctx, name, inputs, i.actFor)
+	job, err := jobs.Submit(ctx, name, inputs, container.SubmitOptions{Owner: i.actFor})
 	if err != nil {
 		return nil, err
 	}
