@@ -35,7 +35,10 @@ type Request struct {
 	Owner string
 	// Inputs holds the request parameter values.  File-reference values
 	// have been resolved: for each such parameter Files maps the
-	// parameter name to a local path with the staged content.
+	// parameter name to a local path with the staged content.  The map is
+	// the job resource's own and is read-only: an adapter that needs to
+	// change inputs copies them first (the script adapter's interpreter
+	// and NativeAdapter, which runs arbitrary registered code, do).
 	Inputs core.Values
 	// Files maps file-valued input parameter names to staged local paths.
 	Files map[string]string
@@ -55,7 +58,10 @@ type Request struct {
 
 // Result carries the outputs of a successfully processed job.
 type Result struct {
-	// Outputs holds inline output parameter values.
+	// Outputs holds inline output parameter values.  The map is handed
+	// over: the container may keep it as the job's outputs, so the
+	// adapter must not write to it (or share it with anything that does)
+	// after returning.
 	Outputs core.Values
 	// Files maps output parameter names to local paths whose content the
 	// container publishes as file resources, replacing the parameter

@@ -178,12 +178,16 @@ func (a *NativeAdapter) Kind() string { return "native" }
 // see a path, so their jobs can skip scratch-directory creation entirely.
 func (a *NativeAdapter) NeedsWorkDir() bool { return a.reqFn != nil }
 
-// call dispatches to whichever function form is registered.
+// call dispatches to whichever function form is registered.  A registered
+// function is arbitrary code, so it gets its own copy of the input map
+// (Request.Inputs is shared with the job resource and read-only).
 func (a *NativeAdapter) call(ctx context.Context, req *Request) (*Result, error) {
 	if a.reqFn != nil {
-		return a.reqFn(ctx, req)
+		own := *req
+		own.Inputs = req.Inputs.Clone()
+		return a.reqFn(ctx, &own)
 	}
-	outputs, err := a.fn(ctx, req.Inputs)
+	outputs, err := a.fn(ctx, req.Inputs.Clone())
 	if err != nil {
 		return nil, err
 	}
@@ -242,7 +246,7 @@ func (a *NativeAdapter) InvokeBatch(ctx context.Context, reqs []*Request) ([]Bat
 	}
 	batch := make([]core.Values, len(reqs))
 	for i, req := range reqs {
-		batch[i] = req.Inputs
+		batch[i] = req.Inputs.Clone()
 	}
 	var outs []core.Values
 	var errs []error

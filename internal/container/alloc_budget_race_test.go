@@ -6,8 +6,9 @@ package container_test
 // makes sync.Pool drop a random share of what is put back, so the counts
 // vary from run to run.  Each budget is the largest count seen in 30 runs
 // when it was pinned (go1.24, linux/amd64), plus a margin of one or two
-// allocations per cycle or campaign for that randomness.
+// allocations per cycle, campaign or page for that randomness.
 const (
-	table1CycleAllocBudget = 103
-	sweepChildAllocBudget  = 42.4
+	table1CycleAllocBudget = 86
+	sweepChildAllocBudget  = 24.38
+	sweepPageAllocBudget   = 0.35
 )

@@ -6,6 +6,7 @@ package container_test
 // (go1.24, linux/amd64).  A sweep's count varies by about one allocation per
 // hundred campaigns, which the child budget's last digit absorbs.
 const (
-	table1CycleAllocBudget = 93
-	sweepChildAllocBudget  = 41.35
+	table1CycleAllocBudget = 76
+	sweepChildAllocBudget  = 23.32
+	sweepPageAllocBudget   = 0.27
 )

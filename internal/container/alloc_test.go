@@ -14,11 +14,12 @@ import (
 	"mathcloud/internal/core"
 )
 
-// Allocation budgets of the two paths every job of the benchmark crosses:
-// one server-side Table 1 cycle (submit ?wait=, GET and DELETE of one job
-// through Container.APIHandler, adapter and worker included) and one child
-// of a width-64 sweep (its share of the submission, its run and its share
-// of the purge).  The budgets are constants of alloc_budget_test.go, and of
+// Allocation budgets of the paths every job of the benchmark crosses: one
+// server-side Table 1 cycle (submit ?wait=, GET and DELETE of one job
+// through Container.APIHandler, adapter and worker included), one child of
+// a width-64 sweep (its share of the submission, its run and its share of
+// the purge) and one child on a GET of that sweep's child page.  The
+// budgets are constants of alloc_budget_test.go, and of
 // alloc_budget_race_test.go under the race detector; a change may lower
 // them, never raise them.  TestJobGetOneAlloc (root package) pins the
 // status poll the same way.
@@ -123,5 +124,45 @@ func TestSweepChildAllocBudget(t *testing.T) {
 	t.Logf("sweep child: %.3f allocations (budget %v)", perChild, sweepChildAllocBudget)
 	if perChild > sweepChildAllocBudget {
 		t.Fatalf("a sweep child allocates %.3f times, budget %v", perChild, sweepChildAllocBudget)
+	}
+}
+
+// TestSweepPageAllocBudget pins the allocations per child of a GET of a
+// width-64 sweep's child page through APIHandler: the page encodes the
+// children's shared snapshots, so its cost is the handler's and the
+// buffer's, not a copy per child.
+func TestSweepPageAllocBudget(t *testing.T) {
+	var calls atomic.Int64
+	c := newMemoContainer(t, container.Options{Workers: 2})
+	c.SetBaseURL("http://127.0.0.1:8080")
+	deploySweepService(t, c, "pagecost", false, &calls)
+
+	const width = 64
+	axis := make([]any, width)
+	for i := range axis {
+		axis[i] = float64(i)
+	}
+	ctx := context.Background()
+	sw, err := c.Jobs().SubmitSweep(ctx, "pagecost", &core.SweepSpec{Axes: map[string][]any{"x": axis}}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done, err := c.Jobs().WaitSweep(ctx, sw.ID, 10*time.Second); err != nil || done.Counts.Done != width {
+		t.Fatalf("sweep: %+v (err=%v)", done, err)
+	}
+	h := c.APIHandler()
+	get := httptest.NewRequest(http.MethodGet, "/services/pagecost/sweeps/"+sw.ID+"/jobs", nil)
+	w := &cycleWriter{header: http.Header{}}
+	page := func() {
+		w.reset()
+		h.ServeHTTP(w, get)
+		if w.status != http.StatusOK || bytes.Count(w.body, []byte(`"state":"DONE"`)) != width {
+			t.Fatalf("GET page: %d %.200s", w.status, w.body)
+		}
+	}
+	perChild := testing.AllocsPerRun(100, page) / width
+	t.Logf("sweep page: %.3f allocations per child (budget %v)", perChild, sweepPageAllocBudget)
+	if perChild > sweepPageAllocBudget {
+		t.Fatalf("a sweep page allocates %.3f times per child, budget %v", perChild, sweepPageAllocBudget)
 	}
 }

@@ -543,9 +543,17 @@ func (c *Container) serviceURILocked(name string) string {
 	return c.baseURL + "/services/" + name
 }
 
-// JobURI returns the absolute URI of a job resource.
+// JobURI returns the absolute URI of a job resource.  It is the one place
+// the job URI's shape is written; jobsURIPrefix derives from it.
 func (c *Container) JobURI(serviceName, jobID string) string {
 	return c.ServiceURI(serviceName) + "/jobs/" + jobID
+}
+
+// jobsURIPrefix is the URI of a service's job collection with its trailing
+// slash, JobURI with an empty ID: JobURI(service, id) is
+// jobsURIPrefix(service) + id, which a page encoder relies on.
+func (c *Container) jobsURIPrefix(serviceName string) string {
+	return c.JobURI(serviceName, "")
 }
 
 // fileURI returns the absolute URI of a file resource, or the bare ID when

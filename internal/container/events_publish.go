@@ -6,13 +6,14 @@ import (
 	"mathcloud/internal/events"
 )
 
-// Publish side of the event plane.  Every publisher is gated on
-// Bus.Active: a resource nobody ever subscribed to pays one or two map
-// lookups per transition and never snapshots or marshals.  A subscriber
-// attaching between the Active check and the transition is not a loss —
-// the SSE handlers send the current representation right after
-// subscribing, so the state the gate skipped is delivered as the opening
-// snapshot.
+// Publish side of the event plane.  Every publisher is gated on Bus.Idle,
+// then Bus.Active: until the bus's first subscription a transition costs
+// one atomic load and builds no topic name; a resource nobody ever
+// subscribed to pays one or two map lookups per transition and never
+// snapshots or marshals.  A subscriber attaching between the check and
+// the transition is not a loss — the SSE handlers send the current
+// representation right after subscribing, so the state the gate skipped is
+// delivered as the opening snapshot.
 //
 // All notify functions must be called WITHOUT holding the record's mutex
 // (same contract as sweepRecord.childTransition): the bus takes its own
@@ -22,6 +23,9 @@ import (
 // its service's activity feed.  A terminal snapshot ends the job topic.
 func (jm *JobManager) notifyJob(rec *jobRecord) {
 	bus := jm.c.events
+	if bus.Idle() {
+		return
+	}
 	// ID and Service are immutable after the record is published, so they
 	// are readable without rec.mu.
 	jobTopic := events.JobTopic(rec.job.ID)
@@ -44,15 +48,22 @@ func (jm *JobManager) notifyJob(rec *jobRecord) {
 	}
 }
 
-// notifySweep publishes the sweep's aggregate snapshot on topic: its own
-// sweep topic (ends true), where a terminal snapshot ends the stream, or
-// its service feed on submission, which no sweep ends.  The event
+// notifySweep publishes the sweep's aggregate snapshot on its own sweep
+// topic, where a terminal snapshot ends the stream, or with feed set on its
+// service feed (at submission), which no sweep ends.  The event
 // granularity is the child transition: wide sweeps produce one event per
 // child state change, and the bounded subscriber buffers coalesce bursts
 // into sync frames that the SSE handler re-expands to a fresh snapshot — a
 // watcher sees every count eventually, not every increment.
-func (jm *JobManager) notifySweep(sw *sweepRecord, topic string, ends bool) {
+func (jm *JobManager) notifySweep(sw *sweepRecord, feed bool) {
 	bus := jm.c.events
+	if bus.Idle() {
+		return
+	}
+	topic, ends := events.SweepTopic(sw.id), true
+	if feed {
+		topic, ends = events.ServiceTopic(sw.service), false
+	}
 	if !bus.Active(topic) {
 		return
 	}

@@ -188,7 +188,8 @@ func (c *Container) handleService(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPost:
 		// Parse ?wait= before submitting: a malformed window is the
 		// client's error and must 400 without creating a job.
-		wait, hasWait, err := rest.ParseWait(r)
+		q := r.URL.Query()
+		wait, hasWait, err := rest.ParseWait(q)
 		if err != nil {
 			rest.WriteError(w, err)
 			return
@@ -196,7 +197,7 @@ func (c *Container) handleService(w http.ResponseWriter, r *http.Request) {
 		// ?destruction= sets the job's retention TTL (UWS destruction time):
 		// how long the terminal job is kept before the reaper purges it.
 		var ttl time.Duration
-		if raw := r.URL.Query().Get("destruction"); raw != "" {
+		if raw := q.Get("destruction"); raw != "" {
 			ttl, err = time.ParseDuration(raw)
 			if err != nil || ttl <= 0 {
 				rest.WriteError(w, core.ErrBadRequest("invalid destruction duration %q", raw))
@@ -222,8 +223,11 @@ func (c *Container) handleService(w http.ResponseWriter, r *http.Request) {
 				job = j
 			}
 		}
-		w.Header().Set("Location", c.JobURI(name, job.ID))
-		rest.WriteJSON(w, http.StatusCreated, c.decorate(job))
+		// The snapshot is this request's own copy: it carries the URI
+		// the Location header names.
+		job.URI = c.JobURI(name, job.ID)
+		w.Header().Set("Location", job.URI)
+		rest.WriteJSON(w, http.StatusCreated, job)
 	default:
 		rest.MethodNotAllowed(w, http.MethodGet, http.MethodPost)
 	}
@@ -245,10 +249,9 @@ func (c *Container) handleJobList(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	jobs, total := c.jobs.ListPage(service, state, limit, offset)
-	for _, j := range jobs {
-		c.decorate(j)
-	}
-	rest.WriteJSON(w, http.StatusOK, &core.JobPage{Jobs: jobs, Limit: limit, Offset: offset, Total: total})
+	rest.WriteJSON(w, http.StatusOK, &core.JobPage{
+		Jobs: jobs, Limit: limit, Offset: offset, Total: total, URIPrefix: c.jobsURIPrefix(service),
+	})
 }
 
 // handleJob implements the job resource: GET returns status and results,
@@ -257,7 +260,7 @@ func (c *Container) handleJob(w http.ResponseWriter, r *http.Request) {
 	service, jobID := r.PathValue("name"), r.PathValue("id")
 	switch r.Method {
 	case http.MethodGet:
-		wait, hasWait, err := rest.ParseWait(r)
+		wait, hasWait, err := rest.ParseWait(r.URL.Query())
 		if err != nil {
 			rest.WriteError(w, err)
 			return
@@ -310,7 +313,7 @@ func (c *Container) handleSweepList(w http.ResponseWriter, r *http.Request) {
 	service := r.PathValue("name")
 	switch r.Method {
 	case http.MethodPost:
-		wait, hasWait, err := rest.ParseWait(r)
+		wait, hasWait, err := rest.ParseWait(r.URL.Query())
 		if err != nil {
 			rest.WriteError(w, err)
 			return
@@ -366,7 +369,7 @@ func (c *Container) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodGet:
-		wait, hasWait, err := rest.ParseWait(r)
+		wait, hasWait, err := rest.ParseWait(r.URL.Query())
 		if err != nil {
 			rest.WriteError(w, err)
 			return
@@ -421,10 +424,10 @@ func (c *Container) handleSweepJobs(w http.ResponseWriter, r *http.Request) {
 		rest.WriteError(w, err)
 		return
 	}
-	for _, j := range jobs {
-		c.decorate(j)
-	}
-	rest.WriteJSON(w, http.StatusOK, &core.JobPage{Jobs: jobs, Limit: limit, Offset: offset, Total: total})
+	// Every child belongs to the sweep's service.
+	rest.WriteJSON(w, http.StatusOK, &core.JobPage{
+		Jobs: jobs, Limit: limit, Offset: offset, Total: total, URIPrefix: c.jobsURIPrefix(service),
+	})
 }
 
 // handleFiles implements the file resource: GET returns the file data,

@@ -121,12 +121,14 @@ func (e *bodyEnv) plain(id string) []byte {
 	return data
 }
 
-// plainPage is the reflection encoding of the map each job page was.
+// plainPage is the reflection encoding of the map each job page was.  The
+// page's jobs are shared snapshots, so each is decorated as a copy.
 func (e *bodyEnv) plainPage(jobs []*core.Job, limit, offset, total int) []byte {
 	e.t.Helper()
 	var plain []*plainJob
 	for _, j := range jobs {
-		plain = append(plain, (*plainJob)(e.c.decorate(j)))
+		decorated := *j
+		plain = append(plain, (*plainJob)(e.c.decorate(&decorated)))
 	}
 	data, err := json.Marshal(map[string]any{"jobs": plain, "limit": limit, "offset": offset, "total": total})
 	if err != nil {

@@ -50,12 +50,19 @@ type jobRecord struct {
 	snap atomic.Pointer[core.Job]
 }
 
-// snapshot returns a copy of the job safe for decoration and serialization.
-// The cached snapshot is immutable once published; each caller receives its
-// own shallow copy so per-request fields (URI) can be filled in without
-// sharing.  A live job is cloned.  A landed job is its own snapshot: nothing
-// writes to it after land, so its maps are shared, not copied.
+// snapshot returns a copy of the job safe for decoration and serialization:
+// a shallow copy of the shared snapshot, so per-request fields (URI) can be
+// filled in without sharing.
 func (r *jobRecord) snapshot() *core.Job {
+	out := *r.shared()
+	return &out
+}
+
+// shared returns the cached snapshot itself, which is immutable once
+// published: callers must not write to it.  A live job is cloned.  A landed
+// job is its own snapshot: nothing writes to it after land, so its maps are
+// shared, not copied.
+func (r *jobRecord) shared() *core.Job {
 	snap := r.snap.Load()
 	if snap == nil {
 		r.mu.Lock()
@@ -67,8 +74,7 @@ func (r *jobRecord) snapshot() *core.Job {
 		r.snap.Store(snap)
 		r.mu.Unlock()
 	}
-	out := *snap
-	return &out
+	return snap
 }
 
 // invalidate drops the cached snapshot.  Callers must hold r.mu and call it
@@ -419,32 +425,43 @@ func (jm *JobManager) Delete(id string) (*core.Job, error) {
 		jm.cancelJob(rec)
 		return rec.snapshot(), nil
 	}
-	// Terminal: destroy the job resource and its files.  The map removal
-	// decides the winner among racing deletes, so the purge runs exactly
-	// once and later deletes observe 404.
+	if !jm.destroy(id) {
+		return nil, core.ErrNotFound("job", id)
+	}
+	return rec.snapshot(), nil
+}
+
+// destroy removes a terminal job's record and its subordinate file
+// resources, reporting false when the record was already gone.  The map
+// removal decides the winner among racing deletes, so the purge runs
+// exactly once and later deletes observe 404.
+func (jm *JobManager) destroy(id string) bool {
 	sh := jm.shard(id)
 	sh.mu.Lock()
 	_, present := sh.jobs[id]
 	delete(sh.jobs, id)
 	sh.mu.Unlock()
 	if !present {
-		return nil, core.ErrNotFound("job", id)
+		return false
 	}
 	// The purge is journaled before the memo entry and files go, so a crash
 	// mid-destruction replays the purge rather than resurrecting a
 	// half-deleted job.  Replayed purges are idempotent.
-	jm.c.logRecord(journal.KindJobPurge, journal.JobPurgeRecord{ID: id})
+	if jm.c.journal != nil {
+		jm.c.logRecord(journal.KindJobPurge, journal.JobPurgeRecord{ID: id})
+	}
 	// The cached entry backed by this job references its files; purge it
 	// with them so hits never return dangling URIs.
 	if jm.memo != nil {
 		jm.memo.dropJob(id)
 	}
 	jm.c.files.DeleteOwnedBy(id)
-	return rec.snapshot(), nil
+	return true
 }
 
 // List returns snapshots of jobs for one service (or all, if service is
-// empty), newest first.
+// empty), newest first.  As with ListPage, they are the records' shared
+// snapshots: callers must not write to them.
 func (jm *JobManager) List(service string) []*core.Job {
 	jobs, _ := jm.ListPage(service, "", 0, 0)
 	return jobs
@@ -455,7 +472,8 @@ func (jm *JobManager) List(service string) []*core.Job {
 // with the total number of matches before paging.  limit <= 0 means no
 // limit; offset skips that many matches from the newest end.  Campaign-scale
 // clients page through a sweep's thousands of children instead of pulling
-// one monolithic list.
+// one monolithic list.  The snapshots are the records' shared ones: callers
+// must not write to them (core.JobPage's URIPrefix encodes their URIs).
 func (jm *JobManager) ListPage(service string, state core.JobState, limit, offset int) ([]*core.Job, int) {
 	var out []*core.Job
 	for _, rec := range jm.allRecords() {
@@ -464,7 +482,7 @@ func (jm *JobManager) ListPage(service string, state core.JobState, limit, offse
 		if service != "" && rec.job.Service != service {
 			continue
 		}
-		snap := rec.snapshot()
+		snap := rec.shared()
 		if state != "" && snap.State != state {
 			continue
 		}
@@ -485,11 +503,20 @@ func (jm *JobManager) ListPage(service string, state core.JobState, limit, offse
 	return out, total
 }
 
+// closeGrace bounds how long Close waits for running adapters to honour
+// the cancellation of their contexts.
+const closeGrace = 5 * time.Second
+
 // Close stops the worker pool after cancelling running jobs and the jobs
 // still queued, so every accepted job reaches a terminal state and every
 // concurrent Wait call unblocks.  Closing the queue refuses every later
 // push, so no job can enter it behind the drain.  After Close returns, no
 // job is left in WAITING or RUNNING.
+//
+// An adapter that ignores its context cannot hold Close up: past
+// closeGrace, every job still RUNNING lands CANCELLED, one warning names
+// them, and Close returns without waiting for their workers.  A worker
+// that returns later finds its job landed, and its result is dropped.
 func (jm *JobManager) Close() {
 	// Cancel the parent of every job context: this reaches running jobs
 	// and any job a worker dequeues concurrently with this shutdown.
@@ -497,7 +524,27 @@ func (jm *JobManager) Close() {
 	for _, rec := range jm.queue.close() {
 		jm.cancelPending(rec)
 	}
-	jm.wg.Wait()
+	drained := make(chan struct{})
+	go func() {
+		jm.wg.Wait()
+		close(drained)
+	}()
+	grace := time.NewTimer(closeGrace)
+	defer grace.Stop()
+	select {
+	case <-drained:
+		return
+	case <-grace.C:
+	}
+	var stuck []string
+	for _, rec := range jm.allRecords() {
+		if jm.land(rec, core.StateRunning, core.StateCancelled, nil, "") {
+			stuck = append(stuck, rec.job.ID)
+		}
+	}
+	obs.Logger().LogAttrs(context.Background(), slog.LevelWarn, "close: adapters ignored cancellation",
+		slog.Duration("grace", closeGrace),
+		slog.Any("jobs", stuck))
 }
 
 // MemoStats reports the computation cache occupancy: cached entries and

@@ -396,3 +396,79 @@ func TestEveryRouteLandsExactlyOnce(t *testing.T) {
 		})
 	}
 }
+
+// TestCloseBoundedWhenAdapterIgnoresContext: an adapter that ignores the
+// cancellation of its context cannot hold Close up past closeGrace.  Its
+// job lands CANCELLED by the shutdown, unjournaled like every shutdown
+// cancel, and stays CANCELLED when the adapter returns a result later.
+func TestCloseBoundedWhenAdapterIgnoresContext(t *testing.T) {
+	journalDir := t.TempDir()
+	c, err := New(Options{
+		Workers:    1,
+		JournalDir: journalDir,
+		WALSync:    journal.SyncOff,
+		Logger:     log.New(io.Discard, "", 0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := make(chan struct{})
+	release := make(chan struct{})
+	returned := make(chan struct{})
+	fn := "close." + t.Name()
+	adapter.RegisterFunc(fn, func(context.Context, core.Values) (core.Values, error) {
+		close(started)
+		<-release // the context is never consulted
+		defer close(returned)
+		return core.Values{"y": 1.0}, nil
+	})
+	cfg, _ := json.Marshal(adapter.NativeConfig{Function: fn})
+	if err := c.Deploy(ServiceConfig{
+		Description: core.ServiceDescription{Name: "stuck", Inputs: []core.Param{{Name: "x"}}, Outputs: []core.Param{{Name: "y"}}},
+		Adapter:     AdapterSpec{Kind: "native", Config: cfg},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	job, err := c.jobs.Submit(context.Background(), "stuck", core.Values{"x": 1.0}, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+
+	begin := time.Now()
+	c.Close()
+	if elapsed := time.Since(begin); elapsed < closeGrace || elapsed > closeGrace+time.Second {
+		t.Errorf("Close returned after %v, want the %v grace period (+1s at most)", elapsed, closeGrace)
+	}
+	state := func() core.JobState {
+		t.Helper()
+		j, err := c.jobs.Get(job.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j.State
+	}
+	if s := state(); s != core.StateCancelled {
+		t.Fatalf("after Close the stuck job is %s, want CANCELLED", s)
+	}
+	close(release)
+	<-returned
+	c.jobs.wg.Wait() // the worker has handed its late result to finish
+	if s := state(); s != core.StateCancelled {
+		t.Fatalf("after the adapter returned the job is %s, want CANCELLED", s)
+	}
+
+	jl, err := journal.Open(journalDir, journal.Options{Mode: journal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.Close()
+	if err := jl.Replay(func(kind journal.Kind, _ []byte) error {
+		if kind == journal.KindJobEnd {
+			t.Errorf("the shutdown cancel was journaled")
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}

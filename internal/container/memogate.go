@@ -76,7 +76,7 @@ func (jm *JobManager) publishCachedJob(ctx context.Context, serviceName string, 
 	sh.jobs[rec.job.ID] = rec
 	sh.mu.Unlock()
 	metJobsSubmitted.Inc()
-	metJobsCompleted.With("done").Inc()
+	jobsCompletedBy[core.StateDone].Inc()
 	// Born terminal: one record carries the whole lifecycle.
 	jm.logJob(rec)
 	jm.notifyJob(rec)

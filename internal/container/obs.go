@@ -1,6 +1,11 @@
 package container
 
-import "mathcloud/internal/obs"
+import (
+	"strings"
+
+	"mathcloud/internal/core"
+	"mathcloud/internal/obs"
+)
 
 // Container metric families (DESIGN.md §5d).  They live in the process-wide
 // default registry, so several containers in one process — the WMS plus an
@@ -68,3 +73,19 @@ var (
 	metJobsReaped = obs.NewCounter("mc_jobs_reaped_total",
 		"Jobs purged by the destruction-time reaper.")
 )
+
+// Children of the by-state families, one per terminal state, resolved once
+// so a landing renders no label string.  A resolved child stays hidden from
+// /metrics until its first increment.
+var (
+	jobsCompletedBy = byTerminalState(metJobsCompleted)
+	sweepChildrenBy = byTerminalState(metSweepChildren)
+)
+
+func byTerminalState(v obs.CounterVec) map[core.JobState]obs.Counter {
+	m := make(map[core.JobState]obs.Counter, 3)
+	for _, s := range []core.JobState{core.StateDone, core.StateError, core.StateCancelled} {
+		m[s] = v.With(strings.ToLower(string(s)))
+	}
+	return m
+}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"mathcloud/internal/core"
-	"mathcloud/internal/events"
 	"mathcloud/internal/journal"
 	"mathcloud/internal/obs"
 )
@@ -135,14 +134,14 @@ func (sw *sweepRecord) childTransition(from, to core.JobState, errMsg string) {
 	}
 	sw.mu.Unlock()
 	if to.Terminal() {
-		metSweepChildren.With(strings.ToLower(string(to))).Inc()
+		sweepChildrenBy[to].Inc()
 	}
 	if terminalNow {
 		sw.finalize()
 	}
 	// Publish after finalize so the terminal event carries the finished
 	// timestamp; the Active gate inside keeps unwatched sweeps free.
-	sw.jm.notifySweep(sw, events.SweepTopic(sw.id), true)
+	sw.jm.notifySweep(sw, false)
 }
 
 // finalize runs exactly once, when the last child lands (its caller set
@@ -185,7 +184,9 @@ func (sw *sweepRecord) cancel() {
 // SubmitSweep expands one sweep specification into child jobs of the named
 // service and submits them in bulk, returning the aggregate sweep resource.
 // The whole sweep validates atomically: any invalid point rejects the
-// campaign before any job is created.
+// campaign before any job is created.  The spec's point maps may become
+// the children's inputs as they are, so the caller must not write to them
+// afterwards.
 func (jm *JobManager) SubmitSweep(ctx context.Context, serviceName string, spec *core.SweepSpec, owner string) (*core.Sweep, error) {
 	svc, err := jm.c.service(serviceName)
 	if err != nil {
@@ -349,8 +350,8 @@ func (jm *JobManager) SubmitSweep(ctx context.Context, serviceName string, spec 
 	metJobsSubmitted.Add(float64(len(recs)))
 	metSweepsSubmitted.Inc()
 	if bornDone > 0 {
-		metJobsCompleted.With("done").Add(float64(bornDone))
-		metSweepChildren.With("done").Add(float64(bornDone))
+		jobsCompletedBy[core.StateDone].Add(float64(bornDone))
+		sweepChildrenBy[core.StateDone].Add(float64(bornDone))
 	}
 	// One journal record carries the whole campaign: child inputs are
 	// re-derived from template+points at replay, so a width-N sweep costs
@@ -384,7 +385,7 @@ func (jm *JobManager) SubmitSweep(ctx context.Context, serviceName string, spec 
 			slog.Int("width", sw.width),
 			slog.Int("cached", bornDone))
 	}
-	jm.notifySweep(sw, events.ServiceTopic(sw.service), false)
+	jm.notifySweep(sw, true)
 	return sw.snapshot(), nil
 }
 
@@ -512,7 +513,8 @@ func (jm *JobManager) ListSweeps(service string) []*core.Sweep {
 
 // SweepChildren returns one page of child job snapshots in point order,
 // optionally filtered by state, along with the total number of matches.
-// Children destroyed individually are skipped.
+// Children destroyed individually are skipped.  The snapshots are the
+// records' shared ones: callers must not write to them.
 func (jm *JobManager) SweepChildren(id string, state core.JobState, limit, offset int) ([]*core.Job, int, error) {
 	sw, err := jm.sweepRec(id)
 	if err != nil {
@@ -525,7 +527,7 @@ func (jm *JobManager) SweepChildren(id string, state core.JobState, limit, offse
 		if err != nil {
 			continue
 		}
-		snap := rec.snapshot()
+		snap := rec.shared()
 		if state != "" && snap.State != state {
 			continue
 		}
@@ -568,8 +570,10 @@ func (jm *JobManager) DeleteSweep(id string) (*core.Sweep, error) {
 	}
 	jm.c.logRecord(journal.KindSweepPurge, journal.SweepPurgeRecord{ID: id})
 	snap := sw.snapshot()
+	// Every child is terminal once the sweep is: destroy each without the
+	// snapshot a DELETE of the job would answer with.
 	for _, cid := range sw.childIDs {
-		_, _ = jm.Delete(cid)
+		jm.destroy(cid)
 	}
 	return snap, nil
 }

@@ -27,24 +27,31 @@ import (
 
 func (jm *JobManager) worker() {
 	defer jm.wg.Done()
+	// One batch slice serves every job of the worker: execute keeps no
+	// reference to it, and it is cleared after each use so it holds no
+	// landed record alive.
+	batch := make([]*jobRecord, 0, max(jm.batchMax, 1))
 	for {
 		rec := jm.queue.pop()
 		if rec == nil {
 			return
 		}
-		jm.execute(jm.drainBatch(rec))
+		recs := jm.drainBatch(append(batch[:0], rec))
+		jm.execute(recs)
+		clear(recs)
 	}
 }
 
-// drainBatch collects queued jobs of rec's service into one micro-batch of
-// up to jm.batchMax members, rec first.  The batch is rec alone when
-// batching does not apply — batching disabled, service gone or not declared
-// "batch", adapter without InvokeBatch, or no second job available.
+// drainBatch appends queued jobs of the service of batch's one record to
+// batch, making one micro-batch of up to jm.batchMax members, that record
+// first.  The batch stays that record alone when batching does not apply —
+// batching disabled, service gone or not declared "batch", adapter without
+// InvokeBatch, or no second job available.
 // Draining takes only from the head of the queue and stops at the first job
 // of another service, which stays there for the next worker, so batching
 // never reorders jobs.
-func (jm *JobManager) drainBatch(rec *jobRecord) []*jobRecord {
-	batch := []*jobRecord{rec}
+func (jm *JobManager) drainBatch(batch []*jobRecord) []*jobRecord {
+	rec := batch[0]
 	if jm.batchMax < 2 {
 		return batch
 	}
@@ -100,7 +107,7 @@ func (jm *JobManager) beginJob(rec *jobRecord, ctx context.Context, cancel conte
 		service:  rec.job.Service,
 		owner:    rec.job.Owner,
 		trace:    rec.job.TraceID,
-		inputs:   rec.job.Inputs.Clone(),
+		inputs:   rec.job.Inputs,
 	}
 	queueWait := rec.job.QueueWait.Std()
 	rec.mu.Unlock()
@@ -185,7 +192,7 @@ func (jm *JobManager) land(rec *jobRecord, from, to core.JobState, outputs core.
 	} else if queued {
 		jm.queue.leave()
 	}
-	metJobsCompleted.With(strings.ToLower(string(to))).Inc()
+	jobsCompletedBy[to].Inc()
 	// A sweep child logs at Debug: its sweep writes one "sweep finished"
 	// record for the whole campaign.
 	level := slog.LevelInfo
@@ -558,9 +565,17 @@ func (jm *JobManager) stageFile(ctx context.Context, ref, path, owner string) er
 }
 
 // publishOutputs converts adapter result files into file resources and
-// merges them with inline outputs.
+// merges them with inline outputs.  The adapter handed res.Outputs over, so
+// a result without files keeps that map as the job's outputs; one with
+// files gets a copy to add the references to.
 func (jm *JobManager) publishOutputs(res *adapter.Result, jobID string) (core.Values, error) {
-	outputs := core.Values{}
+	if len(res.Files) == 0 {
+		if res.Outputs == nil {
+			return core.Values{}, nil
+		}
+		return res.Outputs, nil
+	}
+	outputs := make(core.Values, len(res.Outputs)+len(res.Files))
 	for k, v := range res.Outputs {
 		outputs[k] = v
 	}

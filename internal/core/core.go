@@ -424,7 +424,9 @@ func NewID() string {
 		// crypto/rand failure is unrecoverable for the process.
 		panic(fmt.Sprintf("core: cannot generate id: %v", err))
 	}
-	return hex.EncodeToString(buf[:])
+	var out [32]byte
+	hex.Encode(out[:], buf[:])
+	return string(out[:])
 }
 
 // maxReplicaNameLen bounds replica names embedded in resource identifiers.

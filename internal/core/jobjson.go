@@ -32,7 +32,13 @@ type JSONAppender interface {
 // AppendJSON appends the JSON encoding of the job to b.  Like encoding/json
 // it fails on a NaN or infinite float and on a time whose year is outside
 // [0,9999]; on error it returns nil.  A nil job encodes as null.
-func (j *Job) AppendJSON(b []byte) ([]byte, error) {
+func (j *Job) AppendJSON(b []byte) ([]byte, error) { return j.appendJSON(b, "", false) }
+
+// appendJSON is AppendJSON with the page's URI prefix: when uriPrefix is set
+// the job's uri is written as uriPrefix+ID in place of its URI field.
+// prefixValid reports whether uriPrefix is valid UTF-8, in which case the
+// two halves escape separately to the bytes of their concatenation.
+func (j *Job) appendJSON(b []byte, uriPrefix string, prefixValid bool) ([]byte, error) {
 	if j == nil {
 		return append(b, "null"...), nil
 	}
@@ -76,12 +82,13 @@ func (j *Job) AppendJSON(b []byte) ([]byte, error) {
 		}
 	}
 	if j.QueueWait != 0 {
-		b = append(b, `,"queueWait":`...)
-		b = AppendString(b, time.Duration(j.QueueWait).String())
+		// Duration text needs no escaping.
+		b = append(b, `,"queueWait":"`...)
+		b = append(append(b, time.Duration(j.QueueWait).String()...), '"')
 	}
 	if j.RunTime != 0 {
-		b = append(b, `,"runTime":`...)
-		b = AppendString(b, time.Duration(j.RunTime).String())
+		b = append(b, `,"runTime":"`...)
+		b = append(append(b, time.Duration(j.RunTime).String()...), '"')
 	}
 	if j.TraceID != "" {
 		b = append(b, `,"traceId":`...)
@@ -99,7 +106,16 @@ func (j *Job) AppendJSON(b []byte) ([]byte, error) {
 		b = append(b, `,"log":`...)
 		b = AppendStrings(b, j.Log)
 	}
-	if j.URI != "" {
+	switch {
+	case uriPrefix != "" && prefixValid:
+		b = append(b, `,"uri":"`...)
+		b = appendStringContent(b, uriPrefix)
+		b = appendStringContent(b, j.ID)
+		b = append(b, '"')
+	case uriPrefix != "":
+		b = append(b, `,"uri":`...)
+		b = AppendString(b, uriPrefix+j.ID)
+	case j.URI != "":
 		b = append(b, `,"uri":`...)
 		b = AppendString(b, j.URI)
 	}
@@ -120,23 +136,43 @@ type JobPage struct {
 	Limit  int    `json:"limit"`
 	Offset int    `json:"offset"`
 	Total  int    `json:"total"`
+	// URIPrefix, when set, is the job collection's URI with its trailing
+	// slash: every job on the page is encoded with the uri URIPrefix+ID, as
+	// if its URI field held it.  A page of shared, immutable snapshots is
+	// then encoded without decorating (copying) any of them.
+	URIPrefix string `json:"-"`
 }
 
+// maxPageReserve bounds what JobPage.AppendJSON reserves from its first
+// job's size.  The first job of a listing can be any size (inputs up to the
+// request body limit), so an unbounded estimate times the page's length
+// could ask for gigabytes; past this bound the buffer grows by doubling.
+const maxPageReserve = 1 << 20
+
 // AppendJSON appends the JSON encoding of the page to b; a nil Jobs slice
-// encodes as null.
+// encodes as null.  Once the first job is encoded, b grows once to hold the
+// rest at that job's size, up to maxPageReserve, so a page of a thousand
+// alike sweep children is not built by doubling.
 func (p *JobPage) AppendJSON(b []byte) ([]byte, error) {
 	b = append(b, `{"jobs":`...)
 	if p.Jobs == nil {
 		b = append(b, "null"...)
 	} else {
+		prefixValid := utf8.ValidString(p.URIPrefix)
 		b = append(b, '[')
 		for i, j := range p.Jobs {
 			if i > 0 {
 				b = append(b, ',')
 			}
+			start := len(b)
 			var err error
-			if b, err = j.AppendJSON(b); err != nil {
+			if b, err = j.appendJSON(b, p.URIPrefix, prefixValid); err != nil {
 				return nil, err
+			}
+			if i == 0 && len(p.Jobs) > 1 {
+				rest := (len(b) - start + 1) * (len(p.Jobs) - 1)
+				rest += rest/8 + len(`],"limit":,"offset":,"total":}`) + 3*20
+				b = slices.Grow(b, min(rest, maxPageReserve))
 			}
 		}
 		b = append(b, ']')
@@ -328,6 +364,14 @@ var safeASCII = func() (t [utf8.RuneSelf]bool) {
 // and U+2028/U+2029 are escaped; each byte of invalid UTF-8 becomes U+FFFD.
 func AppendString(b []byte, s string) []byte {
 	b = append(b, '"')
+	b = appendStringContent(b, s)
+	return append(b, '"')
+}
+
+// appendStringContent appends s escaped as AppendString does, without the
+// quotes.  For a valid UTF-8 s, escaping s and then t appends the same
+// bytes as escaping s+t.
+func appendStringContent(b []byte, s string) []byte {
 	start := 0
 	for i := 0; i < len(s); {
 		if c := s[i]; c < utf8.RuneSelf {
@@ -373,6 +417,5 @@ func AppendString(b []byte, s string) []byte {
 		}
 		i += size
 	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
+	return append(b, s[start:]...)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -101,6 +102,36 @@ func FuzzJobJSON(f *testing.F) {
 		if gotErr != nil || wantErr != nil || !bytes.Equal(got, append([]byte("prefix"), want...)) {
 			t.Fatalf("JobPage.AppendJSON = %s, %v; want %s, %v", got, gotErr, want, wantErr)
 		}
+
+		// A page with a URI prefix encodes each job as if its URI were
+		// prefix+ID.  The second job's durations come from other inputs, so
+		// the page covers more of Duration's text than the first job does.
+		other2 := *j
+		other2.ID = other
+		other2.QueueWait = Duration(sec)
+		other2.RunTime = Duration(nsec ^ d)
+		prefix := other + "/jobs/" + text
+		page = &JobPage{Jobs: []*Job{j, nil, &other2}, Limit: int(kind), Total: 3, URIPrefix: prefix}
+		var plain []*plainJob
+		for _, pj := range page.Jobs {
+			if pj == nil {
+				plain = append(plain, nil)
+				continue
+			}
+			decorated := *pj
+			decorated.URI = prefix + pj.ID
+			plain = append(plain, (*plainJob)(&decorated))
+		}
+		want, wantErr = json.Marshal(map[string]any{
+			"jobs": plain, "limit": page.Limit, "offset": page.Offset, "total": page.Total,
+		})
+		got, gotErr = page.AppendJSON(nil)
+		if (gotErr != nil) != (wantErr != nil) || !bytes.Equal(got, want) {
+			t.Fatalf("JobPage.AppendJSON with URI prefix = %s, %v; want %s, %v", got, gotErr, want, wantErr)
+		}
+		if j.URI != text+other {
+			t.Fatalf("encoding a page changed a job's URI to %q", j.URI)
+		}
 	})
 }
 
@@ -165,6 +196,26 @@ func TestJobJSONAllocs(t *testing.T) {
 	t.Logf("1,000-job page: %v allocs", n)
 	if n > 64 {
 		t.Errorf("1,000-job page: %v allocs, budget 64", n)
+	}
+}
+
+// TestJobPageReserveBounded: the page reserves from its first job's size,
+// so a listing whose newest job is large and whose others are small must
+// not reserve the large size for each of them.
+func TestJobPageReserveBounded(t *testing.T) {
+	big := landedJob(0)
+	big.Inputs = Values{"x": strings.Repeat("a", 1<<20)}
+	page := &JobPage{Jobs: []*Job{big}, Total: 1001}
+	for i := 1; i <= 1000; i++ {
+		page.Jobs = append(page.Jobs, landedJob(i))
+	}
+	b, err := page.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("len %d, cap %d", len(b), cap(b))
+	if cap(b) > 2*len(b) {
+		t.Errorf("page of %d bytes holds a %d-byte buffer, more than twice its size", len(b), cap(b))
 	}
 }
 

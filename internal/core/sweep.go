@@ -101,8 +101,13 @@ func (s *SweepSpec) Expand(maxWidth int) ([]Values, error) {
 }
 
 // MergePoint returns the full input map of one point: the template with the
-// point's overrides applied.  Neither argument is mutated.
+// point's overrides applied.  Neither argument is mutated.  With an empty
+// template the point itself is the merged map, so the caller must not write
+// to the result.
 func (s *SweepSpec) MergePoint(override Values) Values {
+	if len(s.Template) == 0 && override != nil {
+		return override
+	}
 	merged := make(Values, len(s.Template)+len(override))
 	for k, v := range s.Template {
 		merged[k] = v

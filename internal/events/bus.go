@@ -51,6 +51,9 @@ type Bus struct {
 	mu     sync.RWMutex
 	topics map[string]*topic
 	closed bool
+	// subscribed is set by the first Subscribe and cleared by Close, so
+	// Idle reads it without the lock.
+	subscribed atomic.Bool
 }
 
 type topic struct {
@@ -101,6 +104,13 @@ func (b *Bus) Active(name string) bool {
 	b.mu.RUnlock()
 	return ok
 }
+
+// Idle reports whether nobody has subscribed to the bus since it was
+// created.  It is one atomic load, so a publisher asks it before it builds
+// the name of a topic to ask Active about.  It is a latch: after the first
+// subscription it stays false until Close, however many topics are evicted.
+// A subscription that races the answer is covered as for Active.
+func (b *Bus) Idle() bool { return !b.subscribed.Load() }
 
 // Publish appends an event to the topic and fans it out to subscribers.
 // It never blocks: a subscriber whose buffer is full has its oldest queued
@@ -193,6 +203,7 @@ func (b *Bus) Subscribe(name string, lastID uint64) *Subscriber {
 			subs: make(map[*Subscriber]struct{}),
 		}
 		b.topics[name] = t
+		b.subscribed.Store(true)
 	}
 	use := b.clock.Add(1)
 	b.mu.Unlock()
@@ -306,6 +317,7 @@ func (b *Bus) Close() {
 	b.closed = true
 	topics := b.topics
 	b.topics = make(map[string]*topic)
+	b.subscribed.Store(false)
 	b.mu.Unlock()
 
 	for _, t := range topics {

@@ -38,6 +38,36 @@ func TestPublishUnwatchedTopicIsNoOp(t *testing.T) {
 	}
 }
 
+// TestIdleTracksTopics: a bus is idle until its first subscription, stays
+// busy after it however its topics come and go, and is idle again once
+// Close has dropped every topic.
+func TestIdleTracksTopics(t *testing.T) {
+	b := NewBus(Options{MaxTopics: 1})
+	if !b.Idle() {
+		t.Fatal("a new bus is not idle")
+	}
+	b.Publish("job/a", TypeJob, false, []byte(`{}`))
+	if !b.Idle() {
+		t.Fatal("Publish made the bus busy")
+	}
+	sub := b.Subscribe("job/a", 0)
+	if b.Idle() {
+		t.Fatal("a bus with a subscriber reports idle")
+	}
+	sub.Close()
+	if b.Idle() {
+		t.Fatal("a bus that retains a topic reports idle")
+	}
+	b.Subscribe("job/b", 0) // evicts job/a
+	if b.Idle() || b.Active("job/a") {
+		t.Fatal("eviction left the wrong topics")
+	}
+	b.Close()
+	if !b.Idle() {
+		t.Fatal("a closed bus is not idle")
+	}
+}
+
 func TestSubscribePublishOrder(t *testing.T) {
 	b := NewBus(Options{})
 	defer b.Close()

@@ -39,7 +39,9 @@ func NewRequestID() string {
 		// in core.NewID.
 		panic("obs: cannot generate request id: " + err.Error())
 	}
-	return hex.EncodeToString(buf[:])
+	var out [16]byte
+	hex.Encode(out[:], buf[:])
+	return string(out[:])
 }
 
 // EnsureRequestID returns ctx carrying a request ID, generating one when

@@ -13,6 +13,7 @@ import (
 	"log"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -35,12 +36,12 @@ type ErrorBody struct {
 // jsonBufs pools WriteJSON's response buffers.  A buffer that grew past
 // maxPooledJSON (a huge listing) goes to the garbage collector instead, so
 // one outlier does not pin its memory in the pool.
-var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+var jsonBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledJSON = 1 << 20
 
 // WriteJSON encodes v as compact JSON with the given status code.  The body
-// is encoded into a pooled buffer before anything is sent, so it goes out
+// is appended to one pooled buffer before anything is sent, so it goes out
 // in one write framed by Content-Length, and a value that fails to encode
 // answers 500 with an ErrorBody instead of a 200 and a truncated body.
 // A value with an AppendJSON method appends itself to the buffer; any other
@@ -48,33 +49,38 @@ const maxPooledJSON = 1 << 20
 // json.Encoder writes.  Responses are read by programs; only /status and
 // mcctl indent for humans.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	buf := jsonBufs.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer func() {
-		if buf.Cap() <= maxPooledJSON {
-			jsonBufs.Put(buf)
-		}
-	}()
-	var err error
-	if a, ok := v.(core.JSONAppender); ok {
-		var b []byte
-		if b, err = a.AppendJSON(buf.AvailableBuffer()); err == nil {
-			buf.Write(append(b, '\n'))
-		}
-	} else {
-		err = json.NewEncoder(buf).Encode(v)
-	}
+	bp := jsonBufs.Get().(*[]byte)
+	b, err := appendJSON((*bp)[:0], v)
 	if err != nil {
 		log.Printf("rest: encode response: %v", err)
-		buf.Reset()
 		status = http.StatusInternalServerError
-		_ = json.NewEncoder(buf).Encode(ErrorBody{Error: "encode response: " + err.Error(), Status: status})
+		b, _ = appendJSON((*bp)[:0], ErrorBody{Error: "encode response: " + err.Error(), Status: status})
 	}
 	h := w.Header()
 	h.Set("Content-Type", "application/json; charset=utf-8")
-	h.Set("Content-Length", strconv.Itoa(buf.Len()))
+	h.Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(b)
+	if cap(b) <= maxPooledJSON {
+		*bp = b
+		jsonBufs.Put(bp)
+	}
+}
+
+// appendJSON appends v's JSON encoding and json.Encoder's newline to b.
+func appendJSON(b []byte, v any) ([]byte, error) {
+	if a, ok := v.(core.JSONAppender); ok {
+		out, err := a.AppendJSON(b)
+		if err != nil {
+			return nil, err
+		}
+		return append(out, '\n'), nil
+	}
+	buf := bytes.NewBuffer(b) // writes land in b's spare capacity
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // ETagMatch reports whether an If-None-Match header value matches the given
@@ -195,12 +201,13 @@ func ReadJSON(r *http.Request, v any) error {
 const WaitMaxHeader = "Wait-Max"
 
 // ParseWait extracts the UWS-style blocking-GET window from the ?wait=
-// query parameter.  Absent means "no wait" (ok=false, no error); present
-// but unparseable or non-positive is a client error — previously such
-// values were silently ignored, so a caller that thought it long-polled
-// got an instant poll storm instead.
-func ParseWait(r *http.Request) (d time.Duration, ok bool, err error) {
-	s := r.URL.Query().Get("wait")
+// parameter of a request's parsed query (the caller parses it, so a
+// handler that reads other parameters too parses it once).  Absent means
+// "no wait" (ok=false, no error); present but unparseable or non-positive
+// is a client error — previously such values were silently ignored, so a
+// caller that thought it long-polled got an instant poll storm instead.
+func ParseWait(q url.Values) (d time.Duration, ok bool, err error) {
+	s := q.Get("wait")
 	if s == "" {
 		return 0, false, nil
 	}
