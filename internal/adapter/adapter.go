@@ -37,8 +37,12 @@ type Request struct {
 	// have been resolved: for each such parameter Files maps the
 	// parameter name to a local path with the staged content.  The map is
 	// the job resource's own and is read-only: an adapter that needs to
-	// change inputs copies them first (the script adapter's interpreter
-	// and NativeAdapter, which runs arbitrary registered code, do).
+	// change inputs copies them first.  NativeAdapter, which runs
+	// arbitrary registered code, always does; the script adapter's
+	// interpreter does only when its program can write through `in`, and
+	// otherwise reads the map in place.  Outputs may therefore share
+	// nested values with Inputs, which is safe because both are read-only
+	// once the job has landed.
 	Inputs core.Values
 	// Files maps file-valued input parameter names to staged local paths.
 	Files map[string]string

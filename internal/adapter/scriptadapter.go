@@ -14,7 +14,11 @@ import (
 // for the paper's custom workflow actions written in JavaScript or Python.
 type ScriptConfig struct {
 	// Script is the MCScript source.  It reads inputs from `in` and
-	// publishes outputs by assigning fields of `out`.
+	// publishes outputs by assigning fields of `out`.  A script that can
+	// write through `in` (an assignment into anything but a field or
+	// index of `out`, or a rebinding of `out`) runs on a copy of the
+	// request's inputs; any other reads them in place, so its outputs
+	// may share nested values with them.
 	Script string `json:"script"`
 	// StepLimit optionally overrides the evaluation step budget.
 	StepLimit int `json:"stepLimit,omitempty"`

@@ -10,15 +10,18 @@ import (
 	"testing"
 	"time"
 
+	"mathcloud/internal/adapter"
 	"mathcloud/internal/container"
 	"mathcloud/internal/core"
+	"mathcloud/internal/jsonschema"
 )
 
 // Allocation budgets of the paths every job of the benchmark crosses: one
 // server-side Table 1 cycle (submit ?wait=, GET and DELETE of one job
 // through Container.APIHandler, adapter and worker included), one child of
 // a width-64 sweep (its share of the submission, its run and its share of
-// the purge) and one child on a GET of that sweep's child page.  The
+// the purge), with a native function and with the script adapter, and one
+// child on a GET of that sweep's child page.  The
 // budgets are constants of alloc_budget_test.go, and of
 // alloc_budget_race_test.go under the race detector; a change may lower
 // them, never raise them.  TestJobGetOneAlloc (root package) pins the
@@ -98,8 +101,45 @@ func TestSweepChildAllocBudget(t *testing.T) {
 	var calls atomic.Int64
 	c := newMemoContainer(t, container.Options{Workers: 2})
 	deploySweepService(t, c, "childcost", false, &calls)
-	jm := c.Jobs()
+	perChild := sweepChildAllocs(t, c, "childcost")
+	t.Logf("sweep child: %.3f allocations (budget %v)", perChild, sweepChildAllocBudget)
+	if perChild > sweepChildAllocBudget {
+		t.Fatalf("a sweep child allocates %.3f times, budget %v", perChild, sweepChildAllocBudget)
+	}
+}
 
+// TestScriptSweepChildAllocBudget is TestSweepChildAllocBudget on the
+// benchmark's inc service, whose script adapter runs `out.y = in.x + 1`:
+// the interpreter's share of every non-file benchmark job.
+func TestScriptSweepChildAllocBudget(t *testing.T) {
+	c := newMemoContainer(t, container.Options{Workers: 2})
+	num := jsonschema.New(jsonschema.TypeNumber)
+	err := c.Deploy(container.ServiceConfig{
+		Description: core.ServiceDescription{
+			Name:    "inc",
+			Inputs:  []core.Param{{Name: "x", Schema: num}},
+			Outputs: []core.Param{{Name: "y", Schema: num}},
+		},
+		Adapter: container.AdapterSpec{
+			Kind:   "script",
+			Config: mustJSON(t, adapter.ScriptConfig{Script: "out.y = in.x + 1"}),
+		},
+	})
+	if err != nil {
+		t.Fatalf("Deploy inc: %v", err)
+	}
+	perChild := sweepChildAllocs(t, c, "inc")
+	t.Logf("script sweep child: %.3f allocations (budget %v)", perChild, scriptSweepChildAllocBudget)
+	if perChild > scriptSweepChildAllocBudget {
+		t.Fatalf("a script sweep child allocates %.3f times, budget %v", perChild, scriptSweepChildAllocBudget)
+	}
+}
+
+// sweepChildAllocs returns the allocations per child of width-64 sweeps
+// over the input x of service.
+func sweepChildAllocs(t *testing.T, c *container.Container, service string) float64 {
+	t.Helper()
+	jm := c.Jobs()
 	const width = 64
 	axis := make([]any, width)
 	for i := range axis {
@@ -108,7 +148,7 @@ func TestSweepChildAllocBudget(t *testing.T) {
 	spec := &core.SweepSpec{Axes: map[string][]any{"x": axis}}
 	ctx := context.Background()
 	campaign := func() {
-		sw, err := jm.SubmitSweep(ctx, "childcost", spec, "")
+		sw, err := jm.SubmitSweep(ctx, service, spec, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,11 +160,7 @@ func TestSweepChildAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	perChild := testing.AllocsPerRun(100, campaign) / width
-	t.Logf("sweep child: %.3f allocations (budget %v)", perChild, sweepChildAllocBudget)
-	if perChild > sweepChildAllocBudget {
-		t.Fatalf("a sweep child allocates %.3f times, budget %v", perChild, sweepChildAllocBudget)
-	}
+	return testing.AllocsPerRun(100, campaign) / width
 }
 
 // TestSweepPageAllocBudget pins the allocations per child of a GET of a

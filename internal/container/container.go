@@ -182,6 +182,7 @@ type Container struct {
 	jobs       *JobManager
 	events     *events.Bus
 	maxWait    time.Duration
+	waitMax    []string // the Wait-Max header value, nil without a cap
 	guard      Guard
 	logger     *log.Logger
 	httpClient *http.Client
@@ -280,6 +281,9 @@ func New(opts Options) (*Container, error) {
 	} else if c.maxWait < 0 {
 		c.maxWait = 0 // no cap
 	}
+	if c.maxWait > 0 {
+		c.waitMax = []string{c.maxWait.String()}
+	}
 	if opts.JournalDir != "" {
 		jl, err := journal.Open(opts.JournalDir, journal.Options{Mode: opts.WALSync})
 		if err != nil {
@@ -355,10 +359,12 @@ func (c *Container) clampWait(d time.Duration) time.Duration {
 
 // advertiseWaitMax announces the server's wait ceiling on a response so
 // clients shrink their requested windows instead of being silently
-// clamped.
+// clamped.  The value is built once: WaitMaxHeader is in canonical form,
+// and the shared slice has capacity one, so an Add on a response appends
+// to a copy.
 func (c *Container) advertiseWaitMax(h http.Header) {
-	if c.maxWait > 0 {
-		h.Set(rest.WaitMaxHeader, c.maxWait.String())
+	if c.waitMax != nil {
+		h[rest.WaitMaxHeader] = c.waitMax
 	}
 }
 

@@ -80,7 +80,7 @@ type runningJob struct {
 	trace    string
 	inputs   core.Values
 	workDir  string
-	req      *adapter.Request
+	req      adapter.Request // filled in by prepare
 }
 
 // beginJob moves a dequeued job to RUNNING and captures the fields its
@@ -326,7 +326,7 @@ func (rj *runningJob) prepare(ad adapter.Interface) error {
 		rec.job.Blocks[block] = state
 		rec.invalidate()
 	}
-	rj.req = &adapter.Request{
+	rj.req = adapter.Request{
 		JobID:         rj.jobID,
 		Service:       rj.service,
 		Owner:         rj.owner,
@@ -392,8 +392,13 @@ func (jm *JobManager) execute(recs []*jobRecord) {
 	}
 	defer batchCancel()
 
-	// Begin every member; jobs cancelled while queued drop out here.
-	active := make([]*runningJob, 0, len(recs))
+	// Begin every member; jobs cancelled while queued drop out here.  A
+	// single record (a Table 1 job, a sweep child) needs no heap slices.
+	var activeOne, readyOne [1]*runningJob
+	active, ready := activeOne[:0], readyOne[:0]
+	if len(recs) > 1 {
+		active, ready = make([]*runningJob, 0, len(recs)), make([]*runningJob, 0, len(recs))
+	}
 	for _, rec := range recs {
 		ctx, cancel := batchCtx, batchCancel
 		if len(recs) > 1 {
@@ -429,7 +434,6 @@ func (jm *JobManager) execute(recs []*jobRecord) {
 
 	// Stage every member; a member whose staging fails drops out of the
 	// invocation without affecting the rest.
-	ready := make([]*runningJob, 0, len(active))
 	for _, rj := range active {
 		err := svcErr
 		if err == nil {
@@ -447,7 +451,7 @@ func (jm *JobManager) execute(recs []*jobRecord) {
 	batcher, _ := svc.adapter.(adapter.BatchInterface)
 	if len(ready) < 2 || batcher == nil {
 		for _, rj := range ready {
-			res, err := svc.adapter.Invoke(rj.ctx, rj.req)
+			res, err := svc.adapter.Invoke(rj.ctx, &rj.req)
 			rj.complete(svc, res, err)
 		}
 		return
@@ -455,7 +459,7 @@ func (jm *JobManager) execute(recs []*jobRecord) {
 	metBatchSize.Observe(float64(len(ready)))
 	reqs := make([]*adapter.Request, len(ready))
 	for i, rj := range ready {
-		reqs[i] = rj.req
+		reqs[i] = &rj.req
 	}
 	items, err := batcher.InvokeBatch(batchCtx, reqs)
 	if err == nil && len(items) != len(reqs) {

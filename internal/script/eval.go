@@ -6,12 +6,17 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Program is a compiled MCScript ready for execution.
 type Program struct {
 	body *stmtBlock
 	src  string
+	// writesIn is set by Parse when the program may write into a value
+	// reachable from `in` (see writesThrough); only then does a run copy
+	// its inputs.
+	writesIn bool
 }
 
 // Source returns the original script text.
@@ -66,25 +71,41 @@ func rtErr(n node, format string, args ...any) error {
 // Run executes the program with the given input values.  Inputs are exposed
 // as the object `in`; the script writes results into the object `out`,
 // which Run returns.  The optional return value of the script (via
-// `return`) is also returned.
+// `return`) is also returned.  The inputs are never modified: they are
+// copied first when the program can write through `in`, and read in place
+// otherwise, so the outputs may share nested values with them.
 func (p *Program) Run(inputs map[string]any) (outputs map[string]any, ret any, err error) {
 	return p.RunLimited(inputs, DefaultStepLimit)
 }
 
 // RunLimited is Run with an explicit evaluation step limit.
 func (p *Program) RunLimited(inputs map[string]any, stepLimit int) (map[string]any, any, error) {
+	return p.run(inputs, stepLimit, p.writesIn)
+}
+
+// envPool recycles evaluation frames across runs.
+var envPool = sync.Pool{New: func() any { return &env{vars: make(map[string]any, 2)} }}
+
+func (p *Program) run(inputs map[string]any, stepLimit int, copyIn bool) (map[string]any, any, error) {
 	if inputs == nil {
 		inputs = map[string]any{}
+	} else if copyIn {
+		inputs = copyJSON(inputs).(map[string]any)
 	}
 	out := map[string]any{}
-	e := &env{
-		vars:      map[string]any{"in": copyJSON(inputs), "out": out},
-		stepLimit: stepLimit,
-	}
-	if _, err := e.execBlock(p.body); err != nil {
+	e := envPool.Get().(*env)
+	e.vars["in"], e.vars["out"] = inputs, out
+	e.stepLimit = stepLimit
+	_, err := e.execBlock(p.body)
+	ret := e.retVal
+	// No run's values outlive it in the pool.
+	clear(e.vars)
+	e.steps, e.retVal = 0, nil
+	envPool.Put(e)
+	if err != nil {
 		return nil, nil, err
 	}
-	return out, e.retVal, nil
+	return out, ret, nil
 }
 
 func (e *env) execBlock(b *stmtBlock) (ctrl, error) {

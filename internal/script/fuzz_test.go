@@ -1,11 +1,110 @@
 package script
 
 import (
+	"encoding/json"
+	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// fuzzSteps is FuzzScriptRun's step limit.  A value can at most double in
+// about four steps (`s = s + s`), so with the size caps on the program and
+// its inputs it bounds what one generated run can allocate to a few MB.
+const fuzzSteps = 64
+
+// FuzzScriptRun checks the inputs-copy elision differentially: every
+// (program, inputs) pair runs once as analysed and once with the inputs
+// copied, and the two must agree on outputs, return value and error.  A
+// run that reads its inputs in place must leave them as they were.
+func FuzzScriptRun(f *testing.F) {
+	const inputs = `{"x":1,"k":"m","a":[{"x":0},{}],"m":{"k":0},"arr":[1],` +
+		`"values":[1,2,3,201,5],"obj":{"b":2,"a":1}}`
+	srcs := []string{controlFlowSrc, forOverMapSrc, objectsSrc, returnSrc}
+	for _, cases := range [][]scriptCase{arithmeticCases, builtinCases, runtimeErrorCases} {
+		for _, tc := range cases {
+			srcs = append(srcs, tc.src)
+		}
+	}
+	srcs = append(srcs, aliasingCases...)
+	for _, src := range srcs {
+		f.Add(src, inputs)
+	}
+	f.Fuzz(func(t *testing.T, src, inputsJSON string) {
+		// range and format size their result from an argument, not from
+		// their inputs, so the step limit alone would not bound them.
+		if len(src) > 256 || len(inputsJSON) > 256 ||
+			strings.Contains(src, "range") || strings.Contains(src, "format") {
+			t.Skip()
+		}
+		var in map[string]any
+		if json.Unmarshal([]byte(inputsJSON), &in) != nil || in == nil {
+			t.Skip()
+		}
+		prog, err := Parse(src)
+		if err != nil {
+			t.Skip()
+		}
+		before := copyJSON(in)
+		out, ret, err := prog.run(in, fuzzSteps, prog.writesIn)
+		if !reflect.DeepEqual(in, before) {
+			t.Fatalf("%q (writesIn=%v) wrote into its inputs: %v, was %v", src, prog.writesIn, in, before)
+		}
+		wantOut, wantRet, wantErr := prog.run(in, fuzzSteps, true)
+		if sameRun(out, ret, err, wantOut, wantRet, wantErr) {
+			return
+		}
+		// A program that prints an address (format's %p) differs from
+		// itself; only a copy-elision difference is a failure.
+		againOut, againRet, againErr := prog.run(in, fuzzSteps, true)
+		if !sameRun(wantOut, wantRet, wantErr, againOut, againRet, againErr) {
+			t.Skip("nondeterministic program")
+		}
+		t.Fatalf("%q (writesIn=%v): got %v, %v, %v; with the copy %v, %v, %v",
+			src, prog.writesIn, out, ret, err, wantOut, wantRet, wantErr)
+	})
+}
+
+func sameRun(out1 map[string]any, ret1 any, err1 error, out2 map[string]any, ret2 any, err2 error) bool {
+	if (err1 == nil) != (err2 == nil) || err1 != nil && err1.Error() != err2.Error() {
+		return false
+	}
+	return sameJSON(out1, out2) && sameJSON(ret1, ret2)
+}
+
+// sameJSON is deep equality of JSON values in which NaN equals itself.
+func sameJSON(a, b any) bool {
+	switch x := a.(type) {
+	case float64:
+		y, ok := b.(float64)
+		return ok && (x == y || math.IsNaN(x) && math.IsNaN(y))
+	case []any:
+		y, ok := b.([]any)
+		if !ok || len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if !sameJSON(x[i], y[i]) {
+				return false
+			}
+		}
+		return true
+	case map[string]any:
+		y, ok := b.(map[string]any)
+		if !ok || len(x) != len(y) || (x == nil) != (y == nil) {
+			return false
+		}
+		for k, v := range x {
+			if w, ok := y[k]; !ok || !sameJSON(v, w) {
+				return false
+			}
+		}
+		return true
+	}
+	return a == b
+}
 
 // TestPropertyParserNeverPanics throws random token soup at the parser:
 // it must either parse or return a SyntaxError, never panic.

@@ -6,6 +6,9 @@ import "fmt"
 type parser struct {
 	toks []token
 	pos  int
+	// writesIn records whether any assignment or loop binding may write
+	// through `in` (see writesThrough).
+	writesIn bool
 }
 
 // Parse compiles MCScript source into an executable Program.
@@ -19,7 +22,31 @@ func Parse(src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Program{body: block, src: src}, nil
+	return &Program{body: block, src: src, writesIn: p.writesIn}, nil
+}
+
+// writesThrough reports whether assigning to target may write into a value
+// reachable from `in`.  Builtins never mutate their arguments, so only an
+// assignment can.  Setting a field or index of the bare `out` is safe while
+// `out` is the run's own fresh object; any other field or index target may
+// be an alias of (part of) `in`, and rebinding `out` makes every later
+// `out.f = ...` one too.  A loop variable named `out` rebinds it as well,
+// which parseFor reports.
+func writesThrough(target node) bool {
+	switch t := target.(type) {
+	case *exprIdent:
+		return t.name == "out"
+	case *exprField:
+		return !isOut(t.object)
+	case *exprIndex:
+		return !isOut(t.object)
+	}
+	return true
+}
+
+func isOut(n node) bool {
+	id, ok := n.(*exprIdent)
+	return ok && id.name == "out"
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -137,6 +164,7 @@ func (p *parser) parseStmt() (node, error) {
 		if err != nil {
 			return nil, err
 		}
+		p.writesIn = p.writesIn || writesThrough(expr)
 		line, col := expr.pos()
 		return &stmtAssign{position{line, col}, expr, val}, nil
 	}
@@ -176,18 +204,18 @@ func (p *parser) parseIf() (node, error) {
 
 func (p *parser) parseFor() (node, error) {
 	t := p.next() // 'for'
-	first := p.next()
-	if first.kind != tokIdent {
-		return nil, p.errorf(first, "expected loop variable, got %s", first)
+	first, err := p.loopVar()
+	if err != nil {
+		return nil, err
 	}
-	keyVar, valVar := "", first.text
+	keyVar, valVar := "", first
 	if p.atOp(",") {
 		p.next()
-		second := p.next()
-		if second.kind != tokIdent {
-			return nil, p.errorf(second, "expected loop variable, got %s", second)
+		second, err := p.loopVar()
+		if err != nil {
+			return nil, err
 		}
-		keyVar, valVar = first.text, second.text
+		keyVar, valVar = first, second
 	}
 	inTok := p.next()
 	if inTok.kind != tokIdent || inTok.text != "in" {
@@ -202,6 +230,23 @@ func (p *parser) parseFor() (node, error) {
 		return nil, err
 	}
 	return &stmtFor{position{t.line, t.col}, keyVar, valVar, seq, body}, nil
+}
+
+// loopVar reads one loop variable name.  The inputs object cannot be
+// rebound, as `in = ...` cannot; binding `out` rebinds the outputs object
+// (see writesThrough).
+func (p *parser) loopVar() (string, error) {
+	t := p.next()
+	if t.kind != tokIdent {
+		return "", p.errorf(t, "expected loop variable, got %s", t)
+	}
+	if t.text == "in" {
+		return "", p.errorf(t, "cannot bind the inputs object as a loop variable")
+	}
+	if t.text == "out" {
+		p.writesIn = true
+	}
+	return t.text, nil
 }
 
 // Expression parsing with precedence climbing.

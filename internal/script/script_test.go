@@ -1,7 +1,9 @@
 package script
 
 import (
+	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -20,24 +22,28 @@ func run(t *testing.T, src string, in map[string]any) map[string]any {
 	return out
 }
 
+// The programs of the table tests below also seed FuzzScriptRun.
+type scriptCase struct {
+	src  string
+	want any
+}
+
+var arithmeticCases = []scriptCase{
+	{"out.v = 1 + 2 * 3", 7.0},
+	{"out.v = (1 + 2) * 3", 9.0},
+	{"out.v = 10 % 3", 1.0},
+	{"out.v = -2 * 3", -6.0},
+	{"out.v = 7 / 2", 3.5},
+	{"out.v = 1 < 2 && 3 >= 3", true},
+	{"out.v = !false || false", true},
+	{"out.v = \"a\" + \"b\" + 1", "ab1"},
+	{"out.v = [1,2] + [3]", []any{1.0, 2.0, 3.0}},
+	{"out.v = 1 == 1.0", true},
+	{"out.v = \"x\" != \"y\"", true},
+}
+
 func TestArithmeticAndPrecedence(t *testing.T) {
-	cases := []struct {
-		src  string
-		want any
-	}{
-		{"out.v = 1 + 2 * 3", 7.0},
-		{"out.v = (1 + 2) * 3", 9.0},
-		{"out.v = 10 % 3", 1.0},
-		{"out.v = -2 * 3", -6.0},
-		{"out.v = 7 / 2", 3.5},
-		{"out.v = 1 < 2 && 3 >= 3", true},
-		{"out.v = !false || false", true},
-		{"out.v = \"a\" + \"b\" + 1", "ab1"},
-		{"out.v = [1,2] + [3]", []any{1.0, 2.0, 3.0}},
-		{"out.v = 1 == 1.0", true},
-		{"out.v = \"x\" != \"y\"", true},
-	}
-	for _, tc := range cases {
+	for _, tc := range arithmeticCases {
 		out := run(t, tc.src, nil)
 		got := out["v"]
 		switch want := tc.want.(type) {
@@ -60,8 +66,7 @@ func TestArithmeticAndPrecedence(t *testing.T) {
 	}
 }
 
-func TestControlFlow(t *testing.T) {
-	src := `
+const controlFlowSrc = `
 		total = 0
 		for x in in.values {
 			if x % 2 == 0 { continue }
@@ -73,7 +78,9 @@ func TestControlFlow(t *testing.T) {
 		out.total = total
 		out.i = i
 	`
-	out := run(t, src, map[string]any{"values": []any{1.0, 2.0, 3.0, 201.0, 5.0}})
+
+func TestControlFlow(t *testing.T) {
+	out := run(t, controlFlowSrc, map[string]any{"values": []any{1.0, 2.0, 3.0, 201.0, 5.0}})
 	if out["total"] != 4.0 {
 		t.Errorf("total = %v, want 4 (1+3, breaking at 201)", out["total"])
 	}
@@ -82,8 +89,7 @@ func TestControlFlow(t *testing.T) {
 	}
 }
 
-func TestForOverMapAndString(t *testing.T) {
-	src := `
+const forOverMapSrc = `
 		keysSeen = []
 		for k, v in in.obj { keysSeen = push(keysSeen, k + "=" + v) }
 		chars = 0
@@ -91,7 +97,9 @@ func TestForOverMapAndString(t *testing.T) {
 		out.pairs = keysSeen
 		out.chars = chars
 	`
-	out := run(t, src, map[string]any{"obj": map[string]any{"b": 2.0, "a": 1.0}})
+
+func TestForOverMapAndString(t *testing.T) {
+	out := run(t, forOverMapSrc, map[string]any{"obj": map[string]any{"b": 2.0, "a": 1.0}})
 	pairs, _ := out["pairs"].([]any)
 	// Map iteration is sorted for determinism.
 	if len(pairs) != 2 || pairs[0] != "a=1" || pairs[1] != "b=2" {
@@ -102,8 +110,7 @@ func TestForOverMapAndString(t *testing.T) {
 	}
 }
 
-func TestObjectsAndIndexing(t *testing.T) {
-	src := `
+const objectsSrc = `
 		rec = {name: "ada", "full name": "ada lovelace", tags: [1, 2, 3]}
 		rec.age = 36
 		rec.tags[0] = 10
@@ -112,18 +119,22 @@ func TestObjectsAndIndexing(t *testing.T) {
 		out.age = rec.age
 		out.first = rec.tags[0]
 	`
-	out := run(t, src, nil)
+
+func TestObjectsAndIndexing(t *testing.T) {
+	out := run(t, objectsSrc, nil)
 	if out["name"] != "ada" || out["full"] != "ada lovelace" ||
 		out["age"] != 36.0 || out["first"] != 10.0 {
 		t.Errorf("out = %v", out)
 	}
 }
 
-func TestReturnValue(t *testing.T) {
-	prog, err := Parse(`
+const returnSrc = `
 		if in.x > 0 { return "positive" }
 		return "non-positive"
-	`)
+	`
+
+func TestReturnValue(t *testing.T) {
+	prog, err := Parse(returnSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,36 +148,34 @@ func TestReturnValue(t *testing.T) {
 	}
 }
 
+var builtinCases = []scriptCase{
+	{`out.v = len("abc")`, 3.0},
+	{`out.v = len([1,2])`, 2.0},
+	{`out.v = join(split("a,b,c", ","), "-")`, "a-b-c"},
+	{`out.v = trim("  x  ")`, "x"},
+	{`out.v = contains([1,2,3], 2)`, true},
+	{`out.v = contains("hello", "ell")`, true},
+	{`out.v = min(3, 1, 2)`, 1.0},
+	{`out.v = max([3, 1, 2])`, 3.0},
+	{`out.v = sum(range(5))`, 10.0},
+	{`out.v = floor(2.7) + ceil(2.2) + round(2.5)`, 2.0 + 3.0 + 3.0},
+	{`out.v = abs(-4)`, 4.0},
+	{`out.v = sqrt(9)`, 3.0},
+	{`out.v = str(42)`, "42"},
+	{`out.v = num("3.5")`, 3.5},
+	{`out.v = type([])`, "array"},
+	{`out.v = format("%s-%v", "x", 7)`, "x-7"},
+	{`out.v = toJSON({a: 1})`, `{"a":1}`},
+	{`out.v = parseJSON("[1,2]")[1]`, 2.0},
+	{`out.v = has({a: 1}, "a")`, true},
+	{`out.v = keys({b: 1, a: 2})[0]`, "a"},
+	{`out.v = sort([3,1,2])[0]`, 1.0},
+	{`out.v = slice([1,2,3,4], 1, 3)[0]`, 2.0},
+	{`out.v = push([1], 2, 3)[2]`, 3.0},
+}
+
 func TestBuiltins(t *testing.T) {
-	cases := []struct {
-		src  string
-		want any
-	}{
-		{`out.v = len("abc")`, 3.0},
-		{`out.v = len([1,2])`, 2.0},
-		{`out.v = join(split("a,b,c", ","), "-")`, "a-b-c"},
-		{`out.v = trim("  x  ")`, "x"},
-		{`out.v = contains([1,2,3], 2)`, true},
-		{`out.v = contains("hello", "ell")`, true},
-		{`out.v = min(3, 1, 2)`, 1.0},
-		{`out.v = max([3, 1, 2])`, 3.0},
-		{`out.v = sum(range(5))`, 10.0},
-		{`out.v = floor(2.7) + ceil(2.2) + round(2.5)`, 2.0 + 3.0 + 3.0},
-		{`out.v = abs(-4)`, 4.0},
-		{`out.v = sqrt(9)`, 3.0},
-		{`out.v = str(42)`, "42"},
-		{`out.v = num("3.5")`, 3.5},
-		{`out.v = type([])`, "array"},
-		{`out.v = format("%s-%v", "x", 7)`, "x-7"},
-		{`out.v = toJSON({a: 1})`, `{"a":1}`},
-		{`out.v = parseJSON("[1,2]")[1]`, 2.0},
-		{`out.v = has({a: 1}, "a")`, true},
-		{`out.v = keys({b: 1, a: 2})[0]`, "a"},
-		{`out.v = sort([3,1,2])[0]`, 1.0},
-		{`out.v = slice([1,2,3,4], 1, 3)[0]`, 2.0},
-		{`out.v = push([1], 2, 3)[2]`, 3.0},
-	}
-	for _, tc := range cases {
+	for _, tc := range builtinCases {
 		out := run(t, tc.src, nil)
 		if out["v"] != tc.want {
 			t.Errorf("%s = %v (%T), want %v", tc.src, out["v"], out["v"], tc.want)
@@ -185,11 +194,38 @@ func TestStepLimitStopsInfiniteLoop(t *testing.T) {
 	}
 }
 
+// aliasingCases are programs that write through an alias of `in`; each
+// must run on a copy of its inputs.  They also seed FuzzScriptRun.
+var aliasingCases = []string{
+	`x = in.arr; x[0] = 99; out.done = true`,
+	`in.x = 1`,
+	`t = in.m; t.k = 1`,
+	`out.m = in.m; out.m.k = 1`,
+	`out = in; out.x = 1`,
+	`for out in in.a { out.x = 1 }`,
+	`for i, out in in.a { out.x = i + 1 }`,
+}
+
 func TestInputsAreImmutable(t *testing.T) {
-	inputs := map[string]any{"arr": []any{1.0}}
-	run(t, `x = in.arr; x[0] = 99; out.done = true`, inputs)
-	if inputs["arr"].([]any)[0] != 1.0 {
-		t.Error("script mutated caller's inputs")
+	for _, src := range aliasingCases {
+		inputs := map[string]any{
+			"arr": []any{1.0}, "x": 0.0, "m": map[string]any{"k": 0.0},
+			"a": []any{map[string]any{"x": 0.0}},
+		}
+		before := copyJSON(inputs)
+		prog, err := Parse(src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", src, err)
+		}
+		if !prog.writesIn {
+			t.Errorf("%q: analysed as not writing through in", src)
+		}
+		if _, _, err := prog.Run(inputs); err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		if !reflect.DeepEqual(inputs, before) {
+			t.Errorf("%q mutated the caller's inputs: %v", src, inputs)
+		}
 	}
 	prog, err := Parse(`in = 5`)
 	if err != nil {
@@ -200,31 +236,77 @@ func TestInputsAreImmutable(t *testing.T) {
 	}
 }
 
+var runtimeErrorCases = []scriptCase{
+	{`out.v = nope`, "undefined variable"},
+	{`out.v = 1 / 0`, "division by zero"},
+	{`out.v = 1 % 0`, "modulo by zero"},
+	{`out.v = [1][5]`, "out of range"},
+	{`out.v = "a" - 1`, "needs numbers"},
+	{`out.v = frob(1)`, "unknown function"},
+	{`out.v = len(5)`, "len of number"},
+	{`for x in 5 { }`, "cannot iterate"},
+	{`out.v = {}.x.y`, "cannot read field"},
+	{`out.v = -"s"`, "needs a number"},
+	{`out.v = 1 < "a"`, "cannot compare"},
+}
+
 func TestRuntimeErrors(t *testing.T) {
+	for _, tc := range runtimeErrorCases {
+		prog, err := Parse(tc.src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", tc.src, err)
+		}
+		_, _, err = prog.Run(nil)
+		if err == nil || !strings.Contains(err.Error(), tc.want.(string)) {
+			t.Errorf("%q: err = %v, want substring %q", tc.src, err, tc.want)
+		}
+	}
+}
+
+// TestWritesInAnalysis pins which programs read their inputs in place.
+func TestWritesInAnalysis(t *testing.T) {
 	cases := []struct {
 		src  string
-		want string
+		want bool
 	}{
-		{`out.v = nope`, "undefined variable"},
-		{`out.v = 1 / 0`, "division by zero"},
-		{`out.v = 1 % 0`, "modulo by zero"},
-		{`out.v = [1][5]`, "out of range"},
-		{`out.v = "a" - 1`, "needs numbers"},
-		{`out.v = frob(1)`, "unknown function"},
-		{`out.v = len(5)`, "len of number"},
-		{`for x in 5 { }`, "cannot iterate"},
-		{`out.v = {}.x.y`, "cannot read field"},
-		{`out.v = -"s"`, "needs a number"},
-		{`out.v = 1 < "a"`, "cannot compare"},
+		{`out.y = in.x + 1`, false},
+		{`out[in.k] = in.m`, false},
+		{`t = in.m; out.m = t; out.n = t.k`, false},
+		{`for k, v in in.m { out[k] = v }`, false},
+		{`in = 5`, false}, // a runtime error before anything is written
+		{`x = [1]; x[0] = 2`, true},
+		{`out.a.b = 1`, true},
+		{`out = {}`, true},
+		{`for i, out in in.a { }`, true},
 	}
 	for _, tc := range cases {
 		prog, err := Parse(tc.src)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", tc.src, err)
 		}
-		_, _, err = prog.Run(nil)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%q: err = %v, want substring %q", tc.src, err, tc.want)
+		if prog.writesIn != tc.want {
+			t.Errorf("%q: writesIn = %v, want %v", tc.src, prog.writesIn, tc.want)
+		}
+	}
+}
+
+// TestLoopCannotBindInputs: a loop variable named `in` would rebind the
+// inputs object, which an assignment to `in` may not do either.
+func TestLoopCannotBindInputs(t *testing.T) {
+	cases := []struct {
+		src string
+		col int
+	}{
+		{`for in in in.a { }`, 5},
+		{`for k, in in in.m { }`, 8},
+		{`for in, v in in.m { }`, 5},
+	}
+	for _, tc := range cases {
+		_, err := Parse(tc.src)
+		var se *SyntaxError
+		if !errors.As(err, &se) || se.Line != 1 || se.Col != tc.col ||
+			!strings.Contains(se.Message, "inputs object") {
+			t.Errorf("Parse(%q) = %v, want a syntax error at 1:%d", tc.src, err, tc.col)
 		}
 	}
 }
@@ -339,5 +421,28 @@ func TestBuiltinsListed(t *testing.T) {
 		if names[i-1] >= names[i] {
 			t.Error("Builtins not sorted")
 		}
+	}
+}
+
+// TestRunAllocBudget pins the allocations of one run of the benchmark's
+// script service, `out.y = in.x + 1`: it reads its inputs in place and
+// takes its frame from the pool, so what remains is the outputs object
+// and the boxed result.  The budget is a constant of alloc_budget_test.go,
+// and of alloc_budget_race_test.go under the race detector; a change may
+// lower it, never raise it.
+func TestRunAllocBudget(t *testing.T) {
+	prog, err := Parse(`out.y = in.x + 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := map[string]any{"x": 1.0}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if out, _, err := prog.Run(inputs); err != nil || out["y"] != 2.0 {
+			t.Fatalf("Run: %v, %v", out, err)
+		}
+	})
+	t.Logf("Run: %.0f allocations (budget %v)", allocs, runAllocBudget)
+	if allocs > runAllocBudget {
+		t.Fatalf("Run allocates %.0f times, budget %v", allocs, runAllocBudget)
 	}
 }
