@@ -387,7 +387,7 @@ func (c *Catalogue) Ping(ctx context.Context) int {
 		workers = len(uris)
 	}
 	defer func() {
-		obs.Logger().LogAttrs(ctx, slog.LevelInfo, "availability sweep",
+		obs.Log(ctx, slog.LevelInfo, "availability sweep",
 			slog.String("request_id", sweepID),
 			slog.Int("services", len(uris)),
 			slog.Duration("elapsed", time.Since(start)),

@@ -1,8 +1,10 @@
 package catalogue
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 
 	"mathcloud/internal/journal"
 	"mathcloud/internal/obs"
@@ -74,7 +76,7 @@ func (c *Catalogue) AttachJournal(jl *journal.Journal) error {
 	c.mu.Unlock()
 	jl.StartCheckpoints(0, 0, func() {
 		if err := c.Checkpoint(); err != nil {
-			obs.Logger().Error("catalogue: checkpoint failed", "error", err)
+			obs.Log(context.Background(), slog.LevelError, "catalogue: checkpoint failed", slog.Any("error", err))
 		}
 	})
 	return nil
@@ -89,7 +91,7 @@ func (c *Catalogue) logRecord(kind journal.Kind, v any) {
 		return
 	}
 	if err := c.jl.Append(kind, v); err != nil && !errors.Is(err, journal.ErrClosed) {
-		obs.Logger().Error("catalogue: journal append failed", "error", err)
+		obs.Log(context.Background(), slog.LevelError, "catalogue: journal append failed", slog.Any("error", err))
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"reflect"
 	"strings"
 	"sync"
 	"time"
@@ -431,11 +432,52 @@ func (c *Client) getJSONWait(ctx context.Context, uri string, out any) (time.Dur
 	if resp.StatusCode != http.StatusOK {
 		return waitMax, apiError(resp)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := decodeBody(resp.Body, out); err != nil {
 		return waitMax, fmt.Errorf("client: decode %s: %w", uri, err)
 	}
 	return waitMax, nil
 }
+
+// bodyBufs pools the buffers decodeBody reads bodies into.  A buffer that
+// grew past maxPooledBody (a huge page) goes to the garbage collector.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
+
+// decodeBody decodes a response body into out as json.Decoder.Decode does.
+// A target with its own UnmarshalJSON (a job, a page of jobs) is handed the
+// whole body in one call, which skips the Decoder's validating pre-scan;
+// when that call fails, the body is decoded again through the Decoder into
+// a zeroed target, which takes the first value and ignores what follows.
+func decodeBody(body io.Reader, out any) error {
+	u, ok := out.(json.Unmarshaler)
+	if !ok {
+		return json.NewDecoder(body).Decode(out)
+	}
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			bodyBufs.Put(buf)
+		}
+	}()
+	_, rerr := buf.ReadFrom(body)
+	if rerr == nil && u.UnmarshalJSON(buf.Bytes()) == nil {
+		return nil
+	}
+	reflect.ValueOf(out).Elem().SetZero()
+	var r io.Reader = bytes.NewReader(buf.Bytes())
+	if rerr != nil {
+		// The Decoder sees the error where the body raised it.
+		r = io.MultiReader(r, errReader{rerr})
+	}
+	return json.NewDecoder(r).Decode(out)
+}
+
+// errReader is a reader that fails with err.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
 // Service is a handle to one computational web service identified by its
 // URI.
@@ -625,7 +667,7 @@ func send[T any](ctx context.Context, c *Client, method, uri string, body any, w
 		return nil, apiError(resp)
 	}
 	out := new(T)
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := decodeBody(resp.Body, out); err != nil {
 		return nil, fmt.Errorf("client: decode %s %s: %w", method, uri, err)
 	}
 	return out, nil

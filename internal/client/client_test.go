@@ -3,8 +3,11 @@ package client
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -195,5 +198,49 @@ func TestAPIErrorMessage(t *testing.T) {
 	err := &APIError{Status: 409, Message: "queue full"}
 	if !strings.Contains(err.Error(), "409") || !strings.Contains(err.Error(), "queue full") {
 		t.Errorf("message = %q", err.Error())
+	}
+}
+
+// TestDecodeBodyMatchesDecoder pins decodeBody to the json.Decoder it
+// replaced for jobs and pages: the first value decodes and what follows it
+// is ignored, a broken body fails as the Decoder fails, and a read error
+// after a whole value is no error.
+func TestDecodeBodyMatchesDecoder(t *testing.T) {
+	bodies := []string{
+		`{"id":"a","state":"DONE","outputs":{"y":2}}`,
+		`{"id":"a"}` + "\n",
+		`{"id":"a"} {"id":"b"}`,
+		`{"id":"a"}garbage`,
+		`{"ID":"a","state":"RUNNING"}`,
+		`{"id":"a","outputs":{"y":"xy"}}`,
+		`{"id":5,"state":"DONE"}`,
+		`{"id":"a"`,
+		``,
+		`null`,
+	}
+	readErr := errors.New("connection reset")
+	for _, body := range bodies {
+		for _, failing := range []bool{false, true} {
+			open := func() io.Reader {
+				var r io.Reader = strings.NewReader(body)
+				if failing {
+					r = io.MultiReader(r, errReader{readErr})
+				}
+				return r
+			}
+			var got, want core.Job
+			gotErr := decodeBody(open(), &got)
+			wantErr := json.NewDecoder(open()).Decode(&want)
+			if (gotErr != nil) != (wantErr != nil) || !reflect.DeepEqual(got, want) {
+				t.Errorf("job %q (read error %v): got %+v, %v; want %+v, %v", body, failing, got, gotErr, want, wantErr)
+			}
+			page := `{"jobs":[` + body + `],"total":1}`
+			var gotPage, wantPage core.JobPage
+			gotErr = decodeBody(strings.NewReader(page), &gotPage)
+			wantErr = json.NewDecoder(strings.NewReader(page)).Decode(&wantPage)
+			if (gotErr != nil) != (wantErr != nil) || gotErr == nil && !reflect.DeepEqual(gotPage, wantPage) {
+				t.Errorf("page %q: got %+v, %v; want %+v, %v", page, gotPage, gotErr, wantPage, wantErr)
+			}
+		}
 	}
 }

@@ -159,7 +159,14 @@ func follow[T any](ctx context.Context, s *Service, uri, typ string, done func(*
 			return false, nil
 		}
 		v := new(T)
-		if err := json.Unmarshal(ev.Data, v); err != nil {
+		var err error
+		if u, ok := any(v).(json.Unmarshaler); ok {
+			// A job decodes itself, without json.Unmarshal's validity scan.
+			err = u.UnmarshalJSON(ev.Data)
+		} else {
+			err = json.Unmarshal(ev.Data, v)
+		}
+		if err != nil {
 			return false, fmt.Errorf("client: decode %s event: %w", typ, err)
 		}
 		last = v

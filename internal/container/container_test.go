@@ -395,3 +395,47 @@ func TestScriptServiceEndToEnd(t *testing.T) {
 		t.Errorf("out = %v, want mean 3 max 6", out)
 	}
 }
+
+// TestFileGETFullAndRanged downloads a file whole and in part through
+// Handler(), whose ingress writer hands the copy to the connection: the
+// bytes and Content-Length are those of the stored file.
+func TestFileGETFullAndRanged(t *testing.T) {
+	_, srv := startContainer(t)
+	payload := make([]byte, 1<<20+17)
+	for i := range payload {
+		payload[i] = byte(i * 7 / 3)
+	}
+	ref, err := client.New().UploadFile(context.Background(), srv.URL, bytes.NewReader(payload))
+	if err != nil {
+		t.Fatalf("UploadFile: %v", err)
+	}
+	uri, _ := core.FileRefID(ref)
+	for _, tc := range []struct {
+		rangeHdr   string
+		status     int
+		start, end int
+	}{
+		{"", http.StatusOK, 0, len(payload)},
+		{"bytes=100000-299999", http.StatusPartialContent, 100000, 300000},
+		{"bytes=-5", http.StatusPartialContent, len(payload) - 5, len(payload)},
+	} {
+		req, _ := http.NewRequest(http.MethodGet, uri, nil)
+		if tc.rangeHdr != "" {
+			req.Header.Set("Range", tc.rangeHdr)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("GET %q: %v", tc.rangeHdr, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := payload[tc.start:tc.end]
+		if resp.StatusCode != tc.status || resp.ContentLength != int64(len(want)) || !bytes.Equal(body, want) {
+			t.Errorf("GET %q: %d, Content-Length %d, %d bytes (equal %v); want %d, %d bytes",
+				tc.rangeHdr, resp.StatusCode, resp.ContentLength, len(body), bytes.Equal(body, want), tc.status, len(want))
+		}
+	}
+}

@@ -177,14 +177,9 @@ func (fs *FileStore) PutFile(path, jobID string) (string, error) {
 	fs.mu.Unlock()
 
 	// New content: materialise the blob outside the lock, preferring a
-	// hardlink from the source over copying the bytes.
-	tmp, err := os.CreateTemp(fs.dir, "tmp-")
-	if err != nil {
-		return "", fmt.Errorf("container: file store: create%s: %w", forJob(jobID), err)
-	}
-	tmpPath := tmp.Name()
-	_ = tmp.Close()
-	_ = os.Remove(tmpPath)
+	// hardlink from the source over copying the bytes.  A random name is
+	// as unique as os.CreateTemp's, without creating a file to link over.
+	tmpPath := filepath.Join(fs.dir, "tmp-"+core.NewID())
 	if err := os.Link(path, tmpPath); err != nil {
 		in, err := os.Open(path)
 		if err != nil {
@@ -366,7 +361,7 @@ func (fs *FileStore) Delete(id string) error {
 	delete(fs.sizes, id)
 	delete(fs.owners, id)
 	delete(fs.digests, id)
-	var unlink string
+	var unlinkErr error
 	if ok {
 		fs.logicalBytes -= size
 		// Guard the decrement: a refcount can only reach zero together with
@@ -379,7 +374,12 @@ func (fs *FileStore) Delete(id string) error {
 		if fs.refs[digest] <= 0 {
 			delete(fs.refs, digest)
 			fs.physicalBytes -= size
-			unlink = fs.blobPath(digest)
+			// Unlink under the lock, as commit renames under it: a Put of
+			// the same content must not rename its blob into place between
+			// the last reference going and the unlink.
+			if err := os.Remove(fs.blobPath(digest)); err != nil && !os.IsNotExist(err) {
+				unlinkErr = fmt.Errorf("container: file store: delete: %w", err)
+			}
 		}
 	}
 	fs.mu.Unlock()
@@ -387,12 +387,7 @@ func (fs *FileStore) Delete(id string) error {
 		return core.ErrNotFound("file", id)
 	}
 	fs.logDel(id)
-	if unlink != "" {
-		if err := os.Remove(unlink); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("container: file store: delete: %w", err)
-		}
-	}
-	return nil
+	return unlinkErr
 }
 
 // DeleteOwnedBy removes every file resource owned by the given job and

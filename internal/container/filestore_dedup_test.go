@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestFileStoreDedupSharesBlobs(t *testing.T) {
@@ -157,5 +158,46 @@ func TestFileStorePutErrorsNameJob(t *testing.T) {
 		t.Fatal("expected error for missing source file")
 	} else if !strings.Contains(err.Error(), "job42") {
 		t.Fatalf("error does not name the job: %v", err)
+	}
+}
+
+// TestFileStoreDeleteRacesIdenticalPut deletes the last ID of a blob while
+// the same content is stored again: the new ID must read the content
+// whichever of the two takes the store's lock first.  A Delete that unlinks
+// the blob after releasing the lock can remove the blob the Put has just
+// renamed into place.  Each iteration starts the Delete a little later, so
+// the runs sweep it across the Put's commit.
+func TestFileStoreDeleteRacesIdenticalPut(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("the same bytes, stored again while the last copy is deleted")
+	for i := 0; i < 3000; i++ {
+		old, err := fs.PutBytes(payload, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		delay := time.Duration(i%100) * time.Microsecond
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for start := time.Now(); time.Since(start) < delay; {
+			}
+			_ = fs.Delete(old)
+		}()
+		id, err := fs.Put(bytes.NewReader(payload), "")
+		wg.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := fs.ReadAll(id)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("iteration %d: %s reads %q, %v", i, id, got, err)
+		}
+		if err := fs.Delete(id); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

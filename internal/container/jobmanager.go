@@ -336,12 +336,10 @@ func (jm *JobManager) Submit(ctx context.Context, serviceName string, inputs cor
 		}
 		return rec.snapshot(), nil
 	}
-	if logger := obs.Logger(); logger.Enabled(ctx, slog.LevelInfo) {
-		logger.LogAttrs(ctx, slog.LevelInfo, "job submitted",
-			slog.String("request_id", trace),
-			slog.String("job_id", rec.job.ID),
-			slog.String("service", serviceName))
-	}
+	obs.Log(ctx, slog.LevelInfo, "job submitted",
+		slog.String("request_id", trace),
+		slog.String("job_id", rec.job.ID),
+		slog.String("service", serviceName))
 	return rec.snapshot(), nil
 }
 
@@ -542,7 +540,7 @@ func (jm *JobManager) Close() {
 			stuck = append(stuck, rec.job.ID)
 		}
 	}
-	obs.Logger().LogAttrs(context.Background(), slog.LevelWarn, "close: adapters ignored cancellation",
+	obs.Log(context.Background(), slog.LevelWarn, "close: adapters ignored cancellation",
 		slog.Duration("grace", closeGrace),
 		slog.Any("jobs", stuck))
 }

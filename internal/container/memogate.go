@@ -80,12 +80,10 @@ func (jm *JobManager) publishCachedJob(ctx context.Context, serviceName string, 
 	// Born terminal: one record carries the whole lifecycle.
 	jm.logJob(rec)
 	jm.notifyJob(rec)
-	if logger := obs.Logger(); logger.Enabled(ctx, slog.LevelInfo) {
-		logger.LogAttrs(ctx, slog.LevelInfo, "job served from computation cache",
-			slog.String("request_id", trace),
-			slog.String("job_id", rec.job.ID),
-			slog.String("service", serviceName))
-	}
+	obs.Log(ctx, slog.LevelInfo, "job served from computation cache",
+		slog.String("request_id", trace),
+		slog.String("job_id", rec.job.ID),
+		slog.String("service", serviceName))
 	return rec.snapshot(), nil
 }
 

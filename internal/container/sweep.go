@@ -159,15 +159,13 @@ func (sw *sweepRecord) finalize() {
 	sw.jm.c.files.DeleteOwnedBy(sw.id)
 	metSweepActive.Add(-1)
 	close(sw.done)
-	if logger := obs.Logger(); logger.Enabled(context.Background(), slog.LevelInfo) {
-		logger.LogAttrs(context.Background(), slog.LevelInfo, "sweep finished",
-			slog.String("request_id", sw.traceID),
-			slog.String("sweep_id", sw.id),
-			slog.String("service", sw.service),
-			slog.Int("done", counts.Done),
-			slog.Int("error", counts.Error),
-			slog.Int("cancelled", counts.Cancelled))
-	}
+	obs.Log(context.Background(), slog.LevelInfo, "sweep finished",
+		slog.String("request_id", sw.traceID),
+		slog.String("sweep_id", sw.id),
+		slog.String("service", sw.service),
+		slog.Int("done", counts.Done),
+		slog.Int("error", counts.Error),
+		slog.Int("cancelled", counts.Cancelled))
 }
 
 // cancel cancels every non-terminal child of the sweep with a single call:
@@ -377,14 +375,12 @@ func (jm *JobManager) SubmitSweep(ctx context.Context, serviceName string, spec 
 		// children, so none may be left WAITING.
 		sw.cancel()
 	}
-	if logger := obs.Logger(); logger.Enabled(ctx, slog.LevelInfo) {
-		logger.LogAttrs(ctx, slog.LevelInfo, "sweep submitted",
-			slog.String("request_id", trace),
-			slog.String("sweep_id", sw.id),
-			slog.String("service", serviceName),
-			slog.Int("width", sw.width),
-			slog.Int("cached", bornDone))
-	}
+	obs.Log(ctx, slog.LevelInfo, "sweep submitted",
+		slog.String("request_id", trace),
+		slog.String("sweep_id", sw.id),
+		slog.String("service", serviceName),
+		slog.Int("width", sw.width),
+		slog.Int("cached", bornDone))
 	jm.notifySweep(sw, true)
 	return sw.snapshot(), nil
 }

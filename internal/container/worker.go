@@ -199,16 +199,14 @@ func (jm *JobManager) land(rec *jobRecord, from, to core.JobState, outputs core.
 	if rec.sweep != nil {
 		level = slog.LevelDebug
 	}
-	if logger := obs.Logger(); logger.Enabled(context.Background(), level) {
-		// ID, Service and TraceID are immutable once the record is published.
-		logger.LogAttrs(context.Background(), level, "job finished",
-			slog.String("request_id", rec.job.TraceID),
-			slog.String("job_id", rec.job.ID),
-			slog.String("service", rec.job.Service),
-			slog.String("state", string(to)),
-			slog.Duration("queue_wait", queueWait),
-			slog.Duration("run_time", runTime))
-	}
+	// ID, Service and TraceID are immutable once the record is published.
+	obs.Log(context.Background(), level, "job finished",
+		slog.String("request_id", rec.job.TraceID),
+		slog.String("job_id", rec.job.ID),
+		slog.String("service", rec.job.Service),
+		slog.String("state", string(to)),
+		slog.Duration("queue_wait", queueWait),
+		slog.Duration("run_time", runTime))
 	// A DONE leader's coalesced followers complete with its outputs; any
 	// other outcome fails them rather than leaving them waiting on a job
 	// that will never run.

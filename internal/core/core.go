@@ -5,6 +5,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
@@ -110,15 +111,16 @@ func (d Duration) MarshalText() ([]byte, error) {
 // UnmarshalJSON implements json.Unmarshaler, accepting a duration string or
 // a plain number of nanoseconds.
 func (d *Duration) UnmarshalJSON(data []byte) error {
-	s := strings.Trim(string(data), `"`)
-	if s == "" || s == "null" {
+	s := bytes.Trim(data, `"`)
+	if len(s) == 0 || string(s) == "null" {
 		*d = 0
 		return nil
 	}
-	parsed, err := time.ParseDuration(s)
+	// A duration string, the common case, parses without allocating.
+	parsed, err := time.ParseDuration(string(s))
 	if err != nil {
 		var ns int64
-		if _, serr := fmt.Sscan(s, &ns); serr != nil {
+		if _, serr := fmt.Sscan(string(s), &ns); serr != nil {
 			return fmt.Errorf("core: invalid duration %q: %v", s, err)
 		}
 		parsed = time.Duration(ns)

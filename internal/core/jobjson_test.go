@@ -9,10 +9,6 @@ import (
 	"time"
 )
 
-// plainJob is Job without its methods: json.Marshal((*plainJob)(j)) is the
-// reflection encoding the hand-written encoder must reproduce.
-type plainJob Job
-
 // point is a struct parameter value, which AppendJSON hands to encoding/json.
 type point struct {
 	X    float64 `json:"x"`

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"io"
 	"log/slog"
 	"net/http"
 	"sync"
@@ -113,6 +114,19 @@ func (w *ingressWriter) Flush() {
 	}
 }
 
+// ReadFrom forwards to the wrapped writer, so the copy of a file download
+// (http.ServeContent) reaches the connection's sendfile path instead of
+// going through a 32 KiB user-space buffer.
+func (w *ingressWriter) ReadFrom(r io.Reader) (int64, error) {
+	if rf, ok := w.ResponseWriter.(io.ReaderFrom); ok {
+		return rf.ReadFrom(r)
+	}
+	return io.Copy(w.ResponseWriter, r)
+}
+
+// Unwrap returns the wrapped writer, for http.ResponseController.
+func (w *ingressWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // Instrument is the ingress middleware of every server: it establishes the
 // request ID (reusing a propagated X-Request-ID or generating one), echoes
 // it on the response, and records per-route request metrics and the
@@ -137,17 +151,15 @@ func Instrument(next http.Handler) http.Handler {
 		route := iw.route
 		route.requests[methodIndex(r.Method)][classIndex(iw.status)].Inc()
 		route.latency.Observe(elapsed.Seconds())
-		// Build the attrs only when the record will be emitted: at the
-		// default warn level this keeps the hot path allocation-free.
-		if logger := Logger(); logger.Enabled(ctx, slog.LevelInfo) {
-			logger.LogAttrs(ctx, slog.LevelInfo, "http request",
-				slog.String("request_id", id),
-				slog.String("method", r.Method),
-				slog.String("path", r.URL.Path),
-				slog.String("route", route.label),
-				slog.Int("status", iw.status),
-				slog.Duration("elapsed", elapsed),
-			)
-		}
+		// At the default warn level Log returns after its Enabled check
+		// and the attrs stay on the stack: the hot path allocates nothing.
+		Log(ctx, slog.LevelInfo, "http request",
+			slog.String("request_id", id),
+			slog.String("method", r.Method),
+			slog.String("path", r.URL.Path),
+			slog.String("route", route.label),
+			slog.Int("status", iw.status),
+			slog.Duration("elapsed", elapsed),
+		)
 	})
 }

@@ -43,6 +43,21 @@ func SetLogger(l *slog.Logger) {
 	logger.Store(l)
 }
 
+// Log emits one record as Logger().LogAttrs does, but without the
+// runtime.Callers walk LogAttrs makes for a source position: the servers'
+// text handler never prints one.  It is the one way the repo emits a
+// record.  A record below the logger's level costs one Enabled check: the
+// attrs stay on the caller's stack.
+func Log(ctx context.Context, level slog.Level, msg string, attrs ...slog.Attr) {
+	h := Logger().Handler()
+	if !h.Enabled(ctx, level) {
+		return
+	}
+	r := slog.NewRecord(time.Now(), level, msg, 0)
+	r.AddAttrs(attrs...)
+	_ = h.Handle(ctx, r)
+}
+
 // SetLogLevel adjusts the level of the default logger.  Server binaries
 // call it with slog.LevelInfo to enable request/job logging.
 func SetLogLevel(l slog.Level) { logLevel.Set(l) }

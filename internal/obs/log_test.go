@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log/slog"
 	"regexp"
@@ -137,5 +138,33 @@ func TestConcurrentRecordsNeverInterleave(t *testing.T) {
 			t.Fatalf("writer %d: record %d follows %d", g, i, next[g]-1)
 		}
 		next[g]++
+	}
+}
+
+// TestLogMatchesLogAttrs: a record emitted through Log is the line
+// Logger().LogAttrs writes for it, byte for byte apart from its time.
+func TestLogMatchesLogAttrs(t *testing.T) {
+	sink := captureDefaultLog(t)
+	ctx := context.Background()
+	attrs := []slog.Attr{
+		slog.String("request_id", "4f1c2a9e0b7d3c56"),
+		slog.String("path", "/services/inc jobs"),
+		slog.Int("status", 201),
+		slog.Duration("elapsed", 1500*time.Microsecond),
+		slog.String("service", "inc"),
+		slog.Int("width", 1000),
+	}
+	Logger().LogAttrs(ctx, slog.LevelInfo, "http request", attrs...)
+	Log(ctx, slog.LevelInfo, "http request", attrs...)
+	Logger().LogAttrs(ctx, slog.LevelDebug, "job finished", attrs...)
+	Log(ctx, slog.LevelDebug, "job finished", attrs...)
+	FlushLogs()
+	lines := strings.Split(strings.TrimSuffix(sink.String(), "\n"), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("want one record from each path at Info, got %q", lines)
+	}
+	stamp := regexp.MustCompile(`^time=\S+ `)
+	if !stamp.MatchString(lines[0]) || stamp.ReplaceAllString(lines[0], "") != stamp.ReplaceAllString(lines[1], "") {
+		t.Fatalf("records differ:\nLogAttrs %s\nLog      %s", lines[0], lines[1])
 	}
 }

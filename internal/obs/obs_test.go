@@ -2,7 +2,9 @@ package obs
 
 import (
 	"context"
+	"io"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -225,5 +227,37 @@ func TestDisabledRecordingIsNoop(t *testing.T) {
 	h.Observe(0.5)
 	if c.Value() != 0 || h.Count() != 0 {
 		t.Fatalf("disabled recording still counted: %v %d", c.Value(), h.Count())
+	}
+}
+
+// readFromRecorder is a ResponseWriter with a ReadFrom of its own, like
+// the server's connection writer.
+type readFromRecorder struct {
+	*httptest.ResponseRecorder
+	readFrom bool
+}
+
+func (w *readFromRecorder) ReadFrom(r io.Reader) (int64, error) {
+	w.readFrom = true
+	return io.Copy(w.ResponseRecorder, r)
+}
+
+// TestIngressWriterForwardsReadFrom: a copy into the instrumented writer
+// reaches the wrapped writer's ReadFrom (the sendfile path of a file
+// download), and http.ResponseController reaches the wrapped writer.
+func TestIngressWriterForwardsReadFrom(t *testing.T) {
+	rec := &readFromRecorder{ResponseRecorder: httptest.NewRecorder()}
+	h := Instrument(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// http.ServeContent copies a file with io.CopyN.
+		if _, err := io.CopyN(w, strings.NewReader("payload"), 7); err != nil {
+			t.Error(err)
+		}
+		if err := http.NewResponseController(w).Flush(); err != nil {
+			t.Errorf("ResponseController.Flush: %v", err)
+		}
+	}))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/files/x", nil))
+	if !rec.readFrom || rec.Body.String() != "payload" || !rec.Flushed {
+		t.Fatalf("ReadFrom forwarded %v, body %q, flushed %v", rec.readFrom, rec.Body.String(), rec.Flushed)
 	}
 }

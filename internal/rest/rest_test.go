@@ -3,9 +3,12 @@ package rest
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -157,5 +160,44 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 	if allow := rec.Header().Get("Allow"); allow != "GET, POST" {
 		t.Errorf("Allow = %q", allow)
+	}
+}
+
+// countingWriter is a plain io.Writer with no ReadFrom of its own.
+type countingWriter struct{ n int }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.n += len(p)
+	return len(p), nil
+}
+
+// TestCopyFromFileAllocBudget pins Copy from an *os.File: the copy goes
+// through the pooled buffer, not through the file's WriteTo and its own
+// 32 KiB buffer, and the wrappers that hide WriteTo are pooled with it.
+// The budget is a constant of alloc_budget_test.go, and of
+// alloc_budget_race_test.go under the race detector.
+func TestCopyFromFileAllocBudget(t *testing.T) {
+	const size = 1 << 20
+	path := filepath.Join(t.TempDir(), "blob")
+	if err := os.WriteFile(path, make([]byte, size), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var w countingWriter
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := Copy(&w, f); n != size || err != nil {
+			t.Fatalf("Copy = %d, %v", n, err)
+		}
+	})
+	t.Logf("Copy of a %d-byte file: %.2f allocations (budget %v)", size, allocs, copyAllocBudget)
+	if allocs > copyAllocBudget {
+		t.Fatalf("Copy of a file allocates %.2f times, budget %v", allocs, copyAllocBudget)
 	}
 }

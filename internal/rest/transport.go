@@ -53,24 +53,37 @@ func NewHTTPClient(timeout time.Duration) *http.Client {
 // cost negligible.
 const copyBufSize = 256 << 10
 
-var copyBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, copyBufSize)
-		return &b
-	},
+// copier is a pooled copy buffer together with the wrappers that hide the
+// copy's endpoints from io.CopyBuffer: writerOnly hides ReaderFrom and
+// readerOnly hides WriterTo, so the copy goes through the pooled buffer
+// instead of delegating to dst's or src's own (allocating) fast path.  An
+// *os.File source has one since Go 1.22: its WriteTo copies through a
+// 32 KiB buffer of its own.  The wrappers are pooled too, so that passing
+// them as interfaces allocates nothing.
+type copier struct {
+	buf []byte
+	w   writerOnly
+	r   readerOnly
 }
 
-// writerOnly hides ReaderFrom so io.CopyBuffer actually uses the pooled
-// buffer instead of delegating to dst's own (allocating) fast path.
-type writerOnly struct{ io.Writer }
+type (
+	writerOnly struct{ io.Writer }
+	readerOnly struct{ io.Reader }
+)
+
+var copiers = sync.Pool{
+	New: func() any { return &copier{buf: make([]byte, copyBufSize)} },
+}
 
 // Copy streams src into dst through a pooled fixed-size buffer, so the heap
 // cost of a transfer is O(buffer), not O(file size).  It is the streaming
 // primitive of the file plane: container staging, file publishing and client
 // downloads all go through it.
 func Copy(dst io.Writer, src io.Reader) (int64, error) {
-	bp := copyBufPool.Get().(*[]byte)
-	n, err := io.CopyBuffer(writerOnly{dst}, src, *bp)
-	copyBufPool.Put(bp)
+	c := copiers.Get().(*copier)
+	c.w.Writer, c.r.Reader = dst, src
+	n, err := io.CopyBuffer(&c.w, &c.r, c.buf)
+	c.w.Writer, c.r.Reader = nil, nil
+	copiers.Put(c)
 	return n, err
 }

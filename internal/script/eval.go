@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 )
 
 // Program is a compiled MCScript ready for execution.
@@ -63,6 +65,36 @@ func (e *env) tick(n node) error {
 	return nil
 }
 
+// maxValueBytes bounds every value a run builds: string and array
+// concatenation, range, split, push, join, str, toJSON and format fail
+// with a RuntimeError past it instead of allocating without limit, and so
+// does a run whose outputs would pass it.  It is the request body limit
+// (rest.MaxBodyBytes).  A string counts its bytes, an array elemBytes per
+// element, and a rendering (str, toJSON, string concatenation, the
+// outputs) the text it writes, measured by textSize before it is built.
+// So every string or array a request body can carry can also be rebuilt.
+// It is a variable only so that the fuzzer can lower it.
+var maxValueBytes = 16 << 20
+
+// elemBytes is what one array element counts against maxValueBytes: the
+// wire size of the smallest one, "0,".
+const elemBytes = 2
+
+// maxDepth bounds how deep a measure or a comparison follows a value: a
+// value that holds itself (m.self = m) is as deep as it is followed.
+const maxDepth = 1000
+
+// errTooDeep is the error for a value nested deeper than maxDepth.
+var errTooDeep = fmt.Errorf("value nests deeper than the %d-level value limit", maxDepth)
+
+// checkSize fails when a value of n bytes would exceed maxValueBytes.
+func checkSize(what string, n int) error {
+	if n > maxValueBytes {
+		return fmt.Errorf("%s of %d bytes exceeds the %d-byte value limit", what, n, maxValueBytes)
+	}
+	return nil
+}
+
 func rtErr(n node, format string, args ...any) error {
 	line, col := n.pos()
 	return &RuntimeError{line, col, fmt.Sprintf(format, args...)}
@@ -102,6 +134,11 @@ func (p *Program) run(inputs map[string]any, stepLimit int, copyIn bool) (map[st
 	clear(e.vars)
 	e.steps, e.retVal = 0, nil
 	envPool.Put(e)
+	if err == nil {
+		if _, serr := textSize(out); serr != nil {
+			err = rtErr(p.body, "outputs: %v", serr)
+		}
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -435,10 +472,12 @@ func (e *env) evalBinary(x *exprBinary) (any, error) {
 		return nil, err
 	}
 	switch x.op {
-	case "==":
-		return jsonEqual(left, right), nil
-	case "!=":
-		return !jsonEqual(left, right), nil
+	case "==", "!=":
+		eq, err := jsonEqual(left, right, 0)
+		if err != nil {
+			return nil, rtErr(x, "%v", err)
+		}
+		return eq == (x.op == "=="), nil
 	case "+":
 		// Numeric addition, string and array concatenation.
 		if lf, ok := left.(float64); ok {
@@ -449,10 +488,17 @@ func (e *env) evalBinary(x *exprBinary) (any, error) {
 			return lf + rf, nil
 		}
 		if ls, ok := left.(string); ok {
-			return ls + stringify(right), nil
+			rs, err := render(right, len(ls))
+			if err != nil {
+				return nil, rtErr(x, "%v", err)
+			}
+			return ls + rs, nil
 		}
 		if la, ok := left.([]any); ok {
 			if ra, ok := right.([]any); ok {
+				if err := checkSize("array", (len(la)+len(ra))*elemBytes); err != nil {
+					return nil, rtErr(x, "%v", err)
+				}
 				out := make([]any, 0, len(la)+len(ra))
 				out = append(out, la...)
 				out = append(out, ra...)
@@ -566,43 +612,52 @@ func asIndex(v any, length int) (int, bool) {
 	return i, true
 }
 
-func jsonEqual(a, b any) bool {
+// jsonEqual reports whether two values are equal as JSON.  It fails past
+// maxDepth, which a value that holds itself reaches.
+func jsonEqual(a, b any, depth int) (bool, error) {
+	if depth > maxDepth {
+		return false, errTooDeep
+	}
 	switch av := a.(type) {
 	case nil:
-		return b == nil
+		return b == nil, nil
 	case bool:
 		bv, ok := b.(bool)
-		return ok && av == bv
+		return ok && av == bv, nil
 	case float64:
 		bv, ok := b.(float64)
-		return ok && av == bv
+		return ok && av == bv, nil
 	case string:
 		bv, ok := b.(string)
-		return ok && av == bv
+		return ok && av == bv, nil
 	case []any:
 		bv, ok := b.([]any)
 		if !ok || len(av) != len(bv) {
-			return false
+			return false, nil
 		}
 		for i := range av {
-			if !jsonEqual(av[i], bv[i]) {
-				return false
+			if eq, err := jsonEqual(av[i], bv[i], depth+1); !eq || err != nil {
+				return false, err
 			}
 		}
-		return true
+		return true, nil
 	case map[string]any:
 		bv, ok := b.(map[string]any)
 		if !ok || len(av) != len(bv) {
-			return false
+			return false, nil
 		}
 		for k, v := range av {
-			if bvv, ok := bv[k]; !ok || !jsonEqual(v, bvv) {
-				return false
+			bvv, ok := bv[k]
+			if !ok {
+				return false, nil
+			}
+			if eq, err := jsonEqual(v, bvv, depth+1); !eq || err != nil {
+				return false, err
 			}
 		}
-		return true
+		return true, nil
 	}
-	return false
+	return false, nil
 }
 
 func stringify(v any) string {
@@ -628,6 +683,25 @@ func stringify(v any) string {
 		}
 		return string(data)
 	}
+}
+
+// render is stringify for a string that already holds used bytes: it
+// fails, before building anything, when the result would pass
+// maxValueBytes.  A container is measured first, so one that shares its
+// parts or holds itself fails without being rendered.
+func render(v any, used int) (string, error) {
+	switch v.(type) {
+	case []any, map[string]any:
+		n, err := textSize(v)
+		if err == nil {
+			err = checkSize("string", used+n)
+		}
+		if err != nil {
+			return "", err
+		}
+	}
+	s := stringify(v)
+	return s, checkSize("string", used+len(s))
 }
 
 // copyJSON deep-copies a JSON value so scripts cannot mutate shared inputs.
@@ -728,6 +802,9 @@ var builtins = map[string]func(args []any) (any, error){
 		if !ok {
 			return nil, fmt.Errorf("push target must be an array, got %s", typeOf(args[0]))
 		}
+		if err := checkSize("array", (len(arr)+len(args)-1)*elemBytes); err != nil {
+			return nil, err
+		}
 		return append(append([]any{}, arr...), args[1:]...), nil
 	},
 	"slice": func(args []any) (any, error) {
@@ -754,8 +831,11 @@ var builtins = map[string]func(args []any) (any, error){
 			return nil, err
 		}
 		n, ok := args[0].(float64)
-		if !ok || n < 0 || n != math.Trunc(n) || n > 1e7 {
+		if !ok || n < 0 || n != math.Trunc(n) {
 			return nil, fmt.Errorf("range needs a small non-negative integer")
+		}
+		if n > float64(maxValueBytes/elemBytes) {
+			return nil, fmt.Errorf("range of %v elements exceeds the %d-byte value limit", n, maxValueBytes)
 		}
 		out := make([]any, int(n))
 		for i := range out {
@@ -771,6 +851,9 @@ var builtins = map[string]func(args []any) (any, error){
 		sep, ok2 := args[1].(string)
 		if !ok1 || !ok2 {
 			return nil, fmt.Errorf("split needs two strings")
+		}
+		if err := checkSize("array", (strings.Count(s, sep)+1)*elemBytes); err != nil {
+			return nil, err
 		}
 		parts := strings.Split(s, sep)
 		out := make([]any, len(parts))
@@ -789,8 +872,16 @@ var builtins = map[string]func(args []any) (any, error){
 			return nil, fmt.Errorf("join needs an array and a string")
 		}
 		parts := make([]string, len(arr))
+		size := max(len(arr)-1, 0) * len(sep)
 		for i, v := range arr {
-			parts[i] = stringify(v)
+			var err error
+			if parts[i], err = render(v, size); err != nil {
+				return nil, err
+			}
+			size += len(parts[i])
+		}
+		if err := checkSize("string", size); err != nil {
+			return nil, err
 		}
 		return strings.Join(parts, sep), nil
 	},
@@ -817,8 +908,8 @@ var builtins = map[string]func(args []any) (any, error){
 			return strings.Contains(coll, sub), nil
 		case []any:
 			for _, v := range coll {
-				if jsonEqual(v, args[1]) {
-					return true, nil
+				if eq, err := jsonEqual(v, args[1], 0); eq || err != nil {
+					return eq, err
 				}
 			}
 			return false, nil
@@ -829,7 +920,7 @@ var builtins = map[string]func(args []any) (any, error){
 		if err := arity(args, 1); err != nil {
 			return nil, err
 		}
-		return stringify(args[0]), nil
+		return render(args[0], 0)
 	},
 	"num": func(args []any) (any, error) {
 		if err := arity(args, 1); err != nil {
@@ -930,6 +1021,13 @@ var builtins = map[string]func(args []any) (any, error){
 		if !ok {
 			return nil, fmt.Errorf("format string must be a string")
 		}
+		n, err := formatBound(f, args[1:])
+		if err == nil {
+			err = checkSize("string", n)
+		}
+		if err != nil {
+			return nil, err
+		}
 		return fmt.Sprintf(f, args[1:]...), nil
 	},
 	"type": func(args []any) (any, error) {
@@ -954,6 +1052,9 @@ var builtins = map[string]func(args []any) (any, error){
 	},
 	"toJSON": func(args []any) (any, error) {
 		if err := arity(args, 1); err != nil {
+			return nil, err
+		}
+		if _, err := textSize(args[0]); err != nil {
 			return nil, err
 		}
 		data, err := json.Marshal(args[0])
@@ -1027,4 +1128,163 @@ func Builtins() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// formatBound bounds len(fmt.Sprintf(f, args...)) from above without
+// formatting.  fmt pads every scalar an operand holds (a map's keys
+// included) to the verb's width and precision, each of which it caps at
+// 1e6; writes a string byte as at most five bytes (% #x); writes at most
+// 48 bytes for any other scalar, error text (%!d(...), %!(NOVERB)) or
+// separator, and 32 for a container's brackets and type (%#v); and appends
+// unused operands as %!(EXTRA type=value).  An operand textSize refuses
+// fails format too.
+func formatBound(f string, args []any) (int, error) {
+	shapes := make([]shape, len(args))
+	total := len(f)
+	for i, a := range args {
+		if err := shapes[i].walk(a, 0); err != nil {
+			return 0, err
+		}
+		total += 48 + shapes[i].bytes(48)
+	}
+	for i := 0; i < len(f) && total <= maxValueBytes; i++ {
+		if f[i] != '%' {
+			continue
+		}
+		total += 48
+		// Flags, argument indexes, width and precision, then the verb.
+		var num [2]int
+		field := 0
+		for i++; i < len(f) && strings.IndexByte("+-# 0123456789.[]*", f[i]) >= 0; i++ {
+			switch c := f[i]; {
+			case c == '.':
+				field = 1
+			case c == '[':
+				for i < len(f) && f[i] != ']' {
+					i++
+				}
+			case '0' <= c && c <= '9':
+				num[field] = min(10*num[field]+int(c-'0'), 1e6)
+			}
+		}
+		if i >= len(f) || f[i] == '%' {
+			continue
+		}
+		perScalar := num[0] + num[1] + 48
+		if f[i] == 'f' || f[i] == 'F' {
+			perScalar += 310 // the integer digits of a float up to 1.8e308
+		}
+		widest := 0
+		for _, sh := range shapes {
+			widest = max(widest, sh.bytes(perScalar))
+		}
+		total += widest
+	}
+	return total, nil
+}
+
+// textSize bounds the length of v's JSON encoding and of its %v rendering,
+// and fails once that passes maxValueBytes or v nests deeper than
+// maxDepth.
+func textSize(v any) (int, error) {
+	var sh shape
+	err := sh.walk(v, 0)
+	return sh.text, err
+}
+
+// shape is what the bounds need of a value: its scalars (map keys
+// included), the bytes of its strings, its containers, and text, the
+// longer of its JSON encoding and its %v rendering (strings quoted and
+// escaped as encoding/json writes them; a map counts "map[]", %v's five
+// bytes, for its braces).
+type shape struct{ scalars, strBytes, containers, text int }
+
+// bytes bounds the operand's fmt rendering at perScalar bytes a scalar.
+func (sh *shape) bytes(perScalar int) int {
+	return sh.scalars*perScalar + 5*sh.strBytes + 32*sh.containers
+}
+
+// walk adds v to the shape.  It fails, and stops, once text passes
+// maxValueBytes or v nests deeper than maxDepth.  Every value adds at
+// least a byte of text, so a walk visits at most maxValueBytes values
+// however often v shares its parts.
+func (sh *shape) walk(v any, depth int) error {
+	if depth > maxDepth {
+		return errTooDeep
+	}
+	switch x := v.(type) {
+	case string:
+		sh.scalars++
+		sh.strBytes += len(x)
+		sh.text += quotedLen(x)
+	case float64:
+		sh.scalars++
+		sh.text += numberLen(x)
+	case []any:
+		sh.containers++
+		sh.text += 2 + max(len(x)-1, 0)
+		for _, e := range x {
+			if err := sh.walk(e, depth+1); err != nil {
+				return err
+			}
+		}
+	case map[string]any:
+		sh.containers++
+		sh.text += 5 + max(len(x)-1, 0)
+		for k, e := range x {
+			sh.scalars++
+			sh.strBytes += len(k)
+			sh.text += quotedLen(k) + 1
+			if err := sh.walk(e, depth+1); err != nil {
+				return err
+			}
+		}
+	default: // nil is "<nil>" inside a %v rendering, a bool at most "false"
+		sh.scalars++
+		sh.text += 5
+	}
+	if sh.text > maxValueBytes {
+		return fmt.Errorf("text passes the %d-byte value limit", maxValueBytes)
+	}
+	return nil
+}
+
+// quotedLen is the length of s as encoding/json writes it: quoted, with
+// <, > and & escaped, and invalid UTF-8 replaced.
+func quotedLen(s string) int {
+	n := 2
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			switch {
+			case c == '"' || c == '\\' || c == '\n' || c == '\r' || c == '\t':
+				n += 2
+			case c < 0x20 || c == '<' || c == '>' || c == '&':
+				n += 6
+			default:
+				n++
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 || r == '\u2028' || r == '\u2029' {
+			n += 6
+		} else {
+			n += size
+		}
+		i += size
+	}
+	return n
+}
+
+// numberLen is the longer of x as encoding/json writes it and as %v does.
+func numberLen(x float64) int {
+	var buf [32]byte
+	format := byte('f')
+	if a := math.Abs(x); a != 0 && (a < 1e-6 || a >= 1e21) {
+		format = 'e'
+	}
+	return max(len(strconv.AppendFloat(buf[:0], x, format, -1, 64)),
+		len(strconv.AppendFloat(buf[:0], x, 'g', -1, 64)))
 }

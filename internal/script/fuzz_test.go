@@ -2,6 +2,7 @@ package script
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -10,15 +11,20 @@ import (
 	"testing/quick"
 )
 
-// fuzzSteps is FuzzScriptRun's step limit.  A value can at most double in
-// about four steps (`s = s + s`), so with the size caps on the program and
-// its inputs it bounds what one generated run can allocate to a few MB.
-const fuzzSteps = 64
+// fuzzSteps and fuzzValueBytes are FuzzScriptRun's step limit and value
+// limit (maxValueBytes): no value a generated run builds passes 64 KiB
+// (an array of 32K elements, 512 KiB in memory), and the step limit bounds
+// how many it builds, so one run allocates some tens of MB at most.
+const (
+	fuzzSteps      = 64
+	fuzzValueBytes = 64 << 10
+)
 
 // FuzzScriptRun checks the inputs-copy elision differentially: every
 // (program, inputs) pair runs once as analysed and once with the inputs
 // copied, and the two must agree on outputs, return value and error.  A
-// run that reads its inputs in place must leave them as they were.
+// run that reads its inputs in place must leave them as they were, and
+// the outputs a run returns must render within the text textSize counts.
 func FuzzScriptRun(f *testing.F) {
 	const inputs = `{"x":1,"k":"m","a":[{"x":0},{}],"m":{"k":0},"arr":[1],` +
 		`"values":[1,2,3,201,5],"obj":{"b":2,"a":1}}`
@@ -32,11 +38,10 @@ func FuzzScriptRun(f *testing.F) {
 	for _, src := range srcs {
 		f.Add(src, inputs)
 	}
+	defer func(limit int) { maxValueBytes = limit }(maxValueBytes)
+	maxValueBytes = fuzzValueBytes
 	f.Fuzz(func(t *testing.T, src, inputsJSON string) {
-		// range and format size their result from an argument, not from
-		// their inputs, so the step limit alone would not bound them.
-		if len(src) > 256 || len(inputsJSON) > 256 ||
-			strings.Contains(src, "range") || strings.Contains(src, "format") {
+		if len(src) > 256 || len(inputsJSON) > 256 {
 			t.Skip()
 		}
 		var in map[string]any
@@ -51,6 +56,13 @@ func FuzzScriptRun(f *testing.F) {
 		out, ret, err := prog.run(in, fuzzSteps, prog.writesIn)
 		if !reflect.DeepEqual(in, before) {
 			t.Fatalf("%q (writesIn=%v) wrote into its inputs: %v, was %v", src, prog.writesIn, in, before)
+		}
+		if err == nil {
+			n, _ := textSize(out)
+			data, jerr := json.Marshal(out)
+			if jerr == nil && len(data) > n || len(fmt.Sprint(out)) > n {
+				t.Fatalf("%q: outputs %v render past their textSize %d", src, out, n)
+			}
 		}
 		wantOut, wantRet, wantErr := prog.run(in, fuzzSteps, true)
 		if sameRun(out, ret, err, wantOut, wantRet, wantErr) {

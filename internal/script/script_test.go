@@ -1,12 +1,18 @@
 package script
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"mathcloud/internal/rest"
 )
 
 func run(t *testing.T, src string, in map[string]any) map[string]any {
@@ -444,5 +450,113 @@ func TestRunAllocBudget(t *testing.T) {
 	t.Logf("Run: %.0f allocations (budget %v)", allocs, runAllocBudget)
 	if allocs > runAllocBudget {
 		t.Fatalf("Run allocates %.0f times, budget %v", allocs, runAllocBudget)
+	}
+}
+
+// TestValueBound runs programs that would each build a value past the
+// value limit, lowered to 1 MiB so that the array cases stay small: every
+// one fails with a RuntimeError naming the limit and allocates a bounded
+// amount on the way.  Strings double, arrays double, renderings of a value
+// that shares its parts or holds itself (str, toJSON, join, string
+// concatenation, format, the outputs) and comparisons of one are all
+// refused before they are built.
+func TestValueBound(t *testing.T) {
+	if maxValueBytes != rest.MaxBodyBytes {
+		t.Fatalf("value limit %d, request body limit %d", maxValueBytes, rest.MaxBodyBytes)
+	}
+	out := run(t, `s = "x"; i = 0; while i < 24 { s = s + s; i = i + 1 }; out.n = len(s); `+
+		`out.r = len(range(2000000)); `+
+		`out.f = format("%5.2f|%q|%v|%d", 3.14159, "a\n", [1, {"k": true}], "s"); `+
+		`a = [1, "<é>"]; b = [a, {"a": a}]; out.j = toJSON(b); out.s = str(b); out.c = "" + b; `+
+		`out.e = b == [a, {"a": a}]; out.in = contains([b], b)`, nil)
+	const shared = `[[1,"\u003cé\u003e"],{"a":[1,"\u003cé\u003e"]}]`
+	if out["n"] != float64(rest.MaxBodyBytes) || out["r"] != 2e6 ||
+		out["f"] != " 3.14|\"a\\n\"|[1 map[k:true]]|%!d(string=s)" ||
+		out["j"] != shared || out["s"] != shared || out["c"] != shared ||
+		out["e"] != true || out["in"] != true {
+		t.Errorf("runs within the limit: %v", out)
+	}
+
+	defer func(limit int) { maxValueBytes = limit }(maxValueBytes)
+	const limit = 1 << 20
+	maxValueBytes = limit
+	const (
+		big    = `s = "x"; while len(s) < 1048576 { s = s + s }; `
+		nested = `a = range(524288); b = [a, a, a, a, a, a, a, a]; ` +
+			`c = [b, b, b, b, b, b, b, b]; d = [c, c, c, c, c, c, c, c]; `
+		cyclic = `m = {}; m.self = m; `
+	)
+	for _, src := range []string{
+		`s = "x"; while true { s = s + s }`,
+		`a = [0]; while true { a = a + a }`,
+		`out.v = range(524289)`,
+		`a = range(524288); out.v = push(a, 1)`,
+		big + `out.v = split(s, "")`,
+		big + `out.v = join([s, "y"], "")`,
+		big + `out.v = s + 1`,
+		`out.v = format("%1000000v", range(100))`,
+		`out.v = format("%999999.999999f%[1]v%[1]v", range(10))`,
+		big + `out.v = format("%q", s)`,
+		nested + `out.v = toJSON(d)`,
+		nested + `out.v = str(d)`,
+		nested + `out.v = "" + d`,
+		nested + `out.v = join(d, "")`,
+		nested + `out.v = format("%v", d)`,
+		nested + `out.v = d`,
+		cyclic + `out.v = toJSON(m)`,
+		cyclic + `out.v = str(m)`,
+		cyclic + `out.v = "" + m`,
+		cyclic + `out.v = join([m], "")`,
+		cyclic + `out.v = format("%v", m)`,
+		`m = {}; m.a = m; m.b = m; out.v = format("%v", m)`,
+		cyclic + `out.v = m == m`,
+		cyclic + `out.v = m != {"self": m}`,
+		cyclic + `out.v = contains([m], m)`,
+		cyclic + `out.v = m`,
+	} {
+		prog, err := Parse(src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", src, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err = prog.Run(nil)
+		runtime.ReadMemStats(&after)
+		var rt *RuntimeError
+		if !errors.As(err, &rt) || !strings.Contains(err.Error(), "value limit") {
+			t.Errorf("%q: err = %v, want a RuntimeError naming the value limit", src, err)
+		}
+		// The largest array the limit allows is 16 bytes an element.
+		if n := after.TotalAlloc - before.TotalAlloc; n > 32*limit {
+			t.Errorf("%q allocated %d MiB", src, n>>20)
+		}
+	}
+}
+
+// TestTextSizeBoundsRenderings: textSize is never below the length of a
+// value's JSON encoding, its %v rendering or stringify's.
+func TestTextSizeBoundsRenderings(t *testing.T) {
+	for _, v := range []any{
+		nil, true, false, 0.0, math.Copysign(0, -1), 123456789.0, 1e20, 1e21, -1.5e-7,
+		-0.000001234567890123456, math.MaxFloat64, math.SmallestNonzeroFloat64,
+		math.Inf(1), math.NaN(), "", "<a href=\"x\">&amp;</a>", "\x00\b\f\n\r\t\x1f\\",
+		"\u2028\u2029é\xff\xfe", "пример",
+		[]any{}, map[string]any{}, []any{nil, true, 1e9, "x"},
+		map[string]any{"<k>": []any{map[string]any{"": nil}}, "b": -12345678.0},
+		[]any{math.Inf(-1), map[string]any{"a": 1e300}},
+	} {
+		n, err := textSize(v)
+		if err != nil {
+			t.Fatalf("textSize(%#v): %v", v, err)
+		}
+		renderings := []string{stringify(v), fmt.Sprintf("%v", v)}
+		if data, err := json.Marshal(v); err == nil {
+			renderings = append(renderings, string(data))
+		}
+		for _, r := range renderings {
+			if len(r) > n {
+				t.Errorf("textSize(%#v) = %d, below %q (%d bytes)", v, n, r, len(r))
+			}
+		}
 	}
 }
