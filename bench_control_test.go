@@ -100,10 +100,9 @@ func BenchmarkJobStatusContention(b *testing.B) {
 }
 
 // TestJobGetOneAlloc pins the allocation budget of the status-polling hot
-// path: JobManager.Get on a terminal job must stay at one allocation (the
-// returned snapshot copy) even though snapshots now carry the lifecycle
-// timeline fields (queue wait, run time, trace ID) — they are value fields,
-// so the observability plane adds no per-poll allocations.
+// path: JobManager.Get returns the job's published image itself, so a poll
+// allocates nothing, timeline fields (queue wait, run time, trace ID)
+// included.
 func TestJobGetOneAlloc(t *testing.T) {
 	adapter.RegisterFunc("bench.noop", func(_ context.Context, in core.Values) (core.Values, error) {
 		return core.Values{"y": 1.0}, nil
@@ -143,8 +142,8 @@ func TestJobGetOneAlloc(t *testing.T) {
 			t.Fatalf("get: %v", err)
 		}
 	})
-	if allocs > 1 {
-		t.Errorf("JobManager.Get allocates %.1f objects per call, want <= 1", allocs)
+	if allocs > 0 {
+		t.Errorf("JobManager.Get allocates %.1f objects per call, want 0", allocs)
 	}
 }
 

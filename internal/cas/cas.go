@@ -48,15 +48,6 @@ func (v Value) String() string {
 // Env binds free identifiers to values during evaluation.
 type Env map[string]Value
 
-// MatrixEnv builds an environment of matrix bindings.
-func MatrixEnv(ms map[string]*ratmat.Matrix) Env {
-	env := make(Env, len(ms))
-	for k, m := range ms {
-		env[k] = Value{Matrix: m}
-	}
-	return env
-}
-
 // Error is a CAS parse or evaluation error with position information.
 type Error struct {
 	Pos     int

@@ -77,7 +77,7 @@ func TestSubmatrixAssemble(t *testing.T) {
 }
 
 func TestEnvironmentVariables(t *testing.T) {
-	env := MatrixEnv(map[string]*ratmat.Matrix{"A": ratmat.Identity(2)})
+	env := Env{"A": {Matrix: ratmat.Identity(2)}}
 	v := evalOK(t, "A + A", env)
 	want := ratmat.Identity(2).Scale(big.NewRat(2, 1))
 	if !v.Matrix.Equal(want) {
@@ -152,7 +152,7 @@ func TestPropertyEvalNeverPanics(t *testing.T) {
 		"submatrix", "assemble", "transpose", "dim", "A", "B", "x",
 		"1", "2", "1/2", "3.5", "(", ")", ",", "+", "-", "*", "'",
 	}
-	env := MatrixEnv(map[string]*ratmat.Matrix{"A": ratmat.Hilbert(2), "B": ratmat.Identity(2)})
+	env := Env{"A": {Matrix: ratmat.Hilbert(2)}, "B": {Matrix: ratmat.Identity(2)}}
 	prop := func(seed int64) (ok bool) {
 		defer func() {
 			if r := recover(); r != nil {

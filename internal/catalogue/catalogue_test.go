@@ -289,8 +289,8 @@ func TestPropertyIndexConsistency(t *testing.T) {
 			ix.Add(fmt.Sprintf("doc%d", i), strings.Join(doc, " "))
 		}
 		query := words[rng.Intn(len(words))]
-		before := ix.Search(query)
-		if len(before) > ix.Size() {
+		before := ix.SearchTop(query, 0)
+		if len(before) > len(ix.docTerms) {
 			return false
 		}
 		for i := 1; i < len(before); i++ {
@@ -300,7 +300,7 @@ func TestPropertyIndexConsistency(t *testing.T) {
 		}
 		ix.Add("extra", query+" "+query)
 		ix.Remove("extra")
-		after := ix.Search(query)
+		after := ix.SearchTop(query, 0)
 		if len(after) != len(before) {
 			return false
 		}

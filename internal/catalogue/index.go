@@ -100,31 +100,19 @@ func (ix *index) removeLocked(docID string) {
 	delete(ix.docLen, docID)
 }
 
-// Size returns the number of indexed documents.
-func (ix *index) Size() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.docTerms)
-}
-
 // hit is one ranked search result.
 type hit struct {
 	DocID string
 	Score float64
 }
 
-// Search ranks all documents matching the query terms by accumulated
-// tf-idf, normalized by document length.  All query terms are optional;
-// documents matching more terms score higher because they accumulate more
-// weight.
-func (ix *index) Search(query string) []hit {
-	return ix.SearchTop(query, 0)
-}
-
-// SearchTop is Search limited to the k best hits (k <= 0 returns all).  It
-// selects the top k with a bounded min-heap — O(n log k) instead of fully
-// sorting every matching document — so a limit-20 query over a large
-// catalogue does not pay for ranking thousands of tail results.
+// SearchTop ranks the documents matching the query terms by accumulated
+// tf-idf, normalized by document length, and returns the k best (k <= 0
+// returns all).  All query terms are optional; documents matching more
+// terms score higher because they accumulate more weight.  A bounded
+// min-heap selects the top k — O(n log k) instead of fully sorting every
+// matching document — so a limit-20 query over a large catalogue does not
+// pay for ranking thousands of tail results.
 func (ix *index) SearchTop(query string, k int) []hit {
 	terms := Tokenize(query)
 	if len(terms) == 0 {

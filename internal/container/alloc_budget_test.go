@@ -6,7 +6,7 @@ package container_test
 // (go1.24, linux/amd64).  A sweep's count varies by about one allocation per
 // hundred campaigns, which the child budgets' last digit absorbs.
 const (
-	table1CycleAllocBudget      = 69
+	table1CycleAllocBudget      = 59
 	sweepChildAllocBudget       = 20.32
 	scriptSweepChildAllocBudget = 18.33
 	sweepPageAllocBudget        = 0.27

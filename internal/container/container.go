@@ -153,6 +153,9 @@ type service struct {
 	// and answers If-None-Match revalidations with 304.
 	descJSON []byte
 	descETag string
+	// jobsURI is the URI of the service's job collection with its trailing
+	// slash, rebuilt with the description cache.
+	jobsURI string
 }
 
 // renderDescCache serializes a description (with the given absolute URI)
@@ -172,7 +175,9 @@ func renderDescCache(d core.ServiceDescription, uri string) ([]byte, string) {
 // refreshDescCacheLocked recomputes the cached representation of one
 // service.  Callers must hold c.mu.
 func (c *Container) refreshDescCacheLocked(svc *service) {
-	svc.descJSON, svc.descETag = renderDescCache(svc.desc, c.serviceURILocked(svc.desc.Name))
+	uri := c.serviceURILocked(svc.desc.Name)
+	svc.descJSON, svc.descETag = renderDescCache(svc.desc, uri)
+	svc.jobsURI = uri + "/jobs/"
 }
 
 // Container is a running Everest instance.
@@ -196,6 +201,10 @@ type Container struct {
 	journal      *journal.Journal
 	snapInterval time.Duration
 	snapBytes    int64
+	// commits is held shared by each job commit (with journaling on) from
+	// its append until the job is visible, and exclusively by Checkpoint
+	// between its cut and its fold, so the fold sees what the cut keeps.
+	commits sync.RWMutex
 
 	// fetchMu/fetches singleflight cross-replica file pulls: concurrent
 	// consumers of one foreign file ID trigger a single blob transfer.
@@ -549,17 +558,23 @@ func (c *Container) serviceURILocked(name string) string {
 	return c.baseURL + "/services/" + name
 }
 
-// JobURI returns the absolute URI of a job resource.  It is the one place
-// the job URI's shape is written; jobsURIPrefix derives from it.
+// JobURI returns the absolute URI of a job resource.
 func (c *Container) JobURI(serviceName, jobID string) string {
-	return c.ServiceURI(serviceName) + "/jobs/" + jobID
+	return c.jobsURIPrefix(serviceName) + jobID
 }
 
 // jobsURIPrefix is the URI of a service's job collection with its trailing
-// slash, JobURI with an empty ID: JobURI(service, id) is
-// jobsURIPrefix(service) + id, which a page encoder relies on.
+// slash: a job's URI is jobsURIPrefix(service) + id, which the job encoder
+// (Job.AppendJSONAt, JobPage.URIPrefix) writes without building it.  It is
+// the one place the job URI's shape is written; a deployed service's is
+// built once, with its description cache.
 func (c *Container) jobsURIPrefix(serviceName string) string {
-	return c.JobURI(serviceName, "")
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if svc, ok := c.services[serviceName]; ok {
+		return svc.jobsURI
+	}
+	return c.serviceURILocked(serviceName) + "/jobs/"
 }
 
 // fileURI returns the absolute URI of a file resource, or the bare ID when
@@ -587,12 +602,6 @@ func (c *Container) localFileID(ref string) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// decorate fills the URI fields of a job snapshot.
-func (c *Container) decorate(j *core.Job) *core.Job {
-	j.URI = c.JobURI(j.Service, j.ID)
-	return j
 }
 
 // SweepURI returns the absolute URI of a sweep resource.

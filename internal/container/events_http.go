@@ -22,17 +22,18 @@ func (c *Container) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		rest.WriteError(w, core.ErrNotFound("job", jobID))
 		return
 	}
+	topic := events.JobTopic(jobID)
 	events.Serve(w, r, events.Stream{
 		Bus:   c.events,
-		Topic: events.JobTopic(jobID),
+		Topic: topic,
 		Type:  events.TypeJob,
-		Snapshot: func() ([]byte, bool, error) {
-			j, err := c.jobs.Get(jobID)
+		Snapshot: func() ([]byte, uint64, bool, error) {
+			j, seq, err := c.jobs.eventImage(jobID, topic)
 			if err != nil {
-				return nil, false, err
+				return nil, 0, false, err
 			}
-			data, err := c.decorate(j).AppendJSON(nil)
-			return data, j.State.Terminal(), err
+			data, err := j.AppendJSONAt(nil, c.jobsURIPrefix(service))
+			return data, seq, j.State.Terminal(), err
 		},
 		Idle: c.maxWait,
 	})
@@ -50,13 +51,13 @@ func (c *Container) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 		Bus:   c.events,
 		Topic: events.SweepTopic(sweepID),
 		Type:  events.TypeSweep,
-		Snapshot: func() ([]byte, bool, error) {
+		Snapshot: func() ([]byte, uint64, bool, error) {
 			s, err := c.jobs.GetSweep(sweepID)
 			if err != nil {
-				return nil, false, err
+				return nil, 0, false, err
 			}
 			data, err := json.Marshal(c.decorateSweep(s))
-			return data, s.State.Terminal(), err
+			return data, 0, s.State.Terminal(), err
 		},
 		Idle: c.maxWait,
 	})

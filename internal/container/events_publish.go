@@ -3,6 +3,7 @@ package container
 import (
 	"encoding/json"
 
+	"mathcloud/internal/core"
 	"mathcloud/internal/events"
 )
 
@@ -10,32 +11,33 @@ import (
 // then Bus.Active: until the bus's first subscription a transition costs
 // one atomic load and builds no topic name; a resource nobody ever
 // subscribed to pays one or two map lookups per transition and never
-// snapshots or marshals.  A subscriber attaching between the check and
+// encodes.  A subscriber attaching between the check and
 // the transition is not a loss — the SSE handlers send the current
 // representation right after subscribing, so the state the gate skipped is
 // delivered as the opening snapshot.
 //
-// All notify functions must be called WITHOUT holding the record's mutex
-// (same contract as sweepRecord.childTransition): the bus takes its own
-// topic locks and the snapshot re-acquires record state.
+// notifyJob is the publish step of a job's commit (jobRecord): it runs
+// under the record's mutex, between the journal append and the store, and
+// is handed the image being committed, so the bus carries one job's images
+// in commit order and an image a reader loads is already on the bus.  The
+// bus takes only its own topic locks.  notifySweep reads sweep state and
+// must be called WITHOUT holding a job record's mutex (same contract as
+// sweepRecord.childTransition).
 
-// notifyJob publishes the job's current snapshot on its job topic and on
-// its service's activity feed.  A terminal snapshot ends the job topic.
-func (jm *JobManager) notifyJob(rec *jobRecord) {
+// notifyJob publishes a job image on its job topic and on its service's
+// activity feed.  A terminal image ends the job topic.
+func (jm *JobManager) notifyJob(job *core.Job) {
 	bus := jm.c.events
 	if bus.Idle() {
 		return
 	}
-	// ID and Service are immutable after the record is published, so they
-	// are readable without rec.mu.
-	jobTopic := events.JobTopic(rec.job.ID)
-	svcTopic := events.ServiceTopic(rec.job.Service)
+	jobTopic := events.JobTopic(job.ID)
+	svcTopic := events.ServiceTopic(job.Service)
 	onJob, onSvc := bus.Active(jobTopic), bus.Active(svcTopic)
 	if !onJob && !onSvc {
 		return
 	}
-	job := jm.c.decorate(rec.snapshot())
-	data, err := job.AppendJSON(nil)
+	data, err := job.AppendJSONAt(nil, jm.c.jobsURIPrefix(job.Service))
 	if err != nil {
 		return
 	}

@@ -223,11 +223,9 @@ func (c *Container) handleService(w http.ResponseWriter, r *http.Request) {
 				job = j
 			}
 		}
-		// The snapshot is this request's own copy: it carries the URI
-		// the Location header names.
-		job.URI = c.JobURI(name, job.ID)
-		w.Header().Set("Location", job.URI)
-		rest.WriteJSON(w, http.StatusCreated, job)
+		prefix := c.jobsURIPrefix(name)
+		w.Header().Set("Location", prefix+job.ID)
+		rest.WriteJSON(w, http.StatusCreated, &jobBody{job, prefix})
 	default:
 		rest.MethodNotAllowed(w, http.MethodGet, http.MethodPost)
 	}
@@ -252,6 +250,16 @@ func (c *Container) handleJobList(w http.ResponseWriter, r *http.Request) {
 	rest.WriteJSON(w, http.StatusOK, &core.JobPage{
 		Jobs: jobs, Limit: limit, Offset: offset, Total: total, URIPrefix: c.jobsURIPrefix(service),
 	})
+}
+
+// jobBody is a job resource's body: its shared image, uri from the prefix.
+type jobBody struct {
+	job    *core.Job
+	prefix string
+}
+
+func (b *jobBody) AppendJSON(buf []byte) ([]byte, error) {
+	return b.job.AppendJSONAt(buf, b.prefix)
 }
 
 // handleJob implements the job resource: GET returns status and results,
@@ -281,10 +289,10 @@ func (c *Container) handleJob(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if rest.WantsHTML(r) {
-			c.renderJob(w, c.decorate(job))
+			c.renderJob(w, job)
 			return
 		}
-		rest.WriteJSON(w, http.StatusOK, c.decorate(job))
+		rest.WriteJSON(w, http.StatusOK, &jobBody{job, c.jobsURIPrefix(service)})
 	case http.MethodDelete:
 		job, err := c.jobs.Get(jobID)
 		if err != nil {
@@ -300,7 +308,7 @@ func (c *Container) handleJob(w http.ResponseWriter, r *http.Request) {
 			rest.WriteError(w, err)
 			return
 		}
-		rest.WriteJSON(w, http.StatusOK, c.decorate(job))
+		rest.WriteJSON(w, http.StatusOK, &jobBody{job, c.jobsURIPrefix(service)})
 	default:
 		rest.MethodNotAllowed(w, http.MethodGet, http.MethodDelete)
 	}

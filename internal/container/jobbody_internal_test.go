@@ -107,28 +107,33 @@ func (e *bodyEnv) do(method, path, body string) (int, []byte) {
 	return resp.StatusCode, data
 }
 
-// plain is the reflection encoding of the decorated snapshot of job id.
+// withURI returns a copy of the job image j carrying its URI.
+func (e *bodyEnv) withURI(j *core.Job) *plainJob {
+	decorated := *j
+	decorated.URI = e.c.JobURI(j.Service, j.ID)
+	return (*plainJob)(&decorated)
+}
+
+// plain is the reflection encoding of job id's current image with its URI.
 func (e *bodyEnv) plain(id string) []byte {
 	e.t.Helper()
 	j, err := e.c.jobs.Get(id)
 	if err != nil {
 		e.t.Fatal(err)
 	}
-	data, err := json.Marshal((*plainJob)(e.c.decorate(j)))
+	data, err := json.Marshal(e.withURI(j))
 	if err != nil {
 		e.t.Fatal(err)
 	}
 	return data
 }
 
-// plainPage is the reflection encoding of the map each job page was.  The
-// page's jobs are shared snapshots, so each is decorated as a copy.
+// plainPage is the reflection encoding of the map each job page was.
 func (e *bodyEnv) plainPage(jobs []*core.Job, limit, offset, total int) []byte {
 	e.t.Helper()
 	var plain []*plainJob
 	for _, j := range jobs {
-		decorated := *j
-		plain = append(plain, (*plainJob)(e.c.decorate(&decorated)))
+		plain = append(plain, e.withURI(j))
 	}
 	data, err := json.Marshal(map[string]any{"jobs": plain, "limit": limit, "offset": offset, "total": total})
 	if err != nil {

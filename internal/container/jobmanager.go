@@ -13,10 +13,16 @@ import (
 	"mathcloud/internal/obs"
 )
 
-// jobRecord is the container's internal state for one job.
+// jobRecord is the container's internal state for one job.  The job is a
+// chain of immutable images: every transition (beginJob, land, an adapter's
+// Progress and SetBlockState) builds the next one under mu, journals it if
+// the transition is journaled, publishes it and stores it in job; a landing
+// closes done after that.  Readers Load job, take no lock and copy nothing
+// (eventImage is the one exception).  Holding mu from the build to the
+// store keeps one job's stores in order.
 type jobRecord struct {
+	job    atomic.Pointer[core.Job]
 	mu     sync.Mutex
-	job    *core.Job
 	cancel context.CancelFunc
 	done   chan struct{}
 	// memoKey marks the leader of a singleflight execution: when this job
@@ -43,44 +49,28 @@ type jobRecord struct {
 	// out of WAITING — beginJob, or land cancelling it — takes it out of
 	// both (runQueue.leave).
 	queued bool
-	// snap caches the last published snapshot of the job.  Mutators clear
-	// it (under mu); readers rebuild it lazily, so the status-polling hot
-	// path costs one atomic load and a shallow copy instead of a mutex
-	// acquisition and a deep clone per poll.
-	snap atomic.Pointer[core.Job]
+	// born is the job's first image (WAITING, or DONE from the cache),
+	// embedded so a job and its record are one allocation.  Never written
+	// once published, it serves the fields no transition changes (ID,
+	// Service, Owner, TraceID, Inputs, Created).
+	born core.Job
+	// run is the job's execution state, embedded for the same reason.
+	run runningJob
 }
 
-// snapshot returns a copy of the job safe for decoration and serialization:
-// a shallow copy of the shared snapshot, so per-request fields (URI) can be
-// filled in without sharing.
-func (r *jobRecord) snapshot() *core.Job {
-	out := *r.shared()
-	return &out
+// newJobRecord returns a record whose first image is job.
+func newJobRecord(job core.Job) *jobRecord {
+	rec := &jobRecord{born: job, done: make(chan struct{})}
+	rec.job.Store(&rec.born)
+	return rec
 }
 
-// shared returns the cached snapshot itself, which is immutable once
-// published: callers must not write to it.  A live job is cloned.  A landed
-// job is its own snapshot: nothing writes to it after land, so its maps are
-// shared, not copied.
-func (r *jobRecord) shared() *core.Job {
-	snap := r.snap.Load()
-	if snap == nil {
-		r.mu.Lock()
-		if r.job.State.Terminal() {
-			snap = r.job
-		} else {
-			snap = r.job.Clone()
-		}
-		r.snap.Store(snap)
-		r.mu.Unlock()
-	}
-	return snap
+// commit publishes next, then stores it as the job's image.  The caller
+// holds rec.mu and has journaled next if its transition is journaled.
+func (jm *JobManager) commit(rec *jobRecord, next *core.Job) {
+	jm.notifyJob(next)
+	rec.job.Store(next)
 }
-
-// invalidate drops the cached snapshot.  Callers must hold r.mu and call it
-// after every mutation of r.job, so readers never observe a stale clone
-// beyond the natural raciness of concurrent polling.
-func (r *jobRecord) invalidate() { r.snap.Store(nil) }
 
 // jobShardCount is the number of lock stripes in the job registry.  A
 // power of two well above typical core counts keeps the collision
@@ -261,20 +251,17 @@ func (jm *JobManager) Submit(ctx context.Context, serviceName string, inputs cor
 	}
 
 	now := time.Now()
-	rec := &jobRecord{
-		job: &core.Job{
-			ID:        jm.c.newID(),
-			Service:   serviceName,
-			State:     core.StateWaiting,
-			Inputs:    inputs,
-			Owner:     opts.Owner,
-			Created:   now,
-			Submitted: now,
-			TraceID:   trace,
-		},
-		done: make(chan struct{}),
-		ttl:  ttl,
-	}
+	rec := newJobRecord(core.Job{
+		ID:        jm.c.newID(),
+		Service:   serviceName,
+		State:     core.StateWaiting,
+		Inputs:    inputs,
+		Owner:     opts.Owner,
+		Created:   now,
+		Submitted: now,
+		TraceID:   trace,
+	})
+	rec.ttl = ttl
 	if jm.baseCtx.Err() != nil {
 		return nil, errShuttingDown
 	}
@@ -314,15 +301,10 @@ func (jm *JobManager) Submit(ctx context.Context, serviceName string, inputs cor
 			return nil, err
 		}
 	}
-	sh := jm.shard(rec.job.ID)
-	sh.mu.Lock()
-	sh.jobs[rec.job.ID] = rec
-	sh.mu.Unlock()
+	// The accept is journaled before the job enters the registry, so every
+	// job a client can see or was told about survives a crash.
+	jm.register(rec)
 	metJobsSubmitted.Inc()
-	// The accept is journaled before Submit returns, so every job a client
-	// was ever told about survives a crash.
-	jm.logJob(rec)
-	jm.notifyJob(rec)
 
 	if follower {
 		// Coalesced: an identical execution is already in flight.  The job
@@ -334,13 +316,39 @@ func (jm *JobManager) Submit(ctx context.Context, serviceName string, inputs cor
 		if jm.baseCtx.Err() != nil {
 			jm.cancelPending(rec)
 		}
-		return rec.snapshot(), nil
+		return rec.job.Load(), nil
 	}
 	obs.Log(ctx, slog.LevelInfo, "job submitted",
 		slog.String("request_id", trace),
-		slog.String("job_id", rec.job.ID),
+		slog.String("job_id", rec.born.ID),
 		slog.String("service", serviceName))
-	return rec.snapshot(), nil
+	return rec.job.Load(), nil
+}
+
+// register journals a new standalone job's current image, publishes it
+// unless a transition has (a worker may take the job the instant it is
+// queued), and then enters the record into the registry.  Holding rec.mu
+// keeps a transition from committing in between, so no record journaled
+// for the job is newer than its image; holding jm.c.commits keeps a
+// checkpoint from folding the registry in between.
+func (jm *JobManager) register(rec *jobRecord) {
+	rec.mu.Lock()
+	job := rec.job.Load()
+	if jm.c.journal != nil {
+		jm.c.commits.RLock()
+		jm.logJob(rec, job)
+	}
+	if job == &rec.born {
+		jm.notifyJob(job)
+	}
+	sh := jm.shard(job.ID)
+	sh.mu.Lock()
+	sh.jobs[job.ID] = rec
+	sh.mu.Unlock()
+	if jm.c.journal != nil {
+		jm.c.commits.RUnlock()
+	}
+	rec.mu.Unlock()
 }
 
 // SubmitCtx is Submit with only an owner.  It is kept solely because the
@@ -354,13 +362,29 @@ func (jm *JobManager) SubmitCtx(ctx context.Context, serviceName string, inputs 
 // that a retrying client observes free capacity promptly.
 const queueFullRetryAfter = time.Second
 
-// Get returns a snapshot of the job.
+// Get returns the job's current image, which is shared: callers must not
+// write to it (Job.Clone makes a copy that they may).
 func (jm *JobManager) Get(id string) (*core.Job, error) {
 	rec, err := jm.record(id)
 	if err != nil {
 		return nil, err
 	}
-	return rec.snapshot(), nil
+	return rec.job.Load(), nil
+}
+
+// eventImage returns the job's image and the ID of the last event on its
+// topic, read together under rec.mu.  A commit publishes and stores under
+// that lock, so the image is no older than any event up to the ID and
+// older than every event after it.  It is the one reader that takes the
+// lock: a job's SSE stream calls it when it opens and once per sync frame.
+func (jm *JobManager) eventImage(id, topic string) (*core.Job, uint64, error) {
+	rec, err := jm.record(id)
+	if err != nil {
+		return nil, 0, err
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	return rec.job.Load(), jm.c.events.Seq(topic), nil
 }
 
 func (jm *JobManager) record(id string) (*jobRecord, error) {
@@ -375,7 +399,7 @@ func (jm *JobManager) record(id string) (*jobRecord, error) {
 }
 
 // Wait blocks until the job reaches a terminal state, the timeout elapses
-// or ctx is cancelled, returning the latest snapshot.
+// or ctx is cancelled, returning the job's current image (shared, as Get's).
 func (jm *JobManager) Wait(ctx context.Context, id string, timeout time.Duration) (*core.Job, error) {
 	rec, err := jm.record(id)
 	if err != nil {
@@ -384,7 +408,7 @@ func (jm *JobManager) Wait(ctx context.Context, id string, timeout time.Duration
 	if err := awaitDone(ctx, rec.done, timeout); err != nil {
 		return nil, err
 	}
-	return rec.snapshot(), nil
+	return rec.job.Load(), nil
 }
 
 // awaitDone is the server half of every ?wait= long-poll: it blocks until
@@ -410,23 +434,21 @@ func awaitDone(ctx context.Context, done <-chan struct{}, timeout time.Duration)
 
 // Delete implements the DELETE method of the job resource: it cancels a
 // live job, or destroys the record and its subordinate file resources if
-// the job is already terminal.
+// the job is already terminal.  It returns the job's image after the
+// cancel, or its last one (shared, as Get's).
 func (jm *JobManager) Delete(id string) (*core.Job, error) {
 	rec, err := jm.record(id)
 	if err != nil {
 		return nil, err
 	}
-	rec.mu.Lock()
-	terminal := rec.job.State.Terminal()
-	rec.mu.Unlock()
-	if !terminal {
+	if !rec.job.Load().State.Terminal() {
 		jm.cancelJob(rec)
-		return rec.snapshot(), nil
+		return rec.job.Load(), nil
 	}
 	if !jm.destroy(id) {
 		return nil, core.ErrNotFound("job", id)
 	}
-	return rec.snapshot(), nil
+	return rec.job.Load(), nil
 }
 
 // destroy removes a terminal job's record and its subordinate file
@@ -457,34 +479,32 @@ func (jm *JobManager) destroy(id string) bool {
 	return true
 }
 
-// List returns snapshots of jobs for one service (or all, if service is
-// empty), newest first.  As with ListPage, they are the records' shared
-// snapshots: callers must not write to them.
+// List returns the images of the jobs of one service (or all, if service is
+// empty), newest first.  As with ListPage, they are shared: callers must not
+// write to them.
 func (jm *JobManager) List(service string) []*core.Job {
 	jobs, _ := jm.ListPage(service, "", 0, 0)
 	return jobs
 }
 
-// ListPage returns one page of job snapshots for a service (or all services
+// ListPage returns one page of job images for a service (or all services
 // when service is empty), optionally filtered by state, newest first, along
 // with the total number of matches before paging.  limit <= 0 means no
 // limit; offset skips that many matches from the newest end.  Campaign-scale
 // clients page through a sweep's thousands of children instead of pulling
-// one monolithic list.  The snapshots are the records' shared ones: callers
-// must not write to them (core.JobPage's URIPrefix encodes their URIs).
+// one monolithic list.  The images are shared: callers must not write to
+// them (core.JobPage's URIPrefix encodes their URIs).
 func (jm *JobManager) ListPage(service string, state core.JobState, limit, offset int) ([]*core.Job, int) {
 	var out []*core.Job
 	for _, rec := range jm.allRecords() {
-		// Service is immutable after Submit publishes the record, so the
-		// filter avoids cloning jobs of other services.
-		if service != "" && rec.job.Service != service {
+		if service != "" && rec.born.Service != service {
 			continue
 		}
-		snap := rec.shared()
-		if state != "" && snap.State != state {
+		job := rec.job.Load()
+		if state != "" && job.State != state {
 			continue
 		}
-		out = append(out, snap)
+		out = append(out, job)
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].Created.After(out[k].Created) })
 	total := len(out)
@@ -537,7 +557,7 @@ func (jm *JobManager) Close() {
 	var stuck []string
 	for _, rec := range jm.allRecords() {
 		if jm.land(rec, core.StateRunning, core.StateCancelled, nil, "") {
-			stuck = append(stuck, rec.job.ID)
+			stuck = append(stuck, rec.born.ID)
 		}
 	}
 	obs.Log(context.Background(), slog.LevelWarn, "close: adapters ignored cancellation",

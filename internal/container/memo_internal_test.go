@@ -35,11 +35,8 @@ func TestMemoSettlementLeavesNoGap(t *testing.T) {
 	var seconds atomic.Int64
 	for k := 0; k < keys; k++ {
 		key := fmt.Sprintf("gap-%d", k)
-		leader := &jobRecord{
-			job:     &core.Job{ID: fmt.Sprintf("lead-%d", k), Service: "s", State: core.StateWaiting},
-			done:    make(chan struct{}),
-			memoKey: key,
-		}
+		leader := newJobRecord(core.Job{ID: fmt.Sprintf("lead-%d", k), Service: "s", State: core.StateWaiting})
+		leader.memoKey = key
 		if _, _, lead := jm.memo.joinOrLead(key, leader); !lead {
 			t.Fatalf("%s: first submission did not lead", key)
 		}
@@ -54,10 +51,7 @@ func TestMemoSettlementLeavesNoGap(t *testing.T) {
 					if _, ok := jm.memo.lookup(key); ok {
 						return
 					}
-					probe := &jobRecord{
-						job:  &core.Job{ID: "probe", Service: "s", State: core.StateWaiting},
-						done: make(chan struct{}),
-					}
+					probe := newJobRecord(core.Job{ID: "probe", Service: "s", State: core.StateWaiting})
 					_, hit, lead := jm.memo.joinOrLead(key, probe)
 					if hit {
 						return

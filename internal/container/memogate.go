@@ -47,44 +47,36 @@ func (jm *JobManager) digestRef(ref string) (string, error) {
 // publishCachedJob registers a job that is born DONE: a cache hit.  The
 // cached outputs are cloned onto a fresh job record, so the caller observes
 // exactly the shape a real execution would have produced, minus the queue
-// and the adapter.
+// and the adapter.  Born terminal, the job is journaled (one record carries
+// its whole lifecycle) and published before it enters the registry.
 func (jm *JobManager) publishCachedJob(ctx context.Context, serviceName string, inputs core.Values, owner, trace string, outputs core.Values, ttl time.Duration) (*core.Job, error) {
 	now := time.Now()
-	rec := &jobRecord{
-		job: &core.Job{
-			ID:        jm.c.newID(),
-			Service:   serviceName,
-			State:     core.StateDone,
-			Inputs:    inputs,
-			Outputs:   outputs.Clone(),
-			Owner:     owner,
-			Created:   now,
-			Submitted: now,
-			Started:   now,
-			Finished:  now,
-			TraceID:   trace,
-		},
-		done: make(chan struct{}),
-		ttl:  ttl,
-	}
+	rec := newJobRecord(core.Job{
+		ID:        jm.c.newID(),
+		Service:   serviceName,
+		State:     core.StateDone,
+		Inputs:    inputs,
+		Outputs:   outputs.Clone(),
+		Owner:     owner,
+		Created:   now,
+		Submitted: now,
+		Started:   now,
+		Finished:  now,
+		TraceID:   trace,
+	})
+	rec.ttl = ttl
 	if ttl > 0 {
-		rec.job.Destruction = now.Add(ttl)
+		rec.born.Destruction = now.Add(ttl)
 	}
 	close(rec.done)
-	sh := jm.shard(rec.job.ID)
-	sh.mu.Lock()
-	sh.jobs[rec.job.ID] = rec
-	sh.mu.Unlock()
+	jm.register(rec)
 	metJobsSubmitted.Inc()
 	jobsCompletedBy[core.StateDone].Inc()
-	// Born terminal: one record carries the whole lifecycle.
-	jm.logJob(rec)
-	jm.notifyJob(rec)
 	obs.Log(ctx, slog.LevelInfo, "job served from computation cache",
 		slog.String("request_id", trace),
-		slog.String("job_id", rec.job.ID),
+		slog.String("job_id", rec.born.ID),
 		slog.String("service", serviceName))
-	return rec.snapshot(), nil
+	return &rec.born, nil
 }
 
 // settleFlight finishes a singleflight once land has settled (and journaled)

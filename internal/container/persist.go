@@ -36,9 +36,8 @@ func (c *Container) logRecord(kind journal.Kind, v any) {
 	}
 }
 
-// logJob journals the full image of a job record (submit time, cache hits,
-// snapshot).
-func (jm *JobManager) logJob(rec *jobRecord) {
+// logJob journals job, an image of rec, in full (submit time, cache hits).
+func (jm *JobManager) logJob(rec *jobRecord, job *core.Job) {
 	if jm.c.journal == nil {
 		return
 	}
@@ -47,18 +46,17 @@ func (jm *JobManager) logJob(rec *jobRecord) {
 		sweepID = rec.sweep.id
 	}
 	jm.c.logRecord(journal.KindJob, journal.JobRecord{
-		Job: rec.snapshot(), SweepID: sweepID, TTL: core.Duration(rec.ttl),
+		Job: job, SweepID: sweepID, TTL: core.Duration(rec.ttl),
 	})
 }
 
-// logJobEnd journals a job's terminal transition with its whole timeline:
-// a job is journaled as its submit image and this record, with no record
-// for the start in between.  rec is terminal, so its job no longer changes.
-func (jm *JobManager) logJobEnd(rec *jobRecord) {
+// logJobEnd journals a job's terminal image with its whole timeline: a job
+// is journaled as its submit image and this record, with no record for the
+// start in between.
+func (jm *JobManager) logJobEnd(job *core.Job) {
 	if jm.c.journal == nil {
 		return
 	}
-	job := rec.job
 	jm.c.logRecord(journal.KindJobEnd, journal.JobEndRecord{
 		ID: job.ID, State: job.State, Outputs: job.Outputs, Error: job.Error,
 		Finished: job.Finished, Destruction: job.Destruction, Started: job.Started,
@@ -67,10 +65,10 @@ func (jm *JobManager) logJobEnd(rec *jobRecord) {
 }
 
 // replayJob accumulates everything the journal said about one job ID.  The
-// records tolerate arrival out of order: a worker can land a job and append
-// its end record before the submitter appends the job's image (they are
-// appended outside any common lock), so each piece is folded in
-// independently and resolved at the end.
+// records tolerate arrival out of order: a worker can take a job the instant
+// it is queued and append its end record before the submitter appends the
+// job's image, so each piece is folded in independently and resolved at the
+// end.
 type replayJob struct {
 	// hasJob marks that a full KindJob image was seen.  A job with no image
 	// that is not a sweep child was never acknowledged to a client (the
@@ -395,8 +393,9 @@ func (jm *JobManager) restoreState(st *replayState) (jobs, sweeps, requeued int)
 					Created: sr.Created, Submitted: sr.Created, TraceID: sr.TraceID,
 				}
 			}
-			job = rebuildJob(job, rj)
-			rec := &jobRecord{job: job, done: make(chan struct{}), sweep: sw}
+			rec := newJobRecord(*rebuildJob(job, rj))
+			rec.sweep = sw
+			job = &rec.born
 			if job.State.Terminal() {
 				close(rec.done)
 				if job.Finished.After(lastFinish) {
@@ -444,9 +443,9 @@ func (jm *JobManager) restoreState(st *replayState) (jobs, sweeps, requeued int)
 		if rj.sweepID != "" || !rj.hasJob || rj.job == nil || rj.purged {
 			continue
 		}
-		job := rebuildJob(rj.job, rj)
-		rec := &jobRecord{job: job, done: make(chan struct{}), ttl: rj.ttl}
-		if job.State.Terminal() {
+		rec := newJobRecord(*rebuildJob(rj.job, rj))
+		rec.ttl = rj.ttl
+		if rec.born.State.Terminal() {
 			close(rec.done)
 		} else {
 			redriven[id] = true
@@ -466,7 +465,7 @@ func (jm *JobManager) restoreState(st *replayState) (jobs, sweeps, requeued int)
 	// Re-queue everything in admission order (children of one sweep share
 	// its creation time and keep point order).  A restart admits more than
 	// the queue bound when that much work was live: it was all accepted.
-	sort.SliceStable(live, func(i, k int) bool { return live[i].job.Created.Before(live[k].job.Created) })
+	sort.SliceStable(live, func(i, k int) bool { return live[i].born.Created.Before(live[k].born.Created) })
 	_ = jm.queue.push(false, live...) // Recover runs before Close can
 	requeued = len(live)
 	return jobs, sweeps, requeued
@@ -522,13 +521,18 @@ func (c *Container) restoreMemo(st *replayState) int {
 // Checkpoint folds the container's full durable state into one journal
 // snapshot and truncates the log behind it.  Mutations running concurrently
 // land in segments after the snapshot's cut, and every apply path is
-// last-wins, so snapshot+tail replay stays correct.
+// last-wins, so snapshot+tail replay stays correct.  A job is journaled
+// before it is visible, so the fold first waits out the job commits in
+// flight (c.commits): whatever they appended before the cut is stored by
+// the time the fold reads it.
 func (c *Container) Checkpoint() error {
 	if c.journal == nil {
 		return fmt.Errorf("container: journaling is disabled")
 	}
 	jm := c.jobs
 	return c.journal.Snapshot(func(app func(kind journal.Kind, v any) error) error {
+		c.commits.Lock()
+		c.commits.Unlock()
 		if base := c.BaseURL(); base != "" {
 			if err := app(journal.KindBaseURL, journal.BaseURLRecord{URL: base}); err != nil {
 				return err
@@ -567,7 +571,7 @@ func (c *Container) Checkpoint() error {
 				sweepID = rec.sweep.id
 			}
 			if err := app(journal.KindJob, journal.JobRecord{
-				Job: rec.snapshot(), SweepID: sweepID, TTL: core.Duration(rec.ttl),
+				Job: rec.job.Load(), SweepID: sweepID, TTL: core.Duration(rec.ttl),
 			}); err != nil {
 				return err
 			}

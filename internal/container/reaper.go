@@ -56,11 +56,11 @@ func (jm *JobManager) Reap(now time.Time) int {
 		if rec.sweep != nil {
 			continue // the sweep's own destruction time governs its children
 		}
-		snap := rec.snapshot()
-		if !snap.State.Terminal() || snap.Destruction.IsZero() || snap.Destruction.After(now) {
+		job := rec.job.Load()
+		if !job.State.Terminal() || job.Destruction.IsZero() || job.Destruction.After(now) {
 			continue
 		}
-		if _, err := jm.Delete(snap.ID); err == nil {
+		if _, err := jm.Delete(job.ID); err == nil {
 			reaped++
 		}
 	}

@@ -145,8 +145,9 @@ func TestScriptJobCreatesNoWorkDirUnlessFilesAreStaged(t *testing.T) {
 	}
 	prepared := func(inputs core.Values) *runningJob {
 		t.Helper()
-		rj := &runningJob{jm: c.jobs, rec: &jobRecord{}, ctx: context.Background(),
-			jobID: core.NewID(), service: "inc", inputs: inputs}
+		rec := newJobRecord(core.Job{ID: core.NewID(), Service: "inc", Inputs: inputs})
+		rj := &rec.run
+		*rj = runningJob{jm: c.jobs, rec: rec, ctx: context.Background()}
 		if err := rj.prepare(svc.adapter); err != nil {
 			t.Fatal(err)
 		}

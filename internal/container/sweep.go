@@ -256,23 +256,20 @@ func (jm *JobManager) SubmitSweep(ctx context.Context, serviceName string, spec 
 	bornDone := 0
 	sw.mu.Lock()
 	for i, inputs := range merged {
-		rec := &jobRecord{
-			job: &core.Job{
-				// Children carry the same replica prefix as the sweep, so a
-				// gateway paging SweepJobs routes every child to the sweep's
-				// home replica.
-				ID:        jm.c.newID(),
-				Service:   serviceName,
-				State:     core.StateWaiting,
-				Inputs:    inputs,
-				Owner:     owner,
-				Created:   now,
-				Submitted: now,
-				TraceID:   trace,
-			},
-			done:  make(chan struct{}),
-			sweep: sw,
-		}
+		rec := newJobRecord(core.Job{
+			// Children carry the same replica prefix as the sweep, so a
+			// gateway paging SweepJobs routes every child to the sweep's
+			// home replica.
+			ID:        jm.c.newID(),
+			Service:   serviceName,
+			State:     core.StateWaiting,
+			Inputs:    inputs,
+			Owner:     owner,
+			Created:   now,
+			Submitted: now,
+			TraceID:   trace,
+		})
+		rec.sweep = sw
 		memoKey := ""
 		if hasher != nil {
 			if key, err := hasher.HashPoint(points[i], jm.digestRef); err == nil {
@@ -285,12 +282,14 @@ func (jm *JobManager) SubmitSweep(ctx context.Context, serviceName string, spec 
 			switch {
 			case hit:
 				// Cache hit: the child is born DONE and never touches the
-				// queue.  Counted directly — no transition will fire.
+				// queue.  Counted directly — no transition will fire.  Its
+				// record is not published yet, so its first image is
+				// still the builder's to write.
 				metMemoHits.Inc()
-				rec.job.State = core.StateDone
-				rec.job.Outputs = outputs.Clone()
-				rec.job.Started = now
-				rec.job.Finished = now
+				rec.born.State = core.StateDone
+				rec.born.Outputs = outputs.Clone()
+				rec.born.Started = now
+				rec.born.Finished = now
 				close(rec.done)
 				sw.counts.Done++
 				bornDone++
@@ -313,14 +312,32 @@ func (jm *JobManager) SubmitSweep(ctx context.Context, serviceName string, spec 
 			sw.counts.Waiting++
 		}
 		recs = append(recs, rec)
-		sw.childIDs = append(sw.childIDs, rec.job.ID)
+		sw.childIDs = append(sw.childIDs, rec.born.ID)
+	}
+
+	// One journal record carries the whole campaign (children are
+	// re-derived from template+points at replay); only children whose state
+	// diverged (born-DONE cache hits here, ends as they happen) write their
+	// own.  It is all appended, under c.commits, before any of it is visible.
+	if jm.c.journal != nil {
+		jm.c.commits.RLock()
+		jm.c.logRecord(journal.KindSweep, journal.SweepRecord{
+			ID: sw.id, Service: sw.service, Owner: sw.owner, TraceID: sw.traceID,
+			Created: sw.created, Width: sw.width, ChildIDs: sw.childIDs,
+			Template: sw.template, Points: sw.points, TTL: core.Duration(sw.ttl),
+		})
+		for _, rec := range recs {
+			if rec.born.State == core.StateDone {
+				jm.logJobEnd(&rec.born)
+			}
+		}
 	}
 
 	// Bulk registry insert: group the children by shard and take each of
 	// the jobShardCount locks at most once.
 	var buckets [jobShardCount][]*jobRecord
 	for _, rec := range recs {
-		idx := jm.shardIndex(rec.job.ID)
+		idx := jm.shardIndex(rec.born.ID)
 		buckets[idx] = append(buckets[idx], rec)
 	}
 	for i := range buckets {
@@ -330,7 +347,7 @@ func (jm *JobManager) SubmitSweep(ctx context.Context, serviceName string, spec 
 		sh := &jm.shards[i]
 		sh.mu.Lock()
 		for _, rec := range buckets[i] {
-			sh.jobs[rec.job.ID] = rec
+			sh.jobs[rec.born.ID] = rec
 		}
 		sh.mu.Unlock()
 	}
@@ -338,6 +355,9 @@ func (jm *JobManager) SubmitSweep(ctx context.Context, serviceName string, spec 
 	jm.sweeps.mu.Lock()
 	jm.sweeps.sweeps[sw.id] = sw
 	jm.sweeps.mu.Unlock()
+	if jm.c.journal != nil {
+		jm.c.commits.RUnlock()
+	}
 	metSweepActive.Add(1)
 	terminalNow := sw.counts.Terminal() == sw.width && sw.finished.IsZero()
 	if terminalNow {
@@ -350,22 +370,6 @@ func (jm *JobManager) SubmitSweep(ctx context.Context, serviceName string, spec 
 	if bornDone > 0 {
 		jobsCompletedBy[core.StateDone].Add(float64(bornDone))
 		sweepChildrenBy[core.StateDone].Add(float64(bornDone))
-	}
-	// One journal record carries the whole campaign: child inputs are
-	// re-derived from template+points at replay, so a width-N sweep costs
-	// one record, not N.  Only children whose state diverged (born-DONE cache
-	// hits here; starts and ends as they happen) write records of their own.
-	if jm.c.journal != nil {
-		jm.c.logRecord(journal.KindSweep, journal.SweepRecord{
-			ID: sw.id, Service: sw.service, Owner: sw.owner, TraceID: sw.traceID,
-			Created: sw.created, Width: sw.width, ChildIDs: sw.childIDs,
-			Template: sw.template, Points: sw.points, TTL: core.Duration(sw.ttl),
-		})
-		for _, rec := range recs {
-			if rec.job.State == core.StateDone {
-				jm.logJobEnd(rec)
-			}
-		}
 	}
 	if terminalNow {
 		// Every point was answered from the computation cache.
@@ -507,10 +511,10 @@ func (jm *JobManager) ListSweeps(service string) []*core.Sweep {
 	return out
 }
 
-// SweepChildren returns one page of child job snapshots in point order,
+// SweepChildren returns one page of child job images in point order,
 // optionally filtered by state, along with the total number of matches.
-// Children destroyed individually are skipped.  The snapshots are the
-// records' shared ones: callers must not write to them.
+// Children destroyed individually are skipped.  The images are shared:
+// callers must not write to them.
 func (jm *JobManager) SweepChildren(id string, state core.JobState, limit, offset int) ([]*core.Job, int, error) {
 	sw, err := jm.sweepRec(id)
 	if err != nil {
@@ -523,8 +527,8 @@ func (jm *JobManager) SweepChildren(id string, state core.JobState, limit, offse
 		if err != nil {
 			continue
 		}
-		snap := rec.shared()
-		if state != "" && snap.State != state {
+		job := rec.job.Load()
+		if state != "" && job.State != state {
 			continue
 		}
 		total++
@@ -534,7 +538,7 @@ func (jm *JobManager) SweepChildren(id string, state core.JobState, limit, offse
 		if limit > 0 && len(out) >= limit {
 			continue // past the page; keep counting the total
 		}
-		out = append(out, snap)
+		out = append(out, job)
 	}
 	return out, total, nil
 }
@@ -566,8 +570,7 @@ func (jm *JobManager) DeleteSweep(id string) (*core.Sweep, error) {
 	}
 	jm.c.logRecord(journal.KindSweepPurge, journal.SweepPurgeRecord{ID: id})
 	snap := sw.snapshot()
-	// Every child is terminal once the sweep is: destroy each without the
-	// snapshot a DELETE of the job would answer with.
+	// Every child is terminal once the sweep is: destroy each directly.
 	for _, cid := range sw.childIDs {
 		jm.destroy(cid)
 	}

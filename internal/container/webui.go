@@ -221,7 +221,9 @@ func (c *Container) renderService(w http.ResponseWriter, desc core.ServiceDescri
 // trace ID so a browser user can correlate the job with server logs.
 func (c *Container) renderJob(w http.ResponseWriter, job *core.Job) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	if err := jobTemplate.Execute(w, job); err != nil {
+	page := *job // the image is shared; the page gets its own URI
+	page.URI = c.JobURI(job.Service, job.ID)
+	if err := jobTemplate.Execute(w, &page); err != nil {
 		log.Printf("container: render job: %v", err)
 	}
 }

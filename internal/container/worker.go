@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -55,8 +56,7 @@ func (jm *JobManager) drainBatch(batch []*jobRecord) []*jobRecord {
 	if jm.batchMax < 2 {
 		return batch
 	}
-	// Service is immutable after Submit publishes the record.
-	svc, err := jm.c.service(rec.job.Service)
+	svc, err := jm.c.service(rec.born.Service)
 	if err != nil || !svc.desc.Batch {
 		return batch
 	}
@@ -68,67 +68,58 @@ func (jm *JobManager) drainBatch(batch []*jobRecord) []*jobRecord {
 
 // runningJob carries the per-execution state of one job from its
 // WAITING→RUNNING transition to its terminal state: beginJob → prepare →
-// (adapter) → complete/finish, with cleanup deferred by execute.
+// (adapter) → complete/finish, with cleanup deferred by execute.  It lives
+// in the job's record (jobRecord.run).
 type runningJob struct {
 	jm       *JobManager
 	rec      *jobRecord
 	ctx      context.Context
 	deadline time.Duration
-	jobID    string
-	service  string
-	owner    string
-	trace    string
-	inputs   core.Values
 	workDir  string
 	req      adapter.Request // filled in by prepare
 }
 
-// beginJob moves a dequeued job to RUNNING and captures the fields its
-// execution needs, returning nil when the job is no longer WAITING
-// (cancelled while queued).  ctx must already wrap the execution deadline;
-// cancel is retained on the record so DELETE can abort the run.
+// beginJob moves a dequeued job to RUNNING and sets up its execution state,
+// returning nil when the job is no longer WAITING (cancelled while queued).
+// ctx must already wrap the execution deadline; cancel is retained on the
+// record so DELETE can abort the run.
 func (jm *JobManager) beginJob(rec *jobRecord, ctx context.Context, cancel context.CancelFunc, deadline time.Duration) *runningJob {
 	rec.mu.Lock()
-	if rec.job.State != core.StateWaiting {
+	cur := rec.job.Load()
+	if cur.State != core.StateWaiting {
 		// Cancelled while queued: its landing called queue.leave.
 		rec.mu.Unlock()
 		return nil
 	}
-	rec.job.State = core.StateRunning
-	rec.job.Started = time.Now()
-	rec.job.QueueWait = core.Duration(rec.job.Started.Sub(rec.job.Created))
+	next := *cur
+	next.State = core.StateRunning
+	next.Started = time.Now()
+	next.QueueWait = core.Duration(next.Started.Sub(next.Created))
 	rec.cancel = cancel
-	rec.invalidate()
-	rj := &runningJob{
-		jm:       jm,
-		rec:      rec,
-		deadline: deadline,
-		jobID:    rec.job.ID,
-		service:  rec.job.Service,
-		owner:    rec.job.Owner,
-		trace:    rec.job.TraceID,
-		inputs:   rec.job.Inputs,
-	}
-	queueWait := rec.job.QueueWait.Std()
+	jm.commit(rec, &next)
 	rec.mu.Unlock()
 
 	jm.queue.leave()
 	metJobsRunning.Add(1)
 	jm.running.Add(1)
-	metQueueWait.Observe(queueWait.Seconds())
+	metQueueWait.Observe(next.QueueWait.Std().Seconds())
 	// Re-enter the job's trace into the execution context: every outbound
 	// call the adapter makes (workflow block invocations, file staging)
 	// then carries the ingress X-Request-ID.
-	if rj.trace != "" {
-		ctx = obs.WithRequestID(ctx, rj.trace)
+	if trace := rec.born.TraceID; trace != "" {
+		ctx = obs.WithRequestID(ctx, trace)
 	}
-	rj.ctx = ctx
+	rj := &rec.run
+	*rj = runningJob{jm: jm, rec: rec, ctx: ctx, deadline: deadline}
 	if sw := rec.sweep; sw != nil {
 		sw.childTransition(core.StateWaiting, core.StateRunning, "")
 	}
-	jm.notifyJob(rec)
 	return rj
 }
+
+// landHook, when set, is called by land between building a job's terminal
+// image and journaling it (tests hold a landing there).
+var landHook func(*core.Job)
 
 // land is the single terminal transition of a published record: it moves
 // rec from the live state `from` to the terminal state `to` and runs every
@@ -136,59 +127,67 @@ func (jm *JobManager) beginJob(rec *jobRecord, ctx context.Context, cancel conte
 // when the record is no longer in `from` (another route landed it first, or
 // a worker picked it up), which is what makes every caller idempotent.
 // Together with beginJob it is the only place a published job changes state.
+// The terminal image is journaled (memo_put, then job_end), published and
+// stored before done closes; a shutdown closes the journal first, so it
+// records none of its own cancels.
 func (jm *JobManager) land(rec *jobRecord, from, to core.JobState, outputs core.Values, errMsg string) bool {
 	size := int64(-1)
 	if rec.memoKey != "" && to == core.StateDone {
 		size = jm.memo.sizeOf(outputs) // marshalling stays outside both locks
 	}
 	rec.mu.Lock()
-	if rec.job.State != from {
+	cur := rec.job.Load()
+	if cur.State != from {
 		rec.mu.Unlock()
 		return false
 	}
 	now := time.Now()
-	rec.job.State = to
-	rec.job.Outputs = outputs
-	rec.job.Error = errMsg
-	rec.job.Finished = now
+	next := *cur
+	next.State = to
+	next.Outputs = outputs
+	next.Error = errMsg
+	next.Finished = now
 	if from == core.StateRunning {
-		rec.job.RunTime = core.Duration(now.Sub(rec.job.Started))
+		next.RunTime = core.Duration(now.Sub(next.Started))
 	} else {
 		// Never ran (cancelled while queued, or a coalesced follower handed
 		// its leader's result): its whole life was queue wait.
-		rec.job.QueueWait = core.Duration(now.Sub(rec.job.Created))
+		next.QueueWait = core.Duration(now.Sub(next.Created))
 	}
 	if rec.ttl > 0 {
-		rec.job.Destruction = now.Add(rec.ttl)
+		next.Destruction = now.Add(rec.ttl)
 	}
-	runTime := rec.job.RunTime.Std()
-	queueWait := rec.job.QueueWait.Std()
 	queued := rec.queued
 	// A leader settles its flight before anyone can see it terminal, so a
 	// client that observes DONE and resubmits finds the result cached.
 	var followers []*jobRecord
 	var stored bool
 	if rec.memoKey != "" {
-		followers, stored = jm.memo.settle(rec.memoKey, rec.job.Service, rec.job.ID, outputs, size)
+		followers, stored = jm.memo.settle(rec.memoKey, next.Service, next.ID, outputs, size)
 	}
-	rec.invalidate()
+	if landHook != nil {
+		landHook(&next)
+	}
+	if jm.c.journal != nil {
+		jm.c.commits.RLock()
+		if stored {
+			jm.c.logRecord(journal.KindMemoPut, journal.MemoPutRecord{
+				Key: rec.memoKey, Service: next.Service, JobID: next.ID, Outputs: outputs,
+			})
+		}
+		jm.logJobEnd(&next)
+	}
+	jm.commit(rec, &next)
+	if jm.c.journal != nil {
+		jm.c.commits.RUnlock()
+	}
 	rec.mu.Unlock()
-	// Journal the now-immutable landing outside the lock (an fsync must not
-	// stall readers of the job) but before done closes, so a returned Wait
-	// or a finished sweep is in the log.  A shutdown closes the journal
-	// first and records none of its own cancels.
-	if stored {
-		jm.c.logRecord(journal.KindMemoPut, journal.MemoPutRecord{
-			Key: rec.memoKey, Service: rec.job.Service, JobID: rec.job.ID, Outputs: outputs,
-		})
-	}
-	jm.logJobEnd(rec)
 	close(rec.done)
 
 	if from == core.StateRunning {
 		metJobsRunning.Add(-1)
 		jm.running.Add(-1)
-		metRunTime.Observe(runTime.Seconds())
+		metRunTime.Observe(next.RunTime.Std().Seconds())
 	} else if queued {
 		jm.queue.leave()
 	}
@@ -199,14 +198,13 @@ func (jm *JobManager) land(rec *jobRecord, from, to core.JobState, outputs core.
 	if rec.sweep != nil {
 		level = slog.LevelDebug
 	}
-	// ID, Service and TraceID are immutable once the record is published.
 	obs.Log(context.Background(), level, "job finished",
-		slog.String("request_id", rec.job.TraceID),
-		slog.String("job_id", rec.job.ID),
-		slog.String("service", rec.job.Service),
+		slog.String("request_id", next.TraceID),
+		slog.String("job_id", next.ID),
+		slog.String("service", next.Service),
 		slog.String("state", string(to)),
-		slog.Duration("queue_wait", queueWait),
-		slog.Duration("run_time", runTime))
+		slog.Duration("queue_wait", next.QueueWait.Std()),
+		slog.Duration("run_time", next.RunTime.Std()))
 	// A DONE leader's coalesced followers complete with its outputs; any
 	// other outcome fails them rather than leaving them waiting on a job
 	// that will never run.
@@ -214,7 +212,6 @@ func (jm *JobManager) land(rec *jobRecord, from, to core.JobState, outputs core.
 	if sw := rec.sweep; sw != nil {
 		sw.childTransition(from, to, errMsg)
 	}
-	jm.notifyJob(rec)
 	return true
 }
 
@@ -277,7 +274,9 @@ func (rj *runningJob) finish(outputs core.Values, err error) {
 // short in-process computations those two filesystem operations dominate
 // the whole job, and a wide campaign pays them per child.
 func (rj *runningJob) prepare(ad adapter.Interface) error {
-	needDir := hasFileInputs(rj.inputs)
+	rec, jm := rj.rec, rj.jm
+	job := &rec.born
+	needDir := hasFileInputs(job.Inputs)
 	if !needDir {
 		if cap, ok := ad.(adapter.WorkDirCapability); !ok || cap.NeedsWorkDir() {
 			needDir = true
@@ -285,50 +284,53 @@ func (rj *runningJob) prepare(ad adapter.Interface) error {
 	}
 	var files map[string]string
 	if needDir {
-		workDir, err := os.MkdirTemp(rj.jm.c.workRoot, "job-"+rj.jobID[:8]+"-")
+		workDir, err := os.MkdirTemp(jm.c.workRoot, "job-"+job.ID[:8]+"-")
 		if err != nil {
 			return fmt.Errorf("container: create work dir: %w", err)
 		}
 		rj.workDir = workDir
 		// A blob pulled from another replica is released with the job, or
 		// with the whole campaign when the job is a sweep child.
-		owner := rj.jobID
-		if rj.rec.sweep != nil {
-			owner = rj.rec.sweep.id
+		owner := job.ID
+		if rec.sweep != nil {
+			owner = rec.sweep.id
 		}
-		if files, err = rj.jm.stageInputs(rj.ctx, rj.inputs, workDir, owner); err != nil {
+		if files, err = jm.stageInputs(rj.ctx, job.Inputs, workDir, owner); err != nil {
 			return err
 		}
 	}
-	// Both callbacks are no-ops once the job has landed: an adapter that
-	// reports after it returned must not change a terminal job, which is its
-	// own snapshot and matches its journaled end.
-	rec := rj.rec
+	// Each callback commits a new image (the log appended past every older
+	// image's length, or copied block states); both are no-ops once the job
+	// has landed, which must stay as its journaled end says.
 	progress := func(msg string) {
 		rec.mu.Lock()
 		defer rec.mu.Unlock()
-		if !rec.job.State.Terminal() && len(rec.job.Log) < 1000 {
-			rec.job.Log = append(rec.job.Log, msg)
-			rec.invalidate()
+		cur := rec.job.Load()
+		if cur.State.Terminal() || len(cur.Log) >= 1000 {
+			return
 		}
+		next := *cur
+		next.Log = append(cur.Log, msg)
+		jm.commit(rec, &next)
 	}
 	setBlockState := func(block string, state core.JobState) {
 		rec.mu.Lock()
 		defer rec.mu.Unlock()
-		if rec.job.State.Terminal() {
+		cur := rec.job.Load()
+		if cur.State.Terminal() {
 			return
 		}
-		if rec.job.Blocks == nil {
-			rec.job.Blocks = make(map[string]core.JobState)
-		}
-		rec.job.Blocks[block] = state
-		rec.invalidate()
+		next := *cur
+		next.Blocks = make(map[string]core.JobState, len(cur.Blocks)+1)
+		maps.Copy(next.Blocks, cur.Blocks)
+		next.Blocks[block] = state
+		jm.commit(rec, &next)
 	}
 	rj.req = adapter.Request{
-		JobID:         rj.jobID,
-		Service:       rj.service,
-		Owner:         rj.owner,
-		Inputs:        rj.inputs,
+		JobID:         job.ID,
+		Service:       job.Service,
+		Owner:         job.Owner,
+		Inputs:        job.Inputs,
 		Files:         files,
 		WorkDir:       rj.workDir,
 		Progress:      progress,
@@ -351,7 +353,7 @@ func (rj *runningJob) complete(svc *service, res *adapter.Result, err error) {
 		rj.finish(nil, err)
 		return
 	}
-	outputs, err := rj.jm.publishOutputs(res, rj.jobID)
+	outputs, err := rj.jm.publishOutputs(res, rj.rec.born.ID)
 	if err != nil {
 		rj.finish(nil, err)
 		return
@@ -372,11 +374,10 @@ func (rj *runningJob) complete(svc *service, res *adapter.Result, err error) {
 // panic) of the batch as a whole fails every member that has not finished.
 func (jm *JobManager) execute(recs []*jobRecord) {
 	// Resolve the service first: its description may override the
-	// container's default execution deadline.  Service is immutable after
-	// Submit publishes the record, and drainBatch batches one service only.
-	// Jobs of a service undeployed while they were queued fail with the
-	// lookup error.
-	svc, svcErr := jm.c.service(recs[0].job.Service)
+	// container's default execution deadline.  drainBatch batches one
+	// service only.  Jobs of a service undeployed while they were queued
+	// fail with the lookup error.
+	svc, svcErr := jm.c.service(recs[0].born.Service)
 	deadline := jm.deadline
 	if svc != nil && svc.desc.Deadline > 0 {
 		deadline = svc.desc.Deadline.Std()
@@ -470,7 +471,7 @@ func (jm *JobManager) execute(recs []*jobRecord) {
 		case items[i].Err != nil:
 			rj.finish(nil, items[i].Err)
 		case items[i].Result == nil:
-			rj.finish(nil, fmt.Errorf("container: batch adapter returned no result for job %s", rj.jobID))
+			rj.finish(nil, fmt.Errorf("container: batch adapter returned no result for job %s", rj.rec.born.ID))
 		default:
 			rj.complete(svc, items[i].Result, nil)
 		}

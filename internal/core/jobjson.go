@@ -34,6 +34,13 @@ type JSONAppender interface {
 // [0,9999]; on error it returns nil.  A nil job encodes as null.
 func (j *Job) AppendJSON(b []byte) ([]byte, error) { return j.appendJSON(b, "", false) }
 
+// AppendJSONAt is AppendJSON with the job's uri written as uriPrefix+ID, as
+// a JobPage with that URIPrefix writes it, in place of the URI field.  A
+// shared, immutable job is encoded with its URI without being copied.
+func (j *Job) AppendJSONAt(b []byte, uriPrefix string) ([]byte, error) {
+	return j.appendJSON(b, uriPrefix, utf8.ValidString(uriPrefix))
+}
+
 // appendJSON is AppendJSON with the page's URI prefix: when uriPrefix is set
 // the job's uri is written as uriPrefix+ID in place of its URI field.
 // prefixValid reports whether uriPrefix is valid UTF-8, in which case the

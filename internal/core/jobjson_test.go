@@ -125,6 +125,14 @@ func FuzzJobJSON(f *testing.F) {
 		if (gotErr != nil) != (wantErr != nil) || !bytes.Equal(got, want) {
 			t.Fatalf("JobPage.AppendJSON with URI prefix = %s, %v; want %s, %v", got, gotErr, want, wantErr)
 		}
+		// One job with a URI prefix encodes as that job on such a page.
+		decorated := *j
+		decorated.URI = prefix + j.ID
+		want, wantErr = json.Marshal((*plainJob)(&decorated))
+		got, gotErr = j.AppendJSONAt(nil, prefix)
+		if (gotErr != nil) != (wantErr != nil) || !bytes.Equal(got, want) {
+			t.Fatalf("AppendJSONAt = %s, %v; want %s, %v", got, gotErr, want, wantErr)
+		}
 		if j.URI != text+other {
 			t.Fatalf("encoding a page changed a job's URI to %q", j.URI)
 		}

@@ -112,6 +112,20 @@ func (b *Bus) Active(name string) bool {
 // A subscription that races the answer is covered as for Active.
 func (b *Bus) Idle() bool { return !b.subscribed.Load() }
 
+// Seq returns the ID of the topic's latest event, or 0 for a topic with no
+// retained state.
+func (b *Bus) Seq(name string) uint64 {
+	b.mu.RLock()
+	t := b.topics[name]
+	b.mu.RUnlock()
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.seq
+}
+
 // Publish appends an event to the topic and fans it out to subscribers.
 // It never blocks: a subscriber whose buffer is full has its oldest queued
 // event replaced by a coalesced sync event.  Publishing to a topic nobody

@@ -27,11 +27,14 @@ type Stream struct {
 	// upstream pump here, so the pump relays from the moment the snapshot
 	// is taken.
 	Attach func() (release func())
-	// Snapshot returns the resource's current representation and whether
-	// it is terminal.  It supplies the opening frame and re-expands every
-	// sync event.  Nil for feeds, which open with Hello and forward sync
-	// frames as they are.
-	Snapshot func() (data []byte, end bool, err error)
+	// Snapshot returns the resource's current representation, the topic
+	// sequence it covers, and whether it is terminal.  It supplies the
+	// opening frame and re-expands every sync event.  A representation
+	// that covers sequence n is no older than any event up to n, so Serve
+	// drops queued events at or below it rather than send a frame older
+	// than one already sent; 0 covers nothing.  Nil for feeds, which open
+	// with Hello and forward sync frames as they are.
+	Snapshot func() (data []byte, covered uint64, end bool, err error)
 	// Hello is the opening frame's data when Snapshot is nil.
 	Hello []byte
 	// Idle closes a stream that carried no event for this long, and is
@@ -58,8 +61,9 @@ func LastEventID(r *http.Request) uint64 {
 // snapshot, writes the headers and the opening frame, then relays bus
 // events until the topic ends, the idle window expires, the bus closes or
 // the client disconnects.  The subscription precedes the snapshot, so a
-// racing transition can be duplicated but never missed; the snapshot
-// precedes the headers, so a failed one is answered with its error status.
+// racing transition is never missed, and it is sent twice only when the
+// snapshot does not say what it covers; the snapshot precedes the headers,
+// so a failed one is answered with its error status.
 func Serve(w http.ResponseWriter, r *http.Request, s Stream) {
 	if r.Method != http.MethodGet {
 		rest.MethodNotAllowed(w, http.MethodGet)
@@ -75,15 +79,17 @@ func Serve(w http.ResponseWriter, r *http.Request, s Stream) {
 	if s.Attach != nil {
 		defer s.Attach()()
 	}
-	// The opening frame carries the subscription sequence, so a reconnect
-	// resumes from here.
+	// The opening frame carries the subscription sequence, or the one its
+	// snapshot covers if that is later, so a reconnect resumes from here.
 	open := Event{ID: sub.Seq, Type: s.Type, Data: s.Hello}
+	var covered uint64
 	if s.Snapshot != nil {
 		var err error
-		if open.Data, open.End, err = s.Snapshot(); err != nil {
+		if open.Data, covered, open.End, err = s.Snapshot(); err != nil {
 			rest.WriteError(w, err)
 			return
 		}
+		open.ID = max(open.ID, covered)
 	}
 
 	h := w.Header()
@@ -121,14 +127,18 @@ func Serve(w http.ResponseWriter, r *http.Request, s Stream) {
 			if !ok {
 				return // bus shut down
 			}
+			if ev.ID <= covered {
+				continue // queued before the last snapshot sent, which covers it
+			}
 			if ev.Type == TypeSync && s.Snapshot != nil {
 				// The subscriber fell behind (or resumed past the ring):
 				// send a fresh snapshot instead of the data-less marker.
-				data, end, err := s.Snapshot()
+				data, seq, end, err := s.Snapshot()
 				if err != nil {
 					return
 				}
-				ev = Event{ID: ev.ID, Type: s.Type, Data: data, End: ev.End || end}
+				covered = max(covered, seq)
+				ev = Event{ID: max(ev.ID, seq), Type: s.Type, Data: data, End: ev.End || end}
 			}
 			if WriteEvent(w, ev) != nil {
 				return

@@ -290,10 +290,6 @@ func (g *Gateway) Close() {
 	g.bus.Close()
 }
 
-// Catalogue exposes the gateway's embedded service catalogue (search, tags,
-// availability marks).
-func (g *Gateway) Catalogue() *catalogue.Catalogue { return g.cat }
-
 func (g *Gateway) healthLoop(interval time.Duration) {
 	defer g.wg.Done()
 	ticker := time.NewTicker(interval)

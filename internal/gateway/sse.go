@@ -281,8 +281,11 @@ func (g *Gateway) serveResourceStream(w http.ResponseWriter, r *http.Request, rs
 		Topic:  streamPath,
 		Type:   kind,
 		Attach: func() func() { return g.attachWatcher(streamPath, rs) },
-		Snapshot: func() ([]byte, bool, error) {
-			return g.fetchSnapshot(r.Context(), rs, resourcePath)
+		Snapshot: func() ([]byte, uint64, bool, error) {
+			// A replica's representation says nothing of the gateway's
+			// own event IDs, so it covers none of them.
+			data, end, err := g.fetchSnapshot(r.Context(), rs, resourcePath)
+			return data, 0, end, err
 		},
 		Idle: g.maxWait,
 	})

@@ -319,14 +319,6 @@ func (v CounterVec) With(values ...string) Counter {
 	return Counter{c: v.f.child(renderLabels(v.f.labels, values))}
 }
 
-// GaugeVec is a gauge family partitioned by labels.
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for the given label values.
-func (v GaugeVec) With(values ...string) Gauge {
-	return Gauge{c: v.f.child(renderLabels(v.f.labels, values))}
-}
-
 // HistogramVec is a histogram family partitioned by labels.
 type HistogramVec struct{ f *family }
 
@@ -361,11 +353,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) CounterVec {
 	return CounterVec{f: r.family(name, help, typeCounter, labels, nil)}
 }
 
-// GaugeVec registers (or fetches) a labelled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) GaugeVec {
-	return GaugeVec{f: r.family(name, help, typeGauge, labels, nil)}
-}
-
 // HistogramVec registers (or fetches) a labelled histogram family.
 func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) HistogramVec {
 	return HistogramVec{f: r.family(name, help, typeHistogram, labels, bounds)}
@@ -387,11 +374,6 @@ func NewHistogram(name, help string, bounds []float64) Histogram {
 // NewCounterVec registers a labelled counter family in the default registry.
 func NewCounterVec(name, help string, labels ...string) CounterVec {
 	return Default.CounterVec(name, help, labels...)
-}
-
-// NewGaugeVec registers a labelled gauge family in the default registry.
-func NewGaugeVec(name, help string, labels ...string) GaugeVec {
-	return Default.GaugeVec(name, help, labels...)
 }
 
 // NewHistogramVec registers a labelled histogram family in the default

@@ -533,6 +533,39 @@ func TestValueBound(t *testing.T) {
 	}
 }
 
+// TestEqualityChargesSteps: ==, != and contains charge the values they
+// compare to the step limit, one step per valuesPerStep values, so a value
+// that shares its parts cannot make one step compare millions of values.
+func TestEqualityChargesSteps(t *testing.T) {
+	const nested = `a = range(10000); b = [a, a, a, a, a, a, a, a]; ` +
+		`c = [b, b, b, b, b, b, b, b]; d = [c, c, c, c, c, c, c, c]; `
+	for _, src := range []string{
+		nested + `out.e = d == d`,
+		nested + `out.e = d != d`,
+		nested + `out.e = contains([d], d)`,
+	} {
+		prog, err := Parse(src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", src, err)
+		}
+		_, _, err = prog.RunLimited(nil, 10000)
+		var rt *RuntimeError
+		if !errors.As(err, &rt) || !strings.Contains(err.Error(), "step limit exceeded") {
+			t.Errorf("%q: err = %v, want the step limit", src, err)
+		}
+	}
+	// The same comparisons of a small value stay cheap: 2 + 10000 values
+	// are about 157 steps.
+	prog, err := Parse(`a = range(10000); b = [a]; out.e = b == [a]; out.c = contains([b], [a])`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _, err := prog.RunLimited(nil, 1000)
+	if err != nil || out["e"] != true || out["c"] != true {
+		t.Fatalf("small comparisons: %v, %v", out, err)
+	}
+}
+
 // TestTextSizeBoundsRenderings: textSize is never below the length of a
 // value's JSON encoding, its %v rendering or stringify's.
 func TestTextSizeBoundsRenderings(t *testing.T) {

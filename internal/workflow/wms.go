@@ -111,9 +111,6 @@ func (w *WMS) ServiceURI(name string) string {
 	return w.container.ServiceURI(name)
 }
 
-// Container returns the underlying container.
-func (w *WMS) Container() *container.Container { return w.container }
-
 // Handler exposes the WMS routes of core.Routes beside the container's
 // unified API, behind one ingress instrumentation: the workflow collection
 // (GET lists, POST saves, creating or updating) and one workflow (GET
