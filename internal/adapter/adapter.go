@@ -50,14 +50,37 @@ type Request struct {
 	// create output files here; paths returned in Result.Files must be
 	// inside it.
 	WorkDir string
-	// Progress, when non-nil, lets long-running adapters report
-	// human-readable progress lines that the container attaches to the
-	// job resource.
-	Progress func(message string)
-	// SetBlockState, when non-nil, lets composite (workflow) adapters
-	// publish per-block execution states through the job resource, which
-	// is how the workflow editor paints block status during a run.
-	SetBlockState func(block string, state core.JobState)
+	// Reporter, when set, receives what the adapter reports through the
+	// request's Progress and SetBlockState methods while the job runs; the
+	// container sets it to the running job itself.  Adapters call the
+	// methods, which do nothing when Reporter is nil.
+	Reporter Reporter
+}
+
+// Reporter is the job resource's side of an adapter's running reports.
+type Reporter interface {
+	// Progress attaches a human-readable progress line to the job.
+	Progress(message string)
+	// SetBlockState publishes a composite (workflow) adapter's per-block
+	// execution state through the job resource, which is how the
+	// workflow editor paints block status during a run.
+	SetBlockState(block string, state core.JobState)
+}
+
+// Progress reports a human-readable progress line of a long-running job to
+// the request's Reporter, if any.
+func (r *Request) Progress(message string) {
+	if r.Reporter != nil {
+		r.Reporter.Progress(message)
+	}
+}
+
+// SetBlockState reports a block's execution state to the request's
+// Reporter, if any.
+func (r *Request) SetBlockState(block string, state core.JobState) {
+	if r.Reporter != nil {
+		r.Reporter.SetBlockState(block, state)
+	}
 }
 
 // Result carries the outputs of a successfully processed job.

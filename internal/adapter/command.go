@@ -130,9 +130,7 @@ func (a *CommandAdapter) Invoke(ctx context.Context, req *Request) (*Result, err
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
 
-	if req.Progress != nil {
-		req.Progress(fmt.Sprintf("executing %s", a.cfg.Command))
-	}
+	req.Progress(fmt.Sprintf("executing %s", a.cfg.Command))
 	if err := cmd.Run(); err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()

@@ -8,8 +8,8 @@ package container_test
 // when it was pinned (go1.24, linux/amd64), plus a margin of one or two
 // allocations per cycle, campaign or page for that randomness.
 const (
-	table1CycleAllocBudget      = 69
-	sweepChildAllocBudget       = 21.38
-	scriptSweepChildAllocBudget = 20.18
-	sweepPageAllocBudget        = 0.35
+	table1CycleAllocBudget      = 62
+	sweepChildAllocBudget       = 14.38
+	scriptSweepChildAllocBudget = 13.18
+	sweepPageAllocBudget        = 0.32
 )

@@ -204,6 +204,11 @@ func TestJobBodiesMatchEncodingJSON(t *testing.T) {
 			t.Fatalf("stream ended before the terminal event: %v", err)
 		}
 	}
+	// The event is published before the image is stored (commit), so the
+	// image is compared once Wait has seen the landing through.
+	if _, err := jm.Wait(context.Background(), waiting, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
 	sameBody(t, "SSE terminal job event", ev.Data, e.plain(waiting))
 
 	done, body := e.submit("free", "?wait=10s", 3)

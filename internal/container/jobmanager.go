@@ -17,14 +17,15 @@ import (
 // chain of immutable images: every transition (beginJob, land, an adapter's
 // Progress and SetBlockState) builds the next one under mu, journals it if
 // the transition is journaled, publishes it and stores it in job; a landing
-// closes done after that.  Readers Load job, take no lock and copy nothing
-// (eventImage is the one exception).  Holding mu from the build to the
-// store keeps one job's stores in order.
+// closes done, if a waiter made it, after that.  Readers Load job, take no
+// lock and copy nothing (eventImage and Wait are the exceptions).  Holding
+// mu from the build to the store keeps one job's stores in order.
 type jobRecord struct {
-	job    atomic.Pointer[core.Job]
-	mu     sync.Mutex
-	cancel context.CancelFunc
-	done   chan struct{}
+	job atomic.Pointer[core.Job]
+	mu  sync.Mutex
+	// done is closed when the job lands.  The first Wait on the live job
+	// makes it, under mu; a job nobody waits on never has one.
+	done chan struct{}
 	// memoKey marks the leader of a singleflight execution: when this job
 	// reaches a terminal state it settles the flight — completes coalesced
 	// followers and, on success, populates the computation cache.
@@ -60,7 +61,7 @@ type jobRecord struct {
 
 // newJobRecord returns a record whose first image is job.
 func newJobRecord(job core.Job) *jobRecord {
-	rec := &jobRecord{born: job, done: make(chan struct{})}
+	rec := &jobRecord{born: job}
 	rec.job.Store(&rec.born)
 	return rec
 }
@@ -405,10 +406,31 @@ func (jm *JobManager) Wait(ctx context.Context, id string, timeout time.Duration
 	if err != nil {
 		return nil, err
 	}
-	if err := awaitDone(ctx, rec.done, timeout); err != nil {
+	if err := awaitDone(ctx, rec.doneChan(), timeout); err != nil {
 		return nil, err
 	}
 	return rec.job.Load(), nil
+}
+
+// closedChan is the done channel of every job that is already terminal.
+var closedChan = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// doneChan returns a channel that closes when the job lands: closedChan if
+// it has, else the record's done channel, made by the first waiter.
+func (rec *jobRecord) doneChan() <-chan struct{} {
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if rec.job.Load().State.Terminal() {
+		return closedChan
+	}
+	if rec.done == nil {
+		rec.done = make(chan struct{})
+	}
+	return rec.done
 }
 
 // awaitDone is the server half of every ?wait= long-poll: it blocks until

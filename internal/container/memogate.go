@@ -68,7 +68,6 @@ func (jm *JobManager) publishCachedJob(ctx context.Context, serviceName string, 
 	if ttl > 0 {
 		rec.born.Destruction = now.Add(ttl)
 	}
-	close(rec.done)
 	jm.register(rec)
 	metJobsSubmitted.Inc()
 	jobsCompletedBy[core.StateDone].Inc()

@@ -397,7 +397,6 @@ func (jm *JobManager) restoreState(st *replayState) (jobs, sweeps, requeued int)
 			rec.sweep = sw
 			job = &rec.born
 			if job.State.Terminal() {
-				close(rec.done)
 				if job.Finished.After(lastFinish) {
 					lastFinish = job.Finished
 				}
@@ -445,9 +444,7 @@ func (jm *JobManager) restoreState(st *replayState) (jobs, sweeps, requeued int)
 		}
 		rec := newJobRecord(*rebuildJob(rj.job, rj))
 		rec.ttl = rj.ttl
-		if rec.born.State.Terminal() {
-			close(rec.done)
-		} else {
+		if !rec.born.State.Terminal() {
 			redriven[id] = true
 			live = append(live, rec)
 		}

@@ -147,7 +147,7 @@ func TestScriptJobCreatesNoWorkDirUnlessFilesAreStaged(t *testing.T) {
 		t.Helper()
 		rec := newJobRecord(core.Job{ID: core.NewID(), Service: "inc", Inputs: inputs})
 		rj := &rec.run
-		*rj = runningJob{jm: c.jobs, rec: rec, ctx: context.Background()}
+		*rj = runningJob{jm: c.jobs, rec: rec, parent: context.Background()}
 		if err := rj.prepare(svc.adapter); err != nil {
 			t.Fatal(err)
 		}

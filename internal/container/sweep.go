@@ -290,7 +290,6 @@ func (jm *JobManager) SubmitSweep(ctx context.Context, serviceName string, spec 
 				rec.born.Outputs = outputs.Clone()
 				rec.born.Started = now
 				rec.born.Finished = now
-				close(rec.done)
 				sw.counts.Done++
 				bornDone++
 				enqueue = false

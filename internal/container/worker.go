@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"time"
 
 	"mathcloud/internal/adapter"
@@ -69,21 +70,35 @@ func (jm *JobManager) drainBatch(batch []*jobRecord) []*jobRecord {
 // runningJob carries the per-execution state of one job from its
 // WAITING→RUNNING transition to its terminal state: beginJob → prepare →
 // (adapter) → complete/finish, with cleanup deferred by execute.  It lives
-// in the job's record (jobRecord.run).
+// in the job's record (jobRecord.run).  It is also the job's context
+// (jobctx.go) and the Reporter of its adapter request.
 type runningJob struct {
-	jm       *JobManager
-	rec      *jobRecord
-	ctx      context.Context
+	jm  *JobManager
+	rec *jobRecord
+	// parent is the execution parent of the job's context: jm.baseCtx, or
+	// execute's one WithTimeout of it when the service has a deadline.
+	parent   context.Context
 	deadline time.Duration
 	workDir  string
 	req      adapter.Request // filled in by prepare
+	// ctxMu guards the context's own state; rec.mu, held across journal
+	// appends, is never taken under it.
+	ctxMu sync.Mutex
+	// err is the job's own cancellation, set by cancel before the context
+	// is materialised.
+	err error
+	// inner is the context materialised by the first Done call, and
+	// cancelInner its cancel function.
+	inner       context.Context
+	cancelInner context.CancelFunc
 }
 
 // beginJob moves a dequeued job to RUNNING and sets up its execution state,
 // returning nil when the job is no longer WAITING (cancelled while queued).
-// ctx must already wrap the execution deadline; cancel is retained on the
-// record so DELETE can abort the run.
-func (jm *JobManager) beginJob(rec *jobRecord, ctx context.Context, cancel context.CancelFunc, deadline time.Duration) *runningJob {
+// parent is the execution parent of the job's context, which already
+// carries the execution deadline.  The state is set up under rec.mu before
+// the job becomes RUNNING, so a DELETE that sees it RUNNING can cancel it.
+func (jm *JobManager) beginJob(rec *jobRecord, parent context.Context, deadline time.Duration) *runningJob {
 	rec.mu.Lock()
 	cur := rec.job.Load()
 	if cur.State != core.StateWaiting {
@@ -95,7 +110,8 @@ func (jm *JobManager) beginJob(rec *jobRecord, ctx context.Context, cancel conte
 	next.State = core.StateRunning
 	next.Started = time.Now()
 	next.QueueWait = core.Duration(next.Started.Sub(next.Created))
-	rec.cancel = cancel
+	rj := &rec.run
+	*rj = runningJob{jm: jm, rec: rec, parent: parent, deadline: deadline}
 	jm.commit(rec, &next)
 	rec.mu.Unlock()
 
@@ -103,14 +119,6 @@ func (jm *JobManager) beginJob(rec *jobRecord, ctx context.Context, cancel conte
 	metJobsRunning.Add(1)
 	jm.running.Add(1)
 	metQueueWait.Observe(next.QueueWait.Std().Seconds())
-	// Re-enter the job's trace into the execution context: every outbound
-	// call the adapter makes (workflow block invocations, file staging)
-	// then carries the ingress X-Request-ID.
-	if trace := rec.born.TraceID; trace != "" {
-		ctx = obs.WithRequestID(ctx, trace)
-	}
-	rj := &rec.run
-	*rj = runningJob{jm: jm, rec: rec, ctx: ctx, deadline: deadline}
 	if sw := rec.sweep; sw != nil {
 		sw.childTransition(core.StateWaiting, core.StateRunning, "")
 	}
@@ -181,8 +189,13 @@ func (jm *JobManager) land(rec *jobRecord, from, to core.JobState, outputs core.
 	if jm.c.journal != nil {
 		jm.c.commits.RUnlock()
 	}
+	// A waiter that came before this landing made done; later ones find
+	// the job terminal and never make it.
+	done := rec.done
 	rec.mu.Unlock()
-	close(rec.done)
+	if done != nil {
+		close(done)
+	}
 
 	if from == core.StateRunning {
 		metJobsRunning.Add(-1)
@@ -231,15 +244,14 @@ func (jm *JobManager) cancelJob(rec *jobRecord) {
 	if jm.cancelPending(rec) {
 		return
 	}
-	// Not WAITING, and states only move forward: a worker's beginJob set
-	// rec.cancel under the same lock that made the job RUNNING.  Cancelling
-	// the context of a job that has already landed is a no-op.
+	// Not WAITING, and states only move forward: a worker's beginJob set up
+	// the job's context under the same lock that made the job RUNNING.  A
+	// job that has already landed needs no cancel: cleanup gives it one.
 	rec.mu.Lock()
-	cancel := rec.cancel
-	rec.mu.Unlock()
-	if cancel != nil {
-		cancel()
+	if rec.job.Load().State == core.StateRunning {
+		rec.run.cancel()
 	}
+	rec.mu.Unlock()
 }
 
 // finish lands the running job from its adapter outcome: DONE with outputs,
@@ -252,12 +264,12 @@ func (rj *runningJob) finish(outputs core.Values, err error) {
 	overrun := false
 	switch {
 	case err == nil:
-	case errors.Is(rj.ctx.Err(), context.DeadlineExceeded):
+	case errors.Is(rj.Err(), context.DeadlineExceeded):
 		// The job overran its execution deadline: a fault of the job, not
 		// a client cancellation.
 		state, overrun = core.StateError, true
 		errMsg = fmt.Sprintf("container: job exceeded its %s execution deadline", rj.deadline)
-	case rj.ctx.Err() != nil:
+	case rj.Err() != nil:
 		state = core.StateCancelled
 	default:
 		state, errMsg = core.StateError, err.Error()
@@ -295,52 +307,61 @@ func (rj *runningJob) prepare(ad adapter.Interface) error {
 		if rec.sweep != nil {
 			owner = rec.sweep.id
 		}
-		if files, err = jm.stageInputs(rj.ctx, job.Inputs, workDir, owner); err != nil {
+		if files, err = jm.stageInputs(rj, job.Inputs, workDir, owner); err != nil {
 			return err
 		}
 	}
-	// Each callback commits a new image (the log appended past every older
-	// image's length, or copied block states); both are no-ops once the job
-	// has landed, which must stay as its journaled end says.
-	progress := func(msg string) {
-		rec.mu.Lock()
-		defer rec.mu.Unlock()
-		cur := rec.job.Load()
-		if cur.State.Terminal() || len(cur.Log) >= 1000 {
-			return
-		}
-		next := *cur
-		next.Log = append(cur.Log, msg)
-		jm.commit(rec, &next)
-	}
-	setBlockState := func(block string, state core.JobState) {
-		rec.mu.Lock()
-		defer rec.mu.Unlock()
-		cur := rec.job.Load()
-		if cur.State.Terminal() {
-			return
-		}
-		next := *cur
-		next.Blocks = make(map[string]core.JobState, len(cur.Blocks)+1)
-		maps.Copy(next.Blocks, cur.Blocks)
-		next.Blocks[block] = state
-		jm.commit(rec, &next)
-	}
 	rj.req = adapter.Request{
-		JobID:         job.ID,
-		Service:       job.Service,
-		Owner:         job.Owner,
-		Inputs:        job.Inputs,
-		Files:         files,
-		WorkDir:       rj.workDir,
-		Progress:      progress,
-		SetBlockState: setBlockState,
+		JobID:    job.ID,
+		Service:  job.Service,
+		Owner:    job.Owner,
+		Inputs:   job.Inputs,
+		Files:    files,
+		WorkDir:  rj.workDir,
+		Reporter: rj,
 	}
 	return nil
 }
 
-// cleanup removes the job's scratch directory, if prepare created one.
+// Progress implements adapter.Reporter: it commits an image whose log is
+// the current one (appended past every older image's length) plus msg.  It
+// is a no-op once the job has landed, which must stay as its journaled end
+// says, and past 1000 lines.
+func (rj *runningJob) Progress(msg string) {
+	rec := rj.rec
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	cur := rec.job.Load()
+	if cur.State.Terminal() || len(cur.Log) >= 1000 {
+		return
+	}
+	next := *cur
+	next.Log = append(cur.Log, msg)
+	rj.jm.commit(rec, &next)
+}
+
+// SetBlockState implements adapter.Reporter: it commits an image with a
+// copy of the block states that sets block's.  It is a no-op once the job
+// has landed.
+func (rj *runningJob) SetBlockState(block string, state core.JobState) {
+	rec := rj.rec
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	cur := rec.job.Load()
+	if cur.State.Terminal() {
+		return
+	}
+	next := *cur
+	next.Blocks = make(map[string]core.JobState, len(cur.Blocks)+1)
+	maps.Copy(next.Blocks, cur.Blocks)
+	next.Blocks[block] = state
+	rj.jm.commit(rec, &next)
+}
+
+// cleanup cancels the job's context and removes its scratch directory, if
+// prepare created one.
 func (rj *runningJob) cleanup() {
+	rj.cancel()
 	if rj.workDir != "" {
 		_ = os.RemoveAll(rj.workDir)
 	}
@@ -366,12 +387,13 @@ func (rj *runningJob) complete(svc *service, res *adapter.Result, err error) {
 }
 
 // execute runs one dequeued batch (usually of one) through the service's
-// adapter.  The batch shares one execution deadline; each member of a real
-// batch keeps its own cancellable child context, so DELETE of one member
-// cancels that member alone.  A single ready member, or an adapter that
-// cannot batch, goes through Invoke; otherwise the members share one
-// InvokeBatch call, where a failed item fails only its job and an error (or
-// panic) of the batch as a whole fails every member that has not finished.
+// adapter.  The batch shares one execution parent, which carries the
+// deadline; each member runs under its own context, its runningJob, so
+// DELETE of one member cancels that member alone.  A single ready member,
+// or an adapter that cannot batch, goes through Invoke; otherwise the
+// members share one InvokeBatch call under the parent, where a failed item
+// fails only its job and an error (or panic) of the batch as a whole fails
+// every member that has not finished.
 func (jm *JobManager) execute(recs []*jobRecord) {
 	// Resolve the service first: its description may override the
 	// container's default execution deadline.  drainBatch batches one
@@ -382,14 +404,12 @@ func (jm *JobManager) execute(recs []*jobRecord) {
 	if svc != nil && svc.desc.Deadline > 0 {
 		deadline = svc.desc.Deadline.Std()
 	}
-	var batchCtx context.Context
-	var batchCancel context.CancelFunc
+	parent := jm.baseCtx
 	if deadline > 0 {
-		batchCtx, batchCancel = context.WithTimeout(jm.baseCtx, deadline)
-	} else {
-		batchCtx, batchCancel = context.WithCancel(jm.baseCtx)
+		var cancel context.CancelFunc
+		parent, cancel = context.WithTimeout(parent, deadline)
+		defer cancel()
 	}
-	defer batchCancel()
 
 	// Begin every member; jobs cancelled while queued drop out here.  A
 	// single record (a Table 1 job, a sweep child) needs no heap slices.
@@ -399,23 +419,18 @@ func (jm *JobManager) execute(recs []*jobRecord) {
 		active, ready = make([]*runningJob, 0, len(recs)), make([]*runningJob, 0, len(recs))
 	}
 	for _, rec := range recs {
-		ctx, cancel := batchCtx, batchCancel
-		if len(recs) > 1 {
-			ctx, cancel = context.WithCancel(batchCtx)
+		if rj := jm.beginJob(rec, parent, deadline); rj != nil {
+			active = append(active, rj)
 		}
-		rj := jm.beginJob(rec, ctx, cancel, deadline)
-		if rj == nil {
-			cancel()
-			continue
-		}
-		active = append(active, rj)
 	}
 	if len(active) == 0 {
 		return
 	}
 	// The panic guard: a panicking adapter (or staging/publishing step)
 	// marks the unfinished members ERROR with the captured stack instead of
-	// killing the worker goroutine and wedging every waiter.
+	// killing the worker goroutine and wedging every waiter.  It runs
+	// before cleanup cancels the members' contexts, so finish still reads
+	// why the run ended.
 	defer func() {
 		if r := recover(); r != nil {
 			metWorkerPanics.Inc()
@@ -424,8 +439,6 @@ func (jm *JobManager) execute(recs []*jobRecord) {
 				rj.finish(nil, err)
 			}
 		}
-	}()
-	defer func() {
 		for _, rj := range active {
 			rj.cleanup()
 		}
@@ -450,7 +463,7 @@ func (jm *JobManager) execute(recs []*jobRecord) {
 	batcher, _ := svc.adapter.(adapter.BatchInterface)
 	if len(ready) < 2 || batcher == nil {
 		for _, rj := range ready {
-			res, err := svc.adapter.Invoke(rj.ctx, &rj.req)
+			res, err := svc.adapter.Invoke(rj, &rj.req)
 			rj.complete(svc, res, err)
 		}
 		return
@@ -460,7 +473,7 @@ func (jm *JobManager) execute(recs []*jobRecord) {
 	for i, rj := range ready {
 		reqs[i] = &rj.req
 	}
-	items, err := batcher.InvokeBatch(batchCtx, reqs)
+	items, err := batcher.InvokeBatch(parent, reqs)
 	if err == nil && len(items) != len(reqs) {
 		err = fmt.Errorf("container: batch adapter returned %d results for %d jobs", len(items), len(reqs))
 	}

@@ -32,20 +32,25 @@ type JSONAppender interface {
 // AppendJSON appends the JSON encoding of the job to b.  Like encoding/json
 // it fails on a NaN or infinite float and on a time whose year is outside
 // [0,9999]; on error it returns nil.  A nil job encodes as null.
-func (j *Job) AppendJSON(b []byte) ([]byte, error) { return j.appendJSON(b, "", false) }
+func (j *Job) AppendJSON(b []byte) ([]byte, error) {
+	var memo timeMemo
+	return j.appendJSON(b, "", false, &memo)
+}
 
 // AppendJSONAt is AppendJSON with the job's uri written as uriPrefix+ID, as
 // a JobPage with that URIPrefix writes it, in place of the URI field.  A
 // shared, immutable job is encoded with its URI without being copied.
 func (j *Job) AppendJSONAt(b []byte, uriPrefix string) ([]byte, error) {
-	return j.appendJSON(b, uriPrefix, utf8.ValidString(uriPrefix))
+	var memo timeMemo
+	return j.appendJSON(b, uriPrefix, utf8.ValidString(uriPrefix), &memo)
 }
 
-// appendJSON is AppendJSON with the page's URI prefix: when uriPrefix is set
-// the job's uri is written as uriPrefix+ID in place of its URI field.
-// prefixValid reports whether uriPrefix is valid UTF-8, in which case the
-// two halves escape separately to the bytes of their concatenation.
-func (j *Job) appendJSON(b []byte, uriPrefix string, prefixValid bool) ([]byte, error) {
+// appendJSON is AppendJSON with the page's URI prefix and time memo: when
+// uriPrefix is set the job's uri is written as uriPrefix+ID in place of its
+// URI field.  prefixValid reports whether uriPrefix is valid UTF-8, in which
+// case the two halves escape separately to the bytes of their
+// concatenation.  memo is shared by the jobs of one page.
+func (j *Job) appendJSON(b []byte, uriPrefix string, prefixValid bool, memo *timeMemo) ([]byte, error) {
 	if j == nil {
 		return append(b, "null"...), nil
 	}
@@ -73,18 +78,22 @@ func (j *Job) appendJSON(b []byte, uriPrefix string, prefixValid bool) ([]byte, 
 		b = AppendString(b, j.Error)
 	}
 	// omitempty never omits a struct, so the zero times are written too.
+	// The admission times share one memo slot and the execution times the
+	// other, so a page of sweep children, admitted in one instant and run
+	// within a few seconds, formats few of its times in full.
 	for _, f := range [...]struct {
-		key string
-		t   time.Time
+		key  string
+		t    time.Time
+		slot int
 	}{
-		{`,"created":`, j.Created},
-		{`,"submitted":`, j.Submitted},
-		{`,"started":`, j.Started},
-		{`,"finished":`, j.Finished},
-		{`,"destruction":`, j.Destruction},
+		{`,"created":`, j.Created, 0},
+		{`,"submitted":`, j.Submitted, 0},
+		{`,"started":`, j.Started, 1},
+		{`,"finished":`, j.Finished, 1},
+		{`,"destruction":`, j.Destruction, 1},
 	} {
 		b = append(b, f.key...)
-		if b, err = AppendTime(b, f.t); err != nil {
+		if b, err = memo[f.slot].appendTime(b, f.t); err != nil {
 			return nil, err
 		}
 	}
@@ -166,6 +175,7 @@ func (p *JobPage) AppendJSON(b []byte) ([]byte, error) {
 		b = append(b, "null"...)
 	} else {
 		prefixValid := utf8.ValidString(p.URIPrefix)
+		var memo timeMemo
 		b = append(b, '[')
 		for i, j := range p.Jobs {
 			if i > 0 {
@@ -173,7 +183,7 @@ func (p *JobPage) AppendJSON(b []byte) ([]byte, error) {
 			}
 			start := len(b)
 			var err error
-			if b, err = j.appendJSON(b, p.URIPrefix, prefixValid); err != nil {
+			if b, err = j.appendJSON(b, p.URIPrefix, prefixValid, &memo); err != nil {
 				return nil, err
 			}
 			if i == 0 && len(p.Jobs) > 1 {
@@ -353,6 +363,81 @@ func AppendTime(b []byte, t time.Time) ([]byte, error) {
 		}
 	}
 	return append(b, '"'), nil
+}
+
+// timeMemo holds the text of the two seconds a job encoding formatted
+// last, one slot per group of a job's times (see appendJSON).
+type timeMemo [2]secondText
+
+// secondText is the RFC 3339 text of one second in one location: the
+// "YYYY-MM-DDTHH:MM:SS" that opens the text of every instant of that
+// second there, and the zone ("Z" or "±hh:mm") that closes it.  Only the
+// fraction differs between such instants.
+type secondText struct {
+	sec   int64
+	loc   *time.Location // nil while the slot is empty
+	clock [len("2006-01-02T15:04:05")]byte
+	zone  [len("-07:00")]byte
+	nzone int
+}
+
+// zeroTimeJSON is how AppendTime writes time.Time{}.
+const zeroTimeJSON = `"0001-01-01T00:00:00Z"`
+
+// appendTime is AppendTime, byte for byte, through the slot: a time in the
+// slot's second and Location copies that second's text and formats only
+// its fraction; any other is formatted in full and becomes the slot's
+// second.  The zero time is a constant.
+func (m *secondText) appendTime(b []byte, t time.Time) ([]byte, error) {
+	loc := t.Location()
+	if t.IsZero() && loc == time.UTC {
+		return append(b, zeroTimeJSON...), nil
+	}
+	sec := t.Unix()
+	if loc == m.loc && sec == m.sec {
+		b = append(b, '"')
+		b = append(b, m.clock[:]...)
+		b = appendFraction(b, t.Nanosecond())
+		b = append(b, m.zone[:m.nzone]...)
+		return append(b, '"'), nil
+	}
+	start := len(b)
+	b, err := AppendTime(b, t)
+	if err != nil {
+		return nil, err
+	}
+	// The year check in AppendTime leaves four digits of year, so the
+	// clock is the text's first 19 bytes; the zone follows the fraction.
+	text := b[start+1 : len(b)-1]
+	rest := text[copy(m.clock[:], text):]
+	if len(rest) > 0 && rest[0] == '.' {
+		rest = rest[1:]
+		for len(rest) > 0 && '0' <= rest[0] && rest[0] <= '9' {
+			rest = rest[1:]
+		}
+	}
+	m.nzone = copy(m.zone[:], rest)
+	m.sec, m.loc = sec, loc
+	return b, nil
+}
+
+// appendFraction appends nsec as RFC3339Nano's ".999999999" writes it: a
+// point and up to nine digits without trailing zeros, nothing for zero.
+func appendFraction(b []byte, nsec int) []byte {
+	if nsec == 0 {
+		return b
+	}
+	var frac [10]byte
+	frac[0] = '.'
+	for i := 9; i > 0; i-- {
+		frac[i] = byte('0' + nsec%10)
+		nsec /= 10
+	}
+	n := len(frac)
+	for frac[n-1] == '0' {
+		n--
+	}
+	return append(b, frac[:n]...)
 }
 
 const hexDigits = "0123456789abcdef"

@@ -136,7 +136,48 @@ func FuzzJobJSON(f *testing.F) {
 		if j.URI != text+other {
 			t.Fatalf("encoding a page changed a job's URI to %q", j.URI)
 		}
+
+		// A page's jobs share one time memo: times in one second, with
+		// fractions of zero and with trailing zeros, that second in two
+		// Locations, and zero times in UTC and in other zones.
+		page = &JobPage{Jobs: secondJobs(j, sec, nsec, zone), Total: 4}
+		plain = plain[:0]
+		for _, pj := range page.Jobs {
+			plain = append(plain, (*plainJob)(pj))
+		}
+		want, wantErr = json.Marshal(map[string]any{
+			"jobs": plain, "limit": page.Limit, "offset": page.Offset, "total": page.Total,
+		})
+		got, gotErr = page.AppendJSON(nil)
+		if (gotErr != nil) != (wantErr != nil) || !bytes.Equal(got, want) {
+			t.Fatalf("JobPage.AppendJSON of jobs in one second = %s, %v; want %s, %v", got, gotErr, want, wantErr)
+		}
 	})
+}
+
+// secondJobs returns j and three jobs whose times fall in j's second sec:
+// with fractions of zero, of nsec and with trailing zeros, in the zone of
+// j's Created, in a second zone with another offset and in UTC, beside zero
+// times in UTC and in both zones.
+func secondJobs(j *Job, sec, nsec int64, zone int32) []*Job {
+	loc1 := j.Created.Location()
+	loc2 := time.FixedZone("second", int(zone)+5400)
+	at := func(ns int64, loc *time.Location) time.Time { return time.Unix(sec, ns).In(loc) }
+	frac := nsec % 1e9
+	if frac < 0 {
+		frac = -frac
+	}
+	jobs := []*Job{j}
+	for _, times := range [][5]time.Time{
+		{at(0, loc1), at(frac, loc1), at(1e8, loc1), at(frac/1000*1000, loc1), time.Time{}.In(loc1)},
+		{at(0, loc2), at(frac, loc2), at(0, loc1), at(12e7, loc2), time.Time{}},
+		{at(frac, loc1), at(frac, time.UTC), at(frac, loc2), time.Time{}.In(loc2), at(1e8, loc1)},
+	} {
+		k := *j
+		k.Created, k.Submitted, k.Started, k.Finished, k.Destruction = times[0], times[1], times[2], times[3], times[4]
+		jobs = append(jobs, &k)
+	}
+	return jobs
 }
 
 // TestJobMarshalJSONDelegates pins that encoding/json reaches AppendJSON for

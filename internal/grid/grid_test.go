@@ -223,10 +223,10 @@ func TestGridAdapterEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var progress []string
+	var progress progressLog
 	res, err := a.Invoke(context.Background(), &adapter.Request{
 		JobID: "j", Service: "s", Inputs: core.Values{"x": 6.0},
-		Progress: func(m string) { progress = append(progress, m) },
+		Reporter: &progress,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -290,3 +290,9 @@ func TestGridAdapterCancellation(t *testing.T) {
 		t.Error("cancellation hung")
 	}
 }
+
+// progressLog is an adapter.Reporter that keeps the progress lines.
+type progressLog []string
+
+func (p *progressLog) Progress(m string)                   { *p = append(*p, m) }
+func (p *progressLog) SetBlockState(string, core.JobState) {}

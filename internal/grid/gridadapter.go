@@ -110,9 +110,7 @@ func (a *Adapter) Invoke(ctx context.Context, req *adapter.Request) (*adapter.Re
 	if err != nil {
 		return nil, err
 	}
-	if req.Progress != nil {
-		req.Progress(fmt.Sprintf("submitted grid job %s (VO %s)", id, a.vo))
-	}
+	req.Progress(fmt.Sprintf("submitted grid job %s (VO %s)", id, a.vo))
 
 	info, err := a.infra.Wait(ctx, id)
 	if err != nil {
@@ -123,10 +121,8 @@ func (a *Adapter) Invoke(ctx context.Context, req *adapter.Request) (*adapter.Re
 	case StateDone:
 		mu.Lock()
 		defer mu.Unlock()
-		if req.Progress != nil {
-			req.Progress(fmt.Sprintf("grid job %s done at site %s after %d attempt(s)",
-				id, info.Site, info.Attempts))
-		}
+		req.Progress(fmt.Sprintf("grid job %s done at site %s after %d attempt(s)",
+			id, info.Site, info.Attempts))
 		return res, nil
 	case StateCancelled:
 		return nil, context.Canceled

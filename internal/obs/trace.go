@@ -25,6 +25,14 @@ func WithRequestID(ctx context.Context, id string) context.Context {
 	return context.WithValue(ctx, ctxKey{}, id)
 }
 
+// IsRequestIDKey reports whether key is the context key WithRequestID
+// stores the request ID under, for a Context implementation that answers
+// the ID itself instead of wrapping a parent in WithRequestID.
+func IsRequestIDKey(key any) bool {
+	_, ok := key.(ctxKey)
+	return ok
+}
+
 // RequestIDFrom extracts the request ID stored in ctx, if any.
 func RequestIDFrom(ctx context.Context) (string, bool) {
 	id, ok := ctx.Value(ctxKey{}).(string)

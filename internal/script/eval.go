@@ -136,7 +136,7 @@ func (p *Program) run(inputs map[string]any, stepLimit int, copyIn bool) (map[st
 	e.steps, e.retVal = 0, nil
 	envPool.Put(e)
 	if err == nil {
-		if _, serr := textSize(out); serr != nil {
+		if serr := outputsFit(out); serr != nil {
 			err = rtErr(p.body, "outputs: %v", serr)
 		}
 	}
@@ -1214,12 +1214,35 @@ func textSize(v any) (int, error) {
 	return sh.text, err
 }
 
+// outputsFit fails where textSize(out) fails.  It first measures out with
+// every number counted at maxNumberLen, which formats none of them, and
+// runs the exact textSize only when that looser bound fails.  The loose
+// text is never shorter than the exact one at any point of the walk, so
+// it passes only where textSize passes.
+func outputsFit(out map[string]any) error {
+	loose := shape{loose: true}
+	if loose.walk(out, 0) == nil {
+		return nil
+	}
+	_, err := textSize(out)
+	return err
+}
+
+// maxNumberLen is the longest numberLen of any float64: that of a
+// negative number just above 1e-6 with 17 significant digits,
+// "-0.0000012345678901234567".  Exponent forms are a byte shorter.
+const maxNumberLen = 25
+
 // shape is what the bounds need of a value: its scalars (map keys
 // included), the bytes of its strings, its containers, and text, the
 // longer of its JSON encoding and its %v rendering (strings quoted and
 // escaped as encoding/json writes them; a map counts "map[]", %v's five
-// bytes, for its braces).
-type shape struct{ scalars, strBytes, containers, text int }
+// bytes, for its braces).  A loose shape counts every number at
+// maxNumberLen instead of its own length.
+type shape struct {
+	scalars, strBytes, containers, text int
+	loose                               bool
+}
 
 // bytes bounds the operand's fmt rendering at perScalar bytes a scalar.
 func (sh *shape) bytes(perScalar int) int {
@@ -1241,7 +1264,11 @@ func (sh *shape) walk(v any, depth int) error {
 		sh.text += quotedLen(x)
 	case float64:
 		sh.scalars++
-		sh.text += numberLen(x)
+		if sh.loose {
+			sh.text += maxNumberLen
+		} else {
+			sh.text += numberLen(x)
+		}
 	case []any:
 		sh.containers++
 		sh.text += 2 + max(len(x)-1, 0)

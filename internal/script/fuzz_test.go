@@ -23,8 +23,10 @@ const (
 // FuzzScriptRun checks the inputs-copy elision differentially: every
 // (program, inputs) pair runs once as analysed and once with the inputs
 // copied, and the two must agree on outputs, return value and error.  A
-// run that reads its inputs in place must leave them as they were, and
-// the outputs a run returns must render within the text textSize counts.
+// run that reads its inputs in place must leave them as they were, the
+// outputs a run returns must render within the text textSize counts, and
+// the run's outputs bound (outputsFit) must reach textSize's verdict on
+// them at every limit around their size.
 func FuzzScriptRun(f *testing.F) {
 	const inputs = `{"x":1,"k":"m","a":[{"x":0},{}],"m":{"k":0},"arr":[1],` +
 		`"values":[1,2,3,201,5],"obj":{"b":2,"a":1}}`
@@ -63,6 +65,14 @@ func FuzzScriptRun(f *testing.F) {
 			if jerr == nil && len(data) > n || len(fmt.Sprint(out)) > n {
 				t.Fatalf("%q: outputs %v render past their textSize %d", src, out, n)
 			}
+			for _, limit := range []int{n - 1, n, fuzzValueBytes} {
+				maxValueBytes = limit
+				_, exact := textSize(out)
+				if fit := outputsFit(out); (fit == nil) != (exact == nil) {
+					t.Fatalf("%q: at a %d-byte limit outputsFit says %v, textSize %v", src, limit, fit, exact)
+				}
+			}
+			maxValueBytes = fuzzValueBytes
 		}
 		wantOut, wantRet, wantErr := prog.run(in, fuzzSteps, true)
 		if sameRun(out, ret, err, wantOut, wantRet, wantErr) {

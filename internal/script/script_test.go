@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -530,6 +531,75 @@ func TestValueBound(t *testing.T) {
 		if n := after.TotalAlloc - before.TotalAlloc; n > 32*limit {
 			t.Errorf("%q allocated %d MiB", src, n>>20)
 		}
+	}
+
+	// Outputs of numbers whose text is just under the limit, although
+	// counting each number at maxNumberLen puts them far over it, pass;
+	// one number more fails.
+	fits := sort.Search(limit/elemBytes, func(n int) bool {
+		_, err := textSize(map[string]any{"v": rangeOf(n + 1)})
+		return err != nil
+	})
+	if loose := fits * maxNumberLen; loose <= limit {
+		t.Fatalf("%d numbers count %d bytes loosely, want past the %d-byte limit", fits, loose, limit)
+	}
+	if _, _, err := mustParse(t, fmt.Sprintf("out.v = range(%d)", fits)).Run(nil); err != nil {
+		t.Errorf("outputs of %d numbers, just under the limit: %v", fits, err)
+	}
+	_, _, err := mustParse(t, fmt.Sprintf("out.v = range(%d)", fits+1)).Run(nil)
+	var rt *RuntimeError
+	if !errors.As(err, &rt) || !strings.Contains(err.Error(), "outputs") {
+		t.Errorf("outputs of %d numbers, just over the limit: err = %v, want the outputs bound", fits+1, err)
+	}
+}
+
+// rangeOf is the script's range(n).
+func rangeOf(n int) []any {
+	a := make([]any, n)
+	for i := range a {
+		a[i] = float64(i)
+	}
+	return a
+}
+
+func mustParse(t *testing.T, src string) *Program {
+	t.Helper()
+	prog, err := Parse(src)
+	if err != nil {
+		t.Fatalf("Parse(%q): %v", src, err)
+	}
+	return prog
+}
+
+// TestMaxNumberLen: no float64 renders past maxNumberLen, and the longest
+// renderings reach it.
+func TestMaxNumberLen(t *testing.T) {
+	longest := 0
+	check := func(x float64) {
+		n := numberLen(x)
+		if n > maxNumberLen {
+			t.Fatalf("numberLen(%v) = %d, past maxNumberLen %d", x, n, maxNumberLen)
+		}
+		longest = max(longest, n)
+	}
+	for _, x := range []float64{
+		-0.0000012345678901234567, -math.Nextafter(1e-6, 1), -math.Nextafter(1e-6, 0),
+		-math.MaxFloat64, -math.SmallestNonzeroFloat64, -math.Nextafter(1e21, 0),
+		-1.2345678901234567e-308, -1.2345678901234567e+300,
+	} {
+		check(x)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1<<20; i++ {
+		x := math.Float64frombits(rng.Uint64())
+		if !math.IsNaN(x) && !math.IsInf(x, 0) {
+			check(x)
+		}
+		// Numbers with many digits where the fixed and exponent forms meet.
+		check(-(1 + rng.Float64()) * math.Pow(10, float64(rng.Intn(44)-22)))
+	}
+	if longest != maxNumberLen {
+		t.Errorf("longest rendering %d bytes, maxNumberLen %d", longest, maxNumberLen)
 	}
 }
 

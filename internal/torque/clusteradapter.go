@@ -157,9 +157,7 @@ func (a *ClusterAdapter) Invoke(ctx context.Context, req *adapter.Request) (*ada
 	if err != nil {
 		return nil, err
 	}
-	if req.Progress != nil {
-		req.Progress(fmt.Sprintf("submitted batch job %s to cluster %s", id, a.cluster.Name()))
-	}
+	req.Progress(fmt.Sprintf("submitted batch job %s to cluster %s", id, a.cluster.Name()))
 
 	info, err := a.cluster.Wait(ctx, id)
 	if err != nil {
@@ -172,9 +170,7 @@ func (a *ClusterAdapter) Invoke(ctx context.Context, req *adapter.Request) (*ada
 	case StateComplete:
 		mu.Lock()
 		defer mu.Unlock()
-		if req.Progress != nil {
-			req.Progress(fmt.Sprintf("batch job %s completed on node %s", id, info.Node))
-		}
+		req.Progress(fmt.Sprintf("batch job %s completed on node %s", id, info.Node))
 		return res, nil
 	case StateCancelled:
 		return nil, context.Canceled

@@ -87,12 +87,8 @@ func (a *Adapter) Invoke(ctx context.Context, req *adapter.Request) (*adapter.Re
 		// clients can verify e.g. that a block ran even when it finished
 		// between two polls.
 		OnBlockState: func(block string, state core.JobState) {
-			if req.SetBlockState != nil {
-				req.SetBlockState(block, state)
-			}
-			if req.Progress != nil {
-				req.Progress(fmt.Sprintf("block %s: %s", block, state))
-			}
+			req.SetBlockState(block, state)
+			req.Progress(fmt.Sprintf("block %s: %s", block, state))
 		},
 	}
 	outs, err := engine.RunCompiled(ctx, a.compiled, req.Inputs)
