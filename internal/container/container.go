@@ -195,6 +195,10 @@ type Container struct {
 	dataDir    string
 	ownsData   bool
 	replicaID  string
+	// idsPlain reports that the IDs this container mints need no JSON
+	// escaping: their random part never does, so their replica prefix
+	// decides.
+	idsPlain bool
 	// journal is the write-ahead log of the durability subsystem (nil when
 	// Options.JournalDir is empty); Recover starts its checkpoint loop with
 	// the snapshot triggers below.
@@ -264,6 +268,7 @@ func New(opts Options) (*Container, error) {
 		dataDir:    dataDir,
 		ownsData:   ownsData,
 		replicaID:  opts.ReplicaID,
+		idsPlain:   core.PlainString(opts.ReplicaID),
 		services:   make(map[string]*service),
 	}
 	memoEntries := opts.MemoMaxEntries
@@ -565,7 +570,7 @@ func (c *Container) JobURI(serviceName, jobID string) string {
 
 // jobsURIPrefix is the URI of a service's job collection with its trailing
 // slash: a job's URI is jobsURIPrefix(service) + id, which the job encoder
-// (Job.AppendJSONAt, JobPage.URIPrefix) writes without building it.  It is
+// (jobEncoder) writes without building it.  It is
 // the one place the job URI's shape is written; a deployed service's is
 // built once, with its description cache.
 func (c *Container) jobsURIPrefix(serviceName string) string {

@@ -17,8 +17,8 @@ import (
 // handleJobEvents streams one job's state transitions.
 func (c *Container) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	service, jobID := r.PathValue("name"), r.PathValue("id")
-	job, err := c.jobs.Get(jobID)
-	if err != nil || job.Service != service {
+	rec, err := c.jobs.record(jobID)
+	if err != nil || rec.service != service {
 		rest.WriteError(w, core.ErrNotFound("job", jobID))
 		return
 	}
@@ -28,12 +28,13 @@ func (c *Container) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		Topic: topic,
 		Type:  events.TypeJob,
 		Snapshot: func() ([]byte, uint64, bool, error) {
-			j, seq, err := c.jobs.eventImage(jobID, topic)
+			img, seq, err := c.jobs.eventImage(jobID, topic)
 			if err != nil {
 				return nil, 0, false, err
 			}
-			data, err := j.AppendJSONAt(nil, c.jobsURIPrefix(service))
-			return data, seq, j.State.Terminal(), err
+			e := newJobEncoder(c.jobsURIPrefix(service))
+			data, err := e.append(nil, img.rec, img.p)
+			return data, seq, img.p.state.terminal(), err
 		},
 		Idle: c.maxWait,
 	})

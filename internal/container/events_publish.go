@@ -3,7 +3,6 @@ package container
 import (
 	"encoding/json"
 
-	"mathcloud/internal/core"
 	"mathcloud/internal/events"
 )
 
@@ -18,31 +17,32 @@ import (
 //
 // notifyJob is the publish step of a job's commit (jobRecord): it runs
 // under the record's mutex, between the journal append and the store, and
-// is handed the image being committed, so the bus carries one job's images
-// in commit order and an image a reader loads is already on the bus.  The
+// is handed the phase being committed, so the bus carries one job's phases
+// in commit order and a phase a reader loads is already on the bus.  The
 // bus takes only its own topic locks.  notifySweep reads sweep state and
 // must be called WITHOUT holding a job record's mutex (same contract as
 // sweepRecord.childTransition).
 
-// notifyJob publishes a job image on its job topic and on its service's
-// activity feed.  A terminal image ends the job topic.
-func (jm *JobManager) notifyJob(job *core.Job) {
+// notifyJob publishes the job of rec in phase p on its job topic and on its
+// service's activity feed.  A terminal phase ends the job topic.
+func (jm *JobManager) notifyJob(rec *jobRecord, p *jobPhase) {
 	bus := jm.c.events
 	if bus.Idle() {
 		return
 	}
-	jobTopic := events.JobTopic(job.ID)
-	svcTopic := events.ServiceTopic(job.Service)
+	jobTopic := events.JobTopic(rec.id)
+	svcTopic := events.ServiceTopic(rec.service)
 	onJob, onSvc := bus.Active(jobTopic), bus.Active(svcTopic)
 	if !onJob && !onSvc {
 		return
 	}
-	data, err := job.AppendJSONAt(nil, jm.c.jobsURIPrefix(job.Service))
+	e := newJobEncoder(jm.c.jobsURIPrefix(rec.service))
+	data, err := e.append(nil, rec, p)
 	if err != nil {
 		return
 	}
 	if onJob {
-		bus.Publish(jobTopic, events.TypeJob, job.State.Terminal(), data)
+		bus.Publish(jobTopic, events.TypeJob, p.state.terminal(), data)
 	}
 	if onSvc {
 		// The feed outlives any one job; terminal jobs don't end it.

@@ -209,7 +209,7 @@ func (c *Container) handleService(w http.ResponseWriter, r *http.Request) {
 			rest.WriteError(w, err)
 			return
 		}
-		job, err := c.jobs.Submit(r.Context(), name, inputs, SubmitOptions{Owner: principalOf(r).Effective(), TTL: ttl})
+		rec, err := c.jobs.submit(r.Context(), name, inputs, SubmitOptions{Owner: principalOf(r).Effective(), TTL: ttl})
 		if err != nil {
 			rest.WriteError(w, err)
 			return
@@ -219,13 +219,11 @@ func (c *Container) handleService(w http.ResponseWriter, r *http.Request) {
 		// is returned immediately, as Section 2 of the paper allows.
 		c.advertiseWaitMax(w.Header())
 		if hasWait {
-			if j, err := c.jobs.Wait(r.Context(), job.ID, c.clampWait(wait)); err == nil {
-				job = j
-			}
+			_ = awaitDone(r.Context(), rec.doneChan(), c.clampWait(wait))
 		}
 		prefix := c.jobsURIPrefix(name)
-		w.Header().Set("Location", prefix+job.ID)
-		rest.WriteJSON(w, http.StatusCreated, &jobBody{job, prefix})
+		w.Header().Set("Location", prefix+rec.id)
+		rest.WriteJSON(w, http.StatusCreated, &jobBody{jobImage{rec, rec.phase.Load()}, prefix})
 	default:
 		rest.MethodNotAllowed(w, http.MethodGet, http.MethodPost)
 	}
@@ -246,20 +244,10 @@ func (c *Container) handleJobList(w http.ResponseWriter, r *http.Request) {
 		rest.WriteError(w, err)
 		return
 	}
-	jobs, total := c.jobs.ListPage(service, state, limit, offset)
-	rest.WriteJSON(w, http.StatusOK, &core.JobPage{
-		Jobs: jobs, Limit: limit, Offset: offset, Total: total, URIPrefix: c.jobsURIPrefix(service),
+	jobs, total := c.jobs.listPage(service, state, limit, offset)
+	rest.WriteJSON(w, http.StatusOK, &jobPage{
+		jobs: jobs, limit: limit, offset: offset, total: total, prefix: c.jobsURIPrefix(service),
 	})
-}
-
-// jobBody is a job resource's body: its shared image, uri from the prefix.
-type jobBody struct {
-	job    *core.Job
-	prefix string
-}
-
-func (b *jobBody) AppendJSON(buf []byte) ([]byte, error) {
-	return b.job.AppendJSONAt(buf, b.prefix)
 }
 
 // handleJob implements the job resource: GET returns status and results,
@@ -273,42 +261,43 @@ func (c *Container) handleJob(w http.ResponseWriter, r *http.Request) {
 			rest.WriteError(w, err)
 			return
 		}
-		job, err := c.jobs.Get(jobID)
+		rec, err := c.jobs.record(jobID)
 		if err != nil {
 			rest.WriteError(w, err)
 			return
 		}
-		if job.Service != service {
+		if rec.service != service {
 			rest.WriteError(w, core.ErrNotFound("job", jobID))
 			return
 		}
 		c.advertiseWaitMax(w.Header())
-		if hasWait && !job.State.Terminal() {
-			if j, err := c.jobs.Wait(r.Context(), jobID, c.clampWait(wait)); err == nil {
-				job = j
+		p := rec.phase.Load()
+		if hasWait && !p.state.terminal() {
+			if awaitDone(r.Context(), rec.doneChan(), c.clampWait(wait)) == nil {
+				p = rec.phase.Load()
 			}
 		}
 		if rest.WantsHTML(r) {
-			c.renderJob(w, job)
+			c.renderJob(w, rec.build(p))
 			return
 		}
-		rest.WriteJSON(w, http.StatusOK, &jobBody{job, c.jobsURIPrefix(service)})
+		rest.WriteJSON(w, http.StatusOK, &jobBody{jobImage{rec, p}, c.jobsURIPrefix(service)})
 	case http.MethodDelete:
-		job, err := c.jobs.Get(jobID)
+		rec, err := c.jobs.record(jobID)
 		if err != nil {
 			rest.WriteError(w, err)
 			return
 		}
-		if job.Service != service {
+		if rec.service != service {
 			rest.WriteError(w, core.ErrNotFound("job", jobID))
 			return
 		}
-		job, err = c.jobs.Delete(jobID)
+		p, err := c.jobs.delete(rec)
 		if err != nil {
 			rest.WriteError(w, err)
 			return
 		}
-		rest.WriteJSON(w, http.StatusOK, &jobBody{job, c.jobsURIPrefix(service)})
+		rest.WriteJSON(w, http.StatusOK, &jobBody{jobImage{rec, p}, c.jobsURIPrefix(service)})
 	default:
 		rest.MethodNotAllowed(w, http.MethodGet, http.MethodDelete)
 	}
@@ -427,14 +416,14 @@ func (c *Container) handleSweepJobs(w http.ResponseWriter, r *http.Request) {
 		rest.WriteError(w, err)
 		return
 	}
-	jobs, total, err := c.jobs.SweepChildren(sweepID, state, limit, offset)
+	jobs, total, err := c.jobs.sweepChildren(sweepID, state, limit, offset)
 	if err != nil {
 		rest.WriteError(w, err)
 		return
 	}
 	// Every child belongs to the sweep's service.
-	rest.WriteJSON(w, http.StatusOK, &core.JobPage{
-		Jobs: jobs, Limit: limit, Offset: offset, Total: total, URIPrefix: c.jobsURIPrefix(service),
+	rest.WriteJSON(w, http.StatusOK, &jobPage{
+		jobs: jobs, limit: limit, offset: offset, total: total, prefix: c.jobsURIPrefix(service),
 	})
 }
 

@@ -76,7 +76,7 @@ func (rj *runningJob) parentErr() error {
 // Value answers the request-ID key with the job's TraceID, and every other
 // key from the materialised context, or with nil before there is one.
 func (rj *runningJob) Value(key any) any {
-	if trace := rj.rec.born.TraceID; trace != "" && obs.IsRequestIDKey(key) {
+	if trace := rj.rec.traceID; trace != "" && obs.IsRequestIDKey(key) {
 		return trace
 	}
 	rj.ctxMu.Lock()

@@ -160,9 +160,9 @@ func TestJobContextConformance(t *testing.T) {
 			t.Cleanup(c.Close)
 			jm := c.jobs
 			trace := "trace-" + tc.name
-			rec := newJobRecord(core.Job{
-				ID: c.newID(), Service: "ctx", State: core.StateWaiting,
-				Created: time.Now(), Submitted: time.Now(), TraceID: trace,
+			rec := newJobRecord(jobRequest{
+				id: c.newID(), service: "ctx",
+				created: time.Now(), submitted: time.Now(), traceID: trace,
 			})
 			jm.register(rec)
 			// Admitted as push admits it; beginJob takes it out again.
@@ -196,7 +196,7 @@ func TestJobContextConformance(t *testing.T) {
 					g, w := derive(t, rj), derive(t, oracle)
 					gotKids, wantKids = &g, &w
 				case "delete":
-					if _, err := jm.Delete(rec.born.ID); err != nil {
+					if _, err := jm.Delete(rec.id); err != nil {
 						t.Fatal(err)
 					}
 					oracleCancel()
@@ -214,7 +214,7 @@ func TestJobContextConformance(t *testing.T) {
 			// Land the job, as its worker would, so the gauges balance.
 			rj.finish(nil, rj.Err())
 			rj.cleanup()
-			if job, _ := jm.Get(rec.born.ID); !job.State.Terminal() {
+			if job, _ := jm.Get(rec.id); !job.State.Terminal() {
 				t.Fatalf("job %s after finish", job.State)
 			}
 		})

@@ -13,64 +13,11 @@ import (
 	"mathcloud/internal/obs"
 )
 
-// jobRecord is the container's internal state for one job.  The job is a
-// chain of immutable images: every transition (beginJob, land, an adapter's
-// Progress and SetBlockState) builds the next one under mu, journals it if
-// the transition is journaled, publishes it and stores it in job; a landing
-// closes done, if a waiter made it, after that.  Readers Load job, take no
-// lock and copy nothing (eventImage and Wait are the exceptions).  Holding
-// mu from the build to the store keeps one job's stores in order.
-type jobRecord struct {
-	job atomic.Pointer[core.Job]
-	mu  sync.Mutex
-	// done is closed when the job lands.  The first Wait on the live job
-	// makes it, under mu; a job nobody waits on never has one.
-	done chan struct{}
-	// memoKey marks the leader of a singleflight execution: when this job
-	// reaches a terminal state it settles the flight — completes coalesced
-	// followers and, on success, populates the computation cache.
-	memoKey string
-	// coalesced marks a follower: a job that never entered the queue and is
-	// completed by its flight's leader.  Followers stay out of the queue
-	// gauges.
-	coalesced bool
-	// sweep links a child job back to the sweep that spawned it; nil for
-	// ordinary jobs.  Immutable once the record is published.  State
-	// transitions notify the sweep OUTSIDE rec.mu (lock order in sweep.go).
-	sweep *sweepRecord
-	// ttl is the job's destruction TTL (UWS-style): when it reaches a
-	// terminal state, Destruction = Finished + ttl and the reaper purges it
-	// past that instant.  Zero keeps the job until an explicit DELETE.
-	// Immutable once the record is published.  Sweep children carry zero —
-	// retention is governed by the sweep's own TTL.
-	ttl time.Duration
-	// queued marks a record the run queue took while it was WAITING; it is
-	// guarded by mu.  The queue's waiting count and the queue-depth gauge
-	// include such records, and the one transition that takes the record
-	// out of WAITING — beginJob, or land cancelling it — takes it out of
-	// both (runQueue.leave).
-	queued bool
-	// born is the job's first image (WAITING, or DONE from the cache),
-	// embedded so a job and its record are one allocation.  Never written
-	// once published, it serves the fields no transition changes (ID,
-	// Service, Owner, TraceID, Inputs, Created).
-	born core.Job
-	// run is the job's execution state, embedded for the same reason.
-	run runningJob
-}
-
-// newJobRecord returns a record whose first image is job.
-func newJobRecord(job core.Job) *jobRecord {
-	rec := &jobRecord{born: job}
-	rec.job.Store(&rec.born)
-	return rec
-}
-
-// commit publishes next, then stores it as the job's image.  The caller
+// commit publishes next, then stores it as the job's phase.  The caller
 // holds rec.mu and has journaled next if its transition is journaled.
-func (jm *JobManager) commit(rec *jobRecord, next *core.Job) {
-	jm.notifyJob(next)
-	rec.job.Store(next)
+func (jm *JobManager) commit(rec *jobRecord, next *jobPhase) {
+	jm.notifyJob(rec, next)
+	rec.phase.Store(next)
 }
 
 // jobShardCount is the number of lock stripes in the job registry.  A
@@ -226,6 +173,15 @@ type SubmitOptions struct {
 // every outbound call the job makes, so a workflow's fan-out across services
 // shares one correlation ID.  A context without an ID gets a fresh one.
 func (jm *JobManager) Submit(ctx context.Context, serviceName string, inputs core.Values, opts SubmitOptions) (*core.Job, error) {
+	rec, err := jm.submit(ctx, serviceName, inputs, opts)
+	if err != nil {
+		return nil, err
+	}
+	return rec.current(), nil
+}
+
+// submit is Submit, returning the job's record.
+func (jm *JobManager) submit(ctx context.Context, serviceName string, inputs core.Values, opts SubmitOptions) (*jobRecord, error) {
 	ttl := opts.TTL
 	if ttl <= 0 {
 		ttl = jm.jobTTL
@@ -235,10 +191,17 @@ func (jm *JobManager) Submit(ctx context.Context, serviceName string, inputs cor
 		return nil, err
 	}
 	inputs = svc.desc.ApplyDefaults(inputs)
-	if err := svc.desc.ValidateInputs(inputs); err != nil {
+	fileInputs, err := svc.desc.CheckInputs(inputs)
+	if err != nil {
 		return nil, core.ErrBadRequest("%v", err)
 	}
 	_, trace := obs.EnsureRequestID(ctx)
+	now := time.Now()
+	req := jobRequest{
+		id: jm.c.newID(), service: serviceName, owner: opts.Owner, traceID: trace,
+		inputs: inputs, created: now, submitted: now,
+		idPlain: jm.c.idsPlain, tracePlain: core.PlainString(trace), fileInputs: fileInputs,
+	}
 
 	// Result-reuse gate.  Only services that declared themselves
 	// deterministic pay for key derivation; everything else goes straight
@@ -247,21 +210,11 @@ func (jm *JobManager) Submit(ctx context.Context, serviceName string, inputs cor
 	if memoable {
 		if outputs, ok := jm.memo.lookup(memoKey); ok {
 			metMemoHits.Inc()
-			return jm.publishCachedJob(ctx, serviceName, inputs, opts.Owner, trace, outputs, ttl)
+			return jm.publishCachedJob(ctx, req, outputs, ttl), nil
 		}
 	}
 
-	now := time.Now()
-	rec := newJobRecord(core.Job{
-		ID:        jm.c.newID(),
-		Service:   serviceName,
-		State:     core.StateWaiting,
-		Inputs:    inputs,
-		Owner:     opts.Owner,
-		Created:   now,
-		Submitted: now,
-		TraceID:   trace,
-	})
+	rec := newJobRecord(req)
 	rec.ttl = ttl
 	if jm.baseCtx.Err() != nil {
 		return nil, errShuttingDown
@@ -276,7 +229,7 @@ func (jm *JobManager) Submit(ctx context.Context, serviceName string, inputs cor
 		case hit:
 			// The flight settled since the lookup above.
 			metMemoHits.Inc()
-			return jm.publishCachedJob(ctx, serviceName, inputs, opts.Owner, trace, cached, ttl)
+			return jm.publishCachedJob(ctx, req, cached, ttl), nil
 		case leader:
 			rec.memoKey = memoKey
 			metMemoMisses.Inc()
@@ -317,34 +270,34 @@ func (jm *JobManager) Submit(ctx context.Context, serviceName string, inputs cor
 		if jm.baseCtx.Err() != nil {
 			jm.cancelPending(rec)
 		}
-		return rec.job.Load(), nil
+		return rec, nil
 	}
 	obs.Log(ctx, slog.LevelInfo, "job submitted",
 		slog.String("request_id", trace),
-		slog.String("job_id", rec.born.ID),
+		slog.String("job_id", rec.id),
 		slog.String("service", serviceName))
-	return rec.job.Load(), nil
+	return rec, nil
 }
 
-// register journals a new standalone job's current image, publishes it
+// register journals a new standalone job's current phase, publishes it
 // unless a transition has (a worker may take the job the instant it is
 // queued), and then enters the record into the registry.  Holding rec.mu
 // keeps a transition from committing in between, so no record journaled
-// for the job is newer than its image; holding jm.c.commits keeps a
+// for the job is newer than its phase; holding jm.c.commits keeps a
 // checkpoint from folding the registry in between.
 func (jm *JobManager) register(rec *jobRecord) {
 	rec.mu.Lock()
-	job := rec.job.Load()
+	p := rec.phase.Load()
 	if jm.c.journal != nil {
 		jm.c.commits.RLock()
-		jm.logJob(rec, job)
+		jm.logJob(rec, p)
 	}
-	if job == &rec.born {
-		jm.notifyJob(job)
+	if p == &rec.born {
+		jm.notifyJob(rec, p)
 	}
-	sh := jm.shard(job.ID)
+	sh := jm.shard(rec.id)
 	sh.mu.Lock()
-	sh.jobs[job.ID] = rec
+	sh.jobs[rec.id] = rec
 	sh.mu.Unlock()
 	if jm.c.journal != nil {
 		jm.c.commits.RUnlock()
@@ -370,22 +323,22 @@ func (jm *JobManager) Get(id string) (*core.Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rec.job.Load(), nil
+	return rec.current(), nil
 }
 
-// eventImage returns the job's image and the ID of the last event on its
+// eventImage returns the job's phase and the ID of the last event on its
 // topic, read together under rec.mu.  A commit publishes and stores under
-// that lock, so the image is no older than any event up to the ID and
+// that lock, so the phase is no older than any event up to the ID and
 // older than every event after it.  It is the one reader that takes the
 // lock: a job's SSE stream calls it when it opens and once per sync frame.
-func (jm *JobManager) eventImage(id, topic string) (*core.Job, uint64, error) {
+func (jm *JobManager) eventImage(id, topic string) (jobImage, uint64, error) {
 	rec, err := jm.record(id)
 	if err != nil {
-		return nil, 0, err
+		return jobImage{}, 0, err
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	return rec.job.Load(), jm.c.events.Seq(topic), nil
+	return jobImage{rec, rec.phase.Load()}, jm.c.events.Seq(topic), nil
 }
 
 func (jm *JobManager) record(id string) (*jobRecord, error) {
@@ -409,7 +362,7 @@ func (jm *JobManager) Wait(ctx context.Context, id string, timeout time.Duration
 	if err := awaitDone(ctx, rec.doneChan(), timeout); err != nil {
 		return nil, err
 	}
-	return rec.job.Load(), nil
+	return rec.current(), nil
 }
 
 // closedChan is the done channel of every job that is already terminal.
@@ -424,7 +377,7 @@ var closedChan = func() chan struct{} {
 func (rec *jobRecord) doneChan() <-chan struct{} {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	if rec.job.Load().State.Terminal() {
+	if rec.phase.Load().state.terminal() {
 		return closedChan
 	}
 	if rec.done == nil {
@@ -463,14 +416,23 @@ func (jm *JobManager) Delete(id string) (*core.Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !rec.job.Load().State.Terminal() {
+	p, err := jm.delete(rec)
+	if err != nil {
+		return nil, err
+	}
+	return rec.image(p), nil
+}
+
+// delete is Delete of a looked-up record, returning its phase.
+func (jm *JobManager) delete(rec *jobRecord) (*jobPhase, error) {
+	if !rec.phase.Load().state.terminal() {
 		jm.cancelJob(rec)
-		return rec.job.Load(), nil
+		return rec.phase.Load(), nil
 	}
-	if !jm.destroy(id) {
-		return nil, core.ErrNotFound("job", id)
+	if !jm.destroy(rec.id) {
+		return nil, core.ErrNotFound("job", rec.id)
 	}
-	return rec.job.Load(), nil
+	return rec.phase.Load(), nil
 }
 
 // destroy removes a terminal job's record and its subordinate file
@@ -515,20 +477,26 @@ func (jm *JobManager) List(service string) []*core.Job {
 // limit; offset skips that many matches from the newest end.  Campaign-scale
 // clients page through a sweep's thousands of children instead of pulling
 // one monolithic list.  The images are shared: callers must not write to
-// them (core.JobPage's URIPrefix encodes their URIs).
+// them.
 func (jm *JobManager) ListPage(service string, state core.JobState, limit, offset int) ([]*core.Job, int) {
-	var out []*core.Job
+	imgs, total := jm.listPage(service, state, limit, offset)
+	return images(imgs), total
+}
+
+// listPage is ListPage, returning each job as its record and phase.
+func (jm *JobManager) listPage(service string, state core.JobState, limit, offset int) ([]jobImage, int) {
+	var out []jobImage
 	for _, rec := range jm.allRecords() {
-		if service != "" && rec.born.Service != service {
+		if service != "" && rec.service != service {
 			continue
 		}
-		job := rec.job.Load()
-		if state != "" && job.State != state {
+		p := rec.phase.Load()
+		if state != "" && p.state.jobState() != state {
 			continue
 		}
-		out = append(out, job)
+		out = append(out, jobImage{rec, p})
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i].Created.After(out[k].Created) })
+	sort.Slice(out, func(i, k int) bool { return out[i].rec.created.After(out[k].rec.created) })
 	total := len(out)
 	if offset > 0 {
 		if offset >= len(out) {
@@ -579,7 +547,7 @@ func (jm *JobManager) Close() {
 	var stuck []string
 	for _, rec := range jm.allRecords() {
 		if jm.land(rec, core.StateRunning, core.StateCancelled, nil, "") {
-			stuck = append(stuck, rec.born.ID)
+			stuck = append(stuck, rec.id)
 		}
 	}
 	obs.Log(context.Background(), slog.LevelWarn, "close: adapters ignored cancellation",

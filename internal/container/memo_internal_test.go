@@ -35,7 +35,7 @@ func TestMemoSettlementLeavesNoGap(t *testing.T) {
 	var seconds atomic.Int64
 	for k := 0; k < keys; k++ {
 		key := fmt.Sprintf("gap-%d", k)
-		leader := newJobRecord(core.Job{ID: fmt.Sprintf("lead-%d", k), Service: "s", State: core.StateWaiting})
+		leader := newJobRecord(jobRequest{id: fmt.Sprintf("lead-%d", k), service: "s"})
 		leader.memoKey = key
 		if _, _, lead := jm.memo.joinOrLead(key, leader); !lead {
 			t.Fatalf("%s: first submission did not lead", key)
@@ -51,7 +51,7 @@ func TestMemoSettlementLeavesNoGap(t *testing.T) {
 					if _, ok := jm.memo.lookup(key); ok {
 						return
 					}
-					probe := newJobRecord(core.Job{ID: "probe", Service: "s", State: core.StateWaiting})
+					probe := newJobRecord(jobRequest{id: "probe", service: "s"})
 					_, hit, lead := jm.memo.joinOrLead(key, probe)
 					if hit {
 						return

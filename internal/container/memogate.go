@@ -44,38 +44,26 @@ func (jm *JobManager) digestRef(ref string) (string, error) {
 	return "", errNonLocalFileRef
 }
 
-// publishCachedJob registers a job that is born DONE: a cache hit.  The
-// cached outputs are cloned onto a fresh job record, so the caller observes
-// exactly the shape a real execution would have produced, minus the queue
-// and the adapter.  Born terminal, the job is journaled (one record carries
-// its whole lifecycle) and published before it enters the registry.
-func (jm *JobManager) publishCachedJob(ctx context.Context, serviceName string, inputs core.Values, owner, trace string, outputs core.Values, ttl time.Duration) (*core.Job, error) {
-	now := time.Now()
-	rec := newJobRecord(core.Job{
-		ID:        jm.c.newID(),
-		Service:   serviceName,
-		State:     core.StateDone,
-		Inputs:    inputs,
-		Outputs:   outputs.Clone(),
-		Owner:     owner,
-		Created:   now,
-		Submitted: now,
-		Started:   now,
-		Finished:  now,
-		TraceID:   trace,
-	})
+// publishCachedJob registers a job of req that is born DONE: a cache hit.
+// The cached outputs are cloned into its first phase, so the caller
+// observes exactly the shape a real execution would have produced, minus
+// the queue and the adapter.  Born terminal, the job is journaled (one
+// record carries its whole lifecycle) and published before it enters the
+// registry.
+func (jm *JobManager) publishCachedJob(ctx context.Context, req jobRequest, outputs core.Values, ttl time.Duration) *jobRecord {
+	rec := newJobRecord(req)
 	rec.ttl = ttl
-	if ttl > 0 {
-		rec.born.Destruction = now.Add(ttl)
-	}
+	rec.born.state = phaseDone
+	rec.born.outputs = outputs.Clone()
+	rec.born.started, rec.born.finished = req.created, req.created
 	jm.register(rec)
 	metJobsSubmitted.Inc()
 	jobsCompletedBy[core.StateDone].Inc()
 	obs.Log(ctx, slog.LevelInfo, "job served from computation cache",
-		slog.String("request_id", trace),
-		slog.String("job_id", rec.born.ID),
-		slog.String("service", serviceName))
-	return &rec.born, nil
+		slog.String("request_id", req.traceID),
+		slog.String("job_id", rec.id),
+		slog.String("service", req.service))
+	return rec
 }
 
 // settleFlight finishes a singleflight once land has settled (and journaled)

@@ -36,31 +36,30 @@ func (c *Container) logRecord(kind journal.Kind, v any) {
 	}
 }
 
-// logJob journals job, an image of rec, in full (submit time, cache hits).
-func (jm *JobManager) logJob(rec *jobRecord, job *core.Job) {
+// logJob journals the job of rec in phase p in full (submit time, cache
+// hits).
+func (jm *JobManager) logJob(rec *jobRecord, p *jobPhase) {
 	if jm.c.journal == nil {
 		return
 	}
-	sweepID := ""
-	if rec.sweep != nil {
-		sweepID = rec.sweep.id
-	}
-	jm.c.logRecord(journal.KindJob, journal.JobRecord{
-		Job: job, SweepID: sweepID, TTL: core.Duration(rec.ttl),
-	})
+	jm.c.logRecord(journal.KindJob, jobLogRecord{rec, p})
 }
 
-// logJobEnd journals a job's terminal image with its whole timeline: a job
-// is journaled as its submit image and this record, with no record for the
-// start in between.
-func (jm *JobManager) logJobEnd(job *core.Job) {
+// logJobEnd journals a job's terminal phase p with its whole timeline: a
+// job is journaled as its submit image and this record, with no record for
+// the start in between.
+func (jm *JobManager) logJobEnd(rec *jobRecord, p *jobPhase) {
 	if jm.c.journal == nil {
 		return
 	}
+	more := p.more
+	if more == nil {
+		more = &noMore
+	}
 	jm.c.logRecord(journal.KindJobEnd, journal.JobEndRecord{
-		ID: job.ID, State: job.State, Outputs: job.Outputs, Error: job.Error,
-		Finished: job.Finished, Destruction: job.Destruction, Started: job.Started,
-		QueueWait: job.QueueWait, RunTime: job.RunTime, Log: job.Log, Blocks: job.Blocks,
+		ID: rec.id, State: p.state.jobState(), Outputs: p.outputs, Error: more.err,
+		Finished: p.finished, Destruction: rec.destruction(p), Started: p.started,
+		QueueWait: p.queueWait, RunTime: p.runTime, Log: more.log, Blocks: more.blocks,
 	})
 }
 
@@ -311,6 +310,42 @@ func rebuildJob(job *core.Job, rj *replayJob) *core.Job {
 	return job
 }
 
+// restoredRecord splits a replayed job into its record, with the
+// destruction TTL ttl.  What admission learned about the request is learned
+// again: the ID and trace are checked for escapes, and the service's input
+// validation reports file inputs (staged as if present when the inputs no
+// longer validate; a job whose service is gone fails before staging).  A
+// terminal job keeps its journaled destruction time when Finished + ttl
+// does not give it.
+func (jm *JobManager) restoredRecord(job *core.Job, ttl time.Duration) *jobRecord {
+	fileInputs := false
+	if svc, err := jm.c.service(job.Service); err == nil {
+		files, err := svc.desc.CheckInputs(job.Inputs)
+		fileInputs = files || err != nil
+	}
+	rec := newJobRecord(jobRequest{
+		id: job.ID, service: job.Service, owner: job.Owner, traceID: job.TraceID,
+		inputs: job.Inputs, created: job.Created, submitted: job.Submitted,
+		idPlain: core.PlainString(job.ID), tracePlain: core.PlainString(job.TraceID),
+		fileInputs: fileInputs,
+	})
+	rec.ttl = ttl
+	p := &rec.born
+	p.state = phaseOf(job.State)
+	p.started, p.finished = job.Started, job.Finished
+	p.queueWait, p.runTime = job.QueueWait, job.RunTime
+	p.outputs = job.Outputs
+	if job.Error != "" || job.Log != nil || job.Blocks != nil {
+		p.more = &phaseMore{err: job.Error, log: job.Log, blocks: job.Blocks}
+	}
+	if d := rec.destruction(p); p.state.terminal() && (!d.Equal(job.Destruction) || d.Location() != job.Destruction.Location()) {
+		more := p.moreCopy()
+		more.destruction, more.ownDestruction = job.Destruction, true
+		p.more = more
+	}
+	return rec
+}
+
 // countInto folds one terminal (or waiting) child state into a sweep count
 // histogram.
 func countInto(counts *core.SweepCounts, state core.JobState) {
@@ -393,9 +428,9 @@ func (jm *JobManager) restoreState(st *replayState) (jobs, sweeps, requeued int)
 					Created: sr.Created, Submitted: sr.Created, TraceID: sr.TraceID,
 				}
 			}
-			rec := newJobRecord(*rebuildJob(job, rj))
+			job = rebuildJob(job, rj)
+			rec := jm.restoredRecord(job, 0)
 			rec.sweep = sw
-			job = &rec.born
 			if job.State.Terminal() {
 				if job.Finished.After(lastFinish) {
 					lastFinish = job.Finished
@@ -442,9 +477,8 @@ func (jm *JobManager) restoreState(st *replayState) (jobs, sweeps, requeued int)
 		if rj.sweepID != "" || !rj.hasJob || rj.job == nil || rj.purged {
 			continue
 		}
-		rec := newJobRecord(*rebuildJob(rj.job, rj))
-		rec.ttl = rj.ttl
-		if !rec.born.State.Terminal() {
+		rec := jm.restoredRecord(rebuildJob(rj.job, rj), rj.ttl)
+		if !rec.born.state.terminal() {
 			redriven[id] = true
 			live = append(live, rec)
 		}
@@ -462,7 +496,7 @@ func (jm *JobManager) restoreState(st *replayState) (jobs, sweeps, requeued int)
 	// Re-queue everything in admission order (children of one sweep share
 	// its creation time and keep point order).  A restart admits more than
 	// the queue bound when that much work was live: it was all accepted.
-	sort.SliceStable(live, func(i, k int) bool { return live[i].born.Created.Before(live[k].born.Created) })
+	sort.SliceStable(live, func(i, k int) bool { return live[i].created.Before(live[k].created) })
 	_ = jm.queue.push(false, live...) // Recover runs before Close can
 	requeued = len(live)
 	return jobs, sweeps, requeued
@@ -563,13 +597,7 @@ func (c *Container) Checkpoint() error {
 		// Full job images, sweep children included: the image carries the
 		// whole resolved lifecycle, so replaying it needs no older records.
 		for _, rec := range jm.allRecords() {
-			sweepID := ""
-			if rec.sweep != nil {
-				sweepID = rec.sweep.id
-			}
-			if err := app(journal.KindJob, journal.JobRecord{
-				Job: rec.job.Load(), SweepID: sweepID, TTL: core.Duration(rec.ttl),
-			}); err != nil {
+			if err := app(journal.KindJob, jobLogRecord{rec, rec.phase.Load()}); err != nil {
 				return err
 			}
 		}

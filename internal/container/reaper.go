@@ -56,11 +56,11 @@ func (jm *JobManager) Reap(now time.Time) int {
 		if rec.sweep != nil {
 			continue // the sweep's own destruction time governs its children
 		}
-		job := rec.job.Load()
-		if !job.State.Terminal() || job.Destruction.IsZero() || job.Destruction.After(now) {
+		d := rec.destruction(rec.phase.Load())
+		if d.IsZero() || d.After(now) {
 			continue
 		}
-		if _, err := jm.Delete(job.ID); err == nil {
+		if _, err := jm.delete(rec); err == nil {
 			reaped++
 		}
 	}

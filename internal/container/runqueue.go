@@ -67,7 +67,7 @@ func (q *runQueue) push(admit bool, recs ...*jobRecord) error {
 	queued := 0
 	for _, rec := range recs {
 		rec.mu.Lock()
-		waiting := rec.job.Load().State == core.StateWaiting
+		waiting := rec.phase.Load().state == phaseWaiting
 		rec.queued = waiting
 		rec.mu.Unlock()
 		if !waiting {
@@ -127,10 +127,10 @@ func (q *runQueue) pop() *jobRecord {
 // service of batch[0], up to size members in all.  It stops at the first
 // record of another service, which stays at the head for the next pop.
 func (q *runQueue) popSame(batch []*jobRecord, size int) []*jobRecord {
-	service := batch[0].born.Service
+	service := batch[0].service
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(batch) < size && q.n > 0 && q.ring[q.head].born.Service == service {
+	for len(batch) < size && q.n > 0 && q.ring[q.head].service == service {
 		batch = append(batch, q.popLocked())
 	}
 	return batch

@@ -145,7 +145,11 @@ func TestScriptJobCreatesNoWorkDirUnlessFilesAreStaged(t *testing.T) {
 	}
 	prepared := func(inputs core.Values) *runningJob {
 		t.Helper()
-		rec := newJobRecord(core.Job{ID: core.NewID(), Service: "inc", Inputs: inputs})
+		fileInputs, err := svc.desc.CheckInputs(inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := newJobRecord(jobRequest{id: core.NewID(), service: "inc", inputs: inputs, fileInputs: fileInputs})
 		rj := &rec.run
 		*rj = runningJob{jm: c.jobs, rec: rec, parent: context.Background()}
 		if err := rj.prepare(svc.adapter); err != nil {

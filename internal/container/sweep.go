@@ -228,12 +228,21 @@ func (jm *JobManager) SubmitSweep(ctx context.Context, serviceName string, spec 
 	// Validate every point before creating anything.  The merged maps are
 	// kept: they become the child inputs, sharing template values by
 	// reference so batched adapters can recognise them by identity.
+	// Validation reports which children have file inputs to stage.
 	merged := make([]core.Values, len(points))
+	var fileInputs []bool
 	for i, override := range points {
 		merged[i] = tspec.MergePoint(override)
-		if err := svc.desc.ValidateInputs(merged[i]); err != nil {
+		files, err := svc.desc.CheckInputs(merged[i])
+		if err != nil {
 			jm.c.files.DeleteOwnedBy(sw.id)
 			return nil, core.ErrBadRequest("sweep point %d: %v", i, err)
+		}
+		if files {
+			if fileInputs == nil {
+				fileInputs = make([]bool, len(points))
+			}
+			fileInputs[i] = true
 		}
 	}
 
@@ -254,20 +263,17 @@ func (jm *JobManager) SubmitSweep(ctx context.Context, serviceName string, spec 
 	var queued []*jobRecord
 	sw.childIDs = make([]string, 0, len(points))
 	bornDone := 0
+	tracePlain := core.PlainString(trace)
 	sw.mu.Lock()
 	for i, inputs := range merged {
-		rec := newJobRecord(core.Job{
+		rec := newJobRecord(jobRequest{
 			// Children carry the same replica prefix as the sweep, so a
 			// gateway paging SweepJobs routes every child to the sweep's
 			// home replica.
-			ID:        jm.c.newID(),
-			Service:   serviceName,
-			State:     core.StateWaiting,
-			Inputs:    inputs,
-			Owner:     owner,
-			Created:   now,
-			Submitted: now,
-			TraceID:   trace,
+			id: jm.c.newID(), service: serviceName, owner: owner, traceID: trace,
+			inputs: inputs, created: now, submitted: now,
+			idPlain: jm.c.idsPlain, tracePlain: tracePlain,
+			fileInputs: fileInputs != nil && fileInputs[i],
 		})
 		rec.sweep = sw
 		memoKey := ""
@@ -283,13 +289,13 @@ func (jm *JobManager) SubmitSweep(ctx context.Context, serviceName string, spec 
 			case hit:
 				// Cache hit: the child is born DONE and never touches the
 				// queue.  Counted directly — no transition will fire.  Its
-				// record is not published yet, so its first image is
+				// record is not published yet, so its first phase is
 				// still the builder's to write.
 				metMemoHits.Inc()
-				rec.born.State = core.StateDone
-				rec.born.Outputs = outputs.Clone()
-				rec.born.Started = now
-				rec.born.Finished = now
+				rec.born.state = phaseDone
+				rec.born.outputs = outputs.Clone()
+				rec.born.started = now
+				rec.born.finished = now
 				sw.counts.Done++
 				bornDone++
 				enqueue = false
@@ -311,7 +317,7 @@ func (jm *JobManager) SubmitSweep(ctx context.Context, serviceName string, spec 
 			sw.counts.Waiting++
 		}
 		recs = append(recs, rec)
-		sw.childIDs = append(sw.childIDs, rec.born.ID)
+		sw.childIDs = append(sw.childIDs, rec.id)
 	}
 
 	// One journal record carries the whole campaign (children are
@@ -326,8 +332,8 @@ func (jm *JobManager) SubmitSweep(ctx context.Context, serviceName string, spec 
 			Template: sw.template, Points: sw.points, TTL: core.Duration(sw.ttl),
 		})
 		for _, rec := range recs {
-			if rec.born.State == core.StateDone {
-				jm.logJobEnd(&rec.born)
+			if rec.born.state == phaseDone {
+				jm.logJobEnd(rec, &rec.born)
 			}
 		}
 	}
@@ -336,7 +342,7 @@ func (jm *JobManager) SubmitSweep(ctx context.Context, serviceName string, spec 
 	// the jobShardCount locks at most once.
 	var buckets [jobShardCount][]*jobRecord
 	for _, rec := range recs {
-		idx := jm.shardIndex(rec.born.ID)
+		idx := jm.shardIndex(rec.id)
 		buckets[idx] = append(buckets[idx], rec)
 	}
 	for i := range buckets {
@@ -346,7 +352,7 @@ func (jm *JobManager) SubmitSweep(ctx context.Context, serviceName string, spec 
 		sh := &jm.shards[i]
 		sh.mu.Lock()
 		for _, rec := range buckets[i] {
-			sh.jobs[rec.born.ID] = rec
+			sh.jobs[rec.id] = rec
 		}
 		sh.mu.Unlock()
 	}
@@ -515,19 +521,26 @@ func (jm *JobManager) ListSweeps(service string) []*core.Sweep {
 // Children destroyed individually are skipped.  The images are shared:
 // callers must not write to them.
 func (jm *JobManager) SweepChildren(id string, state core.JobState, limit, offset int) ([]*core.Job, int, error) {
+	imgs, total, err := jm.sweepChildren(id, state, limit, offset)
+	return images(imgs), total, err
+}
+
+// sweepChildren is SweepChildren, returning each child as its record and
+// phase.
+func (jm *JobManager) sweepChildren(id string, state core.JobState, limit, offset int) ([]jobImage, int, error) {
 	sw, err := jm.sweepRec(id)
 	if err != nil {
 		return nil, 0, err
 	}
-	var out []*core.Job
+	var out []jobImage
 	total := 0
 	for _, cid := range sw.childIDs {
 		rec, err := jm.record(cid)
 		if err != nil {
 			continue
 		}
-		job := rec.job.Load()
-		if state != "" && job.State != state {
+		p := rec.phase.Load()
+		if state != "" && p.state.jobState() != state {
 			continue
 		}
 		total++
@@ -537,7 +550,7 @@ func (jm *JobManager) SweepChildren(id string, state core.JobState, limit, offse
 		if limit > 0 && len(out) >= limit {
 			continue // past the page; keep counting the total
 		}
-		out = append(out, job)
+		out = append(out, jobImage{rec, p})
 	}
 	return out, total, nil
 }

@@ -219,10 +219,9 @@ func (c *Container) renderService(w http.ResponseWriter, desc core.ServiceDescri
 // renderJob paints the job lifecycle timeline page: submitted/started/
 // finished stamps with the derived queue-wait and run durations, plus the
 // trace ID so a browser user can correlate the job with server logs.
-func (c *Container) renderJob(w http.ResponseWriter, job *core.Job) {
+func (c *Container) renderJob(w http.ResponseWriter, page core.Job) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	page := *job // the image is shared; the page gets its own URI
-	page.URI = c.JobURI(job.Service, job.ID)
+	page.URI = c.JobURI(page.Service, page.ID)
 	if err := jobTemplate.Execute(w, &page); err != nil {
 		log.Printf("container: render job: %v", err)
 	}

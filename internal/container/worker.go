@@ -57,7 +57,7 @@ func (jm *JobManager) drainBatch(batch []*jobRecord) []*jobRecord {
 	if jm.batchMax < 2 {
 		return batch
 	}
-	svc, err := jm.c.service(rec.born.Service)
+	svc, err := jm.c.service(rec.service)
 	if err != nil || !svc.desc.Batch {
 		return batch
 	}
@@ -100,25 +100,25 @@ type runningJob struct {
 // the job becomes RUNNING, so a DELETE that sees it RUNNING can cancel it.
 func (jm *JobManager) beginJob(rec *jobRecord, parent context.Context, deadline time.Duration) *runningJob {
 	rec.mu.Lock()
-	cur := rec.job.Load()
-	if cur.State != core.StateWaiting {
+	cur := rec.phase.Load()
+	if cur.state != phaseWaiting {
 		// Cancelled while queued: its landing called queue.leave.
 		rec.mu.Unlock()
 		return nil
 	}
-	next := *cur
-	next.State = core.StateRunning
-	next.Started = time.Now()
-	next.QueueWait = core.Duration(next.Started.Sub(next.Created))
+	next := cur.next()
+	next.state = phaseRunning
+	next.started = time.Now()
+	next.queueWait = core.Duration(next.started.Sub(rec.created))
 	rj := &rec.run
 	*rj = runningJob{jm: jm, rec: rec, parent: parent, deadline: deadline}
-	jm.commit(rec, &next)
+	jm.commit(rec, next)
 	rec.mu.Unlock()
 
 	jm.queue.leave()
 	metJobsRunning.Add(1)
 	jm.running.Add(1)
-	metQueueWait.Observe(next.QueueWait.Std().Seconds())
+	metQueueWait.Observe(next.queueWait.Std().Seconds())
 	if sw := rec.sweep; sw != nil {
 		sw.childTransition(core.StateWaiting, core.StateRunning, "")
 	}
@@ -126,7 +126,8 @@ func (jm *JobManager) beginJob(rec *jobRecord, parent context.Context, deadline 
 }
 
 // landHook, when set, is called by land between building a job's terminal
-// image and journaling it (tests hold a landing there).
+// phase and journaling it, with the job of that phase (tests hold a landing
+// there).
 var landHook func(*core.Job)
 
 // land is the single terminal transition of a published record: it moves
@@ -135,7 +136,7 @@ var landHook func(*core.Job)
 // when the record is no longer in `from` (another route landed it first, or
 // a worker picked it up), which is what makes every caller idempotent.
 // Together with beginJob it is the only place a published job changes state.
-// The terminal image is journaled (memo_put, then job_end), published and
+// The terminal phase is journaled (memo_put, then job_end), published and
 // stored before done closes; a shutdown closes the journal first, so it
 // records none of its own cancels.
 func (jm *JobManager) land(rec *jobRecord, from, to core.JobState, outputs core.Values, errMsg string) bool {
@@ -144,26 +145,27 @@ func (jm *JobManager) land(rec *jobRecord, from, to core.JobState, outputs core.
 		size = jm.memo.sizeOf(outputs) // marshalling stays outside both locks
 	}
 	rec.mu.Lock()
-	cur := rec.job.Load()
-	if cur.State != from {
+	cur := rec.phase.Load()
+	if cur.state.jobState() != from {
 		rec.mu.Unlock()
 		return false
 	}
 	now := time.Now()
-	next := *cur
-	next.State = to
-	next.Outputs = outputs
-	next.Error = errMsg
-	next.Finished = now
+	next := cur.next()
+	next.state = phaseOf(to)
+	next.outputs = outputs
+	next.finished = now
 	if from == core.StateRunning {
-		next.RunTime = core.Duration(now.Sub(next.Started))
+		next.runTime = core.Duration(now.Sub(next.started))
 	} else {
 		// Never ran (cancelled while queued, or a coalesced follower handed
 		// its leader's result): its whole life was queue wait.
-		next.QueueWait = core.Duration(now.Sub(next.Created))
+		next.queueWait = core.Duration(now.Sub(rec.created))
 	}
-	if rec.ttl > 0 {
-		next.Destruction = now.Add(rec.ttl)
+	if cur.more != nil || errMsg != "" {
+		more := cur.moreCopy()
+		more.err = errMsg
+		next.more = more
 	}
 	queued := rec.queued
 	// A leader settles its flight before anyone can see it terminal, so a
@@ -171,21 +173,21 @@ func (jm *JobManager) land(rec *jobRecord, from, to core.JobState, outputs core.
 	var followers []*jobRecord
 	var stored bool
 	if rec.memoKey != "" {
-		followers, stored = jm.memo.settle(rec.memoKey, next.Service, next.ID, outputs, size)
+		followers, stored = jm.memo.settle(rec.memoKey, rec.service, rec.id, outputs, size)
 	}
 	if landHook != nil {
-		landHook(&next)
+		landHook(rec.image(next))
 	}
 	if jm.c.journal != nil {
 		jm.c.commits.RLock()
 		if stored {
 			jm.c.logRecord(journal.KindMemoPut, journal.MemoPutRecord{
-				Key: rec.memoKey, Service: next.Service, JobID: next.ID, Outputs: outputs,
+				Key: rec.memoKey, Service: rec.service, JobID: rec.id, Outputs: outputs,
 			})
 		}
-		jm.logJobEnd(&next)
+		jm.logJobEnd(rec, next)
 	}
-	jm.commit(rec, &next)
+	jm.commit(rec, next)
 	if jm.c.journal != nil {
 		jm.c.commits.RUnlock()
 	}
@@ -200,7 +202,7 @@ func (jm *JobManager) land(rec *jobRecord, from, to core.JobState, outputs core.
 	if from == core.StateRunning {
 		metJobsRunning.Add(-1)
 		jm.running.Add(-1)
-		metRunTime.Observe(next.RunTime.Std().Seconds())
+		metRunTime.Observe(next.runTime.Std().Seconds())
 	} else if queued {
 		jm.queue.leave()
 	}
@@ -212,12 +214,12 @@ func (jm *JobManager) land(rec *jobRecord, from, to core.JobState, outputs core.
 		level = slog.LevelDebug
 	}
 	obs.Log(context.Background(), level, "job finished",
-		slog.String("request_id", next.TraceID),
-		slog.String("job_id", next.ID),
-		slog.String("service", next.Service),
+		slog.String("request_id", rec.traceID),
+		slog.String("job_id", rec.id),
+		slog.String("service", rec.service),
 		slog.String("state", string(to)),
-		slog.Duration("queue_wait", next.QueueWait.Std()),
-		slog.Duration("run_time", next.RunTime.Std()))
+		slog.Duration("queue_wait", next.queueWait.Std()),
+		slog.Duration("run_time", next.runTime.Std()))
 	// A DONE leader's coalesced followers complete with its outputs; any
 	// other outcome fails them rather than leaving them waiting on a job
 	// that will never run.
@@ -248,7 +250,7 @@ func (jm *JobManager) cancelJob(rec *jobRecord) {
 	// the job's context under the same lock that made the job RUNNING.  A
 	// job that has already landed needs no cancel: cleanup gives it one.
 	rec.mu.Lock()
-	if rec.job.Load().State == core.StateRunning {
+	if rec.phase.Load().state == phaseRunning {
 		rec.run.cancel()
 	}
 	rec.mu.Unlock()
@@ -287,8 +289,7 @@ func (rj *runningJob) finish(outputs core.Values, err error) {
 // the whole job, and a wide campaign pays them per child.
 func (rj *runningJob) prepare(ad adapter.Interface) error {
 	rec, jm := rj.rec, rj.jm
-	job := &rec.born
-	needDir := hasFileInputs(job.Inputs)
+	needDir := rec.fileInputs
 	if !needDir {
 		if cap, ok := ad.(adapter.WorkDirCapability); !ok || cap.NeedsWorkDir() {
 			needDir = true
@@ -296,26 +297,26 @@ func (rj *runningJob) prepare(ad adapter.Interface) error {
 	}
 	var files map[string]string
 	if needDir {
-		workDir, err := os.MkdirTemp(jm.c.workRoot, "job-"+job.ID[:8]+"-")
+		workDir, err := os.MkdirTemp(jm.c.workRoot, "job-"+rec.id[:8]+"-")
 		if err != nil {
 			return fmt.Errorf("container: create work dir: %w", err)
 		}
 		rj.workDir = workDir
 		// A blob pulled from another replica is released with the job, or
 		// with the whole campaign when the job is a sweep child.
-		owner := job.ID
+		owner := rec.id
 		if rec.sweep != nil {
 			owner = rec.sweep.id
 		}
-		if files, err = jm.stageInputs(rj, job.Inputs, workDir, owner); err != nil {
+		if files, err = jm.stageInputs(rj, rec.inputs, workDir, owner); err != nil {
 			return err
 		}
 	}
 	rj.req = adapter.Request{
-		JobID:    job.ID,
-		Service:  job.Service,
-		Owner:    job.Owner,
-		Inputs:   job.Inputs,
+		JobID:    rec.id,
+		Service:  rec.service,
+		Owner:    rec.owner,
+		Inputs:   rec.inputs,
 		Files:    files,
 		WorkDir:  rj.workDir,
 		Reporter: rj,
@@ -323,39 +324,42 @@ func (rj *runningJob) prepare(ad adapter.Interface) error {
 	return nil
 }
 
-// Progress implements adapter.Reporter: it commits an image whose log is
-// the current one (appended past every older image's length) plus msg.  It
+// Progress implements adapter.Reporter: it commits a phase whose log is
+// the current one (appended past every older phase's length) plus msg.  It
 // is a no-op once the job has landed, which must stay as its journaled end
 // says, and past 1000 lines.
 func (rj *runningJob) Progress(msg string) {
 	rec := rj.rec
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	cur := rec.job.Load()
-	if cur.State.Terminal() || len(cur.Log) >= 1000 {
+	cur := rec.phase.Load()
+	if cur.state.terminal() || cur.more != nil && len(cur.more.log) >= 1000 {
 		return
 	}
-	next := *cur
-	next.Log = append(cur.Log, msg)
-	rj.jm.commit(rec, &next)
+	next := cur.next()
+	next.more = cur.moreCopy()
+	next.more.log = append(next.more.log, msg)
+	rj.jm.commit(rec, next)
 }
 
-// SetBlockState implements adapter.Reporter: it commits an image with a
+// SetBlockState implements adapter.Reporter: it commits a phase with a
 // copy of the block states that sets block's.  It is a no-op once the job
 // has landed.
 func (rj *runningJob) SetBlockState(block string, state core.JobState) {
 	rec := rj.rec
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	cur := rec.job.Load()
-	if cur.State.Terminal() {
+	cur := rec.phase.Load()
+	if cur.state.terminal() {
 		return
 	}
-	next := *cur
-	next.Blocks = make(map[string]core.JobState, len(cur.Blocks)+1)
-	maps.Copy(next.Blocks, cur.Blocks)
-	next.Blocks[block] = state
-	rj.jm.commit(rec, &next)
+	next := cur.next()
+	next.more = cur.moreCopy()
+	blocks := make(map[string]core.JobState, len(next.more.blocks)+1)
+	maps.Copy(blocks, next.more.blocks)
+	blocks[block] = state
+	next.more.blocks = blocks
+	rj.jm.commit(rec, next)
 }
 
 // cleanup cancels the job's context and removes its scratch directory, if
@@ -374,7 +378,7 @@ func (rj *runningJob) complete(svc *service, res *adapter.Result, err error) {
 		rj.finish(nil, err)
 		return
 	}
-	outputs, err := rj.jm.publishOutputs(res, rj.rec.born.ID)
+	outputs, err := rj.jm.publishOutputs(res, rj.rec.id)
 	if err != nil {
 		rj.finish(nil, err)
 		return
@@ -399,7 +403,7 @@ func (jm *JobManager) execute(recs []*jobRecord) {
 	// container's default execution deadline.  drainBatch batches one
 	// service only.  Jobs of a service undeployed while they were queued
 	// fail with the lookup error.
-	svc, svcErr := jm.c.service(recs[0].born.Service)
+	svc, svcErr := jm.c.service(recs[0].service)
 	deadline := jm.deadline
 	if svc != nil && svc.desc.Deadline > 0 {
 		deadline = svc.desc.Deadline.Std()
@@ -484,22 +488,11 @@ func (jm *JobManager) execute(recs []*jobRecord) {
 		case items[i].Err != nil:
 			rj.finish(nil, items[i].Err)
 		case items[i].Result == nil:
-			rj.finish(nil, fmt.Errorf("container: batch adapter returned no result for job %s", rj.rec.born.ID))
+			rj.finish(nil, fmt.Errorf("container: batch adapter returned no result for job %s", rj.rec.id))
 		default:
 			rj.complete(svc, items[i].Result, nil)
 		}
 	}
-}
-
-// hasFileInputs reports whether any input value is a file reference that
-// must be staged to disk.
-func hasFileInputs(inputs core.Values) bool {
-	for _, v := range inputs {
-		if _, ok := core.FileRefID(v); ok {
-			return true
-		}
-	}
-	return false
 }
 
 // stageInputs resolves file-reference input values into local files inside

@@ -237,29 +237,39 @@ func checkParams(kind string, params []Param) error {
 // conforming to its schema.  File references are passed through untouched;
 // they are resolved by the container before the adapter runs.
 func (d *ServiceDescription) ValidateInputs(v Values) error {
+	_, err := d.CheckInputs(v)
+	return err
+}
+
+// CheckInputs is ValidateInputs that also reports what validation saw on
+// the way: whether any value is a file reference, which the container must
+// stage before the adapter runs.  The report is complete only when err is
+// nil.
+func (d *ServiceDescription) CheckInputs(v Values) (fileInputs bool, err error) {
 	for _, p := range d.Inputs {
 		val, ok := v[p.Name]
 		if !ok {
 			if p.Optional || (p.Schema != nil && p.Schema.HasDefault) {
 				continue
 			}
-			return fmt.Errorf("core: service %q: missing required input %q", d.Name, p.Name)
+			return false, fmt.Errorf("core: service %q: missing required input %q", d.Name, p.Name)
 		}
 		if _, isFile := FileRefID(val); isFile {
+			fileInputs = true
 			continue
 		}
 		if p.Schema != nil {
 			if err := p.Schema.Validate(val); err != nil {
-				return fmt.Errorf("core: service %q: input %q: %w", d.Name, p.Name, err)
+				return false, fmt.Errorf("core: service %q: input %q: %w", d.Name, p.Name, err)
 			}
 		}
 	}
 	for name := range v {
 		if _, ok := d.Input(name); !ok {
-			return fmt.Errorf("core: service %q: unknown input %q", d.Name, name)
+			return false, fmt.Errorf("core: service %q: unknown input %q", d.Name, name)
 		}
 	}
-	return nil
+	return fileInputs, nil
 }
 
 // ApplyDefaults returns a copy of v with schema defaults filled in for

@@ -55,7 +55,7 @@ func (j *Job) UnmarshalJSON(data []byte) error {
 
 // UnmarshalJSON implements json.Unmarshaler for a page as Job's does for a
 // job; the jobs of a page share their service string and their parameter
-// names.  URIPrefix is never touched.  A type embedding JobPage would have
+// names.  A type embedding JobPage would have
 // this method promoted; none does.
 func (p *JobPage) UnmarshalJSON(data []byte) error {
 	if string(data) == "null" {

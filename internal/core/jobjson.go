@@ -33,24 +33,13 @@ type JSONAppender interface {
 // it fails on a NaN or infinite float and on a time whose year is outside
 // [0,9999]; on error it returns nil.  A nil job encodes as null.
 func (j *Job) AppendJSON(b []byte) ([]byte, error) {
-	var memo timeMemo
-	return j.appendJSON(b, "", false, &memo)
+	var memo TimeMemo
+	return j.appendJSON(b, &memo)
 }
 
-// AppendJSONAt is AppendJSON with the job's uri written as uriPrefix+ID, as
-// a JobPage with that URIPrefix writes it, in place of the URI field.  A
-// shared, immutable job is encoded with its URI without being copied.
-func (j *Job) AppendJSONAt(b []byte, uriPrefix string) ([]byte, error) {
-	var memo timeMemo
-	return j.appendJSON(b, uriPrefix, utf8.ValidString(uriPrefix), &memo)
-}
-
-// appendJSON is AppendJSON with the page's URI prefix and time memo: when
-// uriPrefix is set the job's uri is written as uriPrefix+ID in place of its
-// URI field.  prefixValid reports whether uriPrefix is valid UTF-8, in which
-// case the two halves escape separately to the bytes of their
-// concatenation.  memo is shared by the jobs of one page.
-func (j *Job) appendJSON(b []byte, uriPrefix string, prefixValid bool, memo *timeMemo) ([]byte, error) {
+// appendJSON is AppendJSON with a time memo, which the jobs of one page
+// share.
+func (j *Job) appendJSON(b []byte, memo *TimeMemo) ([]byte, error) {
 	if j == nil {
 		return append(b, "null"...), nil
 	}
@@ -93,7 +82,7 @@ func (j *Job) appendJSON(b []byte, uriPrefix string, prefixValid bool, memo *tim
 		{`,"destruction":`, j.Destruction, 1},
 	} {
 		b = append(b, f.key...)
-		if b, err = memo[f.slot].appendTime(b, f.t); err != nil {
+		if b, err = memo.AppendTime(b, f.slot, f.t); err != nil {
 			return nil, err
 		}
 	}
@@ -122,16 +111,7 @@ func (j *Job) appendJSON(b []byte, uriPrefix string, prefixValid bool, memo *tim
 		b = append(b, `,"log":`...)
 		b = AppendStrings(b, j.Log)
 	}
-	switch {
-	case uriPrefix != "" && prefixValid:
-		b = append(b, `,"uri":"`...)
-		b = appendStringContent(b, uriPrefix)
-		b = appendStringContent(b, j.ID)
-		b = append(b, '"')
-	case uriPrefix != "":
-		b = append(b, `,"uri":`...)
-		b = AppendString(b, uriPrefix+j.ID)
-	case j.URI != "":
+	if j.URI != "" {
 		b = append(b, `,"uri":`...)
 		b = AppendString(b, j.URI)
 	}
@@ -152,42 +132,49 @@ type JobPage struct {
 	Limit  int    `json:"limit"`
 	Offset int    `json:"offset"`
 	Total  int    `json:"total"`
-	// URIPrefix, when set, is the job collection's URI with its trailing
-	// slash: every job on the page is encoded with the uri URIPrefix+ID, as
-	// if its URI field held it.  A page of shared, immutable snapshots is
-	// then encoded without decorating (copying) any of them.
-	URIPrefix string `json:"-"`
 }
 
-// maxPageReserve bounds what JobPage.AppendJSON reserves from its first
-// job's size.  The first job of a listing can be any size (inputs up to the
+// maxPageReserve bounds what AppendJobPage reserves from its first job's
+// size.  The first job of a listing can be any size (inputs up to the
 // request body limit), so an unbounded estimate times the page's length
 // could ask for gigabytes; past this bound the buffer grows by doubling.
 const maxPageReserve = 1 << 20
 
 // AppendJSON appends the JSON encoding of the page to b; a nil Jobs slice
-// encodes as null.  Once the first job is encoded, b grows once to hold the
-// rest at that job's size, up to maxPageReserve, so a page of a thousand
-// alike sweep children is not built by doubling.
+// encodes as null.  Its jobs share one time memo.
 func (p *JobPage) AppendJSON(b []byte) ([]byte, error) {
-	b = append(b, `{"jobs":`...)
+	n := len(p.Jobs)
 	if p.Jobs == nil {
+		n = -1
+	}
+	var memo TimeMemo
+	return AppendJobPage(b, n, p.Limit, p.Offset, p.Total, func(b []byte, i int) ([]byte, error) {
+		return p.Jobs[i].appendJSON(b, &memo)
+	})
+}
+
+// AppendJobPage appends a job page of n jobs, as JobPage.AppendJSON writes
+// it, with appendJob writing the i-th job; n < 0 writes the jobs as null.
+// Once the first job is written, b grows once to hold the rest at that
+// job's size, up to maxPageReserve, so a page of a thousand alike sweep
+// children is not built by doubling.
+func AppendJobPage(b []byte, n, limit, offset, total int, appendJob func(b []byte, i int) ([]byte, error)) ([]byte, error) {
+	b = append(b, `{"jobs":`...)
+	if n < 0 {
 		b = append(b, "null"...)
 	} else {
-		prefixValid := utf8.ValidString(p.URIPrefix)
-		var memo timeMemo
 		b = append(b, '[')
-		for i, j := range p.Jobs {
+		for i := 0; i < n; i++ {
 			if i > 0 {
 				b = append(b, ',')
 			}
 			start := len(b)
 			var err error
-			if b, err = j.appendJSON(b, p.URIPrefix, prefixValid, &memo); err != nil {
+			if b, err = appendJob(b, i); err != nil {
 				return nil, err
 			}
-			if i == 0 && len(p.Jobs) > 1 {
-				rest := (len(b) - start + 1) * (len(p.Jobs) - 1)
+			if i == 0 && n > 1 {
+				rest := (len(b) - start + 1) * (n - 1)
 				rest += rest/8 + len(`],"limit":,"offset":,"total":}`) + 3*20
 				b = slices.Grow(b, min(rest, maxPageReserve))
 			}
@@ -195,11 +182,11 @@ func (p *JobPage) AppendJSON(b []byte) ([]byte, error) {
 		b = append(b, ']')
 	}
 	b = append(b, `,"limit":`...)
-	b = strconv.AppendInt(b, int64(p.Limit), 10)
+	b = strconv.AppendInt(b, int64(limit), 10)
 	b = append(b, `,"offset":`...)
-	b = strconv.AppendInt(b, int64(p.Offset), 10)
+	b = strconv.AppendInt(b, int64(offset), 10)
 	b = append(b, `,"total":`...)
-	b = strconv.AppendInt(b, int64(p.Total), 10)
+	b = strconv.AppendInt(b, int64(total), 10)
 	return append(b, '}'), nil
 }
 
@@ -226,6 +213,15 @@ func AppendStates(b []byte, m map[string]JobState) []byte {
 		return append(b, "null"...)
 	}
 	b = append(b, '{')
+	if len(m) == 1 {
+		// One key is in order already: no key slice, no sort.
+		for k, v := range m {
+			b = AppendString(b, k)
+			b = append(b, ':')
+			b = AppendString(b, string(v))
+		}
+		return append(b, '}')
+	}
 	var arr [8]string
 	for i, k := range sortedKeys(arr[:0], m) {
 		if i > 0 {
@@ -298,6 +294,18 @@ func appendObject(b []byte, m map[string]any, depth int) ([]byte, error) {
 		return append(b, "null"...), nil
 	}
 	b = append(b, '{')
+	if len(m) == 1 {
+		// One key is in order already: no key slice, no sort.
+		for k, v := range m {
+			b = AppendString(b, k)
+			b = append(b, ':')
+			var err error
+			if b, err = appendValue(b, v, depth); err != nil {
+				return nil, err
+			}
+		}
+		return append(b, '}'), nil
+	}
 	var arr [8]string
 	for i, k := range sortedKeys(arr[:0], m) {
 		if i > 0 {
@@ -365,9 +373,16 @@ func AppendTime(b []byte, t time.Time) ([]byte, error) {
 	return append(b, '"'), nil
 }
 
-// timeMemo holds the text of the two seconds a job encoding formatted
-// last, one slot per group of a job's times (see appendJSON).
-type timeMemo [2]secondText
+// TimeMemo holds the text of the two seconds a job encoding formatted
+// last, one slot per group of a job's times: slot 0 for the admission
+// times (created, submitted), slot 1 for the execution times (started,
+// finished, destruction).  The jobs of one page share one.
+type TimeMemo [2]secondText
+
+// AppendTime is AppendTime, byte for byte, through the memo's slot.
+func (m *TimeMemo) AppendTime(b []byte, slot int, t time.Time) ([]byte, error) {
+	return m[slot].appendTime(b, t)
+}
 
 // secondText is the RFC 3339 text of one second in one location: the
 // "YYYY-MM-DDTHH:MM:SS" that opens the text of every instant of that
@@ -456,14 +471,25 @@ var safeASCII = func() (t [utf8.RuneSelf]bool) {
 // and U+2028/U+2029 are escaped; each byte of invalid UTF-8 becomes U+FFFD.
 func AppendString(b []byte, s string) []byte {
 	b = append(b, '"')
-	b = appendStringContent(b, s)
+	b = AppendStringContent(b, s)
 	return append(b, '"')
 }
 
-// appendStringContent appends s escaped as AppendString does, without the
+// PlainString reports whether AppendString writes s as it is between its
+// quotes: s is printable ASCII without a quote, backslash, <, > or &.
+func PlainString(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c >= utf8.RuneSelf || !safeASCII[c] {
+			return false
+		}
+	}
+	return true
+}
+
+// AppendStringContent appends s escaped as AppendString does, without the
 // quotes.  For a valid UTF-8 s, escaping s and then t appends the same
 // bytes as escaping s+t.
-func appendStringContent(b []byte, s string) []byte {
+func AppendStringContent(b []byte, s string) []byte {
 	start := 0
 	for i := 0; i < len(s); {
 		if c := s[i]; c < utf8.RuneSelf {

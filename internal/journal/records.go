@@ -103,15 +103,22 @@ func (r JobRecord) AppendJSON(b []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r.SweepID != "" {
+	return AppendJobRecordTail(b, r.SweepID, r.TTL), nil
+}
+
+// AppendJobRecordTail appends what follows the job in a JobRecord with the
+// given envelope.  A writer that encodes the job itself, after the record's
+// opening {"job":, closes the record with it.
+func AppendJobRecordTail(b []byte, sweepID string, ttl core.Duration) []byte {
+	if sweepID != "" {
 		b = append(b, `,"sweepId":`...)
-		b = core.AppendString(b, r.SweepID)
+		b = core.AppendString(b, sweepID)
 	}
-	if r.TTL != 0 {
+	if ttl != 0 {
 		b = append(b, `,"ttl":`...)
-		b = core.AppendString(b, r.TTL.Std().String())
+		b = core.AppendString(b, ttl.Std().String())
 	}
-	return append(b, '}'), nil
+	return append(b, '}')
 }
 
 // JobStartRecord is the KindJobStart payload, read from old logs only.

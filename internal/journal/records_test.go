@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mathcloud/internal/core"
+	"mathcloud/internal/jobfuzz"
 )
 
 // Method-less copies of the hand-encoded records: json.Marshal of one is
@@ -21,40 +22,6 @@ type (
 	plainJobPurgeRecord JobPurgeRecord
 )
 
-// point is a struct parameter value, which the Values appender hands to
-// encoding/json.
-type point struct {
-	X    float64 `json:"x"`
-	Note string  `json:"note,omitempty"`
-}
-
-// fuzzValue builds a parameter value of the shape kind selects: the generic
-// JSON shapes, and Go values the encoder passes to encoding/json.
-func fuzzValue(kind uint8, x float64, s string) any {
-	switch kind % 10 {
-	case 0:
-		return int(kind)
-	case 1:
-		return []float64{x, -x}
-	case 2:
-		return point{X: x, Note: s}
-	case 3:
-		return []any{x, map[string]any{s: []any{s, nil, true}, "z": false}}
-	case 4:
-		return map[string]any{s: x, "<&>": []any{}, "empty": map[string]any{}}
-	case 5:
-		return float32(x)
-	case 6:
-		return nil
-	case 7:
-		return json.Number(s) // invalid number text fails both encoders
-	case 8:
-		return []any{[]any{[]any{x}}, []any(nil), map[string]any(nil)}
-	default:
-		return core.Values{s: s}
-	}
-}
-
 // recordPair is one hand-encoded record and its method-less copy.
 type recordPair struct {
 	kind  Kind
@@ -66,7 +33,7 @@ type recordPair struct {
 // with FuzzJobJSON's parameters, so its seed corpus applies unchanged.
 func fuzzRecords(text, other string, raw []byte, x float64, kind uint8, sec, nsec int64, zone int32, d int64) []recordPair {
 	created := time.Unix(sec, nsec).In(time.FixedZone("", int(zone)))
-	outputs := core.Values{"x": x, text: fuzzValue(kind, x, other)}
+	outputs := core.Values{"x": x, text: jobfuzz.Value(kind, x, other)}
 	var inputs core.Values
 	if json.Unmarshal(raw, &inputs) != nil {
 		inputs = nil
