@@ -8,8 +8,9 @@ package container_test
 // when it was pinned (go1.24, linux/amd64), plus a margin of one or two
 // allocations per cycle, campaign or page for that randomness.
 const (
-	table1CycleAllocBudget      = 62
-	sweepChildAllocBudget       = 14.38
-	scriptSweepChildAllocBudget = 13.18
-	sweepPageAllocBudget        = 0.32
+	table1CycleAllocBudget        = 53
+	table1IngressCycleAllocBudget = 73
+	sweepChildAllocBudget         = 14.38
+	scriptSweepChildAllocBudget   = 13.18
+	sweepPageAllocBudget          = 0.32
 )

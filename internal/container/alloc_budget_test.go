@@ -7,8 +7,9 @@ package container_test
 // hundred campaigns, which the child budgets' last digit absorbs; a page's
 // is a whole number of allocations over its 64 children (15/64 = 0.234375).
 const (
-	table1CycleAllocBudget      = 53
-	sweepChildAllocBudget       = 13.32
-	scriptSweepChildAllocBudget = 11.33
-	sweepPageAllocBudget        = 0.235
+	table1CycleAllocBudget        = 43
+	table1IngressCycleAllocBudget = 58
+	sweepChildAllocBudget         = 13.32
+	scriptSweepChildAllocBudget   = 11.33
+	sweepPageAllocBudget          = 0.235
 )

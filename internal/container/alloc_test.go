@@ -3,6 +3,8 @@ package container_test
 import (
 	"bytes"
 	"context"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,11 +16,13 @@ import (
 	"mathcloud/internal/container"
 	"mathcloud/internal/core"
 	"mathcloud/internal/jsonschema"
+	"mathcloud/internal/obs"
 )
 
 // Allocation budgets of the paths every job of the benchmark crosses: one
 // server-side Table 1 cycle (submit ?wait=, GET and DELETE of one job
-// through Container.APIHandler, adapter and worker included), one child of
+// through Container.APIHandler, adapter and worker included, and the same
+// cycle through Container.Handler with its ingress records), one child of
 // a width-64 sweep (its share of the submission, its run and its share of
 // the purge), with a native function and with the script adapter, and one
 // child on a GET of that sweep's child page.  The
@@ -61,8 +65,38 @@ func TestTable1CycleAllocBudget(t *testing.T) {
 	var calls atomic.Int64
 	c := newMemoContainer(t, container.Options{Workers: 2})
 	deploySweepService(t, c, "cycle", false, &calls)
-	h := c.APIHandler()
+	allocs := table1CycleAllocs(t, c.APIHandler())
+	t.Logf("Table 1 cycle: %.0f allocations (budget %v)", allocs, table1CycleAllocBudget)
+	if allocs > table1CycleAllocBudget {
+		t.Fatalf("Table 1 cycle allocates %.0f times, budget %v", allocs, table1CycleAllocBudget)
+	}
+}
 
+// TestTable1IngressCycleAllocBudget is TestTable1CycleAllocBudget through
+// Container.Handler(), the servers' handler: the ingress middleware's
+// request ID, metrics and Info records (into a discard sink) ride along on
+// each of the three requests, and so do the job's own records.
+func TestTable1IngressCycleAllocBudget(t *testing.T) {
+	var calls atomic.Int64
+	c := newMemoContainer(t, container.Options{Workers: 2})
+	deploySweepService(t, c, "cycle", false, &calls)
+	obs.SetLogOutput(io.Discard)
+	obs.SetLogLevel(slog.LevelInfo)
+	t.Cleanup(func() {
+		obs.SetLogLevel(slog.LevelWarn)
+		obs.SetLogOutput(nil)
+	})
+	allocs := table1CycleAllocs(t, c.Handler())
+	t.Logf("Table 1 cycle through the ingress: %.0f allocations (budget %v)", allocs, table1IngressCycleAllocBudget)
+	if allocs > table1IngressCycleAllocBudget {
+		t.Fatalf("Table 1 cycle through the ingress allocates %.0f times, budget %v", allocs, table1IngressCycleAllocBudget)
+	}
+}
+
+// table1CycleAllocs returns the allocations of one Table 1 cycle through h
+// on the service "cycle".
+func table1CycleAllocs(t *testing.T, h http.Handler) float64 {
+	t.Helper()
 	payload := []byte(`{"x":1}`)
 	body := &cycleBody{}
 	post := httptest.NewRequest(http.MethodPost, "/services/cycle?wait=10s", nil)
@@ -88,11 +122,7 @@ func TestTable1CycleAllocBudget(t *testing.T) {
 			}
 		}
 	}
-	allocs := testing.AllocsPerRun(1000, cycle)
-	t.Logf("Table 1 cycle: %.0f allocations (budget %v)", allocs, table1CycleAllocBudget)
-	if allocs > table1CycleAllocBudget {
-		t.Fatalf("Table 1 cycle allocates %.0f times, budget %v", allocs, table1CycleAllocBudget)
-	}
+	return testing.AllocsPerRun(1000, cycle)
 }
 
 // TestSweepChildAllocBudget pins the allocations per child of a width-64

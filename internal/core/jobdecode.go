@@ -72,6 +72,20 @@ func (p *JobPage) UnmarshalJSON(data []byte) error {
 	return json.Unmarshal(data, (*JobPage)(p))
 }
 
+// DecodeValues decodes data, one JSON object and nothing after it but
+// whitespace, into the Values json.Unmarshal would leave in a nil Values,
+// with the job decoder's fast path.  It reports false where that path
+// declines (see above) and for any other body; the caller then decodes
+// data with encoding/json.  No string of the result aliases data.
+func DecodeValues(data []byte) (Values, bool) {
+	d := jobDecoder{data: data}
+	m, ok := d.object(1)
+	if !ok || !d.end() {
+		return nil, false
+	}
+	return m, true
+}
+
 // isZero reports whether j is Job's zero value, the only target the fast
 // path decodes into.
 func (j *Job) isZero() bool {

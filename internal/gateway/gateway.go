@@ -102,6 +102,8 @@ type replicaState struct {
 	// the first successful poll).
 	load   core.LoadReport
 	loadOK bool
+
+	requests *requestCounters
 }
 
 func (rs *replicaState) baseURL() string {
@@ -134,6 +136,27 @@ func (rs *replicaState) queueDepth() int {
 		return 0
 	}
 	return rs.load.QueueDepth
+}
+
+// deterministic reports whether the replica advertises service as
+// deterministic, without copying its description.
+func (rs *replicaState) deterministic(service string) bool {
+	rs.mu.RLock()
+	defer rs.mu.RUnlock()
+	return rs.services[service].Deterministic
+}
+
+// countRequest records one request sent or routed to the replica: code is
+// its upstream status, 0 when the replica was not reached.
+func (rs *replicaState) countRequest(route routeClass, code int) {
+	switch {
+	case code == 0:
+		rs.requests[route][codeError].Inc()
+	case code >= 100 && code < 600:
+		rs.requests[route][code/100-1].Inc()
+	default:
+		metGwRequests.With(route.String(), rs.name, statusClass(code)).Inc()
+	}
 }
 
 // describe returns the replica's advertised description of one service.
@@ -240,6 +263,7 @@ func New(opts Options) (*Gateway, error) {
 			name:     r.Name,
 			base:     trimBase(r.BaseURL),
 			services: make(map[string]core.ServiceDescription),
+			requests: resolveRequestCounters(r.Name),
 		}
 		g.replicas = append(g.replicas, rs)
 		g.byName[r.Name] = rs

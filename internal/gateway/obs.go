@@ -27,3 +27,50 @@ var (
 	metGwSSEWatchers = obs.NewGauge("mc_gateway_sse_watchers",
 		"Downstream SSE watchers currently attached to the gateway.")
 )
+
+// routeClass is the route label of a request's mc_gateway_requests_total
+// and mc_gateway_proxy_seconds series.
+type routeClass uint8
+
+const (
+	routeService routeClass = iota
+	routeJob
+	routeSweep
+	routeFile
+	numRouteClasses
+)
+
+var routeClassNames = [numRouteClasses]string{"service", "job", "sweep", "file"}
+
+func (c routeClass) String() string { return routeClassNames[c] }
+
+// codeError is the slot of the "error" code (the replica was not reached)
+// among a route's request counters; slots 0–4 are the classes 1xx–5xx.
+const codeError = 5
+
+// requestCounters are one replica's mc_gateway_requests_total children,
+// by route class and code slot, resolved when the gateway is built so a
+// request renders no labels.
+type requestCounters [numRouteClasses][codeError + 1]obs.Counter
+
+func resolveRequestCounters(replica string) *requestCounters {
+	c := new(requestCounters)
+	for r := range c {
+		for slot := range c[r] {
+			code := "error"
+			if slot != codeError {
+				code = statusClass((slot + 1) * 100)
+			}
+			c[r][slot] = metGwRequests.With(routeClass(r).String(), replica, code)
+		}
+	}
+	return c
+}
+
+// gwProxySeconds are mc_gateway_proxy_seconds' children by route class.
+var gwProxySeconds = func() (h [numRouteClasses]obs.Histogram) {
+	for r := range h {
+		h[r] = metGwProxySeconds.With(routeClass(r).String())
+	}
+	return h
+}()

@@ -278,24 +278,36 @@ func (g *Gateway) routeSubmit(service string, raw []byte) (*replicaState, error)
 	if len(candidates) == 0 {
 		return nil, nil
 	}
-	desc, _ := candidates[0].describe(service)
-	var inputs core.Values
-	if len(raw) > 0 && (desc.Deterministic || bytes.Contains(raw, fileRefMarker)) {
-		_ = json.Unmarshal(raw, &inputs)
+	deterministic := candidates[0].deterministic(service)
+	if !deterministic && !bytes.Contains(raw, fileRefMarker) {
+		return g.placeSpread(candidates)
 	}
+	inputs := decodeInputs(raw)
 	// With file inputs, the owner prefix is already a deterministic home.
-	if desc.Deterministic && !hasFileRef(inputs) {
+	if deterministic && !hasFileRef(inputs) {
 		// Routing only needs a key every gateway derives alike: a key that
 		// differs from the replica's degrades to a recomputation, never to a
 		// wrong answer — the replica's own memo gate derives the real key.
 		// Defaults are applied first, as the replica does, so a request
 		// that omits a defaulted input shares the home of one that spells
 		// it out.
+		desc, _ := candidates[0].describe(service)
 		if key, err := core.CanonicalHash(desc.Name, desc.Version, desc.ApplyDefaults(inputs), nil); err == nil {
 			return digestHome(candidates, key)
 		}
 	}
 	return g.placeFresh(candidates, inputs)
+}
+
+// decodeInputs decodes a submission body as json.Unmarshal into a nil
+// core.Values would, nil for a body that does not parse.
+func decodeInputs(raw []byte) core.Values {
+	if inputs, ok := core.DecodeValues(raw); ok {
+		return inputs
+	}
+	var inputs core.Values
+	_ = json.Unmarshal(raw, &inputs)
+	return inputs
 }
 
 // hasFileRef reports whether any input is a file reference.

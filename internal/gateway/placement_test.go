@@ -40,6 +40,7 @@ func newTestGateway(services map[string][]string, healthy map[string]bool) *Gate
 			name:     name,
 			healthy:  healthy[name],
 			services: make(map[string]core.ServiceDescription),
+			requests: resolveRequestCounters(name),
 		}
 		for _, s := range svcs {
 			rs.services[s] = core.ServiceDescription{Name: s}

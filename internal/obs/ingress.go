@@ -135,13 +135,22 @@ func (w *ingressWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 func Instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		id := r.Header.Get(RequestIDHeader)
+		// A propagated ID is echoed with the request's own value slice;
+		// neither header map is written in place.
+		echo := r.Header[RequestIDKey]
+		var id string
+		if len(echo) > 0 {
+			id = echo[0]
+		}
 		if id == "" {
 			id = NewRequestID()
 		}
+		if len(echo) != 1 || echo[0] != id {
+			echo = []string{id}
+		}
 		ctx := WithRequestID(r.Context(), id)
 		r = r.WithContext(ctx)
-		w.Header().Set(RequestIDHeader, id)
+		w.Header()[RequestIDKey] = echo
 		iw := &ingressWriter{ResponseWriter: w, status: http.StatusOK, route: otherRoute}
 		next.ServeHTTP(iw, r)
 		if !Enabled() {

@@ -23,11 +23,13 @@ var logLevel slog.LevelVar
 // services.
 var logger atomic.Pointer[slog.Logger]
 
-// stderrLog is the buffer every record of the default logger goes through
-// on its way to stderr (see bufferedLog for when it is flushed).
-var stderrLog = newBufferedLog(os.Stderr)
+// logOut is the buffer every record of the default logger goes through on
+// its way to stderr, or to the writer SetLogOutput names (see bufferedLog
+// for when it is flushed).
+var logOut atomic.Pointer[bufferedLog]
 
 func init() {
+	logOut.Store(newBufferedLog(os.Stderr))
 	logLevel.Set(slog.LevelWarn)
 	SetLogger(nil)
 }
@@ -38,7 +40,7 @@ func Logger() *slog.Logger { return logger.Load() }
 // SetLogger replaces the structured logger (nil restores the default).
 func SetLogger(l *slog.Logger) {
 	if l == nil {
-		l = slog.New(newLogHandler(stderrLog, &logLevel))
+		l = slog.New(recordHandler{out: logOut.Load(), level: &logLevel})
 	}
 	logger.Store(l)
 }
@@ -47,9 +49,17 @@ func SetLogger(l *slog.Logger) {
 // runtime.Callers walk LogAttrs makes for a source position: the servers'
 // text handler never prints one.  It is the one way the repo emits a
 // record.  A record below the logger's level costs one Enabled check: the
-// attrs stay on the caller's stack.
+// attrs stay on the caller's stack.  The default logger's record is
+// encoded by hand (logrecord.go) without a slog.Record; any other logger's
+// handler gets one.
 func Log(ctx context.Context, level slog.Level, msg string, attrs ...slog.Attr) {
 	h := Logger().Handler()
+	if rh, ok := h.(recordHandler); ok {
+		if level >= rh.level.Level() {
+			_ = rh.write(time.Now(), level, msg, attrs, nil)
+		}
+		return
+	}
 	if !h.Enabled(ctx, level) {
 		return
 	}
@@ -66,7 +76,21 @@ func SetLogLevel(l slog.Level) { logLevel.Set(l) }
 // server calls it once its serve loop and deferred Closes have returned,
 // and before it exits on an error.  A failed write to stderr has nowhere
 // to be reported.
-func FlushLogs() { _ = stderrLog.Flush() }
+func FlushLogs() { _ = logOut.Load().Flush() }
+
+// SetLogOutput points the default logger at w (nil restores stderr),
+// after flushing what it buffered for its previous output.  A logger set
+// with SetLogger stays in place.
+func SetLogOutput(w io.Writer) {
+	if w == nil {
+		w = os.Stderr
+	}
+	prev := logOut.Swap(newBufferedLog(w))
+	if _, ok := Logger().Handler().(recordHandler); ok {
+		SetLogger(nil)
+	}
+	_ = prev.Flush()
+}
 
 // Buffering bounds of the default logger: at most logBufferSize bytes, held
 // for at most logFlushDelay.
@@ -78,9 +102,10 @@ const (
 // bufferedLog batches log records so a request or a job transition does not
 // pay a write(2) of its own.  The buffer is flushed when it fills, by a
 // timer the first buffered record arms (logFlushDelay later), after every
-// record at Warn or above (logHandler), and by Flush.  Each Write holds the
-// lock for the whole record, so concurrent records never interleave.  What
-// a crash can lose is the Info records of the last logFlushDelay.
+// record at Warn or above (recordHandler, textHandler), and by Flush.  Each
+// Write holds the lock for the whole record, so concurrent records never
+// interleave.  What a crash can lose is the Info records of the last
+// logFlushDelay.
 type bufferedLog struct {
 	mu    sync.Mutex
 	out   io.Writer
@@ -127,19 +152,87 @@ func (b *bufferedLog) Flush() error {
 	return err
 }
 
-// logHandler is the default logger's text handler over a bufferedLog: the
-// record format is slog's, and a record at Warn or above flushes itself
-// together with every record before it.
-type logHandler struct {
+// recordHandler is the default logger's handler: slog's TextHandler
+// format, encoded by hand (logrecord.go) into a bufferedLog, where a record
+// at Warn or above flushes itself together with every record before it.
+// A handler derived with attributes or a group is slog's TextHandler over
+// the same log (textHandler).
+type recordHandler struct {
+	out   *bufferedLog
+	level slog.Leveler
+}
+
+func (h recordHandler) Enabled(_ context.Context, level slog.Level) bool {
+	return level >= h.level.Level()
+}
+
+func (h recordHandler) Handle(_ context.Context, r slog.Record) error {
+	return h.write(r.Time, r.Level, r.Message, nil, &r)
+}
+
+// write encodes one record, with the attrs of r when r is not nil, into a
+// pooled buffer and hands it to the log.  The encoding runs outside the
+// log's lock: an attribute's String, Error or LogValue method may log.
+func (h recordHandler) write(t time.Time, level slog.Level, msg string, attrs []slog.Attr, r *slog.Record) error {
+	bp := recordBufs.Get().(*[]byte)
+	b := appendRecordHead((*bp)[:0], t, level, msg)
+	if r != nil {
+		r.Attrs(func(a slog.Attr) bool {
+			b, _ = appendAttr(b, a, "")
+			return true
+		})
+	}
+	for _, a := range attrs {
+		b, _ = appendAttr(b, a, "")
+	}
+	b = append(b, '\n')
+	_, err := h.out.Write(b)
+	if cap(b) <= maxPooledRecord {
+		*bp = b
+		recordBufs.Put(bp)
+	}
+	if level >= slog.LevelWarn {
+		if ferr := h.out.Flush(); err == nil {
+			err = ferr
+		}
+	}
+	return err
+}
+
+func (h recordHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
+	if len(attrs) == 0 {
+		return h
+	}
+	return h.text().WithAttrs(attrs)
+}
+
+func (h recordHandler) WithGroup(name string) slog.Handler {
+	if name == "" {
+		return h
+	}
+	return h.text().WithGroup(name)
+}
+
+// text is slog's TextHandler over h's log and level.
+func (h recordHandler) text() textHandler {
+	return textHandler{slog.NewTextHandler(h.out, &slog.HandlerOptions{Level: h.level}), h.out}
+}
+
+// recordBufs pools the buffers records are encoded into.  A buffer that
+// grew past maxPooledRecord goes to the garbage collector instead.
+var recordBufs = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+
+const maxPooledRecord = 16 << 10
+
+// textHandler is slog's TextHandler over a bufferedLog, for the handlers
+// the default logger derives: a record at Warn or above flushes itself
+// together with every record before it, as the default's do.
+type textHandler struct {
 	slog.Handler
 	out *bufferedLog
 }
 
-func newLogHandler(out *bufferedLog, level slog.Leveler) logHandler {
-	return logHandler{slog.NewTextHandler(out, &slog.HandlerOptions{Level: level}), out}
-}
-
-func (h logHandler) Handle(ctx context.Context, r slog.Record) error {
+func (h textHandler) Handle(ctx context.Context, r slog.Record) error {
 	err := h.Handler.Handle(ctx, r)
 	if r.Level >= slog.LevelWarn {
 		if ferr := h.out.Flush(); err == nil {
@@ -149,10 +242,10 @@ func (h logHandler) Handle(ctx context.Context, r slog.Record) error {
 	return err
 }
 
-func (h logHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	return logHandler{h.Handler.WithAttrs(attrs), h.out}
+func (h textHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
+	return textHandler{h.Handler.WithAttrs(attrs), h.out}
 }
 
-func (h logHandler) WithGroup(name string) slog.Handler {
-	return logHandler{h.Handler.WithGroup(name), h.out}
+func (h textHandler) WithGroup(name string) slog.Handler {
+	return textHandler{h.Handler.WithGroup(name), h.out}
 }

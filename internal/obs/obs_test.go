@@ -217,6 +217,12 @@ func TestRequestIDContext(t *testing.T) {
 	}
 }
 
+func TestRequestIDKeyIsCanonical(t *testing.T) {
+	if got := http.CanonicalHeaderKey(RequestIDHeader); got != RequestIDKey {
+		t.Fatalf("RequestIDKey = %q, net/http keys %q as %q", RequestIDKey, RequestIDHeader, got)
+	}
+}
+
 func TestDisabledRecordingIsNoop(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("t_off_total", "off")

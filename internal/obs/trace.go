@@ -14,6 +14,10 @@ import (
 // services can be correlated end to end.
 const RequestIDHeader = "X-Request-ID"
 
+// RequestIDKey is RequestIDHeader as net/http keys a header map, for
+// reading and writing the map without canonicalizing the name each time.
+const RequestIDKey = "X-Request-Id"
+
 // ctxKey is the private context key type for the request ID.
 type ctxKey struct{}
 

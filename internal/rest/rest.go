@@ -14,6 +14,7 @@ import (
 	"math"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -57,7 +58,7 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 		b, _ = appendJSON((*bp)[:0], ErrorBody{Error: "encode response: " + err.Error(), Status: status})
 	}
 	h := w.Header()
-	h.Set("Content-Type", "application/json; charset=utf-8")
+	h["Content-Type"] = jsonContentType
 	h.Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(status)
 	_, _ = w.Write(b)
@@ -66,6 +67,10 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 		jsonBufs.Put(bp)
 	}
 }
+
+// jsonContentType is the Content-Type value of every WriteJSON answer,
+// shared by their header maps; net/http only reads it.
+var jsonContentType = []string{"application/json; charset=utf-8"}
 
 // appendJSON appends v's JSON encoding and json.Encoder's newline to b.
 func appendJSON(b []byte, v any) ([]byte, error) {
@@ -181,10 +186,36 @@ func asErrType[T error](err error, target *T) bool {
 }
 
 // ReadJSON decodes the request body into v, enforcing the body size limit
-// and rejecting trailing garbage.
+// and rejecting trailing garbage.  The body is read once, into a pooled
+// buffer.  A nil core.Values target takes core.DecodeValues; any other
+// target, and a body that path declines, goes through json.Decoder over
+// the same bytes, so what is accepted, what is decoded and every error
+// text are json.Decoder's.
 func ReadJSON(r *http.Request, v any) error {
-	body := http.MaxBytesReader(nil, r.Body, MaxBodyBytes)
-	dec := json.NewDecoder(body)
+	bp := jsonBufs.Get().(*[]byte)
+	body, rerr := ReadBody((*bp)[:0], r.Body)
+	err := decodeJSON(body, rerr, v)
+	if cap(body) <= maxPooledJSON {
+		*bp = body
+		jsonBufs.Put(bp)
+	}
+	return err
+}
+
+// decodeJSON decodes body, read up to the read error rerr, into v as
+// json.Decoder decodes the body it reads, then requires no further value.
+func decodeJSON(body []byte, rerr error, v any) error {
+	if in, ok := v.(*core.Values); ok && in != nil && *in == nil && rerr == nil {
+		if m, ok := core.DecodeValues(body); ok {
+			*in = m
+			return nil
+		}
+	}
+	var src io.Reader = bytes.NewReader(body)
+	if rerr != nil {
+		src = io.MultiReader(src, errReader{rerr})
+	}
+	dec := json.NewDecoder(src)
 	if err := dec.Decode(v); err != nil {
 		return core.ErrBadRequest("invalid JSON body: %v", err)
 	}
@@ -192,6 +223,38 @@ func ReadJSON(r *http.Request, v any) error {
 		return core.ErrBadRequest("trailing data after JSON body")
 	}
 	return nil
+}
+
+// errReader fails every read with err: the read error that ended a body,
+// replayed after its bytes.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
+// ReadBody appends what body yields to b until it ends, as io.ReadAll
+// does, and returns the read error that ended it (nil at io.EOF).  Like
+// http.MaxBytesReader, it keeps at most MaxBodyBytes and fails a longer
+// body with *http.MaxBytesError.
+func ReadBody(b []byte, body io.Reader) ([]byte, error) {
+	start := len(b)
+	for {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, 512)
+		}
+		// One byte past the limit tells a body at the limit from a longer
+		// one.
+		n, err := body.Read(b[len(b):min(cap(b), start+MaxBodyBytes+1)])
+		b = b[:len(b)+n]
+		if len(b)-start > MaxBodyBytes {
+			return b[:start+MaxBodyBytes], &http.MaxBytesError{Limit: MaxBodyBytes}
+		}
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+	}
 }
 
 // WaitMaxHeader advertises the server's long-poll/idle-stream ceiling
