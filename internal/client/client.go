@@ -161,6 +161,13 @@ func (c *Client) retry() *rest.RetryPolicy {
 // is routed (DESIGN.md §5h.5): each replayable request asks for a route, and
 // one a gateway routes goes to the replica itself.
 func (c *Client) do(req *http.Request) (*http.Response, error) {
+	return c.doRoute(req, false)
+}
+
+// doRoute is do for a request that, when spread is set, is a job
+// submission whose body references no file: it may take a spread lease a
+// gateway granted, and place itself on the leased replicas.
+func (c *Client) doRoute(req *http.Request, spread bool) (*http.Response, error) {
 	if c.Token != "" {
 		req.Header.Set("Authorization", "Bearer "+c.Token)
 	}
@@ -174,7 +181,7 @@ func (c *Client) do(req *http.Request) (*http.Response, error) {
 	if c.Token != "" || hc.CheckRedirect != nil || !rest.Replayable(req) {
 		return c.retry().Do(hc, req)
 	}
-	rt := &routed{c: c, hc: hc, url: req.URL, host: req.Host}
+	rt := &routed{c: c, hc: hc, url: req.URL, host: req.Host, spread: spread}
 	return c.retry().Send(req, rt.send)
 }
 
@@ -192,6 +199,19 @@ type gatewayRoutes struct {
 	replicas map[string]string
 	// holdUntil, while in the future, stops routes being asked for.
 	holdUntil time.Time
+	// leases holds the spread leases granted, by the escaped path of the
+	// service on the gateway.
+	leases map[string]*spreadLease
+}
+
+// spreadLease is a gateway's spread lease on one service (core.SpreadLease)
+// as this client uses it: the URL each leased replica is posted at, until
+// the lease runs out, taken in turn.
+type spreadLease struct {
+	until time.Time
+	names []string
+	urls  []*url.URL // names[i]'s URL of the service, without the query
+	next  int        // the index of the replica the next submission goes to
 }
 
 // routed carries the attempts of one request.  Each attempt is routed — sent
@@ -205,6 +225,7 @@ type routed struct {
 	hc     *http.Client
 	url    *url.URL // the request's own URL, on the gateway
 	host   string   // and its Host
+	spread bool     // a job submission that may take a spread lease
 	failed bool     // a routed hop of this request failed
 	held   bool     // and this request put the gateway's routes on hold
 }
@@ -213,6 +234,11 @@ type routed struct {
 // it, so its URL and preference are set afresh for each attempt.
 func (rt *routed) send(r *http.Request) (*http.Response, error) {
 	r.URL, r.Host = rt.url, rt.host
+	if rt.spread && !rt.failed {
+		if direct, name := rt.c.leased(r.URL); direct != nil {
+			return rt.sendLeased(r, direct, name)
+		}
+	}
 	direct, id, held := rt.c.lookup(r.URL)
 	if rt.failed || held {
 		r.Header.Del("Prefer")
@@ -254,7 +280,7 @@ func (rt *routed) send(r *http.Request) (*http.Response, error) {
 		replicaBase = final.Scheme + "://" + final.Host + to[:len(to)-tail]
 		id, _ = core.DirectID(to[len(to)-tail:])
 	}
-	replica := resp.Header.Get(core.ReplicaHeader)
+	replica := answeredBy(resp)
 	if want, ok := core.SplitReplicaID(id); replica == "" || ok && replica != want {
 		// Something else listens where the replica was said to be.
 		rest.Drain(resp.Body)
@@ -264,8 +290,146 @@ func (rt *routed) send(r *http.Request) (*http.Response, error) {
 	}
 	if direct == nil {
 		rt.c.learn(rt.url.Host, gwBase, replica, replicaBase)
+		if v := redirect.Header[spreadLeaseKey]; rt.spread && len(v) == 1 {
+			rt.c.takeLease(rt.url, v[0], replica, final, gwBase, replicaBase)
+		}
 	}
 	return resp, nil
+}
+
+// sendLeased posts r to direct, where a spread lease placed it on the
+// replica name.  The answer counts only when name gives it; a failed
+// connection, an answer from elsewhere or a full queue (503) drops the
+// lease, and the retry policy's next attempt goes through the gateway
+// unrouted, so its passive health and admission control see the failure.
+func (rt *routed) sendLeased(r *http.Request, direct *url.URL, name string) (*http.Response, error) {
+	r.URL, r.Host = direct, ""
+	r.Header.Del("Prefer")
+	resp, err := rt.hc.Do(r)
+	if err != nil {
+		if r.Context().Err() == nil {
+			rt.dropLease()
+		}
+		return nil, err
+	}
+	if replica := answeredBy(resp); replica != name {
+		rest.Drain(resp.Body)
+		resp.Body.Close()
+		rt.dropLease()
+		return nil, fmt.Errorf("client: %s answered as replica %q, not the leased %q", direct.Redacted(), replica, name)
+	}
+	if resp.StatusCode == http.StatusServiceUnavailable {
+		rt.dropLease()
+	}
+	return resp, nil
+}
+
+// dropLease drops the spread lease of the request's service and sends the
+// request's further attempts through the gateway unrouted.
+func (rt *routed) dropLease() {
+	rt.failed = true
+	rt.c.routeMu.Lock()
+	defer rt.c.routeMu.Unlock()
+	if g := rt.c.routes[rt.url.Host]; g != nil {
+		delete(g.leases, rt.url.EscapedPath())
+	}
+}
+
+// replicaKey and spreadLeaseKey are core.ReplicaHeader and
+// core.SpreadLeaseHeader as net/http keys a header map.
+var (
+	replicaKey     = http.CanonicalHeaderKey(core.ReplicaHeader)
+	spreadLeaseKey = http.CanonicalHeaderKey(core.SpreadLeaseHeader)
+)
+
+// answeredBy returns the replica identity an answer carries.
+func answeredBy(resp *http.Response) string {
+	if v := resp.Header[replicaKey]; len(v) > 0 {
+		return v[0]
+	}
+	return ""
+}
+
+// leased returns where the next submission to u goes on the spread lease
+// of u's service, and the replica that must answer it there: nil while no
+// live lease covers u, or the gateway's routes are on hold.
+func (c *Client) leased(u *url.URL) (*url.URL, string) {
+	c.routeMu.Lock()
+	defer c.routeMu.Unlock()
+	g := c.routes[u.Host]
+	if g == nil || len(g.leases) == 0 || !g.holdUntil.IsZero() && time.Now().Before(g.holdUntil) {
+		return nil, ""
+	}
+	path := u.EscapedPath()
+	l := g.leases[path]
+	if l == nil {
+		return nil, ""
+	}
+	if !time.Now().Before(l.until) {
+		delete(g.leases, path)
+		return nil, ""
+	}
+	i := l.next
+	l.next = (i + 1) % len(l.urls)
+	direct := *l.urls[i]
+	direct.RawQuery = u.RawQuery
+	return &direct, l.names[i]
+}
+
+// takeLease keeps the spread lease v a gateway granted on the 307 of a
+// submission to u, which redirected it to final and which replica
+// answered; gwBase and replicaBase are the API bases the redirect showed.
+// Every leased replica is posted at its base plus the path the gateway
+// redirected to, starting after the replica that answered, and is learned
+// as a route for the IDs it mints.  A lease that does not parse, leaves out
+// the replica that answered or does not name the base redirected to is
+// ignored.
+func (c *Client) takeLease(u *url.URL, v, replica string, final *url.URL, gwBase, replicaBase string) {
+	lease, err := core.ParseSpreadLease(v)
+	if err != nil {
+		return
+	}
+	at := -1
+	for i, r := range lease.Replicas {
+		if r.Name == replica {
+			at = i
+		}
+	}
+	if at < 0 {
+		return
+	}
+	base := lease.Replicas[at].Base
+	to := final.Scheme + "://" + final.Host + final.EscapedPath()
+	if !strings.HasPrefix(to, base+"/") || !strings.HasPrefix(replicaBase, base) {
+		return
+	}
+	path, extra := to[len(base):], replicaBase[len(base):]
+	l := &spreadLease{
+		until: time.Now().Add(lease.For),
+		names: make([]string, len(lease.Replicas)),
+		urls:  make([]*url.URL, len(lease.Replicas)),
+		next:  (at + 1) % len(lease.Replicas),
+	}
+	for i, r := range lease.Replicas {
+		direct, err := url.Parse(r.Base + path)
+		if err != nil {
+			return
+		}
+		l.names[i], l.urls[i] = r.Name, direct
+	}
+	c.routeMu.Lock()
+	defer c.routeMu.Unlock()
+	g := c.gatewayLocked(u.Host)
+	if g.base != gwBase {
+		g.base, g.replicas = gwBase, make(map[string]string)
+	}
+	for _, r := range lease.Replicas {
+		g.replicas[r.Name] = r.Base + extra
+	}
+	if g.leases == nil {
+		g.leases = make(map[string]*spreadLease)
+	}
+	g.leases[u.EscapedPath()] = l
 }
 
 // fail records a failed routed hop to failedURL: the route to that replica
@@ -346,6 +510,19 @@ func (c *Client) forget(gateway, failedURL string) {
 		for name, base := range g.replicas {
 			if strings.HasPrefix(failedURL, base+"/") {
 				delete(g.replicas, name)
+				g.dropLeasesOn(name)
+			}
+		}
+	}
+}
+
+// dropLeasesOn drops every spread lease naming replica.
+func (g *gatewayRoutes) dropLeasesOn(replica string) {
+	for path, l := range g.leases {
+		for _, name := range l.names {
+			if name == replica {
+				delete(g.leases, path)
+				break
 			}
 		}
 	}
@@ -568,8 +745,12 @@ func (c *Client) describeService(ctx context.Context, uri string) (core.ServiceD
 // Submit performs POST on the service resource, creating a job.  If wait is
 // positive the server holds the request until the job completes or the
 // window elapses, enabling the synchronous mode of the unified API.
+//
+// Through a gateway that leased the service's replicas to the client (a
+// spread placement, DESIGN.md §5h.5), a submission whose inputs reference no
+// file is posted straight to the next leased replica.
 func (s *Service) Submit(ctx context.Context, inputs core.Values, wait time.Duration) (*core.Job, error) {
-	return send[core.Job](ctx, s.client, http.MethodPost, withWait(s.uri, wait), inputs, http.StatusCreated)
+	return send[core.Job](ctx, s.client, http.MethodPost, withWait(s.uri, wait), inputs, http.StatusCreated, true)
 }
 
 // Job fetches the current representation of a job by URI.
@@ -592,7 +773,7 @@ func (s *Service) Wait(ctx context.Context, jobURI string) (*core.Job, error) {
 
 // Cancel performs DELETE on the job resource.
 func (s *Service) Cancel(ctx context.Context, jobURI string) (*core.Job, error) {
-	return send[core.Job](ctx, s.client, http.MethodDelete, jobURI, nil, http.StatusOK)
+	return send[core.Job](ctx, s.client, http.MethodDelete, jobURI, nil, http.StatusOK, false)
 }
 
 // SubmitSweep performs POST on the service's sweep collection, expanding a
@@ -600,7 +781,7 @@ func (s *Service) Cancel(ctx context.Context, jobURI string) (*core.Job, error) 
 // is positive the server holds the request until the whole campaign
 // completes or the window elapses.
 func (s *Service) SubmitSweep(ctx context.Context, spec *core.SweepSpec, wait time.Duration) (*core.Sweep, error) {
-	return send[core.Sweep](ctx, s.client, http.MethodPost, withWait(s.uri+"/sweeps", wait), spec, http.StatusCreated)
+	return send[core.Sweep](ctx, s.client, http.MethodPost, withWait(s.uri+"/sweeps", wait), spec, http.StatusCreated, false)
 }
 
 // Sweep fetches the current aggregate status of a sweep by URI.  The answer
@@ -623,13 +804,16 @@ func (s *Service) WaitSweep(ctx context.Context, sweepURI string) (*core.Sweep, 
 // CancelSweep performs DELETE on the sweep resource, cancelling every
 // non-terminal child in one call.
 func (s *Service) CancelSweep(ctx context.Context, sweepURI string) (*core.Sweep, error) {
-	return send[core.Sweep](ctx, s.client, http.MethodDelete, sweepURI, nil, http.StatusOK)
+	return send[core.Sweep](ctx, s.client, http.MethodDelete, sweepURI, nil, http.StatusOK, false)
 }
 
 // jobDone and sweepDone are the terminal tests the shared wait loops
 // (poll, follow) are parameterised by.
 func jobDone(j *core.Job) bool     { return j.State.Terminal() }
 func sweepDone(s *core.Sweep) bool { return s.State.Terminal() }
+
+// fileRefMarker is how a file reference starts inside an encoded body.
+var fileRefMarker = []byte(`"` + core.FileRefPrefix)
 
 // withWait appends a positive server-side wait window to a submit URI.
 func withWait(uri string, wait time.Duration) string {
@@ -641,15 +825,19 @@ func withWait(uri string, wait time.Duration) string {
 
 // send performs one request on the client, with body (when non-nil)
 // encoded as JSON, and decodes an answer with the want status as a T; any
-// other status is an *APIError.
-func send[T any](ctx context.Context, c *Client, method, uri string, body any, want int) (*T, error) {
+// other status is an *APIError.  submit marks a job submission: when its
+// encoded body holds no file reference — the bytes a gateway tests before
+// it spreads a submission — it may be placed on a spread lease.
+func send[T any](ctx context.Context, c *Client, method, uri string, body any, want int, submit bool) (*T, error) {
 	var rd io.Reader
+	spread := false
 	if body != nil {
 		data, err := json.Marshal(body)
 		if err != nil {
 			return nil, fmt.Errorf("client: encode %s body: %w", method, err)
 		}
 		rd = bytes.NewReader(data)
+		spread = submit && !bytes.Contains(data, fileRefMarker)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, uri, rd)
 	if err != nil {
@@ -658,7 +846,7 @@ func send[T any](ctx context.Context, c *Client, method, uri string, body any, w
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := c.do(req)
+	resp, err := c.doRoute(req, spread)
 	if err != nil {
 		return nil, fmt.Errorf("client: %s %s: %w", method, uri, err)
 	}

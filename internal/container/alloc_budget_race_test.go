@@ -9,7 +9,7 @@ package container_test
 // allocations per cycle, campaign or page for that randomness.
 const (
 	table1CycleAllocBudget        = 53
-	table1IngressCycleAllocBudget = 73
+	table1IngressCycleAllocBudget = 65
 	sweepChildAllocBudget         = 14.38
 	scriptSweepChildAllocBudget   = 13.18
 	sweepPageAllocBudget          = 0.32

@@ -8,7 +8,7 @@ package container_test
 // is a whole number of allocations over its 64 children (15/64 = 0.234375).
 const (
 	table1CycleAllocBudget        = 43
-	table1IngressCycleAllocBudget = 58
+	table1IngressCycleAllocBudget = 52
 	sweepChildAllocBudget         = 13.32
 	scriptSweepChildAllocBudget   = 11.33
 	sweepPageAllocBudget          = 0.235

@@ -2,6 +2,10 @@
 
 package gateway_test
 
-// The allocation budget of TestRoutedSubmitAllocBudget, as measured when
-// it was pinned (go1.24, linux/amd64).
-const routedSubmitAllocBudget = 7
+// The allocation budgets of TestRoutedSubmitAllocBudget and
+// TestLeasingSubmitAllocBudget, as measured when they were pinned (go1.24,
+// linux/amd64).
+const (
+	routedSubmitAllocBudget  = 5
+	leasingSubmitAllocBudget = 5
+)

@@ -457,6 +457,7 @@ func (g *Gateway) probeReplica(ctx context.Context, rs *replicaState) {
 		services[d.Name] = d
 	}
 	rs.mu.Lock()
+	moved := rs.base != base
 	rs.base = base
 	old := rs.services
 	rs.services = services
@@ -464,7 +465,8 @@ func (g *Gateway) probeReplica(ctx context.Context, rs *replicaState) {
 	rs.healthy = true
 	rs.checked = now
 	rs.mu.Unlock()
-	changed := !wasHealthy || len(old) != len(services)
+	// A move changes the bases that spread leases name.
+	changed := !wasHealthy || moved || len(old) != len(services)
 	if !changed {
 		for name := range services {
 			if _, known := old[name]; !known {

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"mathcloud/internal/core"
 )
@@ -132,5 +133,49 @@ func TestReplicaStateQueueDepthUnknownLoadLooksIdle(t *testing.T) {
 	}
 	if _, ok := rs.loadReport(); !ok {
 		t.Fatal("loadReport ok flag wrong")
+	}
+}
+
+// TestLeaseGrantRules pins when a submission's 307 grants a spread lease:
+// only for a submission placed by spread alone, while no candidate
+// advertises a full queue and the gateway polls load.  The lease lists the
+// candidates in the gateway's order for one load interval.
+func TestLeaseGrantRules(t *testing.T) {
+	leasing := func(loadEvery time.Duration) *Gateway {
+		g := localityGateway()
+		g.loadEvery = loadEvery
+		for _, rs := range g.replicas {
+			rs.base = "http://" + rs.name + ".example:8191"
+		}
+		return g
+	}
+	g := leasing(2 * time.Second)
+	plain := submitBody(t, core.Values{"x": 1.0})
+	_, lease, err := g.routeSubmit("s", plain)
+	if err != nil || len(lease) != 1 {
+		t.Fatalf("spread submission: lease %q, %v; want one", lease, err)
+	}
+	l, err := core.ParseSpreadLease(lease[0])
+	if err != nil || l.For != 2*time.Second || len(l.Replicas) != 3 {
+		t.Fatalf("lease %q parses to %+v, %v; want three replicas for 2s", lease[0], l, err)
+	}
+	for i, rs := range g.serviceReplicas("s") {
+		if l.Replicas[i] != (core.LeasedReplica{Name: rs.name, Base: rs.base}) {
+			t.Fatalf("lease replica %d is %+v, want %s at %s", i, l.Replicas[i], rs.name, rs.base)
+		}
+	}
+	if _, lease, _ := g.routeSubmit("det", plain); lease != nil {
+		t.Fatalf("deterministic submission granted %q", lease)
+	}
+	withFile := submitBody(t, core.Values{"f": core.FileRef(fileID("r09", 1))})
+	if _, lease, _ := g.routeSubmit("s", withFile); lease != nil {
+		t.Fatalf("submission holding \"file: granted %q", lease)
+	}
+	g.byName["r02"].load = core.LoadReport{QueueDepth: 8, QueueCap: 8}
+	if rs, lease, err := g.routeSubmit("s", plain); err != nil || rs == nil || lease != nil {
+		t.Fatalf("with a full queue: placed %v, lease %q, %v; want placed and no lease", rs, lease, err)
+	}
+	if _, lease, _ := leasing(-1).routeSubmit("s", plain); lease != nil {
+		t.Fatalf("gateway polling no load granted %q", lease)
 	}
 }

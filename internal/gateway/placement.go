@@ -63,6 +63,10 @@ func rendezvousScore(key, replica string) uint64 {
 type candEntry struct {
 	gen      uint64
 	replicas []*replicaState
+	// lease is the core.SpreadLeaseHeader value leasing replicas for one
+	// load interval, shared by the header maps of every 307 that grants it;
+	// nil when the gateway polls no load.
+	lease []string
 }
 
 // serviceReplicas returns the healthy replicas currently advertising the
@@ -70,12 +74,17 @@ type candEntry struct {
 // order is total).  Results are cached per service until the topology
 // generation changes.
 func (g *Gateway) serviceReplicas(service string) []*replicaState {
+	return g.candidates(service).replicas
+}
+
+// candidates returns the service's candidate-cache entry, computing it
+// when the topology generation moved.
+func (g *Gateway) candidates(service string) *candEntry {
 	gen := g.topoGen.Load()
 	g.candMu.Lock()
 	if e, ok := g.candCache[service]; ok && e.gen == gen {
-		out := e.replicas
 		g.candMu.Unlock()
-		return out
+		return e
 	}
 	g.candMu.Unlock()
 
@@ -97,13 +106,32 @@ func (g *Gateway) serviceReplicas(service string) []*replicaState {
 		return out[i].name < out[j].name
 	})
 
+	e := &candEntry{gen: gen, replicas: out, lease: g.spreadLease(out)}
 	g.candMu.Lock()
 	// Tag the entry with the generation observed BEFORE the scan: if the
 	// topology changed mid-scan the entry is already stale and the next
 	// caller recomputes.
-	g.candCache[service] = &candEntry{gen: gen, replicas: out}
+	g.candCache[service] = e
 	g.candMu.Unlock()
-	return out
+	return e
+}
+
+// spreadLease renders the lease of candidates for one load interval, nil
+// when load polling is off (the lease stands in for placement that reads
+// load reports) or a base may not stand in the header.
+func (g *Gateway) spreadLease(candidates []*replicaState) []string {
+	if g.loadEvery <= 0 || len(candidates) == 0 {
+		return nil
+	}
+	l := core.SpreadLease{For: g.loadEvery, Replicas: make([]core.LeasedReplica, len(candidates))}
+	for i, rs := range candidates {
+		l.Replicas[i] = core.LeasedReplica{Name: rs.name, Base: rs.baseURL()}
+	}
+	v, err := core.FormatSpreadLease(l)
+	if err != nil {
+		return nil
+	}
+	return []string{v}
 }
 
 // serviceKnown reports whether any replica — healthy or not — has ever
@@ -263,7 +291,10 @@ func (g *Gateway) placeFresh(candidates []*replicaState, inputs core.Values) (*r
 // without file inputs goes to its digest home.  Everything else goes to the
 // replica owning its input files, failing that to load-aware placement.
 // Both the home and load-aware placement may refuse admission (non-nil err)
-// when every candidate is saturated.
+// when every candidate is saturated.  A submission placed by spread alone —
+// not deterministic, no `"file:` in the body — while no candidate
+// advertises a full queue also returns the candidates' spread lease (nil
+// otherwise), for the 307 to grant.
 //
 // raw is the submission body.  Only the digest home and input locality read
 // the inputs, so raw is decoded only for a deterministic service or when it
@@ -273,14 +304,19 @@ func (g *Gateway) placeFresh(candidates []*replicaState, inputs core.Values) (*r
 // A body that does not parse still forwards — the replica owns input
 // validation and its 400 passes through unchanged — it is just placed
 // without a digest home or file references.
-func (g *Gateway) routeSubmit(service string, raw []byte) (*replicaState, error) {
-	candidates := g.serviceReplicas(service)
+func (g *Gateway) routeSubmit(service string, raw []byte) (rs *replicaState, lease []string, err error) {
+	e := g.candidates(service)
+	candidates := e.replicas
 	if len(candidates) == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
 	deterministic := candidates[0].deterministic(service)
 	if !deterministic && !bytes.Contains(raw, fileRefMarker) {
-		return g.placeSpread(candidates)
+		rs, err = g.placeSpread(candidates)
+		if err == nil && e.lease != nil && !anyQueueFull(candidates) {
+			lease = e.lease
+		}
+		return rs, lease, err
 	}
 	inputs := decodeInputs(raw)
 	// With file inputs, the owner prefix is already a deterministic home.
@@ -293,10 +329,23 @@ func (g *Gateway) routeSubmit(service string, raw []byte) (*replicaState, error)
 		// it out.
 		desc, _ := candidates[0].describe(service)
 		if key, err := core.CanonicalHash(desc.Name, desc.Version, desc.ApplyDefaults(inputs), nil); err == nil {
-			return digestHome(candidates, key)
+			rs, err = digestHome(candidates, key)
+			return rs, nil, err
 		}
 	}
-	return g.placeFresh(candidates, inputs)
+	rs, err = g.placeFresh(candidates, inputs)
+	return rs, nil, err
+}
+
+// anyQueueFull reports whether some candidate advertises a full queue: a
+// lease would keep sending it work the gateway's placement steers away.
+func anyQueueFull(candidates []*replicaState) bool {
+	for _, rs := range candidates {
+		if rs.queueFull() {
+			return true
+		}
+	}
+	return false
 }
 
 // decodeInputs decodes a submission body as json.Unmarshal into a nil

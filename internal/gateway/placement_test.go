@@ -194,7 +194,7 @@ func TestRouteSubmitInputLocality(t *testing.T) {
 			const rounds = 6
 			seen := make(map[string]int)
 			for i := 0; i < rounds; i++ {
-				rs, err := g.routeSubmit("s", submitBody(t, tc.inputs))
+				rs, _, err := g.routeSubmit("s", submitBody(t, tc.inputs))
 				if err != nil || rs == nil {
 					t.Fatalf("routeSubmit = %v err=%v", rs, err)
 				}
@@ -261,8 +261,8 @@ func TestRouteSubmitDigestHome(t *testing.T) {
 		homes := make(map[string]int)
 		for i := 0; i < 32; i++ {
 			inputs := core.Values{"n": float64(i)}
-			a, errA := localityGateway().routeSubmit("det", submitBody(t, inputs))
-			b, errB := localityGateway().routeSubmit("det", submitBody(t, inputs))
+			a, _, errA := localityGateway().routeSubmit("det", submitBody(t, inputs))
+			b, _, errB := localityGateway().routeSubmit("det", submitBody(t, inputs))
 			if errA != nil || errB != nil || a.name != b.name {
 				t.Fatalf("inputs %v: gateways chose %v (%v) and %v (%v)", inputs, a, errA, b, errB)
 			}
@@ -316,7 +316,7 @@ func TestRouteSubmitDigestHome(t *testing.T) {
 			if tc.setup != nil {
 				tc.setup(g)
 			}
-			rs, err := g.routeSubmit(tc.service, submitBody(t, tc.inputs))
+			rs, _, err := g.routeSubmit(tc.service, submitBody(t, tc.inputs))
 			switch {
 			case tc.want == "":
 				var unavail *core.UnavailableError

@@ -99,7 +99,7 @@ func (g *Gateway) dispatchByID(w http.ResponseWriter, r *http.Request, route rou
 		rest.WriteError(w, err)
 		return
 	}
-	g.dispatch(w, r, rs, route, nil)
+	g.dispatch(w, r, rs, route, nil, nil)
 }
 
 // streamByID serves the event stream of the job or sweep (kind) its ID
@@ -121,10 +121,11 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, service s
 	bp := submitBufs.Get().(*[]byte)
 	raw, err := rest.ReadBody((*bp)[:0], r.Body)
 	var rs *replicaState
+	var lease []string
 	if err != nil {
 		err = core.ErrBadRequest("read request body: %v", err)
 	} else {
-		rs, err = g.routeSubmit(service, raw)
+		rs, lease, err = g.routeSubmit(service, raw)
 	}
 	switch {
 	case err != nil:
@@ -134,7 +135,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, service s
 		rest.WriteError(w, err)
 	case rs == nil:
 		g.noReplica(w, service)
-	case !g.dispatch(w, r, rs, routeService, raw):
+	case !g.dispatch(w, r, rs, routeService, raw, lease):
 		// Forwarded: the transport may still read the body after Do
 		// returns, so its buffer is not reused.
 		return
@@ -178,7 +179,7 @@ func (g *Gateway) handleSweepSubmit(w http.ResponseWriter, r *http.Request, serv
 		rest.WriteError(w, err)
 		return
 	}
-	g.dispatch(w, r, rs, routeSweep, raw)
+	g.dispatch(w, r, rs, routeSweep, raw, nil)
 }
 
 func (g *Gateway) handleFiles(w http.ResponseWriter, r *http.Request) {
@@ -264,9 +265,11 @@ func (g *Gateway) ensureBase(rs *replicaState) {
 // and talks to it directly; everyone else, and every request to a replica
 // marked down, is proxied, so passive health still sees the failure or the
 // revival.  Uploads, scatter-gather views and event streams never come
-// here: their multiplexing is the gateway's job.  It reports whether it
-// redirected; false means the request, body included, was forwarded.
-func (g *Gateway) dispatch(w http.ResponseWriter, r *http.Request, rs *replicaState, route routeClass, body []byte) (redirected bool) {
+// here: their multiplexing is the gateway's job.  A non-nil lease is the
+// core.SpreadLeaseHeader value the 307 of a spread-placed submission
+// grants.  It reports whether it redirected; false means the request, body
+// included, was forwarded.
+func (g *Gateway) dispatch(w http.ResponseWriter, r *http.Request, rs *replicaState, route routeClass, body []byte, lease []string) (redirected bool) {
 	if !prefersRoute(r.Header) || !rs.isHealthy() {
 		g.forward(w, r, rs, route, body)
 		return false
@@ -274,6 +277,9 @@ func (g *Gateway) dispatch(w http.ResponseWriter, r *http.Request, rs *replicaSt
 	h := w.Header()
 	h["Location"] = []string{rs.target(r)}
 	h["Preference-Applied"] = preferenceApplied
+	if lease != nil {
+		h[spreadLeaseKey] = lease
+	}
 	w.WriteHeader(http.StatusTemporaryRedirect)
 	rs.countRequest(route, http.StatusTemporaryRedirect)
 	return true
@@ -282,6 +288,9 @@ func (g *Gateway) dispatch(w http.ResponseWriter, r *http.Request, rs *replicaSt
 // preferenceApplied is the Preference-Applied value of every redirect,
 // shared by their header maps; net/http only reads it.
 var preferenceApplied = []string{core.RoutePreference}
+
+// spreadLeaseKey is core.SpreadLeaseHeader as net/http keys a header map.
+var spreadLeaseKey = http.CanonicalHeaderKey(core.SpreadLeaseHeader)
 
 // prefersRoute reports whether h asks for core.RoutePreference, alone or in
 // a list of RFC 7240 preferences ("Prefer: respond-async, mc-route").

@@ -161,7 +161,7 @@ func TestRoutedClientMatchesProxiedAnswers(t *testing.T) {
 	adapter.RegisterFunc("gwtest.add", addFunc())
 	r1 := startReplica(t, "r01", numService(t, "add", "gwtest.add", false))
 	r2 := startReplica(t, "r02", numService(t, "add", "gwtest.add", false))
-	_, gw := startGateway(t, gateway.Options{}, r1, r2)
+	_, gw := startGateway(t, gateway.Options{LoadInterval: time.Minute}, r1, r2)
 	replicaHosts := map[string]bool{hostOf(r1.srv.URL): true, hostOf(r2.srv.URL): true}
 	hostOfReplica := map[string]string{"r01": hostOf(r1.srv.URL), "r02": hostOf(r2.srv.URL)}
 	ctx := context.Background()
@@ -189,10 +189,24 @@ func TestRoutedClientMatchesProxiedAnswers(t *testing.T) {
 	}
 	name, _ := client.ReplicaOf(jobR.ID)
 
+	// The submit's 307 granted a spread lease: the next submit goes straight
+	// to the other replica, in one exchange, and answers as the proxied one.
+	hopsBefore := len(rec.hops)
+	jobL, err := svc.Submit(ctx, in, 15*time.Second)
+	if err != nil {
+		t.Fatalf("leased submit: %v", err)
+	}
+	leasedTo, _ := client.ReplicaOf(jobL.ID)
+	if h := rec.last(); len(rec.hops) != hopsBefore+1 || h.status != http.StatusCreated || h.host != hostOfReplica[leasedTo] || h.prefer != "" || leasedTo == name {
+		t.Fatalf("leased submit took %d hops, the last answered %d by %s (Prefer %q); want one hop to the replica after %s",
+			len(rec.hops)-hopsBefore, h.status, h.host, h.prefer, name)
+	}
+	mustEqual(t, "leased submit", twinJob(*jobL), twinJob(jobP))
+
 	// GET job and long-poll GET ?wait= of the same job: identical bodies,
 	// and the routed reads go straight to the replica the submit redirect
 	// taught the client.
-	hopsBefore := len(rec.hops)
+	hopsBefore = len(rec.hops)
 	got, err := svc.Job(ctx, jobR.URI)
 	if err != nil {
 		t.Fatalf("routed GET: %v", err)
@@ -217,12 +231,13 @@ func TestRoutedClientMatchesProxiedAnswers(t *testing.T) {
 
 	// Sweep submit, child page and delete.
 	spec := core.SweepSpec{Template: core.Values{"b": 10.0}, Axes: map[string][]any{"a": {1.0, 2.0, 3.0}}}
+	takenBefore := rec.redirects()
 	sweepR, err := svc.SubmitSweep(ctx, &spec, 15*time.Second)
 	if err != nil {
 		t.Fatalf("routed sweep submit: %v", err)
 	}
-	if h := rec.last(); h.status != http.StatusCreated {
-		t.Fatalf("routed sweep submit: status %d", h.status)
+	if h := rec.last(); h.status != http.StatusCreated || rec.redirects() != takenBefore+1 {
+		t.Fatalf("routed sweep submit: status %d after %d redirects, want one 307 (sweeps take no lease)", h.status, rec.redirects()-takenBefore)
 	}
 	status, data = rawDo(t, http.MethodPost, gw.URL+"/services/add/sweeps?wait=15s", mustJSON(t, spec))
 	if status != http.StatusCreated {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"io"
 	"log/slog"
 	"net/http"
@@ -68,8 +69,8 @@ func resolveRoute(label string) *routeStats {
 func Route(label string, h http.Handler) http.Handler {
 	s := resolveRoute(label)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if iw, ok := w.(*ingressWriter); ok {
-			iw.route = s
+		if in, ok := w.(*ingress); ok {
+			in.route = s
 		}
 		h.ServeHTTP(w, r)
 	})
@@ -93,23 +94,40 @@ func classIndex(code int) int {
 	return len(knownClasses) - 1
 }
 
-// ingressWriter records the response status and the matched route for
-// metrics and logs.
-type ingressWriter struct {
+// ingress is one request's instrumentation: the response writer that
+// records the status and the matched route for metrics and logs, and the
+// request's context, which answers the request-ID key itself and every
+// other key from the context it wraps.  Being both, it costs the request
+// one allocation.  Forwarding every other key keeps the context package's
+// own lookup of a cancelable parent working, so deriving a cancelable
+// context from it starts no propagation goroutine.
+type ingress struct {
 	http.ResponseWriter
+	context.Context
+	id     string
 	status int
 	route  *routeStats
 }
 
-func (w *ingressWriter) WriteHeader(status int) {
-	w.status = status
-	w.ResponseWriter.WriteHeader(status)
+// Value answers the request-ID key with the ingress itself (RequestIDFrom
+// reads the ID off it, so no lookup boxes a string) and every other key
+// from the wrapped context.
+func (in *ingress) Value(key any) any {
+	if _, ok := key.(ctxKey); ok {
+		return in
+	}
+	return in.Context.Value(key)
+}
+
+func (in *ingress) WriteHeader(status int) {
+	in.status = status
+	in.ResponseWriter.WriteHeader(status)
 }
 
 // Flush forwards to the wrapped writer so the SSE endpoints can stream
 // through the instrumentation middleware.
-func (w *ingressWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
+func (in *ingress) Flush() {
+	if f, ok := in.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
 }
@@ -117,15 +135,15 @@ func (w *ingressWriter) Flush() {
 // ReadFrom forwards to the wrapped writer, so the copy of a file download
 // (http.ServeContent) reaches the connection's sendfile path instead of
 // going through a 32 KiB user-space buffer.
-func (w *ingressWriter) ReadFrom(r io.Reader) (int64, error) {
-	if rf, ok := w.ResponseWriter.(io.ReaderFrom); ok {
+func (in *ingress) ReadFrom(r io.Reader) (int64, error) {
+	if rf, ok := in.ResponseWriter.(io.ReaderFrom); ok {
 		return rf.ReadFrom(r)
 	}
-	return io.Copy(w.ResponseWriter, r)
+	return io.Copy(in.ResponseWriter, r)
 }
 
 // Unwrap returns the wrapped writer, for http.ResponseController.
-func (w *ingressWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+func (in *ingress) Unwrap() http.ResponseWriter { return in.ResponseWriter }
 
 // Instrument is the ingress middleware of every server: it establishes the
 // request ID (reusing a propagated X-Request-ID or generating one), echoes
@@ -148,26 +166,25 @@ func Instrument(next http.Handler) http.Handler {
 		if len(echo) != 1 || echo[0] != id {
 			echo = []string{id}
 		}
-		ctx := WithRequestID(r.Context(), id)
-		r = r.WithContext(ctx)
 		w.Header()[RequestIDKey] = echo
-		iw := &ingressWriter{ResponseWriter: w, status: http.StatusOK, route: otherRoute}
-		next.ServeHTTP(iw, r)
+		in := &ingress{ResponseWriter: w, Context: r.Context(), id: id, status: http.StatusOK, route: otherRoute}
+		r = r.WithContext(in)
+		next.ServeHTTP(in, r)
 		if !Enabled() {
 			return
 		}
 		elapsed := time.Since(start)
-		route := iw.route
-		route.requests[methodIndex(r.Method)][classIndex(iw.status)].Inc()
+		route := in.route
+		route.requests[methodIndex(r.Method)][classIndex(in.status)].Inc()
 		route.latency.Observe(elapsed.Seconds())
 		// At the default warn level Log returns after its Enabled check
 		// and the attrs stay on the stack: the hot path allocates nothing.
-		Log(ctx, slog.LevelInfo, "http request",
+		Log(in, slog.LevelInfo, "http request",
 			slog.String("request_id", id),
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
 			slog.String("route", route.label),
-			slog.Int("status", iw.status),
+			slog.Int("status", in.status),
 			slog.Duration("elapsed", elapsed),
 		)
 	})

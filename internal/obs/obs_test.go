@@ -6,9 +6,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterGaugeHistogram(t *testing.T) {
@@ -265,5 +267,54 @@ func TestIngressWriterForwardsReadFrom(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/files/x", nil))
 	if !rec.readFrom || rec.Body.String() != "payload" || !rec.Flushed {
 		t.Fatalf("ReadFrom forwarded %v, body %q, flushed %v", rec.readFrom, rec.Body.String(), rec.Flushed)
+	}
+}
+
+// TestIngressContext: the ingress is the request's context.  It answers
+// the request ID, every other key from the context it wraps, and lets the
+// context package find the cancelable parent, so contexts derived from it
+// are cancelled with the request without a propagation goroutine each.
+func TestIngressContext(t *testing.T) {
+	type key struct{}
+	parent, cancel := context.WithCancel(context.WithValue(context.Background(), key{}, "parent's"))
+	req := httptest.NewRequest(http.MethodGet, "/", nil).WithContext(parent)
+	req.Header.Set(RequestIDHeader, "4f1c2a9e0b7d3c56")
+	var children []context.Context
+	var cancels []context.CancelFunc
+	defer func() {
+		for _, c := range cancels {
+			c()
+		}
+	}()
+	var grew int
+	h := Instrument(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ctx := r.Context()
+		if id, ok := RequestIDFrom(ctx); !ok || id != "4f1c2a9e0b7d3c56" {
+			t.Errorf("RequestIDFrom = %q, %v", id, ok)
+		}
+		if v := ctx.Value(key{}); v != "parent's" {
+			t.Errorf("a parent's key answered %v", v)
+		}
+		if id, ok := RequestIDFrom(WithRequestID(ctx, "inner")); !ok || id != "inner" {
+			t.Errorf("an ID set below the ingress answered %q, %v", id, ok)
+		}
+		before := runtime.NumGoroutine()
+		for i := 0; i < 100; i++ {
+			child, cancelChild := context.WithCancel(ctx)
+			children, cancels = append(children, child), append(cancels, cancelChild)
+		}
+		grew = runtime.NumGoroutine() - before
+	}))
+	h.ServeHTTP(httptest.NewRecorder(), req)
+	if grew >= 50 {
+		t.Fatalf("100 contexts derived from the ingress started %d goroutines", grew)
+	}
+	cancel()
+	for i, c := range children {
+		select {
+		case <-c.Done():
+		case <-time.After(time.Second):
+			t.Fatalf("child %d was not cancelled with the request", i)
+		}
 	}
 }

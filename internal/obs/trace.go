@@ -37,10 +37,18 @@ func IsRequestIDKey(key any) bool {
 	return ok
 }
 
-// RequestIDFrom extracts the request ID stored in ctx, if any.
+// RequestIDFrom extracts the request ID stored in ctx, if any: the one
+// WithRequestID or a Context answering IsRequestIDKey stored as a string,
+// or the one the ingress (Instrument) holds.
 func RequestIDFrom(ctx context.Context) (string, bool) {
-	id, ok := ctx.Value(ctxKey{}).(string)
-	return id, ok && id != ""
+	var id string
+	switch v := ctx.Value(ctxKey{}).(type) {
+	case string:
+		id = v
+	case *ingress:
+		id = v.id
+	}
+	return id, id != ""
 }
 
 // NewRequestID returns a fresh 16-hex-digit request identifier.
