@@ -161,13 +161,24 @@ func (c *Client) retry() *rest.RetryPolicy {
 // is routed (DESIGN.md §5h.5): each replayable request asks for a route, and
 // one a gateway routes goes to the replica itself.
 func (c *Client) do(req *http.Request) (*http.Response, error) {
-	return c.doRoute(req, false)
+	return c.doRoute(req, placement{})
 }
 
-// doRoute is do for a request that, when spread is set, is a job
-// submission whose body references no file: it may take a spread lease a
-// gateway granted, and place itself on the leased replicas.
-func (c *Client) doRoute(req *http.Request, spread bool) (*http.Response, error) {
+// placement describes a request a gateway places afresh — a job submission
+// or an upload — which may take a spread lease the gateway granted and
+// place itself on the leased replicas.
+type placement struct {
+	fresh bool // the request is placed afresh: it may take and use a lease
+	// upload marks an upload, whose route is asked for with
+	// Expect: 100-continue, so its body goes to the replica only.
+	upload bool
+	// files holds a submission's inputs when its body references files:
+	// a lease places it on the leased replica that owns most of them.
+	files core.Values
+}
+
+// doRoute is do for a request placed as p says.
+func (c *Client) doRoute(req *http.Request, p placement) (*http.Response, error) {
 	if c.Token != "" {
 		req.Header.Set("Authorization", "Bearer "+c.Token)
 	}
@@ -181,7 +192,7 @@ func (c *Client) doRoute(req *http.Request, spread bool) (*http.Response, error)
 	if c.Token != "" || hc.CheckRedirect != nil || !rest.Replayable(req) {
 		return c.retry().Do(hc, req)
 	}
-	rt := &routed{c: c, hc: hc, url: req.URL, host: req.Host, spread: spread}
+	rt := &routed{c: c, hc: hc, url: req.URL, host: req.Host, place: p}
 	return c.retry().Send(req, rt.send)
 }
 
@@ -199,14 +210,16 @@ type gatewayRoutes struct {
 	replicas map[string]string
 	// holdUntil, while in the future, stops routes being asked for.
 	holdUntil time.Time
-	// leases holds the spread leases granted, by the escaped path of the
-	// service on the gateway.
+	// leases holds the spread leases granted, by the escaped path on the
+	// gateway of the service or file collection they place.
 	leases map[string]*spreadLease
 }
 
-// spreadLease is a gateway's spread lease on one service (core.SpreadLease)
-// as this client uses it: the URL each leased replica is posted at, until
-// the lease runs out, taken in turn.
+// spreadLease is a gateway's spread lease on one path (core.SpreadLease) —
+// a service's submissions or the file collection's uploads — as this
+// client uses it: the URL each leased replica is posted at, until the lease
+// runs out, taken in turn unless the files a submission references pick
+// one.
 type spreadLease struct {
 	until time.Time
 	names []string
@@ -223,25 +236,25 @@ type spreadLease struct {
 type routed struct {
 	c      *Client
 	hc     *http.Client
-	url    *url.URL // the request's own URL, on the gateway
-	host   string   // and its Host
-	spread bool     // a job submission that may take a spread lease
-	failed bool     // a routed hop of this request failed
-	held   bool     // and this request put the gateway's routes on hold
+	url    *url.URL  // the request's own URL, on the gateway
+	host   string    // and its Host
+	place  placement // how a spread lease may place it
+	failed bool      // a routed hop of this request failed
+	held   bool      // and this request put the gateway's routes on hold
 }
 
 // send makes one attempt.  r is the request or the retry policy's copy of
 // it, so its URL and preference are set afresh for each attempt.
 func (rt *routed) send(r *http.Request) (*http.Response, error) {
 	r.URL, r.Host = rt.url, rt.host
-	if rt.spread && !rt.failed {
-		if direct, name := rt.c.leased(r.URL); direct != nil {
+	if rt.place.fresh && !rt.failed {
+		if direct, name := rt.c.leased(r.URL, rt.place.files); direct != nil {
 			return rt.sendLeased(r, direct, name)
 		}
 	}
 	direct, id, held := rt.c.lookup(r.URL)
 	if rt.failed || held {
-		r.Header.Del("Prefer")
+		rt.ask(r.Header, false)
 		resp, err := rt.hc.Do(r)
 		if rt.held && err == nil && (resp.StatusCode == http.StatusBadGateway || resp.StatusCode == http.StatusGatewayTimeout) {
 			// The gateway cannot reach the replica either: it is down, not
@@ -253,10 +266,8 @@ func (rt *routed) send(r *http.Request) (*http.Response, error) {
 	}
 	if direct != nil {
 		r.URL, r.Host = direct, ""
-		r.Header.Del("Prefer")
-	} else {
-		r.Header.Set("Prefer", core.RoutePreference)
 	}
+	rt.ask(r.Header, direct == nil)
 	resp, err := rt.hc.Do(r)
 	if err != nil {
 		var uerr *url.Error
@@ -290,11 +301,28 @@ func (rt *routed) send(r *http.Request) (*http.Response, error) {
 	}
 	if direct == nil {
 		rt.c.learn(rt.url.Host, gwBase, replica, replicaBase)
-		if v := redirect.Header[spreadLeaseKey]; rt.spread && len(v) == 1 {
+		if v := redirect.Header[spreadLeaseKey]; rt.place.fresh && len(v) == 1 {
 			rt.c.takeLease(rt.url, v[0], replica, final, gwBase, replicaBase)
 		}
 	}
 	return resp, nil
+}
+
+// ask sets on h the headers with which an attempt asks the gateway for a
+// route, when route is set, or removes them, for an attempt sent anywhere
+// else.  An upload asks with Expect: 100-continue: the gateway answers
+// the route without reading the body, so a transport that honours the
+// expectation sends the bytes once, to the replica.
+func (rt *routed) ask(h http.Header, route bool) {
+	if !route {
+		h.Del("Prefer")
+		h.Del("Expect")
+		return
+	}
+	h.Set("Prefer", core.RoutePreference)
+	if rt.place.upload {
+		h.Set("Expect", "100-continue")
+	}
 }
 
 // sendLeased posts r to direct, where a spread lease placed it on the
@@ -304,7 +332,7 @@ func (rt *routed) send(r *http.Request) (*http.Response, error) {
 // unrouted, so its passive health and admission control see the failure.
 func (rt *routed) sendLeased(r *http.Request, direct *url.URL, name string) (*http.Response, error) {
 	r.URL, r.Host = direct, ""
-	r.Header.Del("Prefer")
+	rt.ask(r.Header, false)
 	resp, err := rt.hc.Do(r)
 	if err != nil {
 		if r.Context().Err() == nil {
@@ -350,10 +378,13 @@ func answeredBy(resp *http.Response) string {
 	return ""
 }
 
-// leased returns where the next submission to u goes on the spread lease
-// of u's service, and the replica that must answer it there: nil while no
-// live lease covers u, or the gateway's routes are on hold.
-func (c *Client) leased(u *url.URL) (*url.URL, string) {
+// leased returns where the next submission or upload to u goes on the
+// spread lease of u's path, and the replica that must answer it there: nil
+// while no live lease covers u, or the gateway's routes are on hold.  A
+// submission whose inputs (files) reference files goes to the leased
+// replica that owns most of them (core.FileHome, the gateway's own rule);
+// the rest, and one no leased replica owns, take the lease's cursor.
+func (c *Client) leased(u *url.URL, files core.Values) (*url.URL, string) {
 	c.routeMu.Lock()
 	defer c.routeMu.Unlock()
 	g := c.routes[u.Host]
@@ -369,8 +400,11 @@ func (c *Client) leased(u *url.URL) (*url.URL, string) {
 		delete(g.leases, path)
 		return nil, ""
 	}
-	i := l.next
-	l.next = (i + 1) % len(l.urls)
+	i, home := core.FileHome(files, len(l.names), func(i int) string { return l.names[i] })
+	if !home {
+		i = l.next
+		l.next = (i + 1) % len(l.urls)
+	}
 	direct := *l.urls[i]
 	direct.RawQuery = u.RawQuery
 	return &direct, l.names[i]
@@ -746,9 +780,10 @@ func (c *Client) describeService(ctx context.Context, uri string) (core.ServiceD
 // positive the server holds the request until the job completes or the
 // window elapses, enabling the synchronous mode of the unified API.
 //
-// Through a gateway that leased the service's replicas to the client (a
-// spread placement, DESIGN.md §5h.5), a submission whose inputs reference no
-// file is posted straight to the next leased replica.
+// Through a gateway that leased the service's replicas to the client
+// (DESIGN.md §5h.5), a submission is posted straight to a leased replica:
+// the one that owns most of the files its inputs reference, else the next
+// on the lease.
 func (s *Service) Submit(ctx context.Context, inputs core.Values, wait time.Duration) (*core.Job, error) {
 	return send[core.Job](ctx, s.client, http.MethodPost, withWait(s.uri, wait), inputs, http.StatusCreated, true)
 }
@@ -825,19 +860,23 @@ func withWait(uri string, wait time.Duration) string {
 
 // send performs one request on the client, with body (when non-nil)
 // encoded as JSON, and decodes an answer with the want status as a T; any
-// other status is an *APIError.  submit marks a job submission: when its
-// encoded body holds no file reference — the bytes a gateway tests before
-// it spreads a submission — it may be placed on a spread lease.
+// other status is an *APIError.  submit marks a job submission, whose body
+// is its core.Values: it may be placed on a spread lease, by the files it
+// references when its encoded body holds `"file:` — the bytes a gateway
+// tests before it reads a submission's inputs.
 func send[T any](ctx context.Context, c *Client, method, uri string, body any, want int, submit bool) (*T, error) {
 	var rd io.Reader
-	spread := false
+	var p placement
 	if body != nil {
 		data, err := json.Marshal(body)
 		if err != nil {
 			return nil, fmt.Errorf("client: encode %s body: %w", method, err)
 		}
 		rd = bytes.NewReader(data)
-		spread = submit && !bytes.Contains(data, fileRefMarker)
+		p.fresh = submit
+		if submit && bytes.Contains(data, fileRefMarker) {
+			p.files = body.(core.Values)
+		}
 	}
 	req, err := http.NewRequestWithContext(ctx, method, uri, rd)
 	if err != nil {
@@ -846,7 +885,7 @@ func send[T any](ctx context.Context, c *Client, method, uri string, body any, w
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := c.doRoute(req, spread)
+	resp, err := c.doRoute(req, p)
 	if err != nil {
 		return nil, fmt.Errorf("client: %s %s: %w", method, uri, err)
 	}
@@ -957,14 +996,25 @@ func (e *JobError) Error() string {
 
 // UploadFile posts data to the container's file collection and returns the
 // file reference to embed in request parameters.
+//
+// A body the client can send again — an in-memory reader, or any
+// io.Seeker such as an *os.File, from its current offset — is routed
+// (DESIGN.md §5h.5): through a gateway it goes to the replica the gateway
+// places it on, or straight to a leased one.  Any other reader streams
+// through the gateway.
 func (c *Client) UploadFile(ctx context.Context, containerBase string, data io.Reader) (string, error) {
 	uri := strings.TrimRight(containerBase, "/") + "/files"
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, uri, data)
 	if err != nil {
 		return "", fmt.Errorf("client: %w", err)
 	}
+	if s, ok := data.(io.ReadSeeker); ok && req.GetBody == nil {
+		if err := rewindable(req, s); err != nil {
+			return "", fmt.Errorf("client: POST %s: %w", uri, err)
+		}
+	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.do(req)
+	resp, err := c.doRoute(req, placement{fresh: true, upload: true})
 	if err != nil {
 		return "", fmt.Errorf("client: POST %s: %w", uri, err)
 	}
@@ -979,6 +1029,61 @@ func (c *Client) UploadFile(ctx context.Context, containerBase string, data io.R
 		return "", fmt.Errorf("client: decode upload response: %w", err)
 	}
 	return out.Ref, nil
+}
+
+// rewindable gives req, whose body is s, the ContentLength of what s holds
+// from its current offset and a GetBody that seeks back there.  A transport
+// may still be reading an earlier attempt's body when the next attempt is
+// made (a 307 can answer before the body is sent, and http.Client closes
+// the body without waiting for that reader), so GetBody first closes the
+// earlier body, which stops its reads, and only then seeks.
+func rewindable(req *http.Request, s io.ReadSeeker) error {
+	start, err := s.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return err
+	}
+	end, err := s.Seek(0, io.SeekEnd)
+	if err != nil {
+		return err
+	}
+	if _, err := s.Seek(start, io.SeekStart); err != nil {
+		return err
+	}
+	body := &seekBody{r: s}
+	req.Body, req.ContentLength = body, end-start
+	req.GetBody = func() (io.ReadCloser, error) {
+		body.Close()
+		if _, err := s.Seek(start, io.SeekStart); err != nil {
+			return nil, err
+		}
+		body = &seekBody{r: s}
+		return body, nil
+	}
+	return nil
+}
+
+// seekBody is one attempt's view of a rewindable upload body.  Once it is
+// closed it reads nothing more, so the next attempt owns the reader.
+type seekBody struct {
+	mu     sync.Mutex
+	r      io.Reader
+	closed bool
+}
+
+func (b *seekBody) Read(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return 0, http.ErrBodyReadAfterClose
+	}
+	return b.r.Read(p)
+}
+
+func (b *seekBody) Close() error {
+	b.mu.Lock()
+	b.closed = true
+	b.mu.Unlock()
+	return nil
 }
 
 // FetchFile downloads the content behind a file-reference parameter value.

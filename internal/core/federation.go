@@ -40,17 +40,19 @@ type LoadReport struct {
 }
 
 // SpreadLeaseHeader carries a spread lease (SpreadLease) on the 307 with
-// which a gateway routes a job submission it placed by spread alone: the
-// service is not deterministic, the body references no file, no candidate
-// advertises a full queue and the gateway polls load.  Until the lease
-// runs out the client may place such submissions to the same service
-// itself, round-robin over the leased replicas, instead of asking the
-// gateway each time (DESIGN.md §5h.5).
+// which a gateway that polls load routes work it places afresh: a job
+// submission to a service that is not deterministic, while no candidate
+// advertises a full queue, or an upload.  Until the lease runs out the
+// client may place such requests to the same path itself, instead of
+// asking the gateway each time: a submission on the leased replica that
+// owns most of its input files (FileHome), the rest round-robin over the
+// leased replicas (DESIGN.md §5h.5).
 const SpreadLeaseHeader = "X-MC-Spread-Lease"
 
 // SpreadLease is the candidate set a gateway leases to a client: the
-// service's healthy replicas in the gateway's order, each with the base URL
-// the gateway reaches it at, for one load interval.
+// healthy replicas of the service (or, for uploads, of the federation) in
+// the gateway's order, each with the base URL the gateway reaches it at,
+// for one load interval.
 type SpreadLease struct {
 	For      time.Duration
 	Replicas []LeasedReplica
@@ -148,4 +150,55 @@ func validLeaseBase(base string) bool {
 	}
 	u, err := url.Parse(base)
 	return err == nil && (u.Scheme == "http" || u.Scheme == "https") && u.Host != "" && u.User == nil && u.Opaque == ""
+}
+
+// FileOwner returns the replica prefix of the file a parameter value
+// references, for both forms a reference takes: the bare federation ID
+// ("file:r02-<hex>") and the absolute URI minted by a replica
+// ("file:http://gw/files/r02-<hex>").
+func FileOwner(v any) (string, bool) {
+	ref, ok := FileRefID(v)
+	if !ok {
+		return "", false
+	}
+	if i := strings.LastIndex(ref, "/files/"); i >= 0 {
+		ref = ref[i+len("/files/"):]
+	}
+	return SplitReplicaID(ref)
+}
+
+// FileHome is the input-locality rule of placement (DESIGN.md §5j.3), which
+// a gateway and a client holding its spread lease both run: among n
+// candidates, where name(i) is the i-th one's replica name, it returns the
+// index of the one that owns the most of the file references among inputs,
+// and false when no candidate owns any or two of them tie.  Inputs without
+// a file reference cost one pass over them and no allocation.
+func FileHome(inputs Values, n int, name func(i int) string) (int, bool) {
+	var owned []int // per candidate; allocated on the first owned reference
+	for _, v := range inputs {
+		owner, ok := FileOwner(v)
+		if !ok {
+			continue
+		}
+		for i := 0; i < n; i++ {
+			if name(i) == owner {
+				if owned == nil {
+					owned = make([]int, n)
+				}
+				owned[i]++
+				break
+			}
+		}
+	}
+	best, tie := -1, false
+	for i, k := range owned {
+		switch {
+		case k == 0:
+		case best < 0 || k > owned[best]:
+			best, tie = i, false
+		case k == owned[best]:
+			tie = true
+		}
+	}
+	return best, best >= 0 && !tie
 }

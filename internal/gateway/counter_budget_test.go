@@ -3,6 +3,7 @@ package gateway_test
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"sync/atomic"
 	"testing"
@@ -97,10 +98,11 @@ func TestExchangeCountDeterministicRedirects(t *testing.T) {
 	}
 }
 
-// TestExchangeCountFileInputsRedirect: a body holding "file: is never
-// placed on a lease — not even one the client holds for the same service —
-// and each of 64 submits takes its 307 to the replica that owns its file.
-func TestExchangeCountFileInputsRedirect(t *testing.T) {
+// TestExchangeCountFileInputsLeased: a submission referencing a file is
+// placed afresh, so its 307 grants a lease too, and the client places the
+// rest itself by the gateway's locality rule: 64 submits cost the gateway
+// one exchange, and each job still runs on its file's owner.
+func TestExchangeCountFileInputsLeased(t *testing.T) {
 	var calls atomic.Int64
 	fileSvc := fileLenService(t, &calls)
 	r1 := startReplica(t, "r01", fileSvc)
@@ -115,32 +117,83 @@ func TestExchangeCountFileInputsRedirect(t *testing.T) {
 		if err != nil {
 			t.Fatalf("upload %d: %v", i, err)
 		}
-		owner, _ := client.ReplicaOf(ref)
-		owners[owner] = true
+		owners[mustReplicaOf(t, ref)] = true
 		refs = append(refs, ref)
 	}
 	if len(owners) != 2 {
 		t.Fatalf("uploads landed on %v, want one on each replica", owners)
 	}
 	svc := api.Service(gw.URL + "/services/flen")
-	// A file-less submission to the same service takes a lease first.
-	if _, err := svc.Submit(ctx, core.Values{"f": "inline"}, 15*time.Second); err != nil {
-		t.Fatalf("file-less submit: %v", err)
-	}
 	for i := 0; i < counterSubmits; i++ {
-		ref := refs[i%2]
+		ref := refs[(i/3)%2] // runs of three, which the lease's cursor alone misses
 		job := submitDone(t, svc, core.Values{"f": ref})
 		if got, want := mustReplicaOf(t, job.ID), mustReplicaOf(t, ref); got != want {
 			t.Fatalf("job %d ran on %s, its input lives on %s", i, got, want)
 		}
 	}
-	if got := countExchanges(rec, hostOf(gw.URL), "/services/flen"); got != (exchangeCounts{gateway: 1 + counterSubmits, redirects: 1 + counterSubmits}) {
-		t.Fatalf("gateway answered %d submits (%d redirects), want exactly 1 + 64 redirects", got.gateway, got.redirects)
+	if got := countExchanges(rec, hostOf(gw.URL), "/services/flen"); got != (exchangeCounts{gateway: 1, redirects: 1}) {
+		t.Fatalf("gateway answered %d submits (%d redirects), want exactly 1, the 307 that granted the lease", got.gateway, got.redirects)
+	}
+}
+
+// TestExchangeCountUploadsLeased: the 307 of a routed upload grants the
+// uploads' lease, so 64 uploads cost the gateway one exchange, and the
+// leased round-robin continues the gateway's upload cursor: 32/32.
+func TestExchangeCountUploadsLeased(t *testing.T) {
+	var calls atomic.Int64
+	fileSvc := fileLenService(t, &calls)
+	r1 := startReplica(t, "r01", fileSvc)
+	r2 := startReplica(t, "r02", fileSvc)
+	_, gw := startGateway(t, gateway.Options{LoadInterval: time.Hour}, r1, r2)
+	api, rec := routedClient()
+	perReplica := map[string]int{}
+	for i := 0; i < counterSubmits; i++ {
+		ref, err := api.UploadFile(context.Background(), gw.URL, bytes.NewReader(bytes.Repeat([]byte{byte(i)}, 1000)))
+		if err != nil {
+			t.Fatalf("upload %d: %v", i, err)
+		}
+		perReplica[mustReplicaOf(t, ref)]++
+	}
+	if got := countExchanges(rec, hostOf(gw.URL), "/files"); got != (exchangeCounts{gateway: 1, redirects: 1}) {
+		t.Fatalf("gateway answered %d uploads (%d redirects), want exactly 1, the 307 that granted the lease", got.gateway, got.redirects)
+	}
+	if perReplica["r01"] != counterSubmits/2 || perReplica["r02"] != counterSubmits/2 {
+		t.Fatalf("uploads per replica %v, want exactly 32/32", perReplica)
+	}
+}
+
+// TestExchangeCountUnrewindableUploadProxied: an upload from a reader the
+// client cannot rewind could not follow a 307, so it is proxied, in
+// exactly one exchange, even while the client holds the uploads' lease.
+func TestExchangeCountUnrewindableUploadProxied(t *testing.T) {
+	var calls atomic.Int64
+	fileSvc := fileLenService(t, &calls)
+	r1 := startReplica(t, "r01", fileSvc)
+	r2 := startReplica(t, "r02", fileSvc)
+	_, gw := startGateway(t, gateway.Options{LoadInterval: time.Hour}, r1, r2)
+	api, rec := routedClient()
+	ctx := context.Background()
+	if _, err := api.UploadFile(ctx, gw.URL, bytes.NewReader([]byte("takes the lease"))); err != nil {
+		t.Fatalf("rewindable upload: %v", err)
+	}
+	rec.mu.Lock()
+	rec.hops = nil
+	rec.mu.Unlock()
+	payload := []byte("a stream read once")
+	ref, err := api.UploadFile(ctx, gw.URL, struct{ io.Reader }{bytes.NewReader(payload)})
+	if err != nil {
+		t.Fatalf("unrewindable upload: %v", err)
+	}
+	if len(rec.hops) != 1 || rec.hops[0] != (hop{method: http.MethodPost, host: hostOf(gw.URL), path: "/files", status: http.StatusCreated}) {
+		t.Fatalf("unrewindable upload took %+v, want exactly one proxied exchange with the gateway", rec.hops)
+	}
+	if got, err := api.FetchFile(ctx, ref); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("proxied upload reads back %q, %v; want %q", got, err, payload)
 	}
 }
 
 // TestExchangeCountUnroutedProxied: a client without the route preference
-// is proxied, 64 times, and spread 32/32.
+// is proxied, 64 times, and spread 32/32; so are its 64 uploads.
 func TestExchangeCountUnroutedProxied(t *testing.T) {
 	adapter.RegisterFunc("gwtest.add", addFunc())
 	r1 := startReplica(t, "r01", numService(t, "add", "gwtest.add", false))
@@ -165,6 +218,20 @@ func TestExchangeCountUnroutedProxied(t *testing.T) {
 	}
 	if perReplica["r01"] != counterSubmits/2 || perReplica["r02"] != counterSubmits/2 {
 		t.Fatalf("jobs per replica %v, want exactly 32/32", perReplica)
+	}
+	uploads := map[string]int{}
+	for i := 0; i < counterSubmits; i++ {
+		ref, err := api.UploadFile(context.Background(), gw.URL, bytes.NewReader([]byte{byte(i)}))
+		if err != nil {
+			t.Fatalf("upload %d: %v", i, err)
+		}
+		uploads[mustReplicaOf(t, ref)]++
+	}
+	if got := countExchanges(rec, hostOf(gw.URL), "/files"); got != (exchangeCounts{gateway: counterSubmits}) {
+		t.Fatalf("gateway answered %d uploads (%d redirects), want exactly 64 proxied", got.gateway, got.redirects)
+	}
+	if uploads["r01"] != counterSubmits/2 || uploads["r02"] != counterSubmits/2 {
+		t.Fatalf("uploads per replica %v, want exactly 32/32", uploads)
 	}
 }
 

@@ -202,6 +202,9 @@ type Gateway struct {
 	topoGen   atomic.Uint64
 	candMu    sync.Mutex
 	candCache map[string]*candEntry
+	// upEntry is the candidate-cache entry of uploads: every healthy
+	// replica, in configuration order, and their spread lease.
+	upEntry atomic.Pointer[candEntry]
 }
 
 // defaultMaxWaitWindow mirrors the container default for SSE idle streams.

@@ -3,9 +3,9 @@ package gateway_test
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -132,31 +132,24 @@ func (l *leased) asksGateway(t *testing.T) {
 
 // TestLeaseToKilledReplicaRetriesUnrouted: the lease sends a submit to a
 // replica that was killed.  The connection fails, the lease is dropped,
-// and the retry goes through the gateway unrouted; the gateway, placing it
-// on the dead replica as its own round-robin does, marks the replica down
-// and answers 502, which a POST does not retry.  No job is lost or made
-// twice: the replicas hold exactly the jobs that were answered.
+// and the retry goes through the gateway unrouted.  The gateway places it
+// on the dead replica, as its own round-robin does; its connection is
+// refused, so the replica never saw the submit: the gateway marks it down
+// and places the submit once more, on the survivor, which answers 201.
+// No job is lost or made twice: the replicas hold exactly the jobs that
+// were answered.
 func TestLeaseToKilledReplicaRetriesUnrouted(t *testing.T) {
 	l, _ := newLeased(t, gateway.Options{LoadInterval: time.Hour}, false)
 	l.next.srv.Close()
-	_, err := l.svc.Submit(context.Background(), core.Values{"a": 2.0}, 15*time.Second)
-	var apiErr *client.APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadGateway {
-		t.Fatalf("submit leased to a dead replica: %v, want the gateway's 502", err)
+	job := submitDone(t, l.svc, core.Values{"a": 2.0})
+	l.jobs = append(l.jobs, job)
+	if name := mustReplicaOf(t, job.ID); name != l.first.name {
+		t.Fatalf("submit leased to a dead replica ran on %s, want the survivor %s", name, l.first.name)
 	}
 	wantHops(t, "submit leased to a dead replica", l.takeHops(),
 		hop{host: hostOf(l.next.srv.URL)},
-		hop{host: hostOf(l.gw.URL), status: http.StatusBadGateway})
-	status, data := rawDo(t, http.MethodGet, l.gw.URL+"/replicas", nil)
-	var view struct{ Replicas []gateway.ReplicaStatus }
-	if err := json.Unmarshal(data, &view); status != http.StatusOK || err != nil {
-		t.Fatalf("GET /replicas: %d %v", status, err)
-	}
-	for _, rs := range view.Replicas {
-		if rs.Healthy != (rs.Name == l.first.name) {
-			t.Fatalf("replica %s healthy %v after the unrouted retry, want only %s healthy", rs.Name, rs.Healthy, l.first.name)
-		}
-	}
+		hop{host: hostOf(l.gw.URL), status: http.StatusCreated})
+	wantOnlyHealthy(t, l.gw.URL, l.first.name)
 	l.asksGateway(t)
 	if name := mustReplicaOf(t, l.jobs[len(l.jobs)-1].ID); name != l.first.name {
 		t.Fatalf("submit after the failover ran on %s, want the survivor %s", name, l.first.name)
@@ -176,6 +169,71 @@ func TestLeaseToKilledReplicaRetriesUnrouted(t *testing.T) {
 	for _, j := range l.jobs {
 		if !held[j.ID] {
 			t.Fatalf("answered job %s is on no replica", j.ID)
+		}
+	}
+}
+
+// TestLeasedUploadToKilledReplicaRetriesUnrouted is the same failure for
+// an upload: the uploads' lease sends it to a replica that was killed, the
+// unrouted retry streams through the gateway, whose upload cursor places
+// it on the dead replica; the refused connection took no byte of the body,
+// so the gateway marks the replica down and places the upload once more,
+// on the survivor.  Every file is stored once, and reads back.
+func TestLeasedUploadToKilledReplicaRetriesUnrouted(t *testing.T) {
+	adapter.RegisterFunc("gwtest.add", addFunc())
+	r1 := startReplica(t, "r01", numService(t, "add", "gwtest.add", false))
+	r2 := startReplica(t, "r02", numService(t, "add", "gwtest.add", false))
+	_, gw := startGateway(t, gateway.Options{LoadInterval: time.Hour}, r1, r2)
+	api, rec := routedClient()
+	api.Retry = &rest.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond}
+	ctx := context.Background()
+	upload := func(payload string) string {
+		t.Helper()
+		rec.mu.Lock()
+		rec.hops = nil
+		rec.mu.Unlock()
+		ref, err := api.UploadFile(ctx, gw.URL, strings.NewReader(payload))
+		if err != nil {
+			t.Fatalf("upload %q: %v", payload, err)
+		}
+		if got, err := api.FetchFile(ctx, ref); err != nil || string(got) != payload {
+			t.Fatalf("upload %q reads back %q, %v", payload, got, err)
+		}
+		return ref
+	}
+	first := upload("granted the lease")
+	live, dead := r1, r2
+	if mustReplicaOf(t, first) == "r02" {
+		live, dead = r2, r1
+	}
+	dead.srv.Close()
+	if ref := upload("leased to a dead replica"); mustReplicaOf(t, ref) != live.name {
+		t.Fatalf("upload leased to a dead replica stored as %s, want it on the survivor %s", ref, live.name)
+	}
+	rec.mu.Lock()
+	hops := rec.hops[:2] // then the read back
+	rec.mu.Unlock()
+	wantHops(t, "upload leased to a dead replica", hops,
+		hop{host: hostOf(dead.srv.URL)},
+		hop{host: hostOf(gw.URL), status: http.StatusCreated})
+	wantOnlyHealthy(t, gw.URL, live.name)
+	if n, m := live.c.Files().Count(), dead.c.Files().Count(); n != 2 || m != 0 {
+		t.Fatalf("survivor holds %d files, the dead replica %d; want 2 and 0", n, m)
+	}
+}
+
+// wantOnlyHealthy fails t unless the gateway at gwURL reports exactly the
+// replica name healthy.
+func wantOnlyHealthy(t *testing.T, gwURL, name string) {
+	t.Helper()
+	status, data := rawDo(t, http.MethodGet, gwURL+"/replicas", nil)
+	var view struct{ Replicas []gateway.ReplicaStatus }
+	if err := json.Unmarshal(data, &view); status != http.StatusOK || err != nil {
+		t.Fatalf("GET /replicas: %d %v", status, err)
+	}
+	for _, rs := range view.Replicas {
+		if rs.Healthy != (rs.Name == name) {
+			t.Fatalf("replica %s healthy %v, want only %s healthy", rs.Name, rs.Healthy, name)
 		}
 	}
 }

@@ -137,9 +137,11 @@ func TestReplicaStateQueueDepthUnknownLoadLooksIdle(t *testing.T) {
 }
 
 // TestLeaseGrantRules pins when a submission's 307 grants a spread lease:
-// only for a submission placed by spread alone, while no candidate
-// advertises a full queue and the gateway polls load.  The lease lists the
-// candidates in the gateway's order for one load interval.
+// for a submission placed afresh (the service is not deterministic), by
+// input locality or by spread, while no candidate advertises a full queue
+// and the gateway polls load.  The lease lists the candidates in the
+// gateway's order for one load interval.  Sweeps, which have a handler of
+// their own, never get one (handleSweepSubmit grants none).
 func TestLeaseGrantRules(t *testing.T) {
 	leasing := func(loadEvery time.Duration) *Gateway {
 		g := localityGateway()
@@ -167,9 +169,24 @@ func TestLeaseGrantRules(t *testing.T) {
 	if _, lease, _ := g.routeSubmit("det", plain); lease != nil {
 		t.Fatalf("deterministic submission granted %q", lease)
 	}
-	withFile := submitBody(t, core.Values{"f": core.FileRef(fileID("r09", 1))})
-	if _, lease, _ := g.routeSubmit("s", withFile); lease != nil {
-		t.Fatalf("submission holding \"file: granted %q", lease)
+	for _, owner := range []string{"r02", "r09"} { // placed by locality, then by spread
+		withFile := submitBody(t, core.Values{"f": core.FileRef(fileID(owner, 1))})
+		if rs, lease, err := g.routeSubmit("s", withFile); err != nil || len(lease) != 1 || lease[0] != g.candidates("s").lease[0] {
+			t.Fatalf("submission referencing a file on %s: placed %v, lease %q, %v; want the service's lease", owner, rs, lease, err)
+		} else if owner == "r02" && rs.name != "r02" {
+			t.Fatalf("submission referencing a file on r02 placed on %s", rs.name)
+		}
+	}
+	detFile := submitBody(t, core.Values{"f": core.FileRef(fileID("r02", 1))})
+	if _, lease, _ := g.routeSubmit("det", detFile); lease != nil {
+		t.Fatalf("deterministic submission referencing a file granted %q", lease)
+	}
+	sweep := httptest.NewRequest(http.MethodPost, "/services/s/sweeps", strings.NewReader(`{"template": {}, "axes": {"x": [1, 2]}}`))
+	sweep.Header.Set("Prefer", core.RoutePreference)
+	w := httptest.NewRecorder()
+	g.handleSweepSubmit(w, sweep, "s")
+	if w.Code != http.StatusTemporaryRedirect || w.Header().Get(core.SpreadLeaseHeader) != "" {
+		t.Fatalf("routed sweep: status %d, lease %q; want a 307 granting none", w.Code, w.Header().Get(core.SpreadLeaseHeader))
 	}
 	g.byName["r02"].load = core.LoadReport{QueueDepth: 8, QueueCap: 8}
 	if rs, lease, err := g.routeSubmit("s", plain); err != nil || rs == nil || lease != nil {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"hash/fnv"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -113,6 +112,24 @@ func (g *Gateway) candidates(service string) *candEntry {
 	// caller recomputes.
 	g.candCache[service] = e
 	g.candMu.Unlock()
+	return e
+}
+
+// uploadCandidates returns the candidate-cache entry of uploads, computing
+// it when the topology generation moved.
+func (g *Gateway) uploadCandidates() *candEntry {
+	gen := g.topoGen.Load()
+	if e := g.upEntry.Load(); e != nil && e.gen == gen {
+		return e
+	}
+	var healthy []*replicaState
+	for _, rs := range g.replicas {
+		if rs.isHealthy() {
+			healthy = append(healthy, rs)
+		}
+	}
+	e := &candEntry{gen: gen, replicas: healthy, lease: g.spreadLease(healthy)}
+	g.upEntry.Store(e)
 	return e
 }
 
@@ -226,56 +243,17 @@ func refuseSaturated() error {
 	return core.ErrUnavailable(time.Second, "all replicas saturated: every candidate queue is full")
 }
 
-// fileOwner returns the replica prefix of the file a parameter value
-// references, for both forms a reference takes: the bare federation ID
-// ("file:r02-<hex>") and the absolute URI minted by a replica
-// ("file:http://gw/files/r02-<hex>").
-func fileOwner(v any) (string, bool) {
-	ref, ok := core.FileRefID(v)
-	if !ok {
-		return "", false
-	}
-	if i := strings.LastIndex(ref, "/files/"); i >= 0 {
-		ref = ref[i+len("/files/"):]
-	}
-	return core.SplitReplicaID(ref)
-}
-
 // localityReplica returns the candidate that owns the most of the file
-// references among inputs, or nil when no candidate owns any, two candidates
-// tie, or the owner advertises a full queue — the cases left to placeSpread.
-// A submission without file references costs one pass over its inputs.
+// references among inputs (core.FileHome, the rule a client holding a
+// spread lease runs too), or nil when no candidate owns any, two candidates
+// tie, or the owner advertises a full queue — the cases left to
+// placeSpread.
 func localityReplica(candidates []*replicaState, inputs core.Values) *replicaState {
-	var owned []int // per candidate; allocated on the first owned reference
-	for _, v := range inputs {
-		owner, ok := fileOwner(v)
-		if !ok {
-			continue
-		}
-		for i, c := range candidates {
-			if c.name == owner {
-				if owned == nil {
-					owned = make([]int, len(candidates))
-				}
-				owned[i]++
-				break
-			}
-		}
-	}
-	best, tie := -1, false
-	for i, n := range owned {
-		switch {
-		case n == 0:
-		case best < 0 || n > owned[best]:
-			best, tie = i, false
-		case n == owned[best]:
-			tie = true
-		}
-	}
-	if best < 0 || tie || candidates[best].queueFull() {
+	i, ok := core.FileHome(inputs, len(candidates), func(i int) string { return candidates[i].name })
+	if !ok || candidates[i].queueFull() {
 		return nil
 	}
-	return candidates[best]
+	return candidates[i]
 }
 
 // placeFresh places a submission without a digest home: on the replica
@@ -291,10 +269,11 @@ func (g *Gateway) placeFresh(candidates []*replicaState, inputs core.Values) (*r
 // without file inputs goes to its digest home.  Everything else goes to the
 // replica owning its input files, failing that to load-aware placement.
 // Both the home and load-aware placement may refuse admission (non-nil err)
-// when every candidate is saturated.  A submission placed by spread alone —
-// not deterministic, no `"file:` in the body — while no candidate
-// advertises a full queue also returns the candidates' spread lease (nil
-// otherwise), for the 307 to grant.
+// when every candidate is saturated.  A submission placed afresh — the
+// service is not deterministic — while no candidate advertises a full
+// queue also returns the candidates' spread lease (nil otherwise), for the
+// 307 to grant: a client holding it runs the same two steps, locality then
+// spread, itself.
 //
 // raw is the submission body.  Only the digest home and input locality read
 // the inputs, so raw is decoded only for a deterministic service or when it
@@ -310,9 +289,13 @@ func (g *Gateway) routeSubmit(service string, raw []byte) (rs *replicaState, lea
 	if len(candidates) == 0 {
 		return nil, nil, nil
 	}
-	deterministic := candidates[0].deterministic(service)
-	if !deterministic && !bytes.Contains(raw, fileRefMarker) {
-		rs, err = g.placeSpread(candidates)
+	if !candidates[0].deterministic(service) {
+		if bytes.Contains(raw, fileRefMarker) {
+			rs = localityReplica(candidates, decodeInputs(raw))
+		}
+		if rs == nil {
+			rs, err = g.placeSpread(candidates)
+		}
 		if err == nil && e.lease != nil && !anyQueueFull(candidates) {
 			lease = e.lease
 		}
@@ -320,7 +303,7 @@ func (g *Gateway) routeSubmit(service string, raw []byte) (rs *replicaState, lea
 	}
 	inputs := decodeInputs(raw)
 	// With file inputs, the owner prefix is already a deterministic home.
-	if deterministic && !hasFileRef(inputs) {
+	if !hasFileRef(inputs) {
 		// Routing only needs a key every gateway derives alike: a key that
 		// differs from the replica's degrades to a recomputation, never to a
 		// wrong answer — the replica's own memo gate derives the real key.

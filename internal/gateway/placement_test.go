@@ -371,23 +371,37 @@ func TestUploadsSpreadOnTheirOwnCursor(t *testing.T) {
 	}
 }
 
-// FuzzFileOwner checks fileOwner on arbitrary parameter values: it never
-// panics, an owner it reports is a valid replica name, and a file ID names
-// the same owner in its bare form and in its absolute-URI form.
+// FuzzFileOwner checks that the gateway places a submission referencing
+// one arbitrary file ID, in its bare and its absolute-URI form, as the
+// shared locality rule says: on the candidate core.FileOwner names, with the
+// spread cursor untouched, and by spread (one step of the cursor) when the
+// owner is no candidate.  The body goes through the gateway's whole path:
+// the `"file:` byte test, the decoding and the owner count.
 func FuzzFileOwner(f *testing.F) {
+	g := localityGateway()
 	f.Fuzz(func(t *testing.T, id string) {
-		for _, v := range []string{id, core.FileRef(id)} {
-			if owner, ok := fileOwner(v); ok && !core.ValidReplicaName(owner) {
-				t.Fatalf("fileOwner(%q) = %q, not a valid replica name", v, owner)
+		for _, ref := range []string{core.FileRef(id), core.FileRef("http://gw.example:8190/files/" + id)} {
+			raw, err := json.Marshal(core.Values{"f": ref})
+			if err != nil {
+				t.Skip()
 			}
-		}
-		if strings.Contains(id, "/") {
-			return // a file ID is a single path segment
-		}
-		bare, bareOK := fileOwner(core.FileRef(id))
-		uri, uriOK := fileOwner(core.FileRef("http://gw.example:8190/files/" + id))
-		if bare != uri || bareOK != uriOK {
-			t.Fatalf("ID %q: bare form owned by (%q, %v), URI form by (%q, %v)", id, bare, bareOK, uri, uriOK)
+			var decoded core.Values
+			if json.Unmarshal(raw, &decoded) != nil {
+				t.Fatalf("body %s does not decode", raw)
+			}
+			owner, owned := core.FileOwner(decoded["f"])
+			owned = owned && g.byName[owner] != nil
+			cursor := g.rrCursor.Load()
+			rs, _, err := g.routeSubmit("s", raw)
+			if err != nil || rs == nil {
+				t.Fatalf("%q: placed %v, %v", ref, rs, err)
+			}
+			switch moved := g.rrCursor.Load() - cursor; {
+			case owned && (rs.name != owner || moved != 0):
+				t.Fatalf("%q: placed on %s after %d spread steps, want its owner %s and none", ref, rs.name, moved, owner)
+			case !owned && moved != 1:
+				t.Fatalf("%q (owner %q, not a candidate): %d spread steps, want 1", ref, owner, moved)
+			}
 		}
 	})
 }

@@ -7,11 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mathcloud/internal/core"
@@ -72,7 +74,7 @@ func (g *Gateway) handleService(w http.ResponseWriter, r *http.Request) {
 			g.noReplica(w, name)
 			return
 		}
-		g.forward(w, r, rs, routeService, nil)
+		g.forward(w, r, rs, routeService, nil, nil)
 	case http.MethodPost:
 		g.handleSubmit(w, r, name)
 	default:
@@ -99,7 +101,7 @@ func (g *Gateway) dispatchByID(w http.ResponseWriter, r *http.Request, route rou
 		rest.WriteError(w, err)
 		return
 	}
-	g.dispatch(w, r, rs, route, nil, nil)
+	g.dispatch(w, r, rs, route, nil, nil, nil)
 }
 
 // streamByID serves the event stream of the job or sweep (kind) its ID
@@ -116,7 +118,9 @@ func (g *Gateway) streamByID(w http.ResponseWriter, r *http.Request, kind string
 // handleSubmit places one job submission: the body is buffered (it is a
 // bounded JSON document by API contract), parsed for placement only when
 // placement reads it (routeSubmit), and forwarded byte-identical to the
-// placed replica, or the client is routed there.
+// placed replica, or the client is routed there.  A replica that refuses
+// the forward's connection is marked down and the submission placed once
+// more.
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, service string) {
 	bp := submitBufs.Get().(*[]byte)
 	raw, err := rest.ReadBody((*bp)[:0], r.Body)
@@ -135,7 +139,10 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, service s
 		rest.WriteError(w, err)
 	case rs == nil:
 		g.noReplica(w, service)
-	case !g.dispatch(w, r, rs, routeService, raw, lease):
+	case !g.dispatch(w, r, rs, routeService, raw, lease, func() *replicaState {
+		rs, _, _ := g.routeSubmit(service, raw)
+		return rs
+	}):
 		// Forwarded: the transport may still read the body after Do
 		// returns, so its buffer is not reused.
 		return
@@ -179,38 +186,72 @@ func (g *Gateway) handleSweepSubmit(w http.ResponseWriter, r *http.Request, serv
 		rest.WriteError(w, err)
 		return
 	}
-	g.dispatch(w, r, rs, routeSweep, raw, nil)
+	g.dispatch(w, r, rs, routeSweep, raw, nil, func() *replicaState {
+		rs, _ := g.placeFresh(g.serviceReplicas(service), spec.Template)
+		return rs
+	})
 }
 
+// handleFiles serves the file collection: an upload is placed afresh, a
+// request about a file goes to the replica its ID names.
+//
+// Uploads spread over all healthy replicas on a cursor of their own; the
+// minted file ID carries the chosen replica's prefix, so later reads and
+// job submissions referencing the file route straight back to the bytes.
+// A client that asks for a route is redirected before its body is read
+// (the Go client asks with Expect: 100-continue, so it sends the bytes to
+// the replica only), with the uploads' spread lease when load polling is
+// on.  Everyone else's body streams through: uploads are unbounded, so
+// they are never buffered at the gateway.
 func (g *Gateway) handleFiles(w http.ResponseWriter, r *http.Request) {
-	if r.PathValue("id") == "" {
-		if r.Method != http.MethodPost {
-			rest.MethodNotAllowed(w, http.MethodPost)
-			return
-		}
-		// Uploads spread over all healthy replicas on a cursor of their
-		// own; the minted file ID carries the chosen replica's prefix, so
-		// later reads and job submissions referencing the file route
-		// straight back to the bytes.
-		var healthy []*replicaState
-		for _, rs := range g.replicas {
-			if rs.isHealthy() {
-				healthy = append(healthy, rs)
-			}
-		}
-		if len(healthy) == 0 {
-			rest.WriteJSON(w, http.StatusBadGateway, rest.ErrorBody{
-				Error:  "gateway: no healthy replica for file upload",
-				Status: http.StatusBadGateway,
-			})
-			return
-		}
-		// The body streams through: file uploads are unbounded, so they are
-		// never buffered at the gateway.
-		g.forward(w, r, spreadReplica(&g.upCursor, healthy), routeFile, nil)
+	if r.PathValue("id") != "" {
+		g.dispatchByID(w, r, routeFile)
 		return
 	}
-	g.dispatchByID(w, r, routeFile)
+	if r.Method != http.MethodPost {
+		rest.MethodNotAllowed(w, http.MethodPost)
+		return
+	}
+	rs := g.placeUpload()
+	if rs == nil {
+		rest.WriteJSON(w, http.StatusBadGateway, rest.ErrorBody{
+			Error:  "gateway: no healthy replica for file upload",
+			Status: http.StatusBadGateway,
+		})
+		return
+	}
+	if g.dispatch(w, r, rs, routeFile, nil, g.uploadCandidates().lease, g.placeUpload) {
+		discardUnsent(w, r)
+	}
+}
+
+// discardUnsent reads and drops what the client of a redirected upload
+// sends anyway.  A client that honours Expect: 100-continue sends nothing
+// and closes the connection after the 307, which the server marks close as
+// the body stays unread.  A transport that sends the body without waiting
+// would otherwise have the connection reset under it while it writes,
+// which can destroy the 307 before the client reads it.  The 307 is
+// flushed first, so the client is never kept waiting for it, and the read
+// ends after uploadDrainWindow.
+func discardUnsent(w http.ResponseWriter, r *http.Request) {
+	rc := http.NewResponseController(w)
+	if rc.Flush() != nil {
+		return
+	}
+	_ = rc.SetReadDeadline(time.Now().Add(uploadDrainWindow))
+	_, _ = rest.Copy(io.Discard, r.Body)
+}
+
+// uploadDrainWindow bounds how long discardUnsent reads.
+const uploadDrainWindow = time.Second
+
+// placeUpload places an upload, nil when no replica is healthy.
+func (g *Gateway) placeUpload() *replicaState {
+	e := g.uploadCandidates()
+	if len(e.replicas) == 0 {
+		return nil
+	}
+	return spreadReplica(&g.upCursor, e.replicas)
 }
 
 // noReplica distinguishes "no such service in the federation" (404) from
@@ -264,19 +305,24 @@ func (g *Gateway) ensureBase(rs *replicaState) {
 // path and query there (RFC 9110 §15.4.8: the method and body are replayed)
 // and talks to it directly; everyone else, and every request to a replica
 // marked down, is proxied, so passive health still sees the failure or the
-// revival.  Uploads, scatter-gather views and event streams never come
-// here: their multiplexing is the gateway's job.  A non-nil lease is the
-// core.SpreadLeaseHeader value the 307 of a spread-placed submission
-// grants.  It reports whether it redirected; false means the request, body
-// included, was forwarded.
-func (g *Gateway) dispatch(w http.ResponseWriter, r *http.Request, rs *replicaState, route routeClass, body []byte, lease []string) (redirected bool) {
+// revival.  Scatter-gather views and event streams never come here: their
+// multiplexing is the gateway's job.  A non-nil lease is the
+// core.SpreadLeaseHeader value the 307 of a freshly placed submission or
+// upload grants; again, non-nil for a fresh placement, places the request
+// once more when the forward cannot connect to rs (see forward).  It
+// reports whether it redirected; false means the request, body included,
+// was forwarded.
+func (g *Gateway) dispatch(w http.ResponseWriter, r *http.Request, rs *replicaState, route routeClass, body []byte, lease []string, again func() *replicaState) (redirected bool) {
 	if !prefersRoute(r.Header) || !rs.isHealthy() {
-		g.forward(w, r, rs, route, body)
+		g.forward(w, r, rs, route, body, again)
 		return false
 	}
 	h := w.Header()
 	h["Location"] = []string{rs.target(r)}
 	h["Preference-Applied"] = preferenceApplied
+	// The length makes the 307 whole once its header is out, before the
+	// handler returns (see discardUnsent).
+	h["Content-Length"] = noContent
 	if lease != nil {
 		h[spreadLeaseKey] = lease
 	}
@@ -285,9 +331,13 @@ func (g *Gateway) dispatch(w http.ResponseWriter, r *http.Request, rs *replicaSt
 	return true
 }
 
-// preferenceApplied is the Preference-Applied value of every redirect,
-// shared by their header maps; net/http only reads it.
-var preferenceApplied = []string{core.RoutePreference}
+// preferenceApplied and noContent are the Preference-Applied and
+// Content-Length values of every redirect, shared by their header maps;
+// net/http only reads them.
+var (
+	preferenceApplied = []string{core.RoutePreference}
+	noContent         = []string{"0"}
+)
 
 // spreadLeaseKey is core.SpreadLeaseHeader as net/http keys a header map.
 var spreadLeaseKey = http.CanonicalHeaderKey(core.SpreadLeaseHeader)
@@ -324,17 +374,26 @@ func (rs *replicaState) target(r *http.Request) string {
 // (already buffered by the caller); nil streams r.Body through.  Reaching
 // the replica at all is what health tracks: a connection-level failure
 // marks it down (passive health) and surfaces as 502 Bad Gateway, which the
-// client retry policy replays for idempotent methods.  The request carries
-// the gateway's ingress request ID, so both tiers log it under one ID, and
-// the answer keeps that one X-Request-ID value.
-func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, rs *replicaState, route routeClass, body []byte) {
+// client retry policy replays for idempotent methods.  The one exception is
+// a request the gateway placed afresh (again non-nil) on a replica that
+// provably never saw it — the connection was refused or never made, and a
+// streamed body gave up no byte — which again places once more, on the
+// remaining healthy candidates.  The request carries the gateway's ingress
+// request ID, so both tiers log it under one ID, and the answer keeps that
+// one X-Request-ID value.
+func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, rs *replicaState, route routeClass, body []byte, again func() *replicaState) {
 	g.ensureBase(rs)
 	target := rs.target(r)
 	var reqBody io.Reader = r.Body
-	if body != nil {
+	var streamed *unsentBody
+	switch {
+	case body != nil:
 		// bytes.Reader wires ContentLength and GetBody, so buffered bodies
 		// survive transport-level replays.
 		reqBody = bytes.NewReader(body)
+	case again != nil:
+		streamed = &unsentBody{Reader: r.Body}
+		reqBody = streamed
 	}
 	out, err := http.NewRequestWithContext(r.Context(), r.Method, target, reqBody)
 	if err != nil {
@@ -355,6 +414,12 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, rs *replicaSta
 	if err != nil {
 		g.markReplicaDown(rs, err)
 		rs.countRequest(route, 0)
+		if again != nil && notConnected(err) && (streamed == nil || streamed.read.Load() == 0) && r.Context().Err() == nil {
+			if next := again(); next != nil && next != rs {
+				g.forward(w, r, next, route, body, nil)
+				return
+			}
+		}
 		status := http.StatusBadGateway
 		if errors.Is(err, context.DeadlineExceeded) {
 			status = http.StatusGatewayTimeout
@@ -379,6 +444,28 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, rs *replicaSta
 	w.WriteHeader(resp.StatusCode)
 	// A mid-stream failure leaves nothing to do: the headers are out.
 	_, _ = rest.Copy(w, resp.Body)
+}
+
+// unsentBody is a streamed body on its way to the replica it was placed on.
+// It counts the bytes the transport read, and it has no Close, so the
+// transport closing a failed attempt's body leaves the client's body open
+// for the next placement.
+type unsentBody struct {
+	io.Reader
+	read atomic.Int64
+}
+
+func (b *unsentBody) Read(p []byte) (int, error) {
+	n, err := b.Reader.Read(p)
+	b.read.Add(int64(n))
+	return n, err
+}
+
+// notConnected reports whether a transport error means no connection to
+// the replica was made, so it cannot have seen the request.
+func notConnected(err error) bool {
+	var op *net.OpError
+	return errors.As(err, &op) && op.Op == "dial"
 }
 
 // copyHeaders adds src's end-to-end headers to dst.  A request ID dst

@@ -21,6 +21,7 @@ import (
 	"mathcloud/internal/client"
 	"mathcloud/internal/core"
 	"mathcloud/internal/gateway"
+	"mathcloud/internal/rest"
 )
 
 // hop is one HTTP exchange a recorder saw.
@@ -31,14 +32,19 @@ type hop struct {
 }
 
 // recorder is an http.RoundTripper that records every exchange it carries,
-// redirect hops included.
+// redirect hops included, over next (nil: http.DefaultTransport).
 type recorder struct {
+	next http.RoundTripper
 	mu   sync.Mutex
 	hops []hop
 }
 
 func (r *recorder) RoundTrip(req *http.Request) (*http.Response, error) {
-	resp, err := http.DefaultTransport.RoundTrip(req)
+	next := r.next
+	if next == nil {
+		next = http.DefaultTransport
+	}
+	resp, err := next.RoundTrip(req)
 	h := hop{method: req.Method, host: req.URL.Host, path: req.URL.Path, prefer: req.Header.Get("Prefer")}
 	if err == nil {
 		h.status = resp.StatusCode
@@ -280,19 +286,32 @@ func TestRoutedClientMatchesProxiedAnswers(t *testing.T) {
 	}
 	mustEqual(t, "DELETE job", twinJob(*cancelled), twinJob(decode[core.Job](t, data)))
 
-	// An upload asking for a route is still proxied: its body streams.
+	// An upload asking for a route gets a 307 granting the uploads' lease,
+	// and is answered by the replica as a proxied upload is, up to the ID.
 	payload := []byte("0123456789 routed or proxied, the bytes are the same")
 	req, _ := http.NewRequest(http.MethodPost, gw.URL+"/files", bytes.NewReader(payload))
 	req.Header.Set("Prefer", core.RoutePreference)
-	resp, err := (&http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}).Do(req)
+	resp, err := api.HTTP.Do(req)
 	if err != nil {
-		t.Fatalf("upload: %v", err)
+		t.Fatalf("routed upload: %v", err)
 	}
-	up := decode[struct{ ID, URI, Ref string }](t, readAll(t, resp))
-	if resp.StatusCode != http.StatusCreated || resp.Header.Get("Preference-Applied") != "" {
-		t.Fatalf("upload with the route preference: status %d, Preference-Applied %q; want a proxied 201",
-			resp.StatusCode, resp.Header.Get("Preference-Applied"))
+	routedBody := readAll(t, resp)
+	upR := decode[struct{ ID, URI, Ref string }](t, routedBody)
+	redirect := resp.Request.Response
+	if resp.StatusCode != http.StatusCreated || redirect == nil || redirect.StatusCode != http.StatusTemporaryRedirect ||
+		redirect.Header.Get("Preference-Applied") != core.RoutePreference || !replicaHosts[hostOf(resp.Request.URL.String())] {
+		t.Fatalf("routed upload: status %d from %s, want a 307 with Preference-Applied, then 201 from a replica", resp.StatusCode, resp.Request.URL)
 	}
+	lease, err := core.ParseSpreadLease(redirect.Header.Get(core.SpreadLeaseHeader))
+	if err != nil || lease.For != time.Minute || len(lease.Replicas) != 2 {
+		t.Fatalf("routed upload's 307 leased %+v, %v; want both replicas for the load interval", lease, err)
+	}
+	status, data = rawDo(t, http.MethodPost, gw.URL+"/files", payload)
+	up := decode[struct{ ID, URI, Ref string }](t, data)
+	if status != http.StatusCreated || up.ID == upR.ID {
+		t.Fatalf("proxied upload: status %d, ID %s (routed %s)", status, up.ID, upR.ID)
+	}
+	mustEqual(t, "upload", strings.ReplaceAll(string(routedBody), upR.ID, "<id>"), strings.ReplaceAll(string(data), up.ID, "<id>"))
 
 	// File GET, whole and ranged.
 	whole, err := api.FetchFile(ctx, up.Ref)
@@ -512,5 +531,33 @@ func TestClientOptsOutOfRoutes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRoutedUploadFromEagerTransport: a transport with no
+// ExpectContinueTimeout (the zero http.Transport) sends an upload's body
+// with its headers, whatever Expect says, so the gateway's 307 races the
+// bytes.  Every routed upload must still get its 307 and land on a
+// replica: the gateway reads what such a client sends anyway instead of
+// resetting the connection under it.  Load polling is off, so there is no
+// lease and each upload asks the gateway; the retry policy is off, so an
+// upload that lost its 307 fails the test.
+func TestRoutedUploadFromEagerTransport(t *testing.T) {
+	adapter.RegisterFunc("gwtest.add", addFunc())
+	r1 := startReplica(t, "r01", numService(t, "add", "gwtest.add", false))
+	r2 := startReplica(t, "r02", numService(t, "add", "gwtest.add", false))
+	_, gw := startGateway(t, gateway.Options{LoadInterval: -1}, r1, r2)
+	eager := &http.Transport{}
+	t.Cleanup(eager.CloseIdleConnections)
+	rec := &recorder{next: eager}
+	api := &client.Client{HTTP: &http.Client{Transport: rec}, Retry: rest.NoRetry}
+	blob := bytes.Repeat([]byte("0123456789abcdef"), 1<<16) // 1 MiB
+	for i := 0; i < 16; i++ {
+		if _, err := api.UploadFile(context.Background(), gw.URL, bytes.NewReader(blob)); err != nil {
+			t.Fatalf("routed upload %d: %v", i, err)
+		}
+	}
+	if n := countExchanges(rec, hostOf(gw.URL), "/files"); n != (exchangeCounts{gateway: 16, redirects: 16}) {
+		t.Fatalf("gateway answered %d uploads (%d redirects), want 16 redirects", n.gateway, n.redirects)
 	}
 }
