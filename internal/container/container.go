@@ -570,9 +570,9 @@ func (c *Container) JobURI(serviceName, jobID string) string {
 
 // jobsURIPrefix is the URI of a service's job collection with its trailing
 // slash: a job's URI is jobsURIPrefix(service) + id, which the job encoder
-// (jobEncoder) writes without building it.  It is
-// the one place the job URI's shape is written; a deployed service's is
-// built once, with its description cache.
+// (core.NewJobEncoder) writes without building it.  It is the one place
+// the job URI's shape is written; a deployed service's is built once, with
+// its description cache.
 func (c *Container) jobsURIPrefix(serviceName string) string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -32,8 +32,8 @@ func (c *Container) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return nil, 0, false, err
 			}
-			e := newJobEncoder(c.jobsURIPrefix(service))
-			data, err := e.append(nil, img.rec, img.p)
+			e := core.NewJobEncoder(c.jobsURIPrefix(service))
+			data, err := img.rec.appendJSON(nil, &e, img.p)
 			return data, seq, img.p.state.terminal(), err
 		},
 		Idle: c.maxWait,

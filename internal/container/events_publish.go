@@ -3,6 +3,7 @@ package container
 import (
 	"encoding/json"
 
+	"mathcloud/internal/core"
 	"mathcloud/internal/events"
 )
 
@@ -36,8 +37,8 @@ func (jm *JobManager) notifyJob(rec *jobRecord, p *jobPhase) {
 	if !onJob && !onSvc {
 		return
 	}
-	e := newJobEncoder(jm.c.jobsURIPrefix(rec.service))
-	data, err := e.append(nil, rec, p)
+	e := core.NewJobEncoder(jm.c.jobsURIPrefix(rec.service))
+	data, err := rec.appendJSON(nil, &e, p)
 	if err != nil {
 		return
 	}

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unicode/utf8"
 
 	"mathcloud/internal/core"
 	"mathcloud/internal/journal"
@@ -15,9 +14,9 @@ import (
 // record keeps the request once (jobRequest) and publishes the phase as a
 // chain of small immutable images (jobPhase); a transition copies only the
 // phase.  Every server representation of the job — response bodies, pages,
-// SSE data and the journal's job record — is encoded from the two halves
-// (jobEncoder), byte for byte as core.Job.AppendJSON encodes the job they
-// make.  Only the Go API hands out a *core.Job, built once per phase.
+// SSE data and the journal's job record — is the job the two halves make,
+// built on the stack and written by core.JobEncoder (appendJSON).  Only the
+// Go API hands out a *core.Job, built once per phase.
 
 // jobRecord is the container's internal state for one job.  Every
 // transition (beginJob, land, an adapter's Progress and SetBlockState)
@@ -230,128 +229,11 @@ func images(imgs []jobImage) []*core.Job {
 	return jobs
 }
 
-// jobEncoder encodes jobs from request and phase as core.Job.AppendJSON
-// encodes the job they make, with the uri prefix+ID, or with no uri when
-// prefix is empty.  The jobs of one page share an encoder: its time memo,
-// and the prefix, escaped once.
-type jobEncoder struct {
-	prefix string
-	// prefixText is prefix escaped for a JSON string, when prefix is valid
-	// UTF-8 and the escapes of prefix and ID therefore concatenate.
-	prefixText string
-	prefixOK   bool
-	memo       core.TimeMemo
-}
-
-func newJobEncoder(prefix string) jobEncoder {
-	e := jobEncoder{prefix: prefix}
-	switch {
-	case core.PlainString(prefix):
-		e.prefixText, e.prefixOK = prefix, true
-	case utf8.ValidString(prefix):
-		e.prefixText, e.prefixOK = string(core.AppendStringContent(nil, prefix)), true
-	}
-	return e
-}
-
-// appendText appends s as a JSON string; plain reports that it needs no
-// escaping.
-func appendText(b []byte, s string, plain bool) []byte {
-	if !plain {
-		return core.AppendString(b, s)
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
-}
-
-// append appends the job of rec in phase p.  The field order and omissions
-// are core.Job's.
-func (e *jobEncoder) append(b []byte, rec *jobRecord, p *jobPhase) ([]byte, error) {
-	var err error
-	b = append(b, `{"id":`...)
-	b = appendText(b, rec.id, rec.idPlain)
-	b = append(b, `,"service":`...)
-	b = core.AppendString(b, rec.service)
-	b = append(b, `,"state":"`...)
-	b = append(b, p.state.jobState()...)
-	b = append(b, '"')
-	if len(rec.inputs) > 0 {
-		b = append(b, `,"inputs":`...)
-		if b, err = core.AppendValues(b, rec.inputs); err != nil {
-			return nil, err
-		}
-	}
-	if len(p.outputs) > 0 {
-		b = append(b, `,"outputs":`...)
-		if b, err = core.AppendValues(b, p.outputs); err != nil {
-			return nil, err
-		}
-	}
-	more := p.more
-	if more == nil {
-		more = &noMore
-	}
-	if more.err != "" {
-		b = append(b, `,"error":`...)
-		b = core.AppendString(b, more.err)
-	}
-	for _, f := range [...]struct {
-		key  string
-		t    time.Time
-		slot int
-	}{
-		{`,"created":`, rec.created, 0},
-		{`,"submitted":`, rec.submitted, 0},
-		{`,"started":`, p.started, 1},
-		{`,"finished":`, p.finished, 1},
-		{`,"destruction":`, rec.destruction(p), 1},
-	} {
-		b = append(b, f.key...)
-		if b, err = e.memo.AppendTime(b, f.slot, f.t); err != nil {
-			return nil, err
-		}
-	}
-	if p.queueWait != 0 {
-		b = append(b, `,"queueWait":"`...)
-		b = append(append(b, time.Duration(p.queueWait).String()...), '"')
-	}
-	if p.runTime != 0 {
-		b = append(b, `,"runTime":"`...)
-		b = append(append(b, time.Duration(p.runTime).String()...), '"')
-	}
-	if rec.traceID != "" {
-		b = append(b, `,"traceId":`...)
-		b = appendText(b, rec.traceID, rec.tracePlain)
-	}
-	if len(more.blocks) > 0 {
-		b = append(b, `,"blocks":`...)
-		b = core.AppendStates(b, more.blocks)
-	}
-	if rec.owner != "" {
-		b = append(b, `,"owner":`...)
-		b = core.AppendString(b, rec.owner)
-	}
-	if len(more.log) > 0 {
-		b = append(b, `,"log":`...)
-		b = core.AppendStrings(b, more.log)
-	}
-	switch {
-	case e.prefix == "":
-	case e.prefixOK:
-		b = append(b, `,"uri":"`...)
-		b = append(b, e.prefixText...)
-		if rec.idPlain {
-			b = append(b, rec.id...)
-		} else {
-			b = core.AppendStringContent(b, rec.id)
-		}
-		b = append(b, '"')
-	default:
-		b = append(b, `,"uri":`...)
-		b = core.AppendString(b, e.prefix+rec.id)
-	}
-	return append(b, '}'), nil
+// appendJSON appends the job of rec in phase p through e.  The job is
+// built on the stack, so encoding a phase allocates nothing of its own.
+func (rec *jobRecord) appendJSON(b []byte, e *core.JobEncoder, p *jobPhase) ([]byte, error) {
+	j := rec.build(p)
+	return e.Append(b, &j, rec.idPlain, rec.tracePlain)
 }
 
 // noMore stands for the rarely set fields of a phase that sets none.
@@ -364,8 +246,8 @@ type jobBody struct {
 }
 
 func (body *jobBody) AppendJSON(b []byte) ([]byte, error) {
-	e := newJobEncoder(body.prefix)
-	return e.append(b, body.rec, body.p)
+	e := core.NewJobEncoder(body.prefix)
+	return body.rec.appendJSON(b, &e, body.p)
 }
 
 // jobPage is one page of a job listing, encoded as core.JobPage encodes
@@ -382,9 +264,9 @@ func (pg *jobPage) AppendJSON(b []byte) ([]byte, error) {
 	if pg.jobs == nil {
 		n = -1
 	}
-	e := newJobEncoder(pg.prefix)
+	e := core.NewJobEncoder(pg.prefix)
 	return core.AppendJobPage(b, n, pg.limit, pg.offset, pg.total, func(b []byte, i int) ([]byte, error) {
-		return e.append(b, pg.jobs[i].rec, pg.jobs[i].p)
+		return pg.jobs[i].rec.appendJSON(b, &e, pg.jobs[i].p)
 	})
 }
 
@@ -394,8 +276,8 @@ type jobLogRecord jobImage
 
 func (r jobLogRecord) AppendJSON(b []byte) ([]byte, error) {
 	b = append(b, `{"job":`...)
-	e := newJobEncoder("")
-	b, err := e.append(b, r.rec, r.p)
+	var e core.JobEncoder
+	b, err := r.rec.appendJSON(b, &e, r.p)
 	if err != nil {
 		return nil, err
 	}

@@ -26,10 +26,11 @@ func TestJobPhaseSize(t *testing.T) {
 	}
 }
 
-// FuzzJobRecordJSON holds the container's job encoder, which writes a job
-// from its request and phase, to json.Marshal of the core.Job the two make:
-// for the body of a job resource (uri from the prefix), a page of jobs and
-// the journal's job record.  The phases are those of a live job through
+// FuzzJobRecordJSON holds the container's job bodies, which core's job
+// encoder writes from the job that a record's request and phase build on
+// the stack, to json.Marshal of that core.Job: for the body of a job
+// resource (uri from the prefix), a page of jobs and the journal's job
+// record.  The phases are those of a live job through
 // every transition (WAITING, RUNNING, each Progress and SetBlockState, its
 // landing), of a job born DONE from the cache, and of replayed jobs, whose
 // IDs need not be plain and whose submitted time and destruction time are
@@ -112,8 +113,8 @@ func FuzzJobRecordJSON(f *testing.F) {
 		imgs = append(imgs, jobImage{replayed, replayed.phase.Load()})
 		// The replayed job encodes as the journaled one did.
 		want, wantErr := json.Marshal(job)
-		e := newJobEncoder("")
-		got, gotErr := e.append(nil, replayed, replayed.phase.Load())
+		var e core.JobEncoder
+		got, gotErr := replayed.appendJSON(nil, &e, replayed.phase.Load())
 		if (gotErr != nil) != (wantErr != nil) || wantErr == nil && !bytes.Equal(got, want) {
 			t.Fatalf("replayed job = %s, %v; journaled %s, %v", got, gotErr, want, wantErr)
 		}
@@ -131,8 +132,8 @@ func FuzzJobRecordJSON(f *testing.F) {
 					want.URI = pre + want.ID
 				}
 				wantB, wantErr := json.Marshal(&want)
-				e := newJobEncoder(pre)
-				got, gotErr := e.append(nil, img.rec, img.p)
+				e := core.NewJobEncoder(pre)
+				got, gotErr := img.rec.appendJSON(nil, &e, img.p)
 				if (gotErr != nil) != (wantErr != nil) || wantErr == nil && !bytes.Equal(got, wantB) {
 					t.Fatalf("image %d, prefix %q: %s, %v; want %s, %v", i, pre, got, gotErr, wantB, wantErr)
 				}

@@ -17,12 +17,12 @@ import (
 // encoding/json emits for the Job struct's field tags — field order,
 // omitempty, RFC 3339 nano times, Duration text, ES6 float formatting,
 // sorted map keys, HTML and U+2028/2029 escaping, U+FFFD for invalid UTF-8 —
-// and FuzzJobJSON holds it to encoding/json as the oracle.  The appenders
-// of its field shapes are exported for the journal's records, which embed
-// the same shapes.
+// and FuzzJobJSON holds it to encoding/json as the oracle.  JobEncoder is
+// the only writer of a job's JSON: the container encodes its jobs through
+// it too, and the journal's job record embeds its output.
 
 // JSONAppender is a value that encodes itself into a caller's buffer, such
-// as Job, JobPage and the journal's job records.  rest.WriteJSON and the
+// as Job, JobPage and the journal's job record.  rest.WriteJSON and the
 // journal's frame encoder append such a value in place instead of going
 // through encoding/json.
 type JSONAppender interface {
@@ -33,19 +33,56 @@ type JSONAppender interface {
 // it fails on a NaN or infinite float and on a time whose year is outside
 // [0,9999]; on error it returns nil.  A nil job encodes as null.
 func (j *Job) AppendJSON(b []byte) ([]byte, error) {
-	var memo TimeMemo
-	return j.appendJSON(b, &memo)
+	var e JobEncoder
+	return e.Append(b, j, false, false)
 }
 
-// appendJSON is AppendJSON with a time memo, which the jobs of one page
-// share.
-func (j *Job) appendJSON(b []byte, memo *TimeMemo) ([]byte, error) {
+// JobEncoder is the one encoder of the job resource: every server
+// representation of a job — a response body, a page, an SSE event, the
+// journal's job record — is written by Append.  It writes each job's uri
+// as the encoder's prefix followed by the job's ID, or, with no prefix, as
+// the job's own URI.  The jobs of one page share an encoder: its time memo,
+// and the prefix, escaped once.  The zero JobEncoder has no prefix.
+type JobEncoder struct {
+	prefix string
+	// prefixText is prefix escaped for a JSON string, when prefix is
+	// non-empty valid UTF-8 and the escapes of prefix and ID therefore
+	// concatenate.
+	prefixText string
+	prefixOK   bool
+	// memo holds the text of the two seconds formatted last, one slot per
+	// group of a job's times: slot 0 for the admission times (created,
+	// submitted), slot 1 for the execution times (started, finished,
+	// destruction).  A page of sweep children, admitted in one instant and
+	// run within a few seconds, formats few of its times in full.
+	memo [2]secondText
+}
+
+// NewJobEncoder returns an encoder that writes each job's uri as prefix
+// followed by its ID.
+func NewJobEncoder(prefix string) JobEncoder {
+	e := JobEncoder{prefix: prefix}
+	switch {
+	case prefix == "":
+	case PlainString(prefix):
+		e.prefixText, e.prefixOK = prefix, true
+	case utf8.ValidString(prefix):
+		e.prefixText, e.prefixOK = string(appendStringContent(nil, prefix)), true
+	}
+	return e
+}
+
+// Append appends the JSON encoding of j to b, as AppendJSON does, with the
+// encoder's uri.  idPlain and tracePlain report that j.ID and j.TraceID
+// are PlainString, so they are copied without a scan; false is always
+// correct.
+func (e *JobEncoder) Append(b []byte, j *Job, idPlain, tracePlain bool) ([]byte, error) {
 	if j == nil {
 		return append(b, "null"...), nil
 	}
 	var err error
 	b = append(b, `{"id":`...)
-	b = AppendString(b, j.ID)
+	b = appendText(b, j.ID, idPlain)
 	b = append(b, `,"service":`...)
 	b = AppendString(b, j.Service)
 	b = append(b, `,"state":`...)
@@ -67,9 +104,6 @@ func (j *Job) appendJSON(b []byte, memo *TimeMemo) ([]byte, error) {
 		b = AppendString(b, j.Error)
 	}
 	// omitempty never omits a struct, so the zero times are written too.
-	// The admission times share one memo slot and the execution times the
-	// other, so a page of sweep children, admitted in one instant and run
-	// within a few seconds, formats few of its times in full.
 	for _, f := range [...]struct {
 		key  string
 		t    time.Time
@@ -82,7 +116,7 @@ func (j *Job) appendJSON(b []byte, memo *TimeMemo) ([]byte, error) {
 		{`,"destruction":`, j.Destruction, 1},
 	} {
 		b = append(b, f.key...)
-		if b, err = memo.AppendTime(b, f.slot, f.t); err != nil {
+		if b, err = e.memo[f.slot].appendTime(b, f.t); err != nil {
 			return nil, err
 		}
 	}
@@ -97,11 +131,11 @@ func (j *Job) appendJSON(b []byte, memo *TimeMemo) ([]byte, error) {
 	}
 	if j.TraceID != "" {
 		b = append(b, `,"traceId":`...)
-		b = AppendString(b, j.TraceID)
+		b = appendText(b, j.TraceID, tracePlain)
 	}
 	if len(j.Blocks) > 0 {
 		b = append(b, `,"blocks":`...)
-		b = AppendStates(b, j.Blocks)
+		b = appendStates(b, j.Blocks)
 	}
 	if j.Owner != "" {
 		b = append(b, `,"owner":`...)
@@ -109,19 +143,43 @@ func (j *Job) appendJSON(b []byte, memo *TimeMemo) ([]byte, error) {
 	}
 	if len(j.Log) > 0 {
 		b = append(b, `,"log":`...)
-		b = AppendStrings(b, j.Log)
+		b = appendStrings(b, j.Log)
 	}
-	if j.URI != "" {
+	switch {
+	case e.prefixOK:
+		b = append(b, `,"uri":"`...)
+		b = append(b, e.prefixText...)
+		if idPlain {
+			b = append(b, j.ID...)
+		} else {
+			b = appendStringContent(b, j.ID)
+		}
+		b = append(b, '"')
+	case e.prefix != "":
+		b = append(b, `,"uri":`...)
+		b = AppendString(b, e.prefix+j.ID)
+	case j.URI != "":
 		b = append(b, `,"uri":`...)
 		b = AppendString(b, j.URI)
 	}
 	return append(b, '}'), nil
 }
 
-// MarshalJSON implements json.Marshaler with AppendJSON, so every path that
-// encodes a job — responses, SSE events, the journal's JobRecord — shares
-// one definition.  A type embedding Job would have this method promoted and
-// would encode as the bare job; none does.
+// appendText appends s as a JSON string; plain reports that it needs no
+// escaping.
+func appendText(b []byte, s string, plain bool) []byte {
+	if !plain {
+		return AppendString(b, s)
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// MarshalJSON implements json.Marshaler with AppendJSON, so a job that
+// encoding/json meets anywhere in a value is written by JobEncoder too.  A
+// type embedding Job would have this method promoted and would encode as
+// the bare job; none does.
 func (j *Job) MarshalJSON() ([]byte, error) { return j.AppendJSON(nil) }
 
 // JobPage is one page of a job listing: the answer of GET on a service's
@@ -141,15 +199,15 @@ type JobPage struct {
 const maxPageReserve = 1 << 20
 
 // AppendJSON appends the JSON encoding of the page to b; a nil Jobs slice
-// encodes as null.  Its jobs share one time memo.
+// encodes as null.  Its jobs share one encoder.
 func (p *JobPage) AppendJSON(b []byte) ([]byte, error) {
 	n := len(p.Jobs)
 	if p.Jobs == nil {
 		n = -1
 	}
-	var memo TimeMemo
+	var e JobEncoder
 	return AppendJobPage(b, n, p.Limit, p.Offset, p.Total, func(b []byte, i int) ([]byte, error) {
-		return p.Jobs[i].appendJSON(b, &memo)
+		return e.Append(b, p.Jobs[i], false, false)
 	})
 }
 
@@ -190,9 +248,9 @@ func AppendJobPage(b []byte, n, limit, offset, total int, appendJob func(b []byt
 	return append(b, '}'), nil
 }
 
-// AppendStrings appends a string slice (Job.Log) as encoding/json writes
+// appendStrings appends a string slice (Job.Log) as encoding/json writes
 // it: nil as null.
-func AppendStrings(b []byte, s []string) []byte {
+func appendStrings(b []byte, s []string) []byte {
 	if s == nil {
 		return append(b, "null"...)
 	}
@@ -206,9 +264,9 @@ func AppendStrings(b []byte, s []string) []byte {
 	return append(b, ']')
 }
 
-// AppendStates appends a block-state map (Job.Blocks) as encoding/json
+// appendStates appends a block-state map (Job.Blocks) as encoding/json
 // writes it: keys sorted, nil as null.
-func AppendStates(b []byte, m map[string]JobState) []byte {
+func appendStates(b []byte, m map[string]JobState) []byte {
 	if m == nil {
 		return append(b, "null"...)
 	}
@@ -284,11 +342,6 @@ func appendArray(b []byte, a []any, depth int) ([]byte, error) {
 	return append(b, ']'), nil
 }
 
-// AppendValues appends v as encoding/json writes a map[string]any: keys
-// sorted, nil as null.  It fails where encoding/json fails, on a NaN or
-// infinite float anywhere in v; on error it returns nil.
-func AppendValues(b []byte, v Values) ([]byte, error) { return appendObject(b, v, 0) }
-
 func appendObject(b []byte, m map[string]any, depth int) ([]byte, error) {
 	if m == nil {
 		return append(b, "null"...), nil
@@ -354,9 +407,10 @@ func appendFloat(b []byte, f float64) ([]byte, error) {
 	return b, nil
 }
 
-// AppendTime appends t as time.Time.MarshalJSON writes it, failing where it
-// fails: a year outside [0,9999] or a zone offset of 24 hours or more.
-func AppendTime(b []byte, t time.Time) ([]byte, error) {
+// appendTimeJSON appends t as time.Time.MarshalJSON writes it, failing
+// where it fails: a year outside [0,9999] or a zone offset of 24 hours or
+// more.
+func appendTimeJSON(b []byte, t time.Time) ([]byte, error) {
 	b = append(b, '"')
 	n0 := len(b)
 	b = t.AppendFormat(b, time.RFC3339Nano)
@@ -373,17 +427,6 @@ func AppendTime(b []byte, t time.Time) ([]byte, error) {
 	return append(b, '"'), nil
 }
 
-// TimeMemo holds the text of the two seconds a job encoding formatted
-// last, one slot per group of a job's times: slot 0 for the admission
-// times (created, submitted), slot 1 for the execution times (started,
-// finished, destruction).  The jobs of one page share one.
-type TimeMemo [2]secondText
-
-// AppendTime is AppendTime, byte for byte, through the memo's slot.
-func (m *TimeMemo) AppendTime(b []byte, slot int, t time.Time) ([]byte, error) {
-	return m[slot].appendTime(b, t)
-}
-
 // secondText is the RFC 3339 text of one second in one location: the
 // "YYYY-MM-DDTHH:MM:SS" that opens the text of every instant of that
 // second there, and the zone ("Z" or "±hh:mm") that closes it.  Only the
@@ -396,10 +439,10 @@ type secondText struct {
 	nzone int
 }
 
-// zeroTimeJSON is how AppendTime writes time.Time{}.
+// zeroTimeJSON is how appendTimeJSON writes time.Time{}.
 const zeroTimeJSON = `"0001-01-01T00:00:00Z"`
 
-// appendTime is AppendTime, byte for byte, through the slot: a time in the
+// appendTime is appendTimeJSON, byte for byte, through the slot: a time in the
 // slot's second and Location copies that second's text and formats only
 // its fraction; any other is formatted in full and becomes the slot's
 // second.  The zero time is a constant.
@@ -417,11 +460,11 @@ func (m *secondText) appendTime(b []byte, t time.Time) ([]byte, error) {
 		return append(b, '"'), nil
 	}
 	start := len(b)
-	b, err := AppendTime(b, t)
+	b, err := appendTimeJSON(b, t)
 	if err != nil {
 		return nil, err
 	}
-	// The year check in AppendTime leaves four digits of year, so the
+	// The year check in appendTimeJSON leaves four digits of year, so the
 	// clock is the text's first 19 bytes; the zone follows the fraction.
 	text := b[start+1 : len(b)-1]
 	rest := text[copy(m.clock[:], text):]
@@ -471,7 +514,7 @@ var safeASCII = func() (t [utf8.RuneSelf]bool) {
 // and U+2028/U+2029 are escaped; each byte of invalid UTF-8 becomes U+FFFD.
 func AppendString(b []byte, s string) []byte {
 	b = append(b, '"')
-	b = AppendStringContent(b, s)
+	b = appendStringContent(b, s)
 	return append(b, '"')
 }
 
@@ -486,10 +529,10 @@ func PlainString(s string) bool {
 	return true
 }
 
-// AppendStringContent appends s escaped as AppendString does, without the
+// appendStringContent appends s escaped as AppendString does, without the
 // quotes.  For a valid UTF-8 s, escaping s and then t appends the same
 // bytes as escaping s+t.
-func AppendStringContent(b []byte, s string) []byte {
+func appendStringContent(b []byte, s string) []byte {
 	start := 0
 	for i := 0; i < len(s); {
 		if c := s[i]; c < utf8.RuneSelf {

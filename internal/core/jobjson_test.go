@@ -42,8 +42,9 @@ func fuzzJob(text, other string, raw []byte, x float64, kind uint8, sec, nsec in
 	return j
 }
 
-// FuzzJobJSON holds AppendJSON to encoding/json: the same bytes whenever
-// json.Marshal succeeds, and an error exactly when it fails.
+// FuzzJobJSON holds AppendJSON, JobPage's and a prefixed JobEncoder's
+// encodings to encoding/json: the same bytes whenever json.Marshal
+// succeeds, and an error exactly when it fails.
 func FuzzJobJSON(f *testing.F) {
 	f.Add("r01-00ff", "maxima", []byte(`{"expr":"1+1","n":[1,2.5,{"a":null}]}`), 0.5, uint8(3), int64(1700000000), int64(123456789), int32(0), int64(1500))
 	f.Fuzz(func(t *testing.T, text, other string, raw []byte, x float64, kind uint8, sec, nsec int64, zone int32, d int64) {
@@ -59,6 +60,19 @@ func FuzzJobJSON(f *testing.F) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("AppendJSON differs from encoding/json:\n got %s\nwant %s", got, want)
 		}
+		// An encoder with a uri prefix writes prefix+ID in place of the
+		// job's own URI, and copies a plain ID and trace unscanned.
+		prefixed := *j
+		if other != "" {
+			prefixed.URI = other + j.ID
+		}
+		want, wantErr = json.Marshal((*plainJob)(&prefixed))
+		e := NewJobEncoder(other)
+		got, gotErr = e.Append(nil, j, PlainString(j.ID), PlainString(j.TraceID))
+		if gotErr != nil || wantErr != nil || !bytes.Equal(got, want) {
+			t.Fatalf("JobEncoder.Append with prefix %q = %s, %v; want %s, %v", other, got, gotErr, want, wantErr)
+		}
+
 		page := &JobPage{Jobs: []*Job{j, nil}, Limit: int(kind), Offset: -int(kind), Total: 2}
 		want, wantErr = json.Marshal(map[string]any{
 			"jobs": []*plainJob{(*plainJob)(j), nil}, "limit": page.Limit, "offset": page.Offset, "total": page.Total,

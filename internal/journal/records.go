@@ -82,10 +82,10 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// The three records the container writes per job encode themselves: each
-// AppendJSON writes byte for byte what json.Marshal writes for the struct's
-// field tags, and fails where it fails (FuzzJournalRecord holds them to
-// it).  Every other record goes through encoding/json.
+// The job record encodes itself, through core's job encoder: its AppendJSON
+// writes byte for byte what json.Marshal writes for the struct's field
+// tags, and fails where it fails (FuzzJournalRecord holds it to that).
+// Every other record goes through encoding/json.
 
 // JobRecord is the KindJob payload: a full job image plus its durability
 // envelope (owning sweep, destruction TTL).
@@ -144,66 +144,9 @@ type JobEndRecord struct {
 	Blocks      map[string]core.JobState `json:"blocks,omitempty"`
 }
 
-// AppendJSON appends the record's JSON encoding to b; on error it returns
-// nil.  omitempty never omits a time, so every time field is written.
-func (r JobEndRecord) AppendJSON(b []byte) ([]byte, error) {
-	var err error
-	b = append(b, `{"id":`...)
-	b = core.AppendString(b, r.ID)
-	b = append(b, `,"state":`...)
-	b = core.AppendString(b, string(r.State))
-	if len(r.Outputs) > 0 {
-		b = append(b, `,"outputs":`...)
-		if b, err = core.AppendValues(b, r.Outputs); err != nil {
-			return nil, err
-		}
-	}
-	if r.Error != "" {
-		b = append(b, `,"error":`...)
-		b = core.AppendString(b, r.Error)
-	}
-	for _, f := range [...]struct {
-		key string
-		t   time.Time
-	}{
-		{`,"finished":`, r.Finished},
-		{`,"destruction":`, r.Destruction},
-		{`,"started":`, r.Started},
-	} {
-		b = append(b, f.key...)
-		if b, err = core.AppendTime(b, f.t); err != nil {
-			return nil, err
-		}
-	}
-	if r.QueueWait != 0 {
-		b = append(b, `,"queueWait":`...)
-		b = core.AppendString(b, r.QueueWait.Std().String())
-	}
-	if r.RunTime != 0 {
-		b = append(b, `,"runTime":`...)
-		b = core.AppendString(b, r.RunTime.Std().String())
-	}
-	if len(r.Log) > 0 {
-		b = append(b, `,"log":`...)
-		b = core.AppendStrings(b, r.Log)
-	}
-	if len(r.Blocks) > 0 {
-		b = append(b, `,"blocks":`...)
-		b = core.AppendStates(b, r.Blocks)
-	}
-	return append(b, '}'), nil
-}
-
 // JobPurgeRecord is the KindJobPurge payload.
 type JobPurgeRecord struct {
 	ID string `json:"id"`
-}
-
-// AppendJSON appends the record's JSON encoding to b.
-func (r JobPurgeRecord) AppendJSON(b []byte) ([]byte, error) {
-	b = append(b, `{"id":`...)
-	b = core.AppendString(b, r.ID)
-	return append(b, '}'), nil
 }
 
 // SweepRecord is the KindSweep payload: one record for the whole campaign.

@@ -12,99 +12,68 @@ import (
 	"mathcloud/internal/jobfuzz"
 )
 
-// Method-less copies of the hand-encoded records: json.Marshal of one is
-// the reflection encoding its AppendJSON must reproduce.  A JobRecord's job
-// still encodes through core.Job's own encoder, which FuzzJobJSON holds to
+// plainJobRecord is a method-less copy of JobRecord: json.Marshal of one is
+// the reflection encoding its AppendJSON must reproduce.  The record's job
+// still encodes through core's job encoder, which FuzzJobJSON holds to
 // encoding/json.
-type (
-	plainJobRecord      JobRecord
-	plainJobEndRecord   JobEndRecord
-	plainJobPurgeRecord JobPurgeRecord
-)
+type plainJobRecord JobRecord
 
-// recordPair is one hand-encoded record and its method-less copy.
-type recordPair struct {
-	kind  Kind
-	hand  core.JSONAppender
-	plain any
-}
-
-// fuzzRecords builds every hand-encoded record kind from one fuzz input,
-// with FuzzJobJSON's parameters, so its seed corpus applies unchanged.
-func fuzzRecords(text, other string, raw []byte, x float64, kind uint8, sec, nsec int64, zone int32, d int64) []recordPair {
+// fuzzRecord builds the hand-encoded job record from one fuzz input, with
+// FuzzJobJSON's parameters, so its seed corpus applies unchanged.
+func fuzzRecord(text, other string, raw []byte, x float64, kind uint8, sec, nsec int64, zone int32, d int64) JobRecord {
 	created := time.Unix(sec, nsec).In(time.FixedZone("", int(zone)))
-	outputs := core.Values{"x": x, text: jobfuzz.Value(kind, x, other)}
 	var inputs core.Values
 	if json.Unmarshal(raw, &inputs) != nil {
 		inputs = nil
 	}
 	job := &core.Job{
 		ID: text, Service: other, State: core.StateWaiting, Inputs: inputs,
+		Outputs: core.Values{"x": x, text: jobfuzz.Value(kind, x, other)},
 		Created: created, Submitted: created, TraceID: other, Owner: text,
 	}
-	end := JobEndRecord{
-		ID: text, State: core.JobState(other), Error: other,
-		Finished: created.Add(time.Duration(2 * d)), Destruction: time.Unix(sec/7, 0).UTC(),
-		Started: created.Add(time.Duration(d)), QueueWait: core.Duration(d), RunTime: core.Duration(-d / 3),
-	}
-	switch kind & 3 {
-	case 0:
-		end.Outputs = outputs
-		end.Log = []string{text, other}
-		end.Blocks = map[string]core.JobState{text: core.JobState(other), "b": core.StateDone}
-	case 1:
-		end.Outputs = core.Values{}
-		end.Log = []string{}
-		end.Blocks = map[string]core.JobState{}
-	case 2:
+	if kind&3 == 2 {
 		job = nil
 	}
-	rec := JobRecord{Job: job, SweepID: other, TTL: core.Duration(d)}
-	return []recordPair{
-		{KindJob, rec, plainJobRecord(rec)},
-		{KindJobEnd, end, plainJobEndRecord(end)},
-		{KindJobPurge, JobPurgeRecord{ID: text}, plainJobPurgeRecord{ID: text}},
-	}
+	return JobRecord{Job: job, SweepID: other, TTL: core.Duration(d)}
 }
 
-// FuzzJournalRecord holds every hand-encoded record to encoding/json: the
+// FuzzJournalRecord holds the hand-encoded job record to encoding/json: the
 // same bytes whenever json.Marshal of its method-less copy succeeds, and an
 // error exactly when it fails.  Both go through encode, so the frame of the
 // AppendJSON path must equal the frame of the encoding/json path.
 func FuzzJournalRecord(f *testing.F) {
 	f.Add("r01-00ff", "maxima", []byte(`{"expr":"1+1","n":[1,2.5,{"a":null}]}`), 0.5, uint8(3), int64(1700000000), int64(123456789), int32(0), int64(1500))
 	f.Fuzz(func(t *testing.T, text, other string, raw []byte, x float64, kind uint8, sec, nsec int64, zone int32, d int64) {
-		for _, p := range fuzzRecords(text, other, raw, x, kind, sec, nsec, zone, d) {
-			want, wantErr := json.Marshal(p.plain)
-			got, gotErr := p.hand.AppendJSON([]byte("prefix"))
-			if (gotErr != nil) != (wantErr != nil) {
-				t.Fatalf("%v: AppendJSON error %v, json.Marshal error %v", p.kind, gotErr, wantErr)
-			}
-			if wantErr != nil {
-				if got != nil {
-					t.Fatalf("%v: AppendJSON failed but returned %q", p.kind, got)
-				}
-				if _, err := encode(p.kind, p.hand); err == nil {
-					t.Fatalf("%v: encode succeeded where json.Marshal fails", p.kind)
-				}
-				continue
-			}
-			if !bytes.Equal(got, append([]byte("prefix"), want...)) {
-				t.Fatalf("%v: AppendJSON differs from encoding/json:\n got %s\nwant prefix%s", p.kind, got, want)
-			}
-			hand, err := encode(p.kind, p.hand)
-			if err != nil {
-				t.Fatalf("%v: encode: %v", p.kind, err)
-			}
-			plain, err := encode(p.kind, p.plain)
-			if err != nil {
-				t.Fatalf("%v: encode of the method-less copy: %v", p.kind, err)
-			}
-			if !bytes.Equal(hand, plain) {
-				t.Fatalf("%v: frames differ:\n got %q\nwant %q", p.kind, hand, plain)
-			}
-			checkFrame(t, hand, p.kind, want)
+		rec := fuzzRecord(text, other, raw, x, kind, sec, nsec, zone, d)
+		want, wantErr := json.Marshal(plainJobRecord(rec))
+		got, gotErr := rec.AppendJSON([]byte("prefix"))
+		if (gotErr != nil) != (wantErr != nil) {
+			t.Fatalf("AppendJSON error %v, json.Marshal error %v", gotErr, wantErr)
 		}
+		if wantErr != nil {
+			if got != nil {
+				t.Fatalf("AppendJSON failed but returned %q", got)
+			}
+			if _, err := encode(KindJob, rec); err == nil {
+				t.Fatal("encode succeeded where json.Marshal fails")
+			}
+			return
+		}
+		if !bytes.Equal(got, append([]byte("prefix"), want...)) {
+			t.Fatalf("AppendJSON differs from encoding/json:\n got %s\nwant prefix%s", got, want)
+		}
+		hand, err := encode(KindJob, rec)
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		plain, err := encode(KindJob, plainJobRecord(rec))
+		if err != nil {
+			t.Fatalf("encode of the method-less copy: %v", err)
+		}
+		if !bytes.Equal(hand, plain) {
+			t.Fatalf("frames differ:\n got %q\nwant %q", hand, plain)
+		}
+		checkFrame(t, hand, KindJob, want)
 	})
 }
 
@@ -159,36 +128,21 @@ func TestEncodeSubmitRecordAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkEncodeRecord compares the hand-written frame encoder with
-// the reflection encoding it replaces, for the records a job writes.
+// BenchmarkEncodeRecord compares the hand-written frame encoder of a
+// submit record with the reflection encoding it replaces.
 func BenchmarkEncodeRecord(b *testing.B) {
 	sub := submitRecord()
-	job := *sub.Job
-	end := JobEndRecord{
-		ID: job.ID, State: core.StateDone, Outputs: core.Values{"y": 8.0},
-		Finished: job.Created.Add(3 * time.Millisecond), Started: job.Created.Add(time.Millisecond),
-		QueueWait: core.Duration(time.Millisecond), RunTime: core.Duration(2 * time.Millisecond),
-	}
-	for _, r := range []struct {
-		name        string
-		kind        Kind
-		hand, plain any
-	}{
-		{"job", KindJob, sub, plainJobRecord(sub)},
-		{"job_end", KindJobEnd, end, plainJobEndRecord(end)},
-	} {
-		for _, side := range []struct {
-			name string
-			v    any
-		}{{"AppendJSON", r.hand}, {"encoding-json", r.plain}} {
-			b.Run(r.name+"/"+side.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := encode(r.kind, side.v); err != nil {
-						b.Fatal(err)
-					}
+	for _, side := range []struct {
+		name string
+		v    any
+	}{{"AppendJSON", sub}, {"encoding-json", plainJobRecord(sub)}} {
+		b.Run("job/"+side.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := encode(KindJob, side.v); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
